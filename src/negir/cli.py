@@ -16,7 +16,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 
@@ -68,7 +67,6 @@ class Config:
     beta: float | None = None
     k: int = 1000
     ndcg_cutoff: int = 1000
-    threads: int = 4
 
     def as_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
@@ -89,7 +87,7 @@ def load_config(path: str | Path) -> dict:
         if key not in valid:
             raise NegirError(f"{path}:{lineno}: unknown config key {key!r}")
         try:
-            values[key] = int(value) if key in ("k", "ndcg_cutoff", "threads") else float(value)
+            values[key] = int(value) if key in ("k", "ndcg_cutoff") else float(value)
         except ValueError:
             raise NegirError(f"{path}:{lineno}: bad value for {key!r}")
     return values
@@ -99,7 +97,7 @@ def resolve_config(args: argparse.Namespace) -> Config:
     config = Config()
     if getattr(args, "config", None):
         config = replace(config, **load_config(args.config))
-    for name in ("k1", "b", "expansion_weight", "beta", "k", "ndcg_cutoff", "threads"):
+    for name in ("k1", "b", "expansion_weight", "beta", "k", "ndcg_cutoff"):
         value = getattr(args, name.replace("-", "_"), None)
         if value is not None:
             config = replace(config, **{name: value})
@@ -205,18 +203,10 @@ def cmd_run(args: argparse.Namespace) -> int:
         expansion_weight=config.expansion_weight,
     )
 
-    def rank(bundle):
-        return bundle.topic_id, run_strategy(strategy, bundle, index, config.k)
-
-    if config.threads > 1:
-        with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            ranked = list(pool.map(rank, bundles))
-    else:
-        ranked = [rank(bundle) for bundle in bundles]
-
     run = RunResult(run_tag=args.tag)
-    for topic_id, scored in sorted(ranked, key=lambda item: item[0]):
-        run.add_topic(topic_id, [(sd.doc_id, sd.score) for sd in scored])
+    for bundle in bundles:
+        scored = run_strategy(strategy, bundle, index, config.k)
+        run.add_topic(bundle.topic_id, [(sd.doc_id, sd.score) for sd in scored])
     write_run(run, args.out)
     if args.json:
         print(
@@ -364,7 +354,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--beta", type=float, help="override the adaptive combination weight")
     p_run.add_argument("--expansion-weight", type=float, dest="expansion_weight")
     p_run.add_argument("--k", type=int)
-    p_run.add_argument("--threads", type=int)
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--tag", default="negir")
     _add_common(p_run, data_files=True)

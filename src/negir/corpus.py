@@ -87,12 +87,6 @@ class TokenStream:
         return iter(self.tokens)
 
 
-@dataclass(frozen=True)
-class TokenizerConfig:
-    stopwords: frozenset[str]
-    token_pattern: re.Pattern = TOKEN_RE
-
-
 def split_sentences(text: str, token_pattern: re.Pattern = TOKEN_RE) -> list[Sentence]:
     """Split text into sentences and tokenize each without stopword removal.
 
@@ -111,17 +105,6 @@ def split_sentences(text: str, token_pattern: re.Pattern = TOKEN_RE) -> list[Sen
             position += 1
         sentences.append(Sentence(len(sentences), piece, tuple(tokens)))
     return sentences
-
-
-def tokenize(text: str, config: TokenizerConfig) -> TokenStream:
-    """Lowercase, tokenize, and drop stopwords; positions are preserved."""
-    kept = [
-        token
-        for sentence in split_sentences(text, config.token_pattern)
-        for token in sentence.tokens
-        if token.surface not in config.stopwords
-    ]
-    return TokenStream(tuple(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -186,6 +169,16 @@ def load_collection(path: str | Path, format: str = "jsonl") -> Iterator[RawDocu
         yield from _load_plain_dir(path)
 
 
+def _check_id(kind: str, value: str, path: str | Path, line: int | None = None) -> None:
+    """Reject ids that are empty or contain whitespace.
+
+    Run and qrels lines are whitespace-separated, so such an id would
+    make negir write a run file that it cannot read back.
+    """
+    if value.split() != [value]:
+        raise ParseError(f"{kind} {value!r} is empty or contains whitespace", str(path), line)
+
+
 def _check_new_id(seen: set[str], doc_id: str) -> None:
     if doc_id in seen:
         raise DuplicateIdError("doc_id", doc_id)
@@ -206,8 +199,7 @@ def _load_jsonl_collection(path: Path) -> Iterator[RawDocument]:
             if not isinstance(record, dict) or "doc_id" not in record:
                 raise ParseError("record missing doc_id field", str(path), lineno)
             doc_id = str(record["doc_id"])
-            if not doc_id:
-                raise ParseError("empty doc_id", str(path), lineno)
+            _check_id("doc_id", doc_id, path, lineno)
             _check_new_id(seen, doc_id)
             yield RawDocument(
                 doc_id=doc_id,
@@ -261,6 +253,7 @@ def _load_trec_text(path: Path) -> Iterator[RawDocument]:
                         raise ParseError(f"unexpected </{tag}>", str(path), lineno)
                     value = " ".join(buffer).strip()
                     if tag == "DOCNO":
+                        _check_id("doc_id", value, path, lineno)
                         doc_id = value
                     elif tag == "TITLE":
                         title = value
@@ -279,6 +272,7 @@ def _load_plain_dir(path: Path) -> Iterator[RawDocument]:
         raise ParseError("not a directory", str(path))
     seen: set[str] = set()
     for entry in sorted(p for p in path.iterdir() if p.is_file()):
+        _check_id("doc_id", entry.stem, entry)
         _check_new_id(seen, entry.stem)
         yield RawDocument(doc_id=entry.stem, body=entry.read_text(encoding="utf-8"))
 
@@ -315,6 +309,7 @@ def _parse_jsonl_topics(content: str, name: str) -> list[Topic]:
         if not isinstance(record, dict) or "topic_id" not in record:
             raise ParseError("record missing topic_id field", name, lineno)
         topic_id = str(record["topic_id"])
+        _check_id("topic_id", topic_id, name, lineno)
         if topic_id in seen:
             raise DuplicateIdError("topic_id", topic_id)
         seen.add(topic_id)
@@ -334,6 +329,7 @@ def _parse_xml_topics(content: str, name: str) -> list[Topic]:
         topic_id = element.get("number") or element.get("id")
         if not topic_id:
             raise ParseError("topic element missing number attribute", name)
+        _check_id("topic_id", topic_id, name)
         if topic_id in seen:
             raise DuplicateIdError("topic_id", topic_id)
         seen.add(topic_id)

@@ -12,9 +12,10 @@ The scoring formula is pinned exactly:
         w_t * idf(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * len/avgdl))
     idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5))
 
-with defaults k1 = 1.2 and b = 0.75. idf is strictly positive for any
-df <= N, so matching documents always score above zero for positive
-weights.
+with defaults k1 = 1.2 and b = 0.75. idf is the Lucene variant (see
+Kamphuis et al., "Which BM25 do you mean?", ECIR 2020); it is strictly
+positive for any df <= N, so matching documents always score above zero
+for positive weights.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
 
 from .corpus import RawDocument, TokenStream
-from .errors import DuplicateIdError, ParseError
+from .errors import DuplicateIdError, NegirError, ParseError
 from .negation import TaggedTokenStream
 
 PLAIN = "plain"
@@ -38,6 +39,7 @@ DEFAULT_B = 0.75
 
 SNAPSHOT_MAGIC = b"NGIR1"
 SNAPSHOT_VERSION = 1
+MAX_SNAPSHOT_STR_BYTES = 0xFFFF  # strings carry a u16 length prefix
 
 
 @dataclass(frozen=True)
@@ -71,24 +73,31 @@ class WeightedQuery:
 
 @dataclass
 class FieldIndex:
-    """Postings and statistics for a single field."""
+    """Postings and statistics for a single field.
+
+    ``avg_doc_length`` and the per-document BM25 length norms
+    ``k1 * (1 - b + b * len / avgdl)`` are fixed once, by ``Index``, when
+    the field is complete.
+    """
 
     postings: dict[str, dict[str, int]] = dataclass_field(default_factory=dict)
     doc_lengths: dict[str, int] = dataclass_field(default_factory=dict)
+    avg_doc_length: float = dataclass_field(default=0.0, init=False)
+    norms: dict[str, float] = dataclass_field(default_factory=dict, init=False)
 
     @property
     def doc_count(self) -> int:
         return len(self.doc_lengths)
 
-    @property
-    def avg_doc_length(self) -> float:
-        if not self.doc_lengths:
-            return 0.0
-        return sum(self.doc_lengths.values()) / len(self.doc_lengths)
-
-    def postings_list(self, term: str) -> list[tuple[str, int]]:
-        """Postings for one term as (doc_id, term_frequency) pairs."""
-        return list(self.postings.get(term, {}).items())
+    def compute_norms(self, k1: float, b: float) -> None:
+        total = sum(self.doc_lengths.values())
+        if not total:  # no documents, or only empty ones: no term can match
+            return
+        avgdl = self.avg_doc_length = total / len(self.doc_lengths)
+        self.norms = {
+            doc_id: k1 * (1.0 - b + b * length / avgdl)
+            for doc_id, length in self.doc_lengths.items()
+        }
 
 
 class Index:
@@ -98,6 +107,8 @@ class Index:
         self.fields = fields
         self.k1 = k1
         self.b = b
+        for field_index in fields.values():
+            field_index.compute_norms(k1, b)
 
     @property
     def doc_count(self) -> int:
@@ -149,68 +160,29 @@ def idf(doc_count: int, doc_frequency: int) -> float:
     return math.log(1.0 + (doc_count - doc_frequency + 0.5) / (doc_frequency + 0.5))
 
 
-def _score_document(
-    field_index: FieldIndex,
-    merged: Sequence[tuple[str, float]],
-    doc_id: str,
-    k1: float,
-    b: float,
-) -> float:
-    length = field_index.doc_lengths[doc_id]
+def score_query(index: Index, query: WeightedQuery) -> dict[str, float]:
+    """BM25 scores of every document matching the query in its field.
+
+    Term at a time: each merged term's ``weight * idf`` is computed once,
+    then its postings add into one accumulator. A document's terms are
+    added in first-seen query order, starting from 0.0, so a score is
+    bit-identical to summing the formula term by term for that document.
+    Documents matching no term are absent, not scored 0.0.
+    """
+    field_index = index.field(query.field)
+    postings_by_term = field_index.postings
+    norms = field_index.norms
     n = field_index.doc_count
-    avgdl = field_index.avg_doc_length
-    score = 0.0
-    for term, weight in merged:
-        postings = field_index.postings.get(term)
+    tf_scale = index.k1 + 1.0
+    scores: dict[str, float] = {}
+    for term, weight in merge_terms(query.terms):
+        postings = postings_by_term.get(term)
         if not postings:
             continue
-        tf = postings.get(doc_id, 0)
-        if tf == 0:
-            continue
-        norm = k1 * (1.0 - b + b * length / avgdl)
-        score += weight * idf(n, len(postings)) * (tf * (k1 + 1.0)) / (tf + norm)
-    return score
-
-
-def bm25_score(index: Index, field: str, query: WeightedQuery, doc_id: str) -> float:
-    """Score one document; absent terms contribute zero.
-
-    Raises KeyError for a doc_id that is not in the index.
-    """
-    field_index = index.field(field)
-    if doc_id not in field_index.doc_lengths:
-        raise KeyError(f"unknown doc_id: {doc_id!r}")
-    return _score_document(field_index, merge_terms(query.terms), doc_id, index.k1, index.b)
-
-
-def matching_doc_ids(index: Index, field: str, query: WeightedQuery) -> set[str]:
-    """Documents containing at least one query term in the field."""
-    field_index = index.field(field)
-    matched: set[str] = set()
-    for term, _ in query.terms:
-        postings = field_index.postings.get(term)
-        if postings:
-            matched.update(postings.keys())
-    return matched
-
-
-def search(index: Index, field: str, query: WeightedQuery, k: int) -> list[ScoredDoc]:
-    """Top-k matching documents, descending score, doc_id tiebreak.
-
-    Only documents scoring above zero are returned; short result lists
-    are not padded.
-    """
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    field_index = index.field(field)
-    merged = merge_terms(query.terms)
-    results = []
-    for doc_id in matching_doc_ids(index, field, query):
-        score = _score_document(field_index, merged, doc_id, index.k1, index.b)
-        if score > 0.0:
-            results.append(ScoredDoc(doc_id, score))
-    results.sort(key=lambda sd: (-sd.score, sd.doc_id))
-    return results[:k]
+        w = weight * idf(n, len(postings))
+        for doc_id, tf in postings.items():
+            scores[doc_id] = scores.get(doc_id, 0.0) + w * (tf * tf_scale) / (tf + norms[doc_id])
+    return scores
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +210,25 @@ def _read_str(handle: BinaryIO) -> str:
     return handle.read(length).decode("utf-8")
 
 
+def _check_snapshot_strings(index: Index, path: str | Path) -> None:
+    """Refuse, before anything is written, strings too long for a u16 prefix."""
+    for name, field_index in index.fields.items():
+        for kind, values in (
+            ("field name", (name,)),
+            ("doc_id", field_index.doc_lengths),
+            ("term", field_index.postings),
+        ):
+            for value in values:
+                size = len(value.encode("utf-8"))
+                if size > MAX_SNAPSHOT_STR_BYTES:
+                    raise NegirError(
+                        f"{path}: cannot write {kind} {value[:32]!r}...: {size} UTF-8 "
+                        f"bytes, over the snapshot limit of {MAX_SNAPSHOT_STR_BYTES}"
+                    )
+
+
 def save_index(index: Index, path: str | Path) -> None:
+    _check_snapshot_strings(index, path)
     with open(path, "wb") as out:
         out.write(SNAPSHOT_MAGIC)
         out.write(struct.pack("<B", SNAPSHOT_VERSION))
@@ -265,38 +255,41 @@ def save_index(index: Index, path: str | Path) -> None:
 
 def load_index(path: str | Path) -> Index:
     path = Path(path)
-    with open(path, "rb") as handle:
-        if handle.read(len(SNAPSHOT_MAGIC)) != SNAPSHOT_MAGIC:
-            raise ParseError("not an index snapshot (bad magic bytes)", str(path))
-        (version,) = struct.unpack("<B", handle.read(1))
-        if version != SNAPSHOT_VERSION:
-            raise ParseError(f"unsupported snapshot version {version}", str(path))
-        k1, b = struct.unpack("<dd", handle.read(16))
-        (field_count,) = struct.unpack("<B", handle.read(1))
-        fields: dict[str, FieldIndex] = {}
-        for _ in range(field_count):
-            name = _read_str(handle)
-            (doc_count,) = struct.unpack("<I", handle.read(4))
-            doc_ids: list[str] = []
-            doc_lengths: dict[str, int] = {}
-            for _ in range(doc_count):
-                doc_id = _read_str(handle)
-                (length,) = struct.unpack("<I", handle.read(4))
-                doc_ids.append(doc_id)
-                doc_lengths[doc_id] = length
-            (term_count,) = struct.unpack("<I", handle.read(4))
-            postings: dict[str, dict[str, int]] = {}
-            for _ in range(term_count):
-                term = _read_str(handle)
-                (df,) = struct.unpack("<I", handle.read(4))
-                entry: dict[str, int] = {}
-                position = 0
-                for _ in range(df):
-                    delta, tf = struct.unpack("<II", handle.read(8))
-                    position += delta
-                    entry[doc_ids[position]] = tf
-                postings[term] = entry
-            fields[name] = FieldIndex(postings=postings, doc_lengths=doc_lengths)
+    try:
+        with open(path, "rb") as handle:
+            if handle.read(len(SNAPSHOT_MAGIC)) != SNAPSHOT_MAGIC:
+                raise ParseError("not an index snapshot (bad magic bytes)", str(path))
+            (version,) = struct.unpack("<B", handle.read(1))
+            if version != SNAPSHOT_VERSION:
+                raise ParseError(f"unsupported snapshot version {version}", str(path))
+            k1, b = struct.unpack("<dd", handle.read(16))
+            (field_count,) = struct.unpack("<B", handle.read(1))
+            fields: dict[str, FieldIndex] = {}
+            for _ in range(field_count):
+                name = _read_str(handle)
+                (doc_count,) = struct.unpack("<I", handle.read(4))
+                doc_ids: list[str] = []
+                doc_lengths: dict[str, int] = {}
+                for _ in range(doc_count):
+                    doc_id = _read_str(handle)
+                    (length,) = struct.unpack("<I", handle.read(4))
+                    doc_ids.append(doc_id)
+                    doc_lengths[doc_id] = length
+                (term_count,) = struct.unpack("<I", handle.read(4))
+                postings: dict[str, dict[str, int]] = {}
+                for _ in range(term_count):
+                    term = _read_str(handle)
+                    (df,) = struct.unpack("<I", handle.read(4))
+                    entry: dict[str, int] = {}
+                    position = 0
+                    for _ in range(df):
+                        delta, tf = struct.unpack("<II", handle.read(8))
+                        position += delta
+                        entry[doc_ids[position]] = tf
+                    postings[term] = entry
+                fields[name] = FieldIndex(postings=postings, doc_lengths=doc_lengths)
+    except (struct.error, IndexError, UnicodeDecodeError) as exc:
+        raise ParseError(f"corrupt or truncated index snapshot ({exc})", str(path)) from exc
     for field_name in FIELDS:
         if field_name not in fields:
             raise ParseError(f"snapshot missing field {field_name!r}", str(path))

@@ -26,15 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .index import (
-    PLAIN,
-    TAGGED,
-    Index,
-    ScoredDoc,
-    WeightedQuery,
-    bm25_score,
-    matching_doc_ids,
-)
+from .index import TAGGED, Index, ScoredDoc, WeightedQuery, score_query
 from .querygen import QueryBundle
 
 BASELINE = "baseline"
@@ -79,26 +71,6 @@ class Strategy:
             raise ValueError("expansion_weight must be >= 0")
 
 
-def score_baseline(bundle: QueryBundle, index: Index, doc_id: str) -> float:
-    return bm25_score(index, PLAIN, bundle.q_full, doc_id)
-
-
-def score_filtering(bundle: QueryBundle, index: Index, doc_id: str) -> float:
-    return bm25_score(index, PLAIN, bundle.q_pos, doc_id)
-
-
-def score_combination(
-    bundle: QueryBundle,
-    index: Index,
-    doc_id: str,
-    beta_override: float | None = None,
-) -> float:
-    beta = beta_override if beta_override is not None else beta_adaptive(bundle.n_full)
-    full = bm25_score(index, PLAIN, bundle.q_full, doc_id)
-    neg = bm25_score(index, PLAIN, bundle.q_neg, doc_id)
-    return full - beta * neg
-
-
 def _expansion_query(bundle: QueryBundle, weight: float) -> WeightedQuery:
     return WeightedQuery(
         terms=[(term, base * weight) for term, base in bundle.q_neg.terms],
@@ -106,56 +78,48 @@ def _expansion_query(bundle: QueryBundle, weight: float) -> WeightedQuery:
     )
 
 
-def score_tagging(
-    bundle: QueryBundle,
-    index: Index,
-    doc_id: str,
-    expansion_weight: float = DEFAULT_EXPANSION_WEIGHT,
-) -> float:
-    if not bundle.q_neg.terms:
-        return score_baseline(bundle, index, doc_id)
-    score = bm25_score(index, TAGGED, bundle.q_tagged, doc_id)
-    if expansion_weight > 0:
-        score += bm25_score(index, TAGGED, _expansion_query(bundle, expansion_weight), doc_id)
-    return score
+def strategy_components(
+    strategy: Strategy, bundle: QueryBundle
+) -> list[tuple[float, WeightedQuery]]:
+    """The strategy's score as ``sum(coef * S(query, D))`` over components.
+
+    The expansion weight stays inside the expansion's term weights: a
+    coefficient of 0.3 on the whole component would round differently.
+    """
+    kind = strategy.kind
+    if kind == FILTERING:
+        return [(1.0, bundle.q_pos)]
+    if kind == SCORE_COMBINATION:
+        beta = strategy.beta_override
+        if beta is None:
+            beta = beta_adaptive(bundle.n_full)
+        return [(1.0, bundle.q_full), (-beta, bundle.q_neg)]
+    if kind == NEGATION_TAGGING and bundle.q_neg.terms:
+        components = [(1.0, bundle.q_tagged)]
+        if strategy.expansion_weight > 0:
+            components.append((1.0, _expansion_query(bundle, strategy.expansion_weight)))
+        return components
+    return [(1.0, bundle.q_full)]  # baseline, and tagging without negations
 
 
 def run_strategy(
     strategy: Strategy, bundle: QueryBundle, index: Index, k: int
 ) -> list[ScoredDoc]:
-    """Rank candidate documents for one topic under one strategy.
+    """Rank the documents matching any component query of the strategy.
 
-    Candidates are documents matching any scored query: for the
-    combination strategy that is the union of q_full and q_neg matches,
+    For score_combination that is the union of q_full and q_neg matches,
     because a document touching only negated content must be rankable
-    (with a negative score when beta > 0). Results are sorted by
+    (with a negative score when beta > 0). Component scores are summed
+    per document in component order from 0.0; ``x + (-beta) * y`` rounds
+    exactly like ``x - beta * y``, so every score equals the per-document
+    formula in the module docstring bit for bit. Results are sorted by
     descending score with ascending doc_id breaking ties.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    kind = strategy.kind
-    if kind == BASELINE:
-        candidates = matching_doc_ids(index, PLAIN, bundle.q_full)
-        scorer = lambda d: score_baseline(bundle, index, d)
-    elif kind == FILTERING:
-        candidates = matching_doc_ids(index, PLAIN, bundle.q_pos)
-        scorer = lambda d: score_filtering(bundle, index, d)
-    elif kind == SCORE_COMBINATION:
-        candidates = matching_doc_ids(index, PLAIN, bundle.q_full) | matching_doc_ids(
-            index, PLAIN, bundle.q_neg
-        )
-        scorer = lambda d: score_combination(bundle, index, d, strategy.beta_override)
-    else:
-        if not bundle.q_neg.terms:
-            candidates = matching_doc_ids(index, PLAIN, bundle.q_full)
-            scorer = lambda d: score_baseline(bundle, index, d)
-        else:
-            candidates = matching_doc_ids(index, TAGGED, bundle.q_tagged)
-            if strategy.expansion_weight > 0:
-                candidates |= matching_doc_ids(
-                    index, TAGGED, _expansion_query(bundle, strategy.expansion_weight)
-                )
-            scorer = lambda d: score_tagging(bundle, index, d, strategy.expansion_weight)
-    ranked = [ScoredDoc(doc_id, scorer(doc_id)) for doc_id in candidates]
-    ranked.sort(key=lambda sd: (-sd.score, sd.doc_id))
-    return ranked[:k]
+    scores: dict[str, float] = {}
+    for coef, query in strategy_components(strategy, bundle):
+        for doc_id, value in score_query(index, query).items():
+            scores[doc_id] = scores.get(doc_id, 0.0) + coef * value
+    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
+    return [ScoredDoc(doc_id, score) for doc_id, score in ranked[:k]]

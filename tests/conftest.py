@@ -1,6 +1,6 @@
 import pytest
 
-from negir.corpus import TokenizerConfig, default_stopwords
+from negir.corpus import default_stopwords
 from negir.negation import default_lexicon
 
 
@@ -13,7 +13,3 @@ def stopwords():
 def lexicon():
     return default_lexicon()
 
-
-@pytest.fixture(scope="session")
-def tokenizer_config(stopwords):
-    return TokenizerConfig(stopwords=stopwords)

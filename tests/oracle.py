@@ -1,0 +1,95 @@
+"""Reference BM25 scorer for the tests, independent of ``negir.index``.
+
+It scores one document at a time straight from its token list: no
+inverted index, no precomputed statistics. The arithmetic follows the
+pinned formula in the order the engine documents (query terms merged in
+first-seen order, contributions added from 0.0), so its scores are the
+exact values the engine must produce, and tests compare them with ``==``.
+
+Strategy scores are built from whole-query scores with the expressions
+of the ranking module's docstring, one document at a time.
+"""
+
+import math
+
+K1 = 1.2
+B = 0.75
+
+
+def merged(query_terms):
+    """Sum duplicate term weights, keeping first-seen order."""
+    weights = {}
+    for term, weight in query_terms:
+        weights[term] = weights.get(term, 0.0) + weight
+    return list(weights.items())
+
+
+def bm25(doc_tokens, query_terms, doc_id, k1=K1, b=B):
+    """BM25 of one document; ``doc_tokens`` maps every doc_id to its tokens."""
+    n = len(doc_tokens)
+    avgdl = sum(len(tokens) for tokens in doc_tokens.values()) / n
+    tokens = doc_tokens[doc_id]
+    score = 0.0
+    for term, weight in merged(query_terms):
+        tf = tokens.count(term)
+        if tf == 0:
+            continue
+        df = sum(1 for other in doc_tokens.values() if term in other)
+        idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
+        norm = k1 * (1.0 - b + b * len(tokens) / avgdl)
+        score += weight * idf * (tf * (k1 + 1.0)) / (tf + norm)
+    return score
+
+
+def matches(doc_tokens, query_terms):
+    """Documents containing at least one query term."""
+    terms = {term for term, _ in query_terms}
+    return {doc_id for doc_id, tokens in doc_tokens.items() if terms & set(tokens)}
+
+
+def search(doc_tokens, query_terms, k1=K1, b=B):
+    """Every matching document as (doc_id, score), best first, id tiebreak."""
+    scored = [
+        (doc_id, bm25(doc_tokens, query_terms, doc_id, k1, b))
+        for doc_id in matches(doc_tokens, query_terms)
+    ]
+    return sorted(scored, key=lambda item: (-item[1], item[0]))
+
+
+def strategy_scores(plain, tagged, bundle, kind, beta=None, expansion_weight=0.3):
+    """Per-document strategy scores over the documents it can rank.
+
+    ``plain`` and ``tagged`` map doc_id to the token lists of the two
+    fields; ``bundle`` is a ``QueryBundle``; ``beta`` None means the
+    adaptive polynomial.
+    """
+    q_full, q_pos = bundle.q_full.terms, bundle.q_pos.terms
+    q_neg, q_tagged = bundle.q_neg.terms, bundle.q_tagged.terms
+    if kind == "baseline" or (kind == "negation_tagging" and not q_neg):
+        return {d: bm25(plain, q_full, d) for d in matches(plain, q_full)}
+    if kind == "filtering":
+        return {d: bm25(plain, q_pos, d) for d in matches(plain, q_pos)}
+    if kind == "score_combination":
+        if beta is None:
+            n = bundle.n_full
+            beta = -0.0001638 * n * n + 0.04631 * n - 1.207
+        candidates = matches(plain, q_full) | matches(plain, q_neg)
+        return {
+            d: bm25(plain, q_full, d) - beta * bm25(plain, q_neg, d) for d in candidates
+        }
+    expansion = [(term, weight * expansion_weight) for term, weight in q_neg]
+    candidates = matches(tagged, q_tagged)
+    if expansion_weight > 0:
+        candidates |= matches(tagged, expansion)
+    scores = {}
+    for d in candidates:
+        score = bm25(tagged, q_tagged, d)
+        if expansion_weight > 0:
+            score += bm25(tagged, expansion, d)
+        scores[d] = score
+    return scores
+
+
+def ranked(scores, k):
+    """Top k of a doc_id -> score map: descending score, ascending doc_id."""
+    return sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]

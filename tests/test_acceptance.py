@@ -3,8 +3,11 @@
 Each criterion prints a PASS/FAIL line with its runtime (visible with
 ``pytest tests/test_acceptance.py -v -s``) and enforces its runtime
 budget. Reference values are either hand-derived from the pinned
-formulas or checked against independent brute-force implementations
-written in this module.
+formulas or checked against independent brute-force implementations:
+the metric references in this module and the BM25 reference scorer in
+``tests/oracle.py``. That module is imported inside the criteria that
+use it, so this file also loads on its own by path (the benchmark reuses
+``build_planted_corpus``).
 """
 
 import math
@@ -22,17 +25,10 @@ from negir.evalkit import (
     group_analysis,
     relative_improvement,
 )
-from negir.index import (
-    PLAIN,
-    TAGGED,
-    WeightedQuery,
-    bm25_score,
-    build_index,
-    search,
-)
+from negir.index import PLAIN, TAGGED, WeightedQuery, build_index, score_query
 from negir.negation import analyze_text, default_lexicon
-from negir.querygen import build_bundle
-from negir.ranking import Strategy, beta_adaptive, run_strategy, score_combination
+from negir.querygen import QueryBundle, build_bundle
+from negir.ranking import Strategy, beta_adaptive, run_strategy
 
 STOPWORDS = default_stopwords()
 LEXICON = default_lexicon()
@@ -64,6 +60,14 @@ def analyzed_corpus(docs):
         analysis = analyze_text(doc.text(), STOPWORDS, LEXICON)
         triples.append((doc, analysis.stream, analysis.tagged))
     return build_index(triples)
+
+
+def tagged_tokens(docs):
+    """Each document's tagged-field tokens, for the reference scorer."""
+    return {
+        doc_id: analyze_text(text, STOPWORDS, LEXICON).tagged.surfaces()
+        for doc_id, text in docs
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -102,11 +106,17 @@ def test_criterion_2_beta_polynomial():
             LEXICON,
             STOPWORDS,
         )
-        for doc_id, _ in docs:
-            values = {
-                beta: score_combination(bundle, index, doc_id, beta_override=beta)
-                for beta in (-1.0, 0.0, 1.0)
+        by_beta = {
+            beta: {
+                r.doc_id: r.score
+                for r in run_strategy(
+                    Strategy("score_combination", beta_override=beta), bundle, index, k=10
+                )
             }
+            for beta in (-1.0, 0.0, 1.0)
+        }
+        for doc_id, _ in docs:
+            values = {beta: scores.get(doc_id, 0.0) for beta, scores in by_beta.items()}
             midpoint = (values[-1.0] + values[1.0]) / 2
             assert values[0.0] == pytest.approx(midpoint, rel=1e-9, abs=1e-12)
 
@@ -145,26 +155,6 @@ def test_criterion_3_equivalence_suite():
 # ---------------------------------------------------------------------------
 
 
-def brute_force_scores(doc_tokens, query_terms, k1=1.2, b=0.75):
-    """Reference BM25: direct formula evaluation, no inverted index."""
-    n = len(doc_tokens)
-    total_len = sum(len(tokens) for tokens in doc_tokens.values())
-    avgdl = total_len / n if n else 0.0
-    scores = {}
-    for doc_id, tokens in doc_tokens.items():
-        score = 0.0
-        for term, weight in query_terms:
-            tf = tokens.count(term)
-            if tf == 0:
-                continue
-            df = sum(1 for other in doc_tokens.values() if term in other)
-            idf = math.log(1 + (n - df + 0.5) / (df + 0.5))
-            norm = k1 * (1 - b + b * len(tokens) / avgdl)
-            score += weight * idf * tf * (k1 + 1) / (tf + norm)
-        scores[doc_id] = score
-    return scores
-
-
 def token_index(doc_tokens):
     from negir.corpus import Token, TokenStream
     from negir.negation import TaggedToken, TaggedTokenStream
@@ -179,10 +169,19 @@ def token_index(doc_tokens):
     return build_index(triples)
 
 
+def baseline_bundle(terms):
+    """A negation-free bundle whose full query is ``terms``."""
+    query = WeightedQuery(terms, PLAIN)
+    empty = WeightedQuery([], PLAIN)
+    return QueryBundle("t", query, query, empty, WeightedQuery(terms, TAGGED), len(terms), 0)
+
+
 def test_criterion_4_bm25_oracle():
+    import oracle
+
     with criterion(4, "BM25 search vs exhaustive oracle, 100 seeds", budget_seconds=30.0):
         single = token_index({"d": ["fever"]})
-        value = bm25_score(single, PLAIN, WeightedQuery([("fever", 1.0)]), "d")
+        value = score_query(single, WeightedQuery([("fever", 1.0)]))["d"]
         assert value == pytest.approx(0.287682, abs=1e-6)
 
         for seed in range(100):
@@ -195,15 +194,11 @@ def test_criterion_4_bm25_oracle():
             index = token_index(doc_tokens)
             n_terms = rng.randint(1, min(8, len(vocab)))
             terms = [(t, 1.0) for t in rng.sample(vocab, n_terms)]
-            results = search(index, PLAIN, WeightedQuery(terms), k=len(doc_tokens))
-            oracle = brute_force_scores(doc_tokens, terms)
-            expected = sorted(
-                ((d, s) for d, s in oracle.items() if s > 0),
-                key=lambda item: (-item[1], item[0]),
+            results = run_strategy(
+                Strategy("baseline"), baseline_bundle(terms), index, k=len(doc_tokens)
             )
-            assert [r.doc_id for r in results] == [d for d, _ in expected]
-            for result, (_, expected_score) in zip(results, expected):
-                assert result.score == pytest.approx(expected_score, rel=1e-9)
+            # Same documents, same order, bit-identical scores.
+            assert [(r.doc_id, r.score) for r in results] == oracle.search(doc_tokens, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -251,13 +246,13 @@ def test_criterion_5_negation_detection():
 
 
 def test_criterion_6_tagging_semantics():
+    import oracle
+
     with criterion(6, "tagging credit paths on 1-doc corpora", budget_seconds=1.0):
         bundle = build_bundle(Topic("t", "denies smoking"), LEXICON, STOPWORDS)
 
         negated_doc = analyzed_corpus([("d", "no smoking")])
-        tagged_hit = bm25_score(
-            negated_doc, TAGGED, WeightedQuery([("[nx]smoking", 1.0)], field=TAGGED), "d"
-        )
+        tagged_hit = oracle.bm25(tagged_tokens([("d", "no smoking")]), [("[nx]smoking", 1.0)], "d")
         assert tagged_hit > 0
         strategy = Strategy("negation_tagging")
         ranked = run_strategy(strategy, bundle, negated_doc, k=10)
@@ -265,9 +260,7 @@ def test_criterion_6_tagging_semantics():
         assert ranked[0].score == pytest.approx(tagged_hit, rel=1e-9)
 
         plain_doc = analyzed_corpus([("d", "smoking")])
-        reference = bm25_score(
-            plain_doc, TAGGED, WeightedQuery([("smoking", 1.0)], field=TAGGED), "d"
-        )
+        reference = oracle.bm25(tagged_tokens([("d", "smoking")]), [("smoking", 1.0)], "d")
         ranked = run_strategy(strategy, bundle, plain_doc, k=10)
         assert [r.doc_id for r in ranked] == ["d"]
         assert ranked[0].score == pytest.approx(0.3 * reference, rel=1e-9)

@@ -79,10 +79,10 @@ def test_index_and_run_and_eval(workspace, capsys):
     assert "config" in payload
 
 
-def test_run_deterministic_across_thread_counts(workspace):
+def test_run_twice_writes_identical_bytes(workspace):
     snapshot = build_snapshot(workspace)
     outputs = []
-    for threads, name in ((1, "a.run"), (4, "b.run")):
+    for name in ("a.run", "b.run"):
         out = workspace / name
         code = run_cli(
             "run",
@@ -90,7 +90,6 @@ def test_run_deterministic_across_thread_counts(workspace):
             "--topics", workspace / "topics.jsonl",
             "--strategy", "score_combination",
             "--beta", "0.5",
-            "--threads", threads,
             "--k", "10",
             "--out", out,
             "--tag", "comb",
@@ -216,6 +215,62 @@ def test_malformed_collection_exits_one(workspace, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert "doc_id" in err
+
+
+def test_threads_config_key_rejected(workspace, capsys):
+    config = workspace / "negir.conf"
+    config.write_text("threads = 4\n", encoding="utf-8")
+    snapshot = build_snapshot(workspace)
+    code = run_cli(
+        "run",
+        "--index", snapshot,
+        "--topics", workspace / "topics.jsonl",
+        "--strategy", "baseline",
+        "--config", config,
+        "--out", workspace / "r.run",
+    )
+    assert code == 1
+    assert "unknown config key 'threads'" in capsys.readouterr().err
+
+
+def test_whitespace_doc_id_rejected_at_index(workspace, capsys):
+    # Indexing it would give a run file that eval cannot read back.
+    docs = workspace / "spaced.jsonl"
+    docs.write_text(
+        json.dumps({"doc_id": "ok", "body": "fever"}) + "\n"
+        + json.dumps({"doc_id": "a b", "body": "chest pain"}) + "\n",
+        encoding="utf-8",
+    )
+    out = workspace / "x.ngir"
+    assert run_cli("index", "--collection", docs, "--out", out) == 1
+    err = capsys.readouterr().err
+    assert "spaced.jsonl:2:" in err and "'a b'" in err
+    assert not out.exists()
+
+
+def test_truncated_snapshot_exits_one(workspace, capsys):
+    snapshot = build_snapshot(workspace)
+    snapshot.write_bytes(snapshot.read_bytes()[:-3])
+    capsys.readouterr()
+    code = run_cli(
+        "run",
+        "--index", snapshot,
+        "--topics", workspace / "topics.jsonl",
+        "--strategy", "baseline",
+        "--out", workspace / "r.run",
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("negir: ") and "index.ngir" in err and "truncated" in err
+
+
+def test_oversized_doc_id_exits_one_without_writing(workspace, capsys):
+    docs = workspace / "long.jsonl"
+    docs.write_text(json.dumps({"doc_id": "x" * 70_000, "body": "fever"}) + "\n", encoding="utf-8")
+    out = workspace / "x.ngir"
+    assert run_cli("index", "--collection", docs, "--out", out) == 1
+    assert "65535" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_unknown_subcommand_exits_two(capsys):

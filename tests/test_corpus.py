@@ -7,14 +7,13 @@ from hypothesis import given, strategies as st
 
 from negir.corpus import (
     RawDocument,
-    TokenizerConfig,
     load_collection,
     load_stopwords,
     load_topics,
     split_sentences,
-    tokenize,
 )
 from negir.errors import DuplicateIdError, ParseError
+from negir.negation import analyze_text, default_lexicon
 
 words = st.text(alphabet="abcdefghijklmnopqrstuvwxyz0123456789", min_size=1, max_size=8)
 texts = st.text(
@@ -23,30 +22,36 @@ texts = st.text(
 
 
 # ---------------------------------------------------------------------------
-# tokenize
+# tokenize: the stopword-filtered stream of analyze_text
 # ---------------------------------------------------------------------------
 
-
-def test_tokenize_empty(tokenizer_config):
-    assert tokenize("", tokenizer_config).surfaces() == []
+LEXICON = default_lexicon()
 
 
-def test_tokenize_lowercases_and_drops_stopwords(tokenizer_config):
-    assert tokenize("She denies SMOKING.", tokenizer_config).surfaces() == [
+def tokenize(text, stopwords):
+    return analyze_text(text, stopwords, LEXICON).stream
+
+
+def test_tokenize_empty(stopwords):
+    assert tokenize("", stopwords).surfaces() == []
+
+
+def test_tokenize_lowercases_and_drops_stopwords(stopwords):
+    assert tokenize("She denies SMOKING.", stopwords).surfaces() == [
         "denies",
         "smoking",
     ]
 
 
-def test_tokenize_deterministic(tokenizer_config):
+def test_tokenize_deterministic(stopwords):
     text = "Patient REPORTS severe chest pain; but no fever was observed."
-    first = tokenize(text, tokenizer_config)
-    second = tokenize(text, tokenizer_config)
+    first = tokenize(text, stopwords)
+    second = tokenize(text, stopwords)
     assert first == second
 
 
-def test_tokenize_splits_hyphens_and_slashes(tokenizer_config):
-    assert tokenize("family-history w/o complications", tokenizer_config).surfaces() == [
+def test_tokenize_splits_hyphens_and_slashes(stopwords):
+    assert tokenize("family-history w/o complications", stopwords).surfaces() == [
         "family",
         "history",
         "w",
@@ -55,8 +60,8 @@ def test_tokenize_splits_hyphens_and_slashes(tokenizer_config):
     ]
 
 
-def test_positions_strictly_increasing(tokenizer_config):
-    stream = tokenize("She denies smoking. No cough today.", tokenizer_config)
+def test_positions_strictly_increasing(stopwords):
+    stream = tokenize("She denies smoking. No cough today.", stopwords)
     positions = [t.position for t in stream]
     assert positions == sorted(positions)
     assert len(set(positions)) == len(positions)
@@ -64,16 +69,16 @@ def test_positions_strictly_increasing(tokenizer_config):
 
 @given(texts)
 def test_tokenize_idempotent_on_surfaces(text):
-    config = TokenizerConfig(stopwords=frozenset({"the", "a", "of", "she"}))
-    once = tokenize(text, config).surfaces()
-    again = tokenize(" ".join(once), config).surfaces()
+    stopwords = frozenset({"the", "a", "of", "she"})
+    once = tokenize(text, stopwords).surfaces()
+    again = tokenize(" ".join(once), stopwords).surfaces()
     assert once == again
 
 
 @given(texts)
 def test_no_stopword_survives(text):
-    config = TokenizerConfig(stopwords=frozenset({"a", "b", "ab", "the"}))
-    assert not set(tokenize(text, config).surfaces()) & config.stopwords
+    stopwords = frozenset({"a", "b", "ab", "the"})
+    assert not set(tokenize(text, stopwords).surfaces()) & stopwords
 
 
 # ---------------------------------------------------------------------------
@@ -249,6 +254,46 @@ def test_load_topics_duplicate_id(tmp_path):
     _write_jsonl(path, [{"topic_id": "1", "description": "x"}, {"topic_id": "1", "description": "y"}])
     with pytest.raises(DuplicateIdError):
         load_topics(path)
+
+
+@pytest.mark.parametrize("bad_id", ["a b", "a\tb", "", " ", "a\u00a0b"])
+def test_whitespace_or_empty_ids_rejected_with_file_and_line(tmp_path, bad_id):
+    # Run files are whitespace-separated, so such an id could not be read back.
+    docs = tmp_path / "docs.jsonl"
+    _write_jsonl(docs, [{"doc_id": "ok", "body": "x"}, {"doc_id": bad_id, "body": "y"}])
+    with pytest.raises(ParseError, match=r"docs\.jsonl:2:.*whitespace"):
+        list(load_collection(docs, "jsonl"))
+
+    trec = tmp_path / "docs.trec"
+    trec.write_text(
+        "<DOC>\n<DOCNO>ok</DOCNO>\n<TEXT>x</TEXT>\n</DOC>\n"
+        f"<DOC>\n<DOCNO>{bad_id}</DOCNO>\n<TEXT>y</TEXT>\n</DOC>\n",
+        encoding="utf-8",
+    )
+    with pytest.raises(ParseError, match=r"docs\.trec:6:.*whitespace"):
+        list(load_collection(trec, "trec-text"))
+
+    topics = tmp_path / "topics.jsonl"
+    _write_jsonl(topics, [{"topic_id": "1", "description": "x"}, {"topic_id": bad_id, "description": "y"}])
+    with pytest.raises(ParseError, match=r"topics\.jsonl:2:.*whitespace"):
+        load_topics(topics)
+
+
+def test_whitespace_ids_rejected_in_plain_dir_and_xml_topics(tmp_path):
+    collection = tmp_path / "docs"
+    collection.mkdir()
+    (collection / "ok.txt").write_text("x", encoding="utf-8")
+    (collection / "two words.txt").write_text("y", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"two words\.txt.*whitespace"):
+        list(load_collection(collection, "plain-dir"))
+
+    topics = tmp_path / "topics.xml"
+    topics.write_text(
+        '<topics><topic number="1 a"><description>x</description></topic></topics>\n',
+        encoding="utf-8",
+    )
+    with pytest.raises(ParseError, match=r"topics\.xml.*whitespace"):
+        load_topics(topics)
 
 
 # ---------------------------------------------------------------------------

@@ -2,23 +2,27 @@
 
 import math
 import random
+import struct
 
 import pytest
 
+import oracle
+
 from negir.corpus import RawDocument, Token, TokenStream
-from negir.errors import DuplicateIdError, ParseError
+from negir.errors import DuplicateIdError, NegirError, ParseError
 from negir.index import (
     PLAIN,
     TAGGED,
     WeightedQuery,
-    bm25_score,
     build_index,
     idf,
     load_index,
     save_index,
-    search,
+    score_query,
 )
 from negir.negation import TaggedToken, TaggedTokenStream
+from negir.querygen import QueryBundle
+from negir.ranking import Strategy, run_strategy
 
 
 def make_doc(doc_id, plain_tokens, tagged_tokens=None):
@@ -38,6 +42,13 @@ def build(docs, **kwargs):
     return build_index([make_doc(d, toks) for d, toks in docs], **kwargs)
 
 
+def search(index, query, k):
+    """Rank one plain-field query: the baseline strategy over a bare bundle."""
+    empty = WeightedQuery([])
+    bundle = QueryBundle("t", query, query, empty, WeightedQuery([], TAGGED), len(query), 0)
+    return run_strategy(Strategy("baseline"), bundle, index, k)
+
+
 # ---------------------------------------------------------------------------
 # build_index
 # ---------------------------------------------------------------------------
@@ -53,7 +64,7 @@ def test_empty_index():
 def test_single_doc_statistics():
     index = build([("d", ["fever", "fever"])])
     plain = index.field(PLAIN)
-    assert plain.postings_list("fever") == [("d", 2)]
+    assert plain.postings["fever"] == {"d": 2}
     assert plain.doc_lengths["d"] == 2
     assert plain.avg_doc_length == 2.0
 
@@ -73,21 +84,22 @@ def test_duplicate_doc_id_rejected():
 def test_tagged_field_is_separate_vocabulary():
     index = build_index([make_doc("d", ["smoking"], ["[nx]smoking"])])
     query = WeightedQuery([("smoking", 1.0)], field=PLAIN)
-    assert bm25_score(index, PLAIN, query, "d") > 0
+    assert score_query(index, query)["d"] > 0
     tagged_query = WeightedQuery([("smoking", 1.0)], field=TAGGED)
-    assert bm25_score(index, TAGGED, tagged_query, "d") == 0.0
+    assert score_query(index, tagged_query) == {}
     nx_query = WeightedQuery([("[nx]smoking", 1.0)], field=TAGGED)
-    assert bm25_score(index, TAGGED, nx_query, "d") > 0
+    assert score_query(index, nx_query)["d"] > 0
 
 
 # ---------------------------------------------------------------------------
-# bm25_score
+# score_query
 # ---------------------------------------------------------------------------
 
 
 def test_hand_computed_single_doc_score():
     index = build([("d", ["fever"])], k1=1.2, b=0.75)
-    score = bm25_score(index, PLAIN, WeightedQuery([("fever", 1.0)]), "d")
+    score = score_query(index, WeightedQuery([("fever", 1.0)]))["d"]
+    assert score == oracle.bm25({"d": ["fever"]}, [("fever", 1.0)], "d")
     # idf = ln(1 + (1 - 1 + 0.5) / (1 + 0.5)) = ln(4/3); tf part is exactly 1.
     assert score == pytest.approx(0.287682, abs=1e-6)
     assert score == pytest.approx(math.log(4 / 3), rel=1e-12)
@@ -95,31 +107,36 @@ def test_hand_computed_single_doc_score():
 
 def test_query_without_matches_scores_zero():
     index = build([("d", ["fever"])])
-    assert bm25_score(index, PLAIN, WeightedQuery([("cough", 1.0)]), "d") == 0.0
-    assert bm25_score(index, PLAIN, WeightedQuery([]), "d") == 0.0
+    assert score_query(index, WeightedQuery([("cough", 1.0)])) == {}
+    assert score_query(index, WeightedQuery([])) == {}
+    assert oracle.bm25({"d": ["fever"]}, [("cough", 1.0)], "d") == 0.0
 
 
 def test_score_linear_in_weights():
     index = build([("d1", ["a", "b", "a"]), ("d2", ["b", "c"])])
     single = WeightedQuery([("a", 1.0), ("b", 1.0)])
     double = WeightedQuery([("a", 2.0), ("b", 2.0)])
+    single_scores = score_query(index, single)
+    double_scores = score_query(index, double)
+    assert single_scores.keys() == double_scores.keys() == {"d1", "d2"}
     for doc in ("d1", "d2"):
-        assert bm25_score(index, PLAIN, double, doc) == pytest.approx(
-            2 * bm25_score(index, PLAIN, single, doc), rel=1e-12
-        )
+        assert double_scores[doc] == pytest.approx(2 * single_scores[doc], rel=1e-12)
 
 
 def test_duplicate_terms_accumulate():
     index = build([("d", ["a", "b"])])
     repeated = WeightedQuery([("a", 1.0), ("a", 1.0)])
     doubled = WeightedQuery([("a", 2.0)])
-    assert bm25_score(index, PLAIN, repeated, "d") == bm25_score(index, PLAIN, doubled, "d")
+    assert score_query(index, repeated) == score_query(index, doubled)
 
 
 def test_unknown_doc_rejected():
+    # Only indexed documents get a score; there is none to look up for others.
     index = build([("d", ["a"])])
+    scores = score_query(index, WeightedQuery([("a", 1.0)]))
+    assert set(scores) == {"d"}
     with pytest.raises(KeyError, match="ghost"):
-        bm25_score(index, PLAIN, WeightedQuery([("a", 1.0)]), "ghost")
+        scores["ghost"]
 
 
 def test_idf_positive_for_all_df():
@@ -152,7 +169,7 @@ def test_weight_validation():
 
 def test_search_orders_by_score_then_doc_id():
     index = build([("b", ["x"]), ("a", ["x"]), ("c", ["x", "x", "y"])])
-    results = search(index, PLAIN, WeightedQuery([("x", 1.0)]), k=10)
+    results = search(index, WeightedQuery([("x", 1.0)]), k=10)
     assert [r.doc_id for r in results][:2] == ["a", "b"]  # equal scores, id tiebreak
     assert results[0].score == results[1].score
 
@@ -160,39 +177,20 @@ def test_search_orders_by_score_then_doc_id():
 def test_search_k_truncates_and_short_results():
     index = build([(f"d{i}", ["x"]) for i in range(5)])
     query = WeightedQuery([("x", 1.0)])
-    assert len(search(index, PLAIN, query, k=3)) == 3
-    assert len(search(index, PLAIN, query, k=50)) == 5  # no padding
+    assert len(search(index, query, k=3)) == 3
+    assert len(search(index, query, k=50)) == 5  # no padding
 
 
 def test_search_excludes_non_matching():
     index = build([("d1", ["x"]), ("d2", ["y"])])
-    results = search(index, PLAIN, WeightedQuery([("x", 1.0)]), k=10)
+    results = search(index, WeightedQuery([("x", 1.0)]), k=10)
     assert [r.doc_id for r in results] == ["d1"]
 
 
 def test_search_requires_positive_k():
     index = build([("d", ["x"])])
     with pytest.raises(ValueError):
-        search(index, PLAIN, WeightedQuery([("x", 1.0)]), k=0)
-
-
-def brute_force_bm25(doc_tokens, query_terms, k1=1.2, b=0.75):
-    """Independent reference: full scan, no inverted index."""
-    n = len(doc_tokens)
-    avgdl = sum(len(toks) for toks in doc_tokens.values()) / n if n else 0.0
-    scores = {}
-    for doc_id, tokens in doc_tokens.items():
-        score = 0.0
-        for term, weight in query_terms:
-            tf = tokens.count(term)
-            if tf == 0:
-                continue
-            df = sum(1 for other in doc_tokens.values() if term in other)
-            term_idf = math.log(1 + (n - df + 0.5) / (df + 0.5))
-            norm = k1 * (1 - b + b * len(tokens) / avgdl)
-            score += weight * term_idf * tf * (k1 + 1) / (tf + norm)
-        scores[doc_id] = score
-    return scores
+        search(index, WeightedQuery([("x", 1.0)]), k=0)
 
 
 def test_search_matches_exhaustive_oracle():
@@ -205,15 +203,8 @@ def test_search_matches_exhaustive_oracle():
         }
         index = build(list(doc_tokens.items()))
         terms = [(t, 1.0) for t in rng.sample(vocab, rng.randint(1, 6))]
-        query = WeightedQuery(terms)
-        got = search(index, PLAIN, query, k=len(doc_tokens))
-        oracle = brute_force_bm25(doc_tokens, terms)
-        expected = sorted(
-            ((d, s) for d, s in oracle.items() if s > 0), key=lambda x: (-x[1], x[0])
-        )
-        assert [r.doc_id for r in got] == [d for d, _ in expected]
-        for result, (_, expected_score) in zip(got, expected):
-            assert result.score == pytest.approx(expected_score, rel=1e-9)
+        got = search(index, WeightedQuery(terms), k=len(doc_tokens))
+        assert [(r.doc_id, r.score) for r in got] == oracle.search(doc_tokens, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -235,8 +226,9 @@ def test_snapshot_round_trip(tmp_path):
     for field in (PLAIN, TAGGED):
         assert loaded.field(field).postings == index.field(field).postings
         assert loaded.field(field).doc_lengths == index.field(field).doc_lengths
+        assert loaded.field(field).norms == index.field(field).norms
     query = WeightedQuery([("fever", 1.0), ("rash", 2.0)])
-    assert search(loaded, PLAIN, query, 10) == search(index, PLAIN, query, 10)
+    assert score_query(loaded, query) == score_query(index, query)
 
 
 def test_snapshot_rejects_garbage(tmp_path):
@@ -264,8 +256,47 @@ def test_index_statistics_invariants():
     plain = index.field(PLAIN)
     lengths = plain.doc_lengths
     assert plain.avg_doc_length == pytest.approx(sum(lengths.values()) / len(lengths))
+    for doc_id, length in lengths.items():
+        expected = 1.2 * (1 - 0.75 + 0.75 * length / plain.avg_doc_length)
+        assert plain.norms[doc_id] == pytest.approx(expected, rel=1e-12)
     for term, postings in plain.postings.items():
         for doc_id, tf in postings.items():
             assert doc_id in lengths
             assert tf >= 1
             assert tf <= lengths[doc_id]
+
+
+def test_snapshot_truncation_is_a_parse_error(tmp_path):
+    docs = [
+        make_doc("doc-a", ["fever", "cough"], ["fever", "[nx]cough"]),
+        make_doc("doc-b", ["rash"], ["rash"]),
+    ]
+    path = tmp_path / "snap.ngir"
+    save_index(build_index(docs), path)
+    data = path.read_bytes()
+    for size in range(len(data)):
+        cut = tmp_path / f"cut{size}.ngir"
+        cut.write_bytes(data[:size])
+        with pytest.raises(ParseError, match=cut.name):
+            load_index(cut)
+
+
+def test_snapshot_out_of_range_doc_delta_is_a_parse_error(tmp_path):
+    path = tmp_path / "snap.ngir"
+    save_index(build([("d", ["x"])]), path)
+    data = bytearray(path.read_bytes())
+    # The file ends with the last term's last (doc delta, tf) pair.
+    data[-8:-4] = struct.pack("<I", 7)
+    path.write_bytes(bytes(data))
+    with pytest.raises(ParseError, match="corrupt or truncated"):
+        load_index(path)
+
+
+@pytest.mark.parametrize("long_doc_id", [True, False])
+def test_save_refuses_oversized_strings_before_writing(tmp_path, long_doc_id):
+    huge = "x" * 70_000
+    docs = [(huge, ["a"])] if long_doc_id else [("d", [huge])]
+    path = tmp_path / "snap.ngir"
+    with pytest.raises(NegirError, match="65535"):
+        save_index(build(docs), path)
+    assert not path.exists()

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from negir.corpus import TokenizerConfig, split_sentences, tokenize
+from negir.corpus import split_sentences
 from negir.errors import ParseError
 from negir.negation import (
     NX_PREFIX,
@@ -167,8 +167,8 @@ def test_tag_tokens_prefixes_in_scope(stopwords, lexicon):
     assert negated == [False, True, True]
 
 
-def test_tag_tokens_empty_scopes_is_identity(tokenizer_config):
-    stream = tokenize("persistent chest pain", tokenizer_config)
+def test_tag_tokens_empty_scopes_is_identity(stopwords, lexicon):
+    stream = analyze_text("persistent chest pain", stopwords, lexicon).stream
     assert tag_tokens(stream, []).strip() == stream
     assert tag_tokens(stream, []).surfaces() == stream.surfaces()
 
@@ -178,10 +178,10 @@ def test_tag_strip_round_trip(stopwords, lexicon):
     assert analysis.tagged.strip() == analysis.stream
 
 
-def test_tag_tokens_rejects_bad_spans(tokenizer_config, lexicon):
+def test_tag_tokens_rejects_bad_spans(stopwords, lexicon):
     from negir.negation import NegationScope
 
-    stream = tokenize("fever and cough", tokenizer_config)
+    stream = analyze_text("fever and cough", stopwords, lexicon).stream
     bad = NegationScope(0, "no", (0, 1), (-2, 1), "pre")
     with pytest.raises(ValueError, match="out of range"):
         tag_tokens(stream, [bad])

@@ -3,35 +3,49 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from negir.corpus import RawDocument, Topic
-from negir.index import PLAIN, TAGGED, WeightedQuery, bm25_score, build_index
-from negir.negation import analyze_text
-from negir.querygen import build_bundle
+import oracle
+from negir.corpus import RawDocument, Token, TokenStream, Topic
+from negir.index import PLAIN, TAGGED, WeightedQuery, build_index
+from negir.negation import TaggedToken, TaggedTokenStream, analyze_text
+from negir.querygen import QueryBundle, build_bundle
 from negir.ranking import (
     BetaPolynomial,
     Strategy,
     beta_adaptive,
     run_strategy,
-    score_baseline,
-    score_combination,
-    score_filtering,
-    score_tagging,
 )
 
 
 def corpus_index(docs, stopwords, lexicon, **kwargs):
     """Index raw texts through the real analysis pipeline."""
-    analyzed = []
+    return analyzed_corpus(docs, stopwords, lexicon, **kwargs)[0]
+
+
+def analyzed_corpus(docs, stopwords, lexicon, **kwargs):
+    """The index plus each field's token lists, for the reference scorer."""
+    analyzed, plain, tagged = [], {}, {}
     for doc_id, text in docs:
         doc = RawDocument(doc_id, body=text)
         analysis = analyze_text(doc.text(), stopwords, lexicon)
         analyzed.append((doc, analysis.stream, analysis.tagged))
-    return build_index(analyzed, **kwargs)
+        plain[doc_id] = analysis.stream.surfaces()
+        tagged[doc_id] = analysis.tagged.surfaces()
+    return build_index(analyzed, **kwargs), plain, tagged
 
 
 def bundle_for(description, stopwords, lexicon, topic_id="t"):
     return build_bundle(Topic(topic_id, description), lexicon, stopwords)
+
+
+def scores(strategy, bundle, index):
+    """Every document the strategy ranks, as doc_id -> score."""
+    return {r.doc_id: r.score for r in run_strategy(strategy, bundle, index, k=1000)}
+
+
+def combination(beta):
+    return Strategy("score_combination", beta_override=beta)
 
 
 # ---------------------------------------------------------------------------
@@ -88,34 +102,32 @@ QUERY = "persistent chest pain. denies smoking diabetes."
 
 
 def test_baseline_is_full_query_bm25(stopwords, lexicon):
-    index = corpus_index(DOCS, stopwords, lexicon)
+    index, plain, _ = analyzed_corpus(DOCS, stopwords, lexicon)
     bundle = bundle_for(QUERY, stopwords, lexicon)
-    for doc_id, _ in DOCS:
-        assert score_baseline(bundle, index, doc_id) == bm25_score(
-            index, PLAIN, bundle.q_full, doc_id
-        )
+    got = scores(Strategy("baseline"), bundle, index)
+    assert got == {d: oracle.bm25(plain, bundle.q_full.terms, d) for d in got}
+    assert set(got) == oracle.matches(plain, bundle.q_full.terms)
 
 
 def test_filtering_is_positive_query_bm25(stopwords, lexicon):
-    index = corpus_index(DOCS, stopwords, lexicon)
+    index, plain, _ = analyzed_corpus(DOCS, stopwords, lexicon)
     bundle = bundle_for(QUERY, stopwords, lexicon)
-    for doc_id, _ in DOCS:
-        assert score_filtering(bundle, index, doc_id) == bm25_score(
-            index, PLAIN, bundle.q_pos, doc_id
-        )
+    got = scores(Strategy("filtering"), bundle, index)
+    assert got == {d: oracle.bm25(plain, bundle.q_pos.terms, d) for d in got}
+    assert set(got) == oracle.matches(plain, bundle.q_pos.terms)
 
 
 def test_filtering_zero_for_doc_with_only_negated_terms(stopwords, lexicon):
     index = corpus_index(DOCS, stopwords, lexicon)
     bundle = bundle_for(QUERY, stopwords, lexicon)
-    assert score_filtering(bundle, index, "d-neg") == 0.0
-    assert score_baseline(bundle, index, "d-neg") > 0.0
+    assert "d-neg" not in scores(Strategy("filtering"), bundle, index)
+    assert scores(Strategy("baseline"), bundle, index)["d-neg"] > 0.0
 
 
 def test_fully_negated_query_filtering_scores_nothing(stopwords, lexicon):
     index = corpus_index(DOCS, stopwords, lexicon)
     bundle = bundle_for("denies smoking diabetes", stopwords, lexicon)
-    assert all(score_filtering(bundle, index, d) == 0.0 for d, _ in DOCS)
+    assert scores(Strategy("filtering"), bundle, index) == {}
     # Same holds for a description that is one whole negated sub-sentence.
     fully = bundle_for(
         "She denies smoking, diabetes, hypercholesterolemia, "
@@ -124,103 +136,100 @@ def test_fully_negated_query_filtering_scores_nothing(stopwords, lexicon):
         lexicon,
     )
     assert fully.q_pos.terms == []
-    assert all(score_filtering(fully, index, d) == 0.0 for d, _ in DOCS)
+    assert scores(Strategy("filtering"), fully, index) == {}
 
 
 def test_negation_free_bundle_all_strategies_equal(stopwords, lexicon):
-    index = corpus_index(DOCS, stopwords, lexicon)
+    index, plain, _ = analyzed_corpus(DOCS, stopwords, lexicon)
     bundle = bundle_for("persistent chest pain dyspnea", stopwords, lexicon)
-    for doc_id, _ in DOCS:
-        base = score_baseline(bundle, index, doc_id)
-        assert score_filtering(bundle, index, doc_id) == base
-        assert score_combination(bundle, index, doc_id) == base
-        assert score_tagging(bundle, index, doc_id) == base
+    base = scores(Strategy("baseline"), bundle, index)
+    assert base == {d: oracle.bm25(plain, bundle.q_full.terms, d) for d in base}
+    assert scores(Strategy("filtering"), bundle, index) == base
+    assert scores(Strategy("score_combination"), bundle, index) == base
+    assert scores(Strategy("negation_tagging"), bundle, index) == base
 
 
 def test_combination_beta_zero_equals_baseline(stopwords, lexicon):
     index = corpus_index(DOCS, stopwords, lexicon)
     bundle = bundle_for(QUERY, stopwords, lexicon)
-    for doc_id, _ in DOCS:
-        assert score_combination(bundle, index, doc_id, beta_override=0.0) == (
-            score_baseline(bundle, index, doc_id)
-        )
+    assert scores(combination(0.0), bundle, index) == scores(
+        Strategy("baseline"), bundle, index
+    )
 
 
 def test_combination_negated_only_doc_boundary(stopwords, lexicon):
     # A doc matching only negated terms scores (1 - beta) * S(q_neg):
     # q_full contains the negated terms too, so beta = 1 cancels exactly
     # and only beta > 1 drives the score negative.
-    index = corpus_index(DOCS, stopwords, lexicon)
+    index, plain, _ = analyzed_corpus(DOCS, stopwords, lexicon)
     bundle = bundle_for(QUERY, stopwords, lexicon)
-    neg_part = bm25_score(index, PLAIN, bundle.q_neg, "d-neg")
+    neg_part = oracle.bm25(plain, bundle.q_neg.terms, "d-neg")
     assert neg_part > 0
-    assert score_combination(bundle, index, "d-neg", beta_override=1.0) == pytest.approx(
-        0.0, abs=1e-12
-    )
+    assert scores(combination(1.0), bundle, index)["d-neg"] == pytest.approx(0.0, abs=1e-12)
     for beta in (1.5, 2.0):
-        assert score_combination(bundle, index, "d-neg", beta_override=beta) == (
+        assert scores(combination(beta), bundle, index)["d-neg"] == (
             pytest.approx((1 - beta) * neg_part, rel=1e-9)
         )
-    assert score_combination(bundle, index, "d-neg", beta_override=1.5) < 0
-    assert score_combination(bundle, index, "d-neg", beta_override=-2.0) > 0
+    assert scores(combination(1.5), bundle, index)["d-neg"] < 0
+    assert scores(combination(-2.0), bundle, index)["d-neg"] > 0
 
 
 def test_combination_sign_property(stopwords, lexicon):
     # score < 0 exactly when beta * S(q_neg, D) exceeds S(q_full, D).
-    index = corpus_index(DOCS, stopwords, lexicon)
+    index, plain, _ = analyzed_corpus(DOCS, stopwords, lexicon)
     bundle = bundle_for(QUERY, stopwords, lexicon)
-    for doc_id, _ in DOCS:
-        full = bm25_score(index, PLAIN, bundle.q_full, doc_id)
-        neg = bm25_score(index, PLAIN, bundle.q_neg, doc_id)
-        for beta in (-2.0, -0.5, 0.0, 0.5, 1.0, 1.5, 3.0):
-            score = score_combination(bundle, index, doc_id, beta_override=beta)
+    for beta in (-2.0, -0.5, 0.0, 0.5, 1.0, 1.5, 3.0):
+        got = scores(combination(beta), bundle, index)
+        assert set(got) == {d for d, _ in DOCS}
+        for doc_id, score in got.items():
+            full = oracle.bm25(plain, bundle.q_full.terms, doc_id)
+            neg = oracle.bm25(plain, bundle.q_neg.terms, doc_id)
             assert (score < 0) == (beta * neg > full)
 
 
 def test_combination_affine_in_beta(stopwords, lexicon):
     index = corpus_index(DOCS, stopwords, lexicon)
     bundle = bundle_for(QUERY, stopwords, lexicon)
+    at = {beta: scores(combination(beta), bundle, index) for beta in (-1.0, 0.0, 1.0)}
     for doc_id, _ in DOCS:
-        at = {
-            beta: score_combination(bundle, index, doc_id, beta_override=beta)
-            for beta in (-1.0, 0.0, 1.0)
-        }
         # Three-point collinearity: midpoint value is the mean of endpoints.
-        assert at[0.0] == pytest.approx((at[-1.0] + at[1.0]) / 2, rel=1e-9, abs=1e-12)
+        assert at[0.0][doc_id] == pytest.approx(
+            (at[-1.0][doc_id] + at[1.0][doc_id]) / 2, rel=1e-9, abs=1e-12
+        )
 
 
 def test_combination_sign_flips_with_beta(stopwords, lexicon):
     index = corpus_index(DOCS, stopwords, lexicon)
     bundle = bundle_for(QUERY, stopwords, lexicon)
-    assert score_combination(bundle, index, "d-neg", beta_override=2.0) < 0
-    assert score_combination(bundle, index, "d-neg", beta_override=-2.0) > 0
+    assert scores(combination(2.0), bundle, index)["d-neg"] < 0
+    assert scores(combination(-2.0), bundle, index)["d-neg"] > 0
 
 
 def test_tagging_credits_negated_match(stopwords, lexicon):
     # The document's only "smoking" is inside a negation scope.
-    index = corpus_index([("d", "no smoking")], stopwords, lexicon)
+    index, _, tagged = analyzed_corpus([("d", "no smoking")], stopwords, lexicon)
     bundle = bundle_for("denies smoking", stopwords, lexicon)
-    tagged_term = WeightedQuery([("[nx]smoking", 1.0)], field=TAGGED)
-    expected = bm25_score(index, TAGGED, tagged_term, "d")
+    expected = oracle.bm25(tagged, [("[nx]smoking", 1.0)], "d")
     assert expected > 0
-    assert score_tagging(bundle, index, "d") == pytest.approx(expected, rel=1e-12)
+    assert scores(Strategy("negation_tagging"), bundle, index) == {"d": expected}
 
 
 def test_tagging_expansion_credits_plain_match(stopwords, lexicon):
     # The document asserts "smoking"; credit flows only through the
     # 0.3-weighted untagged expansion.
-    index = corpus_index([("d", "smoking")], stopwords, lexicon)
+    index, _, tagged = analyzed_corpus([("d", "smoking")], stopwords, lexicon)
     bundle = bundle_for("denies smoking", stopwords, lexicon)
-    plain_term = WeightedQuery([("smoking", 1.0)], field=TAGGED)
-    reference = bm25_score(index, TAGGED, plain_term, "d")
+    reference = oracle.bm25(tagged, [("smoking", 1.0)], "d")
     assert reference > 0
-    assert score_tagging(bundle, index, "d") == pytest.approx(0.3 * reference, rel=1e-9)
+    got = scores(Strategy("negation_tagging"), bundle, index)
+    assert got["d"] == pytest.approx(0.3 * reference, rel=1e-9)
 
 
 def test_tagging_expansion_weight_zero(stopwords, lexicon):
     index = corpus_index([("d", "smoking")], stopwords, lexicon)
     bundle = bundle_for("denies smoking", stopwords, lexicon)
-    assert score_tagging(bundle, index, "d", expansion_weight=0.0) == 0.0
+    strategy = Strategy("negation_tagging", expansion_weight=0.0)
+    assert scores(strategy, bundle, index) == {}
 
 
 # ---------------------------------------------------------------------------
@@ -282,33 +291,91 @@ def test_run_strategy_matches_exhaustive_scoring(stopwords, lexicon):
         if rng.random() < 0.3:
             words.insert(rng.randrange(len(words)), "no")
         docs.append((f"d{i:02d}", " ".join(words)))
-    index = corpus_index(docs, stopwords, lexicon)
+    index, plain, tagged = analyzed_corpus(docs, stopwords, lexicon)
     bundle = bundle_for("chest pain edema. denies fever cough.", stopwords, lexicon)
-    scorers = {
-        "baseline": lambda d: score_baseline(bundle, index, d),
-        "filtering": lambda d: score_filtering(bundle, index, d),
-        "score_combination": lambda d: score_combination(bundle, index, d, 0.7),
-        "negation_tagging": lambda d: score_tagging(bundle, index, d),
-    }
-    params = {"score_combination": Strategy("score_combination", beta_override=0.7)}
-    for kind, scorer in scorers.items():
-        strategy = params.get(kind, Strategy(kind))
+    strategies = [
+        Strategy("baseline"),
+        Strategy("filtering"),
+        combination(0.7),
+        Strategy("negation_tagging"),
+    ]
+    for strategy in strategies:
         got = run_strategy(strategy, bundle, index, k=100)
-        returned = {r.doc_id for r in got}
-        # Returned docs come back in exhaustive-sort order with exact scores.
-        expected = sorted(
-            ((d, scorer(d)) for d, _ in docs if d in returned),
-            key=lambda item: (-item[1], item[0]),
+        expected = oracle.strategy_scores(
+            plain, tagged, bundle, strategy.kind, strategy.beta_override
         )
-        assert [r.doc_id for r in got] == [d for d, _ in expected]
-        for result, (_, expected_score) in zip(got, expected):
-            assert result.score == pytest.approx(expected_score, rel=1e-12, abs=1e-12)
-        # Docs outside the candidate set truly match nothing the strategy scores.
-        for doc_id, _ in docs:
-            if doc_id in returned:
-                continue
-            if kind == "score_combination":
-                assert bm25_score(index, PLAIN, bundle.q_full, doc_id) == 0.0
-                assert bm25_score(index, PLAIN, bundle.q_neg, doc_id) == 0.0
-            else:
-                assert scorer(doc_id) == 0.0
+        # Exact scores and order; documents outside the candidate set
+        # match nothing the strategy scores.
+        assert [(r.doc_id, r.score) for r in got] == oracle.ranked(expected, 100)
+
+
+# ---------------------------------------------------------------------------
+# Exactness against the reference scorer on random corpora
+# ---------------------------------------------------------------------------
+
+VOCAB = ["fever", "cough", "rash", "pain", "edema", "chest"]
+
+documents = st.lists(
+    st.lists(st.tuples(st.sampled_from(VOCAB), st.booleans()), max_size=12),
+    min_size=1,
+    max_size=12,
+)
+query_terms = st.lists(
+    st.tuples(st.sampled_from(VOCAB + ["absent"]), st.sampled_from([0.5, 1.0, 2.0]), st.booleans()),
+    max_size=10,
+)
+
+
+def random_bundle(terms, n_full):
+    """A bundle over (term, weight, negated) triples; q_pos and q_neg
+    partition q_full, and q_tagged carries the "[nx]" prefixes."""
+    full = [(t, w) for t, w, _ in terms]
+    pos = [(t, w) for t, w, negated in terms if not negated]
+    neg = [(t, w) for t, w, negated in terms if negated]
+    tagged = [("[nx]" + t if negated else t, w) for t, w, negated in terms]
+    return QueryBundle(
+        topic_id="t",
+        q_full=WeightedQuery(full, PLAIN),
+        q_pos=WeightedQuery(pos, PLAIN),
+        q_neg=WeightedQuery(neg, PLAIN),
+        q_tagged=WeightedQuery(tagged, TAGGED),
+        n_full=n_full,
+        n_neg=len(neg),
+    )
+
+
+@pytest.mark.parametrize(
+    "strategy",
+    [
+        Strategy("baseline"),
+        Strategy("filtering"),
+        combination(None),  # adaptive: negative below n = 29, positive above
+        combination(-1.3),
+        combination(0.0),
+        combination(0.8),
+        combination(2.5),
+        Strategy("negation_tagging"),
+        Strategy("negation_tagging", expansion_weight=0.0),
+    ],
+    ids=lambda s: f"{s.kind}-beta{s.beta_override}-w{s.expansion_weight}",
+)
+@settings(max_examples=60, deadline=None)
+@given(docs=documents, terms=query_terms, n_full=st.integers(0, 300), k=st.integers(1, 14))
+def test_run_strategy_equals_oracle_exactly(strategy, docs, terms, n_full, k):
+    plain, tagged, analyzed = {}, {}, []
+    for i, words in enumerate(docs):
+        doc_id = f"d{i:02d}"
+        plain[doc_id] = [w for w, _ in words]
+        tagged[doc_id] = ["[nx]" + w if negated else w for w, negated in words]
+        stream = TokenStream(tuple(Token(w, 0, j) for j, w in enumerate(plain[doc_id])))
+        tagged_stream = TaggedTokenStream(
+            tuple(TaggedToken(t, 0, j, t.startswith("[nx]")) for j, t in enumerate(tagged[doc_id]))
+        )
+        analyzed.append((RawDocument(doc_id), stream, tagged_stream))
+    index = build_index(analyzed)
+    bundle = random_bundle(terms, n_full)
+    expected = oracle.strategy_scores(
+        plain, tagged, bundle, strategy.kind, strategy.beta_override, strategy.expansion_weight
+    )
+    got = run_strategy(strategy, bundle, index, k)
+    assert [(r.doc_id, r.score) for r in got] == oracle.ranked(expected, k)
