@@ -392,10 +392,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except NegirError as exc:
-        print(f"negir: {exc}", file=sys.stderr)
-        return 1
-    except (OSError, ValueError, KeyError) as exc:
+    except (NegirError, OSError, ValueError, KeyError) as exc:
         print(f"negir: {exc}", file=sys.stderr)
         return 1
 

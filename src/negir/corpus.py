@@ -87,7 +87,7 @@ class TokenStream:
         return iter(self.tokens)
 
 
-def split_sentences(text: str, token_pattern: re.Pattern = TOKEN_RE) -> list[Sentence]:
+def split_sentences(text: str) -> list[Sentence]:
     """Split text into sentences and tokenize each without stopword removal.
 
     Boundaries fall after '.', '?', '!' or ';' followed by whitespace.
@@ -100,7 +100,7 @@ def split_sentences(text: str, token_pattern: re.Pattern = TOKEN_RE) -> list[Sen
         if not piece.strip():
             continue
         tokens = []
-        for match in token_pattern.finditer(piece.lower()):
+        for match in TOKEN_RE.finditer(piece.lower()):
             tokens.append(Token(match.group(), len(sentences), position))
             position += 1
         sentences.append(Sentence(len(sentences), piece, tuple(tokens)))

@@ -149,7 +149,6 @@ def inf_ap(
     qrels: Qrels,
     topic_id: str,
     sampling: SamplingInfo | None = None,
-    epsilon: float = INFAP_EPSILON,
 ) -> float:
     """Inferred average precision.
 
@@ -161,11 +160,11 @@ def inf_ap(
                  (|pool_s above k| / (k-1)) *
                  (rel_s + eps) / (rel_s + nonrel_s + 2 eps)
 
-    where rel_s/nonrel_s count judged documents of stratum s above rank
-    k and documents outside every stratum are assumed non-relevant. The
-    estimate averages E[P@k] over sampled relevant documents (zero when
-    not retrieved), each weighted by the inverse of its stratum's
-    sampling rate.
+    where eps is ``INFAP_EPSILON``, rel_s/nonrel_s count judged documents
+    of stratum s above rank k, and documents outside every stratum are
+    assumed non-relevant. The estimate averages E[P@k] over sampled
+    relevant documents (zero when not retrieved), each weighted by the
+    inverse of its stratum's sampling rate.
     """
     if sampling is None:
         return average_precision(ranking, qrels, topic_id)
@@ -194,9 +193,7 @@ def inf_ap(
         rank = rank_of.get(doc_id)
         if rank is None:
             continue
-        numerator += weight * _expected_precision(
-            ranking, grades, sampling, rank, epsilon
-        )
+        numerator += weight * _expected_precision(ranking, grades, sampling, rank)
     if denominator == 0.0:
         return 0.0
     return numerator / denominator
@@ -207,7 +204,6 @@ def _expected_precision(
     grades: Mapping[str, int],
     sampling: SamplingInfo,
     rank: int,
-    epsilon: float,
 ) -> float:
     if rank == 1:
         return 1.0
@@ -222,7 +218,7 @@ def _expected_precision(
         expected += (
             ((rank - 1) / rank)
             * (len(in_stratum) / (rank - 1))
-            * ((rel + epsilon) / (rel + nonrel + 2 * epsilon))
+            * ((rel + INFAP_EPSILON) / (rel + nonrel + 2 * INFAP_EPSILON))
         )
     return expected
 
@@ -417,13 +413,6 @@ def read_qrels(path: str | Path) -> Qrels:
     return qrels
 
 
-def write_qrels(qrels: Qrels, path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as out:
-        for topic_id, docs in qrels.judgments.items():
-            for doc_id, grade in docs.items():
-                out.write(f"{topic_id} 0 {doc_id} {grade}\n")
-
-
 def read_run(path: str | Path) -> RunResult:
     """Read a TREC run file: topic Q0 docid rank score tag."""
     path = Path(path)
@@ -510,13 +499,10 @@ def report_to_dict(report: MetricsReport) -> dict:
     }
 
 
-def format_table(rows: Sequence[tuple[str, TopicMetrics]], header: str = "") -> str:
+def format_table(rows: Sequence[tuple[str, TopicMetrics]]) -> str:
     """Aligned-column text table: one row per run, four metric columns."""
-    lines = []
-    if header:
-        lines.append(header)
     name_width = max([len(name) for name, _ in rows] + [8])
-    lines.append(f"{'':<{name_width}}  {'P@10':>8}  {'NDCG':>8}  {'infAP':>8}  {'RPrec':>8}")
+    lines = [f"{'':<{name_width}}  {'P@10':>8}  {'NDCG':>8}  {'infAP':>8}  {'RPrec':>8}"]
     for name, metrics in rows:
         values = "  ".join(f"{v:>8.4f}" for v in metrics.values())
         lines.append(f"{name:<{name_width}}  {values}")

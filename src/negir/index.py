@@ -1,10 +1,12 @@
 """Immutable inverted index with Okapi BM25 scoring over two fields.
 
-Every document is indexed twice: a ``plain`` field built from the
-stopword-filtered token stream, and a ``tagged`` field built from the
-same stream with "[nx]" prefixes on negated tokens. Both fields live in
-one index build, so every ranking strategy scores against identical
-collection statistics.
+Every document has postings in two fields: ``plain``, built from the
+stopword-filtered token stream, and ``tagged``, built from the same
+stream with "[nx]" prefixes on negated tokens. Tagging only adds
+prefixes, so a document has the same length in both fields, and the
+index keeps one document table (lengths, avgdl, BM25 length norms) that
+both fields share. Every ranking strategy therefore scores against
+identical collection statistics.
 
 The scoring formula is pinned exactly:
 
@@ -38,7 +40,7 @@ DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
 SNAPSHOT_MAGIC = b"NGIR1"
-SNAPSHOT_VERSION = 1
+SNAPSHOT_VERSION = 2
 MAX_SNAPSHOT_STR_BYTES = 0xFFFF  # strings carry a u16 length prefix
 
 
@@ -73,49 +75,43 @@ class WeightedQuery:
 
 @dataclass
 class FieldIndex:
-    """Postings and statistics for a single field.
-
-    ``avg_doc_length`` and the per-document BM25 length norms
-    ``k1 * (1 - b + b * len / avgdl)`` are fixed once, by ``Index``, when
-    the field is complete.
-    """
+    """Postings of a single field: term -> doc_id -> tf."""
 
     postings: dict[str, dict[str, int]] = dataclass_field(default_factory=dict)
-    doc_lengths: dict[str, int] = dataclass_field(default_factory=dict)
-    avg_doc_length: float = dataclass_field(default=0.0, init=False)
-    norms: dict[str, float] = dataclass_field(default_factory=dict, init=False)
+
+
+class Index:
+    """Immutable two-field inverted index. Do not mutate after build.
+
+    ``doc_lengths`` maps doc_id to its token count, in collection order,
+    for both fields. ``avg_doc_length`` and the per-document BM25 length
+    norms ``k1 * (1 - b + b * len / avgdl)`` are fixed here, once.
+    """
+
+    def __init__(
+        self,
+        fields: dict[str, FieldIndex],
+        doc_lengths: dict[str, int],
+        k1: float = DEFAULT_K1,
+        b: float = DEFAULT_B,
+    ):
+        self.fields = fields
+        self.doc_lengths = doc_lengths
+        self.k1 = k1
+        self.b = b
+        self.avg_doc_length = 0.0
+        self.norms: dict[str, float] = {}
+        total = sum(doc_lengths.values())
+        if total:  # otherwise no documents, or only empty ones: no term can match
+            avgdl = self.avg_doc_length = total / len(doc_lengths)
+            self.norms = {
+                doc_id: k1 * (1.0 - b + b * length / avgdl)
+                for doc_id, length in doc_lengths.items()
+            }
 
     @property
     def doc_count(self) -> int:
         return len(self.doc_lengths)
-
-    def compute_norms(self, k1: float, b: float) -> None:
-        total = sum(self.doc_lengths.values())
-        if not total:  # no documents, or only empty ones: no term can match
-            return
-        avgdl = self.avg_doc_length = total / len(self.doc_lengths)
-        self.norms = {
-            doc_id: k1 * (1.0 - b + b * length / avgdl)
-            for doc_id, length in self.doc_lengths.items()
-        }
-
-
-class Index:
-    """Immutable two-field inverted index. Do not mutate after build."""
-
-    def __init__(self, fields: dict[str, FieldIndex], k1: float = DEFAULT_K1, b: float = DEFAULT_B):
-        self.fields = fields
-        self.k1 = k1
-        self.b = b
-        for field_index in fields.values():
-            field_index.compute_norms(k1, b)
-
-    @property
-    def doc_count(self) -> int:
-        return self.fields[PLAIN].doc_count
-
-    def doc_ids(self) -> list[str]:
-        return list(self.fields[PLAIN].doc_lengths.keys())
 
     def field(self, name: str) -> FieldIndex:
         if name not in self.fields:
@@ -129,18 +125,19 @@ def build_index(
     b: float = DEFAULT_B,
 ) -> Index:
     """Build both fields from analyzed documents. Duplicate doc_ids error."""
+    doc_lengths: dict[str, int] = {}
     plain = FieldIndex()
     tagged = FieldIndex()
     for doc, stream, tagged_stream in docs:
-        if doc.doc_id in plain.doc_lengths:
+        if doc.doc_id in doc_lengths:
             raise DuplicateIdError("doc_id", doc.doc_id)
-        _add_document(plain, doc.doc_id, stream.surfaces())
-        _add_document(tagged, doc.doc_id, tagged_stream.surfaces())
-    return Index({PLAIN: plain, TAGGED: tagged}, k1=k1, b=b)
+        doc_lengths[doc.doc_id] = len(stream)
+        _add_postings(plain, doc.doc_id, stream.surfaces())
+        _add_postings(tagged, doc.doc_id, tagged_stream.surfaces())
+    return Index({PLAIN: plain, TAGGED: tagged}, doc_lengths, k1=k1, b=b)
 
 
-def _add_document(field_index: FieldIndex, doc_id: str, surfaces: Sequence[str]) -> None:
-    field_index.doc_lengths[doc_id] = len(surfaces)
+def _add_postings(field_index: FieldIndex, doc_id: str, surfaces: Sequence[str]) -> None:
     counts: dict[str, int] = {}
     for surface in surfaces:
         counts[surface] = counts.get(surface, 0) + 1
@@ -169,10 +166,9 @@ def score_query(index: Index, query: WeightedQuery) -> dict[str, float]:
     bit-identical to summing the formula term by term for that document.
     Documents matching no term are absent, not scored 0.0.
     """
-    field_index = index.field(query.field)
-    postings_by_term = field_index.postings
-    norms = field_index.norms
-    n = field_index.doc_count
+    postings_by_term = index.field(query.field).postings
+    norms = index.norms
+    n = index.doc_count
     tf_scale = index.k1 + 1.0
     scores: dict[str, float] = {}
     for term, weight in merge_terms(query.terms):
@@ -188,14 +184,15 @@ def score_query(index: Index, query: WeightedQuery) -> dict[str, float]:
 # ---------------------------------------------------------------------------
 # Binary snapshot
 #
-# Layout (little-endian):
-#   magic "NGIR1" | version u8 | k1 f64 | b f64 | field_count u8
-#   per field:
-#     name (u16 length + utf-8)
-#     doc_count u32, then per doc: doc_id (u16 + utf-8), length u32
+# Layout (little-endian), version 2:
+#   magic "NGIR1" | version u8 | k1 f64 | b f64
+#   doc_count u32, then per doc: doc_id (u16 length + utf-8), length u32
+#   field_count u8, then per field:
+#     name (u16 + utf-8)
 #     term_count u32, then per term:
 #       term (u16 + utf-8), df u32,
 #       df x (doc index delta u32, tf u32)  -- doc indexes ascending
+#   end of file: nothing may follow the last field
 # ---------------------------------------------------------------------------
 
 
@@ -212,36 +209,33 @@ def _read_str(handle: BinaryIO) -> str:
 
 def _check_snapshot_strings(index: Index, path: str | Path) -> None:
     """Refuse, before anything is written, strings too long for a u16 prefix."""
+    checks = [("doc_id", index.doc_lengths)]
     for name, field_index in index.fields.items():
-        for kind, values in (
-            ("field name", (name,)),
-            ("doc_id", field_index.doc_lengths),
-            ("term", field_index.postings),
-        ):
-            for value in values:
-                size = len(value.encode("utf-8"))
-                if size > MAX_SNAPSHOT_STR_BYTES:
-                    raise NegirError(
-                        f"{path}: cannot write {kind} {value[:32]!r}...: {size} UTF-8 "
-                        f"bytes, over the snapshot limit of {MAX_SNAPSHOT_STR_BYTES}"
-                    )
+        checks += [("field name", (name,)), ("term", field_index.postings)]
+    for kind, values in checks:
+        for value in values:
+            size = len(value.encode("utf-8"))
+            if size > MAX_SNAPSHOT_STR_BYTES:
+                raise NegirError(
+                    f"{path}: cannot write {kind} {value[:32]!r}...: {size} UTF-8 "
+                    f"bytes, over the snapshot limit of {MAX_SNAPSHOT_STR_BYTES}"
+                )
 
 
 def save_index(index: Index, path: str | Path) -> None:
     _check_snapshot_strings(index, path)
+    doc_pos = {doc_id: i for i, doc_id in enumerate(index.doc_lengths)}
     with open(path, "wb") as out:
         out.write(SNAPSHOT_MAGIC)
         out.write(struct.pack("<B", SNAPSHOT_VERSION))
         out.write(struct.pack("<dd", index.k1, index.b))
+        out.write(struct.pack("<I", len(index.doc_lengths)))
+        for doc_id, length in index.doc_lengths.items():
+            _write_str(out, doc_id)
+            out.write(struct.pack("<I", length))
         out.write(struct.pack("<B", len(index.fields)))
         for name, field_index in index.fields.items():
             _write_str(out, name)
-            doc_ids = list(field_index.doc_lengths.keys())
-            doc_pos = {doc_id: i for i, doc_id in enumerate(doc_ids)}
-            out.write(struct.pack("<I", len(doc_ids)))
-            for doc_id in doc_ids:
-                _write_str(out, doc_id)
-                out.write(struct.pack("<I", field_index.doc_lengths[doc_id]))
             out.write(struct.pack("<I", len(field_index.postings)))
             for term, postings in field_index.postings.items():
                 _write_str(out, term)
@@ -261,20 +255,22 @@ def load_index(path: str | Path) -> Index:
                 raise ParseError("not an index snapshot (bad magic bytes)", str(path))
             (version,) = struct.unpack("<B", handle.read(1))
             if version != SNAPSHOT_VERSION:
-                raise ParseError(f"unsupported snapshot version {version}", str(path))
+                raise ParseError(
+                    f"unsupported snapshot version {version}; rebuild the index", str(path)
+                )
             k1, b = struct.unpack("<dd", handle.read(16))
+            (doc_count,) = struct.unpack("<I", handle.read(4))
+            doc_ids: list[str] = []
+            doc_lengths: dict[str, int] = {}
+            for _ in range(doc_count):
+                doc_id = _read_str(handle)
+                (length,) = struct.unpack("<I", handle.read(4))
+                doc_ids.append(doc_id)
+                doc_lengths[doc_id] = length
             (field_count,) = struct.unpack("<B", handle.read(1))
             fields: dict[str, FieldIndex] = {}
             for _ in range(field_count):
                 name = _read_str(handle)
-                (doc_count,) = struct.unpack("<I", handle.read(4))
-                doc_ids: list[str] = []
-                doc_lengths: dict[str, int] = {}
-                for _ in range(doc_count):
-                    doc_id = _read_str(handle)
-                    (length,) = struct.unpack("<I", handle.read(4))
-                    doc_ids.append(doc_id)
-                    doc_lengths[doc_id] = length
                 (term_count,) = struct.unpack("<I", handle.read(4))
                 postings: dict[str, dict[str, int]] = {}
                 for _ in range(term_count):
@@ -287,10 +283,12 @@ def load_index(path: str | Path) -> Index:
                         position += delta
                         entry[doc_ids[position]] = tf
                     postings[term] = entry
-                fields[name] = FieldIndex(postings=postings, doc_lengths=doc_lengths)
+                fields[name] = FieldIndex(postings)
+            if handle.read(1):
+                raise ParseError("trailing bytes after the last field", str(path))
     except (struct.error, IndexError, UnicodeDecodeError) as exc:
         raise ParseError(f"corrupt or truncated index snapshot ({exc})", str(path)) from exc
     for field_name in FIELDS:
         if field_name not in fields:
             raise ParseError(f"snapshot missing field {field_name!r}", str(path))
-    return Index(fields, k1=k1, b=b)
+    return Index(fields, doc_lengths, k1=k1, b=b)

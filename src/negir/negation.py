@@ -256,14 +256,10 @@ def detect_negations(
     return scopes
 
 
-def detect_all(
-    sentences: Iterable[Sentence],
-    lexicon: TriggerLexicon,
-    scope_window: int | None = None,
-) -> list[NegationScope]:
+def detect_all(sentences: Iterable[Sentence], lexicon: TriggerLexicon) -> list[NegationScope]:
     scopes: list[NegationScope] = []
     for sentence in sentences:
-        scopes.extend(detect_negations(sentence, lexicon, scope_window))
+        scopes.extend(detect_negations(sentence, lexicon))
     return scopes
 
 
@@ -346,15 +342,10 @@ class TextAnalysis:
     tagged: TaggedTokenStream
 
 
-def analyze_text(
-    text: str,
-    stopwords: frozenset[str],
-    lexicon: TriggerLexicon,
-    scope_window: int | None = None,
-) -> TextAnalysis:
+def analyze_text(text: str, stopwords: frozenset[str], lexicon: TriggerLexicon) -> TextAnalysis:
     """Sentence-split, detect scopes, remove stopwords, and tag."""
     sentences = split_sentences(text)
-    scopes = detect_all(sentences, lexicon, scope_window)
+    scopes = detect_all(sentences, lexicon)
     kept = tuple(
         token
         for sentence in sentences

@@ -34,34 +34,21 @@ class QueryBundle:
     n_full: int
     n_neg: int
 
-    @property
-    def has_negations(self) -> bool:
-        return self.n_neg > 0
 
-
-def build_bundle(
-    topic: Topic,
-    lexicon: TriggerLexicon,
-    stopwords: frozenset[str],
-    scope_window: int | None = None,
-    pre_stopword_counts: bool = False,
-) -> QueryBundle:
+def build_bundle(topic: Topic, lexicon: TriggerLexicon, stopwords: frozenset[str]) -> QueryBundle:
     """Run the full query pipeline for one topic.
 
-    ``pre_stopword_counts`` switches n_full/n_neg to counts taken before
-    stopword removal (cue tokens still excluded); by default they count
-    the terms that actually appear in the query variants.
+    n_full and n_neg count the terms that actually appear in q_full and
+    q_neg.
     """
     if not topic.description.strip():
         raise ValueError(f"topic {topic.topic_id!r} has an empty description")
-    analysis = analyze_text(topic.description, stopwords, lexicon, scope_window)
+    analysis = analyze_text(topic.description, stopwords, lexicon)
     positive, negated = split_query_terms(analysis.stream, analysis.scopes)
 
     trigger_positions: set[int] = set()
-    scope_positions: set[int] = set()
     for scope in analysis.scopes:
         trigger_positions.update(range(*scope.trigger_span))
-        scope_positions.update(range(*scope.scope_span))
 
     # q_full preserves description order rather than grouping by polarity.
     full_in_order = [
@@ -71,21 +58,14 @@ def build_bundle(
         t.surface for t in analysis.tagged if t.position not in trigger_positions
     ]
 
-    n_full = len(full_in_order)
-    n_neg = len(negated)
-    if pre_stopword_counts:
-        raw_tokens = [t for s in analysis.sentences for t in s.tokens]
-        n_full = sum(1 for t in raw_tokens if t.position not in trigger_positions)
-        n_neg = sum(1 for t in raw_tokens if t.position in scope_positions)
-
     return QueryBundle(
         topic_id=topic.topic_id,
         q_full=_query(full_in_order, PLAIN),
         q_pos=_query(positive, PLAIN),
         q_neg=_query(negated, PLAIN),
         q_tagged=_query(tagged_in_order, TAGGED),
-        n_full=n_full,
-        n_neg=n_neg,
+        n_full=len(full_in_order),
+        n_neg=len(negated),
     )
 
 

@@ -14,7 +14,7 @@ For score_combination, beta defaults to a quadratic in the query length:
 The value is applied verbatim and deliberately not clamped: negative
 beta boosts negated content, which helps some queries. The polynomial is
 negative below n ~= 29.1, positive up to n ~= 253.7, and negative again
-beyond that; overrides are available for sweeps.
+beyond that; ``Strategy.beta_override`` (``--beta``) replaces it.
 
 The tagging expansion adds the untagged form of each negated term with
 per-term weight 0.3 (equivalent, by weight linearity, to adding 0.3
@@ -38,24 +38,16 @@ STRATEGY_KINDS = (BASELINE, FILTERING, SCORE_COMBINATION, NEGATION_TAGGING)
 DEFAULT_EXPANSION_WEIGHT = 0.3
 
 
-@dataclass(frozen=True)
-class BetaPolynomial:
-    a: float = -0.0001638
-    b: float = 0.04631
-    c: float = -1.207
-
-    def __call__(self, n_full: int) -> float:
-        return self.a * n_full * n_full + self.b * n_full + self.c
+BETA_A = -0.0001638  # coefficients of beta(n) = a * n^2 + b * n + c
+BETA_B = 0.04631
+BETA_C = -1.207
 
 
-DEFAULT_BETA = BetaPolynomial()
-
-
-def beta_adaptive(n_full: int, polynomial: BetaPolynomial = DEFAULT_BETA) -> float:
+def beta_adaptive(n_full: int) -> float:
     """Query-length-adaptive combination weight; may be negative."""
     if n_full < 0:
         raise ValueError("n_full must be >= 0")
-    return polynomial(n_full)
+    return BETA_A * n_full * n_full + BETA_B * n_full + BETA_C
 
 
 @dataclass(frozen=True)

@@ -250,18 +250,20 @@ def test_whitespace_doc_id_rejected_at_index(workspace, capsys):
 
 def test_truncated_snapshot_exits_one(workspace, capsys):
     snapshot = build_snapshot(workspace)
-    snapshot.write_bytes(snapshot.read_bytes()[:-3])
-    capsys.readouterr()
-    code = run_cli(
-        "run",
-        "--index", snapshot,
-        "--topics", workspace / "topics.jsonl",
-        "--strategy", "baseline",
-        "--out", workspace / "r.run",
-    )
-    assert code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("negir: ") and "index.ngir" in err and "truncated" in err
+    data = snapshot.read_bytes()
+    for content, message in ((data[:-3], "truncated"), (data + b"garbage", "trailing bytes")):
+        snapshot.write_bytes(content)
+        capsys.readouterr()
+        code = run_cli(
+            "run",
+            "--index", snapshot,
+            "--topics", workspace / "topics.jsonl",
+            "--strategy", "baseline",
+            "--out", workspace / "r.run",
+        )
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("negir: ") and "index.ngir" in err and message in err
 
 
 def test_oversized_doc_id_exits_one_without_writing(workspace, capsys):

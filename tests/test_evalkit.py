@@ -489,10 +489,7 @@ def test_sampling_sidecar_round_trip(tmp_path):
 
 
 def test_format_table_alignment():
-    table = format_table(
-        [("baseline", TopicMetrics(0.325, 0.3072, 0.0978, 0.1597))], header="# test"
-    )
+    table = format_table([("baseline", TopicMetrics(0.325, 0.3072, 0.0978, 0.1597))])
     lines = table.splitlines()
-    assert lines[0] == "# test"
-    assert "P@10" in lines[1]
-    assert "0.3250" in lines[2]
+    assert "P@10" in lines[0]
+    assert "0.3250" in lines[1]

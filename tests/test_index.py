@@ -57,23 +57,24 @@ def search(index, query, k):
 def test_empty_index():
     index = build([])
     assert index.doc_count == 0
-    assert index.field(PLAIN).avg_doc_length == 0.0
+    assert index.avg_doc_length == 0.0
+    assert index.norms == {}
     assert index.field(PLAIN).postings == {}
 
 
 def test_single_doc_statistics():
     index = build([("d", ["fever", "fever"])])
-    plain = index.field(PLAIN)
-    assert plain.postings["fever"] == {"d": 2}
-    assert plain.doc_lengths["d"] == 2
-    assert plain.avg_doc_length == 2.0
+    assert index.field(PLAIN).postings["fever"] == {"d": 2}
+    assert index.doc_lengths == {"d": 2}
+    assert index.avg_doc_length == 2.0
 
 
 def test_build_deterministic():
     docs = [("a", ["x", "y"]), ("b", ["y", "z", "z"])]
     first, second = build(docs), build(docs)
     assert first.field(PLAIN).postings == second.field(PLAIN).postings
-    assert first.field(PLAIN).doc_lengths == second.field(PLAIN).doc_lengths
+    assert first.field(TAGGED).postings == second.field(TAGGED).postings
+    assert list(first.doc_lengths.items()) == list(second.doc_lengths.items())
 
 
 def test_duplicate_doc_id_rejected():
@@ -225,8 +226,9 @@ def test_snapshot_round_trip(tmp_path):
     assert loaded.k1 == 0.9 and loaded.b == 0.4
     for field in (PLAIN, TAGGED):
         assert loaded.field(field).postings == index.field(field).postings
-        assert loaded.field(field).doc_lengths == index.field(field).doc_lengths
-        assert loaded.field(field).norms == index.field(field).norms
+    assert list(loaded.doc_lengths.items()) == list(index.doc_lengths.items())
+    assert loaded.avg_doc_length == index.avg_doc_length
+    assert loaded.norms == index.norms
     query = WeightedQuery([("fever", 1.0), ("rash", 2.0)])
     assert score_query(loaded, query) == score_query(index, query)
 
@@ -252,18 +254,26 @@ def test_index_statistics_invariants():
         (f"d{i}", [rng.choice(vocab) for _ in range(rng.randint(0, 15))])
         for i in range(40)
     ]
-    index = build(docs)
-    plain = index.field(PLAIN)
-    lengths = plain.doc_lengths
-    assert plain.avg_doc_length == pytest.approx(sum(lengths.values()) / len(lengths))
+    index = build_index(
+        make_doc(doc_id, tokens, [("[nx]" + t if i % 3 else t) for i, t in enumerate(tokens)])
+        for doc_id, tokens in docs
+    )
+    lengths = index.doc_lengths
+    assert list(lengths) == [doc_id for doc_id, _ in docs]
+    assert index.avg_doc_length == pytest.approx(sum(lengths.values()) / len(lengths))
     for doc_id, length in lengths.items():
-        expected = 1.2 * (1 - 0.75 + 0.75 * length / plain.avg_doc_length)
-        assert plain.norms[doc_id] == pytest.approx(expected, rel=1e-12)
-    for term, postings in plain.postings.items():
-        for doc_id, tf in postings.items():
-            assert doc_id in lengths
-            assert tf >= 1
-            assert tf <= lengths[doc_id]
+        expected = 1.2 * (1 - 0.75 + 0.75 * length / index.avg_doc_length)
+        assert index.norms[doc_id] == pytest.approx(expected, rel=1e-12)
+    # Tagging only adds prefixes, so both fields' postings add up, per
+    # document, to the one shared length.
+    for field in (PLAIN, TAGGED):
+        tf_sums = dict.fromkeys(lengths, 0)
+        for term, postings in index.field(field).postings.items():
+            for doc_id, tf in postings.items():
+                assert doc_id in lengths
+                assert tf >= 1
+                tf_sums[doc_id] += tf
+        assert tf_sums == lengths
 
 
 def test_snapshot_truncation_is_a_parse_error(tmp_path):
@@ -274,11 +284,24 @@ def test_snapshot_truncation_is_a_parse_error(tmp_path):
     path = tmp_path / "snap.ngir"
     save_index(build_index(docs), path)
     data = path.read_bytes()
-    for size in range(len(data)):
-        cut = tmp_path / f"cut{size}.ngir"
-        cut.write_bytes(data[:size])
+    # Every proper prefix, and the whole snapshot with bytes appended.
+    corrupted = [data[:size] for size in range(len(data))] + [data + b"garbage"]
+    for i, content in enumerate(corrupted):
+        cut = tmp_path / f"cut{i}.ngir"
+        cut.write_bytes(content)
         with pytest.raises(ParseError, match=cut.name):
             load_index(cut)
+
+
+def test_snapshot_of_older_version_asks_for_rebuild(tmp_path):
+    path = tmp_path / "snap.ngir"
+    save_index(build([("d", ["x"])]), path)
+    data = bytearray(path.read_bytes())
+    assert data[5] == 2  # the version byte follows the 5 magic bytes
+    data[5] = 1
+    path.write_bytes(bytes(data))
+    with pytest.raises(ParseError, match="unsupported snapshot version 1; rebuild the index"):
+        load_index(path)
 
 
 def test_snapshot_out_of_range_doc_delta_is_a_parse_error(tmp_path):

@@ -25,9 +25,9 @@ EXAMPLE = (
 )
 
 
-def detect_in(text, lexicon, window=None):
+def detect_in(text, lexicon):
     sentences = split_sentences(text)
-    return sentences, detect_all(sentences, lexicon, window)
+    return sentences, detect_all(sentences, lexicon)
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +112,8 @@ def test_scopes_are_per_sentence(lexicon):
 
 def test_scope_window_caps_extent(lexicon):
     text = "denies alpha beta gamma delta epsilon zeta eta"
-    sentences, scopes = detect_in(text, lexicon, window=5)
+    sentences = split_sentences(text)
+    scopes = detect_negations(sentences[0], lexicon, scope_window=5)
     assert scope_text(sentences[0], scopes[0]) == "alpha beta gamma delta epsilon"
     _, unbounded = detect_in(text, lexicon)
     assert unbounded[0].scope_span[1] - unbounded[0].scope_span[0] == 7

@@ -37,7 +37,6 @@ def test_example_bundle(lexicon, stopwords):
     assert terms(bundle.q_tagged) == ["[nx]" + t for t in NEGATED_TERMS]
     assert bundle.n_full == 7
     assert bundle.n_neg == 7
-    assert bundle.has_negations
 
 
 def test_fields_assigned(lexicon, stopwords):
@@ -53,7 +52,6 @@ def test_negation_free_bundle(lexicon, stopwords):
     bundle = build_bundle(topic, lexicon, stopwords)
     assert terms(bundle.q_neg) == []
     assert bundle.n_neg == 0
-    assert not bundle.has_negations
     assert bundle.q_pos.terms == bundle.q_full.terms
     assert terms(bundle.q_tagged) == terms(bundle.q_full)
 
@@ -116,15 +114,6 @@ def test_57_term_description_counts_57(lexicon, stopwords):
     assert bundle.n_full == 57 + 2  # "patient", "shows" survive as well
     trimmed = Topic("t", " ".join(content))
     assert build_bundle(trimmed, lexicon, stopwords).n_full == 57
-
-
-def test_pre_stopword_counts_flag(lexicon, stopwords):
-    bundle = build_bundle(EXAMPLE, lexicon, stopwords, pre_stopword_counts=True)
-    # Raw sentence has 12 tokens; "denies" is the cue, so 11 remain.
-    assert bundle.n_full == 11
-    assert bundle.n_neg == 10
-    # The query variants themselves are unchanged by the counting mode.
-    assert terms(bundle.q_neg) == NEGATED_TERMS
 
 
 def test_bundle_summary_shape(lexicon, stopwords):

@@ -10,12 +10,7 @@ from negir.corpus import RawDocument, Token, TokenStream, Topic
 from negir.index import PLAIN, TAGGED, WeightedQuery, build_index
 from negir.negation import TaggedToken, TaggedTokenStream, analyze_text
 from negir.querygen import QueryBundle, build_bundle
-from negir.ranking import (
-    BetaPolynomial,
-    Strategy,
-    beta_adaptive,
-    run_strategy,
-)
+from negir.ranking import Strategy, beta_adaptive, run_strategy
 
 
 def corpus_index(docs, stopwords, lexicon, **kwargs):
@@ -72,20 +67,14 @@ def test_beta_not_clamped():
 
 
 def test_beta_matches_polynomial_everywhere():
-    poly = BetaPolynomial()
     for n in range(0, 1001):
-        expected = poly.a * n * n + poly.b * n + poly.c
+        expected = -0.0001638 * n * n + 0.04631 * n - 1.207
         assert beta_adaptive(n) == pytest.approx(expected, rel=1e-9, abs=1e-12)
 
 
 def test_beta_rejects_negative_counts():
     with pytest.raises(ValueError):
         beta_adaptive(-1)
-
-
-def test_beta_custom_coefficients():
-    flat = BetaPolynomial(a=0.0, b=0.0, c=0.5)
-    assert beta_adaptive(123, flat) == 0.5
 
 
 # ---------------------------------------------------------------------------
