@@ -7,14 +7,16 @@ run against qrels, and ``compare-groups`` to split topics by negation
 content and report the early-precision gap.
 
 A config file of ``key = value`` lines may set any numeric option; flags
-win over the file, and the effective configuration is echoed in every
-report header. All outputs are deterministic for fixed inputs.
+win over the file, the merged settings are range-checked once, and the
+effective configuration is echoed in every report header. All outputs
+are deterministic for fixed inputs.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, fields as dataclass_fields, replace
 from pathlib import Path
@@ -101,6 +103,17 @@ def resolve_config(args: argparse.Namespace) -> Config:
         value = getattr(args, name.replace("-", "_"), None)
         if value is not None:
             config = replace(config, **{name: value})
+    for name, valid, accepted in (
+        ("k1", 0.0 <= config.k1 < math.inf, "a finite number >= 0"),
+        ("b", 0.0 <= config.b <= 1.0, "a number in [0, 1]"),
+        ("expansion_weight", 0.0 <= config.expansion_weight < math.inf,
+         "a finite number >= 0"),
+        ("beta", config.beta is None or math.isfinite(config.beta), "a finite number"),
+        ("k", config.k >= 1, "an integer >= 1"),
+        ("ndcg_cutoff", config.ndcg_cutoff >= 1, "an integer >= 1"),
+    ):
+        if not valid:
+            raise NegirError(f"{name} must be {accepted}, got {getattr(config, name)!r}")
     return config
 
 

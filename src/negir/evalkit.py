@@ -11,7 +11,9 @@ and the value is exact average precision; with a sampling sidecar (per
 topic, the pooled document ids grouped into strata, of which the judged
 documents are a uniform sample per stratum) the estimator extrapolates
 from the sample, weighting each sampled relevant document by the inverse
-of its stratum's sampling rate.
+of its stratum's sampling rate. Strata are disjoint, so one scan of the
+ranking with running per-stratum counts gives every expected precision.
+Group analysis evaluates each run once and splits topics by group.
 """
 
 from __future__ import annotations
@@ -133,15 +135,22 @@ def average_precision(ranking: Sequence[str], qrels: Qrels, topic_id: str) -> fl
 
 @dataclass(frozen=True)
 class SamplingInfo:
-    """Pool strata for one topic; judged docs are the per-stratum sample."""
+    """Pool strata for one topic; judged docs are the per-stratum sample.
+
+    Strata are non-empty and disjoint.
+    """
 
     strata: tuple[frozenset[str], ...]
 
-    def stratum_of(self, doc_id: str) -> int | None:
-        for i, stratum in enumerate(self.strata):
-            if doc_id in stratum:
-                return i
-        return None
+    def __post_init__(self) -> None:
+        pooled: set[str] = set()
+        for number, stratum in enumerate(self.strata, start=1):
+            if not stratum:
+                raise ValueError(f"stratum {number} is empty")
+            shared = pooled & stratum
+            if shared:
+                raise ValueError(f"document {min(shared)!r} is listed in two strata")
+            pooled |= stratum
 
 
 def inf_ap(
@@ -165,62 +174,63 @@ def inf_ap(
     assumed non-relevant. The estimate averages E[P@k] over sampled
     relevant documents (zero when not retrieved), each weighted by the
     inverse of its stratum's sampling rate.
+
+    One scan of the ranking keeps the per-stratum counts above rank k,
+    so a topic costs O(k + R * S); the average is summed in qrels order.
     """
     if sampling is None:
         return average_precision(ranking, qrels, topic_id)
     grades = qrels.judgments.get(topic_id, {})
     judged = set(grades)
     rates = []
-    for stratum in sampling.strata:
-        if not stratum:
-            raise ValueError("empty stratum in sampling metadata")
+    for number, stratum in enumerate(sampling.strata, start=1):
         sampled = len(stratum & judged)
         if sampled == 0:
-            raise ValueError("stratum with no judged documents")
+            raise ValueError(f"topic {topic_id}: stratum {number} has no judged documents")
         rates.append(sampled / len(stratum))
 
-    rank_of = {doc_id: rank for rank, doc_id in enumerate(ranking, start=1)}
+    stratum_by_doc = {doc_id: i for i, stratum in enumerate(sampling.strata) for doc_id in stratum}
+    pooled = [0] * len(rates)
+    relevant = [0] * len(rates)
+    nonrelevant = [0] * len(rates)
+    expected_at: dict[str, float] = {}  # E[P@k] of each retrieved relevant document
+    for rank, doc_id in enumerate(ranking, start=1):
+        grade = grades.get(doc_id, -1)
+        if grade >= 1:
+            expected = 1.0 / rank
+            for above, rel, nonrel in zip(pooled, relevant, nonrelevant):
+                if above:
+                    expected += (
+                        ((rank - 1) / rank)
+                        * (above / (rank - 1))
+                        * ((rel + INFAP_EPSILON) / (rel + nonrel + 2 * INFAP_EPSILON))
+                    )
+            expected_at[doc_id] = expected
+        stratum_index = stratum_by_doc.get(doc_id)
+        if stratum_index is not None:
+            pooled[stratum_index] += 1
+            if grade >= 1:
+                relevant[stratum_index] += 1
+            elif grade == 0:
+                nonrelevant[stratum_index] += 1
+
     numerator = 0.0
     denominator = 0.0
     for doc_id, grade in grades.items():
         if grade < 1:
             continue
-        stratum_index = sampling.stratum_of(doc_id)
+        stratum_index = stratum_by_doc.get(doc_id)
         if stratum_index is None:
-            raise ValueError(f"judged document {doc_id!r} missing from all strata")
+            raise ValueError(
+                f"topic {topic_id}: judged document {doc_id!r} missing from all strata"
+            )
         weight = 1.0 / rates[stratum_index]
         denominator += weight
-        rank = rank_of.get(doc_id)
-        if rank is None:
-            continue
-        numerator += weight * _expected_precision(ranking, grades, sampling, rank)
+        if doc_id in expected_at:
+            numerator += weight * expected_at[doc_id]
     if denominator == 0.0:
         return 0.0
     return numerator / denominator
-
-
-def _expected_precision(
-    ranking: Sequence[str],
-    grades: Mapping[str, int],
-    sampling: SamplingInfo,
-    rank: int,
-) -> float:
-    if rank == 1:
-        return 1.0
-    above = ranking[: rank - 1]
-    expected = 1.0 / rank
-    for stratum in sampling.strata:
-        in_stratum = [doc_id for doc_id in above if doc_id in stratum]
-        if not in_stratum:
-            continue
-        rel = sum(1 for d in in_stratum if grades.get(d, -1) >= 1)
-        nonrel = sum(1 for d in in_stratum if grades.get(d, -1) == 0)
-        expected += (
-            ((rank - 1) / rank)
-            * (len(in_stratum) / (rank - 1))
-            * ((rel + INFAP_EPSILON) / (rel + nonrel + 2 * INFAP_EPSILON))
-        )
-    return expected
 
 
 def r_prec(ranking: Sequence[str], qrels: Qrels, topic_id: str) -> float:
@@ -335,10 +345,6 @@ def split_topics(bundles: Iterable[QueryBundle]) -> tuple[set[str], set[str]]:
     return d_plus, d_minus
 
 
-def _restrict(qrels: Qrels, topic_ids: set[str]) -> Qrels:
-    return Qrels({t: dict(docs) for t, docs in qrels.judgments.items() if t in topic_ids})
-
-
 def group_analysis(
     bundles: Iterable[QueryBundle],
     runs_by_strategy: Mapping[str, RunResult],
@@ -352,14 +358,16 @@ def group_analysis(
     if baseline not in runs_by_strategy:
         raise ValueError(f"baseline run {baseline!r} not among runs")
     d_plus, d_minus = split_topics(bundles)
-    qrels_plus = _restrict(qrels, d_plus)
-    qrels_minus = _restrict(qrels, d_minus)
 
+    # A topic's metrics depend on its own judgments only; per_topic keeps qrels order.
     reports: dict[str, dict[str, MetricsReport]] = {}
     for name, run in runs_by_strategy.items():
+        per_topic = evaluate(run, qrels, ndcg_cutoff).per_topic
         reports[name] = {
-            "d_plus": evaluate(run, qrels_plus, ndcg_cutoff),
-            "d_minus": evaluate(run, qrels_minus, ndcg_cutoff),
+            group: MetricsReport(
+                run.run_tag, {t: m for t, m in per_topic.items() if t in topics}
+            )
+            for group, topics in (("d_plus", d_plus), ("d_minus", d_minus))
         }
 
     base_plus = reports[baseline]["d_plus"].aggregate().p_at_10
@@ -469,19 +477,28 @@ def _topic_sort_key(topic_id: str) -> tuple:
 
 
 def read_sampling_sidecar(path: str | Path) -> dict[str, SamplingInfo]:
-    """JSON sidecar: {topic_id: [[pooled doc ids of stratum 1], ...]}."""
+    """JSON sidecar: {topic_id: [[pooled doc ids of stratum 1], ...]}.
+
+    Strata must be non-empty and disjoint; a ParseError names the file
+    and the topic otherwise.
+    """
     path = Path(path)
     try:
         data = json.loads(path.read_text(encoding="utf-8"))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON ({exc.msg})", str(path)) from exc
+    if not isinstance(data, dict):
+        raise ParseError("expected a JSON object of topic ids to strata", str(path))
     sampling: dict[str, SamplingInfo] = {}
     for topic_id, strata in data.items():
         if not isinstance(strata, list) or not all(isinstance(s, list) for s in strata):
             raise ParseError(f"topic {topic_id}: strata must be lists of doc ids", str(path))
-        sampling[str(topic_id)] = SamplingInfo(
-            strata=tuple(frozenset(str(d) for d in stratum) for stratum in strata)
-        )
+        try:
+            sampling[topic_id] = SamplingInfo(
+                strata=tuple(frozenset(str(d) for d in stratum) for stratum in strata)
+            )
+        except ValueError as exc:
+            raise ParseError(f"topic {topic_id}: {exc}", str(path)) from exc
     return sampling
 
 

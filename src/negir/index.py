@@ -259,6 +259,10 @@ def load_index(path: str | Path) -> Index:
                     f"unsupported snapshot version {version}; rebuild the index", str(path)
                 )
             k1, b = struct.unpack("<dd", handle.read(16))
+            if not (0.0 <= k1 < math.inf and 0.0 <= b <= 1.0):
+                raise ParseError(
+                    f"corrupt snapshot: k1 {k1!r} or b {b!r} out of range", str(path)
+                )
             (doc_count,) = struct.unpack("<I", handle.read(4))
             doc_ids: list[str] = []
             doc_lengths: dict[str, int] = {}

@@ -195,10 +195,12 @@ def detect_negations(
 ) -> list[NegationScope]:
     """Scan one sentence for negation scopes.
 
-    ``scope_window`` optionally caps the scope at that many tokens from
-    the cue (a fixed-window mode for comparison runs); by default scopes
-    extend to the sub-sentence boundary.
+    ``scope_window`` optionally caps the scope at that many tokens (at
+    least 1) from the cue (a fixed-window mode for comparison runs); by
+    default scopes extend to the sub-sentence boundary.
     """
+    if scope_window is not None and scope_window < 1:
+        raise ValueError(f"scope window must be at least 1, got {scope_window}")
     tokens = sentence.tokens
     if not tokens:
         return []
@@ -264,22 +266,8 @@ def detect_all(sentences: Iterable[Sentence], lexicon: TriggerLexicon) -> list[N
 
 
 # ---------------------------------------------------------------------------
-# Tagging and query-term splitting
+# Tagging
 # ---------------------------------------------------------------------------
-
-
-def _validate_scopes(scopes: Iterable[NegationScope]) -> None:
-    for scope in scopes:
-        start, end = scope.scope_span
-        if start < 0 or end <= start:
-            raise ValueError(f"scope span out of range: {scope.scope_span}")
-
-
-def _scope_positions(scopes: Iterable[NegationScope]) -> set[int]:
-    positions: set[int] = set()
-    for scope in scopes:
-        positions.update(range(scope.scope_span[0], scope.scope_span[1]))
-    return positions
 
 
 def tag_tokens(stream: TokenStream, scopes: Sequence[NegationScope]) -> TaggedTokenStream:
@@ -289,8 +277,12 @@ def tag_tokens(stream: TokenStream, scopes: Sequence[NegationScope]) -> TaggedTo
     Spans may extend past the last kept token (stopword removal can strip
     the tail of a scope); negative or inverted spans are rejected.
     """
-    _validate_scopes(scopes)
-    negated = _scope_positions(scopes)
+    negated: set[int] = set()
+    for scope in scopes:
+        start, end = scope.scope_span
+        if start < 0 or end <= start:
+            raise ValueError(f"scope span out of range: {scope.scope_span}")
+        negated.update(range(start, end))
     tagged = tuple(
         TaggedToken(
             NX_PREFIX + t.surface if t.position in negated else t.surface,
@@ -301,30 +293,6 @@ def tag_tokens(stream: TokenStream, scopes: Sequence[NegationScope]) -> TaggedTo
         for t in stream
     )
     return TaggedTokenStream(tagged)
-
-
-def split_query_terms(
-    stream: TokenStream, scopes: Sequence[NegationScope]
-) -> tuple[list[str], list[str]]:
-    """Partition a stream into (positive, negated) term lists.
-
-    Negated terms are the in-scope tokens with their plain surfaces;
-    positive terms are everything else except cue tokens. Together with
-    the cue tokens they reconstruct the stream exactly.
-    """
-    _validate_scopes(scopes)
-    negated_positions = _scope_positions(scopes)
-    trigger_positions: set[int] = set()
-    for scope in scopes:
-        trigger_positions.update(range(scope.trigger_span[0], scope.trigger_span[1]))
-    positive: list[str] = []
-    negated: list[str] = []
-    for token in stream:
-        if token.position in negated_positions:
-            negated.append(token.surface)
-        elif token.position not in trigger_positions:
-            positive.append(token.surface)
-    return positive, negated
 
 
 # ---------------------------------------------------------------------------

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .corpus import Topic
 from .index import PLAIN, TAGGED, WeightedQuery
-from .negation import TriggerLexicon, analyze_text, split_query_terms
+from .negation import TriggerLexicon, analyze_text
 
 
 @dataclass(frozen=True)
@@ -44,27 +44,30 @@ def build_bundle(topic: Topic, lexicon: TriggerLexicon, stopwords: frozenset[str
     if not topic.description.strip():
         raise ValueError(f"topic {topic.topic_id!r} has an empty description")
     analysis = analyze_text(topic.description, stopwords, lexicon)
-    positive, negated = split_query_terms(analysis.stream, analysis.scopes)
-
     trigger_positions: set[int] = set()
     for scope in analysis.scopes:
         trigger_positions.update(range(*scope.trigger_span))
 
-    # q_full preserves description order rather than grouping by polarity.
-    full_in_order = [
-        t.surface for t in analysis.stream if t.position not in trigger_positions
-    ]
-    tagged_in_order = [
-        t.surface for t in analysis.tagged if t.position not in trigger_positions
-    ]
+    # One pass in description order; every tagged token knows whether it
+    # is negated, and cue tokens go into no variant.
+    full: list[str] = []
+    tagged: list[str] = []
+    positive: list[str] = []
+    negated: list[str] = []
+    for token, tagged_token in zip(analysis.stream, analysis.tagged):
+        if token.position in trigger_positions:
+            continue
+        full.append(token.surface)
+        tagged.append(tagged_token.surface)
+        (negated if tagged_token.negated else positive).append(token.surface)
 
     return QueryBundle(
         topic_id=topic.topic_id,
-        q_full=_query(full_in_order, PLAIN),
+        q_full=_query(full, PLAIN),
         q_pos=_query(positive, PLAIN),
         q_neg=_query(negated, PLAIN),
-        q_tagged=_query(tagged_in_order, TAGGED),
-        n_full=len(full_in_order),
+        q_tagged=_query(tagged, TAGGED),
+        n_full=len(full),
         n_neg=len(negated),
     )
 

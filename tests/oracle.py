@@ -1,4 +1,4 @@
-"""Reference BM25 scorer for the tests, independent of ``negir.index``.
+"""Reference scorers for the tests: BM25 and sampled inferred AP, done the direct way.
 
 It scores one document at a time straight from its token list: no
 inverted index, no precomputed statistics. The arithmetic follows the
@@ -8,6 +8,10 @@ exact values the engine must produce, and tests compare them with ``==``.
 
 Strategy scores are built from whole-query scores with the expressions
 of the ranking module's docstring, one document at a time.
+
+``ref_inf_ap`` is the reference for sampled inferred AP: the estimator
+in its direct form, which rescans the ranking prefix for every relevant
+document. The engine's one-pass ``inf_ap`` must return the same floats.
 """
 
 import math
@@ -93,3 +97,66 @@ def strategy_scores(plain, tagged, bundle, kind, beta=None, expansion_weight=0.3
 def ranked(scores, k):
     """Top k of a doc_id -> score map: descending score, ascending doc_id."""
     return sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]
+
+
+INFAP_EPSILON = 1e-5
+
+
+def ref_inf_ap(ranking, qrels, topic_id, sampling):
+    """Sampled inferred AP, rescanning the ranking prefix per relevant document.
+
+    The estimator of ``negir.evalkit.inf_ap`` written the direct way: for
+    each sampled relevant document, ``_ref_expected_precision`` counts
+    every stratum's pooled, relevant and non-relevant documents above it
+    from scratch. The weighted sum runs in qrels order.
+    """
+    grades = qrels.judgments.get(topic_id, {})
+    judged = set(grades)
+    rates = []
+    for stratum in sampling.strata:
+        if not stratum:
+            raise ValueError("empty stratum in sampling metadata")
+        sampled = len(stratum & judged)
+        if sampled == 0:
+            raise ValueError("stratum with no judged documents")
+        rates.append(sampled / len(stratum))
+
+    rank_of = {doc_id: rank for rank, doc_id in enumerate(ranking, start=1)}
+    numerator = 0.0
+    denominator = 0.0
+    for doc_id, grade in grades.items():
+        if grade < 1:
+            continue
+        stratum_index = next(
+            (i for i, stratum in enumerate(sampling.strata) if doc_id in stratum), None
+        )
+        if stratum_index is None:
+            raise ValueError(f"judged document {doc_id!r} missing from all strata")
+        weight = 1.0 / rates[stratum_index]
+        denominator += weight
+        rank = rank_of.get(doc_id)
+        if rank is None:
+            continue
+        numerator += weight * _ref_expected_precision(ranking, grades, sampling, rank)
+    if denominator == 0.0:
+        return 0.0
+    return numerator / denominator
+
+
+def _ref_expected_precision(ranking, grades, sampling, rank):
+    if rank == 1:
+        return 1.0
+    above = ranking[: rank - 1]
+    expected = 1.0 / rank
+    for stratum in sampling.strata:
+        in_stratum = [doc_id for doc_id in above if doc_id in stratum]
+        if not in_stratum:
+            continue
+        rel = sum(1 for d in in_stratum if grades.get(d, -1) >= 1)
+        nonrel = sum(1 for d in in_stratum if grades.get(d, -1) == 0)
+        expected += (
+            ((rank - 1) / rank)
+            * (len(in_stratum) / (rank - 1))
+            * ((rel + INFAP_EPSILON) / (rel + nonrel + 2 * INFAP_EPSILON))
+        )
+    return expected

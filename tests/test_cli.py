@@ -1,6 +1,8 @@
 """End-to-end CLI coverage: every subcommand through main()."""
 
 import json
+import math
+import struct
 
 import pytest
 
@@ -77,6 +79,64 @@ def test_index_and_run_and_eval(workspace, capsys):
     assert payload["num_topics"] == 2
     assert set(payload["aggregate"]) == {"p_at_10", "ndcg", "inf_ap", "r_prec"}
     assert "config" in payload
+
+
+SAMPLING = {"1": [["d-chest", "d-smoke"]], "2": [["d-fever", "d-clean"], ["d-smoke", "d-chest"]]}
+
+
+def test_eval_with_sampling_matches_library(workspace, capsys):
+    from negir.evalkit import evaluate, read_qrels, read_run, read_sampling_sidecar
+
+    snapshot = build_snapshot(workspace)
+    run_file = workspace / "baseline.run"
+    sidecar = workspace / "sampling.json"
+    sidecar.write_text(json.dumps(SAMPLING), encoding="utf-8")
+    assert run_cli(
+        "run",
+        "--index", snapshot,
+        "--topics", workspace / "topics.jsonl",
+        "--strategy", "baseline",
+        "--out", run_file,
+    ) == 0
+    capsys.readouterr()
+    code = run_cli(
+        "eval", "--run", run_file, "--qrels", workspace / "qrels.txt",
+        "--sampling", sidecar, "--json",
+    )
+    assert code == 0
+    payload = json.loads(capsys.readouterr().out)
+    expected = evaluate(
+        read_run(run_file),
+        read_qrels(workspace / "qrels.txt"),
+        sampling=read_sampling_sidecar(sidecar),
+    )
+    assert payload["aggregate"]["inf_ap"] == expected.aggregate().inf_ap
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        ("[]", "expected a JSON object"),
+        ('{"2": [["d-fever"], "d-clean"]}', "topic 2: strata must be lists"),
+        ('{"2": [["d-fever", "d-clean"], []]}', "topic 2: stratum 2 is empty"),
+        (
+            '{"2": [["d-fever", "d-clean"], ["d-clean", "d-smoke"]]}',
+            "topic 2: document 'd-clean' is listed in two strata",
+        ),
+    ],
+)
+def test_eval_bad_sampling_sidecar_exits_one(workspace, capsys, content, message):
+    run_file = workspace / "r.run"
+    run_file.write_text("2 Q0 d-fever 1 1.0 x\n", encoding="utf-8")
+    sidecar = workspace / "bad_sampling.json"
+    sidecar.write_text(content, encoding="utf-8")
+    code = run_cli(
+        "eval", "--run", run_file, "--qrels", workspace / "qrels.txt", "--sampling", sidecar
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("negir: ") and "bad_sampling.json" in err and message in err
+    assert "Traceback" not in err
 
 
 def test_run_twice_writes_identical_bytes(workspace):
@@ -217,6 +277,43 @@ def test_malformed_collection_exits_one(workspace, capsys):
     assert "doc_id" in err
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["index", "--k1", "-1", "--b", "0"], "k1 must be a finite number >= 0, got -1.0"),
+        (["index", "--k1", "nan"], "k1 must be a finite number >= 0, got nan"),
+        (["index", "--b", "1.5"], "b must be a number in [0, 1], got 1.5"),
+        (["run", "--expansion-weight", "-0.3"], "expansion_weight must be a finite number >= 0"),
+        (["run", "--beta", "inf"], "beta must be a finite number, got inf"),
+        (["run", "--k", "0"], "k must be an integer >= 1, got 0"),
+        (["eval", "--ndcg-cutoff", "-5"], "ndcg_cutoff must be an integer >= 1, got -5"),
+        (["compare-groups", "--config", "CONFIG"], "k1 must be a finite number >= 0, got inf"),
+        (["detect", "--scope-window", "-2"], "scope window must be at least 1, got -2"),
+    ],
+)
+def test_out_of_range_setting_exits_one(workspace, capsys, argv, message):
+    config = workspace / "negir.conf"
+    config.write_text("k1 = inf\n", encoding="utf-8")
+    out = workspace / "out"
+    required = {
+        "index": ["--collection", workspace / "docs.jsonl", "--out", out],
+        "run": [
+            "--index", workspace / "absent.ngir", "--topics", workspace / "topics.jsonl",
+            "--strategy", "baseline", "--out", out,
+        ],
+        "eval": ["--run", workspace / "absent.run", "--qrels", workspace / "qrels.txt"],
+        "compare-groups": [
+            "--topics", workspace / "topics.jsonl", "--qrels", workspace / "qrels.txt",
+            "--baseline", workspace / "absent.run",
+        ],
+        "detect": ["--text", "denies fever or cough"],
+    }
+    argv = [config if a == "CONFIG" else a for a in argv]
+    assert run_cli(*argv, *required[argv[0]]) == 1
+    assert f"negir: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_threads_config_key_rejected(workspace, capsys):
     config = workspace / "negir.conf"
     config.write_text("threads = 4\n", encoding="utf-8")
@@ -251,7 +348,13 @@ def test_whitespace_doc_id_rejected_at_index(workspace, capsys):
 def test_truncated_snapshot_exits_one(workspace, capsys):
     snapshot = build_snapshot(workspace)
     data = snapshot.read_bytes()
-    for content, message in ((data[:-3], "truncated"), (data + b"garbage", "trailing bytes")):
+    # k1 is the first float after the 5-byte magic and the version byte.
+    nan_k1 = data[:6] + struct.pack("<d", math.nan) + data[14:]
+    for content, message in (
+        (data[:-3], "truncated"),
+        (data + b"garbage", "trailing bytes"),
+        (nan_k1, "k1 nan or b 0.75 out of range"),
+    ):
         snapshot.write_bytes(content)
         capsys.readouterr()
         code = run_cli(

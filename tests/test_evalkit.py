@@ -4,7 +4,9 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import oracle
 from negir.errors import ParseError
 from negir.evalkit import (
     MetricsReport,
@@ -208,6 +210,48 @@ def test_infap_estimator_roughly_unbiased():
         estimates.append(inf_ap(ranking, qrels, "t", sampling))
     mean = sum(estimates) / len(estimates)
     assert mean == pytest.approx(truth, abs=0.05)
+
+
+@st.composite
+def sampled_topics(draw):
+    """(ranking, qrels, sampling) for topic "t": a pool cut into disjoint
+    strata, a non-empty judged sample per stratum with grades 0-2, and a
+    ranking of any length over pooled and unpooled documents."""
+    pool = [f"p{i}" for i in range(draw(st.integers(1, 12)))]
+    labels = draw(st.lists(st.integers(0, 3), min_size=len(pool), max_size=len(pool)))
+    strata = [
+        [doc for doc, label in zip(pool, labels) if label == stratum]
+        for stratum in sorted(set(labels))
+    ]
+    grade = st.integers(0, 2)
+    qrels = Qrels()
+    for stratum in strata:
+        judged = draw(st.lists(st.sampled_from(stratum), min_size=1, unique=True))
+        for doc in judged:
+            qrels.add("t", doc, draw(grade))
+    candidates = pool + [f"u{i}" for i in range(draw(st.integers(0, 5)))]
+    ranking = draw(st.permutations(candidates))[: draw(st.integers(0, len(candidates)))]
+    sampling = SamplingInfo(strata=tuple(frozenset(stratum) for stratum in strata))
+    return ranking, qrels, sampling
+
+
+@settings(max_examples=300, deadline=None)
+@given(sampled_topics())
+def test_infap_matches_prefix_rescanning_reference(case):
+    ranking, qrels, sampling = case
+    assert inf_ap(ranking, qrels, "t", sampling) == oracle.ref_inf_ap(
+        ranking, qrels, "t", sampling
+    )
+
+
+def test_sampling_info_rejects_empty_stratum():
+    with pytest.raises(ValueError, match="stratum 2 is empty"):
+        SamplingInfo(strata=(frozenset({"a"}), frozenset()))
+
+
+def test_sampling_info_rejects_overlapping_strata():
+    with pytest.raises(ValueError, match="'b' is listed in two strata"):
+        SamplingInfo(strata=(frozenset({"a", "b"}), frozenset({"b", "c"})))
 
 
 def test_infap_rejects_judged_doc_outside_strata():

@@ -5,7 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from negir.corpus import split_sentences
+from negir.corpus import Topic, split_sentences
 from negir.errors import ParseError
 from negir.negation import (
     NX_PREFIX,
@@ -15,9 +15,9 @@ from negir.negation import (
     detect_negations,
     load_lexicon,
     scope_text,
-    split_query_terms,
     tag_tokens,
 )
+from negir.querygen import build_bundle
 
 EXAMPLE = (
     "She denies smoking, diabetes, hypercholesterolemia, "
@@ -157,7 +157,7 @@ def test_fuzz_scopes_never_overlap_and_exclude_triggers(lexicon):
 
 
 # ---------------------------------------------------------------------------
-# tag_tokens / split_query_terms
+# tag_tokens / the q_pos, q_neg split of build_bundle
 # ---------------------------------------------------------------------------
 
 
@@ -197,9 +197,13 @@ def test_tag_tokens_tolerates_scope_past_stream_tail(stopwords, lexicon):
     assert analysis.tagged.surfaces() == ["denies"]
 
 
+def split_terms(text, stopwords, lexicon):
+    bundle = build_bundle(Topic("t", text), lexicon, stopwords)
+    return [t for t, _ in bundle.q_pos.terms], [t for t, _ in bundle.q_neg.terms]
+
+
 def test_split_query_terms_example(stopwords, lexicon):
-    analysis = analyze_text(EXAMPLE, stopwords, lexicon)
-    positive, negated = split_query_terms(analysis.stream, analysis.scopes)
+    positive, negated = split_terms(EXAMPLE, stopwords, lexicon)
     assert positive == []
     assert negated == [
         "smoking",
@@ -213,15 +217,14 @@ def test_split_query_terms_example(stopwords, lexicon):
 
 
 def test_split_negation_free_keeps_everything(stopwords, lexicon):
-    analysis = analyze_text("Persistent chest pain radiating left.", stopwords, lexicon)
-    positive, negated = split_query_terms(analysis.stream, analysis.scopes)
+    text = "Persistent chest pain radiating left."
+    positive, negated = split_terms(text, stopwords, lexicon)
     assert negated == []
-    assert positive == analysis.stream.surfaces()
+    assert positive == analyze_text(text, stopwords, lexicon).stream.surfaces()
 
 
 def test_split_fully_negated_text(stopwords, lexicon):
-    analysis = analyze_text("without fever cough rash", stopwords, lexicon)
-    positive, negated = split_query_terms(analysis.stream, analysis.scopes)
+    positive, negated = split_terms("without fever cough rash", stopwords, lexicon)
     assert positive == []
     assert negated == ["fever", "cough", "rash"]
 
@@ -229,13 +232,21 @@ def test_split_fully_negated_text(stopwords, lexicon):
 def test_split_partition_preserves_tokens(stopwords, lexicon):
     rng = random.Random(99)
     for _ in range(100):
-        analysis = analyze_text(random_text(rng), stopwords, lexicon)
-        positive, negated = split_query_terms(analysis.stream, analysis.scopes)
+        text = random_text(rng)
+        analysis = analyze_text(text, stopwords, lexicon)
+        bundle = build_bundle(Topic("t", text), lexicon, stopwords)
+        full = [t for t, _ in bundle.q_full.terms]
+        positive = [t for t, _ in bundle.q_pos.terms]
+        negated = [t for t, _ in bundle.q_neg.terms]
+        # q_pos and q_neg partition q_full as multisets...
+        assert sorted(positive + negated) == sorted(full)
+        # ...and q_full is the stream with its cue tokens taken out, in order.
         trigger_positions = set()
         for scope in analysis.scopes:
             trigger_positions.update(range(*scope.trigger_span))
-        triggers = [t.surface for t in analysis.stream if t.position in trigger_positions]
-        assert sorted(positive + negated + triggers) == sorted(analysis.stream.surfaces())
+        assert full == [
+            t.surface for t in analysis.stream if t.position not in trigger_positions
+        ]
 
 
 @given(st.lists(st.sampled_from(VOCAB), min_size=0, max_size=60))
