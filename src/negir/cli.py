@@ -32,7 +32,7 @@ from .corpus import (
     packaged_data_path,
     split_sentences,
 )
-from .errors import NegirError
+from .errors import NegirError, ParseError
 from .evalkit import (
     evaluate,
     format_table,
@@ -218,8 +218,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
     run = RunResult(run_tag=args.tag)
     for bundle in bundles:
-        scored = run_strategy(strategy, bundle, index, config.k)
-        run.add_topic(bundle.topic_id, [(sd.doc_id, sd.score) for sd in scored])
+        run.add_topic(bundle.topic_id, run_strategy(strategy, bundle, index, config.k))
     write_run(run, args.out)
     if args.json:
         print(
@@ -243,7 +242,12 @@ def cmd_eval(args: argparse.Namespace) -> int:
     run = read_run(args.run)
     qrels = read_qrels(args.qrels)
     sampling = read_sampling_sidecar(args.sampling) if args.sampling else None
-    report = evaluate(run, qrels, ndcg_cutoff=config.ndcg_cutoff, sampling=sampling)
+    try:
+        report = evaluate(run, qrels, ndcg_cutoff=config.ndcg_cutoff, sampling=sampling)
+    except ValueError as exc:  # with sampling, the sidecar does not fit the qrels
+        if sampling is None:
+            raise
+        raise ParseError(str(exc), args.sampling) from exc
     if args.json:
         payload = report_to_dict(report)
         payload["config"] = config.as_dict()

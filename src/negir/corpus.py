@@ -11,11 +11,13 @@ so detected scope spans stay valid against filtered streams.
 from __future__ import annotations
 
 import json
+import os
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
-from typing import Iterator, NamedTuple
+from typing import IO, Iterator, NamedTuple
 from xml.etree import ElementTree
 
 from .errors import DuplicateIdError, ParseError
@@ -140,6 +142,31 @@ def data_file_version(path: str | Path) -> str:
 
 def packaged_data_path(name: str) -> Path:
     return Path(str(resources.files("negir.data") / name))
+
+
+@contextmanager
+def atomic_write(path: str | Path, mode: str, encoding: str | None = None) -> Iterator[IO]:
+    """Write to a temp file next to ``path`` that replaces ``path`` on
+    success; on any exception the temp file is removed and ``path`` is
+    left as it was.
+
+    Only a new path or a regular file is replaced. A symlink, a device
+    or a pipe (``/dev/stdout`` is all three in turn) is written in place,
+    as ``open`` would: replacing it would cut the link to its target.
+    """
+    path = Path(path)
+    if path.is_symlink() or (path.exists() and not path.is_file()):
+        with open(path, mode, encoding=encoding) as out:
+            yield out
+        return
+    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, mode, encoding=encoding) as out:
+            yield out
+        os.replace(temp, path)
+    except BaseException:
+        temp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------

@@ -20,10 +20,12 @@ from __future__ import annotations
 
 import json
 import math
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Iterable, Mapping, Sequence
 
+from .corpus import atomic_write
 from .errors import ParseError
 from .querygen import QueryBundle
 
@@ -286,12 +288,18 @@ def evaluate(
     """Score a run against qrels, topic by topic.
 
     Every topic present in the qrels is scored; topics missing from the
-    run receive zeros.
+    run receive zeros. ``sampling``, when given, must cover exactly the
+    qrels topics, so that every topic gets inferred AP.
     """
+    topic_ids = qrels.topic_ids()
+    if sampling is not None and sampling.keys() != set(topic_ids):
+        topic_id = min(sampling.keys() ^ set(topic_ids))
+        where = "the sampling sidecar" if topic_id in topic_ids else "the qrels"
+        raise ValueError(f"topic {topic_id}: missing from {where}")
     per_topic: dict[str, TopicMetrics] = {}
-    for topic_id in qrels.topic_ids():
+    for topic_id in topic_ids:
         ranking = run.ranking(topic_id)
-        info = sampling.get(topic_id) if sampling else None
+        info = sampling[topic_id] if sampling is not None else None
         per_topic[topic_id] = TopicMetrics(
             p_at_10=p_at_k(ranking, qrels, topic_id, 10),
             ndcg=ndcg(ranking, qrels, topic_id, ndcg_cutoff),
@@ -460,8 +468,9 @@ def read_run(path: str | Path) -> RunResult:
 
 
 def write_run(run: RunResult, path: str | Path) -> None:
-    """Write a run in TREC format; round-trips through read_run exactly."""
-    with open(path, "w", encoding="utf-8") as out:
+    """Write a run in TREC format; round-trips through read_run exactly.
+    ``path`` is replaced only once the whole run is written."""
+    with atomic_write(path, "w", encoding="utf-8") as out:
         for topic_id in sorted(run.topics, key=_topic_sort_key):
             for rank, (doc_id, score) in enumerate(run.topics[topic_id], start=1):
                 out.write(f"{topic_id} Q0 {doc_id} {rank} {score!r} {run.run_tag}\n")
@@ -479,8 +488,8 @@ def _topic_sort_key(topic_id: str) -> tuple:
 def read_sampling_sidecar(path: str | Path) -> dict[str, SamplingInfo]:
     """JSON sidecar: {topic_id: [[pooled doc ids of stratum 1], ...]}.
 
-    Strata must be non-empty and disjoint; a ParseError names the file
-    and the topic otherwise.
+    Strata must be non-empty and disjoint, and list each document once;
+    a ParseError names the file and the topic otherwise.
     """
     path = Path(path)
     try:
@@ -493,10 +502,16 @@ def read_sampling_sidecar(path: str | Path) -> dict[str, SamplingInfo]:
     for topic_id, strata in data.items():
         if not isinstance(strata, list) or not all(isinstance(s, list) for s in strata):
             raise ParseError(f"topic {topic_id}: strata must be lists of doc ids", str(path))
+        strata = [[str(d) for d in stratum] for stratum in strata]
+        for number, stratum in enumerate(strata, start=1):
+            if len(set(stratum)) < len(stratum):
+                doc_id = min(d for d, count in Counter(stratum).items() if count > 1)
+                raise ParseError(
+                    f"topic {topic_id}: document {doc_id!r} is listed twice in stratum {number}",
+                    str(path),
+                )
         try:
-            sampling[topic_id] = SamplingInfo(
-                strata=tuple(frozenset(str(d) for d in stratum) for stratum in strata)
-            )
+            sampling[topic_id] = SamplingInfo(strata=tuple(map(frozenset, strata)))
         except ValueError as exc:
             raise ParseError(f"topic {topic_id}: {exc}", str(path)) from exc
     return sampling

@@ -4,9 +4,15 @@ Every document has postings in two fields: ``plain``, built from the
 stopword-filtered token stream, and ``tagged``, built from the same
 stream with "[nx]" prefixes on negated tokens. Tagging only adds
 prefixes, so a document has the same length in both fields, and the
-index keeps one document table (lengths, avgdl, BM25 length norms) that
+index keeps one document table (ids, lengths, BM25 length norms) that
 both fields share. Every ranking strategy therefore scores against
 identical collection statistics.
+
+Documents are numbered 0..N-1 in collection order, and that number is
+the only document key from the build to the snapshot and back: a term's
+postings are an ascending array of doc numbers and a parallel array of
+term frequencies. String ids appear only in ``Index.doc_ids``, in the
+snapshot's id list and in the ranked lists of ``ranking.run_strategy``.
 
 The scoring formula is pinned exactly:
 
@@ -24,11 +30,13 @@ from __future__ import annotations
 
 import math
 import struct
+import sys
+from array import array
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
 
-from .corpus import RawDocument, TokenStream
+from .corpus import RawDocument, TokenStream, atomic_write
 from .errors import DuplicateIdError, NegirError, ParseError
 from .negation import TaggedTokenStream
 
@@ -40,14 +48,10 @@ DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
 SNAPSHOT_MAGIC = b"NGIR1"
-SNAPSHOT_VERSION = 2
+SNAPSHOT_VERSION = 3
 MAX_SNAPSHOT_STR_BYTES = 0xFFFF  # strings carry a u16 length prefix
 
-
-@dataclass(frozen=True)
-class ScoredDoc:
-    doc_id: str
-    score: float
+U32 = "I"  # array typecode of the u32 doc numbers, lengths and tfs (4 bytes)
 
 
 @dataclass
@@ -75,43 +79,44 @@ class WeightedQuery:
 
 @dataclass
 class FieldIndex:
-    """Postings of a single field: term -> doc_id -> tf."""
+    """Postings of a single field: term -> (doc numbers, tfs), two u32
+    arrays of equal length with the doc numbers ascending."""
 
-    postings: dict[str, dict[str, int]] = dataclass_field(default_factory=dict)
+    postings: dict[str, tuple[array, array]] = dataclass_field(default_factory=dict)
 
 
 class Index:
     """Immutable two-field inverted index. Do not mutate after build.
 
-    ``doc_lengths`` maps doc_id to its token count, in collection order,
-    for both fields. ``avg_doc_length`` and the per-document BM25 length
-    norms ``k1 * (1 - b + b * len / avgdl)`` are fixed here, once.
+    ``doc_ids``, ``doc_lengths`` and ``norms`` are indexed by doc number
+    and shared by both fields. ``avg_doc_length`` and the per-document
+    BM25 length norms ``k1 * (1 - b + b * len / avgdl)`` are fixed here,
+    once.
     """
 
     def __init__(
         self,
         fields: dict[str, FieldIndex],
-        doc_lengths: dict[str, int],
+        doc_ids: list[str],
+        doc_lengths: array,
         k1: float = DEFAULT_K1,
         b: float = DEFAULT_B,
     ):
         self.fields = fields
+        self.doc_ids = doc_ids
         self.doc_lengths = doc_lengths
         self.k1 = k1
         self.b = b
         self.avg_doc_length = 0.0
-        self.norms: dict[str, float] = {}
-        total = sum(doc_lengths.values())
+        self.norms: list[float] = []
+        total = sum(doc_lengths)
         if total:  # otherwise no documents, or only empty ones: no term can match
             avgdl = self.avg_doc_length = total / len(doc_lengths)
-            self.norms = {
-                doc_id: k1 * (1.0 - b + b * length / avgdl)
-                for doc_id, length in doc_lengths.items()
-            }
+            self.norms = [k1 * (1.0 - b + b * length / avgdl) for length in doc_lengths]
 
     @property
     def doc_count(self) -> int:
-        return len(self.doc_lengths)
+        return len(self.doc_ids)
 
     def field(self, name: str) -> FieldIndex:
         if name not in self.fields:
@@ -124,25 +129,36 @@ def build_index(
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
 ) -> Index:
-    """Build both fields from analyzed documents. Duplicate doc_ids error."""
-    doc_lengths: dict[str, int] = {}
+    """Build both fields from analyzed documents, numbered in input order.
+    Duplicate doc_ids error."""
+    doc_ids: list[str] = []
+    seen: set[str] = set()
+    doc_lengths = array(U32)
     plain = FieldIndex()
     tagged = FieldIndex()
     for doc, stream, tagged_stream in docs:
-        if doc.doc_id in doc_lengths:
+        if doc.doc_id in seen:
             raise DuplicateIdError("doc_id", doc.doc_id)
-        doc_lengths[doc.doc_id] = len(stream)
-        _add_postings(plain, doc.doc_id, stream.surfaces())
-        _add_postings(tagged, doc.doc_id, tagged_stream.surfaces())
-    return Index({PLAIN: plain, TAGGED: tagged}, doc_lengths, k1=k1, b=b)
+        seen.add(doc.doc_id)
+        number = len(doc_ids)
+        doc_ids.append(doc.doc_id)
+        doc_lengths.append(len(stream))
+        _add_postings(plain, number, stream.surfaces())
+        _add_postings(tagged, number, tagged_stream.surfaces())
+    return Index({PLAIN: plain, TAGGED: tagged}, doc_ids, doc_lengths, k1=k1, b=b)
 
 
-def _add_postings(field_index: FieldIndex, doc_id: str, surfaces: Sequence[str]) -> None:
+def _add_postings(field_index: FieldIndex, doc: int, surfaces: Sequence[str]) -> None:
     counts: dict[str, int] = {}
     for surface in surfaces:
         counts[surface] = counts.get(surface, 0) + 1
+    postings = field_index.postings
     for term, tf in counts.items():
-        field_index.postings.setdefault(term, {})[doc_id] = tf
+        entry = postings.get(term)
+        if entry is None:
+            entry = postings[term] = (array(U32), array(U32))
+        entry[0].append(doc)
+        entry[1].append(tf)
 
 
 def merge_terms(terms: Iterable[tuple[str, float]]) -> list[tuple[str, float]]:
@@ -157,8 +173,9 @@ def idf(doc_count: int, doc_frequency: int) -> float:
     return math.log(1.0 + (doc_count - doc_frequency + 0.5) / (doc_frequency + 0.5))
 
 
-def score_query(index: Index, query: WeightedQuery) -> dict[str, float]:
-    """BM25 scores of every document matching the query in its field.
+def score_query(index: Index, query: WeightedQuery) -> dict[int, float]:
+    """BM25 scores, by doc number, of every document matching the query
+    in its field.
 
     Term at a time: each merged term's ``weight * idf`` is computed once,
     then its postings add into one accumulator. A document's terms are
@@ -170,81 +187,90 @@ def score_query(index: Index, query: WeightedQuery) -> dict[str, float]:
     norms = index.norms
     n = index.doc_count
     tf_scale = index.k1 + 1.0
-    scores: dict[str, float] = {}
+    scores: dict[int, float] = {}
     for term, weight in merge_terms(query.terms):
-        postings = postings_by_term.get(term)
-        if not postings:
+        entry = postings_by_term.get(term)
+        if entry is None:
             continue
-        w = weight * idf(n, len(postings))
-        for doc_id, tf in postings.items():
-            scores[doc_id] = scores.get(doc_id, 0.0) + w * (tf * tf_scale) / (tf + norms[doc_id])
+        docs, tfs = entry
+        w = weight * idf(n, len(docs))
+        for doc, tf in zip(docs, tfs):
+            scores[doc] = scores.get(doc, 0.0) + w * (tf * tf_scale) / (tf + norms[doc])
     return scores
 
 
 # ---------------------------------------------------------------------------
 # Binary snapshot
 #
-# Layout (little-endian), version 2:
+# Layout (little-endian), version 3:
 #   magic "NGIR1" | version u8 | k1 f64 | b f64
-#   doc_count u32, then per doc: doc_id (u16 length + utf-8), length u32
+#   doc_count u32, then doc_count x doc_id (u16 length + utf-8)
+#   doc_count x length u32, one block, in doc number order
 #   field_count u8, then per field:
 #     name (u16 + utf-8)
 #     term_count u32, then per term:
 #       term (u16 + utf-8), df u32,
-#       df x (doc index delta u32, tf u32)  -- doc indexes ascending
+#       df x doc number u32 (ascending), then df x tf u32
 #   end of file: nothing may follow the last field
 # ---------------------------------------------------------------------------
 
 
-def _write_str(out: BinaryIO, value: str) -> None:
+def _write_str(out: BinaryIO, value: str, dest: str | Path) -> None:
     data = value.encode("utf-8")
+    if len(data) > MAX_SNAPSHOT_STR_BYTES:
+        raise NegirError(
+            f"{dest}: cannot write {value[:32]!r}...: {len(data)} UTF-8 bytes, "
+            f"over the snapshot limit of {MAX_SNAPSHOT_STR_BYTES}"
+        )
     out.write(struct.pack("<H", len(data)))
     out.write(data)
 
 
+def _write_u32s(out: BinaryIO, values: array) -> None:
+    if sys.byteorder == "big":
+        values = array(U32, values)
+        values.byteswap()
+    out.write(values.tobytes())
+
+
+def _read(handle: BinaryIO, size: int) -> bytes:
+    data = handle.read(size)
+    if len(data) != size:
+        raise EOFError(f"needed {size} bytes, found {len(data)}")
+    return data
+
+
 def _read_str(handle: BinaryIO) -> str:
-    (length,) = struct.unpack("<H", handle.read(2))
-    return handle.read(length).decode("utf-8")
+    (length,) = struct.unpack("<H", _read(handle, 2))
+    return _read(handle, length).decode("utf-8")
 
 
-def _check_snapshot_strings(index: Index, path: str | Path) -> None:
-    """Refuse, before anything is written, strings too long for a u16 prefix."""
-    checks = [("doc_id", index.doc_lengths)]
-    for name, field_index in index.fields.items():
-        checks += [("field name", (name,)), ("term", field_index.postings)]
-    for kind, values in checks:
-        for value in values:
-            size = len(value.encode("utf-8"))
-            if size > MAX_SNAPSHOT_STR_BYTES:
-                raise NegirError(
-                    f"{path}: cannot write {kind} {value[:32]!r}...: {size} UTF-8 "
-                    f"bytes, over the snapshot limit of {MAX_SNAPSHOT_STR_BYTES}"
-                )
+def _read_u32s(handle: BinaryIO, count: int) -> array:
+    values = array(U32)
+    values.frombytes(_read(handle, 4 * count))
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values
 
 
 def save_index(index: Index, path: str | Path) -> None:
-    _check_snapshot_strings(index, path)
-    doc_pos = {doc_id: i for i, doc_id in enumerate(index.doc_lengths)}
-    with open(path, "wb") as out:
+    """Write the snapshot to a temp file that replaces ``path`` on success."""
+    with atomic_write(path, "wb") as out:
         out.write(SNAPSHOT_MAGIC)
-        out.write(struct.pack("<B", SNAPSHOT_VERSION))
-        out.write(struct.pack("<dd", index.k1, index.b))
-        out.write(struct.pack("<I", len(index.doc_lengths)))
-        for doc_id, length in index.doc_lengths.items():
-            _write_str(out, doc_id)
-            out.write(struct.pack("<I", length))
+        out.write(struct.pack("<Bdd", SNAPSHOT_VERSION, index.k1, index.b))
+        out.write(struct.pack("<I", index.doc_count))
+        for doc_id in index.doc_ids:
+            _write_str(out, doc_id, path)
+        _write_u32s(out, index.doc_lengths)
         out.write(struct.pack("<B", len(index.fields)))
         for name, field_index in index.fields.items():
-            _write_str(out, name)
+            _write_str(out, name, path)
             out.write(struct.pack("<I", len(field_index.postings)))
-            for term, postings in field_index.postings.items():
-                _write_str(out, term)
-                out.write(struct.pack("<I", len(postings)))
-                previous = 0
-                for doc_id in sorted(postings, key=doc_pos.__getitem__):
-                    pos = doc_pos[doc_id]
-                    out.write(struct.pack("<II", pos - previous, postings[doc_id]))
-                    previous = pos
+            for term, (docs, tfs) in field_index.postings.items():
+                _write_str(out, term, path)
+                out.write(struct.pack("<I", len(docs)))
+                _write_u32s(out, docs)
+                _write_u32s(out, tfs)
 
 
 def load_index(path: str | Path) -> Index:
@@ -253,46 +279,49 @@ def load_index(path: str | Path) -> Index:
         with open(path, "rb") as handle:
             if handle.read(len(SNAPSHOT_MAGIC)) != SNAPSHOT_MAGIC:
                 raise ParseError("not an index snapshot (bad magic bytes)", str(path))
-            (version,) = struct.unpack("<B", handle.read(1))
+            (version,) = struct.unpack("<B", _read(handle, 1))
             if version != SNAPSHOT_VERSION:
                 raise ParseError(
                     f"unsupported snapshot version {version}; rebuild the index", str(path)
                 )
-            k1, b = struct.unpack("<dd", handle.read(16))
+            k1, b = struct.unpack("<dd", _read(handle, 16))
             if not (0.0 <= k1 < math.inf and 0.0 <= b <= 1.0):
                 raise ParseError(
                     f"corrupt snapshot: k1 {k1!r} or b {b!r} out of range", str(path)
                 )
-            (doc_count,) = struct.unpack("<I", handle.read(4))
-            doc_ids: list[str] = []
-            doc_lengths: dict[str, int] = {}
-            for _ in range(doc_count):
-                doc_id = _read_str(handle)
-                (length,) = struct.unpack("<I", handle.read(4))
-                doc_ids.append(doc_id)
-                doc_lengths[doc_id] = length
-            (field_count,) = struct.unpack("<B", handle.read(1))
+            (doc_count,) = struct.unpack("<I", _read(handle, 4))
+            doc_ids = [_read_str(handle) for _ in range(doc_count)]
+            if len(set(doc_ids)) != doc_count:
+                raise ParseError("corrupt snapshot: a doc_id is listed twice", str(path))
+            doc_lengths = _read_u32s(handle, doc_count)
+            (field_count,) = struct.unpack("<B", _read(handle, 1))
             fields: dict[str, FieldIndex] = {}
             for _ in range(field_count):
                 name = _read_str(handle)
-                (term_count,) = struct.unpack("<I", handle.read(4))
-                postings: dict[str, dict[str, int]] = {}
+                (term_count,) = struct.unpack("<I", _read(handle, 4))
+                postings: dict[str, tuple[array, array]] = {}
                 for _ in range(term_count):
                     term = _read_str(handle)
-                    (df,) = struct.unpack("<I", handle.read(4))
-                    entry: dict[str, int] = {}
-                    position = 0
-                    for _ in range(df):
-                        delta, tf = struct.unpack("<II", handle.read(8))
-                        position += delta
-                        entry[doc_ids[position]] = tf
-                    postings[term] = entry
+                    (df,) = struct.unpack("<I", _read(handle, 4))
+                    if df > doc_count:  # before the read, which allocates 4 * df bytes
+                        raise ParseError(
+                            f"corrupt snapshot: term {term!r} has df {df} of {doc_count}",
+                            str(path),
+                        )
+                    docs = _read_u32s(handle, df)
+                    if docs and max(docs) >= doc_count:
+                        raise ParseError(
+                            f"corrupt snapshot: term {term!r} lists doc number {max(docs)} "
+                            f"of {doc_count}",
+                            str(path),
+                        )
+                    postings[term] = (docs, _read_u32s(handle, df))
                 fields[name] = FieldIndex(postings)
             if handle.read(1):
                 raise ParseError("trailing bytes after the last field", str(path))
-    except (struct.error, IndexError, UnicodeDecodeError) as exc:
+    except (EOFError, UnicodeDecodeError) as exc:
         raise ParseError(f"corrupt or truncated index snapshot ({exc})", str(path)) from exc
     for field_name in FIELDS:
         if field_name not in fields:
             raise ParseError(f"snapshot missing field {field_name!r}", str(path))
-    return Index(fields, doc_lengths, k1=k1, b=b)
+    return Index(fields, doc_ids, doc_lengths, k1=k1, b=b)

@@ -27,7 +27,6 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .corpus import (
     TOKEN_RE,
     Sentence,
-    Token,
     TokenStream,
     packaged_data_path,
     split_sentences,
@@ -70,19 +69,6 @@ class TaggedTokenStream:
 
     def surfaces(self) -> list[str]:
         return [t.surface for t in self.tokens]
-
-    def strip(self) -> TokenStream:
-        """Remove prefixes, recovering the original stream exactly."""
-        return TokenStream(
-            tuple(
-                Token(
-                    t.surface[len(NX_PREFIX) :] if t.negated else t.surface,
-                    t.sentence_index,
-                    t.position,
-                )
-                for t in self.tokens
-            )
-        )
 
     def __len__(self) -> int:
         return len(self.tokens)

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .index import TAGGED, Index, ScoredDoc, WeightedQuery, score_query
+from .index import TAGGED, Index, WeightedQuery, score_query
 from .querygen import QueryBundle
 
 BASELINE = "baseline"
@@ -96,7 +96,7 @@ def strategy_components(
 
 def run_strategy(
     strategy: Strategy, bundle: QueryBundle, index: Index, k: int
-) -> list[ScoredDoc]:
+) -> list[tuple[str, float]]:
     """Rank the documents matching any component query of the strategy.
 
     For score_combination that is the union of q_full and q_neg matches,
@@ -104,14 +104,16 @@ def run_strategy(
     (with a negative score when beta > 0). Component scores are summed
     per document in component order from 0.0; ``x + (-beta) * y`` rounds
     exactly like ``x - beta * y``, so every score equals the per-document
-    formula in the module docstring bit for bit. Results are sorted by
-    descending score with ascending doc_id breaking ties.
+    formula in the module docstring bit for bit. The top k are returned
+    as ``(doc_id, score)`` pairs, by descending score with ascending
+    doc_id (the string, not the doc number) breaking ties.
     """
     if k < 1:
         raise ValueError("k must be >= 1")
-    scores: dict[str, float] = {}
+    scores: dict[int, float] = {}
     for coef, query in strategy_components(strategy, bundle):
-        for doc_id, value in score_query(index, query).items():
-            scores[doc_id] = scores.get(doc_id, 0.0) + coef * value
-    ranked = sorted(scores.items(), key=lambda item: (-item[1], item[0]))
-    return [ScoredDoc(doc_id, score) for doc_id, score in ranked[:k]]
+        for doc, value in score_query(index, query).items():
+            scores[doc] = scores.get(doc, 0.0) + coef * value
+    doc_ids = index.doc_ids
+    ranked = sorted(scores.items(), key=lambda item: (-item[1], doc_ids[item[0]]))
+    return [(doc_ids[doc], score) for doc, score in ranked[:k]]

@@ -9,6 +9,8 @@ exact values the engine must produce, and tests compare them with ``==``.
 Strategy scores are built from whole-query scores with the expressions
 of the ranking module's docstring, one document at a time.
 
+``untag`` undoes negation tagging, for the round-trip checks.
+
 ``ref_inf_ap`` is the reference for sampled inferred AP: the estimator
 in its direct form, which rescans the ranking prefix for every relevant
 document. The engine's one-pass ``inf_ap`` must return the same floats.
@@ -97,6 +99,19 @@ def strategy_scores(plain, tagged, bundle, kind, beta=None, expansion_weight=0.3
 def ranked(scores, k):
     """Top k of a doc_id -> score map: descending score, ascending doc_id."""
     return sorted(scores.items(), key=lambda item: (-item[1], item[0]))[:k]
+
+
+NX_PREFIX = "[nx]"
+
+
+def untag(tagged_stream):
+    """The tagged stream's tokens with the "[nx]" prefix removed from the
+    negated ones, as (surface, sentence_index, position) tuples, which
+    compare equal to the untagged stream's tokens."""
+    return tuple(
+        (t.surface[len(NX_PREFIX):] if t.negated else t.surface, t.sentence_index, t.position)
+        for t in tagged_stream.tokens
+    )
 
 
 INFAP_EPSILON = 1e-5

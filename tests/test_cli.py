@@ -123,6 +123,15 @@ def test_eval_with_sampling_matches_library(workspace, capsys):
             '{"2": [["d-fever", "d-clean"], ["d-clean", "d-smoke"]]}',
             "topic 2: document 'd-clean' is listed in two strata",
         ),
+        ('{"2": [["d-fever", "d-clean", "d-smoke"]]}', "topic 1: missing from the sampling sidecar"),
+        (
+            '{"1": [["d-chest"]], "2": [["d-fever", "d-clean", "d-smoke"]], "3": [["d-chest"]]}',
+            "topic 3: missing from the qrels",
+        ),
+        (
+            '{"1": [["d-chest"]], "2": [["d-fever", "d-clean", "d-fever"]]}',
+            "topic 2: document 'd-fever' is listed twice in stratum 1",
+        ),
     ],
 )
 def test_eval_bad_sampling_sidecar_exits_one(workspace, capsys, content, message):
@@ -354,6 +363,7 @@ def test_truncated_snapshot_exits_one(workspace, capsys):
         (data[:-3], "truncated"),
         (data + b"garbage", "trailing bytes"),
         (nan_k1, "k1 nan or b 0.75 out of range"),
+        (data[:5] + b"\x02" + data[6:], "unsupported snapshot version 2; rebuild the index"),
     ):
         snapshot.write_bytes(content)
         capsys.readouterr()
@@ -376,6 +386,14 @@ def test_oversized_doc_id_exits_one_without_writing(workspace, capsys):
     assert run_cli("index", "--collection", docs, "--out", out) == 1
     assert "65535" in capsys.readouterr().err
     assert not out.exists()
+    # An existing snapshot at --out keeps its bytes, and no temp file remains.
+    out.write_bytes(b"previous snapshot")
+    assert run_cli("index", "--collection", docs, "--out", out) == 1
+    assert "x.ngir" in capsys.readouterr().err
+    assert out.read_bytes() == b"previous snapshot"
+    assert sorted(p.name for p in workspace.iterdir()) == [
+        "docs.jsonl", "long.jsonl", "qrels.txt", "topics.jsonl", "x.ngir"
+    ]
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -1,12 +1,16 @@
 """Tokenization, sentence splitting, and collection/topic ingestion."""
 
 import json
+import os
+import stat
+import threading
 
 import pytest
 from hypothesis import given, strategies as st
 
 from negir.corpus import (
     RawDocument,
+    atomic_write,
     load_collection,
     load_stopwords,
     load_topics,
@@ -312,3 +316,37 @@ def test_default_stopwords_has_sane_contents(stopwords):
     assert "denies" not in stopwords
     assert len(stopwords) > 200
     assert all(w == w.lower() for w in stopwords)
+
+
+# ---------------------------------------------------------------------------
+# atomic_write
+# ---------------------------------------------------------------------------
+
+
+def test_atomic_write_writes_through_a_symlink(tmp_path):
+    target = tmp_path / "real.run"
+    target.write_text("old\n", encoding="utf-8")
+    link = tmp_path / "link.run"
+    link.symlink_to(target)
+    with atomic_write(link, "w", encoding="utf-8") as out:
+        out.write("new\n")
+    assert link.is_symlink()
+    assert target.read_text(encoding="utf-8") == "new\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.run", "real.run"]
+
+
+def test_atomic_write_writes_a_pipe_in_place(tmp_path):
+    # Like --out /dev/stdout: renaming a temp file over it would replace
+    # the link to the output instead of writing to it.
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    with atomic_write(fifo, "wb") as out:
+        out.write(b"1 Q0 d 1 1.0 negir\n")
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [b"1 Q0 d 1 1.0 negir\n"]
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert [p.name for p in tmp_path.iterdir()] == ["fifo"]

@@ -261,6 +261,20 @@ def test_infap_rejects_judged_doc_outside_strata():
         inf_ap(["a"], qrels, "t", sampling)
 
 
+def test_evaluate_refuses_sampling_of_other_topics():
+    qrels = make_qrels("t", a=1)
+    qrels.add("u", "a", 1)
+    run = RunResult(run_tag="r")
+    run.add_topic("t", [("a", 1.0)])
+    stratum = SamplingInfo(strata=(frozenset({"a"}),))
+    # Topic u would silently get exact AP while t gets inferred AP.
+    with pytest.raises(ValueError, match="topic u: missing from the sampling sidecar"):
+        evaluate(run, qrels, sampling={"t": stratum})
+    with pytest.raises(ValueError, match="topic v: missing from the qrels"):
+        evaluate(run, qrels, sampling={"t": stratum, "u": stratum, "v": stratum})
+    assert evaluate(run, qrels, sampling={"t": stratum, "u": stratum}).num_topics == 2
+
+
 def test_infap_rejects_stratum_without_judged_docs():
     qrels = make_qrels(a=1)
     sampling = SamplingInfo(strata=(frozenset({"a"}), frozenset({"b"})))
@@ -509,6 +523,22 @@ def test_run_round_trip(tmp_path):
     path2 = tmp_path / "run2.txt"
     write_run(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+def test_write_run_replaces_existing_file_only_when_complete(tmp_path):
+    path = tmp_path / "run.txt"
+    path.write_text("old contents\n", encoding="utf-8")
+    broken = RunResult(run_tag="negir")
+    broken.topics = {"1": [("a", 1.0)], "2": None}  # fails after topic 1 is written
+    with pytest.raises(TypeError):
+        write_run(broken, path)
+    assert path.read_text(encoding="utf-8") == "old contents\n"
+    assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
+    run = RunResult(run_tag="negir")
+    run.add_topic("1", [("a", 1.0)])
+    write_run(run, path)
+    assert path.read_text(encoding="utf-8") == "1 Q0 a 1 1.0 negir\n"
+    assert list(tmp_path.iterdir()) == [path]
 
 
 def test_read_run_checks_rank_order(tmp_path):

@@ -3,8 +3,10 @@
 import math
 import random
 import struct
+from array import array
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import oracle
 
@@ -22,7 +24,7 @@ from negir.index import (
 )
 from negir.negation import TaggedToken, TaggedTokenStream
 from negir.querygen import QueryBundle
-from negir.ranking import Strategy, run_strategy
+from negir.ranking import STRATEGY_KINDS, Strategy, run_strategy
 
 
 def make_doc(doc_id, plain_tokens, tagged_tokens=None):
@@ -58,14 +60,16 @@ def test_empty_index():
     index = build([])
     assert index.doc_count == 0
     assert index.avg_doc_length == 0.0
-    assert index.norms == {}
+    assert index.doc_ids == []
+    assert index.norms == []
     assert index.field(PLAIN).postings == {}
 
 
 def test_single_doc_statistics():
     index = build([("d", ["fever", "fever"])])
-    assert index.field(PLAIN).postings["fever"] == {"d": 2}
-    assert index.doc_lengths == {"d": 2}
+    assert index.field(PLAIN).postings["fever"] == (array("I", [0]), array("I", [2]))
+    assert index.doc_ids == ["d"]
+    assert index.doc_lengths == array("I", [2])
     assert index.avg_doc_length == 2.0
 
 
@@ -74,7 +78,8 @@ def test_build_deterministic():
     first, second = build(docs), build(docs)
     assert first.field(PLAIN).postings == second.field(PLAIN).postings
     assert first.field(TAGGED).postings == second.field(TAGGED).postings
-    assert list(first.doc_lengths.items()) == list(second.doc_lengths.items())
+    assert first.doc_ids == second.doc_ids == ["a", "b"]
+    assert first.doc_lengths == second.doc_lengths
 
 
 def test_duplicate_doc_id_rejected():
@@ -85,11 +90,11 @@ def test_duplicate_doc_id_rejected():
 def test_tagged_field_is_separate_vocabulary():
     index = build_index([make_doc("d", ["smoking"], ["[nx]smoking"])])
     query = WeightedQuery([("smoking", 1.0)], field=PLAIN)
-    assert score_query(index, query)["d"] > 0
+    assert score_query(index, query)[0] > 0
     tagged_query = WeightedQuery([("smoking", 1.0)], field=TAGGED)
     assert score_query(index, tagged_query) == {}
     nx_query = WeightedQuery([("[nx]smoking", 1.0)], field=TAGGED)
-    assert score_query(index, nx_query)["d"] > 0
+    assert score_query(index, nx_query)[0] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -99,7 +104,7 @@ def test_tagged_field_is_separate_vocabulary():
 
 def test_hand_computed_single_doc_score():
     index = build([("d", ["fever"])], k1=1.2, b=0.75)
-    score = score_query(index, WeightedQuery([("fever", 1.0)]))["d"]
+    score = score_query(index, WeightedQuery([("fever", 1.0)]))[0]
     assert score == oracle.bm25({"d": ["fever"]}, [("fever", 1.0)], "d")
     # idf = ln(1 + (1 - 1 + 0.5) / (1 + 0.5)) = ln(4/3); tf part is exactly 1.
     assert score == pytest.approx(0.287682, abs=1e-6)
@@ -119,8 +124,8 @@ def test_score_linear_in_weights():
     double = WeightedQuery([("a", 2.0), ("b", 2.0)])
     single_scores = score_query(index, single)
     double_scores = score_query(index, double)
-    assert single_scores.keys() == double_scores.keys() == {"d1", "d2"}
-    for doc in ("d1", "d2"):
+    assert single_scores.keys() == double_scores.keys() == {0, 1}
+    for doc in (0, 1):
         assert double_scores[doc] == pytest.approx(2 * single_scores[doc], rel=1e-12)
 
 
@@ -135,9 +140,9 @@ def test_unknown_doc_rejected():
     # Only indexed documents get a score; there is none to look up for others.
     index = build([("d", ["a"])])
     scores = score_query(index, WeightedQuery([("a", 1.0)]))
-    assert set(scores) == {"d"}
-    with pytest.raises(KeyError, match="ghost"):
-        scores["ghost"]
+    assert set(scores) == {0}
+    with pytest.raises(KeyError):
+        scores[1]
 
 
 def test_idf_positive_for_all_df():
@@ -171,8 +176,9 @@ def test_weight_validation():
 def test_search_orders_by_score_then_doc_id():
     index = build([("b", ["x"]), ("a", ["x"]), ("c", ["x", "x", "y"])])
     results = search(index, WeightedQuery([("x", 1.0)]), k=10)
-    assert [r.doc_id for r in results][:2] == ["a", "b"]  # equal scores, id tiebreak
-    assert results[0].score == results[1].score
+    # Equal scores: the string id breaks the tie, not the doc number (b is 0).
+    assert [doc_id for doc_id, _ in results][:2] == ["a", "b"]
+    assert results[0][1] == results[1][1]
 
 
 def test_search_k_truncates_and_short_results():
@@ -185,7 +191,7 @@ def test_search_k_truncates_and_short_results():
 def test_search_excludes_non_matching():
     index = build([("d1", ["x"]), ("d2", ["y"])])
     results = search(index, WeightedQuery([("x", 1.0)]), k=10)
-    assert [r.doc_id for r in results] == ["d1"]
+    assert [doc_id for doc_id, _ in results] == ["d1"]
 
 
 def test_search_requires_positive_k():
@@ -205,7 +211,7 @@ def test_search_matches_exhaustive_oracle():
         index = build(list(doc_tokens.items()))
         terms = [(t, 1.0) for t in rng.sample(vocab, rng.randint(1, 6))]
         got = search(index, WeightedQuery(terms), k=len(doc_tokens))
-        assert [(r.doc_id, r.score) for r in got] == oracle.search(doc_tokens, terms)
+        assert got == oracle.search(doc_tokens, terms)
 
 
 # ---------------------------------------------------------------------------
@@ -226,7 +232,8 @@ def test_snapshot_round_trip(tmp_path):
     assert loaded.k1 == 0.9 and loaded.b == 0.4
     for field in (PLAIN, TAGGED):
         assert loaded.field(field).postings == index.field(field).postings
-    assert list(loaded.doc_lengths.items()) == list(index.doc_lengths.items())
+    assert loaded.doc_ids == index.doc_ids == ["doc-a", "doc-b", "doc-c"]
+    assert loaded.doc_lengths == index.doc_lengths
     assert loaded.avg_doc_length == index.avg_doc_length
     assert loaded.norms == index.norms
     query = WeightedQuery([("fever", 1.0), ("rash", 2.0)])
@@ -259,21 +266,23 @@ def test_index_statistics_invariants():
         for doc_id, tokens in docs
     )
     lengths = index.doc_lengths
-    assert list(lengths) == [doc_id for doc_id, _ in docs]
-    assert index.avg_doc_length == pytest.approx(sum(lengths.values()) / len(lengths))
-    for doc_id, length in lengths.items():
+    assert index.doc_ids == [doc_id for doc_id, _ in docs]
+    assert list(lengths) == [len(tokens) for _, tokens in docs]
+    assert index.avg_doc_length == pytest.approx(sum(lengths) / len(lengths))
+    for doc, length in enumerate(lengths):
         expected = 1.2 * (1 - 0.75 + 0.75 * length / index.avg_doc_length)
-        assert index.norms[doc_id] == pytest.approx(expected, rel=1e-12)
+        assert index.norms[doc] == pytest.approx(expected, rel=1e-12)
     # Tagging only adds prefixes, so both fields' postings add up, per
     # document, to the one shared length.
     for field in (PLAIN, TAGGED):
-        tf_sums = dict.fromkeys(lengths, 0)
-        for term, postings in index.field(field).postings.items():
-            for doc_id, tf in postings.items():
-                assert doc_id in lengths
+        tf_sums = [0] * len(lengths)
+        for term, (doc_numbers, tfs) in index.field(field).postings.items():
+            assert len(doc_numbers) == len(tfs) >= 1
+            assert list(doc_numbers) == sorted(set(doc_numbers))  # ascending, no repeats
+            for doc, tf in zip(doc_numbers, tfs):
                 assert tf >= 1
-                tf_sums[doc_id] += tf
-        assert tf_sums == lengths
+                tf_sums[doc] += tf
+        assert tf_sums == list(lengths)
 
 
 def test_snapshot_truncation_is_a_parse_error(tmp_path):
@@ -297,22 +306,113 @@ def test_snapshot_of_older_version_asks_for_rebuild(tmp_path):
     path = tmp_path / "snap.ngir"
     save_index(build([("d", ["x"])]), path)
     data = bytearray(path.read_bytes())
-    assert data[5] == 2  # the version byte follows the 5 magic bytes
-    data[5] = 1
+    assert data[5] == 3  # the version byte follows the 5 magic bytes
+    data[5] = 2
     path.write_bytes(bytes(data))
-    with pytest.raises(ParseError, match="unsupported snapshot version 1; rebuild the index"):
+    with pytest.raises(ParseError, match="unsupported snapshot version 2; rebuild the index"):
         load_index(path)
 
 
-def test_snapshot_out_of_range_doc_delta_is_a_parse_error(tmp_path):
+def test_snapshot_out_of_range_doc_number_is_a_parse_error(tmp_path):
     path = tmp_path / "snap.ngir"
     save_index(build([("d", ["x"])]), path)
-    data = bytearray(path.read_bytes())
-    # The file ends with the last term's last (doc delta, tf) pair.
-    data[-8:-4] = struct.pack("<I", 7)
-    path.write_bytes(bytes(data))
-    with pytest.raises(ParseError, match="corrupt or truncated"):
+    data = path.read_bytes()
+    # The file ends with the last term's df, doc-number block and tf block,
+    # one entry each. A df over the document count is refused before its
+    # blocks are read.
+    for start, value, message in (
+        (-8, 7, "term 'x' lists doc number 7 of 1"),
+        (-12, 0xFFFFFFFF, "term 'x' has df 4294967295 of 1"),
+    ):
+        patched = bytearray(data)
+        patched[start:start + 4] = struct.pack("<I", value)
+        path.write_bytes(bytes(patched))
+        with pytest.raises(ParseError, match=f"snap.ngir: corrupt snapshot: {message}"):
+            load_index(path)
+
+
+def test_snapshot_duplicate_doc_id_is_a_parse_error(tmp_path):
+    path = tmp_path / "snap.ngir"
+    save_index(build([("ab", ["x"]), ("cd", ["y"])]), path)
+    data = path.read_bytes()
+    path.write_bytes(data.replace(b"\x02\x00cd", b"\x02\x00ab", 1))
+    with pytest.raises(ParseError, match="snap.ngir: corrupt snapshot: a doc_id is listed twice"):
         load_index(path)
+
+
+def _snapshot_str(text):
+    data = text.encode("utf-8")
+    return struct.pack("<H", len(data)) + data
+
+
+def _snapshot_term(term, docs, tfs):
+    n = len(docs)
+    return _snapshot_str(term) + struct.pack(f"<I{n}I{n}I", n, *docs, *tfs)
+
+
+def test_snapshot_bytes_are_pinned(tmp_path):
+    index = build_index([
+        make_doc("a", ["x", "y", "x"], ["x", "[nx]y", "x"]),
+        make_doc("b-\u00e9", ["y"], ["y"]),
+    ])
+    path = tmp_path / "snap.ngir"
+    save_index(index, path)
+    expected = (
+        b"NGIR1" + struct.pack("<Bdd", 3, 1.2, 0.75)
+        + struct.pack("<I", 2) + _snapshot_str("a") + _snapshot_str("b-\u00e9")
+        + struct.pack("<II", 3, 1)  # the lengths block
+        + struct.pack("<B", 2)
+        + _snapshot_str("plain") + struct.pack("<I", 2)
+        + _snapshot_term("x", [0], [2]) + _snapshot_term("y", [0, 1], [1, 1])
+        + _snapshot_str("tagged") + struct.pack("<I", 3)
+        + _snapshot_term("x", [0], [2]) + _snapshot_term("[nx]y", [0], [1])
+        + _snapshot_term("y", [1], [1])
+    )
+    assert path.read_bytes() == expected
+
+
+SNAPSHOT_VOCAB = ["fever", "cough", "r\u00e4sh", "x"]
+
+
+@st.composite
+def snapshot_corpora(draw):
+    """Analyzed documents: empty ones, non-ASCII ids, sometimes over 256 of them."""
+    count = draw(st.one_of(st.integers(0, 12), st.integers(257, 300)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    prefix = draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=3))
+    docs = []
+    for i in range(count):
+        plain = [rng.choice(SNAPSHOT_VOCAB) for _ in range(rng.choice([0, 1, 3, 8]))]
+        tagged = ["[nx]" + t if rng.random() < 0.3 else t for t in plain]
+        docs.append(make_doc(f"{prefix}{i}", plain, tagged))
+    return docs
+
+
+def all_strategy_runs(index):
+    q_full = WeightedQuery([(t, 1.0) for t in SNAPSHOT_VOCAB])
+    q_pos = WeightedQuery([(t, 1.0) for t in SNAPSHOT_VOCAB[:2]])
+    q_neg = WeightedQuery([(t, 1.0) for t in SNAPSHOT_VOCAB[2:]])
+    q_tagged = WeightedQuery(
+        [(t, 1.0) for t in SNAPSHOT_VOCAB[:2]] + [("[nx]" + t, 1.0) for t in SNAPSHOT_VOCAB[2:]],
+        TAGGED,
+    )
+    bundle = QueryBundle("t", q_full, q_pos, q_neg, q_tagged, 4, 2)
+    return [run_strategy(Strategy(kind), bundle, index, 1000) for kind in STRATEGY_KINDS]
+
+
+@settings(max_examples=40, deadline=None)
+@given(snapshot_corpora(), st.sampled_from([(1.2, 0.75), (0.0, 0.0), (2.5, 1.0)]))
+def test_snapshot_round_trip_property(tmp_path_factory, docs, params):
+    index = build_index(docs, k1=params[0], b=params[1])
+    path = tmp_path_factory.mktemp("snap") / "snap.ngir"
+    save_index(index, path)
+    loaded = load_index(path)
+    assert loaded.doc_ids == index.doc_ids
+    assert loaded.doc_lengths == index.doc_lengths
+    assert loaded.norms == index.norms
+    for field in (PLAIN, TAGGED):
+        assert loaded.field(field).postings == index.field(field).postings
+    assert all_strategy_runs(loaded) == all_strategy_runs(index)
 
 
 @pytest.mark.parametrize("long_doc_id", [True, False])
@@ -323,3 +423,4 @@ def test_save_refuses_oversized_strings_before_writing(tmp_path, long_doc_id):
     with pytest.raises(NegirError, match="65535"):
         save_index(build(docs), path)
     assert not path.exists()
+

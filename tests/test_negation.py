@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+import oracle
 from negir.corpus import Topic, split_sentences
 from negir.errors import ParseError
 from negir.negation import (
@@ -170,13 +171,13 @@ def test_tag_tokens_prefixes_in_scope(stopwords, lexicon):
 
 def test_tag_tokens_empty_scopes_is_identity(stopwords, lexicon):
     stream = analyze_text("persistent chest pain", stopwords, lexicon).stream
-    assert tag_tokens(stream, []).strip() == stream
+    assert oracle.untag(tag_tokens(stream, [])) == stream.tokens
     assert tag_tokens(stream, []).surfaces() == stream.surfaces()
 
 
 def test_tag_strip_round_trip(stopwords, lexicon):
     analysis = analyze_text(EXAMPLE, stopwords, lexicon)
-    assert analysis.tagged.strip() == analysis.stream
+    assert oracle.untag(analysis.tagged) == analysis.stream.tokens
 
 
 def test_tag_tokens_rejects_bad_spans(stopwords, lexicon):
@@ -255,7 +256,7 @@ def test_round_trip_on_generated_token_text(tokens):
     from negir.negation import default_lexicon
 
     analysis = analyze_text(" ".join(tokens), default_stopwords(), default_lexicon())
-    assert analysis.tagged.strip() == analysis.stream
+    assert oracle.untag(analysis.tagged) == analysis.stream.tokens
     for token in analysis.tagged:
         assert token.surface.startswith(NX_PREFIX) == token.negated
 

@@ -36,7 +36,7 @@ def bundle_for(description, stopwords, lexicon, topic_id="t"):
 
 def scores(strategy, bundle, index):
     """Every document the strategy ranks, as doc_id -> score."""
-    return {r.doc_id: r.score for r in run_strategy(strategy, bundle, index, k=1000)}
+    return dict(run_strategy(strategy, bundle, index, k=1000))
 
 
 def combination(beta):
@@ -257,11 +257,12 @@ def test_combination_ranks_negated_only_doc_last(stopwords, lexicon):
     ranked = run_strategy(
         Strategy("score_combination", beta_override=1.5), bundle, index, 10
     )
-    ids = [r.doc_id for r in ranked]
+    ids = [doc_id for doc_id, _ in ranked]
     assert "d-neg" in ids  # candidate set includes q_neg-only matches
     assert ids[-1] == "d-neg"
-    assert ranked[-1].score < 0
-    assert all(r.score > ranked[-1].score for r in ranked[:-1])
+    last_score = ranked[-1][1]
+    assert last_score < 0
+    assert all(score > last_score for _, score in ranked[:-1])
 
 
 def test_strategy_validation():
@@ -295,7 +296,7 @@ def test_run_strategy_matches_exhaustive_scoring(stopwords, lexicon):
         )
         # Exact scores and order; documents outside the candidate set
         # match nothing the strategy scores.
-        assert [(r.doc_id, r.score) for r in got] == oracle.ranked(expected, 100)
+        assert got == oracle.ranked(expected, 100)
 
 
 # ---------------------------------------------------------------------------
@@ -367,4 +368,4 @@ def test_run_strategy_equals_oracle_exactly(strategy, docs, terms, n_full, k):
         plain, tagged, bundle, strategy.kind, strategy.beta_override, strategy.expansion_weight
     )
     got = run_strategy(strategy, bundle, index, k)
-    assert [(r.doc_id, r.score) for r in got] == oracle.ranked(expected, k)
+    assert got == oracle.ranked(expected, k)
