@@ -26,6 +26,7 @@ from .corpus import (
     COLLECTION_FORMATS,
     data_file_version,
     default_stopwords,
+    is_stdout,
     load_collection,
     load_stopwords,
     load_topics,
@@ -34,6 +35,7 @@ from .corpus import (
 )
 from .errors import NegirError, ParseError
 from .evalkit import (
+    BASELINE,
     evaluate,
     format_table,
     group_analysis,
@@ -125,6 +127,12 @@ def _lexicon(args: argparse.Namespace):
     return load_lexicon(args.lexicon) if args.lexicon else default_lexicon()
 
 
+def _summary_stream(out: str):
+    """Where a command reports on writing ``out``: stderr when ``out`` is
+    standard output, so that stdout carries the output file alone."""
+    return sys.stderr if is_stdout(out) else sys.stdout
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 # ---------------------------------------------------------------------------
@@ -138,9 +146,10 @@ def cmd_index(args: argparse.Namespace) -> int:
     def analyzed():
         for doc in load_collection(args.collection, args.format):
             analysis = analyze_text(doc.text(), stopwords, lexicon)
-            yield doc, analysis.stream, analysis.tagged
+            yield doc.doc_id, analysis.terms, analysis.tagged.surfaces()
 
     index = build_index(analyzed(), k1=config.k1, b=config.b)
+    summary_out = _summary_stream(args.out)
     save_index(index, args.out)
     summary = {
         "documents": index.doc_count,
@@ -151,9 +160,9 @@ def cmd_index(args: argparse.Namespace) -> int:
         "snapshot": str(args.out),
     }
     if args.json:
-        print(json.dumps(summary, sort_keys=True))
+        print(json.dumps(summary, sort_keys=True), file=summary_out)
     else:
-        print(f"indexed {summary['documents']} documents -> {args.out}")
+        print(f"indexed {summary['documents']} documents -> {args.out}", file=summary_out)
     return 0
 
 
@@ -188,12 +197,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_bundle(args: argparse.Namespace) -> int:
-    stopwords = _stopwords(args)
-    lexicon = _lexicon(args)
-    summaries = [
-        bundle_summary(build_bundle(topic, lexicon, stopwords))
-        for topic in load_topics(args.topics)
-    ]
+    summaries = [bundle_summary(bundle) for bundle in _build_bundles(args)]
     print(json.dumps(summaries, indent=2))
     return 0
 
@@ -219,6 +223,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     run = RunResult(run_tag=args.tag)
     for bundle in bundles:
         run.add_topic(bundle.topic_id, run_strategy(strategy, bundle, index, config.k))
+    summary_out = _summary_stream(args.out)
     write_run(run, args.out)
     if args.json:
         print(
@@ -230,10 +235,11 @@ def cmd_run(args: argparse.Namespace) -> int:
                     "config": config.as_dict(),
                 },
                 sort_keys=True,
-            )
+            ),
+            file=summary_out,
         )
     else:
-        print(f"wrote {len(run.topics)} topics -> {args.out}")
+        print(f"wrote {len(run.topics)} topics -> {args.out}", file=summary_out)
     return 0
 
 
@@ -266,7 +272,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_compare_groups(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     bundles = _build_bundles(args)
-    runs: dict[str, RunResult] = {"baseline": read_run(args.baseline)}
+    runs: dict[str, RunResult] = {BASELINE: read_run(args.baseline)}
     for entry in args.run or []:
         if "=" not in entry:
             raise NegirError(f"--run expects name=path, got {entry!r}")
@@ -300,7 +306,7 @@ def cmd_compare_groups(args: argparse.Namespace) -> int:
     )
     rows = []
     for name, by_group in report.reports.items():
-        if name == report.baseline_name:
+        if name == BASELINE:
             rows.append((f"{name} D+", by_group["d_plus"].aggregate()))
         rows.append((f"{name} D-", by_group["d_minus"].aggregate()))
     print(format_table(rows))

@@ -2,10 +2,12 @@
 
 Text is normalized in two stages. Sentence splitting and raw tokenization
 keep every word (negation cues such as "no" or "denies" must survive long
-enough for scope detection); stopword removal happens afterwards and
-produces the token streams that are actually indexed. Token positions are
-assigned on the raw sequence and are preserved through stopword removal,
-so detected scope spans stay valid against filtered streams.
+enough for scope detection); stopword removal happens afterwards, in
+``negation.analyze_text``, and yields the terms that are actually indexed.
+A sentence holds its raw token surfaces and the document-wide position of
+the first one, so token ``i`` of a sentence sits at ``start + i``. Those
+positions survive stopword removal, so detected scope spans stay valid
+against the filtered terms.
 """
 
 from __future__ import annotations
@@ -13,12 +15,11 @@ from __future__ import annotations
 import json
 import os
 import re
+import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
-from importlib import resources
 from pathlib import Path
-from typing import IO, Iterator, NamedTuple
-from xml.etree import ElementTree
+from typing import IO, Iterator
 
 from .errors import DuplicateIdError, ParseError
 
@@ -50,43 +51,15 @@ class Topic:
     description: str
 
 
-class Token(NamedTuple):
-    surface: str
-    sentence_index: int
-    position: int
-
-
 @dataclass(frozen=True)
 class Sentence:
-    """A sentence with its raw (pre-stopword) token slice.
-
-    Token positions are document-wide and contiguous within a sentence.
-    """
+    """A sentence with its raw (pre-stopword) token surfaces; ``tokens[i]``
+    is at document-wide position ``start + i``."""
 
     sentence_index: int
     text: str
-    tokens: tuple[Token, ...]
-
-
-@dataclass(frozen=True)
-class TokenStream:
-    """Ordered lowercase tokens after stopword removal.
-
-    Positions are strictly increasing but not necessarily dense: they are
-    inherited from the raw token sequence, where removed stopwords leave
-    gaps.
-    """
-
-    tokens: tuple[Token, ...]
-
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self) -> Iterator[Token]:
-        return iter(self.tokens)
+    tokens: tuple[str, ...]
+    start: int
 
 
 def split_sentences(text: str) -> list[Sentence]:
@@ -101,11 +74,9 @@ def split_sentences(text: str) -> list[Sentence]:
     for piece in _BOUNDARY_RE.split(text):
         if not piece.strip():
             continue
-        tokens = []
-        for match in TOKEN_RE.finditer(piece.lower()):
-            tokens.append(Token(match.group(), len(sentences), position))
-            position += 1
-        sentences.append(Sentence(len(sentences), piece, tuple(tokens)))
+        tokens = tuple(TOKEN_RE.findall(piece.lower()))
+        sentences.append(Sentence(len(sentences), piece, tokens, position))
+        position += len(tokens)
     return sentences
 
 
@@ -127,8 +98,7 @@ def load_stopwords(path: str | Path) -> frozenset[str]:
 
 def default_stopwords() -> frozenset[str]:
     """The stopword list shipped with the package."""
-    with resources.as_file(resources.files("negir.data") / "stopwords.txt") as p:
-        return load_stopwords(p)
+    return load_stopwords(packaged_data_path("stopwords.txt"))
 
 
 def data_file_version(path: str | Path) -> str:
@@ -141,7 +111,16 @@ def data_file_version(path: str | Path) -> str:
 
 
 def packaged_data_path(name: str) -> Path:
-    return Path(str(resources.files("negir.data") / name))
+    return Path(__file__).parent / "data" / name
+
+
+def is_stdout(path: str | Path) -> bool:
+    """Whether ``path`` is the file that standard output is open on."""
+    try:
+        target, stdout = os.stat(path), os.fstat(1)
+    except OSError:
+        return False
+    return (target.st_dev, target.st_ino) == (stdout.st_dev, stdout.st_ino)
 
 
 @contextmanager
@@ -153,8 +132,16 @@ def atomic_write(path: str | Path, mode: str, encoding: str | None = None) -> It
     Only a new path or a regular file is replaced. A symlink, a device
     or a pipe (``/dev/stdout`` is all three in turn) is written in place,
     as ``open`` would: replacing it would cut the link to its target.
+    The file standard output is open on is written through file
+    descriptor 1: opening it again would write from offset 0, over what
+    is already there (or truncate a file opened for appending).
     """
     path = Path(path)
+    if is_stdout(path):
+        sys.stdout.flush()
+        with open(1, mode, encoding=encoding, closefd=False) as out:
+            yield out
+        return
     if path.is_symlink() or (path.exists() and not path.is_file()):
         with open(path, mode, encoding=encoding) as out:
             yield out
@@ -345,6 +332,8 @@ def _parse_jsonl_topics(content: str, name: str) -> list[Topic]:
 
 
 def _parse_xml_topics(content: str, name: str) -> list[Topic]:
+    from xml.etree import ElementTree  # only XML topic files need it
+
     try:
         root = ElementTree.fromstring(content)
     except ElementTree.ParseError as exc:

@@ -315,13 +315,15 @@ def evaluate(
 # ---------------------------------------------------------------------------
 
 
+BASELINE = "baseline"  # the run name that group gaps are measured against
+
+
 @dataclass
 class GroupReport:
     """Metrics split by negation-bearing vs negation-free topics."""
 
     d_plus_topics: set[str]
     d_minus_topics: set[str]
-    baseline_name: str
     reports: dict[str, dict[str, MetricsReport]]  # strategy -> group -> report
     gap_reduction_p10: dict[str, float | None]
     d_minus_improvement_p10: dict[str, float | None]
@@ -357,14 +359,14 @@ def group_analysis(
     bundles: Iterable[QueryBundle],
     runs_by_strategy: Mapping[str, RunResult],
     qrels: Qrels,
-    baseline: str = "baseline",
     ndcg_cutoff: int = 1000,
 ) -> GroupReport:
     """Compare strategies on the negation-bearing group against the
-    negation-free baseline, reporting the early-precision gap recovered.
+    negation-free run named ``BASELINE``, reporting the early-precision
+    gap recovered.
     """
-    if baseline not in runs_by_strategy:
-        raise ValueError(f"baseline run {baseline!r} not among runs")
+    if BASELINE not in runs_by_strategy:
+        raise ValueError(f"baseline run {BASELINE!r} not among runs")
     d_plus, d_minus = split_topics(bundles)
 
     # A topic's metrics depend on its own judgments only; per_topic keeps qrels order.
@@ -378,12 +380,12 @@ def group_analysis(
             for group, topics in (("d_plus", d_plus), ("d_minus", d_minus))
         }
 
-    base_plus = reports[baseline]["d_plus"].aggregate().p_at_10
-    base_minus = reports[baseline]["d_minus"].aggregate().p_at_10
+    base_plus = reports[BASELINE]["d_plus"].aggregate().p_at_10
+    base_minus = reports[BASELINE]["d_minus"].aggregate().p_at_10
     reductions: dict[str, float | None] = {}
     improvements: dict[str, float | None] = {}
     for name in runs_by_strategy:
-        if name == baseline:
+        if name == BASELINE:
             continue
         strategy_minus = reports[name]["d_minus"].aggregate().p_at_10
         reductions[name] = gap_reduction(base_plus, base_minus, strategy_minus)
@@ -391,7 +393,6 @@ def group_analysis(
     return GroupReport(
         d_plus_topics=d_plus,
         d_minus_topics=d_minus,
-        baseline_name=baseline,
         reports=reports,
         gap_reduction_p10=reductions,
         d_minus_improvement_p10=improvements,

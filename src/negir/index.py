@@ -1,11 +1,12 @@
 """Immutable inverted index with Okapi BM25 scoring over two fields.
 
-Every document has postings in two fields: ``plain``, built from the
-stopword-filtered token stream, and ``tagged``, built from the same
-stream with "[nx]" prefixes on negated tokens. Tagging only adds
-prefixes, so a document has the same length in both fields, and the
-index keeps one document table (ids, lengths, BM25 length norms) that
-both fields share. Every ranking strategy therefore scores against
+Every document has postings in two fields: ``plain``, built from its
+stopword-filtered terms, and ``tagged``, built from the same terms with
+"[nx]" prefixes on negated ones. ``build_index`` takes each document as
+``(doc_id, terms, tagged_terms)``, two plain lists of surfaces. Tagging
+only adds prefixes, so a document has the same length in both fields,
+and the index keeps one document table (ids, lengths, BM25 length norms)
+that both fields share. Every ranking strategy therefore scores against
 identical collection statistics.
 
 Documents are numbered 0..N-1 in collection order, and that number is
@@ -32,13 +33,13 @@ import math
 import struct
 import sys
 from array import array
+from collections import Counter
 from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
 from typing import BinaryIO, Iterable, Sequence
 
-from .corpus import RawDocument, TokenStream, atomic_write
+from .corpus import atomic_write
 from .errors import DuplicateIdError, NegirError, ParseError
-from .negation import TaggedTokenStream
 
 PLAIN = "plain"
 TAGGED = "tagged"
@@ -125,35 +126,33 @@ class Index:
 
 
 def build_index(
-    docs: Iterable[tuple[RawDocument, TokenStream, TaggedTokenStream]],
+    docs: Iterable[tuple[str, Sequence[str], Sequence[str]]],
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
 ) -> Index:
-    """Build both fields from analyzed documents, numbered in input order.
+    """Build both fields from ``(doc_id, terms, tagged_terms)`` triples,
+    numbered in input order. A document's length is ``len(terms)``.
     Duplicate doc_ids error."""
     doc_ids: list[str] = []
     seen: set[str] = set()
     doc_lengths = array(U32)
     plain = FieldIndex()
     tagged = FieldIndex()
-    for doc, stream, tagged_stream in docs:
-        if doc.doc_id in seen:
-            raise DuplicateIdError("doc_id", doc.doc_id)
-        seen.add(doc.doc_id)
+    for doc_id, terms, tagged_terms in docs:
+        if doc_id in seen:
+            raise DuplicateIdError("doc_id", doc_id)
+        seen.add(doc_id)
         number = len(doc_ids)
-        doc_ids.append(doc.doc_id)
-        doc_lengths.append(len(stream))
-        _add_postings(plain, number, stream.surfaces())
-        _add_postings(tagged, number, tagged_stream.surfaces())
+        doc_ids.append(doc_id)
+        doc_lengths.append(len(terms))
+        _add_postings(plain, number, terms)
+        _add_postings(tagged, number, tagged_terms)
     return Index({PLAIN: plain, TAGGED: tagged}, doc_ids, doc_lengths, k1=k1, b=b)
 
 
-def _add_postings(field_index: FieldIndex, doc: int, surfaces: Sequence[str]) -> None:
-    counts: dict[str, int] = {}
-    for surface in surfaces:
-        counts[surface] = counts.get(surface, 0) + 1
+def _add_postings(field_index: FieldIndex, doc: int, terms: Sequence[str]) -> None:
     postings = field_index.postings
-    for term, tf in counts.items():
+    for term, tf in Counter(terms).items():  # first-seen order, as the snapshot keeps it
         entry = postings.get(term)
         if entry is None:
             entry = postings[term] = (array(U32), array(U32))

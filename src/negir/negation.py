@@ -13,24 +13,22 @@ seen. A left-to-right scan matches cue phrases greedily (longest first):
 
 Cue and terminator phrase spans are barriers: a scope never contains one,
 so scopes within a sentence are pairwise disjoint and never contain their
-own trigger. Tokens inside a scope are marked by prepending "[nx]" to the
-surface, which survives indexing untouched because the tokenizer would
-never produce a bracket.
+own trigger. Kept (non-stopword) tokens inside a scope are marked by
+prepending "[nx]" to the surface, which survives indexing untouched
+because the tokenizer would never produce a bracket.
+
+``analyze_text`` returns a text's kept surfaces as plain ``terms`` and,
+alongside, one ``TaggedToken`` per kept term with its raw position and
+negation flag; the index takes those two surface lists as its two fields.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .corpus import (
-    TOKEN_RE,
-    Sentence,
-    TokenStream,
-    packaged_data_path,
-    split_sentences,
-)
+from .corpus import TOKEN_RE, Sentence, packaged_data_path, split_sentences
 from .errors import ParseError
 
 NX_PREFIX = "[nx]"
@@ -55,26 +53,19 @@ class NegationScope:
 
 
 class TaggedToken(NamedTuple):
-    surface: str
-    sentence_index: int
-    position: int
+    surface: str  # "[nx]"-prefixed when negated
+    position: int  # on the raw token sequence
     negated: bool
 
 
 @dataclass(frozen=True)
 class TaggedTokenStream:
-    """A token stream where in-scope tokens carry the "[nx]" prefix."""
+    """The kept tokens of a text, in order, in-scope ones tagged."""
 
     tokens: tuple[TaggedToken, ...]
 
     def surfaces(self) -> list[str]:
         return [t.surface for t in self.tokens]
-
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-    def __iter__(self) -> Iterator[TaggedToken]:
-        return iter(self.tokens)
 
 
 class TriggerLexicon:
@@ -125,10 +116,10 @@ class TriggerLexicon:
                     )
                 seen[phrase] = name
 
-    def match_at(self, surfaces: Sequence[str], i: int) -> tuple[tuple[str, ...], str] | None:
+    def match_at(self, surfaces: tuple[str, ...], i: int) -> tuple[tuple[str, ...], str] | None:
         """Longest cue/terminator phrase starting at token i, if any."""
         for phrase, kind in self._by_first.get(surfaces[i], ()):
-            if tuple(surfaces[i : i + len(phrase)]) == phrase:
+            if surfaces[i : i + len(phrase)] == phrase:
                 return phrase, kind
         return None
 
@@ -187,12 +178,9 @@ def detect_negations(
     """
     if scope_window is not None and scope_window < 1:
         raise ValueError(f"scope window must be at least 1, got {scope_window}")
-    tokens = sentence.tokens
-    if not tokens:
-        return []
-    surfaces = [t.surface for t in tokens]
+    surfaces = sentence.tokens
     n = len(surfaces)
-    base = tokens[0].position
+    base = sentence.start
 
     events: list[tuple[str, int, int, str]] = []  # (kind, start, end, phrase)
     i = 0
@@ -256,8 +244,11 @@ def detect_all(sentences: Iterable[Sentence], lexicon: TriggerLexicon) -> list[N
 # ---------------------------------------------------------------------------
 
 
-def tag_tokens(stream: TokenStream, scopes: Sequence[NegationScope]) -> TaggedTokenStream:
-    """Prefix every token whose position falls inside a scope with "[nx]".
+def tag_tokens(
+    terms: Sequence[str], positions: Sequence[int], scopes: Sequence[NegationScope]
+) -> TaggedTokenStream:
+    """Tag each kept term with "[nx]" if its raw position (the entry of
+    ``positions`` at the same index) falls inside a scope.
 
     Cue tokens themselves are never inside a scope span and stay plain.
     Spans may extend past the last kept token (stopword removal can strip
@@ -269,16 +260,14 @@ def tag_tokens(stream: TokenStream, scopes: Sequence[NegationScope]) -> TaggedTo
         if start < 0 or end <= start:
             raise ValueError(f"scope span out of range: {scope.scope_span}")
         negated.update(range(start, end))
-    tagged = tuple(
-        TaggedToken(
-            NX_PREFIX + t.surface if t.position in negated else t.surface,
-            t.sentence_index,
-            t.position,
-            t.position in negated,
+    return TaggedTokenStream(
+        tuple(
+            TaggedToken(NX_PREFIX + term, position, True)
+            if position in negated
+            else TaggedToken(term, position, False)
+            for term, position in zip(terms, positions)
         )
-        for t in stream
     )
-    return TaggedTokenStream(tagged)
 
 
 # ---------------------------------------------------------------------------
@@ -288,11 +277,11 @@ def tag_tokens(stream: TokenStream, scopes: Sequence[NegationScope]) -> TaggedTo
 
 @dataclass(frozen=True)
 class TextAnalysis:
-    """Everything the indexer and query builder need for one text."""
+    """Everything the indexer and query builder need for one text;
+    ``tagged.tokens[i]`` is ``terms[i]``, tagged and with its position."""
 
-    sentences: list[Sentence]
     scopes: list[NegationScope]
-    stream: TokenStream
+    terms: list[str]
     tagged: TaggedTokenStream
 
 
@@ -300,17 +289,17 @@ def analyze_text(text: str, stopwords: frozenset[str], lexicon: TriggerLexicon) 
     """Sentence-split, detect scopes, remove stopwords, and tag."""
     sentences = split_sentences(text)
     scopes = detect_all(sentences, lexicon)
-    kept = tuple(
-        token
-        for sentence in sentences
-        for token in sentence.tokens
-        if token.surface not in stopwords
-    )
-    stream = TokenStream(kept)
-    return TextAnalysis(sentences, scopes, stream, tag_tokens(stream, scopes))
+    terms: list[str] = []
+    positions: list[int] = []
+    for sentence in sentences:
+        for position, surface in enumerate(sentence.tokens, sentence.start):
+            if surface not in stopwords:
+                terms.append(surface)
+                positions.append(position)
+    return TextAnalysis(scopes, terms, tag_tokens(terms, positions, scopes))
 
 
 def scope_text(sentence: Sentence, scope: NegationScope) -> str:
-    """The raw surfaces covered by a scope, joined with spaces."""
+    """The raw surfaces covered by a scope of this sentence, joined with spaces."""
     start, end = scope.scope_span
-    return " ".join(t.surface for t in sentence.tokens if start <= t.position < end)
+    return " ".join(sentence.tokens[start - sentence.start : end - sentence.start])

@@ -54,12 +54,12 @@ def build_bundle(topic: Topic, lexicon: TriggerLexicon, stopwords: frozenset[str
     tagged: list[str] = []
     positive: list[str] = []
     negated: list[str] = []
-    for token, tagged_token in zip(analysis.stream, analysis.tagged):
+    for term, token in zip(analysis.terms, analysis.tagged.tokens):
         if token.position in trigger_positions:
             continue
-        full.append(token.surface)
-        tagged.append(tagged_token.surface)
-        (negated if tagged_token.negated else positive).append(token.surface)
+        full.append(term)
+        tagged.append(token.surface)
+        (negated if token.negated else positive).append(term)
 
     return QueryBundle(
         topic_id=topic.topic_id,

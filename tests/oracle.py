@@ -9,7 +9,8 @@ exact values the engine must produce, and tests compare them with ``==``.
 Strategy scores are built from whole-query scores with the expressions
 of the ranking module's docstring, one document at a time.
 
-``untag`` undoes negation tagging, for the round-trip checks.
+``untag`` undoes negation tagging, and ``kept_tokens`` lists the
+(surface, position) pairs it must give back, for the round-trip checks.
 
 ``ref_inf_ap`` is the reference for sampled inferred AP: the estimator
 in its direct form, which rescans the ranking prefix for every relevant
@@ -17,6 +18,7 @@ document. The engine's one-pass ``inf_ap`` must return the same floats.
 """
 
 import math
+import re
 
 K1 = 1.2
 B = 0.75
@@ -106,11 +108,23 @@ NX_PREFIX = "[nx]"
 
 def untag(tagged_stream):
     """The tagged stream's tokens with the "[nx]" prefix removed from the
-    negated ones, as (surface, sentence_index, position) tuples, which
-    compare equal to the untagged stream's tokens."""
+    negated ones, as (surface, position) pairs."""
     return tuple(
-        (t.surface[len(NX_PREFIX):] if t.negated else t.surface, t.sentence_index, t.position)
+        (t.surface[len(NX_PREFIX):] if t.negated else t.surface, t.position)
         for t in tagged_stream.tokens
+    )
+
+
+RAW_TOKEN_RE = re.compile(r"[a-z0-9]+")  # the tokenizer's pattern, over lowercased text
+
+
+def kept_tokens(text, stopwords):
+    """(surface, position) of every non-stopword token of ``text``, where
+    the position is the token's index among all the text's raw tokens."""
+    return tuple(
+        (surface, position)
+        for position, surface in enumerate(RAW_TOKEN_RE.findall(text.lower()))
+        if surface not in stopwords
     )
 
 

@@ -17,7 +17,7 @@ from contextlib import contextmanager
 
 import pytest
 
-from negir.corpus import RawDocument, Topic, default_stopwords
+from negir.corpus import Topic, default_stopwords, split_sentences
 from negir.evalkit import (
     Qrels,
     RunResult,
@@ -56,9 +56,8 @@ def analyzed_corpus(docs):
     """Push raw texts through the full analysis pipeline into an index."""
     triples = []
     for doc_id, text in docs:
-        doc = RawDocument(doc_id, body=text)
-        analysis = analyze_text(doc.text(), STOPWORDS, LEXICON)
-        triples.append((doc, analysis.stream, analysis.tagged))
+        analysis = analyze_text(text, STOPWORDS, LEXICON)
+        triples.append((doc_id, analysis.terms, analysis.tagged.surfaces()))
     return build_index(triples)
 
 
@@ -155,17 +154,8 @@ def test_criterion_3_equivalence_suite():
 
 
 def token_index(doc_tokens):
-    from negir.corpus import Token, TokenStream
-    from negir.negation import TaggedToken, TaggedTokenStream
-
-    triples = []
-    for doc_id, tokens in doc_tokens.items():
-        stream = TokenStream(tuple(Token(t, 0, i) for i, t in enumerate(tokens)))
-        tagged = TaggedTokenStream(
-            tuple(TaggedToken(t, 0, i, False) for i, t in enumerate(tokens))
-        )
-        triples.append((RawDocument(doc_id, body=""), stream, tagged))
-    return build_index(triples)
+    """An index whose documents hold ``doc_tokens``, untagged, in both fields."""
+    return build_index([(doc_id, tokens, tokens) for doc_id, tokens in doc_tokens.items()])
 
 
 def baseline_bundle(terms):
@@ -220,8 +210,8 @@ def test_criterion_5_negation_detection():
         assert len(analysis.scopes) == 1
         scope = analysis.scopes[0]
         assert scope.trigger == "denies"
-        last_position = analysis.sentences[0].tokens[-1].position
-        assert scope.scope_span[1] == last_position + 1  # runs to sentence end
+        (sentence,) = split_sentences(EXAMPLE_SENTENCE)
+        assert scope.scope_span[1] == sentence.start + len(sentence.tokens)  # runs to sentence end
 
         rng = random.Random(2025)
         for _ in range(1000):
@@ -230,8 +220,11 @@ def test_criterion_5_negation_detection():
                 words.append(rng.choice(FUZZ_VOCAB))
                 if rng.random() < 0.1:
                     words.append(rng.choice([".", ";", "!", "?", ","]))
-            doc = analyze_text(" ".join(words), STOPWORDS, LEXICON)
-            assert oracle.untag(doc.tagged) == doc.stream.tokens  # round-trip identity
+            text = " ".join(words)
+            doc = analyze_text(text, STOPWORDS, LEXICON)
+            untagged = oracle.untag(doc.tagged)
+            assert untagged == oracle.kept_tokens(text, STOPWORDS)  # round-trip identity
+            assert [surface for surface, _ in untagged] == doc.terms
             by_sentence = {}
             for scope in doc.scopes:
                 by_sentence.setdefault(scope.sentence_index, []).append(scope.scope_span)

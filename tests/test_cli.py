@@ -2,10 +2,15 @@
 
 import json
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import negir
 from negir.cli import main
 
 TOPICS = [
@@ -166,6 +171,62 @@ def test_run_twice_writes_identical_bytes(workspace):
         assert code == 0
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+def to_dev_stdout(workspace, argv, stdout):
+    """``negir ARGV --out /dev/stdout`` in a child process whose standard
+    output is ``stdout``; returns the completed process and the bytes the
+    same command writes to a file."""
+    assert run_cli(*argv, "--out", workspace / "expected") == 0
+    src = str(Path(negir.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    child = subprocess.run(
+        [sys.executable, "-m", "negir.cli", *map(str, argv), "--out", "/dev/stdout"],
+        stdout=stdout, stderr=subprocess.PIPE, env=env, check=True,
+    )
+    return child, (workspace / "expected").read_bytes()
+
+
+def run_to_dev_stdout(workspace, stdout):
+    snapshot = build_snapshot(workspace)
+    argv = ["run", "--index", snapshot, "--topics", workspace / "topics.jsonl",
+            "--strategy", "baseline", "--k", "10"]
+    return to_dev_stdout(workspace, argv, stdout)
+
+
+needs_dev_stdout = pytest.mark.skipif(
+    not os.path.exists("/dev/stdout"), reason="the platform has no /dev/stdout"
+)
+
+
+@needs_dev_stdout
+@pytest.mark.parametrize("mode", ["w", "a"], ids=["truncate", "append"])
+def test_run_out_dev_stdout_redirected_to_a_file(workspace, mode):
+    # `> file` must hold exactly the run, `>> file` the earlier content and
+    # then the run; the summary goes to stderr, out of the run's way.
+    captured = workspace / "captured.txt"
+    captured.write_bytes(b"earlier line\n")
+    with open(captured, mode + "b") as handle:
+        child, expected = run_to_dev_stdout(workspace, handle)
+    earlier = b"earlier line\n" if mode == "a" else b""
+    assert expected.count(b"\n") > 1
+    assert captured.read_bytes() == earlier + expected
+    assert child.stderr == b"wrote 2 topics -> /dev/stdout\n"
+
+
+@needs_dev_stdout
+def test_run_out_dev_stdout_to_a_pipe(workspace):
+    child, expected = run_to_dev_stdout(workspace, subprocess.PIPE)
+    assert child.stdout == expected
+    assert child.stderr == b"wrote 2 topics -> /dev/stdout\n"
+
+
+@needs_dev_stdout
+def test_index_out_dev_stdout_to_a_pipe(workspace):
+    argv = ["index", "--collection", workspace / "docs.jsonl"]
+    child, expected = to_dev_stdout(workspace, argv, subprocess.PIPE)
+    assert child.stdout == expected  # the snapshot alone, loadable as written
+    assert child.stderr == b"indexed 4 documents -> /dev/stdout\n"
 
 
 def test_negation_free_topics_identical_runs_apart_from_tag(workspace):

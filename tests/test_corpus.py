@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from negir.corpus import (
+    TOKEN_RE,
     RawDocument,
     atomic_write,
     load_collection,
@@ -26,22 +27,22 @@ texts = st.text(
 
 
 # ---------------------------------------------------------------------------
-# tokenize: the stopword-filtered stream of analyze_text
+# tokenize: the stopword-filtered terms of analyze_text
 # ---------------------------------------------------------------------------
 
 LEXICON = default_lexicon()
 
 
 def tokenize(text, stopwords):
-    return analyze_text(text, stopwords, LEXICON).stream
+    return analyze_text(text, stopwords, LEXICON).terms
 
 
 def test_tokenize_empty(stopwords):
-    assert tokenize("", stopwords).surfaces() == []
+    assert tokenize("", stopwords) == []
 
 
 def test_tokenize_lowercases_and_drops_stopwords(stopwords):
-    assert tokenize("She denies SMOKING.", stopwords).surfaces() == [
+    assert tokenize("She denies SMOKING.", stopwords) == [
         "denies",
         "smoking",
     ]
@@ -49,13 +50,13 @@ def test_tokenize_lowercases_and_drops_stopwords(stopwords):
 
 def test_tokenize_deterministic(stopwords):
     text = "Patient REPORTS severe chest pain; but no fever was observed."
-    first = tokenize(text, stopwords)
-    second = tokenize(text, stopwords)
+    first = analyze_text(text, stopwords, LEXICON)
+    second = analyze_text(text, stopwords, LEXICON)
     assert first == second
 
 
 def test_tokenize_splits_hyphens_and_slashes(stopwords):
-    assert tokenize("family-history w/o complications", stopwords).surfaces() == [
+    assert tokenize("family-history w/o complications", stopwords) == [
         "family",
         "history",
         "w",
@@ -64,25 +65,32 @@ def test_tokenize_splits_hyphens_and_slashes(stopwords):
     ]
 
 
-def test_positions_strictly_increasing(stopwords):
-    stream = tokenize("She denies smoking. No cough today.", stopwords)
-    positions = [t.position for t in stream]
-    assert positions == sorted(positions)
-    assert len(set(positions)) == len(positions)
+@given(texts)
+def test_positions_strictly_increasing(text):
+    # Each kept token's position is its index among the text's raw tokens
+    # (so positions strictly increase), and the terms are the raw tokens
+    # without the stopwords.
+    stopwords = frozenset({"the", "a", "of", "she", "no"})
+    analysis = analyze_text(text, stopwords, LEXICON)
+    raw = TOKEN_RE.findall(text.lower())
+    assert [t.position for t in analysis.tagged.tokens] == [
+        i for i, surface in enumerate(raw) if surface not in stopwords
+    ]
+    assert analysis.terms == [surface for surface in raw if surface not in stopwords]
 
 
 @given(texts)
 def test_tokenize_idempotent_on_surfaces(text):
     stopwords = frozenset({"the", "a", "of", "she"})
-    once = tokenize(text, stopwords).surfaces()
-    again = tokenize(" ".join(once), stopwords).surfaces()
+    once = tokenize(text, stopwords)
+    again = tokenize(" ".join(once), stopwords)
     assert once == again
 
 
 @given(texts)
 def test_no_stopword_survives(text):
     stopwords = frozenset({"a", "b", "ab", "the"})
-    assert not set(tokenize(text, stopwords).surfaces()) & stopwords
+    assert not set(tokenize(text, stopwords)) & stopwords
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +130,10 @@ def test_split_partition_covers_text():
 
 def test_sentence_tokens_are_contiguous_slices():
     sentences = split_sentences("No fever today. She denies cough.")
-    positions = [t.position for s in sentences for t in s.tokens]
-    assert positions == list(range(len(positions)))
-    assert all(t.sentence_index == s.sentence_index for s in sentences for t in s.tokens)
+    assert [s.tokens for s in sentences] == [("no", "fever", "today"), ("she", "denies", "cough")]
+    assert sentences[0].start == 0
+    for previous, sentence in zip(sentences, sentences[1:]):
+        assert sentence.start == previous.start + len(previous.tokens)
 
 
 # ---------------------------------------------------------------------------

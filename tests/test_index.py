@@ -10,7 +10,6 @@ from hypothesis import given, settings, strategies as st
 
 import oracle
 
-from negir.corpus import RawDocument, Token, TokenStream
 from negir.errors import DuplicateIdError, NegirError, ParseError
 from negir.index import (
     PLAIN,
@@ -22,26 +21,13 @@ from negir.index import (
     save_index,
     score_query,
 )
-from negir.negation import TaggedToken, TaggedTokenStream
 from negir.querygen import QueryBundle
 from negir.ranking import STRATEGY_KINDS, Strategy, run_strategy
 
 
-def make_doc(doc_id, plain_tokens, tagged_tokens=None):
-    """Build the (RawDocument, TokenStream, TaggedTokenStream) triple."""
-    tagged_tokens = plain_tokens if tagged_tokens is None else tagged_tokens
-    stream = TokenStream(tuple(Token(t, 0, i) for i, t in enumerate(plain_tokens)))
-    tagged = TaggedTokenStream(
-        tuple(
-            TaggedToken(t, 0, i, t.startswith("[nx]"))
-            for i, t in enumerate(tagged_tokens)
-        )
-    )
-    return RawDocument(doc_id, body=" ".join(plain_tokens)), stream, tagged
-
-
 def build(docs, **kwargs):
-    return build_index([make_doc(d, toks) for d, toks in docs], **kwargs)
+    """An index of untagged ``(doc_id, terms)`` documents."""
+    return build_index([(d, toks, toks) for d, toks in docs], **kwargs)
 
 
 def search(index, query, k):
@@ -88,7 +74,7 @@ def test_duplicate_doc_id_rejected():
 
 
 def test_tagged_field_is_separate_vocabulary():
-    index = build_index([make_doc("d", ["smoking"], ["[nx]smoking"])])
+    index = build_index([("d", ["smoking"], ["[nx]smoking"])])
     query = WeightedQuery([("smoking", 1.0)], field=PLAIN)
     assert score_query(index, query)[0] > 0
     tagged_query = WeightedQuery([("smoking", 1.0)], field=TAGGED)
@@ -221,9 +207,9 @@ def test_search_matches_exhaustive_oracle():
 
 def test_snapshot_round_trip(tmp_path):
     docs = [
-        make_doc("doc-a", ["fever", "cough", "fever"], ["fever", "[nx]cough", "fever"]),
-        make_doc("doc-b", ["rash"], ["rash"]),
-        make_doc("doc-c", [], []),
+        ("doc-a", ["fever", "cough", "fever"], ["fever", "[nx]cough", "fever"]),
+        ("doc-b", ["rash"], ["rash"]),
+        ("doc-c", [], []),
     ]
     index = build_index(docs, k1=0.9, b=0.4)
     path = tmp_path / "snap.ngir"
@@ -262,7 +248,7 @@ def test_index_statistics_invariants():
         for i in range(40)
     ]
     index = build_index(
-        make_doc(doc_id, tokens, [("[nx]" + t if i % 3 else t) for i, t in enumerate(tokens)])
+        (doc_id, tokens, [("[nx]" + t if i % 3 else t) for i, t in enumerate(tokens)])
         for doc_id, tokens in docs
     )
     lengths = index.doc_lengths
@@ -287,8 +273,8 @@ def test_index_statistics_invariants():
 
 def test_snapshot_truncation_is_a_parse_error(tmp_path):
     docs = [
-        make_doc("doc-a", ["fever", "cough"], ["fever", "[nx]cough"]),
-        make_doc("doc-b", ["rash"], ["rash"]),
+        ("doc-a", ["fever", "cough"], ["fever", "[nx]cough"]),
+        ("doc-b", ["rash"], ["rash"]),
     ]
     path = tmp_path / "snap.ngir"
     save_index(build_index(docs), path)
@@ -352,8 +338,8 @@ def _snapshot_term(term, docs, tfs):
 
 def test_snapshot_bytes_are_pinned(tmp_path):
     index = build_index([
-        make_doc("a", ["x", "y", "x"], ["x", "[nx]y", "x"]),
-        make_doc("b-\u00e9", ["y"], ["y"]),
+        ("a", ["x", "y", "x"], ["x", "[nx]y", "x"]),
+        ("b-\u00e9", ["y"], ["y"]),
     ])
     path = tmp_path / "snap.ngir"
     save_index(index, path)
@@ -384,7 +370,7 @@ def snapshot_corpora(draw):
     for i in range(count):
         plain = [rng.choice(SNAPSHOT_VOCAB) for _ in range(rng.choice([0, 1, 3, 8]))]
         tagged = ["[nx]" + t if rng.random() < 0.3 else t for t in plain]
-        docs.append(make_doc(f"{prefix}{i}", plain, tagged))
+        docs.append((f"{prefix}{i}", plain, tagged))
     return docs
 
 

@@ -46,7 +46,7 @@ def test_example_sentence_single_scope_to_end(lexicon):
         "smoking diabetes hypercholesterolemia or a family history of heart disease"
     )
     # Scope runs to the sentence end.
-    assert scope.scope_span[1] == sentences[0].tokens[-1].position + 1
+    assert scope.scope_span[1] == sentences[0].start + len(sentences[0].tokens)
 
 
 def test_no_trigger_no_scope(lexicon):
@@ -165,31 +165,39 @@ def test_fuzz_scopes_never_overlap_and_exclude_triggers(lexicon):
 def test_tag_tokens_prefixes_in_scope(stopwords, lexicon):
     analysis = analyze_text("She denies smoking daily.", stopwords, lexicon)
     assert analysis.tagged.surfaces() == ["denies", "[nx]smoking", "[nx]daily"]
-    negated = [t.negated for t in analysis.tagged]
+    negated = [t.negated for t in analysis.tagged.tokens]
     assert negated == [False, True, True]
 
 
+def kept(text, stopwords, lexicon):
+    """A text's kept terms and their raw positions."""
+    analysis = analyze_text(text, stopwords, lexicon)
+    return analysis.terms, [t.position for t in analysis.tagged.tokens]
+
+
 def test_tag_tokens_empty_scopes_is_identity(stopwords, lexicon):
-    stream = analyze_text("persistent chest pain", stopwords, lexicon).stream
-    assert oracle.untag(tag_tokens(stream, [])) == stream.tokens
-    assert tag_tokens(stream, []).surfaces() == stream.surfaces()
+    text = "persistent chest pain"
+    terms, positions = kept(text, stopwords, lexicon)
+    assert oracle.untag(tag_tokens(terms, positions, [])) == oracle.kept_tokens(text, stopwords)
+    assert tag_tokens(terms, positions, []).surfaces() == terms
 
 
 def test_tag_strip_round_trip(stopwords, lexicon):
     analysis = analyze_text(EXAMPLE, stopwords, lexicon)
-    assert oracle.untag(analysis.tagged) == analysis.stream.tokens
+    assert oracle.untag(analysis.tagged) == oracle.kept_tokens(EXAMPLE, stopwords)
+    assert [surface for surface, _ in oracle.untag(analysis.tagged)] == analysis.terms
 
 
 def test_tag_tokens_rejects_bad_spans(stopwords, lexicon):
     from negir.negation import NegationScope
 
-    stream = analyze_text("fever and cough", stopwords, lexicon).stream
+    terms, positions = kept("fever and cough", stopwords, lexicon)
     bad = NegationScope(0, "no", (0, 1), (-2, 1), "pre")
     with pytest.raises(ValueError, match="out of range"):
-        tag_tokens(stream, [bad])
+        tag_tokens(terms, positions, [bad])
     inverted = NegationScope(0, "no", (0, 1), (3, 3), "pre")
     with pytest.raises(ValueError):
-        tag_tokens(stream, [inverted])
+        tag_tokens(terms, positions, [inverted])
 
 
 def test_tag_tokens_tolerates_scope_past_stream_tail(stopwords, lexicon):
@@ -221,7 +229,7 @@ def test_split_negation_free_keeps_everything(stopwords, lexicon):
     text = "Persistent chest pain radiating left."
     positive, negated = split_terms(text, stopwords, lexicon)
     assert negated == []
-    assert positive == analyze_text(text, stopwords, lexicon).stream.surfaces()
+    assert positive == analyze_text(text, stopwords, lexicon).terms
 
 
 def test_split_fully_negated_text(stopwords, lexicon):
@@ -241,12 +249,14 @@ def test_split_partition_preserves_tokens(stopwords, lexicon):
         negated = [t for t, _ in bundle.q_neg.terms]
         # q_pos and q_neg partition q_full as multisets...
         assert sorted(positive + negated) == sorted(full)
-        # ...and q_full is the stream with its cue tokens taken out, in order.
+        # ...and q_full is the kept tokens with the cue tokens taken out, in order.
         trigger_positions = set()
         for scope in analysis.scopes:
             trigger_positions.update(range(*scope.trigger_span))
         assert full == [
-            t.surface for t in analysis.stream if t.position not in trigger_positions
+            surface
+            for surface, position in oracle.kept_tokens(text, stopwords)
+            if position not in trigger_positions
         ]
 
 
@@ -255,9 +265,11 @@ def test_round_trip_on_generated_token_text(tokens):
     from negir.corpus import default_stopwords
     from negir.negation import default_lexicon
 
-    analysis = analyze_text(" ".join(tokens), default_stopwords(), default_lexicon())
-    assert oracle.untag(analysis.tagged) == analysis.stream.tokens
-    for token in analysis.tagged:
+    text = " ".join(tokens)
+    analysis = analyze_text(text, default_stopwords(), default_lexicon())
+    assert oracle.untag(analysis.tagged) == oracle.kept_tokens(text, default_stopwords())
+    assert [surface for surface, _ in oracle.untag(analysis.tagged)] == analysis.terms
+    for token in analysis.tagged.tokens:
         assert token.surface.startswith(NX_PREFIX) == token.negated
 
 

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import oracle
-from negir.corpus import RawDocument, Token, TokenStream, Topic
+from negir.corpus import Topic
 from negir.index import PLAIN, TAGGED, WeightedQuery, build_index
-from negir.negation import TaggedToken, TaggedTokenStream, analyze_text
+from negir.negation import analyze_text
 from negir.querygen import QueryBundle, build_bundle
 from negir.ranking import Strategy, beta_adaptive, run_strategy
 
@@ -20,14 +20,13 @@ def corpus_index(docs, stopwords, lexicon, **kwargs):
 
 def analyzed_corpus(docs, stopwords, lexicon, **kwargs):
     """The index plus each field's token lists, for the reference scorer."""
-    analyzed, plain, tagged = [], {}, {}
+    triples = []
     for doc_id, text in docs:
-        doc = RawDocument(doc_id, body=text)
-        analysis = analyze_text(doc.text(), stopwords, lexicon)
-        analyzed.append((doc, analysis.stream, analysis.tagged))
-        plain[doc_id] = analysis.stream.surfaces()
-        tagged[doc_id] = analysis.tagged.surfaces()
-    return build_index(analyzed, **kwargs), plain, tagged
+        analysis = analyze_text(text, stopwords, lexicon)
+        triples.append((doc_id, analysis.terms, analysis.tagged.surfaces()))
+    plain = {doc_id: terms for doc_id, terms, _ in triples}
+    tagged = {doc_id: tagged_terms for doc_id, _, tagged_terms in triples}
+    return build_index(triples, **kwargs), plain, tagged
 
 
 def bundle_for(description, stopwords, lexicon, topic_id="t"):
@@ -352,17 +351,12 @@ def random_bundle(terms, n_full):
 @settings(max_examples=60, deadline=None)
 @given(docs=documents, terms=query_terms, n_full=st.integers(0, 300), k=st.integers(1, 14))
 def test_run_strategy_equals_oracle_exactly(strategy, docs, terms, n_full, k):
-    plain, tagged, analyzed = {}, {}, []
+    plain, tagged = {}, {}
     for i, words in enumerate(docs):
         doc_id = f"d{i:02d}"
         plain[doc_id] = [w for w, _ in words]
         tagged[doc_id] = ["[nx]" + w if negated else w for w, negated in words]
-        stream = TokenStream(tuple(Token(w, 0, j) for j, w in enumerate(plain[doc_id])))
-        tagged_stream = TaggedTokenStream(
-            tuple(TaggedToken(t, 0, j, t.startswith("[nx]")) for j, t in enumerate(tagged[doc_id]))
-        )
-        analyzed.append((RawDocument(doc_id), stream, tagged_stream))
-    index = build_index(analyzed)
+    index = build_index([(doc_id, plain[doc_id], tagged[doc_id]) for doc_id in plain])
     bundle = random_bundle(terms, n_full)
     expected = oracle.strategy_scores(
         plain, tagged, bundle, strategy.kind, strategy.beta_override, strategy.expansion_weight
