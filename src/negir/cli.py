@@ -31,6 +31,8 @@ from .corpus import (
     load_stopwords,
     load_topics,
     packaged_data_path,
+    read_lines,
+    read_text,
     split_sentences,
 )
 from .errors import NegirError, ParseError
@@ -80,20 +82,17 @@ def load_config(path: str | Path) -> dict:
     """Parse a key = value config file; '#' starts a comment line."""
     values: dict[str, object] = {}
     valid = {f.name: f for f in dataclass_fields(Config)}
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
+    for lineno, line in read_lines(path, comments=True):
         if "=" not in line:
-            raise NegirError(f"{path}:{lineno}: expected key = value")
+            raise ParseError("expected key = value", str(path), lineno)
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
         if key not in valid:
-            raise NegirError(f"{path}:{lineno}: unknown config key {key!r}")
+            raise ParseError(f"unknown config key {key!r}", str(path), lineno)
         try:
             values[key] = int(value) if key in ("k", "ndcg_cutoff") else float(value)
         except ValueError:
-            raise NegirError(f"{path}:{lineno}: bad value for {key!r}")
+            raise ParseError(f"bad value for {key!r}", str(path), lineno) from None
     return values
 
 
@@ -144,9 +143,9 @@ def cmd_index(args: argparse.Namespace) -> int:
     lexicon = _lexicon(args)
 
     def analyzed():
-        for doc in load_collection(args.collection, args.format):
-            analysis = analyze_text(doc.text(), stopwords, lexicon)
-            yield doc.doc_id, analysis.terms, analysis.tagged.surfaces()
+        for doc_id, text in load_collection(args.collection, args.format):
+            analysis = analyze_text(text, stopwords, lexicon)
+            yield doc_id, analysis.terms, analysis.tagged.surfaces()
 
     index = build_index(analyzed(), k1=config.k1, b=config.b)
     summary_out = _summary_stream(args.out)
@@ -170,7 +169,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     if args.text is not None:
         text = args.text
     elif args.input:
-        text = Path(args.input).read_text(encoding="utf-8")
+        text = read_text(args.input)
     else:
         text = sys.stdin.read()
     lexicon = _lexicon(args)

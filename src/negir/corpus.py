@@ -7,7 +7,8 @@ enough for scope detection); stopword removal happens afterwards, in
 A sentence holds its raw token surfaces and the document-wide position of
 the first one, so token ``i`` of a sentence sits at ``start + i``. Those
 positions survive stopword removal, so detected scope spans stay valid
-against the filtered terms.
+against the filtered terms. Every text input is read through
+``read_lines`` or ``read_text``.
 """
 
 from __future__ import annotations
@@ -30,19 +31,6 @@ TOKEN_RE = re.compile(r"[a-z0-9]+")
 _BOUNDARY_RE = re.compile(r"(?<=[.?!;])\s+")
 
 COLLECTION_FORMATS = ("jsonl", "trec-text", "plain-dir")
-
-
-@dataclass(frozen=True)
-class RawDocument:
-    """One document as ingested: identifier, optional title, body text."""
-
-    doc_id: str
-    title: str = ""
-    body: str = ""
-
-    def text(self) -> str:
-        """Full indexable text: title and body joined."""
-        return f"{self.title} {self.body}" if self.title else self.body
 
 
 @dataclass(frozen=True)
@@ -81,19 +69,56 @@ def split_sentences(text: str) -> list[Sentence]:
 
 
 # ---------------------------------------------------------------------------
+# Reading text inputs
+# ---------------------------------------------------------------------------
+
+
+def read_lines(path: str | Path, comments: bool = False) -> Iterator[tuple[int, str]]:
+    """Stream ``(line number, stripped line)`` for each non-blank line of
+    a UTF-8 file, and with ``comments`` each that does not start with '#'.
+
+    Lines end at '\\n', '\\r\\n' or '\\r' only: a raw U+2028 inside a
+    JSON string stays on its line. A decode error names the file and line.
+    """
+    with open(path, encoding="utf-8") as handle:
+        try:
+            for lineno, raw in enumerate(handle, 1):
+                line = raw.strip()
+                if line and not (comments and line[0] == "#"):
+                    yield lineno, line
+        except UnicodeDecodeError:
+            raise _decode_error(path) from None
+
+
+def read_text(path: str | Path) -> str:
+    """A whole UTF-8 file, line ends as in ``read_lines`` turned to '\\n'."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError:
+        raise _decode_error(path) from None
+
+
+def _decode_error(path: str | Path) -> ParseError:
+    """The decoder raises per 8 KB chunk, so find the first bad byte's line."""
+    data = Path(path).read_bytes()
+    try:
+        data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        head = data[: exc.start]
+        line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
+        return ParseError(f"not valid UTF-8 ({exc.reason})", str(path), line)
+    return ParseError("not valid UTF-8", str(path))  # the file changed under us
+
+
+# ---------------------------------------------------------------------------
 # Stopwords
 # ---------------------------------------------------------------------------
 
 
 def load_stopwords(path: str | Path) -> frozenset[str]:
-    """Read a stopword file: one lowercase word per line, '#' comments."""
-    words = set()
-    for raw in Path(path).read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        words.add(line.lower())
-    return frozenset(words)
+    """Read a stopword file: one word per line, '#' comments."""
+    return frozenset(line.lower() for _, line in read_lines(path, comments=True))
 
 
 def default_stopwords() -> frozenset[str]:
@@ -161,134 +186,128 @@ def atomic_write(path: str | Path, mode: str, encoding: str | None = None) -> It
 # ---------------------------------------------------------------------------
 
 
-def load_collection(path: str | Path, format: str = "jsonl") -> Iterator[RawDocument]:
-    """Stream documents from disk in file order.
+def load_collection(path: str | Path, format: str = "jsonl") -> Iterator[tuple[str, str]]:
+    """Stream ``(doc_id, text)`` pairs from disk in file order; a title,
+    where there is one, precedes the body in ``text``.
 
     Supported formats: ``jsonl`` (one object per line with ``doc_id``,
     ``title``, ``body``), ``trec-text`` (<DOC>/<DOCNO>/<TEXT> blocks, with
     an optional <TITLE>), and ``plain-dir`` (a directory of text files,
     one document per file, doc_id taken from the file stem).
 
-    Raises ParseError for malformed records (naming file and line) and
-    DuplicateIdError when a doc_id repeats.
+    Raises ParseError, naming the file and line, for malformed records and
+    for a doc_id that repeats (DuplicateIdError).
     """
     if format not in COLLECTION_FORMATS:
         raise ValueError(f"unknown collection format: {format!r}")
     path = Path(path)
     if format == "jsonl":
-        yield from _load_jsonl_collection(path)
+        for _, doc_id, record in _jsonl_records(path, "doc_id"):
+            yield doc_id, _document_text(record.get("title"), record.get("body"))
     elif format == "trec-text":
         yield from _load_trec_text(path)
     else:
         yield from _load_plain_dir(path)
 
 
-def _check_id(kind: str, value: str, path: str | Path, line: int | None = None) -> None:
-    """Reject ids that are empty or contain whitespace.
+def _document_text(title: object, body: object) -> str:
+    title, body = str(title or ""), str(body or "")
+    return f"{title} {body}" if title else body
 
-    Run and qrels lines are whitespace-separated, so such an id would
-    make negir write a run file that it cannot read back.
+
+def _check_id(
+    kind: str, value: str, seen: set[str], path: str | Path, line: int | None = None
+) -> None:
+    """Reject ids that are empty, contain whitespace, or are in ``seen``;
+    add the others to ``seen``.
+
+    Run and qrels lines are whitespace-separated, so an id with
+    whitespace would make negir write a run file that it cannot read back.
     """
     if value.split() != [value]:
         raise ParseError(f"{kind} {value!r} is empty or contains whitespace", str(path), line)
+    if value in seen:
+        raise DuplicateIdError(kind, value, str(path), line)
+    seen.add(value)
 
 
-def _check_new_id(seen: set[str], doc_id: str) -> None:
-    if doc_id in seen:
-        raise DuplicateIdError("doc_id", doc_id)
-    seen.add(doc_id)
-
-
-def _load_jsonl_collection(path: Path) -> Iterator[RawDocument]:
+def _jsonl_records(path: Path, id_field: str) -> Iterator[tuple[int, str, dict]]:
+    """``(line number, id, record)`` for each JSON object line of ``path``."""
     seen: set[str] = set()
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", str(path), lineno) from exc
-            if not isinstance(record, dict) or "doc_id" not in record:
-                raise ParseError("record missing doc_id field", str(path), lineno)
-            doc_id = str(record["doc_id"])
-            _check_id("doc_id", doc_id, path, lineno)
-            _check_new_id(seen, doc_id)
-            yield RawDocument(
-                doc_id=doc_id,
-                title=str(record.get("title", "") or ""),
-                body=str(record.get("body", "") or ""),
-            )
+    for lineno, line in read_lines(path):
+        try:
+            record = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise ParseError(f"invalid JSON ({exc.msg})", str(path), lineno) from exc
+        if not isinstance(record, dict) or id_field not in record:
+            raise ParseError(f"record missing {id_field} field", str(path), lineno)
+        record_id = str(record[id_field])
+        _check_id(id_field, record_id, seen, path, lineno)
+        yield lineno, record_id, record
 
 
 _TAG_RE = re.compile(r"<(/?)(DOC|DOCNO|TITLE|TEXT)>", re.IGNORECASE)
 
 
-def _load_trec_text(path: Path) -> Iterator[RawDocument]:
+def _load_trec_text(path: Path) -> Iterator[tuple[str, str]]:
     seen: set[str] = set()
     doc_id = title = text = None
     open_tag: str | None = None
     buffer: list[str] = []
     in_doc = False
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if stripped.upper() == "<DOC>":
-                in_doc, doc_id, title, text = True, None, None, None
-                continue
-            if stripped.upper() == "</DOC>":
-                if not in_doc or doc_id is None:
-                    raise ParseError("document block missing DOCNO", str(path), lineno)
-                _check_new_id(seen, doc_id)
-                yield RawDocument(doc_id=doc_id, title=title or "", body=text or "")
-                in_doc = False
-                continue
-            if not in_doc:
-                if stripped:
-                    raise ParseError("content outside <DOC> block", str(path), lineno)
-                continue
-            # Field content may share a line with its tags or span lines.
-            remaining = stripped
-            while remaining:
-                match = _TAG_RE.search(remaining)
-                if match is None:
-                    if open_tag:
-                        buffer.append(remaining)
-                    remaining = ""
-                    break
-                before = remaining[: match.start()]
-                if open_tag and before:
-                    buffer.append(before)
-                tag = match.group(2).upper()
-                closing = match.group(1) == "/"
-                if closing:
-                    if tag != open_tag:
-                        raise ParseError(f"unexpected </{tag}>", str(path), lineno)
-                    value = " ".join(buffer).strip()
-                    if tag == "DOCNO":
-                        _check_id("doc_id", value, path, lineno)
-                        doc_id = value
-                    elif tag == "TITLE":
-                        title = value
-                    elif tag == "TEXT":
-                        text = value
-                    open_tag, buffer = None, []
-                else:
-                    open_tag, buffer = tag, []
-                remaining = remaining[match.end() :]
+    for lineno, line in read_lines(path):
+        if line.upper() == "<DOC>":
+            in_doc, doc_id, title, text = True, None, None, None
+            continue
+        if line.upper() == "</DOC>":
+            if not in_doc or doc_id is None:
+                raise ParseError("document block missing DOCNO", str(path), lineno)
+            yield doc_id, _document_text(title, text)
+            in_doc = False
+            continue
+        if not in_doc:
+            raise ParseError("content outside <DOC> block", str(path), lineno)
+        # Field content may share a line with its tags or span lines.
+        remaining = line
+        while remaining:
+            match = _TAG_RE.search(remaining)
+            if match is None:
+                if open_tag:
+                    buffer.append(remaining)
+                break
+            before = remaining[: match.start()]
+            if open_tag and before:
+                buffer.append(before)
+            tag = match.group(2).upper()
+            closing = match.group(1) == "/"
+            if closing:
+                if tag != open_tag:
+                    raise ParseError(f"unexpected </{tag}>", str(path), lineno)
+                value = " ".join(buffer).strip()
+                if tag == "DOCNO":
+                    if doc_id is not None:
+                        raise ParseError("second DOCNO in one document block", str(path), lineno)
+                    _check_id("doc_id", value, seen, path, lineno)
+                    doc_id = value
+                elif tag == "TITLE":
+                    title = value
+                elif tag == "TEXT":
+                    text = value
+                open_tag, buffer = None, []
+            else:
+                open_tag, buffer = tag, []
+            remaining = remaining[match.end() :]
     if in_doc:
         raise ParseError("unterminated <DOC> block", str(path))
 
 
-def _load_plain_dir(path: Path) -> Iterator[RawDocument]:
+def _load_plain_dir(path: Path) -> Iterator[tuple[str, str]]:
     if not path.is_dir():
         raise ParseError("not a directory", str(path))
     seen: set[str] = set()
     for entry in sorted(p for p in path.iterdir() if p.is_file()):
-        _check_id("doc_id", entry.stem, entry)
-        _check_new_id(seen, entry.stem)
-        yield RawDocument(doc_id=entry.stem, body=entry.read_text(encoding="utf-8"))
+        _check_id("doc_id", entry.stem, seen, entry)
+        yield entry.stem, read_text(entry)
 
 
 # ---------------------------------------------------------------------------
@@ -301,54 +320,41 @@ def load_topics(path: str | Path) -> list[Topic]:
 
     The format is sniffed: files whose first non-blank character is '<'
     are parsed as XML with <topic number=...><description> elements.
+    Topic ids must be unique and descriptions non-blank; a ParseError
+    names the file, and the line for JSONL.
     """
     path = Path(path)
-    content = path.read_text(encoding="utf-8")
+    content = read_text(path)
     if content.lstrip()[:1] == "<":
-        return _parse_xml_topics(content, str(path))
-    return _parse_jsonl_topics(content, str(path))
+        return _parse_xml_topics(content, path)
+    # JSONL is read again, line by line; topic files are small.
+    return [
+        _topic(topic_id, record.get("description"), path, lineno)
+        for lineno, topic_id, record in _jsonl_records(path, "topic_id")
+    ]
 
 
-def _parse_jsonl_topics(content: str, name: str) -> list[Topic]:
-    topics: list[Topic] = []
-    seen: set[str] = set()
-    for lineno, raw in enumerate(content.splitlines(), start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON ({exc.msg})", name, lineno) from exc
-        if not isinstance(record, dict) or "topic_id" not in record:
-            raise ParseError("record missing topic_id field", name, lineno)
-        topic_id = str(record["topic_id"])
-        _check_id("topic_id", topic_id, name, lineno)
-        if topic_id in seen:
-            raise DuplicateIdError("topic_id", topic_id)
-        seen.add(topic_id)
-        topics.append(Topic(topic_id, str(record.get("description", "") or "")))
-    return topics
+def _topic(topic_id: str, description: object, path: Path, line: int | None = None) -> Topic:
+    description = str(description or "")
+    if not description.strip():
+        raise ParseError(f"topic {topic_id!r} has an empty description", str(path), line)
+    return Topic(topic_id, description)
 
 
-def _parse_xml_topics(content: str, name: str) -> list[Topic]:
+def _parse_xml_topics(content: str, path: Path) -> list[Topic]:
     from xml.etree import ElementTree  # only XML topic files need it
 
     try:
         root = ElementTree.fromstring(content)
     except ElementTree.ParseError as exc:
-        raise ParseError(f"invalid XML ({exc})", name) from exc
+        raise ParseError(f"invalid XML ({exc})", str(path)) from exc
     elements = root.iter("topic") if root.tag != "topic" else [root]
     topics: list[Topic] = []
     seen: set[str] = set()
     for element in elements:
         topic_id = element.get("number") or element.get("id")
         if not topic_id:
-            raise ParseError("topic element missing number attribute", name)
-        _check_id("topic_id", topic_id, name)
-        if topic_id in seen:
-            raise DuplicateIdError("topic_id", topic_id)
-        seen.add(topic_id)
-        description = (element.findtext("description") or "").strip()
-        topics.append(Topic(topic_id, description))
+            raise ParseError("topic element missing number attribute", str(path))
+        _check_id("topic_id", topic_id, seen, path)
+        topics.append(_topic(topic_id, (element.findtext("description") or "").strip(), path))
     return topics

@@ -8,22 +8,21 @@ class NegirError(Exception):
 
 
 class ParseError(NegirError):
-    """A record or line in an input file could not be parsed."""
+    """An input file could not be parsed; the message starts with the file
+    and, where there is one, the line."""
 
     def __init__(self, message: str, path: str | None = None, line: int | None = None):
-        location = ""
         if path is not None:
-            location = f"{path}:" if line is None else f"{path}:{line}:"
-        elif line is not None:
-            location = f"line {line}:"
-        super().__init__(f"{location} {message}".strip())
+            message = f"{path}: {message}" if line is None else f"{path}:{line}: {message}"
+        super().__init__(message)
         self.path = path
         self.line = line
 
 
-class DuplicateIdError(NegirError):
-    """Two records in one collection carry the same identifier."""
+class DuplicateIdError(ParseError):
+    """Two records in one input carry the same identifier."""
 
-    def __init__(self, kind: str, identifier: str):
-        super().__init__(f"duplicate {kind}: {identifier!r}")
-        self.identifier = identifier
+    def __init__(
+        self, kind: str, identifier: str, path: str | None = None, line: int | None = None
+    ):
+        super().__init__(f"duplicate {kind}: {identifier!r}", path, line)

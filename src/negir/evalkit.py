@@ -23,9 +23,9 @@ import math
 from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
-from .corpus import atomic_write
+from .corpus import atomic_write, read_lines, read_text
 from .errors import ParseError
 from .querygen import QueryBundle
 
@@ -404,68 +404,70 @@ def group_analysis(
 # ---------------------------------------------------------------------------
 
 
+def _fields(path: str | Path, count: int, kind: str) -> Iterator[tuple[int, list[str]]]:
+    """``(line number, fields)`` for each non-blank line of a
+    whitespace-separated file whose lines all hold ``count`` fields."""
+    for lineno, line in read_lines(path):
+        fields = line.split()
+        if len(fields) != count:
+            raise ParseError(
+                f"expected {count} fields in {kind} line, got {len(fields)}", str(path), lineno
+            )
+        yield lineno, fields
+
+
 def read_qrels(path: str | Path) -> Qrels:
     """Read whitespace-separated qrels: topic 0 docid grade."""
     qrels = Qrels()
-    path = Path(path)
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 4:
-                raise ParseError(
-                    f"expected 4 fields in qrels line, got {len(parts)}", str(path), lineno
-                )
-            topic_id, _, doc_id, grade_text = parts
-            try:
-                grade = int(grade_text)
-            except ValueError:
-                raise ParseError(f"bad relevance grade {grade_text!r}", str(path), lineno)
-            try:
-                qrels.add(topic_id, doc_id, grade)
-            except ValueError as exc:
-                raise ParseError(str(exc), str(path), lineno)
+    for lineno, (topic_id, _, doc_id, grade_text) in _fields(path, 4, "qrels"):
+        try:
+            grade = int(grade_text)
+        except ValueError:
+            raise ParseError(f"bad relevance grade {grade_text!r}", str(path), lineno) from None
+        try:
+            qrels.add(topic_id, doc_id, grade)
+        except ValueError as exc:
+            raise ParseError(str(exc), str(path), lineno) from None
     return qrels
 
 
 def read_run(path: str | Path) -> RunResult:
-    """Read a TREC run file: topic Q0 docid rank score tag."""
-    path = Path(path)
+    """Read a TREC run file: topic Q0 docid rank score tag.
+
+    A ParseError names the line that breaks a rule: ranks dense from 1
+    per topic, finite scores that do not rise with rank, and no document
+    twice in a topic.
+    """
+    topics: dict[str, list[tuple[str, float]]] = {}
+    seen: dict[str, set[str]] = {}  # each topic's documents so far
     run_tag = ""
-    per_topic: dict[str, list[tuple[str, float]]] = {}
-    expected_rank: dict[str, int] = {}
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            parts = line.split()
-            if len(parts) != 6:
-                raise ParseError(
-                    f"expected 6 fields in run line, got {len(parts)}", str(path), lineno
-                )
-            topic_id, _, doc_id, rank_text, score_text, tag = parts
-            try:
-                rank = int(rank_text)
-                score = float(score_text)
-            except ValueError:
-                raise ParseError("bad rank or score field", str(path), lineno)
+    for lineno, (topic_id, _, doc_id, rank_text, score_text, tag) in _fields(path, 6, "run"):
+        try:
+            rank = int(rank_text)
+            score = float(score_text)
+        except ValueError:
+            raise ParseError("bad rank or score field", str(path), lineno) from None
+        ranked = topics.get(topic_id)
+        if ranked is None:
+            ranked = topics[topic_id] = []
+            docs = seen[topic_id] = set()
+        else:
+            docs = seen[topic_id]
+        if rank != len(ranked) + 1:
+            problem = f"rank {rank} out of order for topic {topic_id} (expected {len(ranked) + 1})"
+        elif not math.isfinite(score):
+            problem = f"score {score_text!r} is not a finite number"
+        elif ranked and score > ranked[-1][1]:
+            problem = f"scores increase with rank in topic {topic_id}"
+        elif doc_id in docs:
+            problem = f"duplicate document {doc_id!r} in topic {topic_id}"
+        else:
+            docs.add(doc_id)
+            ranked.append((doc_id, score))
             run_tag = run_tag or tag
-            expected = expected_rank.get(topic_id, 0) + 1
-            if rank != expected:
-                raise ParseError(
-                    f"rank {rank} out of order for topic {topic_id} (expected {expected})",
-                    str(path),
-                    lineno,
-                )
-            expected_rank[topic_id] = rank
-            per_topic.setdefault(topic_id, []).append((doc_id, score))
-    run = RunResult(run_tag=run_tag)
-    for topic_id, ranked in per_topic.items():
-        run.add_topic(topic_id, ranked)
-    return run
+            continue
+        raise ParseError(problem, str(path), lineno)
+    return RunResult(run_tag, topics)
 
 
 def write_run(run: RunResult, path: str | Path) -> None:
@@ -494,9 +496,9 @@ def read_sampling_sidecar(path: str | Path) -> dict[str, SamplingInfo]:
     """
     path = Path(path)
     try:
-        data = json.loads(path.read_text(encoding="utf-8"))
+        data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON ({exc.msg})", str(path)) from exc
+        raise ParseError(f"invalid JSON ({exc.msg})", str(path), exc.lineno) from exc
     if not isinstance(data, dict):
         raise ParseError("expected a JSON object of topic ids to strata", str(path))
     sampling: dict[str, SamplingInfo] = {}

@@ -26,9 +26,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
-from .corpus import TOKEN_RE, Sentence, packaged_data_path, split_sentences
+from .corpus import TOKEN_RE, Sentence, packaged_data_path, read_lines, split_sentences
 from .errors import ParseError
 
 NX_PREFIX = "[nx]"
@@ -69,52 +69,16 @@ class TaggedTokenStream:
 
 
 class TriggerLexicon:
-    """Immutable cue phrase lists, tokenized with the standard pattern."""
+    """Cue and terminator phrases, each a tuple of tokens mapped to its
+    kind (PRE, POST, PSEUDO or TERMINATOR)."""
 
-    def __init__(
-        self,
-        pre_triggers: Iterable[str],
-        post_triggers: Iterable[str] = (),
-        pseudo_triggers: Iterable[str] = (),
-        terminators: Iterable[str] = (),
-    ):
-        self.pre_triggers = _tokenize_phrases(pre_triggers)
-        self.post_triggers = _tokenize_phrases(post_triggers)
-        self.pseudo_triggers = _tokenize_phrases(pseudo_triggers)
-        self.terminators = _tokenize_phrases(terminators)
-        self._validate()
+    def __init__(self, phrases: Mapping[tuple[str, ...], str]):
         # first token -> [(phrase, kind)], longest phrase first
         self._by_first: dict[str, list[tuple[tuple[str, ...], str]]] = {}
-        for phrases, kind in (
-            (self.pseudo_triggers, PSEUDO),
-            (self.pre_triggers, PRE),
-            (self.post_triggers, POST),
-            (self.terminators, TERMINATOR),
-        ):
-            for phrase in phrases:
-                self._by_first.setdefault(phrase[0], []).append((phrase, kind))
+        for phrase, kind in phrases.items():
+            self._by_first.setdefault(phrase[0], []).append((phrase, kind))
         for candidates in self._by_first.values():
             candidates.sort(key=lambda item: len(item[0]), reverse=True)
-
-    def _validate(self) -> None:
-        if not self.pre_triggers:
-            raise ValueError("lexicon must define at least one pre-trigger")
-        if not self.terminators:
-            raise ValueError("lexicon must define at least one terminator")
-        seen: dict[tuple[str, ...], str] = {}
-        for phrases, name in (
-            (self.pre_triggers, "pre"),
-            (self.post_triggers, "post"),
-            (self.pseudo_triggers, "pseudo"),
-            (self.terminators, "term"),
-        ):
-            for phrase in phrases:
-                if phrase in seen:
-                    raise ValueError(
-                        f"phrase {' '.join(phrase)!r} appears in both "
-                        f"{seen[phrase]} and {name} lists"
-                    )
-                seen[phrase] = name
 
     def match_at(self, surfaces: tuple[str, ...], i: int) -> tuple[tuple[str, ...], str] | None:
         """Longest cue/terminator phrase starting at token i, if any."""
@@ -124,35 +88,32 @@ class TriggerLexicon:
         return None
 
 
-def _tokenize_phrases(phrases: Iterable[str]) -> tuple[tuple[str, ...], ...]:
-    tokenized = []
-    for phrase in phrases:
-        tokens = tuple(TOKEN_RE.findall(phrase.lower()))
-        if tokens:
-            tokenized.append(tokens)
-    return tuple(tokenized)
-
-
 def load_lexicon(path: str | Path) -> TriggerLexicon:
-    """Parse a sectioned lexicon file ([pre]/[post]/[pseudo]/[term])."""
-    sections: dict[str, list[str]] = {PRE: [], POST: [], PSEUDO: [], TERMINATOR: []}
+    """Parse a sectioned lexicon file ([pre]/[post]/[pseudo]/[term]).
+
+    Each phrase is tokenized with the standard pattern and may appear
+    once in the whole file; [pre] and [term] must each hold a phrase.
+    """
+    phrases: dict[tuple[str, ...], str] = {}
     current: str | None = None
-    for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if line.lower() in _SECTIONS:
-            current = _SECTIONS[line.lower()]
+    for lineno, line in read_lines(path, comments=True):
+        line = line.lower()
+        if line in _SECTIONS:
+            current = _SECTIONS[line]
             continue
         if current is None:
             raise ParseError("phrase before any section header", str(path), lineno)
-        sections[current].append(line.lower())
-    return TriggerLexicon(
-        pre_triggers=sections[PRE],
-        post_triggers=sections[POST],
-        pseudo_triggers=sections[PSEUDO],
-        terminators=sections[TERMINATOR],
-    )
+        phrase = tuple(TOKEN_RE.findall(line))
+        if phrase in phrases:
+            raise ParseError(
+                f"phrase {line!r} already listed in [{phrases[phrase]}]", str(path), lineno
+            )
+        if phrase:
+            phrases[phrase] = current
+    for kind in (PRE, TERMINATOR):
+        if kind not in phrases.values():
+            raise ParseError(f"lexicon has no [{kind}] phrases", str(path))
+    return TriggerLexicon(phrases)
 
 
 def default_lexicon() -> TriggerLexicon:

@@ -41,8 +41,6 @@ def build_bundle(topic: Topic, lexicon: TriggerLexicon, stopwords: frozenset[str
     n_full and n_neg count the terms that actually appear in q_full and
     q_neg.
     """
-    if not topic.description.strip():
-        raise ValueError(f"topic {topic.topic_id!r} has an empty description")
     analysis = analyze_text(topic.description, stopwords, lexicon)
     trigger_positions: set[int] = set()
     for scope in analysis.scopes:

@@ -384,6 +384,105 @@ def test_out_of_range_setting_exits_one(workspace, capsys, argv, message):
     assert not out.exists()
 
 
+def _jsonl(*records):
+    return "".join(json.dumps(r) + "\n" for r in records).encode()
+
+
+RUN = b"2 Q0 d-fever 1 1.0 x\n"
+
+TOPIC = {"topic_id": "1", "description": "x"}
+
+# case: (input kind, file name, content, line named in the error or None)
+BAD_INPUTS = {
+    "jsonl doc_id repeated": (
+        "collection", "docs.jsonl", _jsonl({"doc_id": "d1"}, {"doc_id": "d1"}), 2),
+    "trec-text doc_id repeated": (
+        "trec-text", "docs.trec",
+        b"<DOC>\n<DOCNO>d1</DOCNO>\n<TEXT>x</TEXT>\n</DOC>\n<DOC>\n<DOCNO>d1</DOCNO>\n</DOC>\n", 6),
+    "trec-text second DOCNO in a block": (
+        "trec-text", "docs.trec", b"<DOC>\n<DOCNO>d1</DOCNO>\n<DOCNO>d2</DOCNO>\n</DOC>\n", 3),
+    "plain-dir doc_id repeated": ("plain-dir", "a.txt", b"text", None),
+    "jsonl topic_id repeated": ("topics", "topics.jsonl", _jsonl(TOPIC, TOPIC), 2),
+    "xml topic_id repeated": (
+        "topics", "topics.xml",
+        b'<topics><topic number="1"><description>x</description></topic>\n'
+        b'<topic number="1"><description>y</description></topic></topics>\n', None),
+    "empty description": (
+        "topics", "topics.jsonl", _jsonl(TOPIC, {"topic_id": "2", "description": " "}), 2),
+    "collection not UTF-8": (
+        "collection", "docs.jsonl", b'{"doc_id": "d1"}\n{"doc_id": "\xff"}\n', 2),
+    "plain-dir file not UTF-8": ("plain-dir", "b.txt", b"fine\n\xff\n", 2),
+    "topics not UTF-8": (
+        "topics", "topics.jsonl", b'\n{"topic_id": "1", "description": "\xe9"}\n', 2),
+    "xml topics not UTF-8": ("topics", "topics.xml", b"<topics>\n\xff</topics>\n", 2),
+    "stopwords not UTF-8": ("stopwords", "stop.txt", b"the\n\xff\n", 2),
+    "lexicon not UTF-8": ("lexicon", "lex.txt", b"[pre]\nno\n\xc3\n[term]\nbut\n", 3),
+    "config not UTF-8": ("config", "negir.conf", b"k1 = 1.2\n# \xff\n", 2),
+    "qrels not UTF-8": ("qrels", "qrels.txt", b"1 0 d-chest 1\n2 0 d-\xff 1\n", 2),
+    "run not UTF-8": ("run", "r.run", RUN + b"2 Q0 \xff 2 0.5 x\n", 2),
+    "sidecar not UTF-8": ("sidecar", "s.json", b'{"1": [["d-chest"]],\n"2": [["\xff"]]}', 2),
+    "sidecar not JSON": ("sidecar", "s.json", b'{"1": [["d-chest"]],\n"2": [["d-fever"],]}', 2),
+    "lexicon conflict": ("lexicon", "lex.txt", b"[pre]\nno\n[pseudo]\nno\n[term]\nbut\n", 4),
+    "lexicon without [pre]": ("lexicon", "lex.txt", b"[post]\nruled out\n[term]\nbut\n", None),
+    "run document repeated": ("run", "r.run", RUN + b"2 Q0 d-fever 2 0.5 x\n", 2),
+    "run score rises": ("run", "r.run", RUN + b"2 Q0 d-clean 2 1.5 x\n", 2),
+    "run score nan": ("run", "r.run", RUN + b"2 Q0 d-clean 2 nan x\n", 2),
+    "run score inf": ("run", "r.run", b"2 Q0 d-fever 1 inf x\n", 1),
+}
+
+
+@pytest.mark.parametrize("case", BAD_INPUTS)
+def test_bad_input_exits_one_naming_file_and_line(workspace, capsys, case):
+    kind, name, content, line = BAD_INPUTS[case]
+    if kind == "plain-dir":
+        (workspace / "plain").mkdir()
+        (workspace / "plain" / "a.md").write_text("first", encoding="utf-8")
+        name = f"plain/{name}"
+    bad = workspace / name
+    bad.write_bytes(content)
+    run_file = workspace / "good.run"
+    run_file.write_bytes(RUN)
+    out = workspace / "out"
+    docs, qrels = workspace / "docs.jsonl", workspace / "qrels.txt"
+    snapshot = build_snapshot(workspace) if kind == "topics" else None
+    index = ["index", "--collection", docs, "--out", out]
+    argv = {
+        "collection": ["index", "--collection", bad, "--out", out],
+        "trec-text": ["index", "--collection", bad, "--format", "trec-text", "--out", out],
+        "plain-dir": ["index", "--collection", bad.parent, "--format", "plain-dir", "--out", out],
+        "topics": ["run", "--index", snapshot, "--topics", bad, "--strategy", "baseline",
+                   "--out", out],
+        "stopwords": index + ["--stopwords", bad],
+        "lexicon": index + ["--lexicon", bad],
+        "config": index + ["--config", bad],
+        "qrels": ["eval", "--run", run_file, "--qrels", bad],
+        "run": ["eval", "--run", bad, "--qrels", qrels],
+        "sidecar": ["eval", "--run", run_file, "--qrels", qrels, "--sampling", bad],
+    }[kind]
+    capsys.readouterr()
+    assert run_cli(*argv) == 1
+    err = capsys.readouterr().err
+    location = f"{bad}:" if line is None else f"{bad}:{line}:"
+    assert err.startswith(f"negir: {location} "), err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_bundle_of_raw_line_separators_equals_escaped(workspace, capsys):
+    # JSON strings may hold U+2028 and U+0085 unescaped; str.splitlines()
+    # would end the line there.
+    description = "acute fever\u2028and rash.\u0085denies smoking\u2029diabetes."
+    outputs = []
+    for ensure_ascii in (True, False):
+        topics = workspace / "raw.jsonl"
+        record = {"topic_id": "1", "description": description}
+        topics.write_text(json.dumps(record, ensure_ascii=ensure_ascii) + "\n", encoding="utf-8")
+        assert run_cli("bundle", "--topics", topics) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert json.loads(outputs[1])[0]["q_neg"] == ["smoking", "diabetes"]
+
+
 def test_threads_config_key_rejected(workspace, capsys):
     config = workspace / "negir.conf"
     config.write_text("threads = 4\n", encoding="utf-8")

@@ -2,6 +2,7 @@
 
 import json
 import os
+import re
 import stat
 import threading
 
@@ -10,11 +11,13 @@ from hypothesis import given, strategies as st
 
 from negir.corpus import (
     TOKEN_RE,
-    RawDocument,
+    Topic,
     atomic_write,
     load_collection,
     load_stopwords,
     load_topics,
+    read_lines,
+    read_text,
     split_sentences,
 )
 from negir.errors import DuplicateIdError, ParseError
@@ -155,15 +158,13 @@ def test_load_jsonl_collection(tmp_path):
         ],
     )
     docs = list(load_collection(path, "jsonl"))
-    assert [d.doc_id for d in docs] == ["d1", "d2"]
-    assert docs[0].text() == "One first body"
-    assert docs[1].text() == "second body"
+    assert docs == [("d1", "One first body"), ("d2", "second body")]
 
 
 def test_load_jsonl_duplicate_id(tmp_path):
     path = tmp_path / "docs.jsonl"
     _write_jsonl(path, [{"doc_id": "d1", "body": "x"}, {"doc_id": "d1", "body": "y"}])
-    with pytest.raises(DuplicateIdError, match="d1"):
+    with pytest.raises(DuplicateIdError, match=r"docs\.jsonl:2: duplicate doc_id: 'd1'"):
         list(load_collection(path, "jsonl"))
 
 
@@ -189,11 +190,10 @@ def test_load_trec_text(tmp_path):
         "<DOC>\n<DOCNO>doc-2</DOCNO>\n<TEXT>No fever.</TEXT>\n</DOC>\n",
         encoding="utf-8",
     )
-    docs = list(load_collection(path, "trec-text"))
-    assert [d.doc_id for d in docs] == ["doc-1", "doc-2"]
-    assert docs[0].title == "Case one"
-    assert "denies smoking" in docs[0].body
-    assert docs[1].body == "No fever."
+    assert list(load_collection(path, "trec-text")) == [
+        ("doc-1", "Case one She denies smoking."),
+        ("doc-2", "No fever."),
+    ]
 
 
 def test_load_trec_text_missing_docno(tmp_path):
@@ -207,8 +207,7 @@ def test_load_plain_dir(tmp_path):
     (tmp_path / "b.txt").write_text("second doc", encoding="utf-8")
     (tmp_path / "a.txt").write_text("first doc", encoding="utf-8")
     docs = list(load_collection(tmp_path, "plain-dir"))
-    assert [d.doc_id for d in docs] == ["a", "b"]
-    assert docs[0].body == "first doc"
+    assert docs == [("a", "first doc"), ("b", "second doc")]
 
 
 def test_unknown_format(tmp_path):
@@ -220,7 +219,7 @@ def test_collection_order_stable(tmp_path):
     path = tmp_path / "docs.jsonl"
     records = [{"doc_id": f"d{i}", "body": f"text {i}"} for i in range(20)]
     _write_jsonl(path, records)
-    ids = [d.doc_id for d in load_collection(path, "jsonl")]
+    ids = [doc_id for doc_id, _ in load_collection(path, "jsonl")]
     assert ids == [f"d{i}" for i in range(20)]
 
 
@@ -265,8 +264,52 @@ def test_load_topics_xml(tmp_path):
 def test_load_topics_duplicate_id(tmp_path):
     path = tmp_path / "topics.jsonl"
     _write_jsonl(path, [{"topic_id": "1", "description": "x"}, {"topic_id": "1", "description": "y"}])
-    with pytest.raises(DuplicateIdError):
+    with pytest.raises(DuplicateIdError, match=r"topics\.jsonl:2: duplicate topic_id: '1'"):
         load_topics(path)
+
+
+def test_load_topics_rejects_empty_description(tmp_path):
+    # JSONL topics name the line; XML topics only the file.
+    path = tmp_path / "topics.txt"
+    for content, where in (
+        ('{"topic_id": "1", "description": "x"}\n{"topic_id": "2", "description": " "}\n', ":2:"),
+        ('{"topic_id": "1"}\n', ":1:"),
+        ('<topics><topic number="1"><description> </description></topic></topics>', ":"),
+    ):
+        path.write_text(content, encoding="utf-8")
+        with pytest.raises(ParseError, match=re.escape(f"topics.txt{where} topic '") + ".*empty"):
+            load_topics(path)
+
+
+def test_raw_line_separators_inside_json_strings_stay_on_their_line(tmp_path):
+    # Only a line feed, a carriage return or both end a line. str.splitlines()
+    # also splits at U+0085, U+2028 and U+2029, which JSON strings may hold raw.
+    text = "No fever\u2028or\u0085cough\u2029reported."
+    topics, docs = tmp_path / "topics.jsonl", tmp_path / "docs.jsonl"
+    topics.write_bytes(json.dumps({"topic_id": "1", "description": text}, ensure_ascii=False)
+                       .encode() + b"\r\n")
+    docs.write_bytes(json.dumps({"doc_id": "d", "body": text}, ensure_ascii=False).encode() + b"\r")
+    assert load_topics(topics) == [Topic("1", text)]
+    assert list(load_collection(docs, "jsonl")) == [("d", text)]
+
+
+@pytest.mark.parametrize(
+    "data, line",
+    [
+        (b"\xff", 1),
+        (b"ok\n\xc3", 2),
+        (b"a\r\nb\rc\n\nd\xe2\x82", 5),
+        (b"x" * 20000 + b"\n\x80", 2),  # past the decoder's first chunk
+        (b"ok\n" * 5000 + b"\xff", 5001),
+    ],
+)
+def test_invalid_utf8_names_file_and_line(tmp_path, data, line):
+    path = tmp_path / "input.txt"
+    path.write_bytes(data)
+    with pytest.raises(ParseError, match=rf"input\.txt:{line}: not valid UTF-8"):
+        list(read_lines(path))
+    with pytest.raises(ParseError, match=rf"input\.txt:{line}: not valid UTF-8"):
+        read_text(path)
 
 
 @pytest.mark.parametrize("bad_id", ["a b", "a\tb", "", " ", "a\u00a0b"])

@@ -6,11 +6,10 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracle
-from negir.corpus import Topic, split_sentences
+from negir.corpus import TOKEN_RE, Topic, packaged_data_path, split_sentences
 from negir.errors import ParseError
 from negir.negation import (
     NX_PREFIX,
-    TriggerLexicon,
     analyze_text,
     detect_all,
     detect_negations,
@@ -278,44 +277,62 @@ def test_round_trip_on_generated_token_text(tokens):
 # ---------------------------------------------------------------------------
 
 
-def test_load_lexicon_sections(tmp_path):
+def _lexicon_file(tmp_path, text):
     path = tmp_path / "lex.txt"
-    path.write_text(
-        "# comment\n[pre]\nno\nabsence of\n[post]\nwas ruled out\n"
+    path.write_text(text, encoding="utf-8")
+    return path
+
+
+def test_load_lexicon_sections(tmp_path):
+    path = _lexicon_file(
+        tmp_path,
+        "# comment\n[pre]\nno\nAbsence  of\n[post]\nwas ruled out\n"
         "[pseudo]\nno increase\n[term]\nbut\n",
-        encoding="utf-8",
     )
     lexicon = load_lexicon(path)
-    assert ("absence", "of") in lexicon.pre_triggers
-    assert ("was", "ruled", "out") in lexicon.post_triggers
-    assert ("no", "increase") in lexicon.pseudo_triggers
-    assert ("but",) in lexicon.terminators
+    for phrase, kind in (
+        (("no",), "pre"),
+        (("absence", "of"), "pre"),
+        (("was", "ruled", "out"), "post"),
+        (("no", "increase"), "pseudo"),
+        (("but",), "term"),
+    ):
+        assert lexicon.match_at(phrase, 0) == (phrase, kind)
+    assert lexicon.match_at(("comment",), 0) is None
 
 
 def test_load_lexicon_requires_section_header(tmp_path):
-    path = tmp_path / "lex.txt"
-    path.write_text("no\n[pre]\nnot\n", encoding="utf-8")
+    path = _lexicon_file(tmp_path, "no\n[pre]\nnot\n")
     with pytest.raises(ParseError, match="section"):
         load_lexicon(path)
 
 
-def test_lexicon_rejects_phrase_in_two_lists():
-    with pytest.raises(ValueError, match="both"):
-        TriggerLexicon(pre_triggers=["no"], pseudo_triggers=["no"], terminators=["but"])
+def test_lexicon_rejects_phrase_in_two_lists(tmp_path):
+    for text, line, first in (
+        ("[pre]\nno\nabsence of\n[pseudo]\nNo\n[term]\nbut\n", 5, "pre"),
+        ("[pre]\nno\n[term]\nbut\n# again\nbut\n", 6, "term"),
+    ):
+        message = rf"lex\.txt:{line}: phrase .* already listed in \[{first}\]"
+        with pytest.raises(ParseError, match=message):
+            load_lexicon(_lexicon_file(tmp_path, text))
 
 
-def test_lexicon_requires_pre_and_terminators():
-    with pytest.raises(ValueError):
-        TriggerLexicon(pre_triggers=[], terminators=["but"])
-    with pytest.raises(ValueError):
-        TriggerLexicon(pre_triggers=["no"], terminators=[])
+def test_lexicon_requires_pre_and_terminators(tmp_path):
+    for present, missing in (("[term]\nbut\n", "pre"), ("[pre]\nno\n", "term")):
+        path = _lexicon_file(tmp_path, f"{present}[post]\nwas ruled out\n[{missing}]\n")
+        with pytest.raises(ParseError, match=rf"lex\.txt: lexicon has no \[{missing}\] phrases"):
+            load_lexicon(path)
 
 
 def test_shipped_lexicon_phrases_disjoint(lexicon):
-    all_phrases = (
-        list(lexicon.pre_triggers)
-        + list(lexicon.post_triggers)
-        + list(lexicon.pseudo_triggers)
-        + list(lexicon.terminators)
-    )
-    assert len(all_phrases) == len(set(all_phrases))
+    # Each phrase line of the shipped file matches as the kind of its own
+    # section, which one of them could not if a phrase were in two sections.
+    kind = None
+    lines = packaged_data_path("lexicon.txt").read_text(encoding="utf-8").splitlines()
+    for line in (line.strip().lower() for line in lines):
+        if line.startswith("["):
+            kind = line.strip("[]")
+        elif line and not line.startswith("#"):
+            phrase = tuple(TOKEN_RE.findall(line))
+            assert lexicon.match_at(phrase, 0) == (phrase, kind)
+    assert kind == "term"

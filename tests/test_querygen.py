@@ -2,8 +2,6 @@
 
 import random
 
-import pytest
-
 from negir.corpus import Topic
 from negir.index import PLAIN, TAGGED
 from negir.querygen import build_bundle, bundle_summary
@@ -60,11 +58,6 @@ def test_build_deterministic(lexicon, stopwords):
     first = build_bundle(EXAMPLE, lexicon, stopwords)
     second = build_bundle(EXAMPLE, lexicon, stopwords)
     assert first == second
-
-
-def test_empty_description_rejected(lexicon, stopwords):
-    with pytest.raises(ValueError, match="empty"):
-        build_bundle(Topic("t", "   "), lexicon, stopwords)
 
 
 def test_all_weights_are_one(lexicon, stopwords):
