@@ -18,13 +18,14 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, fields as dataclass_fields, replace
+from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
 from pathlib import Path
 
 from . import __version__
 from .corpus import (
     COLLECTION_FORMATS,
     data_file_version,
+    decode_text,
     default_stopwords,
     is_stdout,
     load_collection,
@@ -56,7 +57,7 @@ from .negation import (
     load_lexicon,
     scope_text,
 )
-from .querygen import build_bundle, bundle_summary
+from .querygen import build_bundle
 from .ranking import (
     DEFAULT_EXPANSION_WEIGHT,
     STRATEGY_KINDS,
@@ -171,7 +172,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
     elif args.input:
         text = read_text(args.input)
     else:
-        text = sys.stdin.read()
+        text = decode_text(sys.stdin.buffer.read(), "<stdin>")
     lexicon = _lexicon(args)
     output = []
     for sentence in split_sentences(text):
@@ -196,8 +197,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_bundle(args: argparse.Namespace) -> int:
-    summaries = [bundle_summary(bundle) for bundle in _build_bundles(args)]
-    print(json.dumps(summaries, indent=2))
+    print(json.dumps([asdict(bundle) for bundle in _build_bundles(args)], indent=2))
     return 0
 
 
@@ -271,12 +271,16 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_compare_groups(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     bundles = _build_bundles(args)
-    runs: dict[str, RunResult] = {BASELINE: read_run(args.baseline)}
+    paths = {BASELINE: args.baseline}
     for entry in args.run or []:
-        if "=" not in entry:
+        name, sep, path = (part.strip() for part in entry.partition("="))
+        if not sep or not name:
             raise NegirError(f"--run expects name=path, got {entry!r}")
-        name, _, path = entry.partition("=")
-        runs[name.strip()] = read_run(path.strip())
+        if name in paths:
+            taken = "--baseline" if name == BASELINE else "an earlier --run"
+            raise NegirError(f"--run name {name!r} is already taken by {taken}")
+        paths[name] = path
+    runs = {name: read_run(path) for name, path in paths.items()}
     qrels = read_qrels(args.qrels)
     report = group_analysis(bundles, runs, qrels, ndcg_cutoff=config.ndcg_cutoff)
 

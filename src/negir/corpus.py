@@ -8,7 +8,7 @@ A sentence holds its raw token surfaces and the document-wide position of
 the first one, so token ``i`` of a sentence sits at ``start + i``. Those
 positions survive stopword removal, so detected scope spans stay valid
 against the filtered terms. Every text input is read through
-``read_lines`` or ``read_text``.
+``read_lines`` or ``read_text``, and standard input through ``decode_text``.
 """
 
 from __future__ import annotations
@@ -87,28 +87,28 @@ def read_lines(path: str | Path, comments: bool = False) -> Iterator[tuple[int, 
                 if line and not (comments and line[0] == "#"):
                     yield lineno, line
         except UnicodeDecodeError:
-            raise _decode_error(path) from None
+            # The decoder raises per 8 KB chunk; decoding the whole file
+            # again finds the first bad byte's line.
+            decode_text(Path(path).read_bytes(), str(path))
+            raise ParseError("not valid UTF-8", str(path)) from None  # the file changed under us
 
 
 def read_text(path: str | Path) -> str:
     """A whole UTF-8 file, line ends as in ``read_lines`` turned to '\\n'."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            return handle.read()
-    except UnicodeDecodeError:
-        raise _decode_error(path) from None
+    return decode_text(Path(path).read_bytes(), str(path))
 
 
-def _decode_error(path: str | Path) -> ParseError:
-    """The decoder raises per 8 KB chunk, so find the first bad byte's line."""
-    data = Path(path).read_bytes()
+def decode_text(data: bytes, name: str) -> str:
+    """UTF-8 ``data`` with line ends as in ``read_lines`` turned to '\\n';
+    a decode error is a ``ParseError`` naming ``name`` and the line of the
+    first bad byte."""
     try:
-        data.decode("utf-8")
+        text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         head = data[: exc.start]
         line = head.count(b"\n") + head.count(b"\r") - head.count(b"\r\n") + 1
-        return ParseError(f"not valid UTF-8 ({exc.reason})", str(path), line)
-    return ParseError("not valid UTF-8", str(path))  # the file changed under us
+        raise ParseError(f"not valid UTF-8 ({exc.reason})", name, line) from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 # ---------------------------------------------------------------------------

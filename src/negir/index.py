@@ -15,16 +15,18 @@ postings are an ascending array of doc numbers and a parallel array of
 term frequencies. String ids appear only in ``Index.doc_ids``, in the
 snapshot's id list and in the ranked lists of ``ranking.run_strategy``.
 
-The scoring formula is pinned exactly:
+A query is a plain list of terms plus one weight for all of them, and
+the scoring formula is pinned exactly:
 
-    score(Q, D) = sum over query terms t of
+    score(Q, D) = sum over distinct query terms t of
         w_t * idf(t) * tf * (k1 + 1) / (tf + k1 * (1 - b + b * len/avgdl))
     idf(t) = ln(1 + (N - df + 0.5) / (df + 0.5))
 
-with defaults k1 = 1.2 and b = 0.75. idf is the Lucene variant (see
-Kamphuis et al., "Which BM25 do you mean?", ECIR 2020); it is strictly
-positive for any df <= N, so matching documents always score above zero
-for positive weights.
+where w_t is the weight added up once per occurrence of t, with
+defaults k1 = 1.2 and b = 0.75. idf is the Lucene variant (see Kamphuis
+et al., "Which BM25 do you mean?", ECIR 2020); it is strictly positive
+for any df <= N, so matching documents always score above zero for
+positive weights.
 """
 
 from __future__ import annotations
@@ -53,29 +55,6 @@ SNAPSHOT_VERSION = 3
 MAX_SNAPSHOT_STR_BYTES = 0xFFFF  # strings carry a u16 length prefix
 
 U32 = "I"  # array typecode of the u32 doc numbers, lengths and tfs (4 bytes)
-
-
-@dataclass
-class WeightedQuery:
-    """Bag of weighted terms targeting one index field.
-
-    Duplicate terms are allowed and accumulate their weights at scoring
-    time. Weights must be positive; signed combinations are expressed by
-    combining whole query scores, not by negative term weights.
-    """
-
-    terms: list[tuple[str, float]]
-    field: str = PLAIN
-
-    def __post_init__(self) -> None:
-        if self.field not in FIELDS:
-            raise ValueError(f"unknown field: {self.field!r}")
-        for term, weight in self.terms:
-            if weight <= 0:
-                raise ValueError(f"non-positive weight for term {term!r}")
-
-    def __len__(self) -> int:
-        return len(self.terms)
 
 
 @dataclass
@@ -160,39 +139,35 @@ def _add_postings(field_index: FieldIndex, doc: int, terms: Sequence[str]) -> No
         entry[1].append(tf)
 
 
-def merge_terms(terms: Iterable[tuple[str, float]]) -> list[tuple[str, float]]:
-    """Accumulate duplicate term weights, keeping first-seen order."""
-    merged: dict[str, float] = {}
-    for term, weight in terms:
-        merged[term] = merged.get(term, 0.0) + weight
-    return list(merged.items())
-
-
 def idf(doc_count: int, doc_frequency: int) -> float:
     return math.log(1.0 + (doc_count - doc_frequency + 0.5) / (doc_frequency + 0.5))
 
 
-def score_query(index: Index, query: WeightedQuery) -> dict[int, float]:
-    """BM25 scores, by doc number, of every document matching the query
-    in its field.
+def score_query(index: Index, field: str, terms: Sequence[str], weight: float) -> dict[int, float]:
+    """BM25 scores, by doc number, of every document matching ``terms``
+    in ``field``, each term occurrence weighing ``weight``.
 
-    Term at a time: each merged term's ``weight * idf`` is computed once,
-    then its postings add into one accumulator. A document's terms are
-    added in first-seen query order, starting from 0.0, so a score is
-    bit-identical to summing the formula term by term for that document.
-    Documents matching no term are absent, not scored 0.0.
+    Term at a time: a repeated term's weight is summed once per
+    occurrence, from 0.0 and in first-seen order, and its ``weight * idf``
+    is computed once; then its postings add into one accumulator. A
+    document's terms are added in that order, starting from 0.0, so a
+    score is bit-identical to summing the formula term by term for that
+    document. Documents matching no term are absent, not scored 0.0.
     """
-    postings_by_term = index.field(query.field).postings
+    postings_by_term = index.field(field).postings
     norms = index.norms
     n = index.doc_count
     tf_scale = index.k1 + 1.0
+    weights: dict[str, float] = {}
+    for term in terms:  # ten 0.1s sum to 0.9999999999999999, not 10 * 0.1
+        weights[term] = weights.get(term, 0.0) + weight
     scores: dict[int, float] = {}
-    for term, weight in merge_terms(query.terms):
+    for term, term_weight in weights.items():
         entry = postings_by_term.get(term)
         if entry is None:
             continue
         docs, tfs = entry
-        w = weight * idf(n, len(docs))
+        w = term_weight * idf(n, len(docs))
         for doc, tf in zip(docs, tfs):
             scores[doc] = scores.get(doc, 0.0) + w * (tf * tf_scale) / (tf + norms[doc])
     return scores

@@ -10,9 +10,12 @@ From one description we derive:
 
 Cue tokens that survive stopword removal (e.g. "denies") are dropped
 from all four variants, so q_pos and q_neg always partition q_full.
-Every term carries base weight 1.0; repeated terms stay repeated and
-accumulate at scoring time. ``n_full`` and ``n_neg`` count term tokens
-(duplicates included) and drive the adaptive combination weight.
+Each variant is a plain list of terms in description order; repeated
+terms stay repeated and accumulate at scoring time. Which index field a
+variant is scored on, and with what weight, is the ranking strategy's
+choice (``ranking.strategy_components``). ``n_full`` and ``n_neg`` count
+term tokens (duplicates included) and drive the adaptive combination
+weight.
 """
 
 from __future__ import annotations
@@ -20,19 +23,20 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .corpus import Topic
-from .index import PLAIN, TAGGED, WeightedQuery
 from .negation import TriggerLexicon, analyze_text
 
 
 @dataclass(frozen=True)
 class QueryBundle:
+    """One topic's query variants; ``negir bundle`` prints its fields in this order."""
+
     topic_id: str
-    q_full: WeightedQuery
-    q_pos: WeightedQuery
-    q_neg: WeightedQuery
-    q_tagged: WeightedQuery
     n_full: int
     n_neg: int
+    q_full: list[str]
+    q_pos: list[str]
+    q_neg: list[str]
+    q_tagged: list[str]
 
 
 def build_bundle(topic: Topic, lexicon: TriggerLexicon, stopwords: frozenset[str]) -> QueryBundle:
@@ -61,27 +65,10 @@ def build_bundle(topic: Topic, lexicon: TriggerLexicon, stopwords: frozenset[str
 
     return QueryBundle(
         topic_id=topic.topic_id,
-        q_full=_query(full, PLAIN),
-        q_pos=_query(positive, PLAIN),
-        q_neg=_query(negated, PLAIN),
-        q_tagged=_query(tagged, TAGGED),
         n_full=len(full),
         n_neg=len(negated),
+        q_full=full,
+        q_pos=positive,
+        q_neg=negated,
+        q_tagged=tagged,
     )
-
-
-def _query(terms: list[str], field: str) -> WeightedQuery:
-    return WeightedQuery(terms=[(term, 1.0) for term in terms], field=field)
-
-
-def bundle_summary(bundle: QueryBundle) -> dict:
-    """JSON-friendly view of a bundle for inspection tooling."""
-    return {
-        "topic_id": bundle.topic_id,
-        "n_full": bundle.n_full,
-        "n_neg": bundle.n_neg,
-        "q_full": [t for t, _ in bundle.q_full.terms],
-        "q_pos": [t for t, _ in bundle.q_pos.terms],
-        "q_neg": [t for t, _ in bundle.q_neg.terms],
-        "q_tagged": [t for t, _ in bundle.q_tagged.terms],
-    }

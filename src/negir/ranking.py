@@ -16,17 +16,17 @@ beta boosts negated content, which helps some queries. The polynomial is
 negative below n ~= 29.1, positive up to n ~= 253.7, and negative again
 beyond that; ``Strategy.beta_override`` (``--beta``) replaces it.
 
-The tagging expansion adds the untagged form of each negated term with
-per-term weight 0.3 (equivalent, by weight linearity, to adding 0.3
-times the plain expansion score), so a document mentioning a negated
-query term in positive form still earns partial credit.
+The tagging expansion scores q_neg, the untagged negated terms, on the
+tagged field at weight w = 0.3 per term (by weight linearity, 0.3 times
+its score at weight 1), so a document mentioning a negated query term
+in positive form still earns partial credit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .index import TAGGED, Index, WeightedQuery, score_query
+from .index import PLAIN, TAGGED, Index, score_query
 from .querygen import QueryBundle
 
 BASELINE = "baseline"
@@ -63,35 +63,30 @@ class Strategy:
             raise ValueError("expansion_weight must be >= 0")
 
 
-def _expansion_query(bundle: QueryBundle, weight: float) -> WeightedQuery:
-    return WeightedQuery(
-        terms=[(term, base * weight) for term, base in bundle.q_neg.terms],
-        field=TAGGED,
-    )
-
-
 def strategy_components(
     strategy: Strategy, bundle: QueryBundle
-) -> list[tuple[float, WeightedQuery]]:
-    """The strategy's score as ``sum(coef * S(query, D))`` over components.
+) -> list[tuple[float, str, list[str], float]]:
+    """The strategy's score as ``sum(coef * S(terms @ weight, D))`` over
+    ``(coef, field, terms, weight)`` components.
 
-    The expansion weight stays inside the expansion's term weights: a
-    coefficient of 0.3 on the whole component would round differently.
+    The expansion weight is the component's per-term weight, not its
+    coefficient: a coefficient of 0.3 on the whole component would round
+    differently.
     """
     kind = strategy.kind
     if kind == FILTERING:
-        return [(1.0, bundle.q_pos)]
+        return [(1.0, PLAIN, bundle.q_pos, 1.0)]
     if kind == SCORE_COMBINATION:
         beta = strategy.beta_override
         if beta is None:
             beta = beta_adaptive(bundle.n_full)
-        return [(1.0, bundle.q_full), (-beta, bundle.q_neg)]
-    if kind == NEGATION_TAGGING and bundle.q_neg.terms:
-        components = [(1.0, bundle.q_tagged)]
+        return [(1.0, PLAIN, bundle.q_full, 1.0), (-beta, PLAIN, bundle.q_neg, 1.0)]
+    if kind == NEGATION_TAGGING and bundle.q_neg:
+        components = [(1.0, TAGGED, bundle.q_tagged, 1.0)]
         if strategy.expansion_weight > 0:
-            components.append((1.0, _expansion_query(bundle, strategy.expansion_weight)))
+            components.append((1.0, TAGGED, bundle.q_neg, strategy.expansion_weight))
         return components
-    return [(1.0, bundle.q_full)]  # baseline, and tagging without negations
+    return [(1.0, PLAIN, bundle.q_full, 1.0)]  # baseline, and tagging without negations
 
 
 def run_strategy(
@@ -111,8 +106,8 @@ def run_strategy(
     if k < 1:
         raise ValueError("k must be >= 1")
     scores: dict[int, float] = {}
-    for coef, query in strategy_components(strategy, bundle):
-        for doc, value in score_query(index, query).items():
+    for coef, field, terms, weight in strategy_components(strategy, bundle):
+        for doc, value in score_query(index, field, terms, weight).items():
             scores[doc] = scores.get(doc, 0.0) + coef * value
     doc_ids = index.doc_ids
     ranked = sorted(scores.items(), key=lambda item: (-item[1], doc_ids[item[0]]))

@@ -2,9 +2,11 @@
 
 It scores one document at a time straight from its token list: no
 inverted index, no precomputed statistics. The arithmetic follows the
-pinned formula in the order the engine documents (query terms merged in
-first-seen order, contributions added from 0.0), so its scores are the
-exact values the engine must produce, and tests compare them with ``==``.
+pinned formula in the order the engine documents (a query is a term
+list plus one weight; a repeated term's weight is summed per occurrence
+and terms are taken in first-seen order, contributions added from 0.0),
+so its scores are the exact values the engine must produce, and tests
+compare them with ``==``.
 
 Strategy scores are built from whole-query scores with the expressions
 of the ranking module's docstring, one document at a time.
@@ -24,43 +26,41 @@ K1 = 1.2
 B = 0.75
 
 
-def merged(query_terms):
-    """Sum duplicate term weights, keeping first-seen order."""
+def merged(terms, weight):
+    """Each distinct term with ``weight`` added once per occurrence, from
+    0.0, in first-seen order."""
     weights = {}
-    for term, weight in query_terms:
+    for term in terms:
         weights[term] = weights.get(term, 0.0) + weight
     return list(weights.items())
 
 
-def bm25(doc_tokens, query_terms, doc_id, k1=K1, b=B):
-    """BM25 of one document; ``doc_tokens`` maps every doc_id to its tokens."""
+def bm25(doc_tokens, terms, doc_id, weight=1.0, k1=K1, b=B):
+    """BM25 of one document for the query ``terms`` at ``weight`` per
+    term; ``doc_tokens`` maps every doc_id to its tokens."""
     n = len(doc_tokens)
     avgdl = sum(len(tokens) for tokens in doc_tokens.values()) / n
     tokens = doc_tokens[doc_id]
     score = 0.0
-    for term, weight in merged(query_terms):
+    for term, term_weight in merged(terms, weight):
         tf = tokens.count(term)
         if tf == 0:
             continue
         df = sum(1 for other in doc_tokens.values() if term in other)
         idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
         norm = k1 * (1.0 - b + b * len(tokens) / avgdl)
-        score += weight * idf * (tf * (k1 + 1.0)) / (tf + norm)
+        score += term_weight * idf * (tf * (k1 + 1.0)) / (tf + norm)
     return score
 
 
-def matches(doc_tokens, query_terms):
+def matches(doc_tokens, terms):
     """Documents containing at least one query term."""
-    terms = {term for term, _ in query_terms}
-    return {doc_id for doc_id, tokens in doc_tokens.items() if terms & set(tokens)}
+    return {doc_id for doc_id, tokens in doc_tokens.items() if set(terms) & set(tokens)}
 
 
-def search(doc_tokens, query_terms, k1=K1, b=B):
+def search(doc_tokens, terms):
     """Every matching document as (doc_id, score), best first, id tiebreak."""
-    scored = [
-        (doc_id, bm25(doc_tokens, query_terms, doc_id, k1, b))
-        for doc_id in matches(doc_tokens, query_terms)
-    ]
+    scored = [(doc_id, bm25(doc_tokens, terms, doc_id)) for doc_id in matches(doc_tokens, terms)]
     return sorted(scored, key=lambda item: (-item[1], item[0]))
 
 
@@ -71,8 +71,7 @@ def strategy_scores(plain, tagged, bundle, kind, beta=None, expansion_weight=0.3
     fields; ``bundle`` is a ``QueryBundle``; ``beta`` None means the
     adaptive polynomial.
     """
-    q_full, q_pos = bundle.q_full.terms, bundle.q_pos.terms
-    q_neg, q_tagged = bundle.q_neg.terms, bundle.q_tagged.terms
+    q_full, q_pos, q_neg, q_tagged = bundle.q_full, bundle.q_pos, bundle.q_neg, bundle.q_tagged
     if kind == "baseline" or (kind == "negation_tagging" and not q_neg):
         return {d: bm25(plain, q_full, d) for d in matches(plain, q_full)}
     if kind == "filtering":
@@ -85,15 +84,14 @@ def strategy_scores(plain, tagged, bundle, kind, beta=None, expansion_weight=0.3
         return {
             d: bm25(plain, q_full, d) - beta * bm25(plain, q_neg, d) for d in candidates
         }
-    expansion = [(term, weight * expansion_weight) for term, weight in q_neg]
     candidates = matches(tagged, q_tagged)
     if expansion_weight > 0:
-        candidates |= matches(tagged, expansion)
+        candidates |= matches(tagged, q_neg)
     scores = {}
     for d in candidates:
         score = bm25(tagged, q_tagged, d)
         if expansion_weight > 0:
-            score += bm25(tagged, expansion, d)
+            score += bm25(tagged, q_neg, d, expansion_weight)
         scores[d] = score
     return scores
 

@@ -25,7 +25,7 @@ from negir.evalkit import (
     group_analysis,
     relative_improvement,
 )
-from negir.index import PLAIN, TAGGED, WeightedQuery, build_index, score_query
+from negir.index import PLAIN, build_index, score_query
 from negir.negation import analyze_text, default_lexicon
 from negir.querygen import QueryBundle, build_bundle
 from negir.ranking import Strategy, beta_adaptive, run_strategy
@@ -160,9 +160,7 @@ def token_index(doc_tokens):
 
 def baseline_bundle(terms):
     """A negation-free bundle whose full query is ``terms``."""
-    query = WeightedQuery(terms, PLAIN)
-    empty = WeightedQuery([], PLAIN)
-    return QueryBundle("t", query, query, empty, WeightedQuery(terms, TAGGED), len(terms), 0)
+    return QueryBundle("t", len(terms), 0, terms, terms, [], terms)
 
 
 def test_criterion_4_bm25_oracle():
@@ -170,7 +168,7 @@ def test_criterion_4_bm25_oracle():
 
     with criterion(4, "BM25 search vs exhaustive oracle, 100 seeds", budget_seconds=30.0):
         single = token_index({"d": ["fever"]})
-        value = score_query(single, WeightedQuery([("fever", 1.0)]))[0]
+        value = score_query(single, PLAIN, ["fever"], 1.0)[0]
         assert value == pytest.approx(0.287682, abs=1e-6)
 
         for seed in range(100):
@@ -182,7 +180,7 @@ def test_criterion_4_bm25_oracle():
             }
             index = token_index(doc_tokens)
             n_terms = rng.randint(1, min(8, len(vocab)))
-            terms = [(t, 1.0) for t in rng.sample(vocab, n_terms)]
+            terms = rng.sample(vocab, n_terms)
             results = run_strategy(
                 Strategy("baseline"), baseline_bundle(terms), index, k=len(doc_tokens)
             )
@@ -246,7 +244,7 @@ def test_criterion_6_tagging_semantics():
         bundle = build_bundle(Topic("t", "denies smoking"), LEXICON, STOPWORDS)
 
         negated_doc = analyzed_corpus([("d", "no smoking")])
-        tagged_hit = oracle.bm25(tagged_tokens([("d", "no smoking")]), [("[nx]smoking", 1.0)], "d")
+        tagged_hit = oracle.bm25(tagged_tokens([("d", "no smoking")]), ["[nx]smoking"], "d")
         assert tagged_hit > 0
         strategy = Strategy("negation_tagging")
         ranked = run_strategy(strategy, bundle, negated_doc, k=10)
@@ -254,7 +252,7 @@ def test_criterion_6_tagging_semantics():
         assert ranked[0][1] == pytest.approx(tagged_hit, rel=1e-9)
 
         plain_doc = analyzed_corpus([("d", "smoking")])
-        reference = oracle.bm25(tagged_tokens([("d", "smoking")]), [("smoking", 1.0)], "d")
+        reference = oracle.bm25(tagged_tokens([("d", "smoking")]), ["smoking"], "d")
         ranked = run_strategy(strategy, bundle, plain_doc, k=10)
         assert [doc_id for doc_id, _ in ranked] == ["d"]
         assert ranked[0][1] == pytest.approx(0.3 * reference, rel=1e-9)

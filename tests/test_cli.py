@@ -1,5 +1,6 @@
 """End-to-end CLI coverage: every subcommand through main()."""
 
+import io
 import json
 import math
 import os
@@ -307,6 +308,55 @@ def test_compare_groups_subcommand(workspace, capsys):
     assert payload["d_minus_topics"] == ["2"]
     assert "tagging" in payload["gap_reduction_p10"]
     assert "config" in payload
+
+
+@pytest.mark.parametrize(
+    "names, taken",
+    [
+        (["baseline"], "'baseline' is already taken by --baseline"),
+        (["x", "x"], "'x' is already taken by an earlier --run"),
+        (["x", " x "], "'x' is already taken by an earlier --run"),
+        ([""], "--run expects name=path"),
+    ],
+    ids=["baseline", "repeated", "repeated-with-spaces", "empty"],
+)
+def test_compare_groups_rejects_a_taken_or_empty_run_name(workspace, capsys, names, taken):
+    # A run under a taken name would silently replace the earlier run.
+    snapshot = build_snapshot(workspace)
+    run = workspace / "baseline.run"
+    assert run_cli("run", "--index", snapshot, "--topics", workspace / "topics.jsonl",
+                   "--strategy", "baseline", "--out", run) == 0
+    capsys.readouterr()
+    argv = ["compare-groups", "--topics", workspace / "topics.jsonl",
+            "--qrels", workspace / "qrels.txt", "--baseline", run]
+    for name in names:
+        argv += ["--run", f"{name}={run}"]
+    assert run_cli(*argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("negir: ") and taken in captured.err
+
+
+def detect_stdin(monkeypatch, data):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+    return run_cli("detect")
+
+
+def test_detect_stdin_rejects_invalid_utf8(monkeypatch, capsys):
+    assert detect_stdin(monkeypatch, b"no fever\n\xff\n") == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "negir: <stdin>:2: not valid UTF-8 (invalid start byte)\n"
+
+
+def test_detect_stdin_reads_like_input_file(workspace, monkeypatch, capsys):
+    data = "Denies fever.\r\nNo rash\rcough \u00e9\n".encode("utf-8")
+    (workspace / "text.txt").write_bytes(data)
+    assert run_cli("detect", "--input", workspace / "text.txt") == 0
+    from_file = capsys.readouterr().out
+    assert detect_stdin(monkeypatch, data) == 0
+    assert capsys.readouterr().out == from_file
+    assert len(json.loads(from_file)) == 2
 
 
 def test_config_file_with_flag_override(workspace, capsys):

@@ -312,6 +312,13 @@ def test_invalid_utf8_names_file_and_line(tmp_path, data, line):
         read_text(path)
 
 
+def test_read_text_ends_lines_like_text_mode(tmp_path):
+    path = tmp_path / "input.txt"
+    path.write_bytes("a\r\nb\rc\n\r\r\n\u2028d\r".encode())
+    with open(path, encoding="utf-8") as handle:
+        assert read_text(path) == handle.read() == "a\nb\nc\n\n\n\u2028d\n"
+
+
 @pytest.mark.parametrize("bad_id", ["a b", "a\tb", "", " ", "a\u00a0b"])
 def test_whitespace_or_empty_ids_rejected_with_file_and_line(tmp_path, bad_id):
     # Run files are whitespace-separated, so such an id could not be read back.

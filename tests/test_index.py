@@ -14,7 +14,6 @@ from negir.errors import DuplicateIdError, NegirError, ParseError
 from negir.index import (
     PLAIN,
     TAGGED,
-    WeightedQuery,
     build_index,
     idf,
     load_index,
@@ -30,10 +29,9 @@ def build(docs, **kwargs):
     return build_index([(d, toks, toks) for d, toks in docs], **kwargs)
 
 
-def search(index, query, k):
+def search(index, terms, k):
     """Rank one plain-field query: the baseline strategy over a bare bundle."""
-    empty = WeightedQuery([])
-    bundle = QueryBundle("t", query, query, empty, WeightedQuery([], TAGGED), len(query), 0)
+    bundle = QueryBundle("t", len(terms), 0, terms, terms, [], terms)
     return run_strategy(Strategy("baseline"), bundle, index, k)
 
 
@@ -75,12 +73,9 @@ def test_duplicate_doc_id_rejected():
 
 def test_tagged_field_is_separate_vocabulary():
     index = build_index([("d", ["smoking"], ["[nx]smoking"])])
-    query = WeightedQuery([("smoking", 1.0)], field=PLAIN)
-    assert score_query(index, query)[0] > 0
-    tagged_query = WeightedQuery([("smoking", 1.0)], field=TAGGED)
-    assert score_query(index, tagged_query) == {}
-    nx_query = WeightedQuery([("[nx]smoking", 1.0)], field=TAGGED)
-    assert score_query(index, nx_query)[0] > 0
+    assert score_query(index, PLAIN, ["smoking"], 1.0)[0] > 0
+    assert score_query(index, TAGGED, ["smoking"], 1.0) == {}
+    assert score_query(index, TAGGED, ["[nx]smoking"], 1.0)[0] > 0
 
 
 # ---------------------------------------------------------------------------
@@ -90,8 +85,8 @@ def test_tagged_field_is_separate_vocabulary():
 
 def test_hand_computed_single_doc_score():
     index = build([("d", ["fever"])], k1=1.2, b=0.75)
-    score = score_query(index, WeightedQuery([("fever", 1.0)]))[0]
-    assert score == oracle.bm25({"d": ["fever"]}, [("fever", 1.0)], "d")
+    score = score_query(index, PLAIN, ["fever"], 1.0)[0]
+    assert score == oracle.bm25({"d": ["fever"]}, ["fever"], "d")
     # idf = ln(1 + (1 - 1 + 0.5) / (1 + 0.5)) = ln(4/3); tf part is exactly 1.
     assert score == pytest.approx(0.287682, abs=1e-6)
     assert score == pytest.approx(math.log(4 / 3), rel=1e-12)
@@ -99,17 +94,15 @@ def test_hand_computed_single_doc_score():
 
 def test_query_without_matches_scores_zero():
     index = build([("d", ["fever"])])
-    assert score_query(index, WeightedQuery([("cough", 1.0)])) == {}
-    assert score_query(index, WeightedQuery([])) == {}
-    assert oracle.bm25({"d": ["fever"]}, [("cough", 1.0)], "d") == 0.0
+    assert score_query(index, PLAIN, ["cough"], 1.0) == {}
+    assert score_query(index, PLAIN, [], 1.0) == {}
+    assert oracle.bm25({"d": ["fever"]}, ["cough"], "d") == 0.0
 
 
 def test_score_linear_in_weights():
     index = build([("d1", ["a", "b", "a"]), ("d2", ["b", "c"])])
-    single = WeightedQuery([("a", 1.0), ("b", 1.0)])
-    double = WeightedQuery([("a", 2.0), ("b", 2.0)])
-    single_scores = score_query(index, single)
-    double_scores = score_query(index, double)
+    single_scores = score_query(index, PLAIN, ["a", "b"], 1.0)
+    double_scores = score_query(index, PLAIN, ["a", "b"], 2.0)
     assert single_scores.keys() == double_scores.keys() == {0, 1}
     for doc in (0, 1):
         assert double_scores[doc] == pytest.approx(2 * single_scores[doc], rel=1e-12)
@@ -117,15 +110,13 @@ def test_score_linear_in_weights():
 
 def test_duplicate_terms_accumulate():
     index = build([("d", ["a", "b"])])
-    repeated = WeightedQuery([("a", 1.0), ("a", 1.0)])
-    doubled = WeightedQuery([("a", 2.0)])
-    assert score_query(index, repeated) == score_query(index, doubled)
+    assert score_query(index, PLAIN, ["a", "a"], 1.0) == score_query(index, PLAIN, ["a"], 2.0)
 
 
 def test_unknown_doc_rejected():
     # Only indexed documents get a score; there is none to look up for others.
     index = build([("d", ["a"])])
-    scores = score_query(index, WeightedQuery([("a", 1.0)]))
+    scores = score_query(index, PLAIN, ["a"], 1.0)
     assert set(scores) == {0}
     with pytest.raises(KeyError):
         scores[1]
@@ -146,12 +137,9 @@ def test_tf_part_monotonic_in_tf():
 
 
 def test_weight_validation():
-    with pytest.raises(ValueError):
-        WeightedQuery([("a", 0.0)])
-    with pytest.raises(ValueError):
-        WeightedQuery([("a", -1.0)])
-    with pytest.raises(ValueError):
-        WeightedQuery([("a", 1.0)], field="bogus")
+    # A query has one weight for all its terms; the field it names is checked.
+    with pytest.raises(ValueError, match="bogus"):
+        score_query(build([("d", ["a"])]), "bogus", ["a"], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -161,7 +149,7 @@ def test_weight_validation():
 
 def test_search_orders_by_score_then_doc_id():
     index = build([("b", ["x"]), ("a", ["x"]), ("c", ["x", "x", "y"])])
-    results = search(index, WeightedQuery([("x", 1.0)]), k=10)
+    results = search(index, ["x"], k=10)
     # Equal scores: the string id breaks the tie, not the doc number (b is 0).
     assert [doc_id for doc_id, _ in results][:2] == ["a", "b"]
     assert results[0][1] == results[1][1]
@@ -169,21 +157,21 @@ def test_search_orders_by_score_then_doc_id():
 
 def test_search_k_truncates_and_short_results():
     index = build([(f"d{i}", ["x"]) for i in range(5)])
-    query = WeightedQuery([("x", 1.0)])
+    query = ["x"]
     assert len(search(index, query, k=3)) == 3
     assert len(search(index, query, k=50)) == 5  # no padding
 
 
 def test_search_excludes_non_matching():
     index = build([("d1", ["x"]), ("d2", ["y"])])
-    results = search(index, WeightedQuery([("x", 1.0)]), k=10)
+    results = search(index, ["x"], k=10)
     assert [doc_id for doc_id, _ in results] == ["d1"]
 
 
 def test_search_requires_positive_k():
     index = build([("d", ["x"])])
     with pytest.raises(ValueError):
-        search(index, WeightedQuery([("x", 1.0)]), k=0)
+        search(index, ["x"], k=0)
 
 
 def test_search_matches_exhaustive_oracle():
@@ -195,8 +183,8 @@ def test_search_matches_exhaustive_oracle():
             for i in range(rng.randint(2, 60))
         }
         index = build(list(doc_tokens.items()))
-        terms = [(t, 1.0) for t in rng.sample(vocab, rng.randint(1, 6))]
-        got = search(index, WeightedQuery(terms), k=len(doc_tokens))
+        terms = rng.sample(vocab, rng.randint(1, 6))
+        got = search(index, terms, k=len(doc_tokens))
         assert got == oracle.search(doc_tokens, terms)
 
 
@@ -222,8 +210,8 @@ def test_snapshot_round_trip(tmp_path):
     assert loaded.doc_lengths == index.doc_lengths
     assert loaded.avg_doc_length == index.avg_doc_length
     assert loaded.norms == index.norms
-    query = WeightedQuery([("fever", 1.0), ("rash", 2.0)])
-    assert score_query(loaded, query) == score_query(index, query)
+    for field, terms in ((PLAIN, ["fever", "rash", "rash"]), (TAGGED, ["fever", "[nx]cough"])):
+        assert score_query(loaded, field, terms, 0.3) == score_query(index, field, terms, 0.3)
 
 
 def test_snapshot_rejects_garbage(tmp_path):
@@ -375,14 +363,10 @@ def snapshot_corpora(draw):
 
 
 def all_strategy_runs(index):
-    q_full = WeightedQuery([(t, 1.0) for t in SNAPSHOT_VOCAB])
-    q_pos = WeightedQuery([(t, 1.0) for t in SNAPSHOT_VOCAB[:2]])
-    q_neg = WeightedQuery([(t, 1.0) for t in SNAPSHOT_VOCAB[2:]])
-    q_tagged = WeightedQuery(
-        [(t, 1.0) for t in SNAPSHOT_VOCAB[:2]] + [("[nx]" + t, 1.0) for t in SNAPSHOT_VOCAB[2:]],
-        TAGGED,
+    q_tagged = SNAPSHOT_VOCAB[:2] + ["[nx]" + t for t in SNAPSHOT_VOCAB[2:]]
+    bundle = QueryBundle(
+        "t", 4, 2, SNAPSHOT_VOCAB, SNAPSHOT_VOCAB[:2], SNAPSHOT_VOCAB[2:], q_tagged
     )
-    bundle = QueryBundle("t", q_full, q_pos, q_neg, q_tagged, 4, 2)
     return [run_strategy(Strategy(kind), bundle, index, 1000) for kind in STRATEGY_KINDS]
 
 

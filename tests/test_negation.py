@@ -207,7 +207,7 @@ def test_tag_tokens_tolerates_scope_past_stream_tail(stopwords, lexicon):
 
 def split_terms(text, stopwords, lexicon):
     bundle = build_bundle(Topic("t", text), lexicon, stopwords)
-    return [t for t, _ in bundle.q_pos.terms], [t for t, _ in bundle.q_neg.terms]
+    return bundle.q_pos, bundle.q_neg
 
 
 def test_split_query_terms_example(stopwords, lexicon):
@@ -243,9 +243,7 @@ def test_split_partition_preserves_tokens(stopwords, lexicon):
         text = random_text(rng)
         analysis = analyze_text(text, stopwords, lexicon)
         bundle = build_bundle(Topic("t", text), lexicon, stopwords)
-        full = [t for t, _ in bundle.q_full.terms]
-        positive = [t for t, _ in bundle.q_pos.terms]
-        negated = [t for t, _ in bundle.q_neg.terms]
+        full, positive, negated = bundle.q_full, bundle.q_pos, bundle.q_neg
         # q_pos and q_neg partition q_full as multisets...
         assert sorted(positive + negated) == sorted(full)
         # ...and q_full is the kept tokens with the cue tokens taken out, in order.

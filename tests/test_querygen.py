@@ -1,10 +1,12 @@
 """Query bundle construction: the four variants and their term counts."""
 
+import dataclasses
 import random
 
 from negir.corpus import Topic
 from negir.index import PLAIN, TAGGED
-from negir.querygen import build_bundle, bundle_summary
+from negir.querygen import build_bundle
+from negir.ranking import STRATEGY_KINDS, Strategy, strategy_components
 
 EXAMPLE = Topic(
     "1",
@@ -23,35 +25,40 @@ NEGATED_TERMS = [
 ]
 
 
-def terms(query):
-    return [t for t, _ in query.terms]
-
-
 def test_example_bundle(lexicon, stopwords):
     bundle = build_bundle(EXAMPLE, lexicon, stopwords)
-    assert terms(bundle.q_neg) == NEGATED_TERMS
-    assert terms(bundle.q_pos) == []
-    assert terms(bundle.q_full) == NEGATED_TERMS
-    assert terms(bundle.q_tagged) == ["[nx]" + t for t in NEGATED_TERMS]
+    assert bundle.q_neg == NEGATED_TERMS
+    assert bundle.q_pos == []
+    assert bundle.q_full == NEGATED_TERMS
+    assert bundle.q_tagged == ["[nx]" + t for t in NEGATED_TERMS]
     assert bundle.n_full == 7
     assert bundle.n_neg == 7
 
 
 def test_fields_assigned(lexicon, stopwords):
+    # The strategies choose each variant's field and weight: q_tagged and
+    # the 0.3-weighted q_neg expansion go to the tagged field, the rest to plain.
     bundle = build_bundle(EXAMPLE, lexicon, stopwords)
-    assert bundle.q_full.field == PLAIN
-    assert bundle.q_pos.field == PLAIN
-    assert bundle.q_neg.field == PLAIN
-    assert bundle.q_tagged.field == TAGGED
+    components = {
+        kind: [(field, terms, weight) for _, field, terms, weight in
+               strategy_components(Strategy(kind), bundle)]
+        for kind in STRATEGY_KINDS
+    }
+    assert components == {
+        "baseline": [(PLAIN, bundle.q_full, 1.0)],
+        "filtering": [(PLAIN, bundle.q_pos, 1.0)],
+        "score_combination": [(PLAIN, bundle.q_full, 1.0), (PLAIN, bundle.q_neg, 1.0)],
+        "negation_tagging": [(TAGGED, bundle.q_tagged, 1.0), (TAGGED, bundle.q_neg, 0.3)],
+    }
 
 
 def test_negation_free_bundle(lexicon, stopwords):
     topic = Topic("t", "Persistent chest pain radiating toward the left arm.")
     bundle = build_bundle(topic, lexicon, stopwords)
-    assert terms(bundle.q_neg) == []
+    assert bundle.q_neg == []
     assert bundle.n_neg == 0
-    assert bundle.q_pos.terms == bundle.q_full.terms
-    assert terms(bundle.q_tagged) == terms(bundle.q_full)
+    assert bundle.q_pos == bundle.q_full
+    assert bundle.q_tagged == bundle.q_full
 
 
 def test_build_deterministic(lexicon, stopwords):
@@ -60,18 +67,12 @@ def test_build_deterministic(lexicon, stopwords):
     assert first == second
 
 
-def test_all_weights_are_one(lexicon, stopwords):
-    bundle = build_bundle(EXAMPLE, lexicon, stopwords)
-    for query in (bundle.q_full, bundle.q_pos, bundle.q_neg, bundle.q_tagged):
-        assert all(w == 1.0 for _, w in query.terms)
-
-
 def test_duplicates_kept_not_deduplicated(lexicon, stopwords):
     topic = Topic("t", "fever fever chills no fever")
     bundle = build_bundle(topic, lexicon, stopwords)
-    assert terms(bundle.q_full) == ["fever", "fever", "chills", "fever"]
-    assert terms(bundle.q_pos) == ["fever", "fever", "chills"]
-    assert terms(bundle.q_neg) == ["fever"]
+    assert bundle.q_full == ["fever", "fever", "chills", "fever"]
+    assert bundle.q_pos == ["fever", "fever", "chills"]
+    assert bundle.q_neg == ["fever"]
     assert bundle.n_full == 4
 
 
@@ -91,12 +92,10 @@ def test_multiset_identity_fuzz(lexicon, stopwords):
         )
         topic = Topic("t", description)
         bundle = build_bundle(topic, lexicon, stopwords)
-        assert sorted(terms(bundle.q_pos) + terms(bundle.q_neg)) == sorted(
-            terms(bundle.q_full)
-        )
-        assert len(bundle.q_tagged.terms) == bundle.n_full
+        assert sorted(bundle.q_pos + bundle.q_neg) == sorted(bundle.q_full)
+        assert len(bundle.q_tagged) == bundle.n_full
         assert bundle.n_neg <= bundle.n_full
-        assert (bundle.n_neg == 0) == (terms(bundle.q_tagged) == terms(bundle.q_full))
+        assert (bundle.n_neg == 0) == (bundle.q_tagged == bundle.q_full)
 
 
 def test_57_term_description_counts_57(lexicon, stopwords):
@@ -110,7 +109,9 @@ def test_57_term_description_counts_57(lexicon, stopwords):
 
 
 def test_bundle_summary_shape(lexicon, stopwords):
-    summary = bundle_summary(build_bundle(EXAMPLE, lexicon, stopwords))
+    # The record ``negir bundle`` prints, key order included.
+    summary = dataclasses.asdict(build_bundle(EXAMPLE, lexicon, stopwords))
+    assert list(summary) == ["topic_id", "n_full", "n_neg", "q_full", "q_pos", "q_neg", "q_tagged"]
     assert summary["topic_id"] == "1"
     assert summary["n_neg"] == 7
     assert summary["q_neg"] == NEGATED_TERMS
