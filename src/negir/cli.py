@@ -52,6 +52,7 @@ from .evalkit import (
 from .index import DEFAULT_B, DEFAULT_K1, build_index, load_index, save_index
 from .negation import (
     analyze_text,
+    check_scope_window,
     default_lexicon,
     detect_negations,
     load_lexicon,
@@ -146,7 +147,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     def analyzed():
         for doc_id, text in load_collection(args.collection, args.format):
             analysis = analyze_text(text, stopwords, lexicon)
-            yield doc_id, analysis.terms, analysis.tagged.surfaces()
+            yield doc_id, analysis.terms, analysis.tagged_terms
 
     index = build_index(analyzed(), k1=config.k1, b=config.b)
     summary_out = _summary_stream(args.out)
@@ -167,6 +168,7 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
+    check_scope_window(args.scope_window)  # also when the text has no sentence
     if args.text is not None:
         text = args.text
     elif args.input:

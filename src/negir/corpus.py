@@ -20,7 +20,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Iterator
+from typing import IO, Iterator, NamedTuple
 
 from .errors import DuplicateIdError, ParseError
 
@@ -39,10 +39,13 @@ class Topic:
     description: str
 
 
-@dataclass(frozen=True)
-class Sentence:
+class Sentence(NamedTuple):
     """A sentence with its raw (pre-stopword) token surfaces; ``tokens[i]``
-    is at document-wide position ``start + i``."""
+    is at document-wide position ``start + i``.
+
+    A named tuple: one is built per sentence of every indexed document,
+    and it builds in about a third of a frozen dataclass's time.
+    """
 
     sentence_index: int
     text: str

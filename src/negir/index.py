@@ -189,22 +189,34 @@ def score_query(index: Index, field: str, terms: Sequence[str], weight: float) -
 # ---------------------------------------------------------------------------
 
 
-def _write_str(out: BinaryIO, value: str, dest: str | Path) -> None:
+_U16 = struct.Struct("<H")
+_U32 = struct.Struct("<I")
+
+
+def _encode_str(value: str, dest: str | Path) -> bytes:
+    """``value`` as a u16 length and its UTF-8 bytes."""
     data = value.encode("utf-8")
     if len(data) > MAX_SNAPSHOT_STR_BYTES:
         raise NegirError(
             f"{dest}: cannot write {value[:32]!r}...: {len(data)} UTF-8 bytes, "
             f"over the snapshot limit of {MAX_SNAPSHOT_STR_BYTES}"
         )
-    out.write(struct.pack("<H", len(data)))
-    out.write(data)
+    return _U16.pack(len(data)) + data
 
 
-def _write_u32s(out: BinaryIO, values: array) -> None:
+def _u32_bytes(values: array) -> bytes:
     if sys.byteorder == "big":
         values = array(U32, values)
         values.byteswap()
-    out.write(values.tobytes())
+    return values.tobytes()
+
+
+def _u32s(data: bytes) -> array:
+    values = array(U32)
+    values.frombytes(data)
+    if sys.byteorder == "big":
+        values.byteswap()
+    return values
 
 
 def _read(handle: BinaryIO, size: int) -> bytes:
@@ -215,36 +227,30 @@ def _read(handle: BinaryIO, size: int) -> bytes:
 
 
 def _read_str(handle: BinaryIO) -> str:
-    (length,) = struct.unpack("<H", _read(handle, 2))
+    (length,) = _U16.unpack(_read(handle, 2))
     return _read(handle, length).decode("utf-8")
 
 
-def _read_u32s(handle: BinaryIO, count: int) -> array:
-    values = array(U32)
-    values.frombytes(_read(handle, 4 * count))
-    if sys.byteorder == "big":
-        values.byteswap()
-    return values
-
-
 def save_index(index: Index, path: str | Path) -> None:
-    """Write the snapshot to a temp file that replaces ``path`` on success."""
+    """Write the snapshot to a temp file that replaces ``path`` on success.
+
+    Each term's record (string, df and both u32 blocks) goes out in one
+    ``write``.
+    """
     with atomic_write(path, "wb") as out:
         out.write(SNAPSHOT_MAGIC)
         out.write(struct.pack("<Bdd", SNAPSHOT_VERSION, index.k1, index.b))
-        out.write(struct.pack("<I", index.doc_count))
+        out.write(_U32.pack(index.doc_count))
         for doc_id in index.doc_ids:
-            _write_str(out, doc_id, path)
-        _write_u32s(out, index.doc_lengths)
+            out.write(_encode_str(doc_id, path))
+        out.write(_u32_bytes(index.doc_lengths))
         out.write(struct.pack("<B", len(index.fields)))
         for name, field_index in index.fields.items():
-            _write_str(out, name, path)
-            out.write(struct.pack("<I", len(field_index.postings)))
+            out.write(_encode_str(name, path))
+            out.write(_U32.pack(len(field_index.postings)))
             for term, (docs, tfs) in field_index.postings.items():
-                _write_str(out, term, path)
-                out.write(struct.pack("<I", len(docs)))
-                _write_u32s(out, docs)
-                _write_u32s(out, tfs)
+                head = _encode_str(term, path) + _U32.pack(len(docs))
+                out.write(b"".join((head, _u32_bytes(docs), _u32_bytes(tfs))))
 
 
 def load_index(path: str | Path) -> Index:
@@ -263,33 +269,37 @@ def load_index(path: str | Path) -> Index:
                 raise ParseError(
                     f"corrupt snapshot: k1 {k1!r} or b {b!r} out of range", str(path)
                 )
-            (doc_count,) = struct.unpack("<I", _read(handle, 4))
+            (doc_count,) = _U32.unpack(_read(handle, 4))
             doc_ids = [_read_str(handle) for _ in range(doc_count)]
             if len(set(doc_ids)) != doc_count:
                 raise ParseError("corrupt snapshot: a doc_id is listed twice", str(path))
-            doc_lengths = _read_u32s(handle, doc_count)
+            doc_lengths = _u32s(_read(handle, 4 * doc_count))
             (field_count,) = struct.unpack("<B", _read(handle, 1))
             fields: dict[str, FieldIndex] = {}
             for _ in range(field_count):
                 name = _read_str(handle)
-                (term_count,) = struct.unpack("<I", _read(handle, 4))
+                (term_count,) = _U32.unpack(_read(handle, 4))
                 postings: dict[str, tuple[array, array]] = {}
                 for _ in range(term_count):
-                    term = _read_str(handle)
-                    (df,) = struct.unpack("<I", _read(handle, 4))
-                    if df > doc_count:  # before the read, which allocates 4 * df bytes
+                    # One read for the term and its df, one for both blocks.
+                    (length,) = _U16.unpack(_read(handle, 2))
+                    record = _read(handle, length + 4)
+                    term = record[:length].decode("utf-8")
+                    (df,) = _U32.unpack_from(record, length)
+                    if df > doc_count:  # before the read, which allocates 8 * df bytes
                         raise ParseError(
                             f"corrupt snapshot: term {term!r} has df {df} of {doc_count}",
                             str(path),
                         )
-                    docs = _read_u32s(handle, df)
+                    blocks = _read(handle, 8 * df)
+                    docs = _u32s(blocks[: 4 * df])
                     if docs and max(docs) >= doc_count:
                         raise ParseError(
                             f"corrupt snapshot: term {term!r} lists doc number {max(docs)} "
                             f"of {doc_count}",
                             str(path),
                         )
-                    postings[term] = (docs, _read_u32s(handle, df))
+                    postings[term] = (docs, _u32s(blocks[4 * df :]))
                 fields[name] = FieldIndex(postings)
             if handle.read(1):
                 raise ParseError("trailing bytes after the last field", str(path))

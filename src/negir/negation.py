@@ -17,14 +17,17 @@ own trigger. Kept (non-stopword) tokens inside a scope are marked by
 prepending "[nx]" to the surface, which survives indexing untouched
 because the tokenizer would never produce a bracket.
 
-``analyze_text`` returns a text's kept surfaces as plain ``terms`` and,
-alongside, one ``TaggedToken`` per kept term with its raw position and
-negation flag; the index takes those two surface lists as its two fields.
+``analyze_text`` makes no object per token. It returns flat lists: the
+kept surfaces as ``terms``, their raw ``positions``, and ``tagged_terms``
+(the same surfaces, negated ones prefixed); the index takes ``terms``
+and ``tagged_terms`` as its two fields. A per-token ``TaggedToken`` view
+is built from those lists only when asked for.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -64,9 +67,6 @@ class TaggedTokenStream:
 
     tokens: tuple[TaggedToken, ...]
 
-    def surfaces(self) -> list[str]:
-        return [t.surface for t in self.tokens]
-
 
 class TriggerLexicon:
     """Cue and terminator phrases, each a tuple of tokens mapped to its
@@ -80,10 +80,11 @@ class TriggerLexicon:
         for candidates in self._by_first.values():
             candidates.sort(key=lambda item: len(item[0]), reverse=True)
 
-    def match_at(self, surfaces: tuple[str, ...], i: int) -> tuple[tuple[str, ...], str] | None:
-        """Longest cue/terminator phrase starting at token i, if any."""
+    def match_at(self, surfaces: Sequence[str], i: int) -> tuple[tuple[str, ...], str] | None:
+        """Longest cue/terminator phrase starting at token i, if any;
+        ``surfaces`` may be a tuple, a list or any other sequence."""
         for phrase, kind in self._by_first.get(surfaces[i], ()):
-            if surfaces[i : i + len(phrase)] == phrase:
+            if tuple(surfaces[i : i + len(phrase)]) == phrase:
                 return phrase, kind
         return None
 
@@ -126,6 +127,12 @@ def default_lexicon() -> TriggerLexicon:
 # ---------------------------------------------------------------------------
 
 
+def check_scope_window(scope_window: int | None) -> None:
+    """Reject a fixed scope window narrower than one token."""
+    if scope_window is not None and scope_window < 1:
+        raise ValueError(f"scope window must be at least 1, got {scope_window}")
+
+
 def detect_negations(
     sentence: Sentence,
     lexicon: TriggerLexicon,
@@ -136,23 +143,30 @@ def detect_negations(
     ``scope_window`` optionally caps the scope at that many tokens (at
     least 1) from the cue (a fixed-window mode for comparison runs); by
     default scopes extend to the sub-sentence boundary.
+
+    A phrase is tried only where a token can start one; a sentence with
+    no such token, as most are, returns at once.
     """
-    if scope_window is not None and scope_window < 1:
-        raise ValueError(f"scope window must be at least 1, got {scope_window}")
+    check_scope_window(scope_window)
     surfaces = sentence.tokens
+    by_first = lexicon._by_first
+    if by_first.keys().isdisjoint(surfaces):
+        return []
+    candidates = [i for i, surface in enumerate(surfaces) if surface in by_first]
     n = len(surfaces)
     base = sentence.start
 
     events: list[tuple[str, int, int, str]] = []  # (kind, start, end, phrase)
-    i = 0
-    while i < n:
+    resume = 0  # the first token after the last matched phrase
+    for i in candidates:
+        if i < resume:
+            continue
         match = lexicon.match_at(surfaces, i)
         if match is None:
-            i += 1
             continue
         phrase, kind = match
-        events.append((kind, i, i + len(phrase), " ".join(phrase)))
-        i += len(phrase)
+        resume = i + len(phrase)
+        events.append((kind, i, resume, " ".join(phrase)))
 
     scopes: list[NegationScope] = []
     claimed_end = 0  # rightmost local index claimed by any event span or scope
@@ -207,28 +221,26 @@ def detect_all(sentences: Iterable[Sentence], lexicon: TriggerLexicon) -> list[N
 
 def tag_tokens(
     terms: Sequence[str], positions: Sequence[int], scopes: Sequence[NegationScope]
-) -> TaggedTokenStream:
-    """Tag each kept term with "[nx]" if its raw position (the entry of
-    ``positions`` at the same index) falls inside a scope.
+) -> list[str]:
+    """The kept terms, each prefixed with "[nx]" if its raw position (the
+    entry of ``positions`` at the same index) falls inside a scope.
 
     Cue tokens themselves are never inside a scope span and stay plain.
     Spans may extend past the last kept token (stopword removal can strip
     the tail of a scope); negative or inverted spans are rejected.
     """
+    if not scopes:
+        return list(terms)
     negated: set[int] = set()
     for scope in scopes:
         start, end = scope.scope_span
         if start < 0 or end <= start:
             raise ValueError(f"scope span out of range: {scope.scope_span}")
         negated.update(range(start, end))
-    return TaggedTokenStream(
-        tuple(
-            TaggedToken(NX_PREFIX + term, position, True)
-            if position in negated
-            else TaggedToken(term, position, False)
-            for term, position in zip(terms, positions)
-        )
-    )
+    return [
+        NX_PREFIX + term if position in negated else term
+        for term, position in zip(terms, positions)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -238,26 +250,41 @@ def tag_tokens(
 
 @dataclass(frozen=True)
 class TextAnalysis:
-    """Everything the indexer and query builder need for one text;
-    ``tagged.tokens[i]`` is ``terms[i]``, tagged and with its position."""
+    """Everything the indexer and query builder need for one text.
+
+    ``terms[i]`` is the kept surface at raw position ``positions[i]``, and
+    ``tagged_terms[i]`` the same surface, "[nx]"-prefixed when negated.
+    """
 
     scopes: list[NegationScope]
     terms: list[str]
-    tagged: TaggedTokenStream
+    positions: list[int]
+    tagged_terms: list[str]
+
+    @cached_property
+    def tagged(self) -> TaggedTokenStream:
+        """The kept tokens as ``TaggedToken`` records, built on first
+        access and kept for later ones."""
+        return TaggedTokenStream(
+            tuple(
+                TaggedToken(surface, position, surface != term)
+                for term, position, surface in zip(
+                    self.terms, self.positions, self.tagged_terms
+                )
+            )
+        )
 
 
 def analyze_text(text: str, stopwords: frozenset[str], lexicon: TriggerLexicon) -> TextAnalysis:
     """Sentence-split, detect scopes, remove stopwords, and tag."""
     sentences = split_sentences(text)
     scopes = detect_all(sentences, lexicon)
-    terms: list[str] = []
-    positions: list[int] = []
-    for sentence in sentences:
-        for position, surface in enumerate(sentence.tokens, sentence.start):
-            if surface not in stopwords:
-                terms.append(surface)
-                positions.append(position)
-    return TextAnalysis(scopes, terms, tag_tokens(terms, positions, scopes))
+    # Sentences number their tokens on from each other, so a token's raw
+    # position is its index in the whole text's token list.
+    raw = [surface for sentence in sentences for surface in sentence.tokens]
+    positions = [position for position, surface in enumerate(raw) if surface not in stopwords]
+    terms = [raw[position] for position in positions]
+    return TextAnalysis(scopes, terms, positions, tag_tokens(terms, positions, scopes))
 
 
 def scope_text(sentence: Sentence, scope: NegationScope) -> str:

@@ -14,6 +14,11 @@ of the ranking module's docstring, one document at a time.
 ``untag`` undoes negation tagging, and ``kept_tokens`` lists the
 (surface, position) pairs it must give back, for the round-trip checks.
 
+``ref_detect_negations`` and ``ref_analyze`` are the reference for text
+analysis: they try a cue phrase at every token and tag term by term,
+where the engine only tries the tokens that can start a phrase and tags
+a text in one pass.
+
 ``ref_inf_ap`` is the reference for sampled inferred AP: the estimator
 in its direct form, which rescans the ranking prefix for every relevant
 document. The engine's one-pass ``inf_ap`` must return the same floats.
@@ -21,6 +26,9 @@ document. The engine's one-pass ``inf_ap`` must return the same floats.
 
 import math
 import re
+
+from negir.corpus import split_sentences
+from negir.negation import POST, PRE, NegationScope
 
 K1 = 1.2
 B = 0.75
@@ -104,12 +112,12 @@ def ranked(scores, k):
 NX_PREFIX = "[nx]"
 
 
-def untag(tagged_stream):
-    """The tagged stream's tokens with the "[nx]" prefix removed from the
-    negated ones, as (surface, position) pairs."""
+def untag(tagged_terms, positions):
+    """The tagged terms with the "[nx]" prefix removed from the negated
+    ones, paired with their positions."""
     return tuple(
-        (t.surface[len(NX_PREFIX):] if t.negated else t.surface, t.position)
-        for t in tagged_stream.tokens
+        (term.removeprefix(NX_PREFIX), position)
+        for term, position in zip(tagged_terms, positions)
     )
 
 
@@ -124,6 +132,69 @@ def kept_tokens(text, stopwords):
         for position, surface in enumerate(RAW_TOKEN_RE.findall(text.lower()))
         if surface not in stopwords
     )
+
+
+def ref_detect_negations(sentence, lexicon, scope_window=None):
+    """A sentence's negation scopes, matching a phrase at every token in turn."""
+    surfaces = tuple(sentence.tokens)
+    n = len(surfaces)
+    base = sentence.start
+
+    events = []  # (kind, start, end, phrase)
+    i = 0
+    while i < n:
+        match = lexicon.match_at(surfaces, i)
+        if match is None:
+            i += 1
+            continue
+        phrase, kind = match
+        events.append((kind, i, i + len(phrase), " ".join(phrase)))
+        i += len(phrase)
+
+    scopes = []
+    claimed_end = 0  # rightmost local index claimed by any event span or scope
+    for idx, (kind, start, end, phrase) in enumerate(events):
+        if kind == PRE:
+            scope_start = end
+            scope_end = events[idx + 1][1] if idx + 1 < len(events) else n
+            if scope_window is not None:
+                scope_end = min(scope_end, end + scope_window)
+            if scope_start < scope_end:
+                scopes.append(NegationScope(
+                    sentence.sentence_index, phrase, (base + start, base + end),
+                    (base + scope_start, base + scope_end), PRE,
+                ))
+                claimed_end = max(claimed_end, scope_end)
+        elif kind == POST:
+            scope_start = claimed_end
+            if scope_window is not None:
+                scope_start = max(scope_start, start - scope_window)
+            if scope_start < start:
+                scopes.append(NegationScope(
+                    sentence.sentence_index, phrase, (base + start, base + end),
+                    (base + scope_start, base + start), POST,
+                ))
+        claimed_end = max(claimed_end, end)
+    return scopes
+
+
+def ref_analyze(text, stopwords, lexicon):
+    """``(scopes, terms, positions, tagged_terms)`` of a text, each kept
+    token filtered and tagged on its own."""
+    sentences = split_sentences(text)
+    scopes = [scope for sentence in sentences for scope in ref_detect_negations(sentence, lexicon)]
+    negated = set()
+    for scope in scopes:
+        negated.update(range(*scope.scope_span))
+    terms, positions, tagged_terms = [], [], []
+    for sentence in sentences:
+        for position, surface in enumerate(sentence.tokens, sentence.start):
+            if surface in stopwords:
+                continue
+            terms.append(surface)
+            positions.append(position)
+            tagged_terms.append(NX_PREFIX + surface if position in negated else surface)
+    return scopes, terms, positions, tagged_terms
 
 
 INFAP_EPSILON = 1e-5

@@ -57,14 +57,14 @@ def analyzed_corpus(docs):
     triples = []
     for doc_id, text in docs:
         analysis = analyze_text(text, STOPWORDS, LEXICON)
-        triples.append((doc_id, analysis.terms, analysis.tagged.surfaces()))
+        triples.append((doc_id, analysis.terms, analysis.tagged_terms))
     return build_index(triples)
 
 
 def tagged_tokens(docs):
     """Each document's tagged-field tokens, for the reference scorer."""
     return {
-        doc_id: analyze_text(text, STOPWORDS, LEXICON).tagged.surfaces()
+        doc_id: analyze_text(text, STOPWORDS, LEXICON).tagged_terms
         for doc_id, text in docs
     }
 
@@ -220,7 +220,7 @@ def test_criterion_5_negation_detection():
                     words.append(rng.choice([".", ";", "!", "?", ","]))
             text = " ".join(words)
             doc = analyze_text(text, STOPWORDS, LEXICON)
-            untagged = oracle.untag(doc.tagged)
+            untagged = oracle.untag(doc.tagged_terms, doc.positions)
             assert untagged == oracle.kept_tokens(text, STOPWORDS)  # round-trip identity
             assert [surface for surface, _ in untagged] == doc.terms
             by_sentence = {}

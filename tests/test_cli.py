@@ -408,12 +408,20 @@ def test_malformed_collection_exits_one(workspace, capsys):
         (["run", "--k", "0"], "k must be an integer >= 1, got 0"),
         (["eval", "--ndcg-cutoff", "-5"], "ndcg_cutoff must be an integer >= 1, got -5"),
         (["compare-groups", "--config", "CONFIG"], "k1 must be a finite number >= 0, got inf"),
-        (["detect", "--scope-window", "-2"], "scope window must be at least 1, got -2"),
+        (["detect", "--scope-window", "-2", "--text", "denies fever or cough"],
+         "scope window must be at least 1, got -2"),
+        (["detect", "--scope-window", "0", "--text", ""], "scope window must be at least 1, got 0"),
+        (["detect", "--scope-window", "0", "--text", " \n\t "],
+         "scope window must be at least 1, got 0"),
+        (["detect", "--scope-window", "-1", "--input", "EMPTY"],
+         "scope window must be at least 1, got -1"),
     ],
 )
 def test_out_of_range_setting_exits_one(workspace, capsys, argv, message):
     config = workspace / "negir.conf"
     config.write_text("k1 = inf\n", encoding="utf-8")
+    empty = workspace / "empty.txt"
+    empty.write_bytes(b"")
     out = workspace / "out"
     required = {
         "index": ["--collection", workspace / "docs.jsonl", "--out", out],
@@ -426,9 +434,9 @@ def test_out_of_range_setting_exits_one(workspace, capsys, argv, message):
             "--topics", workspace / "topics.jsonl", "--qrels", workspace / "qrels.txt",
             "--baseline", workspace / "absent.run",
         ],
-        "detect": ["--text", "denies fever or cough"],
+        "detect": [],
     }
-    argv = [config if a == "CONFIG" else a for a in argv]
+    argv = [{"CONFIG": config, "EMPTY": empty}.get(a, a) for a in argv]
     assert run_cli(*argv, *required[argv[0]]) == 1
     assert f"negir: {message}" in capsys.readouterr().err
     assert not out.exists()

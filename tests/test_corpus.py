@@ -76,7 +76,7 @@ def test_positions_strictly_increasing(text):
     stopwords = frozenset({"the", "a", "of", "she", "no"})
     analysis = analyze_text(text, stopwords, LEXICON)
     raw = TOKEN_RE.findall(text.lower())
-    assert [t.position for t in analysis.tagged.tokens] == [
+    assert analysis.positions == [
         i for i, surface in enumerate(raw) if surface not in stopwords
     ]
     assert analysis.terms == [surface for surface in raw if surface not in stopwords]

@@ -6,11 +6,19 @@ import pytest
 from hypothesis import given, strategies as st
 
 import oracle
-from negir.corpus import TOKEN_RE, Topic, packaged_data_path, split_sentences
+from negir.corpus import (
+    TOKEN_RE,
+    Sentence,
+    Topic,
+    default_stopwords,
+    packaged_data_path,
+    split_sentences,
+)
 from negir.errors import ParseError
 from negir.negation import (
     NX_PREFIX,
     analyze_text,
+    default_lexicon,
     detect_all,
     detect_negations,
     load_lexicon,
@@ -156,6 +164,59 @@ def test_fuzz_scopes_never_overlap_and_exclude_triggers(lexicon):
                 assert te <= ss or se <= ts  # trigger outside its scope
 
 
+def test_list_tokens_find_the_same_scopes(lexicon):
+    # A phrase matches whether the tokens come as a tuple or a list.
+    for text in ("no fever", "tests negative for influenza", "pneumonia was ruled out"):
+        tokens = tuple(TOKEN_RE.findall(text))
+        as_tuple = detect_negations(Sentence(0, text, tokens, 0), lexicon)
+        as_list = detect_negations(Sentence(0, text, list(tokens), 0), lexicon)
+        assert as_list == as_tuple != []
+        assert lexicon.match_at(list(tokens), 0) == lexicon.match_at(tokens, 0)
+
+
+# Multi-word pre, post and pseudo cues, a cue's first words alone,
+# terminators, stopwords ("no", "not", "for" are also cues), content
+# words, and punctuation that ends a sentence or does not.
+PIECES = (
+    ["no", "not", "denies", "without", "no evidence of", "negative for", "absence of"]
+    + ["no history of", "was ruled out", "has been ruled out", "are ruled out"]
+    + ["no increase", "not certain if", "cannot be ruled out", "gram negative"]
+    + ["no evidence", "ruled", "been", "cannot be"]
+    + ["but", "however", "apart from", "other than"]
+    + ["the", "of", "a", "and", "it", "was"]
+    + ["fever", "cough", "chest pain", "edema", "Rash"]
+    + [".", ";", "?", "!", ","]
+)
+
+REFERENCE_LEXICON = default_lexicon()
+REFERENCE_STOPWORDS = default_stopwords()
+
+
+@given(
+    st.lists(st.sampled_from(PIECES), max_size=40),
+    st.sampled_from([None, 1, 2, 5]),
+)
+def test_analysis_matches_token_by_token_reference(pieces, scope_window):
+    text = " ".join(pieces)
+    for sentence in split_sentences(text):
+        expected = oracle.ref_detect_negations(sentence, REFERENCE_LEXICON, scope_window)
+        assert detect_negations(sentence, REFERENCE_LEXICON, scope_window) == expected
+        as_list = sentence._replace(tokens=list(sentence.tokens))
+        assert detect_negations(as_list, REFERENCE_LEXICON, scope_window) == expected
+    analysis = analyze_text(text, REFERENCE_STOPWORDS, REFERENCE_LEXICON)
+    scopes, terms, positions, tagged_terms = oracle.ref_analyze(
+        text, REFERENCE_STOPWORDS, REFERENCE_LEXICON
+    )
+    assert analysis.scopes == scopes
+    assert analysis.terms == terms
+    assert analysis.positions == positions
+    assert analysis.tagged_terms == tagged_terms
+    assert [tuple(token) for token in analysis.tagged.tokens] == [
+        (surface, position, surface.startswith(NX_PREFIX))
+        for surface, position in zip(tagged_terms, positions)
+    ]
+
+
 # ---------------------------------------------------------------------------
 # tag_tokens / the q_pos, q_neg split of build_bundle
 # ---------------------------------------------------------------------------
@@ -163,7 +224,7 @@ def test_fuzz_scopes_never_overlap_and_exclude_triggers(lexicon):
 
 def test_tag_tokens_prefixes_in_scope(stopwords, lexicon):
     analysis = analyze_text("She denies smoking daily.", stopwords, lexicon)
-    assert analysis.tagged.surfaces() == ["denies", "[nx]smoking", "[nx]daily"]
+    assert analysis.tagged_terms == ["denies", "[nx]smoking", "[nx]daily"]
     negated = [t.negated for t in analysis.tagged.tokens]
     assert negated == [False, True, True]
 
@@ -171,20 +232,22 @@ def test_tag_tokens_prefixes_in_scope(stopwords, lexicon):
 def kept(text, stopwords, lexicon):
     """A text's kept terms and their raw positions."""
     analysis = analyze_text(text, stopwords, lexicon)
-    return analysis.terms, [t.position for t in analysis.tagged.tokens]
+    return analysis.terms, analysis.positions
 
 
 def test_tag_tokens_empty_scopes_is_identity(stopwords, lexicon):
     text = "persistent chest pain"
     terms, positions = kept(text, stopwords, lexicon)
-    assert oracle.untag(tag_tokens(terms, positions, [])) == oracle.kept_tokens(text, stopwords)
-    assert tag_tokens(terms, positions, []).surfaces() == terms
+    tagged = tag_tokens(terms, positions, [])
+    assert oracle.untag(tagged, positions) == oracle.kept_tokens(text, stopwords)
+    assert tagged == terms and tagged is not terms
 
 
 def test_tag_strip_round_trip(stopwords, lexicon):
     analysis = analyze_text(EXAMPLE, stopwords, lexicon)
-    assert oracle.untag(analysis.tagged) == oracle.kept_tokens(EXAMPLE, stopwords)
-    assert [surface for surface, _ in oracle.untag(analysis.tagged)] == analysis.terms
+    untagged = oracle.untag(analysis.tagged_terms, analysis.positions)
+    assert untagged == oracle.kept_tokens(EXAMPLE, stopwords)
+    assert [surface for surface, _ in untagged] == analysis.terms
 
 
 def test_tag_tokens_rejects_bad_spans(stopwords, lexicon):
@@ -202,7 +265,7 @@ def test_tag_tokens_rejects_bad_spans(stopwords, lexicon):
 def test_tag_tokens_tolerates_scope_past_stream_tail(stopwords, lexicon):
     # "it" is a stopword, so the scope extends past the last kept token.
     analysis = analyze_text("denies it", stopwords, lexicon)
-    assert analysis.tagged.surfaces() == ["denies"]
+    assert analysis.tagged_terms == ["denies"]
 
 
 def split_terms(text, stopwords, lexicon):
@@ -259,13 +322,11 @@ def test_split_partition_preserves_tokens(stopwords, lexicon):
 
 @given(st.lists(st.sampled_from(VOCAB), min_size=0, max_size=60))
 def test_round_trip_on_generated_token_text(tokens):
-    from negir.corpus import default_stopwords
-    from negir.negation import default_lexicon
-
     text = " ".join(tokens)
     analysis = analyze_text(text, default_stopwords(), default_lexicon())
-    assert oracle.untag(analysis.tagged) == oracle.kept_tokens(text, default_stopwords())
-    assert [surface for surface, _ in oracle.untag(analysis.tagged)] == analysis.terms
+    untagged = oracle.untag(analysis.tagged_terms, analysis.positions)
+    assert untagged == oracle.kept_tokens(text, default_stopwords())
+    assert [surface for surface, _ in untagged] == analysis.terms
     for token in analysis.tagged.tokens:
         assert token.surface.startswith(NX_PREFIX) == token.negated
 

@@ -23,7 +23,7 @@ def analyzed_corpus(docs, stopwords, lexicon, **kwargs):
     triples = []
     for doc_id, text in docs:
         analysis = analyze_text(text, stopwords, lexicon)
-        triples.append((doc_id, analysis.terms, analysis.tagged.surfaces()))
+        triples.append((doc_id, analysis.terms, analysis.tagged_terms))
     plain = {doc_id: terms for doc_id, terms, _ in triples}
     tagged = {doc_id: tagged_terms for doc_id, _, tagged_terms in triples}
     return build_index(triples, **kwargs), plain, tagged
