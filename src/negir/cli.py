@@ -76,9 +76,6 @@ class Config:
     k: int = 1000
     ndcg_cutoff: int = 1000
 
-    def as_dict(self) -> dict:
-        return {f.name: getattr(self, f.name) for f in dataclass_fields(self)}
-
 
 def load_config(path: str | Path) -> dict:
     """Parse a key = value config file; '#' starts a comment line."""
@@ -102,10 +99,10 @@ def resolve_config(args: argparse.Namespace) -> Config:
     config = Config()
     if getattr(args, "config", None):
         config = replace(config, **load_config(args.config))
-    for name in ("k1", "b", "expansion_weight", "beta", "k", "ndcg_cutoff"):
-        value = getattr(args, name.replace("-", "_"), None)
+    for setting in dataclass_fields(Config):
+        value = getattr(args, setting.name, None)
         if value is not None:
-            config = replace(config, **{name: value})
+            config = replace(config, **{setting.name: value})
     for name, valid, accepted in (
         ("k1", 0.0 <= config.k1 < math.inf, "a finite number >= 0"),
         ("b", 0.0 <= config.b <= 1.0, "a number in [0, 1]"),
@@ -233,7 +230,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                     "strategy": args.strategy,
                     "topics": len(run.topics),
                     "out": str(args.out),
-                    "config": config.as_dict(),
+                    "config": asdict(config),
                 },
                 sort_keys=True,
             ),
@@ -248,16 +245,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     config = resolve_config(args)
     run = read_run(args.run)
     qrels = read_qrels(args.qrels)
-    sampling = read_sampling_sidecar(args.sampling) if args.sampling else None
-    try:
-        report = evaluate(run, qrels, ndcg_cutoff=config.ndcg_cutoff, sampling=sampling)
-    except ValueError as exc:  # with sampling, the sidecar does not fit the qrels
-        if sampling is None:
-            raise
-        raise ParseError(str(exc), args.sampling) from exc
+    sampling = read_sampling_sidecar(args.sampling, qrels) if args.sampling else None
+    report = evaluate(run, qrels, ndcg_cutoff=config.ndcg_cutoff, sampling=sampling)
     if args.json:
         payload = report_to_dict(report)
-        payload["config"] = config.as_dict()
+        payload["config"] = asdict(config)
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(_config_header(config))
@@ -288,7 +280,7 @@ def cmd_compare_groups(args: argparse.Namespace) -> int:
 
     if args.json:
         payload = {
-            "config": config.as_dict(),
+            "config": asdict(config),
             "d_plus_topics": sorted(report.d_plus_topics),
             "d_minus_topics": sorted(report.d_minus_topics),
             "groups": {
@@ -324,7 +316,7 @@ def cmd_compare_groups(args: argparse.Namespace) -> int:
 
 
 def _config_header(config: Config) -> str:
-    pairs = " ".join(f"{key}={value}" for key, value in config.as_dict().items())
+    pairs = " ".join(f"{key}={value}" for key, value in asdict(config).items())
     return f"# config: {pairs}"
 
 

@@ -34,32 +34,9 @@ INFAP_EPSILON = 1e-5
 METRIC_NAMES = ("p_at_10", "ndcg", "inf_ap", "r_prec")
 
 
-class Qrels:
-    """Relevance judgments: one integer grade per (topic, doc) pair."""
-
-    def __init__(self, judgments: Mapping[str, Mapping[str, int]] | None = None):
-        self.judgments: dict[str, dict[str, int]] = {}
-        if judgments:
-            for topic_id, docs in judgments.items():
-                for doc_id, grade in docs.items():
-                    self.add(topic_id, doc_id, grade)
-
-    def add(self, topic_id: str, doc_id: str, grade: int) -> None:
-        if grade < 0:
-            raise ValueError(f"negative relevance grade for {topic_id}/{doc_id}")
-        topic = self.judgments.setdefault(topic_id, {})
-        if doc_id in topic:
-            raise ValueError(f"duplicate judgment for {topic_id}/{doc_id}")
-        topic[doc_id] = grade
-
-    def grade(self, topic_id: str, doc_id: str) -> int:
-        return self.judgments.get(topic_id, {}).get(doc_id, 0)
-
-    def relevant_docs(self, topic_id: str) -> set[str]:
-        return {d for d, g in self.judgments.get(topic_id, {}).items() if g >= 1}
-
-    def topic_ids(self) -> list[str]:
-        return list(self.judgments.keys())
+# A topic's pooled doc ids in disjoint non-empty strata; the judged
+# documents are a uniform sample of each stratum.
+Strata = tuple[frozenset[str], ...]
 
 
 @dataclass
@@ -67,7 +44,7 @@ class RunResult:
     """Ranked lists per topic, TREC run conventions.
 
     Per topic, entries are (doc_id, score) in rank order: ranks are dense
-    from 1, scores non-increasing, no document repeated.
+    from 1, scores finite and non-increasing, no document repeated.
     """
 
     run_tag: str
@@ -79,6 +56,8 @@ class RunResult:
         seen = set()
         previous = math.inf
         for doc_id, score in ranked:
+            if not math.isfinite(score):
+                raise ValueError(f"score {score!r} in topic {topic_id} is not a finite number")
             if doc_id in seen:
                 raise ValueError(f"duplicate document {doc_id!r} in topic {topic_id}")
             if score > previous:
@@ -92,24 +71,24 @@ class RunResult:
 
 
 # ---------------------------------------------------------------------------
-# Individual metrics. ``ranking`` is a list of doc_ids in rank order.
+# Individual metrics of one topic. ``ranking`` is a list of doc_ids in
+# rank order, ``grades`` the topic's judgments (unjudged counts as 0).
 # ---------------------------------------------------------------------------
 
 
-def p_at_k(ranking: Sequence[str], qrels: Qrels, topic_id: str, k: int = 10) -> float:
+def p_at_k(ranking: Sequence[str], grades: Mapping[str, int], k: int = 10) -> float:
     """Fraction of the top k that is relevant; missing ranks count as not."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    hits = sum(1 for doc_id in ranking[:k] if qrels.grade(topic_id, doc_id) >= 1)
+    hits = sum(1 for doc_id in ranking[:k] if grades.get(doc_id, 0) >= 1)
     return hits / k
 
 
-def ndcg(ranking: Sequence[str], qrels: Qrels, topic_id: str, cutoff: int = 1000) -> float:
+def ndcg(ranking: Sequence[str], grades: Mapping[str, int], cutoff: int = 1000) -> float:
     """Normalized DCG with graded gains and a 1/log2(rank+1) discount.
 
     Topics without any relevant document yield 0.0 (callers flag them).
     """
-    grades = qrels.judgments.get(topic_id, {})
     ideal = sorted((g for g in grades.values() if g > 0), reverse=True)[:cutoff]
     if not ideal:
         return 0.0
@@ -122,48 +101,25 @@ def ndcg(ranking: Sequence[str], qrels: Qrels, topic_id: str, cutoff: int = 1000
     return dcg / idcg
 
 
-def average_precision(ranking: Sequence[str], qrels: Qrels, topic_id: str) -> float:
-    relevant = qrels.relevant_docs(topic_id)
+def average_precision(ranking: Sequence[str], grades: Mapping[str, int]) -> float:
+    relevant = sum(1 for grade in grades.values() if grade >= 1)
     if not relevant:
         return 0.0
     hits = 0
     total = 0.0
     for rank, doc_id in enumerate(ranking, start=1):
-        if doc_id in relevant:
+        if grades.get(doc_id, 0) >= 1:
             hits += 1
             total += hits / rank
-    return total / len(relevant)
-
-
-@dataclass(frozen=True)
-class SamplingInfo:
-    """Pool strata for one topic; judged docs are the per-stratum sample.
-
-    Strata are non-empty and disjoint.
-    """
-
-    strata: tuple[frozenset[str], ...]
-
-    def __post_init__(self) -> None:
-        pooled: set[str] = set()
-        for number, stratum in enumerate(self.strata, start=1):
-            if not stratum:
-                raise ValueError(f"stratum {number} is empty")
-            shared = pooled & stratum
-            if shared:
-                raise ValueError(f"document {min(shared)!r} is listed in two strata")
-            pooled |= stratum
+    return total / relevant
 
 
 def inf_ap(
-    ranking: Sequence[str],
-    qrels: Qrels,
-    topic_id: str,
-    sampling: SamplingInfo | None = None,
+    ranking: Sequence[str], grades: Mapping[str, int], strata: Strata | None = None
 ) -> float:
     """Inferred average precision.
 
-    With ``sampling`` absent the judgments are complete and this is exact
+    With ``strata`` absent the judgments are complete and this is exact
     average precision. Otherwise, for each sampled relevant document at
     rank k the expected precision is estimated as
 
@@ -179,19 +135,13 @@ def inf_ap(
 
     One scan of the ranking keeps the per-stratum counts above rank k,
     so a topic costs O(k + R * S); the average is summed in qrels order.
+    ``read_sampling_sidecar`` checks that the strata fit the grades: each
+    stratum holds a judged document, and each relevant one is pooled.
     """
-    if sampling is None:
-        return average_precision(ranking, qrels, topic_id)
-    grades = qrels.judgments.get(topic_id, {})
-    judged = set(grades)
-    rates = []
-    for number, stratum in enumerate(sampling.strata, start=1):
-        sampled = len(stratum & judged)
-        if sampled == 0:
-            raise ValueError(f"topic {topic_id}: stratum {number} has no judged documents")
-        rates.append(sampled / len(stratum))
-
-    stratum_by_doc = {doc_id: i for i, stratum in enumerate(sampling.strata) for doc_id in stratum}
+    if strata is None:
+        return average_precision(ranking, grades)
+    rates = [len(stratum & grades.keys()) / len(stratum) for stratum in strata]
+    stratum_by_doc = {doc_id: i for i, stratum in enumerate(strata) for doc_id in stratum}
     pooled = [0] * len(rates)
     relevant = [0] * len(rates)
     nonrelevant = [0] * len(rates)
@@ -221,12 +171,7 @@ def inf_ap(
     for doc_id, grade in grades.items():
         if grade < 1:
             continue
-        stratum_index = stratum_by_doc.get(doc_id)
-        if stratum_index is None:
-            raise ValueError(
-                f"topic {topic_id}: judged document {doc_id!r} missing from all strata"
-            )
-        weight = 1.0 / rates[stratum_index]
+        weight = 1.0 / rates[stratum_by_doc[doc_id]]
         denominator += weight
         if doc_id in expected_at:
             numerator += weight * expected_at[doc_id]
@@ -235,14 +180,12 @@ def inf_ap(
     return numerator / denominator
 
 
-def r_prec(ranking: Sequence[str], qrels: Qrels, topic_id: str) -> float:
+def r_prec(ranking: Sequence[str], grades: Mapping[str, int]) -> float:
     """Precision at rank R, where R is the topic's relevant-doc count."""
-    relevant = qrels.relevant_docs(topic_id)
-    if not relevant:
+    r = sum(1 for grade in grades.values() if grade >= 1)
+    if not r:
         return 0.0
-    r = len(relevant)
-    hits = sum(1 for doc_id in ranking[:r] if doc_id in relevant)
-    return hits / r
+    return p_at_k(ranking, grades, r)
 
 
 # ---------------------------------------------------------------------------
@@ -281,31 +224,25 @@ class MetricsReport:
 
 def evaluate(
     run: RunResult,
-    qrels: Qrels,
+    qrels: Mapping[str, Mapping[str, int]],
     ndcg_cutoff: int = 1000,
-    sampling: Mapping[str, SamplingInfo] | None = None,
+    sampling: Mapping[str, Strata] | None = None,
 ) -> MetricsReport:
     """Score a run against qrels, topic by topic.
 
     Every topic present in the qrels is scored; topics missing from the
-    run receive zeros. ``sampling``, when given, must cover exactly the
-    qrels topics, so that every topic gets inferred AP.
+    run receive zeros. ``sampling``, from ``read_sampling_sidecar``, gives
+    every qrels topic its strata for inferred AP.
     """
-    topic_ids = qrels.topic_ids()
-    if sampling is not None and sampling.keys() != set(topic_ids):
-        topic_id = min(sampling.keys() ^ set(topic_ids))
-        where = "the sampling sidecar" if topic_id in topic_ids else "the qrels"
-        raise ValueError(f"topic {topic_id}: missing from {where}")
     per_topic: dict[str, TopicMetrics] = {}
-    for topic_id in topic_ids:
+    for topic_id, grades in qrels.items():
         ranking = run.ranking(topic_id)
-        info = sampling[topic_id] if sampling is not None else None
         per_topic[topic_id] = TopicMetrics(
-            p_at_10=p_at_k(ranking, qrels, topic_id, 10),
-            ndcg=ndcg(ranking, qrels, topic_id, ndcg_cutoff),
-            inf_ap=inf_ap(ranking, qrels, topic_id, info),
-            r_prec=r_prec(ranking, qrels, topic_id),
-            no_relevant=not qrels.relevant_docs(topic_id),
+            p_at_10=p_at_k(ranking, grades, 10),
+            ndcg=ndcg(ranking, grades, ndcg_cutoff),
+            inf_ap=inf_ap(ranking, grades, None if sampling is None else sampling[topic_id]),
+            r_prec=r_prec(ranking, grades),
+            no_relevant=not any(grade >= 1 for grade in grades.values()),
         )
     return MetricsReport(run_tag=run.run_tag, per_topic=per_topic)
 
@@ -358,7 +295,7 @@ def split_topics(bundles: Iterable[QueryBundle]) -> tuple[set[str], set[str]]:
 def group_analysis(
     bundles: Iterable[QueryBundle],
     runs_by_strategy: Mapping[str, RunResult],
-    qrels: Qrels,
+    qrels: Mapping[str, Mapping[str, int]],
     ndcg_cutoff: int = 1000,
 ) -> GroupReport:
     """Compare strategies on the negation-bearing group against the
@@ -416,18 +353,28 @@ def _fields(path: str | Path, count: int, kind: str) -> Iterator[tuple[int, list
         yield lineno, fields
 
 
-def read_qrels(path: str | Path) -> Qrels:
-    """Read whitespace-separated qrels: topic 0 docid grade."""
-    qrels = Qrels()
+def read_qrels(path: str | Path) -> dict[str, dict[str, int]]:
+    """Read whitespace-separated qrels, topic 0 docid grade, into
+    ``{topic_id: {doc_id: grade}}`` in file order.
+
+    A ParseError names the line of a grade that is not an integer >= 0
+    or of a second judgment of one document for one topic.
+    """
+    qrels: dict[str, dict[str, int]] = {}
     for lineno, (topic_id, _, doc_id, grade_text) in _fields(path, 4, "qrels"):
         try:
             grade = int(grade_text)
         except ValueError:
             raise ParseError(f"bad relevance grade {grade_text!r}", str(path), lineno) from None
-        try:
-            qrels.add(topic_id, doc_id, grade)
-        except ValueError as exc:
-            raise ParseError(str(exc), str(path), lineno) from None
+        grades = qrels.setdefault(topic_id, {})
+        if grade < 0:
+            problem = f"negative relevance grade for {topic_id}/{doc_id}"
+        elif doc_id in grades:
+            problem = f"duplicate judgment for {topic_id}/{doc_id}"
+        else:
+            grades[doc_id] = grade
+            continue
+        raise ParseError(problem, str(path), lineno)
     return qrels
 
 
@@ -488,36 +435,63 @@ def _topic_sort_key(topic_id: str) -> tuple:
 # ---------------------------------------------------------------------------
 
 
-def read_sampling_sidecar(path: str | Path) -> dict[str, SamplingInfo]:
+def read_sampling_sidecar(
+    path: str | Path, qrels: Mapping[str, Mapping[str, int]]
+) -> dict[str, Strata]:
     """JSON sidecar: {topic_id: [[pooled doc ids of stratum 1], ...]}.
 
-    Strata must be non-empty and disjoint, and list each document once;
-    a ParseError names the file and the topic otherwise.
+    The sidecar must cover exactly the topics of ``qrels``. Per topic, the
+    strata must be non-empty and disjoint and list each document once;
+    each stratum must hold a judged document, and each relevant judged
+    document must sit in a stratum. A ParseError names the file and the
+    topic otherwise.
     """
-    path = Path(path)
+    path = str(path)
     try:
         data = json.loads(read_text(path))
     except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON ({exc.msg})", str(path), exc.lineno) from exc
+        raise ParseError(f"invalid JSON ({exc.msg})", path, exc.lineno) from exc
     if not isinstance(data, dict):
-        raise ParseError("expected a JSON object of topic ids to strata", str(path))
-    sampling: dict[str, SamplingInfo] = {}
+        raise ParseError("expected a JSON object of topic ids to strata", path)
+    sampling: dict[str, Strata] = {}
     for topic_id, strata in data.items():
-        if not isinstance(strata, list) or not all(isinstance(s, list) for s in strata):
-            raise ParseError(f"topic {topic_id}: strata must be lists of doc ids", str(path))
-        strata = [[str(d) for d in stratum] for stratum in strata]
-        for number, stratum in enumerate(strata, start=1):
-            if len(set(stratum)) < len(stratum):
-                doc_id = min(d for d, count in Counter(stratum).items() if count > 1)
-                raise ParseError(
-                    f"topic {topic_id}: document {doc_id!r} is listed twice in stratum {number}",
-                    str(path),
-                )
         try:
-            sampling[topic_id] = SamplingInfo(strata=tuple(map(frozenset, strata)))
+            sampling[topic_id] = _checked_strata(strata, qrels.get(topic_id))
         except ValueError as exc:
-            raise ParseError(f"topic {topic_id}: {exc}", str(path)) from exc
+            raise ParseError(f"topic {topic_id}: {exc}", path) from None
+    for topic_id in qrels:
+        if topic_id not in sampling:
+            raise ParseError(f"topic {topic_id}: missing from the sampling sidecar", path)
     return sampling
+
+
+def _checked_strata(strata: object, grades: Mapping[str, int] | None) -> Strata:
+    """One topic's sidecar strata, checked against its grades; a
+    ValueError names the first fault."""
+    if grades is None:
+        raise ValueError("missing from the qrels")
+    if not isinstance(strata, list) or not all(isinstance(s, list) for s in strata):
+        raise ValueError("strata must be lists of doc ids")
+    checked: list[frozenset[str]] = []
+    pooled: set[str] = set()
+    for number, listed in enumerate(strata, start=1):
+        doc_ids = [str(doc_id) for doc_id in listed]
+        stratum = frozenset(doc_ids)
+        if len(stratum) < len(doc_ids):
+            doc_id = min(d for d, count in Counter(doc_ids).items() if count > 1)
+            raise ValueError(f"document {doc_id!r} is listed twice in stratum {number}")
+        if not stratum:
+            raise ValueError(f"stratum {number} is empty")
+        if not pooled.isdisjoint(stratum):
+            raise ValueError(f"document {min(pooled & stratum)!r} is listed in two strata")
+        if stratum.isdisjoint(grades):
+            raise ValueError(f"stratum {number} has no judged documents")
+        pooled |= stratum
+        checked.append(stratum)
+    for doc_id, grade in grades.items():
+        if grade >= 1 and doc_id not in pooled:
+            raise ValueError(f"judged document {doc_id!r} missing from all strata")
+    return tuple(checked)
 
 
 def report_to_dict(report: MetricsReport) -> dict:

@@ -200,7 +200,7 @@ def ref_analyze(text, stopwords, lexicon):
 INFAP_EPSILON = 1e-5
 
 
-def ref_inf_ap(ranking, qrels, topic_id, sampling):
+def ref_inf_ap(ranking, grades, strata):
     """Sampled inferred AP, rescanning the ranking prefix per relevant document.
 
     The estimator of ``negir.evalkit.inf_ap`` written the direct way: for
@@ -208,10 +208,9 @@ def ref_inf_ap(ranking, qrels, topic_id, sampling):
     every stratum's pooled, relevant and non-relevant documents above it
     from scratch. The weighted sum runs in qrels order.
     """
-    grades = qrels.judgments.get(topic_id, {})
     judged = set(grades)
     rates = []
-    for stratum in sampling.strata:
+    for stratum in strata:
         if not stratum:
             raise ValueError("empty stratum in sampling metadata")
         sampled = len(stratum & judged)
@@ -226,7 +225,7 @@ def ref_inf_ap(ranking, qrels, topic_id, sampling):
         if grade < 1:
             continue
         stratum_index = next(
-            (i for i, stratum in enumerate(sampling.strata) if doc_id in stratum), None
+            (i for i, stratum in enumerate(strata) if doc_id in stratum), None
         )
         if stratum_index is None:
             raise ValueError(f"judged document {doc_id!r} missing from all strata")
@@ -235,18 +234,18 @@ def ref_inf_ap(ranking, qrels, topic_id, sampling):
         rank = rank_of.get(doc_id)
         if rank is None:
             continue
-        numerator += weight * _ref_expected_precision(ranking, grades, sampling, rank)
+        numerator += weight * _ref_expected_precision(ranking, grades, strata, rank)
     if denominator == 0.0:
         return 0.0
     return numerator / denominator
 
 
-def _ref_expected_precision(ranking, grades, sampling, rank):
+def _ref_expected_precision(ranking, grades, strata, rank):
     if rank == 1:
         return 1.0
     above = ranking[: rank - 1]
     expected = 1.0 / rank
-    for stratum in sampling.strata:
+    for stratum in strata:
         in_stratum = [doc_id for doc_id in above if doc_id in stratum]
         if not in_stratum:
             continue

@@ -111,10 +111,9 @@ def test_eval_with_sampling_matches_library(workspace, capsys):
     )
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
+    qrels = read_qrels(workspace / "qrels.txt")
     expected = evaluate(
-        read_run(run_file),
-        read_qrels(workspace / "qrels.txt"),
-        sampling=read_sampling_sidecar(sidecar),
+        read_run(run_file), qrels, sampling=read_sampling_sidecar(sidecar, qrels)
     )
     assert payload["aggregate"]["inf_ap"] == expected.aggregate().inf_ap
 
@@ -138,6 +137,14 @@ def test_eval_with_sampling_matches_library(workspace, capsys):
             '{"1": [["d-chest"]], "2": [["d-fever", "d-clean", "d-fever"]]}',
             "topic 2: document 'd-fever' is listed twice in stratum 1",
         ),
+        (
+            '{"1": [["d-chest"]], "2": [["d-fever", "d-clean", "d-smoke"], ["d-other"]]}',
+            "topic 2: stratum 2 has no judged documents",
+        ),
+        (
+            '{"1": [["d-chest"]], "2": [["d-fever", "d-smoke"]]}',
+            "topic 2: judged document 'd-clean' missing from all strata",
+        ),
     ],
 )
 def test_eval_bad_sampling_sidecar_exits_one(workspace, capsys, content, message):
@@ -150,8 +157,35 @@ def test_eval_bad_sampling_sidecar_exits_one(workspace, capsys, content, message
     )
     assert code == 1
     err = capsys.readouterr().err
-    assert err.startswith("negir: ") and "bad_sampling.json" in err and message in err
+    assert err.startswith(f"negir: {sidecar}: {message}"), err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "index_argv, run_argv, score",
+    [
+        ([], ["--strategy", "score_combination", "--beta", "1e308"], "-inf"),
+        (["--k1", "1e308"], ["--strategy", "baseline"], "inf"),
+    ],
+    ids=["beta", "k1"],
+)
+def test_run_refuses_non_finite_scores(workspace, capsys, index_argv, run_argv, score):
+    # A huge setting overflows a score; eval would refuse the run file.
+    docs = workspace / "docs.jsonl"
+    with open(docs, "a", encoding="utf-8") as handle:
+        handle.write(json.dumps({"doc_id": "d-twice", "body": "fever fever rash"}) + "\n")
+    snapshot = workspace / "index.ngir"
+    assert run_cli("index", "--collection", docs, "--out", snapshot, *index_argv) == 0
+    out = workspace / "r.run"
+    out.write_text("old contents\n", encoding="utf-8")
+    capsys.readouterr()
+    code = run_cli(
+        "run", "--index", snapshot, "--topics", workspace / "topics.jsonl", *run_argv,
+        "--out", out,
+    )
+    assert code == 1
+    assert capsys.readouterr().err == f"negir: score {score} in topic 2 is not a finite number\n"
+    assert out.read_text(encoding="utf-8") == "old contents\n"
 
 
 def test_run_twice_writes_identical_bytes(workspace):
@@ -477,6 +511,8 @@ BAD_INPUTS = {
     "lexicon not UTF-8": ("lexicon", "lex.txt", b"[pre]\nno\n\xc3\n[term]\nbut\n", 3),
     "config not UTF-8": ("config", "negir.conf", b"k1 = 1.2\n# \xff\n", 2),
     "qrels not UTF-8": ("qrels", "qrels.txt", b"1 0 d-chest 1\n2 0 d-\xff 1\n", 2),
+    "qrels grade negative": ("qrels", "qrels.txt", b"1 0 d-chest 1\n2 0 d-fever -1\n", 2),
+    "qrels judgment repeated": ("qrels", "qrels.txt", b"1 0 d-chest 1\n1 0 d-chest 0\n", 2),
     "run not UTF-8": ("run", "r.run", RUN + b"2 Q0 \xff 2 0.5 x\n", 2),
     "sidecar not UTF-8": ("sidecar", "s.json", b'{"1": [["d-chest"]],\n"2": [["\xff"]]}', 2),
     "sidecar not JSON": ("sidecar", "s.json", b'{"1": [["d-chest"]],\n"2": [["d-fever"],]}', 2),

@@ -10,9 +10,7 @@ import oracle
 from negir.errors import ParseError
 from negir.evalkit import (
     MetricsReport,
-    Qrels,
     RunResult,
-    SamplingInfo,
     TopicMetrics,
     average_precision,
     evaluate,
@@ -32,44 +30,37 @@ from negir.evalkit import (
 )
 
 
-def make_qrels(topic_id="t", **grades):
-    qrels = Qrels()
-    for doc_id, grade in grades.items():
-        qrels.add(topic_id, doc_id, grade)
-    return qrels
-
-
 # ---------------------------------------------------------------------------
 # p_at_k
 # ---------------------------------------------------------------------------
 
 
 def test_p_at_10_single_relevant():
-    qrels = make_qrels(d3=1)
+    grades = dict(d3=1)
     ranking = [f"d{i}" for i in range(10)]
-    assert p_at_k(ranking, qrels, "t", 10) == pytest.approx(0.1)
+    assert p_at_k(ranking, grades, 10) == pytest.approx(0.1)
 
 
 def test_p_at_10_all_relevant():
-    qrels = make_qrels(**{f"d{i}": 1 for i in range(10)})
-    assert p_at_k([f"d{i}" for i in range(10)], qrels, "t", 10) == 1.0
+    grades = {f"d{i}": 1 for i in range(10)}
+    assert p_at_k([f"d{i}" for i in range(10)], grades, 10) == 1.0
 
 
 def test_p_at_10_empty_ranking():
-    assert p_at_k([], make_qrels(d0=1), "t", 10) == 0.0
+    assert p_at_k([], dict(d0=1), 10) == 0.0
 
 
 def test_p_at_k_short_ranking_counts_missing_as_nonrelevant():
-    qrels = make_qrels(d0=1, d1=1)
-    assert p_at_k(["d0", "d1"], qrels, "t", 10) == pytest.approx(0.2)
+    grades = dict(d0=1, d1=1)
+    assert p_at_k(["d0", "d1"], grades, 10) == pytest.approx(0.2)
 
 
 def test_p_at_k_values_are_tenths():
     rng = random.Random(3)
     for _ in range(50):
-        qrels = make_qrels(**{f"d{i}": rng.randint(0, 1) for i in range(15)})
+        grades = {f"d{i}": rng.randint(0, 1) for i in range(15)}
         ranking = [f"d{i}" for i in range(rng.randint(0, 15))]
-        value = p_at_k(ranking, qrels, "t", 10)
+        value = p_at_k(ranking, grades, 10)
         assert (value * 10) == int(value * 10 + 0.5)
 
 
@@ -79,46 +70,46 @@ def test_p_at_k_values_are_tenths():
 
 
 def test_ndcg_ideal_is_one():
-    qrels = make_qrels(a=2, b=1)
-    assert ndcg(["a", "b"], qrels, "t") == 1.0
+    grades = dict(a=2, b=1)
+    assert ndcg(["a", "b"], grades) == 1.0
 
 
 def test_ndcg_single_relevant_at_rank_two():
-    qrels = make_qrels(a=0, b=1)
+    grades = dict(a=0, b=1)
     expected = 1 / math.log2(3)  # DCG at rank 2, IDCG = 1
-    assert ndcg(["a", "b"], qrels, "t") == pytest.approx(expected, abs=1e-4)
-    assert ndcg(["a", "b"], qrels, "t") == pytest.approx(0.6309, abs=1e-4)
+    assert ndcg(["a", "b"], grades) == pytest.approx(expected, abs=1e-4)
+    assert ndcg(["a", "b"], grades) == pytest.approx(0.6309, abs=1e-4)
 
 
 def test_ndcg_nothing_relevant_retrieved():
-    qrels = make_qrels(a=1)
-    assert ndcg(["b", "c"], qrels, "t") == 0.0
+    grades = dict(a=1)
+    assert ndcg(["b", "c"], grades) == 0.0
 
 
 def test_ndcg_topic_without_relevant_docs():
-    qrels = make_qrels(a=0)
-    assert ndcg(["a"], qrels, "t") == 0.0
+    grades = dict(a=0)
+    assert ndcg(["a"], grades) == 0.0
 
 
 def test_ndcg_respects_cutoff():
-    qrels = make_qrels(a=1, b=1)
+    grades = dict(a=1, b=1)
     ranking = ["x", "a", "b"]
     # At cutoff 1 nothing relevant is inside the window.
-    assert ndcg(ranking, qrels, "t", cutoff=1) == 0.0
-    assert ndcg(ranking, qrels, "t", cutoff=3) > 0.0
+    assert ndcg(ranking, grades, cutoff=1) == 0.0
+    assert ndcg(ranking, grades, cutoff=3) > 0.0
 
 
 def test_ndcg_graded_gains():
-    qrels = make_qrels(a=3, b=1)
-    got = ndcg(["b", "a"], qrels, "t")
+    grades = dict(a=3, b=1)
+    got = ndcg(["b", "a"], grades)
     expected = (1 / math.log2(2) + 3 / math.log2(3)) / (3 / math.log2(2) + 1 / math.log2(3))
     assert got == pytest.approx(expected, rel=1e-12)
 
 
 def test_ndcg_invariant_to_swaps_within_equal_grades():
-    qrels = make_qrels(a=1, b=1, c=0, d=0)
-    assert ndcg(["a", "c", "b", "d"], qrels, "t") == ndcg(["b", "c", "a", "d"], qrels, "t")
-    assert ndcg(["a", "c", "b", "d"], qrels, "t") == ndcg(["a", "d", "b", "c"], qrels, "t")
+    grades = dict(a=1, b=1, c=0, d=0)
+    assert ndcg(["a", "c", "b", "d"], grades) == ndcg(["b", "c", "a", "d"], grades)
+    assert ndcg(["a", "c", "b", "d"], grades) == ndcg(["a", "d", "b", "c"], grades)
 
 
 # ---------------------------------------------------------------------------
@@ -127,49 +118,47 @@ def test_ndcg_invariant_to_swaps_within_equal_grades():
 
 
 def test_ap_two_relevant_at_ranks_one_and_three():
-    qrels = make_qrels(a=1, c=1)
-    got = average_precision(["a", "b", "c"], qrels, "t")
+    grades = dict(a=1, c=1)
+    got = average_precision(["a", "b", "c"], grades)
     assert got == pytest.approx((1 + 2 / 3) / 2, rel=1e-12)
     assert got == pytest.approx(0.8333, abs=1e-4)
 
 
 def test_ap_no_relevant_retrieved():
-    qrels = make_qrels(a=1)
-    assert average_precision(["b"], qrels, "t") == 0.0
+    grades = dict(a=1)
+    assert average_precision(["b"], grades) == 0.0
 
 
 def test_ap_perfect_ranking_is_one():
-    qrels = make_qrels(a=1, b=1, c=1)
-    assert average_precision(["a", "b", "c", "d"], qrels, "t") == 1.0
+    grades = dict(a=1, b=1, c=1)
+    assert average_precision(["a", "b", "c", "d"], grades) == 1.0
 
 
 def test_infap_without_sampling_is_exact_ap():
-    qrels = make_qrels(a=1, b=0, c=1, d=0)
+    grades = dict(a=1, b=0, c=1, d=0)
     ranking = ["a", "b", "c", "d"]
-    assert inf_ap(ranking, qrels, "t") == average_precision(ranking, qrels, "t")
+    assert inf_ap(ranking, grades) == average_precision(ranking, grades)
 
 
 def test_infap_single_stratum_hand_computed():
     # Pool of four, half sampled: d1 relevant at rank 1, d3 at rank 3.
-    qrels = make_qrels(d1=1, d3=1)
-    sampling = SamplingInfo(strata=(frozenset({"d1", "d2", "d3", "d4"}),))
-    got = inf_ap(["d1", "d2", "d3", "d4"], qrels, "t", sampling)
+    grades = dict(d1=1, d3=1)
+    strata = (frozenset({"d1", "d2", "d3", "d4"}),)
+    got = inf_ap(["d1", "d2", "d3", "d4"], grades, strata)
     assert got == pytest.approx(0.9999966667, abs=1e-6)
 
 
 def test_infap_with_nonrelevant_above():
-    qrels = make_qrels(d2=0, d3=1)
-    sampling = SamplingInfo(strata=(frozenset({"d1", "d2", "d3", "d4"}),))
-    got = inf_ap(["d1", "d2", "d3", "d4"], qrels, "t", sampling)
+    grades = dict(d2=0, d3=1)
+    strata = (frozenset({"d1", "d2", "d3", "d4"}),)
+    got = inf_ap(["d1", "d2", "d3", "d4"], grades, strata)
     assert got == pytest.approx(0.33334, abs=1e-5)
 
 
 def test_infap_two_strata_hand_computed():
-    qrels = make_qrels(a=1, b=0, d=1)
-    sampling = SamplingInfo(
-        strata=(frozenset({"a", "b", "c"}), frozenset({"d", "e"}))
-    )
-    got = inf_ap(["a", "b", "c", "d", "e"], qrels, "t", sampling)
+    grades = dict(a=1, b=0, d=1)
+    strata = (frozenset({"a", "b", "c"}), frozenset({"d", "e"}))
+    got = inf_ap(["a", "b", "c", "d", "e"], grades, strata)
     # E[P@1] = 1 and E[P@4] = 0.625, weighted 1.5 : 2.0.
     assert got == pytest.approx(0.7857142857, abs=1e-9)
 
@@ -181,12 +170,11 @@ def test_infap_fully_sampled_close_to_ap():
         grades = {d: rng.randint(0, 1) for d in docs}
         if not any(grades.values()):
             grades["d0"] = 1
-        qrels = make_qrels(**grades)
         ranking = docs[:]
         rng.shuffle(ranking)
-        sampling = SamplingInfo(strata=(frozenset(docs),))
-        full = inf_ap(ranking, qrels, "t", sampling)
-        exact = average_precision(ranking, qrels, "t")
+        strata = (frozenset(docs),)
+        full = inf_ap(ranking, grades, strata)
+        exact = average_precision(ranking, grades)
         assert full == pytest.approx(exact, abs=1e-3)
 
 
@@ -196,25 +184,23 @@ def test_infap_estimator_roughly_unbiased():
     rng = random.Random(23)
     docs = [f"d{i:02d}" for i in range(40)]
     grades = {d: (1 if rng.random() < 0.3 else 0) for d in docs}
-    full_qrels = make_qrels(**grades)
     ranking = docs[:]
     rng.shuffle(ranking)
-    truth = average_precision(ranking, full_qrels, "t")
+    truth = average_precision(ranking, grades)
     estimates = []
     for _ in range(300):
         sample = rng.sample(docs, 20)
         if not any(grades[d] for d in sample):
             continue
-        qrels = make_qrels(**{d: grades[d] for d in sample})
-        sampling = SamplingInfo(strata=(frozenset(docs),))
-        estimates.append(inf_ap(ranking, qrels, "t", sampling))
+        sampled = {d: grades[d] for d in sample}
+        estimates.append(inf_ap(ranking, sampled, (frozenset(docs),)))
     mean = sum(estimates) / len(estimates)
     assert mean == pytest.approx(truth, abs=0.05)
 
 
 @st.composite
 def sampled_topics(draw):
-    """(ranking, qrels, sampling) for topic "t": a pool cut into disjoint
+    """(ranking, grades, strata) of one topic: a pool cut into disjoint
     strata, a non-empty judged sample per stratum with grades 0-2, and a
     ranking of any length over pooled and unpooled documents."""
     pool = [f"p{i}" for i in range(draw(st.integers(1, 12)))]
@@ -224,62 +210,21 @@ def sampled_topics(draw):
         for stratum in sorted(set(labels))
     ]
     grade = st.integers(0, 2)
-    qrels = Qrels()
+    grades = {}
     for stratum in strata:
         judged = draw(st.lists(st.sampled_from(stratum), min_size=1, unique=True))
         for doc in judged:
-            qrels.add("t", doc, draw(grade))
+            grades[doc] = draw(grade)
     candidates = pool + [f"u{i}" for i in range(draw(st.integers(0, 5)))]
     ranking = draw(st.permutations(candidates))[: draw(st.integers(0, len(candidates)))]
-    sampling = SamplingInfo(strata=tuple(frozenset(stratum) for stratum in strata))
-    return ranking, qrels, sampling
+    return ranking, grades, tuple(frozenset(stratum) for stratum in strata)
 
 
 @settings(max_examples=300, deadline=None)
 @given(sampled_topics())
 def test_infap_matches_prefix_rescanning_reference(case):
-    ranking, qrels, sampling = case
-    assert inf_ap(ranking, qrels, "t", sampling) == oracle.ref_inf_ap(
-        ranking, qrels, "t", sampling
-    )
-
-
-def test_sampling_info_rejects_empty_stratum():
-    with pytest.raises(ValueError, match="stratum 2 is empty"):
-        SamplingInfo(strata=(frozenset({"a"}), frozenset()))
-
-
-def test_sampling_info_rejects_overlapping_strata():
-    with pytest.raises(ValueError, match="'b' is listed in two strata"):
-        SamplingInfo(strata=(frozenset({"a", "b"}), frozenset({"b", "c"})))
-
-
-def test_infap_rejects_judged_doc_outside_strata():
-    qrels = make_qrels(a=1, b=0)
-    sampling = SamplingInfo(strata=(frozenset({"b"}),))
-    with pytest.raises(ValueError, match="missing from all strata"):
-        inf_ap(["a"], qrels, "t", sampling)
-
-
-def test_evaluate_refuses_sampling_of_other_topics():
-    qrels = make_qrels("t", a=1)
-    qrels.add("u", "a", 1)
-    run = RunResult(run_tag="r")
-    run.add_topic("t", [("a", 1.0)])
-    stratum = SamplingInfo(strata=(frozenset({"a"}),))
-    # Topic u would silently get exact AP while t gets inferred AP.
-    with pytest.raises(ValueError, match="topic u: missing from the sampling sidecar"):
-        evaluate(run, qrels, sampling={"t": stratum})
-    with pytest.raises(ValueError, match="topic v: missing from the qrels"):
-        evaluate(run, qrels, sampling={"t": stratum, "u": stratum, "v": stratum})
-    assert evaluate(run, qrels, sampling={"t": stratum, "u": stratum}).num_topics == 2
-
-
-def test_infap_rejects_stratum_without_judged_docs():
-    qrels = make_qrels(a=1)
-    sampling = SamplingInfo(strata=(frozenset({"a"}), frozenset({"b"})))
-    with pytest.raises(ValueError, match="no judged"):
-        inf_ap(["a"], qrels, "t", sampling)
+    ranking, grades, strata = case
+    assert inf_ap(ranking, grades, strata) == oracle.ref_inf_ap(ranking, grades, strata)
 
 
 # ---------------------------------------------------------------------------
@@ -288,20 +233,20 @@ def test_infap_rejects_stratum_without_judged_docs():
 
 
 def test_rprec_both_in_top_two():
-    qrels = make_qrels(a=1, b=1)
-    assert r_prec(["a", "b", "c"], qrels, "t") == 1.0
+    grades = dict(a=1, b=1)
+    assert r_prec(["a", "b", "c"], grades) == 1.0
 
 
 def test_rprec_no_relevant_docs_is_zero_flagged():
-    qrels = make_qrels(a=0)
-    assert r_prec(["a"], qrels, "t") == 0.0
-    report = evaluate(_run_from({"t": ["a"]}), qrels)
+    grades = dict(a=0)
+    assert r_prec(["a"], grades) == 0.0
+    report = evaluate(_run_from({"t": ["a"]}), {"t": grades})
     assert report.per_topic["t"].no_relevant
 
 
 def test_rprec_half():
-    qrels = make_qrels(a=1, b=1, c=1, d=1)
-    assert r_prec(["a", "x", "b", "y"], qrels, "t") == 0.5
+    grades = dict(a=1, b=1, c=1, d=1)
+    assert r_prec(["a", "x", "b", "y"], grades) == 0.5
 
 
 # ---------------------------------------------------------------------------
@@ -310,28 +255,28 @@ def test_rprec_half():
 
 
 def test_permuting_below_relevant_does_not_change_p_at_k():
-    qrels = make_qrels(a=1, b=1)
+    grades = dict(a=1, b=1)
     head = ["a", "b"]
     tail = ["c", "d", "e", "f"]
     rng = random.Random(5)
-    baseline = p_at_k(head + tail, qrels, "t", 2)
+    baseline = p_at_k(head + tail, grades, 2)
     for _ in range(10):
         shuffled = tail[:]
         rng.shuffle(shuffled)
-        assert p_at_k(head + shuffled, qrels, "t", 2) == baseline
+        assert p_at_k(head + shuffled, grades, 2) == baseline
 
 
 def test_all_metrics_bounded():
     rng = random.Random(6)
     for _ in range(100):
         docs = [f"d{i}" for i in range(rng.randint(1, 12))]
-        qrels = make_qrels(**{d: rng.randint(0, 2) for d in docs})
+        grades = {d: rng.randint(0, 2) for d in docs}
         ranking = rng.sample(docs, rng.randint(0, len(docs)))
         for value in (
-            p_at_k(ranking, qrels, "t", 10),
-            ndcg(ranking, qrels, "t"),
-            inf_ap(ranking, qrels, "t"),
-            r_prec(ranking, qrels, "t"),
+            p_at_k(ranking, grades, 10),
+            ndcg(ranking, grades),
+            inf_ap(ranking, grades),
+            r_prec(ranking, grades),
         ):
             assert 0.0 <= value <= 1.0
 
@@ -349,22 +294,22 @@ def _run_from(rankings, tag="test"):
 
 
 def test_evaluate_scores_topics_missing_from_run_as_zero():
-    qrels = Qrels({"t1": {"a": 1}, "t2": {"b": 1}})
+    qrels = {"t1": {"a": 1}, "t2": {"b": 1}}
     report = evaluate(_run_from({"t1": ["a"]}), qrels)
     assert report.per_topic["t2"] == TopicMetrics(0.0, 0.0, 0.0, 0.0)
     assert report.per_topic["t1"].p_at_10 == pytest.approx(0.1)
 
 
 def test_aggregate_is_mean_over_qrels_topics():
-    qrels = Qrels({"t1": {"a": 1}, "t2": {"b": 1}})
+    qrels = {"t1": {"a": 1}, "t2": {"b": 1}}
     report = evaluate(_run_from({"t1": ["a"], "t2": ["x"]}), qrels)
     assert report.aggregate().p_at_10 == pytest.approx(0.05)
     assert report.num_topics == 2
 
 
 def test_aggregate_invariant_to_topic_order():
-    qrels_fwd = Qrels({"t1": {"a": 1}, "t2": {"b": 1, "c": 1}})
-    qrels_rev = Qrels({"t2": {"b": 1, "c": 1}, "t1": {"a": 1}})
+    qrels_fwd = {"t1": {"a": 1}, "t2": {"b": 1, "c": 1}}
+    qrels_rev = {"t2": {"b": 1, "c": 1}, "t1": {"a": 1}}
     run = _run_from({"t1": ["a", "b"], "t2": ["c", "a", "b"]})
     assert evaluate(run, qrels_fwd).aggregate() == evaluate(run, qrels_rev).aggregate()
 
@@ -375,6 +320,9 @@ def test_run_result_validation():
         run.add_topic("t", [("a", 2.0), ("a", 1.0)])
     with pytest.raises(ValueError, match="increase"):
         run.add_topic("t", [("a", 1.0), ("b", 2.0)])
+    for score in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match=r"score .+ in topic t is not a finite number"):
+            run.add_topic("t", [("a", 2.0), ("b", score)])
     run.add_topic("t", [("a", 2.0), ("b", 1.0)])
     with pytest.raises(ValueError, match="duplicate topic"):
         run.add_topic("t", [("c", 1.0)])
@@ -433,12 +381,7 @@ def test_group_analysis_end_to_end():
         FakeBundle("m1", 2),
         FakeBundle("m2", 1),
     ]
-    qrels = Qrels(
-        {
-            topic: {f"rel{i}": 1 for i in range(10)}
-            for topic in ("p1", "p2", "m1", "m2")
-        }
-    )
+    qrels = {topic: {f"rel{i}": 1 for i in range(10)} for topic in ("p1", "p2", "m1", "m2")}
     baseline = _single_doc_topic_run({"p1": 10, "p2": 6, "m1": 2, "m2": 4}, "base")
     strategy = _single_doc_topic_run({"p1": 10, "p2": 6, "m1": 5, "m2": 7}, "strat")
     report = group_analysis(bundles, {"baseline": baseline, "tagging": strategy}, qrels)
@@ -457,12 +400,7 @@ def test_group_analysis_end_to_end():
 
 def test_group_analysis_identical_strategy_zero_reduction():
     bundles = [FakeBundle("p", 0), FakeBundle("m", 1)]
-    qrels = Qrels(
-        {
-            "p": {f"rel{i}": 1 for i in range(10)},
-            "m": {f"rel{i}": 1 for i in range(10)},
-        }
-    )
+    qrels = {"p": {f"rel{i}": 1 for i in range(10)}, "m": {f"rel{i}": 1 for i in range(10)}}
     baseline = _single_doc_topic_run({"p": 8, "m": 3}, "base")
     clone = _single_doc_topic_run({"p": 8, "m": 3}, "dup")
     report = group_analysis(bundles, {"baseline": baseline, "same": clone}, qrels)
@@ -471,7 +409,7 @@ def test_group_analysis_identical_strategy_zero_reduction():
 
 def test_group_analysis_reduction_undefined_without_gap():
     bundles = [FakeBundle("p", 0), FakeBundle("m", 1)]
-    qrels = Qrels({"p": {"rel0": 1}, "m": {"rel0": 1}})
+    qrels = {"p": {"rel0": 1}, "m": {"rel0": 1}}
     run = _single_doc_topic_run({"p": 1, "m": 1}, "base")
     better = _single_doc_topic_run({"p": 1, "m": 1}, "dup")
     report = group_analysis(bundles, {"baseline": run, "same": better}, qrels)
@@ -480,7 +418,7 @@ def test_group_analysis_reduction_undefined_without_gap():
 
 def test_group_analysis_requires_baseline():
     with pytest.raises(ValueError, match="baseline"):
-        group_analysis([], {"other": RunResult(run_tag="x")}, Qrels())
+        group_analysis([], {"other": RunResult(run_tag="x")}, {})
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +429,7 @@ def test_group_analysis_requires_baseline():
 def test_read_qrels_line(tmp_path):
     path = tmp_path / "qrels.txt"
     path.write_text("1 0 doc-42 1\n1 0 doc-43 0\n2 0 doc-42 2\n", encoding="utf-8")
-    qrels = read_qrels(path)
-    assert qrels.grade("1", "doc-42") == 1
-    assert qrels.grade("1", "doc-43") == 0
-    assert qrels.grade("2", "doc-42") == 2
-    assert qrels.grade("9", "doc-42") == 0  # unjudged
+    assert read_qrels(path) == {"1": {"doc-42": 1, "doc-43": 0}, "2": {"doc-42": 2}}
 
 
 def test_read_qrels_malformed_line_number(tmp_path):
@@ -558,8 +492,8 @@ def test_read_run_malformed_field_count(tmp_path):
 def test_sampling_sidecar_round_trip(tmp_path):
     path = tmp_path / "sampling.json"
     path.write_text('{"1": [["a", "b"], ["c"]]}', encoding="utf-8")
-    sampling = read_sampling_sidecar(path)
-    assert sampling["1"].strata == (frozenset({"a", "b"}), frozenset({"c"}))
+    sampling = read_sampling_sidecar(path, {"1": {"a": 1, "c": 0}})
+    assert sampling == {"1": (frozenset({"a", "b"}), frozenset({"c"}))}
 
 
 def test_format_table_alignment():
