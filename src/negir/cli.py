@@ -18,8 +18,8 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, fields as dataclass_fields, replace
 from pathlib import Path
+from typing import NamedTuple
 
 from . import __version__
 from .corpus import (
@@ -67,8 +67,7 @@ from .ranking import (
 )
 
 
-@dataclass
-class Config:
+class Config(NamedTuple):
     k1: float = DEFAULT_K1
     b: float = DEFAULT_B
     expansion_weight: float = DEFAULT_EXPANSION_WEIGHT
@@ -80,13 +79,12 @@ class Config:
 def load_config(path: str | Path) -> dict:
     """Parse a key = value config file; '#' starts a comment line."""
     values: dict[str, object] = {}
-    valid = {f.name: f for f in dataclass_fields(Config)}
     for lineno, line in read_lines(path, comments=True):
         if "=" not in line:
             raise ParseError("expected key = value", str(path), lineno)
         key, _, value = line.partition("=")
         key, value = key.strip(), value.strip()
-        if key not in valid:
+        if key not in Config._fields:
             raise ParseError(f"unknown config key {key!r}", str(path), lineno)
         try:
             values[key] = int(value) if key in ("k", "ndcg_cutoff") else float(value)
@@ -98,11 +96,9 @@ def load_config(path: str | Path) -> dict:
 def resolve_config(args: argparse.Namespace) -> Config:
     config = Config()
     if getattr(args, "config", None):
-        config = replace(config, **load_config(args.config))
-    for setting in dataclass_fields(Config):
-        value = getattr(args, setting.name, None)
-        if value is not None:
-            config = replace(config, **{setting.name: value})
+        config = config._replace(**load_config(args.config))
+    flags = {name: getattr(args, name, None) for name in Config._fields}
+    config = config._replace(**{name: value for name, value in flags.items() if value is not None})
     for name, valid, accepted in (
         ("k1", 0.0 <= config.k1 < math.inf, "a finite number >= 0"),
         ("b", 0.0 <= config.b <= 1.0, "a number in [0, 1]"),
@@ -196,7 +192,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_bundle(args: argparse.Namespace) -> int:
-    print(json.dumps([asdict(bundle) for bundle in _build_bundles(args)], indent=2))
+    print(json.dumps([bundle._asdict() for bundle in _build_bundles(args)], indent=2))
     return 0
 
 
@@ -230,7 +226,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                     "strategy": args.strategy,
                     "topics": len(run.topics),
                     "out": str(args.out),
-                    "config": asdict(config),
+                    "config": config._asdict(),
                 },
                 sort_keys=True,
             ),
@@ -249,7 +245,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate(run, qrels, ndcg_cutoff=config.ndcg_cutoff, sampling=sampling)
     if args.json:
         payload = report_to_dict(report)
-        payload["config"] = asdict(config)
+        payload["config"] = config._asdict()
         print(json.dumps(payload, indent=2, sort_keys=True))
     else:
         print(_config_header(config))
@@ -280,7 +276,7 @@ def cmd_compare_groups(args: argparse.Namespace) -> int:
 
     if args.json:
         payload = {
-            "config": asdict(config),
+            "config": config._asdict(),
             "d_plus_topics": sorted(report.d_plus_topics),
             "d_minus_topics": sorted(report.d_minus_topics),
             "groups": {
@@ -316,7 +312,7 @@ def cmd_compare_groups(args: argparse.Namespace) -> int:
 
 
 def _config_header(config: Config) -> str:
-    pairs = " ".join(f"{key}={value}" for key, value in asdict(config).items())
+    pairs = " ".join(f"{key}={value}" for key, value in config._asdict().items())
     return f"# config: {pairs}"
 
 

@@ -18,7 +18,6 @@ import os
 import re
 import sys
 from contextlib import contextmanager
-from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Iterator, NamedTuple
 
@@ -33,8 +32,7 @@ _BOUNDARY_RE = re.compile(r"(?<=[.?!;])\s+")
 COLLECTION_FORMATS = ("jsonl", "trec-text", "plain-dir")
 
 
-@dataclass(frozen=True)
-class Topic:
+class Topic(NamedTuple):
     topic_id: str
     description: str
 

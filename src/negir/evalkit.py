@@ -21,12 +21,11 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import atomic_write, read_lines, read_text
-from .errors import ParseError
+from .errors import DuplicateIdError, ParseError
 from .querygen import QueryBundle
 
 INFAP_EPSILON = 1e-5
@@ -39,7 +38,6 @@ METRIC_NAMES = ("p_at_10", "ndcg", "inf_ap", "r_prec")
 Strata = tuple[frozenset[str], ...]
 
 
-@dataclass
 class RunResult:
     """Ranked lists per topic, TREC run conventions.
 
@@ -47,8 +45,9 @@ class RunResult:
     from 1, scores finite and non-increasing, no document repeated.
     """
 
-    run_tag: str
-    topics: dict[str, list[tuple[str, float]]] = field(default_factory=dict)
+    def __init__(self, run_tag: str, topics: dict[str, list[tuple[str, float]]] | None = None):
+        self.run_tag = run_tag
+        self.topics = {} if topics is None else topics
 
     def add_topic(self, topic_id: str, ranked: Sequence[tuple[str, float]]) -> None:
         if topic_id in self.topics:
@@ -193,8 +192,7 @@ def r_prec(ranking: Sequence[str], grades: Mapping[str, int]) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TopicMetrics:
+class TopicMetrics(NamedTuple):
     p_at_10: float
     ndcg: float
     inf_ap: float
@@ -205,8 +203,7 @@ class TopicMetrics:
         return (self.p_at_10, self.ndcg, self.inf_ap, self.r_prec)
 
 
-@dataclass
-class MetricsReport:
+class MetricsReport(NamedTuple):
     run_tag: str
     per_topic: dict[str, TopicMetrics]
 
@@ -255,8 +252,7 @@ def evaluate(
 BASELINE = "baseline"  # the run name that group gaps are measured against
 
 
-@dataclass
-class GroupReport:
+class GroupReport(NamedTuple):
     """Metrics split by negation-bearing vs negation-free topics."""
 
     d_plus_topics: set[str]
@@ -440,15 +436,16 @@ def read_sampling_sidecar(
 ) -> dict[str, Strata]:
     """JSON sidecar: {topic_id: [[pooled doc ids of stratum 1], ...]}.
 
-    The sidecar must cover exactly the topics of ``qrels``. Per topic, the
-    strata must be non-empty and disjoint and list each document once;
-    each stratum must hold a judged document, and each relevant judged
-    document must sit in a stratum. A ParseError names the file and the
-    topic otherwise.
+    The sidecar must list exactly the topics of ``qrels``, each once.
+    Per topic, the strata must be non-empty and disjoint and list each
+    document once; each stratum must hold a judged document, and each
+    relevant judged document must sit in a stratum. A ParseError names
+    the file and the topic otherwise.
     """
     path = str(path)
+    text = read_text(path)
     try:
-        data = json.loads(read_text(path))
+        data = json.loads(text, object_pairs_hook=lambda pairs: _unique_keys(pairs, path))
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON ({exc.msg})", path, exc.lineno) from exc
     if not isinstance(data, dict):
@@ -463,6 +460,16 @@ def read_sampling_sidecar(
         if topic_id not in sampling:
             raise ParseError(f"topic {topic_id}: missing from the sampling sidecar", path)
     return sampling
+
+
+def _unique_keys(pairs: list[tuple[str, object]], path: str) -> dict[str, object]:
+    """A JSON object's pairs as a dict; a key listed twice is a ParseError."""
+    table: dict[str, object] = {}
+    for key, value in pairs:
+        if key in table:
+            raise DuplicateIdError("topic_id", key, path)
+        table[key] = value
+    return table
 
 
 def _checked_strata(strata: object, grades: Mapping[str, int] | None) -> Strata:

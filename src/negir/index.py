@@ -36,9 +36,8 @@ import struct
 import sys
 from array import array
 from collections import Counter
-from dataclasses import dataclass, field as dataclass_field
 from pathlib import Path
-from typing import BinaryIO, Iterable, Sequence
+from typing import BinaryIO, Iterable, NamedTuple, Sequence
 
 from .corpus import atomic_write
 from .errors import DuplicateIdError, NegirError, ParseError
@@ -57,12 +56,11 @@ MAX_SNAPSHOT_STR_BYTES = 0xFFFF  # strings carry a u16 length prefix
 U32 = "I"  # array typecode of the u32 doc numbers, lengths and tfs (4 bytes)
 
 
-@dataclass
-class FieldIndex:
+class FieldIndex(NamedTuple):
     """Postings of a single field: term -> (doc numbers, tfs), two u32
     arrays of equal length with the doc numbers ascending."""
 
-    postings: dict[str, tuple[array, array]] = dataclass_field(default_factory=dict)
+    postings: dict[str, tuple[array, array]]
 
 
 class Index:
@@ -115,8 +113,8 @@ def build_index(
     doc_ids: list[str] = []
     seen: set[str] = set()
     doc_lengths = array(U32)
-    plain = FieldIndex()
-    tagged = FieldIndex()
+    plain = FieldIndex({})
+    tagged = FieldIndex({})
     for doc_id, terms, tagged_terms in docs:
         if doc_id in seen:
             raise DuplicateIdError("doc_id", doc_id)

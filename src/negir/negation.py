@@ -26,7 +26,6 @@ is built from those lists only when asked for.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
@@ -40,8 +39,7 @@ PRE, POST, PSEUDO, TERMINATOR = "pre", "post", "pseudo", "term"
 _SECTIONS = {"[pre]": PRE, "[post]": POST, "[pseudo]": PSEUDO, "[term]": TERMINATOR}
 
 
-@dataclass(frozen=True)
-class NegationScope:
+class NegationScope(NamedTuple):
     """A detected cue with the token span it negates.
 
     Spans are half-open (start, end) document-wide token positions on the
@@ -61,8 +59,7 @@ class TaggedToken(NamedTuple):
     negated: bool
 
 
-@dataclass(frozen=True)
-class TaggedTokenStream:
+class TaggedTokenStream(NamedTuple):
     """The kept tokens of a text, in order, in-scope ones tagged."""
 
     tokens: tuple[TaggedToken, ...]
@@ -248,7 +245,6 @@ def tag_tokens(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
 class TextAnalysis:
     """Everything the indexer and query builder need for one text.
 
@@ -256,10 +252,17 @@ class TextAnalysis:
     ``tagged_terms[i]`` the same surface, "[nx]"-prefixed when negated.
     """
 
-    scopes: list[NegationScope]
-    terms: list[str]
-    positions: list[int]
-    tagged_terms: list[str]
+    def __init__(
+        self,
+        scopes: list[NegationScope],
+        terms: list[str],
+        positions: list[int],
+        tagged_terms: list[str],
+    ):
+        self.scopes = scopes
+        self.terms = terms
+        self.positions = positions
+        self.tagged_terms = tagged_terms
 
     @cached_property
     def tagged(self) -> TaggedTokenStream:

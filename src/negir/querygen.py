@@ -20,14 +20,13 @@ weight.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .corpus import Topic
 from .negation import TriggerLexicon, analyze_text
 
 
-@dataclass(frozen=True)
-class QueryBundle:
+class QueryBundle(NamedTuple):
     """One topic's query variants; ``negir bundle`` prints its fields in this order."""
 
     topic_id: str

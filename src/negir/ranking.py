@@ -24,7 +24,7 @@ in positive form still earns partial credit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .index import PLAIN, TAGGED, Index, score_query
 from .querygen import QueryBundle
@@ -50,17 +50,10 @@ def beta_adaptive(n_full: int) -> float:
     return BETA_A * n_full * n_full + BETA_B * n_full + BETA_C
 
 
-@dataclass(frozen=True)
-class Strategy:
+class Strategy(NamedTuple):
     kind: str
     beta_override: float | None = None
     expansion_weight: float = DEFAULT_EXPANSION_WEIGHT
-
-    def __post_init__(self) -> None:
-        if self.kind not in STRATEGY_KINDS:
-            raise ValueError(f"unknown strategy: {self.kind!r}")
-        if self.expansion_weight < 0:
-            raise ValueError("expansion_weight must be >= 0")
 
 
 def strategy_components(
@@ -71,9 +64,14 @@ def strategy_components(
 
     The expansion weight is the component's per-term weight, not its
     coefficient: a coefficient of 0.3 on the whole component would round
-    differently.
+    differently. An unknown kind or a negative expansion weight is a
+    ValueError.
     """
     kind = strategy.kind
+    if kind not in STRATEGY_KINDS:
+        raise ValueError(f"unknown strategy: {kind!r}")
+    if strategy.expansion_weight < 0:
+        raise ValueError("expansion_weight must be >= 0")
     if kind == FILTERING:
         return [(1.0, PLAIN, bundle.q_pos, 1.0)]
     if kind == SCORE_COMBINATION:

@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import negir
-from negir.cli import main
+from negir.cli import Config, _config_header, main
 
 TOPICS = [
     {"topic_id": "1", "description": "persistent chest pain with dyspnea"},
@@ -144,6 +144,11 @@ def test_eval_with_sampling_matches_library(workspace, capsys):
         (
             '{"1": [["d-chest"]], "2": [["d-fever", "d-smoke"]]}',
             "topic 2: judged document 'd-clean' missing from all strata",
+        ),
+        (
+            '{"1": [["d-chest"]], "2": [["d-fever", "d-clean", "zz"]], '
+            '"2": [["d-fever", "d-clean", "d-smoke"]]}',
+            "duplicate topic_id: '2'",
         ),
     ],
 )
@@ -414,6 +419,45 @@ def test_config_file_with_flag_override(workspace, capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"]["k"] == 3
     assert payload["config"]["k1"] == 0.9
+
+
+def test_config_output_is_pinned(workspace, capsys):
+    # The echoed settings keep their names, values and order.
+    assert _config_header(Config()) == (
+        "# config: k1=1.2 b=0.75 expansion_weight=0.3 beta=None k=1000 ndcg_cutoff=1000"
+    )
+    config = workspace / "negir.conf"
+    config.write_text("beta = 1.5\nk = 7\n", encoding="utf-8")
+    snapshot = build_snapshot(workspace)
+    capsys.readouterr()
+    code = run_cli(
+        "run",
+        "--index", snapshot,
+        "--topics", workspace / "topics.jsonl",
+        "--strategy", "score_combination",
+        "--config", config,
+        "--out", workspace / "out.run",
+        "--json",
+    )
+    assert code == 0
+    assert (
+        '"config": {"b": 0.75, "beta": 1.5, "expansion_weight": 0.3, "k": 7, "k1": 1.2, '
+        '"ndcg_cutoff": 1000}'
+    ) in capsys.readouterr().out
+
+
+def test_cli_import_leaves_out_dataclasses_and_inspect():
+    # Every command is a new process, and ``dataclasses`` with the
+    # ``inspect`` it imports would add about 11 ms to each start. pytest
+    # imports both itself, so a child process checks; -S keeps a site
+    # .pth file from importing them first.
+    src = str(Path(negir.__file__).parent.parent)
+    code = "import sys, negir.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert child.stdout == "[]\n"
 
 
 def test_missing_file_exits_one(workspace, capsys):

@@ -55,7 +55,12 @@ def test_tokenize_deterministic(stopwords):
     text = "Patient REPORTS severe chest pain; but no fever was observed."
     first = analyze_text(text, stopwords, LEXICON)
     second = analyze_text(text, stopwords, LEXICON)
-    assert first == second
+    # TextAnalysis is a plain class without ==; compare what it holds.
+    assert first.scopes == second.scopes
+    assert first.terms == second.terms
+    assert first.positions == second.positions
+    assert first.tagged_terms == second.tagged_terms
+    assert first.tagged == second.tagged
 
 
 def test_tokenize_splits_hyphens_and_slashes(stopwords):

@@ -1,6 +1,5 @@
 """Query bundle construction: the four variants and their term counts."""
 
-import dataclasses
 import random
 
 from negir.corpus import Topic
@@ -110,7 +109,7 @@ def test_57_term_description_counts_57(lexicon, stopwords):
 
 def test_bundle_summary_shape(lexicon, stopwords):
     # The record ``negir bundle`` prints, key order included.
-    summary = dataclasses.asdict(build_bundle(EXAMPLE, lexicon, stopwords))
+    summary = build_bundle(EXAMPLE, lexicon, stopwords)._asdict()
     assert list(summary) == ["topic_id", "n_full", "n_neg", "q_full", "q_pos", "q_neg", "q_tagged"]
     assert summary["topic_id"] == "1"
     assert summary["n_neg"] == 7

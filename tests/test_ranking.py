@@ -264,11 +264,15 @@ def test_combination_ranks_negated_only_doc_last(stopwords, lexicon):
     assert all(score > last_score for _, score in ranked[:-1])
 
 
-def test_strategy_validation():
-    with pytest.raises(ValueError):
-        Strategy("bogus")
-    with pytest.raises(ValueError):
-        Strategy("negation_tagging", expansion_weight=-0.1)
+def test_strategy_validation(stopwords, lexicon):
+    # A Strategy is a plain record; ranking with it checks it, also for a
+    # topic without negations, which every kind would score as the baseline.
+    index = corpus_index([("d", "chest pain")], stopwords, lexicon)
+    bundle = bundle_for("chest pain", stopwords, lexicon)
+    with pytest.raises(ValueError, match="unknown strategy: 'bogus'"):
+        run_strategy(Strategy("bogus"), bundle, index, 10)
+    with pytest.raises(ValueError, match="expansion_weight must be >= 0"):
+        run_strategy(Strategy("negation_tagging", expansion_weight=-0.1), bundle, index, 10)
 
 
 def test_run_strategy_matches_exhaustive_scoring(stopwords, lexicon):
