@@ -49,8 +49,9 @@ from .evalkit import (
     write_run,
     RunResult,
 )
-from .index import DEFAULT_B, DEFAULT_K1, build_index, load_index, save_index
+from .index import DEFAULT_B, DEFAULT_K1, Index, build_index, fingerprint, load_index, save_index
 from .negation import (
+    TriggerLexicon,
     analyze_text,
     check_scope_window,
     default_lexicon,
@@ -61,6 +62,7 @@ from .negation import (
 from .querygen import build_bundle
 from .ranking import (
     DEFAULT_EXPANSION_WEIGHT,
+    STRATEGY_FIELDS,
     STRATEGY_KINDS,
     Strategy,
     run_strategy,
@@ -117,8 +119,25 @@ def _stopwords(args: argparse.Namespace) -> frozenset[str]:
     return load_stopwords(args.stopwords) if args.stopwords else default_stopwords()
 
 
-def _lexicon(args: argparse.Namespace):
+def _lexicon(args: argparse.Namespace) -> TriggerLexicon:
     return load_lexicon(args.lexicon) if args.lexicon else default_lexicon()
+
+
+def _check_provenance(
+    args: argparse.Namespace, index: Index, stopwords: frozenset[str], lexicon: TriggerLexicon
+) -> None:
+    """Refuse an index analysed with other stopwords or another lexicon
+    than the topics are: its terms would not be the queries' terms."""
+    for what, flag, built, query_side in (
+        ("stopword list", "stopwords", index.fingerprints[0], fingerprint(stopwords)),
+        ("lexicon", "lexicon", index.fingerprints[1], fingerprint(lexicon.entries())),
+    ):
+        if built != query_side:
+            source = getattr(args, flag) or f"the shipped {what}"
+            raise NegirError(
+                f"{args.index}: the index was built with another {what} than {source}; "
+                f"rebuild it, or run with the --{flag} it was built with"
+            )
 
 
 def _summary_stream(out: str):
@@ -142,7 +161,8 @@ def cmd_index(args: argparse.Namespace) -> int:
             analysis = analyze_text(text, stopwords, lexicon)
             yield doc_id, analysis.terms, analysis.tagged_terms
 
-    index = build_index(analyzed(), k1=config.k1, b=config.b)
+    fingerprints = (fingerprint(stopwords), fingerprint(lexicon.entries()))
+    index = build_index(analyzed(), k1=config.k1, b=config.b, fingerprints=fingerprints)
     summary_out = _summary_stream(args.out)
     save_index(index, args.out)
     summary = {
@@ -192,22 +212,22 @@ def cmd_detect(args: argparse.Namespace) -> int:
 
 
 def cmd_bundle(args: argparse.Namespace) -> int:
-    print(json.dumps([bundle._asdict() for bundle in _build_bundles(args)], indent=2))
+    bundles = _build_bundles(args.topics, _stopwords(args), _lexicon(args))
+    print(json.dumps([bundle._asdict() for bundle in bundles], indent=2))
     return 0
 
 
-def _build_bundles(args: argparse.Namespace):
-    stopwords = _stopwords(args)
-    lexicon = _lexicon(args)
-    return [
-        build_bundle(topic, lexicon, stopwords) for topic in load_topics(args.topics)
-    ]
+def _build_bundles(topics: str, stopwords: frozenset[str], lexicon: TriggerLexicon):
+    return [build_bundle(topic, lexicon, stopwords) for topic in load_topics(topics)]
 
 
 def cmd_run(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    index = load_index(args.index)
-    bundles = _build_bundles(args)
+    stopwords = _stopwords(args)
+    lexicon = _lexicon(args)
+    index = load_index(args.index, STRATEGY_FIELDS[args.strategy])
+    _check_provenance(args, index, stopwords, lexicon)
+    bundles = _build_bundles(args.topics, stopwords, lexicon)
     strategy = Strategy(
         kind=args.strategy,
         beta_override=config.beta,
@@ -260,7 +280,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_compare_groups(args: argparse.Namespace) -> int:
     config = resolve_config(args)
-    bundles = _build_bundles(args)
+    bundles = _build_bundles(args.topics, _stopwords(args), _lexicon(args))
     paths = {BASELINE: args.baseline}
     for entry in args.run or []:
         name, sep, path = (part.strip() for part in entry.partition("="))

@@ -32,12 +32,16 @@ positive weights.
 from __future__ import annotations
 
 import math
+import os
+import stat
 import struct
 import sys
+import zlib
 from array import array
 from collections import Counter
+from itertools import accumulate, chain, pairwise
 from pathlib import Path
-from typing import BinaryIO, Iterable, NamedTuple, Sequence
+from typing import BinaryIO, Collection, Iterable, NamedTuple, Sequence
 
 from .corpus import atomic_write
 from .errors import DuplicateIdError, NegirError, ParseError
@@ -50,8 +54,8 @@ DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
 SNAPSHOT_MAGIC = b"NGIR1"
-SNAPSHOT_VERSION = 3
-MAX_SNAPSHOT_STR_BYTES = 0xFFFF  # strings carry a u16 length prefix
+SNAPSHOT_VERSION = 4
+MAX_SNAPSHOT_STR_BYTES = 0xFFFF  # doc_ids carry u16 lengths; terms keep the same limit
 
 U32 = "I"  # array typecode of the u32 doc numbers, lengths and tfs (4 bytes)
 
@@ -69,7 +73,10 @@ class Index:
     ``doc_ids``, ``doc_lengths`` and ``norms`` are indexed by doc number
     and shared by both fields. ``avg_doc_length`` and the per-document
     BM25 length norms ``k1 * (1 - b + b * len / avgdl)`` are fixed here,
-    once.
+    once. ``fingerprints`` are those of the stopword list and the lexicon
+    the index was built with (see ``fingerprint``), (0, 0) when not
+    given. An index from ``load_index`` holds only the fields it was
+    asked for.
     """
 
     def __init__(
@@ -79,12 +86,14 @@ class Index:
         doc_lengths: array,
         k1: float = DEFAULT_K1,
         b: float = DEFAULT_B,
+        fingerprints: tuple[int, int] = (0, 0),
     ):
         self.fields = fields
         self.doc_ids = doc_ids
         self.doc_lengths = doc_lengths
         self.k1 = k1
         self.b = b
+        self.fingerprints = fingerprints
         self.avg_doc_length = 0.0
         self.norms: list[float] = []
         total = sum(doc_lengths)
@@ -98,7 +107,7 @@ class Index:
 
     def field(self, name: str) -> FieldIndex:
         if name not in self.fields:
-            raise ValueError(f"unknown field: {name!r}")
+            raise ValueError(f"field {name!r} is unknown or was not loaded")
         return self.fields[name]
 
 
@@ -106,10 +115,12 @@ def build_index(
     docs: Iterable[tuple[str, Sequence[str], Sequence[str]]],
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
+    fingerprints: tuple[int, int] = (0, 0),
 ) -> Index:
     """Build both fields from ``(doc_id, terms, tagged_terms)`` triples,
     numbered in input order. A document's length is ``len(terms)``.
-    Duplicate doc_ids error."""
+    Duplicate doc_ids error. ``fingerprints`` are those of the stopword
+    list and lexicon the terms were analysed with, kept for the snapshot."""
     doc_ids: list[str] = []
     seen: set[str] = set()
     doc_lengths = array(U32)
@@ -124,7 +135,9 @@ def build_index(
         doc_lengths.append(len(terms))
         _add_postings(plain, number, terms)
         _add_postings(tagged, number, tagged_terms)
-    return Index({PLAIN: plain, TAGGED: tagged}, doc_ids, doc_lengths, k1=k1, b=b)
+    return Index(
+        {PLAIN: plain, TAGGED: tagged}, doc_ids, doc_lengths, k1=k1, b=b, fingerprints=fingerprints
+    )
 
 
 def _add_postings(field_index: FieldIndex, doc: int, terms: Sequence[str]) -> None:
@@ -174,136 +187,262 @@ def score_query(index: Index, field: str, terms: Sequence[str], weight: float) -
 # ---------------------------------------------------------------------------
 # Binary snapshot
 #
-# Layout (little-endian), version 3:
-#   magic "NGIR1" | version u8 | k1 f64 | b f64
-#   doc_count u32, then doc_count x doc_id (u16 length + utf-8)
-#   doc_count x length u32, one block, in doc number order
-#   field_count u8, then per field:
-#     name (u16 + utf-8)
-#     term_count u32, then per term:
-#       term (u16 + utf-8), df u32,
-#       df x doc number u32 (ascending), then df x tf u32
-#   end of file: nothing may follow the last field
+# Layout (little-endian), version 4. The file has three kinds of part, and
+# each part ends with a u32 zlib.crc32 of all its bytes before that:
+#   header:     magic "NGIR1" | version u8 | k1 f64 | b f64
+#               | stopwords fingerprint u32 | lexicon fingerprint u32
+#               | field_count u8 | crc
+#   documents:  doc_count u32 | id_bytes u32
+#               | doc_count x u16, the UTF-8 length of each doc_id
+#               | the doc_ids, id_bytes of UTF-8, in doc number order
+#               | doc_count x length u32 | crc
+#   field_count sections, one per field:
+#               name_bytes u8 | term_count u32 | term_bytes u32 | posting_count u32
+#               | name (UTF-8) | the terms (term_bytes of UTF-8, "\n" between two)
+#               | term_count x df u32
+#               | posting_count x doc number u32: each term's, ascending, in term order
+#               | posting_count x tf u32, in the same order | crc
+#   end of file: the end of the last section
+#
+# Each head gives the byte length of its part, so ``load_index`` skips a
+# field it was not asked for with one seek. A fingerprint is the crc32 of
+# the sorted entries of the stopword list or the lexicon (``fingerprint``),
+# so comments and order in their files do not matter; 0 means not given.
+#
+# ``load_index`` checks what it reads once per part, never per term: the
+# part fits in the file (before anything is allocated for it) and its CRC
+# matches; the doc_ids are distinct; in a field, the dfs add up to
+# posting_count, the largest doc number is below doc_count and no term is
+# listed twice. The file must end where the last section does. The CRCs
+# catch accidental damage, such as a doc number repeated within a term. A
+# crafted file with a recomputed CRC is out of scope: a strict-ascending
+# pass over every posting would cost more than the whole load.
 # ---------------------------------------------------------------------------
 
 
-_U16 = struct.Struct("<H")
+_HEADER = struct.Struct("<ddIIB")  # after the magic and the version byte
+_DOCUMENTS = struct.Struct("<II")
+_SECTION = struct.Struct("<BIII")
 _U32 = struct.Struct("<I")
+_SWAP = sys.byteorder == "big"  # blocks are little-endian on disk
 
 
-def _encode_str(value: str, dest: str | Path) -> bytes:
-    """``value`` as a u16 length and its UTF-8 bytes."""
+def fingerprint(entries: Iterable[str]) -> int:
+    """crc32 of ``entries`` sorted and joined by "\\n": the same for the
+    same entries in any order."""
+    return zlib.crc32("\n".join(sorted(entries)).encode("utf-8"))
+
+
+def _utf8(value: str, dest: str | Path) -> bytes:
     data = value.encode("utf-8")
     if len(data) > MAX_SNAPSHOT_STR_BYTES:
         raise NegirError(
             f"{dest}: cannot write {value[:32]!r}...: {len(data)} UTF-8 bytes, "
             f"over the snapshot limit of {MAX_SNAPSHOT_STR_BYTES}"
         )
-    return _U16.pack(len(data)) + data
+    return data
 
 
-def _u32_bytes(values: array) -> bytes:
-    if sys.byteorder == "big":
-        values = array(U32, values)
-        values.byteswap()
-    return values.tobytes()
+def _encode_terms(terms: Collection[str], dest: str | Path) -> bytes:
+    """``terms`` in UTF-8 with "\\n" between two; a term over the string
+    limit or with a line break is refused. No bytes object is made per
+    term: on ``rank`` those raised the peak memory of ``negir index``."""
+    if max(map(len, terms), default=0) > MAX_SNAPSHOT_STR_BYTES // 4:  # 4 UTF-8 bytes a character
+        for term in terms:
+            _utf8(term, dest)
+    data = "\n".join(terms).encode("utf-8")
+    if data.count(b"\n") != max(len(terms) - 1, 0):
+        bad = next(term for term in terms if "\n" in term)
+        raise NegirError(f"{dest}: cannot write term {bad[:32]!r}: it holds a line break")
+    return data
 
 
-def _u32s(data: bytes) -> array:
-    values = array(U32)
-    values.frombytes(data)
-    if sys.byteorder == "big":
+def _le(values: array) -> array:
+    """``values`` in the little-endian order of the file."""
+    if _SWAP:
+        values = array(values.typecode, values)
         values.byteswap()
     return values
 
 
-def _read(handle: BinaryIO, size: int) -> bytes:
-    data = handle.read(size)
-    if len(data) != size:
-        raise EOFError(f"needed {size} bytes, found {len(data)}")
-    return data
-
-
-def _read_str(handle: BinaryIO) -> str:
-    (length,) = _U16.unpack(_read(handle, 2))
-    return _read(handle, length).decode("utf-8")
+def _write_part(out: BinaryIO, chunks: Iterable) -> None:
+    """Write each chunk, then the crc32 of them all."""
+    crc = 0
+    for chunk in chunks:
+        out.write(chunk)
+        crc = zlib.crc32(chunk, crc)
+    out.write(_U32.pack(crc))
 
 
 def save_index(index: Index, path: str | Path) -> None:
     """Write the snapshot to a temp file that replaces ``path`` on success.
 
-    Each term's record (string, df and both u32 blocks) goes out in one
-    ``write``.
+    A field's doc-number and tf columns are written straight from the
+    per-term arrays, one array per ``write``; no column is built in
+    memory.
     """
+    ids = [_utf8(doc_id, path) for doc_id in index.doc_ids]
+    id_blob = b"".join(ids)
     with atomic_write(path, "wb") as out:
-        out.write(SNAPSHOT_MAGIC)
-        out.write(struct.pack("<Bdd", SNAPSHOT_VERSION, index.k1, index.b))
-        out.write(_U32.pack(index.doc_count))
-        for doc_id in index.doc_ids:
-            out.write(_encode_str(doc_id, path))
-        out.write(_u32_bytes(index.doc_lengths))
-        out.write(struct.pack("<B", len(index.fields)))
+        header = _HEADER.pack(index.k1, index.b, *index.fingerprints, len(index.fields))
+        _write_part(out, (SNAPSHOT_MAGIC, bytes((SNAPSHOT_VERSION,)), header))
+        _write_part(out, (
+            _DOCUMENTS.pack(index.doc_count, len(id_blob)),
+            _le(array("H", map(len, ids))),
+            id_blob,
+            _le(index.doc_lengths),
+        ))
         for name, field_index in index.fields.items():
-            out.write(_encode_str(name, path))
-            out.write(_U32.pack(len(field_index.postings)))
-            for term, (docs, tfs) in field_index.postings.items():
-                head = _encode_str(term, path) + _U32.pack(len(docs))
-                out.write(b"".join((head, _u32_bytes(docs), _u32_bytes(tfs))))
+            postings = field_index.postings
+            terms = _encode_terms(postings, path)
+            encoded_name = name.encode("utf-8")
+            dfs = array(U32, (len(docs) for docs, _ in postings.values()))
+            head = _SECTION.pack(len(encoded_name), len(postings), len(terms), sum(dfs))
+            _write_part(out, chain(
+                (head, encoded_name, terms, _le(dfs)),
+                (_le(docs) for docs, _ in postings.values()),
+                (_le(tfs) for _, tfs in postings.values()),
+            ))
 
 
-def load_index(path: str | Path) -> Index:
+class _Reader:
+    """Reads the parts of a snapshot and keeps the running crc32 of the
+    current one. A read past the end of the file fails before anything is
+    allocated for it."""
+
+    def __init__(self, handle: BinaryIO, path: Path):
+        self.handle = handle
+        self.path = str(path)
+        info = os.fstat(handle.fileno())
+        if not stat.S_ISREG(info.st_mode):
+            raise ParseError("not a regular file; a snapshot is read by seeking", self.path)
+        self.left = info.st_size  # bytes not yet read
+        self.crc = 0
+
+    def _take(self, size: int) -> None:
+        if size > self.left:
+            raise EOFError(f"needed {size} bytes, found {self.left}")
+        self.left -= size
+
+    def read(self, size: int) -> bytes:
+        self._take(size)
+        data = self.handle.read(size)
+        if len(data) != size:
+            raise EOFError(f"needed {size} bytes, found {len(data)}")
+        self.crc = zlib.crc32(data, self.crc)
+        return data
+
+    def read_array(self, typecode: str, count: int) -> array:
+        """``count`` values read with one ``readinto`` into an array made for them."""
+        values = array(typecode, (0,))
+        self._take(values.itemsize * count)
+        values *= count
+        if self.handle.readinto(values) != values.itemsize * count:
+            raise EOFError(f"needed {values.itemsize * count} bytes")
+        self.crc = zlib.crc32(values, self.crc)
+        if _SWAP:
+            values.byteswap()
+        return values
+
+    def end_part(self, part: str) -> None:
+        expected = self.crc
+        (stored,) = _U32.unpack(self.read(4))
+        if stored != expected:
+            raise self.fail(f"the {part} fails its CRC check")
+        self.crc = 0
+
+    def skip_part(self, size: int) -> None:
+        """Seek past the rest of the part, ``size`` bytes and its CRC."""
+        self._take(size + 4)
+        self.handle.seek(size + 4, 1)
+        self.crc = 0
+
+    def fail(self, message: str) -> ParseError:
+        return ParseError(f"corrupt snapshot: {message}", self.path)
+
+
+def load_index(path: str | Path, fields: Sequence[str] = FIELDS) -> Index:
+    """Read the snapshot at ``path`` with the postings of ``fields`` only.
+
+    The sections of other fields are skipped unread, and ``Index.field``
+    refuses their names. ``path`` must be a regular file, as the parts
+    are checked against its size.
+    """
     path = Path(path)
     try:
         with open(path, "rb") as handle:
-            if handle.read(len(SNAPSHOT_MAGIC)) != SNAPSHOT_MAGIC:
+            reader = _Reader(handle, path)
+            if reader.read(min(reader.left, len(SNAPSHOT_MAGIC))) != SNAPSHOT_MAGIC:
                 raise ParseError("not an index snapshot (bad magic bytes)", str(path))
-            (version,) = struct.unpack("<B", _read(handle, 1))
+            (version,) = reader.read(1)
             if version != SNAPSHOT_VERSION:
                 raise ParseError(
                     f"unsupported snapshot version {version}; rebuild the index", str(path)
                 )
-            k1, b = struct.unpack("<dd", _read(handle, 16))
+            k1, b, stopwords_fp, lexicon_fp, field_count = _HEADER.unpack(reader.read(_HEADER.size))
             if not (0.0 <= k1 < math.inf and 0.0 <= b <= 1.0):
-                raise ParseError(
-                    f"corrupt snapshot: k1 {k1!r} or b {b!r} out of range", str(path)
-                )
-            (doc_count,) = _U32.unpack(_read(handle, 4))
-            doc_ids = [_read_str(handle) for _ in range(doc_count)]
+                raise reader.fail(f"k1 {k1!r} or b {b!r} out of range")
+            reader.end_part("header")
+
+            doc_count, id_bytes = _DOCUMENTS.unpack(reader.read(_DOCUMENTS.size))
+            id_lengths = reader.read_array("H", doc_count)
+            id_blob = reader.read(id_bytes)
+            doc_lengths = reader.read_array(U32, doc_count)
+            reader.end_part("document table")
+            offsets = list(accumulate(id_lengths, initial=0))
+            if offsets[-1] != id_bytes:
+                raise reader.fail(f"doc_id lengths add up to {offsets[-1]}, not {id_bytes}")
+            doc_ids = [id_blob[start:end].decode("utf-8") for start, end in pairwise(offsets)]
             if len(set(doc_ids)) != doc_count:
-                raise ParseError("corrupt snapshot: a doc_id is listed twice", str(path))
-            doc_lengths = _u32s(_read(handle, 4 * doc_count))
-            (field_count,) = struct.unpack("<B", _read(handle, 1))
-            fields: dict[str, FieldIndex] = {}
+                raise reader.fail("a doc_id is listed twice")
+
+            loaded: dict[str, FieldIndex] = {}
             for _ in range(field_count):
-                name = _read_str(handle)
-                (term_count,) = _U32.unpack(_read(handle, 4))
-                postings: dict[str, tuple[array, array]] = {}
-                for _ in range(term_count):
-                    # One read for the term and its df, one for both blocks.
-                    (length,) = _U16.unpack(_read(handle, 2))
-                    record = _read(handle, length + 4)
-                    term = record[:length].decode("utf-8")
-                    (df,) = _U32.unpack_from(record, length)
-                    if df > doc_count:  # before the read, which allocates 8 * df bytes
-                        raise ParseError(
-                            f"corrupt snapshot: term {term!r} has df {df} of {doc_count}",
-                            str(path),
-                        )
-                    blocks = _read(handle, 8 * df)
-                    docs = _u32s(blocks[: 4 * df])
-                    if docs and max(docs) >= doc_count:
-                        raise ParseError(
-                            f"corrupt snapshot: term {term!r} lists doc number {max(docs)} "
-                            f"of {doc_count}",
-                            str(path),
-                        )
-                    postings[term] = (docs, _u32s(blocks[4 * df :]))
-                fields[name] = FieldIndex(postings)
-            if handle.read(1):
-                raise ParseError("trailing bytes after the last field", str(path))
+                name_bytes, term_count, term_bytes, posting_count = _SECTION.unpack(
+                    reader.read(_SECTION.size)
+                )
+                name = reader.read(name_bytes).decode("utf-8")
+                if name in fields:
+                    postings = _read_postings(
+                        reader, name, term_count, term_bytes, posting_count, doc_count
+                    )
+                    loaded[name] = FieldIndex(postings)
+                else:
+                    reader.skip_part(term_bytes + 4 * term_count + 8 * posting_count)
+            if reader.left:
+                raise ParseError(f"{reader.left} trailing bytes after the last field", str(path))
     except (EOFError, UnicodeDecodeError) as exc:
         raise ParseError(f"corrupt or truncated index snapshot ({exc})", str(path)) from exc
-    for field_name in FIELDS:
-        if field_name not in fields:
+    for field_name in fields:
+        if field_name not in loaded:
             raise ParseError(f"snapshot missing field {field_name!r}", str(path))
-    return Index(fields, doc_ids, doc_lengths, k1=k1, b=b)
+    return Index(loaded, doc_ids, doc_lengths, k1=k1, b=b, fingerprints=(stopwords_fp, lexicon_fp))
+
+
+def _read_postings(
+    reader: _Reader, name: str, term_count: int, term_bytes: int, posting_count: int, doc_count: int
+) -> dict[str, tuple[array, array]]:
+    """One field's postings, each term's arrays sliced from the two
+    columns; each column is dropped once it is sliced."""
+    terms = reader.read(term_bytes)
+    offsets = list(accumulate(reader.read_array(U32, term_count), initial=0))
+    if offsets[-1] != posting_count:
+        raise reader.fail(
+            f"the dfs of field {name!r} add up to {offsets[-1]}, not {posting_count}"
+        )
+    docs = reader.read_array(U32, posting_count)
+    if docs and max(docs) >= doc_count:
+        raise reader.fail(f"field {name!r} lists doc number {max(docs)} of {doc_count}")
+    doc_blocks = [docs[start:end] for start, end in pairwise(offsets)]
+    del docs
+    tfs = reader.read_array(U32, posting_count)
+    tf_blocks = [tfs[start:end] for start, end in pairwise(offsets)]
+    del tfs
+    reader.end_part(f"field {name!r}")
+    term_list = terms.decode("utf-8").split("\n") if term_count or terms else []
+    if len(term_list) != term_count:
+        raise reader.fail(f"field {name!r} has {len(term_list)} terms, not {term_count}")
+    postings = dict(zip(term_list, zip(doc_blocks, tf_blocks)))
+    if len(postings) != term_count:
+        raise reader.fail(f"a term of field {name!r} is listed twice")
+    return postings

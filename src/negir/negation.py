@@ -77,6 +77,15 @@ class TriggerLexicon:
         for candidates in self._by_first.values():
             candidates.sort(key=lambda item: len(item[0]), reverse=True)
 
+    def entries(self) -> list[str]:
+        """Each phrase as "kind: words", whatever the order and comments
+        of the file it came from."""
+        return [
+            f"{kind}: {' '.join(phrase)}"
+            for candidates in self._by_first.values()
+            for phrase, kind in candidates
+        ]
+
     def match_at(self, surfaces: Sequence[str], i: int) -> tuple[tuple[str, ...], str] | None:
         """Longest cue/terminator phrase starting at token i, if any;
         ``surfaces`` may be a tuple, a list or any other sequence."""

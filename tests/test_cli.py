@@ -460,6 +460,48 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     assert child.stdout == "[]\n"
 
 
+def test_run_refuses_an_index_built_with_another_lexicon_or_stopwords(workspace, capsys):
+    lexicon = workspace / "lex.txt"
+    lexicon.write_text("[pre]\nno\ndenies\n[term]\nbut\n", encoding="utf-8")
+    snapshot = workspace / "index.ngir"
+    index = ("index", "--collection", workspace / "docs.jsonl", "--out", snapshot)
+    assert run_cli(*index, "--lexicon", lexicon) == 0
+    out = workspace / "r.run"
+    run = ("run", "--index", snapshot, "--topics", workspace / "topics.jsonl",
+           "--strategy", "baseline", "--out", out)
+    capsys.readouterr()
+    assert run_cli(*run) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"negir: {snapshot}: the index was built with another lexicon ")
+    assert "than the shipped lexicon" in err
+    assert not out.exists()
+    # The same phrases, in another order and with comments, are the same lexicon.
+    same = workspace / "same.txt"
+    same.write_text("# a copy\n[term]\nbut\n[pre]\ndenies\nno\n", encoding="utf-8")
+    assert run_cli(*run, "--lexicon", same) == 0
+    stopwords = workspace / "stop.txt"
+    stopwords.write_text("the\nand\n", encoding="utf-8")
+    assert run_cli(*run, "--lexicon", lexicon, "--stopwords", stopwords) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"negir: {snapshot}: the index was built with another stopword list ")
+    assert f"than {stopwords};" in err
+
+
+def test_run_does_not_import_hashlib(workspace):
+    # The snapshot's fingerprints are CRCs: importing hashlib would add
+    # about 4 ms to each of the four runs of a pass.
+    snapshot = build_snapshot(workspace)
+    argv = ["run", "--index", str(snapshot), "--topics", str(workspace / "topics.jsonl"),
+            "--strategy", "negation_tagging", "--out", str(workspace / "r.run")]
+    code = f"import sys; from negir.cli import main; print(main({argv!r}), 'hashlib' in sys.modules)"
+    src = str(Path(negir.__file__).parent.parent)
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert child.stdout.splitlines()[-1] == "0 False"
+
+
 def test_missing_file_exits_one(workspace, capsys):
     code = run_cli("eval", "--run", workspace / "absent.run", "--qrels", workspace / "qrels.txt")
     assert code == 1

@@ -3,6 +3,7 @@
 import math
 import random
 import struct
+import zlib
 from array import array
 
 import pytest
@@ -199,11 +200,12 @@ def test_snapshot_round_trip(tmp_path):
         ("doc-b", ["rash"], ["rash"]),
         ("doc-c", [], []),
     ]
-    index = build_index(docs, k1=0.9, b=0.4)
+    index = build_index(docs, k1=0.9, b=0.4, fingerprints=(7, 0xFFFFFFFF))
     path = tmp_path / "snap.ngir"
     save_index(index, path)
     loaded = load_index(path)
     assert loaded.k1 == 0.9 and loaded.b == 0.4
+    assert loaded.fingerprints == (7, 0xFFFFFFFF)
     for field in (PLAIN, TAGGED):
         assert loaded.field(field).postings == index.field(field).postings
     assert loaded.doc_ids == index.doc_ids == ["doc-a", "doc-b", "doc-c"]
@@ -280,27 +282,35 @@ def test_snapshot_of_older_version_asks_for_rebuild(tmp_path):
     path = tmp_path / "snap.ngir"
     save_index(build([("d", ["x"])]), path)
     data = bytearray(path.read_bytes())
-    assert data[5] == 3  # the version byte follows the 5 magic bytes
-    data[5] = 2
+    assert data[5] == 4  # the version byte follows the 5 magic bytes
+    data[5] = 3
     path.write_bytes(bytes(data))
-    with pytest.raises(ParseError, match="unsupported snapshot version 2; rebuild the index"):
+    with pytest.raises(ParseError, match="unsupported snapshot version 3; rebuild the index"):
         load_index(path)
+
+
+HEADER_BYTES = 35  # magic, version, k1, b, two fingerprints, field count, CRC
+
+
+def resealed(data, start, end):
+    """``data`` with the CRC at ``end`` recomputed over ``data[start:end]``,
+    as a writer would have made it: the load checks behind the CRC."""
+    return data[:end] + struct.pack("<I", zlib.crc32(data[start:end])) + data[end + 4:]
 
 
 def test_snapshot_out_of_range_doc_number_is_a_parse_error(tmp_path):
     path = tmp_path / "snap.ngir"
     save_index(build([("d", ["x"])]), path)
     data = path.read_bytes()
-    # The file ends with the last term's df, doc-number block and tf block,
-    # one entry each. A df over the document count is refused before its
-    # blocks are read.
+    # The file ends with the tagged section: its df, doc-number and tf
+    # columns hold one entry each, then the section's CRC.
+    tagged = data.rindex(b"tagged") - 13  # the section head is 13 bytes
     for start, value, message in (
-        (-8, 7, "term 'x' lists doc number 7 of 1"),
-        (-12, 0xFFFFFFFF, "term 'x' has df 4294967295 of 1"),
+        (-12, 7, "field 'tagged' lists doc number 7 of 1"),
+        (-16, 0xFFFFFFFF, "the dfs of field 'tagged' add up to 4294967295, not 1"),
     ):
-        patched = bytearray(data)
-        patched[start:start + 4] = struct.pack("<I", value)
-        path.write_bytes(bytes(patched))
+        patched = data[:start] + struct.pack("<I", value) + data[start + 4:]
+        path.write_bytes(resealed(patched, tagged, len(data) - 4))
         with pytest.raises(ParseError, match=f"snap.ngir: corrupt snapshot: {message}"):
             load_index(path)
 
@@ -309,40 +319,107 @@ def test_snapshot_duplicate_doc_id_is_a_parse_error(tmp_path):
     path = tmp_path / "snap.ngir"
     save_index(build([("ab", ["x"]), ("cd", ["y"])]), path)
     data = path.read_bytes()
-    path.write_bytes(data.replace(b"\x02\x00cd", b"\x02\x00ab", 1))
+    table_end = HEADER_BYTES + 8 + 2 * 2 + 4 + 4 * 2  # head, id lengths, ids, doc lengths
+    patched = data.replace(b"abcd", b"abab", 1)
+    path.write_bytes(resealed(patched, HEADER_BYTES, table_end))
     with pytest.raises(ParseError, match="snap.ngir: corrupt snapshot: a doc_id is listed twice"):
         load_index(path)
 
 
-def _snapshot_str(text):
-    data = text.encode("utf-8")
-    return struct.pack("<H", len(data)) + data
+def test_snapshot_repeated_doc_number_fails_the_crc(tmp_path):
+    # A repeated doc number would add the term twice for that document;
+    # the field's CRC catches one made by accident.
+    path = tmp_path / "snap.ngir"
+    save_index(build([("a", ["x"]), ("b", ["x"])]), path)
+    data = path.read_bytes()
+    # The tagged section ends with x's doc numbers [0, 1], tfs [1, 1], CRC.
+    assert data[-20:-4] == struct.pack("<4I", 0, 1, 1, 1)
+    path.write_bytes(data[:-16] + struct.pack("<I", 0) + data[-12:])
+    with pytest.raises(ParseError, match="snap.ngir: corrupt snapshot: the field 'tagged' fails"):
+        load_index(path)
 
 
-def _snapshot_term(term, docs, tfs):
+def _snapshot_part(*chunks):
+    body = b"".join(chunks)
+    return body + struct.pack("<I", zlib.crc32(body))
+
+
+def _snapshot_section(name, terms, docs, tfs):
+    """A field section from its terms with their dfs, and its two columns."""
+    term_bytes = "\n".join(term for term, _ in terms).encode("utf-8")
     n = len(docs)
-    return _snapshot_str(term) + struct.pack(f"<I{n}I{n}I", n, *docs, *tfs)
+    return _snapshot_part(
+        struct.pack("<BIII", len(name), len(terms), len(term_bytes), n), name.encode("utf-8"),
+        term_bytes, struct.pack(f"<{len(terms)}I", *(df for _, df in terms)),
+        struct.pack(f"<{n}I{n}I", *docs, *tfs),
+    )
 
 
 def test_snapshot_bytes_are_pinned(tmp_path):
-    index = build_index([
-        ("a", ["x", "y", "x"], ["x", "[nx]y", "x"]),
-        ("b-\u00e9", ["y"], ["y"]),
-    ])
+    index = build_index(
+        [
+            ("a", ["x", "y", "x"], ["x", "[nx]y", "x"]),
+            ("b-\u00e9", ["y"], ["y"]),
+        ],
+        fingerprints=(0x01020304, 0xA0B0C0D0),
+    )
     path = tmp_path / "snap.ngir"
     save_index(index, path)
     expected = (
-        b"NGIR1" + struct.pack("<Bdd", 3, 1.2, 0.75)
-        + struct.pack("<I", 2) + _snapshot_str("a") + _snapshot_str("b-\u00e9")
-        + struct.pack("<II", 3, 1)  # the lengths block
-        + struct.pack("<B", 2)
-        + _snapshot_str("plain") + struct.pack("<I", 2)
-        + _snapshot_term("x", [0], [2]) + _snapshot_term("y", [0, 1], [1, 1])
-        + _snapshot_str("tagged") + struct.pack("<I", 3)
-        + _snapshot_term("x", [0], [2]) + _snapshot_term("[nx]y", [0], [1])
-        + _snapshot_term("y", [1], [1])
+        _snapshot_part(b"NGIR1", struct.pack("<BddIIB", 4, 1.2, 0.75, 0x01020304, 0xA0B0C0D0, 2))
+        + _snapshot_part(
+            struct.pack("<II", 2, 5), struct.pack("<HH", 1, 4), "ab-\u00e9".encode("utf-8"),
+            struct.pack("<II", 3, 1),  # the lengths block
+        )
+        + _snapshot_section("plain", [("x", 1), ("y", 2)], [0, 0, 1], [2, 1, 1])
+        + _snapshot_section(
+            "tagged", [("x", 1), ("[nx]y", 1), ("y", 1)], [0, 0, 1], [2, 1, 1]
+        )
     )
     assert path.read_bytes() == expected
+    assert HEADER_BYTES == len(_snapshot_part(b"NGIR1", struct.pack("<BddIIB", 4, 0, 0, 0, 0, 0)))
+
+
+def two_field_snapshot(tmp_path):
+    """A small snapshot, with its bytes and where its plain section ends."""
+    path = tmp_path / "snap.ngir"
+    save_index(build_index([
+        ("doc-a", ["fever", "cough"], ["fever", "[nx]cough"]),
+        ("doc-b", ["rash", "fever"], ["rash", "fever"]),
+    ]), path)
+    data = path.read_bytes()
+    return path, data, data.rindex(b"tagged") - 13
+
+
+def flips(data, positions):
+    for i in positions:
+        for mask in (0x01, 0x80, 0xFF):
+            yield i, data[:i] + bytes((data[i] ^ mask,)) + data[i + 1:]
+
+
+def test_snapshot_every_byte_flip_is_a_parse_error(tmp_path):
+    path, data, _ = two_field_snapshot(tmp_path)
+    for i, content in flips(data, range(len(data))):
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match="snap.ngir"):
+            load_index(path)
+            pytest.fail(f"a flip at byte {i} loaded")
+
+
+def test_snapshot_plain_only_load_checks_what_it_reads(tmp_path):
+    path, data, tagged_start = two_field_snapshot(tmp_path)
+    # Every proper prefix: the skipped tagged section must still fit in the file.
+    for size in range(len(data)):
+        path.write_bytes(data[:size])
+        with pytest.raises(ParseError, match="snap.ngir"):
+            load_index(path, fields=(PLAIN,))
+    # Every flip before the tagged section: the header, the document table
+    # and the plain section.
+    for i, content in flips(data, range(tagged_start)):
+        path.write_bytes(content)
+        with pytest.raises(ParseError, match="snap.ngir"):
+            load_index(path, fields=(PLAIN,))
+            pytest.fail(f"a flip at byte {i} loaded")
 
 
 SNAPSHOT_VOCAB = ["fever", "cough", "r\u00e4sh", "x"]
@@ -383,6 +460,11 @@ def test_snapshot_round_trip_property(tmp_path_factory, docs, params):
     for field in (PLAIN, TAGGED):
         assert loaded.field(field).postings == index.field(field).postings
     assert all_strategy_runs(loaded) == all_strategy_runs(index)
+    plain_only = load_index(path, fields=(PLAIN,))
+    assert plain_only.doc_ids == index.doc_ids and plain_only.norms == index.norms
+    assert plain_only.field(PLAIN).postings == index.field(PLAIN).postings
+    with pytest.raises(ValueError, match="'tagged'"):
+        plain_only.field(TAGGED)
 
 
 @pytest.mark.parametrize("long_doc_id", [True, False])
@@ -394,3 +476,20 @@ def test_save_refuses_oversized_strings_before_writing(tmp_path, long_doc_id):
         save_index(build(docs), path)
     assert not path.exists()
 
+
+
+def test_save_refuses_a_term_with_a_line_break(tmp_path):
+    # Terms are separated by line breaks in the snapshot; the tokenizer
+    # makes none, but ``build_index`` takes any string.
+    path = tmp_path / "snap.ngir"
+    with pytest.raises(NegirError, match="line break"):
+        save_index(build([("d", ["a", "b\nc"])]), path)
+    assert not path.exists()
+
+
+def test_empty_term_survives_a_round_trip(tmp_path):
+    path = tmp_path / "snap.ngir"
+    for terms in ([""], ["", "a"], ["a", ""]):
+        index = build([("d", terms)])
+        save_index(index, path)
+        assert load_index(path).field(PLAIN).postings == index.field(PLAIN).postings

@@ -7,10 +7,17 @@ from hypothesis import example, given, settings, strategies as st
 
 import oracle
 from negir.corpus import Topic
-from negir.index import build_index
+from negir.index import FIELDS, build_index, load_index, save_index
 from negir.negation import analyze_text
 from negir.querygen import QueryBundle, build_bundle
-from negir.ranking import Strategy, beta_adaptive, run_strategy
+from negir.ranking import (
+    STRATEGY_FIELDS,
+    STRATEGY_KINDS,
+    Strategy,
+    beta_adaptive,
+    run_strategy,
+    strategy_components,
+)
 
 
 def corpus_index(docs, stopwords, lexicon, **kwargs):
@@ -368,3 +375,33 @@ def test_run_strategy_equals_oracle_exactly(strategy, docs, terms, n_full, k):
     )
     got = run_strategy(strategy, bundle, index, k)
     assert got == oracle.ranked(expected, k)
+
+
+@pytest.mark.parametrize("kind", STRATEGY_KINDS)
+@settings(max_examples=40, deadline=None)
+@given(docs=documents, terms=query_terms)
+@example(docs=[[("fever", True), ("rash", False)]], terms=[("fever", False)])
+@example(docs=[[("fever", True), ("rash", False)]], terms=[("fever", True), ("rash", False)])
+def test_run_loads_every_field_its_strategy_scores(tmp_path_factory, kind, docs, terms):
+    # ``negir run`` loads only STRATEGY_FIELDS[kind]. A field the strategy
+    # scores but did not load would be an error, never an empty field.
+    index = build_index(
+        (f"d{i}", [w for w, _ in words], ["[nx]" + w if neg else w for w, neg in words])
+        for i, words in enumerate(docs)
+    )
+    path = tmp_path_factory.mktemp("snap") / "snap.ngir"
+    save_index(index, path)
+    loaded = load_index(path, STRATEGY_FIELDS[kind])
+    strategy = Strategy(kind)
+    bundle = random_bundle(terms, len(terms))
+    for _, field, _, _ in strategy_components(strategy, bundle):
+        assert field in STRATEGY_FIELDS[kind]
+    assert run_strategy(strategy, bundle, loaded, 100) == run_strategy(strategy, bundle, index, 100)
+    for field in FIELDS:
+        if field not in STRATEGY_FIELDS[kind]:
+            with pytest.raises(ValueError, match=repr(field)):
+                loaded.field(field)
+
+
+def test_every_strategy_lists_its_fields():
+    assert set(STRATEGY_FIELDS) == set(STRATEGY_KINDS)
