@@ -53,7 +53,6 @@ from .index import DEFAULT_B, DEFAULT_K1, Index, build_index, fingerprint, load_
 from .negation import (
     TriggerLexicon,
     analyze_text,
-    check_scope_window,
     default_lexicon,
     detect_negations,
     load_lexicon,
@@ -181,7 +180,8 @@ def cmd_index(args: argparse.Namespace) -> int:
 
 
 def cmd_detect(args: argparse.Namespace) -> int:
-    check_scope_window(args.scope_window)  # also when the text has no sentence
+    if args.scope_window is not None and args.scope_window < 1:  # also for a text of no sentence
+        raise NegirError(f"scope window must be at least 1, got {args.scope_window}")
     if args.text is not None:
         text = args.text
     elif args.input:
@@ -428,7 +428,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (NegirError, OSError, ValueError, KeyError) as exc:
+    except (NegirError, OSError) as exc:
         print(f"negir: {exc}", file=sys.stderr)
         return 1
 

@@ -232,14 +232,26 @@ def _check_id(
     seen.add(value)
 
 
+def decode_json(text: str, path: str | Path, line: int | None = None, object_pairs_hook=None):
+    """``text`` decoded as JSON. A ParseError names ``path`` and ``line``
+    (for a whole file, the line of a syntax error) for bad syntax, an
+    integer over Python's digit limit, or nesting too deep to decode."""
+    try:
+        return json.loads(text, object_pairs_hook=object_pairs_hook)
+    except json.JSONDecodeError as exc:
+        detail, line = exc.msg, line or exc.lineno
+    except ValueError as exc:  # an integer of more digits than int() converts
+        detail = str(exc)
+    except RecursionError:
+        detail = "nested too deeply"
+    raise ParseError(f"invalid JSON ({detail})", str(path), line)
+
+
 def _jsonl_records(path: Path, id_field: str) -> Iterator[tuple[int, str, dict]]:
     """``(line number, id, record)`` for each JSON object line of ``path``."""
     seen: set[str] = set()
     for lineno, line in read_lines(path):
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON ({exc.msg})", str(path), lineno) from exc
+        record = decode_json(line, path, lineno)
         if not isinstance(record, dict) or id_field not in record:
             raise ParseError(f"record missing {id_field} field", str(path), lineno)
         record_id = str(record[id_field])

@@ -4,7 +4,8 @@ from __future__ import annotations
 
 
 class NegirError(Exception):
-    """Base class for all errors raised by this package."""
+    """The user's input or settings are wrong: ``negir`` prints the
+    message and exits 1. Any other exception is a bug in negir."""
 
 
 class ParseError(NegirError):

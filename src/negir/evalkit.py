@@ -18,14 +18,13 @@ Group analysis evaluates each run once and splits topics by group.
 
 from __future__ import annotations
 
-import json
 import math
 from collections import Counter
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .corpus import atomic_write, read_lines, read_text
-from .errors import DuplicateIdError, ParseError
+from .corpus import atomic_write, decode_json, read_lines, read_text
+from .errors import DuplicateIdError, NegirError, ParseError
 from .querygen import QueryBundle
 
 INFAP_EPSILON = 1e-5
@@ -51,16 +50,16 @@ class RunResult:
 
     def add_topic(self, topic_id: str, ranked: Sequence[tuple[str, float]]) -> None:
         if topic_id in self.topics:
-            raise ValueError(f"duplicate topic in run: {topic_id}")
+            raise NegirError(f"duplicate topic in run: {topic_id}")
         seen = set()
         previous = math.inf
         for doc_id, score in ranked:
             if not math.isfinite(score):
-                raise ValueError(f"score {score!r} in topic {topic_id} is not a finite number")
+                raise NegirError(f"score {score!r} in topic {topic_id} is not a finite number")
             if doc_id in seen:
-                raise ValueError(f"duplicate document {doc_id!r} in topic {topic_id}")
+                raise NegirError(f"duplicate document {doc_id!r} in topic {topic_id}")
             if score > previous:
-                raise ValueError(f"scores increase with rank in topic {topic_id}")
+                raise NegirError(f"scores increase with rank in topic {topic_id}")
             seen.add(doc_id)
             previous = score
         self.topics[topic_id] = list(ranked)
@@ -77,8 +76,6 @@ class RunResult:
 
 def p_at_k(ranking: Sequence[str], grades: Mapping[str, int], k: int = 10) -> float:
     """Fraction of the top k that is relevant; missing ranks count as not."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     hits = sum(1 for doc_id in ranking[:k] if grades.get(doc_id, 0) >= 1)
     return hits / k
 
@@ -295,11 +292,9 @@ def group_analysis(
     ndcg_cutoff: int = 1000,
 ) -> GroupReport:
     """Compare strategies on the negation-bearing group against the
-    negation-free run named ``BASELINE``, reporting the early-precision
-    gap recovered.
+    negation-free run named ``BASELINE``, which ``runs_by_strategy`` must
+    hold, reporting the early-precision gap recovered.
     """
-    if BASELINE not in runs_by_strategy:
-        raise ValueError(f"baseline run {BASELINE!r} not among runs")
     d_plus, d_minus = split_topics(bundles)
 
     # A topic's metrics depend on its own judgments only; per_topic keeps qrels order.
@@ -423,7 +418,13 @@ def write_run(run: RunResult, path: str | Path) -> None:
 
 
 def _topic_sort_key(topic_id: str) -> tuple:
-    return (0, int(topic_id)) if topic_id.isdigit() else (1, topic_id)
+    """Ids of ASCII digits first, in the order of their values; then the
+    others as strings. No id is converted: a 5,000-digit one is too long
+    for ``int``, and "²" is a digit that ``int`` refuses."""
+    if topic_id.isascii() and topic_id.isdigit():
+        stripped = topic_id.lstrip("0")
+        return (0, len(stripped), stripped)
+    return (1, topic_id)
 
 
 # ---------------------------------------------------------------------------
@@ -443,11 +444,7 @@ def read_sampling_sidecar(
     the file and the topic otherwise.
     """
     path = str(path)
-    text = read_text(path)
-    try:
-        data = json.loads(text, object_pairs_hook=lambda pairs: _unique_keys(pairs, path))
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON ({exc.msg})", path, exc.lineno) from exc
+    data = decode_json(read_text(path), path, object_pairs_hook=lambda p: _unique_keys(p, path))
     if not isinstance(data, dict):
         raise ParseError("expected a JSON object of topic ids to strata", path)
     sampling: dict[str, Strata] = {}

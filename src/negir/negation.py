@@ -133,12 +133,6 @@ def default_lexicon() -> TriggerLexicon:
 # ---------------------------------------------------------------------------
 
 
-def check_scope_window(scope_window: int | None) -> None:
-    """Reject a fixed scope window narrower than one token."""
-    if scope_window is not None and scope_window < 1:
-        raise ValueError(f"scope window must be at least 1, got {scope_window}")
-
-
 def detect_negations(
     sentence: Sentence,
     lexicon: TriggerLexicon,
@@ -153,7 +147,6 @@ def detect_negations(
     A phrase is tried only where a token can start one; a sentence with
     no such token, as most are, returns at once.
     """
-    check_scope_window(scope_window)
     surfaces = sentence.tokens
     by_first = lexicon._by_first
     if by_first.keys().isdisjoint(surfaces):
@@ -233,16 +226,13 @@ def tag_tokens(
 
     Cue tokens themselves are never inside a scope span and stay plain.
     Spans may extend past the last kept token (stopword removal can strip
-    the tail of a scope); negative or inverted spans are rejected.
+    the tail of a scope).
     """
     if not scopes:
         return list(terms)
     negated: set[int] = set()
     for scope in scopes:
-        start, end = scope.scope_span
-        if start < 0 or end <= start:
-            raise ValueError(f"scope span out of range: {scope.scope_span}")
-        negated.update(range(start, end))
+        negated.update(range(*scope.scope_span))
     return [
         NX_PREFIX + term if position in negated else term
         for term, position in zip(terms, positions)

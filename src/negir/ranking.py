@@ -45,8 +45,6 @@ BETA_C = -1.207
 
 def beta_adaptive(n_full: int) -> float:
     """Query-length-adaptive combination weight; may be negative."""
-    if n_full < 0:
-        raise ValueError("n_full must be >= 0")
     return BETA_A * n_full * n_full + BETA_B * n_full + BETA_C
 
 
@@ -74,14 +72,11 @@ def strategy_components(
 
     The expansion weight is the component's per-term weight, not its
     coefficient: a coefficient of 0.3 on the whole component would round
-    differently. An unknown kind or a negative expansion weight is a
-    ValueError.
+    differently. An unknown kind is a ValueError.
     """
     kind = strategy.kind
     if kind not in STRATEGY_KINDS:
         raise ValueError(f"unknown strategy: {kind!r}")
-    if strategy.expansion_weight < 0:
-        raise ValueError("expansion_weight must be >= 0")
     if kind == FILTERING:
         return [(1.0, PLAIN, bundle.q_pos, 1.0)]
     if kind == SCORE_COMBINATION:
@@ -111,8 +106,6 @@ def run_strategy(
     as ``(doc_id, score)`` pairs, by descending score with ascending
     doc_id (the string, not the doc number) breaking ties.
     """
-    if k < 1:
-        raise ValueError("k must be >= 1")
     scores: dict[int, float] = {}
     for coef, field, terms, weight in strategy_components(strategy, bundle):
         for doc, value in score_query(index, field, terms, weight).items():

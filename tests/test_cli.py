@@ -570,6 +570,8 @@ RUN = b"2 Q0 d-fever 1 1.0 x\n"
 
 TOPIC = {"topic_id": "1", "description": "x"}
 
+DEEP = b"[" * 100_000 + b"]" * 100_000  # nested deeper than the JSON decoder can go
+
 # case: (input kind, file name, content, line named in the error or None)
 BAD_INPUTS = {
     "jsonl doc_id repeated": (
@@ -608,6 +610,13 @@ BAD_INPUTS = {
     "run score rises": ("run", "r.run", RUN + b"2 Q0 d-clean 2 1.5 x\n", 2),
     "run score nan": ("run", "r.run", RUN + b"2 Q0 d-clean 2 nan x\n", 2),
     "run score inf": ("run", "r.run", b"2 Q0 d-fever 1 inf x\n", 1),
+    "collection nested too deeply": (
+        "collection", "docs.jsonl", b'{"doc_id": "a", "body": ' + DEEP + b"}\n", 1),
+    "sidecar nested too deeply": ("sidecar", "s.json", b'{"1": ' + DEEP + b"}", None),
+    "doc_id of 5,000 digits": (
+        "collection", "docs.jsonl", b'{"doc_id": ' + b"9" * 5000 + b"}\n", 1),
+    "topic_id of 5,000 digits": (
+        "topics", "topics.jsonl", b'{"topic_id": ' + b"9" * 5000 + b', "description": "x"}\n', 1),
 }
 
 
@@ -646,6 +655,35 @@ def test_bad_input_exits_one_naming_file_and_line(workspace, capsys, case):
     assert err.startswith(f"negir: {location} "), err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+def test_digit_topic_ids_that_int_refuses_run_and_eval(workspace, capsys):
+    # "²" is a digit to str.isdigit() but not to int(), and 5,000 digits
+    # are over int()'s limit: ids of ASCII digits come first, in numeric
+    # order, and the others follow as strings.
+    long_id = "9" * 5000
+    topics = workspace / "digits.jsonl"
+    topics.write_bytes(_jsonl(
+        {"topic_id": "²", "description": "fever rash"},
+        {"topic_id": long_id, "description": "chest pain"},
+        {"topic_id": "10", "description": "smoking"},
+    ))
+    qrels = workspace / "digits.qrels"
+    qrels.write_text(f"² 0 d-fever 1\n{long_id} 0 d-chest 1\n10 0 d-smoke 1\n", encoding="utf-8")
+    run_file = workspace / "digits.run"
+    snapshot = build_snapshot(workspace)
+    assert run_cli(
+        "run", "--index", snapshot, "--topics", topics, "--strategy", "baseline",
+        "--out", run_file,
+    ) == 0
+    lines = run_file.read_text(encoding="utf-8").splitlines()
+    assert list(dict.fromkeys(line.split()[0] for line in lines)) == ["10", long_id, "²"]
+    capsys.readouterr()
+    assert run_cli("eval", "--run", run_file, "--qrels", qrels, "--json") == 0
+    per_topic = json.loads(capsys.readouterr().out)["per_topic"]
+    assert {topic_id: m["p_at_10"] for topic_id, m in per_topic.items()} == {
+        "10": 0.1, long_id: 0.1, "²": 0.1
+    }
 
 
 def test_bundle_of_raw_line_separators_equals_escaped(workspace, capsys):

@@ -169,12 +169,6 @@ def test_search_excludes_non_matching():
     assert [doc_id for doc_id, _ in results] == ["d1"]
 
 
-def test_search_requires_positive_k():
-    index = build([("d", ["x"])])
-    with pytest.raises(ValueError):
-        search(index, ["x"], k=0)
-
-
 def test_search_matches_exhaustive_oracle():
     rng = random.Random(7)
     vocab = [f"w{i}" for i in range(30)]

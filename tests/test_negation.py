@@ -250,18 +250,6 @@ def test_tag_strip_round_trip(stopwords, lexicon):
     assert [surface for surface, _ in untagged] == analysis.terms
 
 
-def test_tag_tokens_rejects_bad_spans(stopwords, lexicon):
-    from negir.negation import NegationScope
-
-    terms, positions = kept("fever and cough", stopwords, lexicon)
-    bad = NegationScope(0, "no", (0, 1), (-2, 1), "pre")
-    with pytest.raises(ValueError, match="out of range"):
-        tag_tokens(terms, positions, [bad])
-    inverted = NegationScope(0, "no", (0, 1), (3, 3), "pre")
-    with pytest.raises(ValueError):
-        tag_tokens(terms, positions, [inverted])
-
-
 def test_tag_tokens_tolerates_scope_past_stream_tail(stopwords, lexicon):
     # "it" is a stopword, so the scope extends past the last kept token.
     analysis = analyze_text("denies it", stopwords, lexicon)
