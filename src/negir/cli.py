@@ -49,7 +49,9 @@ from .evalkit import (
     write_run,
     RunResult,
 )
-from .index import DEFAULT_B, DEFAULT_K1, Index, build_index, fingerprint, load_index, save_index
+from .index import (
+    DEFAULT_B, DEFAULT_K1, FIELDS, Index, build_index, fingerprint, load_index, save_index
+)
 from .negation import (
     TriggerLexicon,
     analyze_text,
@@ -61,10 +63,10 @@ from .negation import (
 from .querygen import build_bundle
 from .ranking import (
     DEFAULT_EXPANSION_WEIGHT,
-    STRATEGY_FIELDS,
     STRATEGY_KINDS,
     Strategy,
     run_strategy,
+    strategy_components,
 )
 
 
@@ -222,17 +224,21 @@ def _build_bundles(topics: str, stopwords: frozenset[str], lexicon: TriggerLexic
 
 
 def cmd_run(args: argparse.Namespace) -> int:
+    if args.tag.split() != [args.tag]:  # run lines are whitespace-separated
+        raise NegirError(f"run tag {args.tag!r} is empty or contains whitespace")
     config = resolve_config(args)
     stopwords = _stopwords(args)
     lexicon = _lexicon(args)
-    index = load_index(args.index, STRATEGY_FIELDS[args.strategy])
-    _check_provenance(args, index, stopwords, lexicon)
     bundles = _build_bundles(args.topics, stopwords, lexicon)
     strategy = Strategy(
         kind=args.strategy,
         beta_override=config.beta,
         expansion_weight=config.expansion_weight,
     )
+    # Load only the fields that the strategy's components score for these topics.
+    scored = {part[1] for bundle in bundles for part in strategy_components(strategy, bundle)}
+    index = load_index(args.index, [field for field in FIELDS if field in scored])
+    _check_provenance(args, index, stopwords, lexicon)
 
     run = RunResult(run_tag=args.tag)
     for bundle in bundles:

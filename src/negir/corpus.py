@@ -203,17 +203,26 @@ def load_collection(path: str | Path, format: str = "jsonl") -> Iterator[tuple[s
         raise ValueError(f"unknown collection format: {format!r}")
     path = Path(path)
     if format == "jsonl":
-        for _, doc_id, record in _jsonl_records(path, "doc_id"):
-            yield doc_id, _document_text(record.get("title"), record.get("body"))
+        for lineno, doc_id, record in _jsonl_records(path, "doc_id"):
+            title = _text_field(record, "title", path, lineno)
+            yield doc_id, _document_text(title, _text_field(record, "body", path, lineno))
     elif format == "trec-text":
         yield from _load_trec_text(path)
     else:
         yield from _load_plain_dir(path)
 
 
-def _document_text(title: object, body: object) -> str:
-    title, body = str(title or ""), str(body or "")
+def _document_text(title: str | None, body: str | None) -> str:
+    body = body or ""
     return f"{title} {body}" if title else body
+
+
+def _text_field(record: dict, key: str, path: Path, line: int) -> str | None:
+    """``record[key]``, which must be a string or null when present."""
+    value = record.get(key)
+    if value is not None and not isinstance(value, str):
+        raise ParseError(f"{key} must be a string or null", str(path), line)
+    return value
 
 
 def _check_id(
@@ -254,7 +263,10 @@ def _jsonl_records(path: Path, id_field: str) -> Iterator[tuple[int, str, dict]]
         record = decode_json(line, path, lineno)
         if not isinstance(record, dict) or id_field not in record:
             raise ParseError(f"record missing {id_field} field", str(path), lineno)
-        record_id = str(record[id_field])
+        record_id = record[id_field]
+        if isinstance(record_id, bool) or not isinstance(record_id, (str, int)):
+            raise ParseError(f"{id_field} must be a string or an integer", str(path), lineno)
+        record_id = str(record_id)
         _check_id(id_field, record_id, seen, path, lineno)
         yield lineno, record_id, record
 
@@ -342,13 +354,13 @@ def load_topics(path: str | Path) -> list[Topic]:
         return _parse_xml_topics(content, path)
     # JSONL is read again, line by line; topic files are small.
     return [
-        _topic(topic_id, record.get("description"), path, lineno)
+        _topic(topic_id, _text_field(record, "description", path, lineno), path, lineno)
         for lineno, topic_id, record in _jsonl_records(path, "topic_id")
     ]
 
 
-def _topic(topic_id: str, description: object, path: Path, line: int | None = None) -> Topic:
-    description = str(description or "")
+def _topic(topic_id: str, description: str | None, path: Path, line: int | None = None) -> Topic:
+    description = description or ""
     if not description.strip():
         raise ParseError(f"topic {topic_id!r} has an empty description", str(path), line)
     return Topic(topic_id, description)

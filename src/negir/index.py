@@ -54,8 +54,7 @@ DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
 SNAPSHOT_MAGIC = b"NGIR1"
-SNAPSHOT_VERSION = 4
-MAX_SNAPSHOT_STR_BYTES = 0xFFFF  # doc_ids carry u16 lengths; terms keep the same limit
+SNAPSHOT_VERSION = 5
 
 U32 = "I"  # array typecode of the u32 doc numbers, lengths and tfs (4 bytes)
 
@@ -187,36 +186,38 @@ def score_query(index: Index, field: str, terms: Sequence[str], weight: float) -
 # ---------------------------------------------------------------------------
 # Binary snapshot
 #
-# Layout (little-endian), version 4. The file has three kinds of part, and
+# Layout (little-endian), version 5. The file has three kinds of part, and
 # each part ends with a u32 zlib.crc32 of all its bytes before that:
 #   header:     magic "NGIR1" | version u8 | k1 f64 | b f64
 #               | stopwords fingerprint u32 | lexicon fingerprint u32
 #               | field_count u8 | crc
 #   documents:  doc_count u32 | id_bytes u32
-#               | doc_count x u16, the UTF-8 length of each doc_id
-#               | the doc_ids, id_bytes of UTF-8, in doc number order
+#               | the doc_ids in doc number order (a string list of id_bytes)
 #               | doc_count x length u32 | crc
 #   field_count sections, one per field:
 #               name_bytes u8 | term_count u32 | term_bytes u32 | posting_count u32
-#               | name (UTF-8) | the terms (term_bytes of UTF-8, "\n" between two)
+#               | name (UTF-8) | the terms (a string list of term_bytes)
 #               | term_count x df u32
 #               | posting_count x doc number u32: each term's, ascending, in term order
 #               | posting_count x tf u32, in the same order | crc
 #   end of file: the end of the last section
 #
-# Each head gives the byte length of its part, so ``load_index`` skips a
-# field it was not asked for with one seek. A fingerprint is the crc32 of
-# the sorted entries of the stopword list or the lexicon (``fingerprint``),
-# so comments and order in their files do not matter; 0 means not given.
+# A string list is its strings in UTF-8 with "\n" between two, so a string
+# may be empty or of any length but holds no line break. Each head gives
+# the byte length of its part, so ``load_index`` skips a field it was not
+# asked for with one seek. A fingerprint is the crc32 of the sorted
+# entries of the stopword list or the lexicon (``fingerprint``), so
+# comments and order in their files do not matter; 0 means not given.
 #
 # ``load_index`` checks what it reads once per part, never per term: the
 # part fits in the file (before anything is allocated for it) and its CRC
-# matches; the doc_ids are distinct; in a field, the dfs add up to
-# posting_count, the largest doc number is below doc_count and no term is
-# listed twice. The file must end where the last section does. The CRCs
-# catch accidental damage, such as a doc number repeated within a term. A
-# crafted file with a recomputed CRC is out of scope: a strict-ascending
-# pass over every posting would cost more than the whole load.
+# matches; a string list holds as many strings as its head says, none
+# twice; in a field, the dfs add up to posting_count and the largest doc
+# number is below doc_count. The file must end where the last section
+# does. The CRCs catch accidental damage, such as a doc number repeated
+# within a term. A crafted file with a recomputed CRC is out of scope: a
+# strict-ascending pass over every posting would cost more than the whole
+# load.
 # ---------------------------------------------------------------------------
 
 
@@ -233,27 +234,14 @@ def fingerprint(entries: Iterable[str]) -> int:
     return zlib.crc32("\n".join(sorted(entries)).encode("utf-8"))
 
 
-def _utf8(value: str, dest: str | Path) -> bytes:
-    data = value.encode("utf-8")
-    if len(data) > MAX_SNAPSHOT_STR_BYTES:
-        raise NegirError(
-            f"{dest}: cannot write {value[:32]!r}...: {len(data)} UTF-8 bytes, "
-            f"over the snapshot limit of {MAX_SNAPSHOT_STR_BYTES}"
-        )
-    return data
-
-
-def _encode_terms(terms: Collection[str], dest: str | Path) -> bytes:
-    """``terms`` in UTF-8 with "\\n" between two; a term over the string
-    limit or with a line break is refused. No bytes object is made per
-    term: on ``rank`` those raised the peak memory of ``negir index``."""
-    if max(map(len, terms), default=0) > MAX_SNAPSHOT_STR_BYTES // 4:  # 4 UTF-8 bytes a character
-        for term in terms:
-            _utf8(term, dest)
-    data = "\n".join(terms).encode("utf-8")
-    if data.count(b"\n") != max(len(terms) - 1, 0):
-        bad = next(term for term in terms if "\n" in term)
-        raise NegirError(f"{dest}: cannot write term {bad[:32]!r}: it holds a line break")
+def _encode_strings(values: Collection[str], dest: str | Path) -> bytes:
+    """``values`` in UTF-8 with "\\n" between two; a value with a line
+    break is refused. No bytes object is made per value: on ``rank`` those
+    raised the peak memory of ``negir index``."""
+    data = "\n".join(values).encode("utf-8")
+    if data.count(b"\n") != max(len(values) - 1, 0):
+        bad = next(value for value in values if "\n" in value)
+        raise NegirError(f"{dest}: cannot write {bad[:32]!r}: it holds a line break")
     return data
 
 
@@ -281,20 +269,18 @@ def save_index(index: Index, path: str | Path) -> None:
     per-term arrays, one array per ``write``; no column is built in
     memory.
     """
-    ids = [_utf8(doc_id, path) for doc_id in index.doc_ids]
-    id_blob = b"".join(ids)
+    ids = _encode_strings(index.doc_ids, path)
     with atomic_write(path, "wb") as out:
         header = _HEADER.pack(index.k1, index.b, *index.fingerprints, len(index.fields))
         _write_part(out, (SNAPSHOT_MAGIC, bytes((SNAPSHOT_VERSION,)), header))
         _write_part(out, (
-            _DOCUMENTS.pack(index.doc_count, len(id_blob)),
-            _le(array("H", map(len, ids))),
-            id_blob,
+            _DOCUMENTS.pack(index.doc_count, len(ids)),
+            ids,
             _le(index.doc_lengths),
         ))
         for name, field_index in index.fields.items():
             postings = field_index.postings
-            terms = _encode_terms(postings, path)
+            terms = _encode_strings(postings, path)
             encoded_name = name.encode("utf-8")
             dfs = array(U32, (len(docs) for docs, _ in postings.values()))
             head = _SECTION.pack(len(encoded_name), len(postings), len(terms), sum(dfs))
@@ -344,6 +330,16 @@ class _Reader:
             values.byteswap()
         return values
 
+    def decode_strings(self, data: bytes, count: int, item: str) -> list[str]:
+        """The string list ``data``, which must hold ``count`` strings,
+        each a distinct ``item``; decode it once its part passed the CRC."""
+        values = data.decode("utf-8").split("\n") if count or data else []
+        if len(values) != count:
+            raise self.fail(f"{len(values)} strings where {count} are listed, one per {item}")
+        if len(set(values)) != count:
+            raise self.fail(f"a {item} is listed twice")
+        return values
+
     def end_part(self, part: str) -> None:
         expected = self.crc
         (stored,) = _U32.unpack(self.read(4))
@@ -385,16 +381,10 @@ def load_index(path: str | Path, fields: Sequence[str] = FIELDS) -> Index:
             reader.end_part("header")
 
             doc_count, id_bytes = _DOCUMENTS.unpack(reader.read(_DOCUMENTS.size))
-            id_lengths = reader.read_array("H", doc_count)
             id_blob = reader.read(id_bytes)
             doc_lengths = reader.read_array(U32, doc_count)
             reader.end_part("document table")
-            offsets = list(accumulate(id_lengths, initial=0))
-            if offsets[-1] != id_bytes:
-                raise reader.fail(f"doc_id lengths add up to {offsets[-1]}, not {id_bytes}")
-            doc_ids = [id_blob[start:end].decode("utf-8") for start, end in pairwise(offsets)]
-            if len(set(doc_ids)) != doc_count:
-                raise reader.fail("a doc_id is listed twice")
+            doc_ids = reader.decode_strings(id_blob, doc_count, "doc_id")
 
             loaded: dict[str, FieldIndex] = {}
             for _ in range(field_count):
@@ -439,10 +429,5 @@ def _read_postings(
     tf_blocks = [tfs[start:end] for start, end in pairwise(offsets)]
     del tfs
     reader.end_part(f"field {name!r}")
-    term_list = terms.decode("utf-8").split("\n") if term_count or terms else []
-    if len(term_list) != term_count:
-        raise reader.fail(f"field {name!r} has {len(term_list)} terms, not {term_count}")
-    postings = dict(zip(term_list, zip(doc_blocks, tf_blocks)))
-    if len(postings) != term_count:
-        raise reader.fail(f"a term of field {name!r} is listed twice")
-    return postings
+    term_list = reader.decode_strings(terms, term_count, f"term of field {name!r}")
+    return dict(zip(term_list, zip(doc_blocks, tf_blocks)))

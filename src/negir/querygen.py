@@ -49,18 +49,18 @@ def build_bundle(topic: Topic, lexicon: TriggerLexicon, stopwords: frozenset[str
     for scope in analysis.scopes:
         trigger_positions.update(range(*scope.trigger_span))
 
-    # One pass in description order; every tagged token knows whether it
-    # is negated, and cue tokens go into no variant.
+    # One pass in description order; a term is negated when tagging
+    # prefixed it, and cue tokens go into no variant.
     full: list[str] = []
     tagged: list[str] = []
     positive: list[str] = []
     negated: list[str] = []
-    for term, token in zip(analysis.terms, analysis.tagged.tokens):
-        if token.position in trigger_positions:
+    for term, position, surface in zip(analysis.terms, analysis.positions, analysis.tagged_terms):
+        if position in trigger_positions:
             continue
         full.append(term)
-        tagged.append(token.surface)
-        (negated if token.negated else positive).append(term)
+        tagged.append(surface)
+        (negated if surface != term else positive).append(term)
 
     return QueryBundle(
         topic_id=topic.topic_id,

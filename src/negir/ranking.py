@@ -54,16 +54,6 @@ class Strategy(NamedTuple):
     expansion_weight: float = DEFAULT_EXPANSION_WEIGHT
 
 
-# The fields a strategy can score, the only ones ``run`` loads from a
-# snapshot: tagging scores a topic without negations on the plain field.
-STRATEGY_FIELDS = {
-    BASELINE: (PLAIN,),
-    FILTERING: (PLAIN,),
-    SCORE_COMBINATION: (PLAIN,),
-    NEGATION_TAGGING: (PLAIN, TAGGED),
-}
-
-
 def strategy_components(
     strategy: Strategy, bundle: QueryBundle
 ) -> list[tuple[float, str, list[str], float]]:

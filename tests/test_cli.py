@@ -535,6 +535,9 @@ def test_malformed_collection_exits_one(workspace, capsys):
          "scope window must be at least 1, got 0"),
         (["detect", "--scope-window", "-1", "--input", "EMPTY"],
          "scope window must be at least 1, got -1"),
+        (["run", "--tag", "my tag"], "run tag 'my tag' is empty or contains whitespace"),
+        (["run", "--tag", ""], "run tag '' is empty or contains whitespace"),
+        (["run", "--tag", "\u2003"], r"run tag '\u2003' is empty or contains whitespace"),
     ],
 )
 def test_out_of_range_setting_exits_one(workspace, capsys, argv, message):
@@ -617,6 +620,17 @@ BAD_INPUTS = {
         "collection", "docs.jsonl", b'{"doc_id": ' + b"9" * 5000 + b"}\n", 1),
     "topic_id of 5,000 digits": (
         "topics", "topics.jsonl", b'{"topic_id": ' + b"9" * 5000 + b', "description": "x"}\n', 1),
+    "doc_id null": (
+        "collection", "docs.jsonl", _jsonl({"doc_id": "d1"}, {"doc_id": None, "body": "rash"}), 2),
+    "doc_id a list": (
+        "collection", "docs.jsonl", _jsonl({"doc_id": ["a"], "title": {"k": 1}, "body": "rash"}), 1),
+    "doc_id true": ("collection", "docs.jsonl", _jsonl({"doc_id": True, "body": 5}), 1),
+    "title an object": (
+        "collection", "docs.jsonl", _jsonl({"doc_id": "a", "title": {"k": 1}, "body": "rash"}), 1),
+    "body a number": ("collection", "docs.jsonl", _jsonl({"doc_id": 7, "body": 5}), 1),
+    "description a list": (
+        "topics", "topics.jsonl", _jsonl(TOPIC, {"topic_id": "2", "description": ["no", "fever"]}),
+        2),
 }
 
 
@@ -757,21 +771,46 @@ def test_truncated_snapshot_exits_one(workspace, capsys):
         assert err.startswith("negir: ") and "index.ngir" in err and message in err
 
 
-def test_oversized_doc_id_exits_one_without_writing(workspace, capsys):
+def test_long_doc_id_runs_through_index_run_and_eval(workspace, capsys):
+    # A snapshot string has no length limit: a 70,000-byte doc_id comes
+    # back from the snapshot into the run file, and eval reads it.
+    long_id = "x" * 70_000
     docs = workspace / "long.jsonl"
-    docs.write_text(json.dumps({"doc_id": "x" * 70_000, "body": "fever"}) + "\n", encoding="utf-8")
-    out = workspace / "x.ngir"
-    assert run_cli("index", "--collection", docs, "--out", out) == 1
-    assert "65535" in capsys.readouterr().err
-    assert not out.exists()
-    # An existing snapshot at --out keeps its bytes, and no temp file remains.
-    out.write_bytes(b"previous snapshot")
-    assert run_cli("index", "--collection", docs, "--out", out) == 1
-    assert "x.ngir" in capsys.readouterr().err
-    assert out.read_bytes() == b"previous snapshot"
-    assert sorted(p.name for p in workspace.iterdir()) == [
-        "docs.jsonl", "long.jsonl", "qrels.txt", "topics.jsonl", "x.ngir"
-    ]
+    docs.write_text(json.dumps({"doc_id": long_id, "body": "fever rash"}) + "\n", encoding="utf-8")
+    snapshot, run_file = workspace / "x.ngir", workspace / "long.run"
+    qrels = workspace / "long.qrels"
+    qrels.write_text(f"2 0 {long_id} 1\n", encoding="utf-8")
+    assert run_cli("index", "--collection", docs, "--out", snapshot) == 0
+    assert run_cli(
+        "run", "--index", snapshot, "--topics", workspace / "topics.jsonl",
+        "--strategy", "negation_tagging", "--out", run_file,
+    ) == 0
+    assert run_file.read_text(encoding="utf-8").split()[:3] == ["2", "Q0", long_id]
+    capsys.readouterr()
+    assert run_cli("eval", "--run", run_file, "--qrels", qrels, "--json") == 0
+    assert json.loads(capsys.readouterr().out)["per_topic"]["2"]["p_at_10"] == 0.1
+
+
+def test_run_reads_only_the_fields_its_topics_score(workspace, capsys):
+    # Tagging scores topics that all carry negations on the tagged field
+    # alone, so a damaged plain section does not stop it; the baseline
+    # scores the plain field and refuses the snapshot.
+    topics = workspace / "negated.jsonl"
+    topics.write_bytes(_jsonl(TOPICS[1], {"topic_id": "3", "description": "no smoking history"}))
+    snapshot = build_snapshot(workspace)
+    intact, damaged = workspace / "intact.run", workspace / "damaged.run"
+    run = ["run", "--index", snapshot, "--topics", topics, "--strategy"]
+    assert run_cli(*run, "negation_tagging", "--out", intact) == 0
+    data = snapshot.read_bytes()
+    flip = data.index(b"plain") + len("plain") + 1  # the first byte of the plain terms
+    snapshot.write_bytes(data[:flip] + bytes((data[flip] ^ 0xFF,)) + data[flip + 1:])
+    assert run_cli(*run, "negation_tagging", "--out", damaged) == 0
+    assert damaged.read_bytes() == intact.read_bytes()
+    capsys.readouterr()
+    assert run_cli(*run, "baseline", "--out", workspace / "baseline.run") == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"negir: {snapshot}: corrupt snapshot: the field 'plain' fails"), err
+    assert not (workspace / "baseline.run").exists()
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -276,10 +276,10 @@ def test_snapshot_of_older_version_asks_for_rebuild(tmp_path):
     path = tmp_path / "snap.ngir"
     save_index(build([("d", ["x"])]), path)
     data = bytearray(path.read_bytes())
-    assert data[5] == 4  # the version byte follows the 5 magic bytes
-    data[5] = 3
+    assert data[5] == 5  # the version byte follows the 5 magic bytes
+    data[5] = 4
     path.write_bytes(bytes(data))
-    with pytest.raises(ParseError, match="unsupported snapshot version 3; rebuild the index"):
+    with pytest.raises(ParseError, match="unsupported snapshot version 4; rebuild the index"):
         load_index(path)
 
 
@@ -313,11 +313,31 @@ def test_snapshot_duplicate_doc_id_is_a_parse_error(tmp_path):
     path = tmp_path / "snap.ngir"
     save_index(build([("ab", ["x"]), ("cd", ["y"])]), path)
     data = path.read_bytes()
-    table_end = HEADER_BYTES + 8 + 2 * 2 + 4 + 4 * 2  # head, id lengths, ids, doc lengths
-    patched = data.replace(b"abcd", b"abab", 1)
-    path.write_bytes(resealed(patched, HEADER_BYTES, table_end))
-    with pytest.raises(ParseError, match="snap.ngir: corrupt snapshot: a doc_id is listed twice"):
-        load_index(path)
+    table_end = HEADER_BYTES + 8 + 5 + 4 * 2  # head, ids, doc lengths
+    for ids, message in (
+        (b"ab\nab", "a doc_id is listed twice"),
+        (b"ab-cd", "1 strings where 2 are listed, one per doc_id"),
+    ):
+        patched = data.replace(b"ab\ncd", ids, 1)
+        path.write_bytes(resealed(patched, HEADER_BYTES, table_end))
+        with pytest.raises(ParseError, match=f"snap.ngir: corrupt snapshot: {message}"):
+            load_index(path)
+
+
+def test_snapshot_repeated_term_is_a_parse_error(tmp_path):
+    # Terms are read by the same string-list check as the doc_ids.
+    path = tmp_path / "snap.ngir"
+    save_index(build([("d", ["xy", "zw"])]), path)
+    data = path.read_bytes()
+    plain, tagged = data.index(b"plain") - 13, data.rindex(b"tagged") - 13
+    for terms, message in (
+        (b"xy\nxy", "a term of field 'plain' is listed twice"),
+        (b"xy-zw", "1 strings where 2 are listed, one per term of field 'plain'"),
+    ):
+        patched = data.replace(b"xy\nzw", terms, 1)
+        path.write_bytes(resealed(patched, plain, tagged - 4))
+        with pytest.raises(ParseError, match=f"snap.ngir: corrupt snapshot: {message}"):
+            load_index(path)
 
 
 def test_snapshot_repeated_doc_number_fails_the_crc(tmp_path):
@@ -360,9 +380,9 @@ def test_snapshot_bytes_are_pinned(tmp_path):
     path = tmp_path / "snap.ngir"
     save_index(index, path)
     expected = (
-        _snapshot_part(b"NGIR1", struct.pack("<BddIIB", 4, 1.2, 0.75, 0x01020304, 0xA0B0C0D0, 2))
+        _snapshot_part(b"NGIR1", struct.pack("<BddIIB", 5, 1.2, 0.75, 0x01020304, 0xA0B0C0D0, 2))
         + _snapshot_part(
-            struct.pack("<II", 2, 5), struct.pack("<HH", 1, 4), "ab-\u00e9".encode("utf-8"),
+            struct.pack("<II", 2, 6), "a\nb-\u00e9".encode("utf-8"),
             struct.pack("<II", 3, 1),  # the lengths block
         )
         + _snapshot_section("plain", [("x", 1), ("y", 2)], [0, 0, 1], [2, 1, 1])
@@ -371,7 +391,7 @@ def test_snapshot_bytes_are_pinned(tmp_path):
         )
     )
     assert path.read_bytes() == expected
-    assert HEADER_BYTES == len(_snapshot_part(b"NGIR1", struct.pack("<BddIIB", 4, 0, 0, 0, 0, 0)))
+    assert HEADER_BYTES == len(_snapshot_part(b"NGIR1", struct.pack("<BddIIB", 5, 0, 0, 0, 0, 0)))
 
 
 def two_field_snapshot(tmp_path):
@@ -421,15 +441,22 @@ SNAPSHOT_VOCAB = ["fever", "cough", "r\u00e4sh", "x"]
 
 @st.composite
 def snapshot_corpora(draw):
-    """Analyzed documents: empty ones, non-ASCII ids, sometimes over 256 of them."""
+    """Analyzed documents: empty ones, non-ASCII ids, an empty id, sometimes
+    over 256 of them."""
     count = draw(st.one_of(st.integers(0, 12), st.integers(257, 300)))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
-    prefix = draw(st.text(st.characters(blacklist_categories=("Cs",)), max_size=3))
+    prefix = draw(st.one_of(
+        st.sampled_from(["", "r\u00e4sh-", "\u75c5\u4f8b", "\U0001F321"]),
+        st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\n"), max_size=3),
+    ))
+    ids = [f"{prefix}{i}" for i in range(count)]
+    if ids and draw(st.booleans()):
+        ids[rng.randrange(count)] = ""
     docs = []
-    for i in range(count):
+    for doc_id in ids:
         plain = [rng.choice(SNAPSHOT_VOCAB) for _ in range(rng.choice([0, 1, 3, 8]))]
         tagged = ["[nx]" + t if rng.random() < 0.3 else t for t in plain]
-        docs.append((f"{prefix}{i}", plain, tagged))
+        docs.append((doc_id, plain, tagged))
     return docs
 
 
@@ -462,23 +489,39 @@ def test_snapshot_round_trip_property(tmp_path_factory, docs, params):
 
 
 @pytest.mark.parametrize("long_doc_id", [True, False])
-def test_save_refuses_oversized_strings_before_writing(tmp_path, long_doc_id):
+def test_long_strings_survive_a_round_trip(tmp_path, long_doc_id):
+    # A string list has no per-string length field, so no length limit.
     huge = "x" * 70_000
-    docs = [(huge, ["a"])] if long_doc_id else [("d", [huge])]
+    if long_doc_id:
+        docs = [(huge, ["a"], ["a"]), ("d", ["b"], ["b"])]
+    else:
+        docs = [("d", ["a", huge], ["a", "[nx]" + huge]), ("e", [huge], [huge])]
+    index = build_index(docs)
     path = tmp_path / "snap.ngir"
-    with pytest.raises(NegirError, match="65535"):
-        save_index(build(docs), path)
-    assert not path.exists()
-
+    save_index(index, path)
+    loaded = load_index(path)
+    assert loaded.doc_ids == [doc[0] for doc in docs]
+    for field in (PLAIN, TAGGED):
+        assert loaded.field(field).postings == index.field(field).postings
 
 
 def test_save_refuses_a_term_with_a_line_break(tmp_path):
-    # Terms are separated by line breaks in the snapshot; the tokenizer
-    # makes none, but ``build_index`` takes any string.
+    # Strings are separated by line breaks in the snapshot; the readers
+    # make none, but ``build_index`` takes any string, as a term or as a
+    # doc_id. The refusal comes before anything is written: an existing
+    # file keeps its bytes, and no temp file is left.
     path = tmp_path / "snap.ngir"
-    with pytest.raises(NegirError, match="line break"):
-        save_index(build([("d", ["a", "b\nc"])]), path)
-    assert not path.exists()
+    message = r"snap.ngir: cannot write 'b\\nc': it holds a line break"
+    for docs in ([("d", ["a", "b\nc"])], [("a", ["x"]), ("b\nc", ["y"])]):
+        with pytest.raises(NegirError, match=message):
+            save_index(build(docs), path)
+        assert not path.exists()
+        path.write_bytes(b"previous snapshot")
+        with pytest.raises(NegirError, match="line break"):
+            save_index(build(docs), path)
+        assert path.read_bytes() == b"previous snapshot"
+        assert [p.name for p in tmp_path.iterdir()] == ["snap.ngir"]
+        path.unlink()
 
 
 def test_empty_term_survives_a_round_trip(tmp_path):

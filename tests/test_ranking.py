@@ -1,23 +1,19 @@
 """Strategy scoring: adaptive beta, the four strategies, and run_strategy."""
 
+import json
 import random
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracle
+import negir.cli
 from negir.corpus import Topic
-from negir.index import FIELDS, build_index, load_index, save_index
+from negir.evalkit import read_run
+from negir.index import build_index, load_index
 from negir.negation import analyze_text
 from negir.querygen import QueryBundle, build_bundle
-from negir.ranking import (
-    STRATEGY_FIELDS,
-    STRATEGY_KINDS,
-    Strategy,
-    beta_adaptive,
-    run_strategy,
-    strategy_components,
-)
+from negir.ranking import STRATEGY_KINDS, Strategy, beta_adaptive, run_strategy
 
 
 def corpus_index(docs, stopwords, lexicon, **kwargs):
@@ -371,31 +367,51 @@ def test_run_strategy_equals_oracle_exactly(strategy, docs, terms, n_full, k):
     assert got == oracle.ranked(expected, k)
 
 
+# Topic sets by the negations their topics carry, and the fields that
+# tagging scores for them; the other strategies score the plain field.
+TOPIC_SETS = {
+    "none": ["persistent chest pain", "smoking habit"],
+    "all": ["denies smoking diabetes", "no chest pain"],
+    "mixed": ["persistent chest pain", QUERY],
+}
+TAGGING_FIELDS = {"none": ["plain"], "all": ["tagged"], "mixed": ["plain", "tagged"]}
+
+
 @pytest.mark.parametrize("kind", STRATEGY_KINDS)
-@settings(max_examples=40, deadline=None)
-@given(docs=documents, terms=query_terms)
-@example(docs=[[("fever", True), ("rash", False)]], terms=[("fever", False)])
-@example(docs=[[("fever", True), ("rash", False)]], terms=[("fever", True), ("rash", False)])
-def test_run_loads_every_field_its_strategy_scores(tmp_path_factory, kind, docs, terms):
-    # ``negir run`` loads only STRATEGY_FIELDS[kind]. A field the strategy
-    # scores but did not load would be an error, never an empty field.
-    index = build_index(
-        (f"d{i}", [w for w, _ in words], ["[nx]" + w if neg else w for w, neg in words])
-        for i, words in enumerate(docs)
+def test_run_loads_every_field_its_strategy_scores(
+    tmp_path, monkeypatch, stopwords, lexicon, kind
+):
+    # ``negir run`` loads the fields that the strategy's components name
+    # for its topics, and ranks them as the fully loaded index does.
+    collection, snapshot = tmp_path / "docs.jsonl", tmp_path / "index.ngir"
+    collection.write_text(
+        "".join(json.dumps({"doc_id": d, "body": text}) + "\n" for d, text in DOCS),
+        encoding="utf-8",
     )
-    path = tmp_path_factory.mktemp("snap") / "snap.ngir"
-    save_index(index, path)
-    loaded = load_index(path, STRATEGY_FIELDS[kind])
-    strategy = Strategy(kind)
-    bundle = random_bundle(terms, len(terms))
-    for _, field, _, _ in strategy_components(strategy, bundle):
-        assert field in STRATEGY_FIELDS[kind]
-    assert run_strategy(strategy, bundle, loaded, 100) == run_strategy(strategy, bundle, index, 100)
-    for field in FIELDS:
-        if field not in STRATEGY_FIELDS[kind]:
-            with pytest.raises(ValueError, match=repr(field)):
-                loaded.field(field)
+    assert negir.cli.main(["index", "--collection", str(collection), "--out", str(snapshot)]) == 0
+    index = corpus_index(DOCS, stopwords, lexicon)
+    loaded = []
 
+    def recording_load(path, fields):
+        loaded.append(list(fields))
+        return load_index(path, fields)
 
-def test_every_strategy_lists_its_fields():
-    assert set(STRATEGY_FIELDS) == set(STRATEGY_KINDS)
+    monkeypatch.setattr(negir.cli, "load_index", recording_load)
+    for name, descriptions in TOPIC_SETS.items():
+        topics, run_file = tmp_path / f"{name}.jsonl", tmp_path / f"{name}.run"
+        topics.write_text(
+            "".join(
+                json.dumps({"topic_id": str(i), "description": text}) + "\n"
+                for i, text in enumerate(descriptions, 1)
+            ),
+            encoding="utf-8",
+        )
+        argv = ["run", "--index", snapshot, "--topics", topics, "--strategy", kind,
+                "--out", run_file]
+        assert negir.cli.main([str(arg) for arg in argv]) == 0
+        assert loaded.pop() == (TAGGING_FIELDS[name] if kind == "negation_tagging" else ["plain"])
+        ranked = {
+            str(i): run_strategy(Strategy(kind), bundle_for(text, stopwords, lexicon), index, 1000)
+            for i, text in enumerate(descriptions, 1)
+        }
+        assert read_run(run_file).topics == {topic: docs for topic, docs in ranked.items() if docs}
