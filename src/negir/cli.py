@@ -235,9 +235,12 @@ def cmd_run(args: argparse.Namespace) -> int:
         beta_override=config.beta,
         expansion_weight=config.expansion_weight,
     )
-    # Load only the fields that the strategy's components score for these topics.
-    scored = {part[1] for bundle in bundles for part in strategy_components(strategy, bundle)}
-    index = load_index(args.index, [field for field in FIELDS if field in scored])
+    # Load only the fields and the terms that the strategy's components
+    # score for these topics.
+    components = [part for bundle in bundles for part in strategy_components(strategy, bundle)]
+    scored = {field for _, field, _, _ in components}
+    terms = {term for _, _, part_terms, _ in components for term in part_terms}
+    index = load_index(args.index, [field for field in FIELDS if field in scored], terms)
     _check_provenance(args, index, stopwords, lexicon)
 
     run = RunResult(run_tag=args.tag)
@@ -245,12 +248,13 @@ def cmd_run(args: argparse.Namespace) -> int:
         run.add_topic(bundle.topic_id, run_strategy(strategy, bundle, index, config.k))
     summary_out = _summary_stream(args.out)
     write_run(run, args.out)
+    written = sum(1 for ranked in run.topics.values() if ranked)  # an empty ranking writes no line
     if args.json:
         print(
             json.dumps(
                 {
                     "strategy": args.strategy,
-                    "topics": len(run.topics),
+                    "topics": written,
                     "out": str(args.out),
                     "config": config._asdict(),
                 },
@@ -259,7 +263,7 @@ def cmd_run(args: argparse.Namespace) -> int:
             file=summary_out,
         )
     else:
-        print(f"wrote {len(run.topics)} topics -> {args.out}", file=summary_out)
+        print(f"wrote {written} topics -> {args.out}", file=summary_out)
     return 0
 
 

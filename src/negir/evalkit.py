@@ -21,11 +21,13 @@ from __future__ import annotations
 import math
 from collections import Counter
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .corpus import atomic_write, decode_json, read_lines, read_text
 from .errors import DuplicateIdError, NegirError, ParseError
-from .querygen import QueryBundle
+
+if TYPE_CHECKING:  # for annotations only: ``eval`` needs neither querygen nor negation
+    from .querygen import QueryBundle
 
 INFAP_EPSILON = 1e-5
 
@@ -308,15 +310,20 @@ def group_analysis(
             for group, topics in (("d_plus", d_plus), ("d_minus", d_minus))
         }
 
-    base_plus = reports[BASELINE]["d_plus"].aggregate().p_at_10
-    base_minus = reports[BASELINE]["d_minus"].aggregate().p_at_10
+    base = reports[BASELINE]
+    base_plus = base["d_plus"].aggregate().p_at_10
+    base_minus = base["d_minus"].aggregate().p_at_10
+    # An empty group aggregates to 0.0, not to a P@10: it leaves no gap to measure.
+    both_groups = base["d_plus"].num_topics and base["d_minus"].num_topics
     reductions: dict[str, float | None] = {}
     improvements: dict[str, float | None] = {}
     for name in runs_by_strategy:
         if name == BASELINE:
             continue
         strategy_minus = reports[name]["d_minus"].aggregate().p_at_10
-        reductions[name] = gap_reduction(base_plus, base_minus, strategy_minus)
+        reductions[name] = (
+            gap_reduction(base_plus, base_minus, strategy_minus) if both_groups else None
+        )
         improvements[name] = relative_improvement(strategy_minus, base_minus)
     return GroupReport(
         d_plus_topics=d_plus,

@@ -39,7 +39,7 @@ import sys
 import zlib
 from array import array
 from collections import Counter
-from itertools import accumulate, chain, pairwise
+from itertools import accumulate, chain
 from pathlib import Path
 from typing import BinaryIO, Collection, Iterable, NamedTuple, Sequence
 
@@ -75,7 +75,8 @@ class Index:
     once. ``fingerprints`` are those of the stopword list and the lexicon
     the index was built with (see ``fingerprint``), (0, 0) when not
     given. An index from ``load_index`` holds only the fields it was
-    asked for.
+    asked for, and one loaded with ``terms`` only the postings of those
+    terms; the document table is always whole.
     """
 
     def __init__(
@@ -214,7 +215,9 @@ def score_query(index: Index, field: str, terms: Sequence[str], weight: float) -
 # matches; a string list holds as many strings as its head says, none
 # twice; in a field, the dfs add up to posting_count and the largest doc
 # number is below doc_count. The file must end where the last section
-# does. The CRCs catch accidental damage, such as a doc number repeated
+# does. Asked for some terms only, ``load_index`` still reads and checks
+# each field it loads whole, and slices the arrays of those terms alone.
+# The CRCs catch accidental damage, such as a doc number repeated
 # within a term. A crafted file with a recomputed CRC is out of scope: a
 # strict-ascending pass over every posting would cost more than the whole
 # load.
@@ -357,14 +360,20 @@ class _Reader:
         return ParseError(f"corrupt snapshot: {message}", self.path)
 
 
-def load_index(path: str | Path, fields: Sequence[str] = FIELDS) -> Index:
-    """Read the snapshot at ``path`` with the postings of ``fields`` only.
+def load_index(
+    path: str | Path, fields: Sequence[str] = FIELDS, terms: Collection[str] | None = None
+) -> Index:
+    """Read the snapshot at ``path`` with the postings of ``fields`` only,
+    and of ``terms`` only when given: a term of a loaded field that is not
+    in ``terms`` has no postings in the index.
 
     The sections of other fields are skipped unread, and ``Index.field``
-    refuses their names. ``path`` must be a regular file, as the parts
-    are checked against its size.
+    refuses their names. Picking terms checks no less: each field that is
+    read is read whole and checked whole. ``path`` must be a regular file,
+    as the parts are checked against its size.
     """
     path = Path(path)
+    wanted = None if terms is None else {term.encode("utf-8") for term in terms}
     try:
         with open(path, "rb") as handle:
             reader = _Reader(handle, path)
@@ -394,7 +403,7 @@ def load_index(path: str | Path, fields: Sequence[str] = FIELDS) -> Index:
                 name = reader.read(name_bytes).decode("utf-8")
                 if name in fields:
                     postings = _read_postings(
-                        reader, name, term_count, term_bytes, posting_count, doc_count
+                        reader, name, term_count, term_bytes, posting_count, doc_count, wanted
                     )
                     loaded[name] = FieldIndex(postings)
                 else:
@@ -410,11 +419,18 @@ def load_index(path: str | Path, fields: Sequence[str] = FIELDS) -> Index:
 
 
 def _read_postings(
-    reader: _Reader, name: str, term_count: int, term_bytes: int, posting_count: int, doc_count: int
+    reader: _Reader, name: str, term_count: int, term_bytes: int, posting_count: int,
+    doc_count: int, wanted: set[bytes] | None,
 ) -> dict[str, tuple[array, array]]:
-    """One field's postings, each term's arrays sliced from the two
-    columns; each column is dropped once it is sliced."""
-    terms = reader.read(term_bytes)
+    """One field's postings of the terms in ``wanted`` (UTF-8), or of
+    every term when it is None. Only the picked terms' arrays are sliced
+    from the two columns, and each column is dropped once it is sliced;
+    the checks cover the whole field either way."""
+    blob = reader.read(term_bytes)
+    if wanted is None:
+        picks: Sequence[int] = range(term_count)
+    else:  # by position in the raw list; it is decoded and checked after the CRC
+        picks = [i for i, term in zip(range(term_count), blob.split(b"\n")) if term in wanted]
     offsets = list(accumulate(reader.read_array(U32, term_count), initial=0))
     if offsets[-1] != posting_count:
         raise reader.fail(
@@ -423,11 +439,11 @@ def _read_postings(
     docs = reader.read_array(U32, posting_count)
     if docs and max(docs) >= doc_count:
         raise reader.fail(f"field {name!r} lists doc number {max(docs)} of {doc_count}")
-    doc_blocks = [docs[start:end] for start, end in pairwise(offsets)]
+    doc_blocks = [docs[offsets[i]:offsets[i + 1]] for i in picks]
     del docs
     tfs = reader.read_array(U32, posting_count)
-    tf_blocks = [tfs[start:end] for start, end in pairwise(offsets)]
+    tf_blocks = [tfs[offsets[i]:offsets[i + 1]] for i in picks]
     del tfs
     reader.end_part(f"field {name!r}")
-    term_list = reader.decode_strings(terms, term_count, f"term of field {name!r}")
-    return dict(zip(term_list, zip(doc_blocks, tf_blocks)))
+    term_list = reader.decode_strings(blob, term_count, f"term of field {name!r}")
+    return {term_list[i]: entry for i, entry in zip(picks, zip(doc_blocks, tf_blocks))}

@@ -349,6 +349,61 @@ def test_compare_groups_subcommand(workspace, capsys):
     assert "config" in payload
 
 
+def one_document_workspace(tmp_path):
+    """A collection of one document on fever, and the one topic "no fever"
+    that judges it relevant: the topic carries a negation, so the
+    negation-free group is empty."""
+    (tmp_path / "docs.jsonl").write_text('{"doc_id": "d1", "body": "fever"}\n', encoding="utf-8")
+    (tmp_path / "topics.jsonl").write_text(
+        '{"topic_id": "1", "description": "no fever"}\n', encoding="utf-8"
+    )
+    (tmp_path / "qrels.txt").write_text("1 0 d1 1\n", encoding="utf-8")
+    return build_snapshot(tmp_path)
+
+
+def test_compare_groups_gap_reduction_is_undefined_with_an_empty_group(tmp_path, capsys):
+    # The empty group aggregates to P@10 0.0; a gap against it would read
+    # 100.0% for a filtering run that retrieves nothing.
+    snapshot = one_document_workspace(tmp_path)
+    runs = {}
+    for strategy in ("baseline", "filtering"):
+        runs[strategy] = tmp_path / f"{strategy}.run"
+        assert run_cli("run", "--index", snapshot, "--topics", tmp_path / "topics.jsonl",
+                       "--strategy", strategy, "--out", runs[strategy]) == 0
+    argv = ["compare-groups", "--topics", tmp_path / "topics.jsonl",
+            "--qrels", tmp_path / "qrels.txt", "--baseline", runs["baseline"],
+            "--run", f"filtering={runs['filtering']}"]
+    capsys.readouterr()
+    assert run_cli(*argv, "--json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["d_plus_topics"], payload["d_minus_topics"]) == ([], ["1"])
+    assert payload["gap_reduction_p10"] == {"filtering": None}
+    assert run_cli(*argv) == 0
+    out = capsys.readouterr().out
+    assert out.endswith(
+        "gap reduction P@10 [filtering]: undefined (no baseline gap) (D- P@10 -100.0%)\n"
+    )
+
+
+def test_run_counts_only_topics_that_write_a_line(tmp_path, capsys):
+    # Filtering scores "no fever" with no term, so the topic retrieves no
+    # document and its run file is empty.
+    snapshot = one_document_workspace(tmp_path)
+    out = tmp_path / "filtering.run"
+    argv = ["run", "--index", snapshot, "--topics", tmp_path / "topics.jsonl",
+            "--strategy", "filtering", "--out", out]
+    capsys.readouterr()
+    assert run_cli(*argv) == 0
+    assert capsys.readouterr().out == f"wrote 0 topics -> {out}\n"
+    assert out.read_bytes() == b""
+    assert run_cli(*argv, "--json") == 0
+    assert json.loads(capsys.readouterr().out)["topics"] == 0
+    # With the baseline, the same topic retrieves its one document.
+    assert run_cli(*argv[:-3], "baseline", "--out", out, "--json") == 0
+    assert json.loads(capsys.readouterr().out)["topics"] == 1
+    assert len(out.read_text().splitlines()) == 1
+
+
 @pytest.mark.parametrize(
     "names, taken",
     [
@@ -453,6 +508,21 @@ def test_cli_import_leaves_out_dataclasses_and_inspect():
     # .pth file from importing them first.
     src = str(Path(negir.__file__).parent.parent)
     code = "import sys, negir.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    child = subprocess.run(
+        [sys.executable, "-S", "-c", code],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    assert child.stdout == "[]\n"
+
+
+def test_evalkit_import_leaves_out_querygen_and_negation():
+    # ``eval`` reads runs and qrels only; querygen and negation are for
+    # the annotations of ``group_analysis`` alone. -S as above.
+    src = str(Path(negir.__file__).parent.parent)
+    code = (
+        "import sys, negir.evalkit; "
+        "print(sorted({'negir.querygen', 'negir.negation'} & set(sys.modules)))"
+    )
     child = subprocess.run(
         [sys.executable, "-S", "-c", code],
         env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,

@@ -305,8 +305,9 @@ def test_snapshot_out_of_range_doc_number_is_a_parse_error(tmp_path):
     ):
         patched = data[:start] + struct.pack("<I", value) + data[start + 4:]
         path.write_bytes(resealed(patched, tagged, len(data) - 4))
-        with pytest.raises(ParseError, match=f"snap.ngir: corrupt snapshot: {message}"):
-            load_index(path)
+        for terms in (None, ("x",), ()):  # the bound covers the column, not the picked terms
+            with pytest.raises(ParseError, match=f"snap.ngir: corrupt snapshot: {message}"):
+                load_index(path, terms=terms)
 
 
 def test_snapshot_duplicate_doc_id_is_a_parse_error(tmp_path):
@@ -336,8 +337,9 @@ def test_snapshot_repeated_term_is_a_parse_error(tmp_path):
     ):
         patched = data.replace(b"xy\nzw", terms, 1)
         path.write_bytes(resealed(patched, plain, tagged - 4))
-        with pytest.raises(ParseError, match=f"snap.ngir: corrupt snapshot: {message}"):
-            load_index(path)
+        for picked in (None, ("zw",), ()):  # the whole list is checked, not the picked terms
+            with pytest.raises(ParseError, match=f"snap.ngir: corrupt snapshot: {message}"):
+                load_index(path, terms=picked)
 
 
 def test_snapshot_repeated_doc_number_fails_the_crc(tmp_path):
@@ -422,18 +424,26 @@ def test_snapshot_every_byte_flip_is_a_parse_error(tmp_path):
 
 def test_snapshot_plain_only_load_checks_what_it_reads(tmp_path):
     path, data, tagged_start = two_field_snapshot(tmp_path)
-    # Every proper prefix: the skipped tagged section must still fit in the file.
-    for size in range(len(data)):
-        path.write_bytes(data[:size])
-        with pytest.raises(ParseError, match="snap.ngir"):
-            load_index(path, fields=(PLAIN,))
-    # Every flip before the tagged section: the header, the document table
-    # and the plain section.
-    for i, content in flips(data, range(tagged_start)):
-        path.write_bytes(content)
-        with pytest.raises(ParseError, match="snap.ngir"):
-            load_index(path, fields=(PLAIN,))
-            pytest.fail(f"a flip at byte {i} loaded")
+    # Picking terms checks no less: each field read is still checked whole.
+    for terms in (None, ("fever",), ("cough", "absent"), ()):
+        # Every proper prefix: the skipped tagged section must still fit in the file.
+        for size in range(len(data)):
+            path.write_bytes(data[:size])
+            with pytest.raises(ParseError, match="snap.ngir"):
+                load_index(path, (PLAIN,), terms)
+        # Every flip before the tagged section: the header, the document
+        # table and the plain section.
+        for i, content in flips(data, range(tagged_start)):
+            path.write_bytes(content)
+            with pytest.raises(ParseError, match="snap.ngir"):
+                load_index(path, (PLAIN,), terms)
+                pytest.fail(f"a flip at byte {i} loaded with terms {terms}")
+        if terms is not None:  # both fields with every term: the test above
+            for i, content in flips(data, range(len(data))):
+                path.write_bytes(content)
+                with pytest.raises(ParseError, match="snap.ngir"):
+                    load_index(path, (PLAIN, TAGGED), terms)
+                    pytest.fail(f"a flip at byte {i} loaded with terms {terms}")
 
 
 SNAPSHOT_VOCAB = ["fever", "cough", "r\u00e4sh", "x"]
@@ -486,6 +496,38 @@ def test_snapshot_round_trip_property(tmp_path_factory, docs, params):
     assert plain_only.field(PLAIN).postings == index.field(PLAIN).postings
     with pytest.raises(ValueError, match="'tagged'"):
         plain_only.field(TAGGED)
+
+
+@st.composite
+def term_bundles(draw):
+    """A bundle over the snapshot vocabulary and terms absent from it,
+    with the terms of its four variants."""
+    q_full = draw(st.lists(st.sampled_from(SNAPSHOT_VOCAB + ["absent", ""]), max_size=6))
+    negated = [draw(st.booleans()) for _ in q_full]
+    q_pos = [term for term, neg in zip(q_full, negated) if not neg]
+    q_neg = [term for term, neg in zip(q_full, negated) if neg]
+    q_tagged = ["[nx]" + term if neg else term for term, neg in zip(q_full, negated)]
+    bundle = QueryBundle("t", len(q_full), len(q_neg), q_full, q_pos, q_neg, q_tagged)
+    return bundle, set(q_full) | set(q_tagged)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(snapshot_corpora(), term_bundles())
+def test_selective_load_keeps_the_postings_of_its_terms(tmp_path_factory, docs, drawn):
+    bundle, terms = drawn
+    index = build_index(docs)
+    path = tmp_path_factory.mktemp("snap") / "snap.ngir"
+    save_index(index, path)
+    picked = load_index(path, terms=terms)
+    assert picked.doc_ids == index.doc_ids and picked.norms == index.norms
+    for field in (PLAIN, TAGGED):
+        postings = index.field(field).postings
+        assert picked.field(field).postings == {t: p for t, p in postings.items() if t in terms}
+    for kind in STRATEGY_KINDS:
+        strategy = Strategy(kind)
+        assert run_strategy(strategy, bundle, picked, 1000) == run_strategy(
+            strategy, bundle, index, 1000
+        )
 
 
 @pytest.mark.parametrize("long_doc_id", [True, False])

@@ -13,7 +13,9 @@ from negir.evalkit import read_run
 from negir.index import build_index, load_index
 from negir.negation import analyze_text
 from negir.querygen import QueryBundle, build_bundle
-from negir.ranking import STRATEGY_KINDS, Strategy, beta_adaptive, run_strategy
+from negir.ranking import (
+    STRATEGY_KINDS, Strategy, beta_adaptive, run_strategy, strategy_components
+)
 
 
 def corpus_index(docs, stopwords, lexicon, **kwargs):
@@ -381,8 +383,9 @@ TAGGING_FIELDS = {"none": ["plain"], "all": ["tagged"], "mixed": ["plain", "tagg
 def test_run_loads_every_field_its_strategy_scores(
     tmp_path, monkeypatch, stopwords, lexicon, kind
 ):
-    # ``negir run`` loads the fields that the strategy's components name
-    # for its topics, and ranks them as the fully loaded index does.
+    # ``negir run`` loads the fields and the terms that the strategy's
+    # components name for its topics, and ranks them as the fully loaded
+    # index does.
     collection, snapshot = tmp_path / "docs.jsonl", tmp_path / "index.ngir"
     collection.write_text(
         "".join(json.dumps({"doc_id": d, "body": text}) + "\n" for d, text in DOCS),
@@ -392,9 +395,9 @@ def test_run_loads_every_field_its_strategy_scores(
     index = corpus_index(DOCS, stopwords, lexicon)
     loaded = []
 
-    def recording_load(path, fields):
-        loaded.append(list(fields))
-        return load_index(path, fields)
+    def recording_load(path, fields, terms):
+        loaded.append((list(fields), set(terms)))
+        return load_index(path, fields, terms)
 
     monkeypatch.setattr(negir.cli, "load_index", recording_load)
     for name, descriptions in TOPIC_SETS.items():
@@ -409,9 +412,17 @@ def test_run_loads_every_field_its_strategy_scores(
         argv = ["run", "--index", snapshot, "--topics", topics, "--strategy", kind,
                 "--out", run_file]
         assert negir.cli.main([str(arg) for arg in argv]) == 0
-        assert loaded.pop() == (TAGGING_FIELDS[name] if kind == "negation_tagging" else ["plain"])
+        fields, terms = loaded.pop()
+        assert fields == (TAGGING_FIELDS[name] if kind == "negation_tagging" else ["plain"])
+        bundles = [bundle_for(text, stopwords, lexicon) for text in descriptions]
+        assert terms == {
+            term
+            for bundle in bundles
+            for _, _, part_terms, _ in strategy_components(Strategy(kind), bundle)
+            for term in part_terms
+        }
         ranked = {
-            str(i): run_strategy(Strategy(kind), bundle_for(text, stopwords, lexicon), index, 1000)
-            for i, text in enumerate(descriptions, 1)
+            str(i): run_strategy(Strategy(kind), bundle, index, 1000)
+            for i, bundle in enumerate(bundles, 1)
         }
         assert read_run(run_file).topics == {topic: docs for topic, docs in ranked.items() if docs}
