@@ -50,9 +50,10 @@ from .evalkit import (
     RunResult,
 )
 from .index import (
-    DEFAULT_B, DEFAULT_K1, FIELDS, Index, build_index, fingerprint, load_index, save_index
+    DEFAULT_B, DEFAULT_K1, Index, build_index, fingerprint, load_index, save_index, stored_terms
 )
 from .negation import (
+    NX_PREFIX,
     TriggerLexicon,
     analyze_text,
     default_lexicon,
@@ -160,7 +161,7 @@ def cmd_index(args: argparse.Namespace) -> int:
     def analyzed():
         for doc_id, text in load_collection(args.collection, args.format):
             analysis = analyze_text(text, stopwords, lexicon)
-            yield doc_id, analysis.terms, analysis.tagged_terms
+            yield doc_id, analysis.tagged_terms
 
     fingerprints = (fingerprint(stopwords), fingerprint(lexicon.entries()))
     index = build_index(analyzed(), k1=config.k1, b=config.b, fingerprints=fingerprints)
@@ -168,8 +169,8 @@ def cmd_index(args: argparse.Namespace) -> int:
     save_index(index, args.out)
     summary = {
         "documents": index.doc_count,
-        "plain_terms": len(index.field("plain").postings),
-        "tagged_terms": len(index.field("tagged").postings),
+        "plain_terms": len({term.removeprefix(NX_PREFIX) for term in index.postings}),
+        "tagged_terms": len(index.postings),
         "k1": index.k1,
         "b": index.b,
         "snapshot": str(args.out),
@@ -235,12 +236,11 @@ def cmd_run(args: argparse.Namespace) -> int:
         beta_override=config.beta,
         expansion_weight=config.expansion_weight,
     )
-    # Load only the fields and the terms that the strategy's components
+    # Load only the postings of the terms that the strategy's components
     # score for these topics.
     components = [part for bundle in bundles for part in strategy_components(strategy, bundle)]
-    scored = {field for _, field, _, _ in components}
-    terms = {term for _, _, part_terms, _ in components for term in part_terms}
-    index = load_index(args.index, [field for field in FIELDS if field in scored], terms)
+    terms = set().union(*(stored_terms(field, part) for _, field, part, _ in components))
+    index = load_index(args.index, terms)
     _check_provenance(args, index, stopwords, lexicon)
 
     run = RunResult(run_tag=args.tag)

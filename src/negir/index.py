@@ -1,13 +1,13 @@
 """Immutable inverted index with Okapi BM25 scoring over two fields.
 
-Every document has postings in two fields: ``plain``, built from its
-stopword-filtered terms, and ``tagged``, built from the same terms with
-"[nx]" prefixes on negated ones. ``build_index`` takes each document as
-``(doc_id, terms, tagged_terms)``, two plain lists of surfaces. Tagging
-only adds prefixes, so a document has the same length in both fields,
-and the index keeps one document table (ids, lengths, BM25 length norms)
-that both fields share. Every ranking strategy therefore scores against
-identical collection statistics.
+Every document has postings in two fields: ``tagged``, its
+stopword-filtered terms with "[nx]" prefixes on negated ones, and
+``plain``, the same terms unprefixed. ``build_index`` takes each document
+as ``(doc_id, tagged_terms)`` and stores only ``tagged``: a term's plain
+postings are the merge of the tagged postings of the term and of its
+"[nx]" form, with tfs added. A document has one length in both fields,
+``len(tagged_terms)``, and one document table (ids, lengths, BM25 length
+norms) serves both, so every strategy scores against the same statistics.
 
 Documents are numbered 0..N-1 in collection order, and that number is
 the only document key from the build to the snapshot and back: a term's
@@ -32,12 +32,14 @@ positive weights.
 from __future__ import annotations
 
 import math
+import operator
 import os
 import stat
 import struct
 import sys
 import zlib
 from array import array
+from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, chain
 from pathlib import Path
@@ -45,50 +47,51 @@ from typing import BinaryIO, Collection, Iterable, NamedTuple, Sequence
 
 from .corpus import atomic_write
 from .errors import DuplicateIdError, NegirError, ParseError
+from .negation import NX_PREFIX
 
 PLAIN = "plain"
 TAGGED = "tagged"
-FIELDS = (PLAIN, TAGGED)
 
 DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
 SNAPSHOT_MAGIC = b"NGIR1"
-SNAPSHOT_VERSION = 5
+SNAPSHOT_VERSION = 6
 
 U32 = "I"  # array typecode of the u32 doc numbers, lengths and tfs (4 bytes)
+Postings = dict[str, tuple[array, array]]  # term -> (ascending doc numbers, tfs)
 
 
 class FieldIndex(NamedTuple):
-    """Postings of a single field: term -> (doc numbers, tfs), two u32
-    arrays of equal length with the doc numbers ascending."""
+    """Postings of a single field, two u32 arrays of equal length per term."""
 
-    postings: dict[str, tuple[array, array]]
+    postings: Postings
 
 
 class Index:
-    """Immutable two-field inverted index. Do not mutate after build.
+    """Immutable inverted index. Do not mutate after build.
 
-    ``doc_ids``, ``doc_lengths`` and ``norms`` are indexed by doc number
-    and shared by both fields. ``avg_doc_length`` and the per-document
-    BM25 length norms ``k1 * (1 - b + b * len / avgdl)`` are fixed here,
-    once. ``fingerprints`` are those of the stopword list and the lexicon
-    the index was built with (see ``fingerprint``), (0, 0) when not
-    given. An index from ``load_index`` holds only the fields it was
-    asked for, and one loaded with ``terms`` only the postings of those
-    terms; the document table is always whole.
+    ``postings`` are the tagged field's; ``plain`` the plain ones
+    ``load_index`` merged, or None for ``field`` to merge them on first use.
+    ``doc_ids``, ``doc_lengths`` and ``norms`` are indexed by doc number.
+    ``avg_doc_length`` and the per-document BM25 length norms
+    ``k1 * (1 - b + b * len / avgdl)`` are fixed here, once.
+    ``fingerprints`` are those of the stopword list and the lexicon the
+    index was built with (see ``fingerprint``), (0, 0) when not given.
     """
 
     def __init__(
         self,
-        fields: dict[str, FieldIndex],
+        postings: Postings,
         doc_ids: list[str],
         doc_lengths: array,
         k1: float = DEFAULT_K1,
         b: float = DEFAULT_B,
         fingerprints: tuple[int, int] = (0, 0),
+        plain: Postings | None = None,
     ):
-        self.fields = fields
+        self.postings = postings
+        self.plain = plain
         self.doc_ids = doc_ids
         self.doc_lengths = doc_lengths
         self.k1 = k1
@@ -106,48 +109,72 @@ class Index:
         return len(self.doc_ids)
 
     def field(self, name: str) -> FieldIndex:
-        if name not in self.fields:
-            raise ValueError(f"field {name!r} is unknown or was not loaded")
-        return self.fields[name]
+        if name not in (PLAIN, TAGGED):
+            raise ValueError(f"field {name!r} is unknown")
+        if name == PLAIN and self.plain is None:
+            self.plain = plain_postings(self.postings)
+        return FieldIndex(self.plain if name == PLAIN else self.postings)
+
+
+def plain_postings(tagged: Postings, terms: Iterable[str] | None = None) -> Postings:
+    """The plain postings of ``terms`` (by default, of every tagged term
+    unprefixed): the tagged postings of the term, unless it starts with
+    "[nx]", merged with those of its "[nx]" form, tfs added."""
+    if terms is None:
+        terms = dict.fromkeys(term.removeprefix(NX_PREFIX) for term in tagged)
+    merged = {}
+    for term in terms:
+        own = None if term.startswith(NX_PREFIX) else tagged.get(term)
+        negated = tagged.get(NX_PREFIX + term)
+        if own and negated:  # each negated posting goes into a copy of the own ones
+            docs, tfs = array(U32, own[0]), array(U32, own[1])
+            for doc, tf in zip(*negated):
+                i = bisect_left(docs, doc)
+                if i == len(docs) or docs[i] != doc:
+                    docs.insert(i, doc)
+                    tfs.insert(i, 0)
+                tfs[i] += tf
+            merged[term] = (docs, tfs)
+        elif own or negated:  # each a pair of arrays, or None
+            merged[term] = own or negated
+    return merged
+
+
+def stored_terms(field: str, terms: Iterable[str]) -> set[str]:
+    """The tagged terms whose postings a lookup of ``terms`` in ``field``
+    reads: the terms, and for ``plain`` their "[nx]" forms too."""
+    prefixes = ("", NX_PREFIX) if field == PLAIN else ("",)
+    return {prefix + term for prefix in prefixes for term in terms}
 
 
 def build_index(
-    docs: Iterable[tuple[str, Sequence[str], Sequence[str]]],
+    docs: Iterable[tuple[str, Sequence[str]]],
     k1: float = DEFAULT_K1,
     b: float = DEFAULT_B,
     fingerprints: tuple[int, int] = (0, 0),
 ) -> Index:
-    """Build both fields from ``(doc_id, terms, tagged_terms)`` triples,
-    numbered in input order. A document's length is ``len(terms)``.
-    Duplicate doc_ids error. ``fingerprints`` are those of the stopword
-    list and lexicon the terms were analysed with, kept for the snapshot."""
+    """Build the index from ``(doc_id, tagged_terms)`` pairs, numbered in
+    input order. A document's length is ``len(tagged_terms)``. Duplicate
+    doc_ids error. ``fingerprints`` are those of the stopword list and
+    lexicon the terms were analysed with, kept for the snapshot."""
     doc_ids: list[str] = []
     seen: set[str] = set()
     doc_lengths = array(U32)
-    plain = FieldIndex({})
-    tagged = FieldIndex({})
-    for doc_id, terms, tagged_terms in docs:
+    postings: Postings = {}
+    for doc_id, terms in docs:
         if doc_id in seen:
             raise DuplicateIdError("doc_id", doc_id)
         seen.add(doc_id)
         number = len(doc_ids)
         doc_ids.append(doc_id)
         doc_lengths.append(len(terms))
-        _add_postings(plain, number, terms)
-        _add_postings(tagged, number, tagged_terms)
-    return Index(
-        {PLAIN: plain, TAGGED: tagged}, doc_ids, doc_lengths, k1=k1, b=b, fingerprints=fingerprints
-    )
-
-
-def _add_postings(field_index: FieldIndex, doc: int, terms: Sequence[str]) -> None:
-    postings = field_index.postings
-    for term, tf in Counter(terms).items():  # first-seen order, as the snapshot keeps it
-        entry = postings.get(term)
-        if entry is None:
-            entry = postings[term] = (array(U32), array(U32))
-        entry[0].append(doc)
-        entry[1].append(tf)
+        for term, tf in Counter(terms).items():  # first-seen order, as the snapshot keeps it
+            entry = postings.get(term)
+            if entry is None:
+                entry = postings[term] = (array(U32), array(U32))
+            entry[0].append(number)
+            entry[1].append(tf)
+    return Index(postings, doc_ids, doc_lengths, k1=k1, b=b, fingerprints=fingerprints)
 
 
 def idf(doc_count: int, doc_frequency: int) -> float:
@@ -187,48 +214,41 @@ def score_query(index: Index, field: str, terms: Sequence[str], weight: float) -
 # ---------------------------------------------------------------------------
 # Binary snapshot
 #
-# Layout (little-endian), version 5. The file has three kinds of part, and
-# each part ends with a u32 zlib.crc32 of all its bytes before that:
+# Layout (little-endian), version 6. The file has three parts, and each
+# ends with a u32 zlib.crc32 of all its bytes before that:
 #   header:     magic "NGIR1" | version u8 | k1 f64 | b f64
-#               | stopwords fingerprint u32 | lexicon fingerprint u32
-#               | field_count u8 | crc
+#               | stopwords fingerprint u32 | lexicon fingerprint u32 | crc
 #   documents:  doc_count u32 | id_bytes u32
 #               | the doc_ids in doc number order (a string list of id_bytes)
 #               | doc_count x length u32 | crc
-#   field_count sections, one per field:
-#               name_bytes u8 | term_count u32 | term_bytes u32 | posting_count u32
-#               | name (UTF-8) | the terms (a string list of term_bytes)
+#   postings:   term_count u32 | term_bytes u32 | posting_count u32
+#               | the tagged terms (a string list of term_bytes)
 #               | term_count x df u32
 #               | posting_count x doc number u32: each term's, ascending, in term order
 #               | posting_count x tf u32, in the same order | crc
-#   end of file: the end of the last section
+#   end of file: the end of the postings
 #
-# A string list is its strings in UTF-8 with "\n" between two, so a string
-# may be empty or of any length but holds no line break. Each head gives
-# the byte length of its part, so ``load_index`` skips a field it was not
-# asked for with one seek. A fingerprint is the crc32 of the sorted
-# entries of the stopword list or the lexicon (``fingerprint``), so
-# comments and order in their files do not matter; 0 means not given.
+# A string list is its strings in UTF-8 with "\n" between two, so a
+# string may be empty or of any length but holds no line break. A
+# fingerprint is the crc32 of the sorted entries of the stopword list or
+# the lexicon (``fingerprint``), so comments and order in their files do
+# not matter; 0 means not given.
 #
-# ``load_index`` checks what it reads once per part, never per term: the
-# part fits in the file (before anything is allocated for it) and its CRC
-# matches; a string list holds as many strings as its head says, none
-# twice; in a field, the dfs add up to posting_count and the largest doc
-# number is below doc_count. The file must end where the last section
-# does. Asked for some terms only, ``load_index`` still reads and checks
-# each field it loads whole, and slices the arrays of those terms alone.
-# The CRCs catch accidental damage, such as a doc number repeated
-# within a term. A crafted file with a recomputed CRC is out of scope: a
-# strict-ascending pass over every posting would cost more than the whole
-# load.
+# ``load_index`` checks each part whole: it fits in the file (before
+# anything is allocated for it) and its CRC matches; a string list holds
+# as many strings as its head says, none twice; the dfs add up to
+# posting_count and the largest doc number is below doc_count; the file
+# ends with the postings. Each block it keeps must then hold strictly
+# ascending doc numbers and tfs of at least 1, even under a recomputed CRC.
 # ---------------------------------------------------------------------------
 
 
-_HEADER = struct.Struct("<ddIIB")  # after the magic and the version byte
+_HEADER = struct.Struct("<ddII")  # after the magic and the version byte
 _DOCUMENTS = struct.Struct("<II")
-_SECTION = struct.Struct("<BIII")
+_POSTINGS = struct.Struct("<III")
 _U32 = struct.Struct("<I")
 _SWAP = sys.byteorder == "big"  # blocks are little-endian on disk
+_FIELD = f"field {TAGGED!r}"  # the stored field, as errors name it
 
 
 def fingerprint(entries: Iterable[str]) -> int:
@@ -268,30 +288,26 @@ def _write_part(out: BinaryIO, chunks: Iterable) -> None:
 def save_index(index: Index, path: str | Path) -> None:
     """Write the snapshot to a temp file that replaces ``path`` on success.
 
-    A field's doc-number and tf columns are written straight from the
-    per-term arrays, one array per ``write``; no column is built in
-    memory.
+    The doc-number and tf columns are written straight from the per-term
+    arrays, one array per ``write``; no column is built in memory.
     """
     ids = _encode_strings(index.doc_ids, path)
+    postings = index.postings.values()
+    terms = _encode_strings(index.postings, path)
+    dfs = array(U32, (len(docs) for docs, _ in postings))
     with atomic_write(path, "wb") as out:
-        header = _HEADER.pack(index.k1, index.b, *index.fingerprints, len(index.fields))
+        header = _HEADER.pack(index.k1, index.b, *index.fingerprints)
         _write_part(out, (SNAPSHOT_MAGIC, bytes((SNAPSHOT_VERSION,)), header))
         _write_part(out, (
             _DOCUMENTS.pack(index.doc_count, len(ids)),
             ids,
             _le(index.doc_lengths),
         ))
-        for name, field_index in index.fields.items():
-            postings = field_index.postings
-            terms = _encode_strings(postings, path)
-            encoded_name = name.encode("utf-8")
-            dfs = array(U32, (len(docs) for docs, _ in postings.values()))
-            head = _SECTION.pack(len(encoded_name), len(postings), len(terms), sum(dfs))
-            _write_part(out, chain(
-                (head, encoded_name, terms, _le(dfs)),
-                (_le(docs) for docs, _ in postings.values()),
-                (_le(tfs) for _, tfs in postings.values()),
-            ))
+        _write_part(out, chain(
+            (_POSTINGS.pack(len(dfs), len(terms), sum(dfs)), terms, _le(dfs)),
+            (_le(docs) for docs, _ in postings),
+            (_le(tfs) for _, tfs in postings),
+        ))
 
 
 class _Reader:
@@ -304,7 +320,7 @@ class _Reader:
         self.path = str(path)
         info = os.fstat(handle.fileno())
         if not stat.S_ISREG(info.st_mode):
-            raise ParseError("not a regular file; a snapshot is read by seeking", self.path)
+            raise ParseError("not a regular file, so its size is unknown", self.path)
         self.left = info.st_size  # bytes not yet read
         self.crc = 0
 
@@ -350,30 +366,17 @@ class _Reader:
             raise self.fail(f"the {part} fails its CRC check")
         self.crc = 0
 
-    def skip_part(self, size: int) -> None:
-        """Seek past the rest of the part, ``size`` bytes and its CRC."""
-        self._take(size + 4)
-        self.handle.seek(size + 4, 1)
-        self.crc = 0
-
     def fail(self, message: str) -> ParseError:
         return ParseError(f"corrupt snapshot: {message}", self.path)
 
 
-def load_index(
-    path: str | Path, fields: Sequence[str] = FIELDS, terms: Collection[str] | None = None
-) -> Index:
-    """Read the snapshot at ``path`` with the postings of ``fields`` only,
-    and of ``terms`` only when given: a term of a loaded field that is not
-    in ``terms`` has no postings in the index.
-
-    The sections of other fields are skipped unread, and ``Index.field``
-    refuses their names. Picking terms checks no less: each field that is
-    read is read whole and checked whole. ``path`` must be a regular file,
-    as the parts are checked against its size.
-    """
+def load_index(path: str | Path, terms: Collection[str] | None = None) -> Index:
+    """Read the regular file ``path``: the tagged postings of ``terms`` only
+    when given, and the plain ones, merged here, of every term or of each of
+    ``terms`` given with its "[nx]" form (see ``stored_terms``). Picking
+    terms checks no less, and the document table is always whole."""
     path = Path(path)
-    wanted = None if terms is None else {term.encode("utf-8") for term in terms}
+    picked = None if terms is None else set(terms)
     try:
         with open(path, "rb") as handle:
             reader = _Reader(handle, path)
@@ -384,7 +387,7 @@ def load_index(
                 raise ParseError(
                     f"unsupported snapshot version {version}; rebuild the index", str(path)
                 )
-            k1, b, stopwords_fp, lexicon_fp, field_count = _HEADER.unpack(reader.read(_HEADER.size))
+            k1, b, stopwords_fp, lexicon_fp = _HEADER.unpack(reader.read(_HEADER.size))
             if not (0.0 <= k1 < math.inf and 0.0 <= b <= 1.0):
                 raise reader.fail(f"k1 {k1!r} or b {b!r} out of range")
             reader.end_part("header")
@@ -395,55 +398,49 @@ def load_index(
             reader.end_part("document table")
             doc_ids = reader.decode_strings(id_blob, doc_count, "doc_id")
 
-            loaded: dict[str, FieldIndex] = {}
-            for _ in range(field_count):
-                name_bytes, term_count, term_bytes, posting_count = _SECTION.unpack(
-                    reader.read(_SECTION.size)
-                )
-                name = reader.read(name_bytes).decode("utf-8")
-                if name in fields:
-                    postings = _read_postings(
-                        reader, name, term_count, term_bytes, posting_count, doc_count, wanted
-                    )
-                    loaded[name] = FieldIndex(postings)
-                else:
-                    reader.skip_part(term_bytes + 4 * term_count + 8 * posting_count)
+            postings = _read_postings(reader, doc_count, picked)
             if reader.left:
-                raise ParseError(f"{reader.left} trailing bytes after the last field", str(path))
-    except (EOFError, UnicodeDecodeError) as exc:
+                raise ParseError(f"{reader.left} trailing bytes after the postings", str(path))
+        plain = plain_postings(
+            postings, None if picked is None else [t for t in picked if NX_PREFIX + t in picked]
+        )
+    except (EOFError, UnicodeDecodeError, OverflowError) as exc:  # Overflow: a merged tf > u32
         raise ParseError(f"corrupt or truncated index snapshot ({exc})", str(path)) from exc
-    for field_name in fields:
-        if field_name not in loaded:
-            raise ParseError(f"snapshot missing field {field_name!r}", str(path))
-    return Index(loaded, doc_ids, doc_lengths, k1=k1, b=b, fingerprints=(stopwords_fp, lexicon_fp))
+    return Index(postings, doc_ids, doc_lengths, k1, b, (stopwords_fp, lexicon_fp), plain)
 
 
-def _read_postings(
-    reader: _Reader, name: str, term_count: int, term_bytes: int, posting_count: int,
-    doc_count: int, wanted: set[bytes] | None,
-) -> dict[str, tuple[array, array]]:
-    """One field's postings of the terms in ``wanted`` (UTF-8), or of
-    every term when it is None. Only the picked terms' arrays are sliced
-    from the two columns, and each column is dropped once it is sliced;
-    the checks cover the whole field either way."""
+def _read_postings(reader: _Reader, doc_count: int, picked: set[str] | None) -> Postings:
+    """The postings of the terms in ``picked``, or of every term when it
+    is None, sliced from the two columns, each dropped once it is sliced.
+    The part's checks cover every term; each sliced block is checked too."""
+    term_count, term_bytes, posting_count = _POSTINGS.unpack(reader.read(_POSTINGS.size))
     blob = reader.read(term_bytes)
-    if wanted is None:
+    if picked is None:
         picks: Sequence[int] = range(term_count)
     else:  # by position in the raw list; it is decoded and checked after the CRC
+        wanted = {term.encode("utf-8") for term in picked}
         picks = [i for i, term in zip(range(term_count), blob.split(b"\n")) if term in wanted]
-    offsets = list(accumulate(reader.read_array(U32, term_count), initial=0))
+    # u64 sums in an array: a list would hold an int object per term
+    offsets = array("Q", accumulate(reader.read_array(U32, term_count), initial=0))
     if offsets[-1] != posting_count:
-        raise reader.fail(
-            f"the dfs of field {name!r} add up to {offsets[-1]}, not {posting_count}"
-        )
+        raise reader.fail(f"the dfs of {_FIELD} add up to {offsets[-1]}, not {posting_count}")
     docs = reader.read_array(U32, posting_count)
+    # This bound is also each block's: its last doc number is below doc_count.
     if docs and max(docs) >= doc_count:
-        raise reader.fail(f"field {name!r} lists doc number {max(docs)} of {doc_count}")
+        raise reader.fail(f"{_FIELD} lists doc number {max(docs)} of {doc_count}")
     doc_blocks = [docs[offsets[i]:offsets[i + 1]] for i in picks]
     del docs
     tfs = reader.read_array(U32, posting_count)
     tf_blocks = [tfs[offsets[i]:offsets[i + 1]] for i in picks]
     del tfs
-    reader.end_part(f"field {name!r}")
-    term_list = reader.decode_strings(blob, term_count, f"term of field {name!r}")
-    return {term_list[i]: entry for i, entry in zip(picks, zip(doc_blocks, tf_blocks))}
+    reader.end_part(_FIELD)
+    term_list = reader.decode_strings(blob, term_count, f"term of {_FIELD}")
+    postings = {}
+    for i, block, tf_block in zip(picks, doc_blocks, tf_blocks):
+        term = term_list[i]
+        if not all(map(operator.lt, block, block[1:])):
+            raise reader.fail(f"the doc numbers of term {term!r} do not strictly ascend")
+        if not tf_block or 0 in tf_block:
+            raise reader.fail(f"term {term!r} has no posting or a tf of 0")
+        postings[term] = (block, tf_block)
+    return postings

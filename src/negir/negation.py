@@ -19,9 +19,9 @@ because the tokenizer would never produce a bracket.
 
 ``analyze_text`` makes no object per token. It returns flat lists: the
 kept surfaces as ``terms``, their raw ``positions``, and ``tagged_terms``
-(the same surfaces, negated ones prefixed); the index takes ``terms``
-and ``tagged_terms`` as its two fields. A per-token ``TaggedToken`` view
-is built from those lists only when asked for.
+(the same surfaces, negated ones prefixed); the index is built from
+``tagged_terms`` alone. A per-token ``TaggedToken`` view is built from
+those lists only when asked for.
 """
 
 from __future__ import annotations

@@ -19,7 +19,8 @@ beyond that; ``Strategy.beta_override`` (``--beta``) replaces it.
 The tagging expansion scores q_neg, the untagged negated terms, on the
 tagged field at weight w = 0.3 per term (by weight linearity, 0.3 times
 its score at weight 1), so a document mentioning a negated query term
-in positive form still earns partial credit.
+in positive form still earns partial credit. The index stores the tagged
+field alone and derives the plain one (see ``index.plain_postings``).
 """
 
 from __future__ import annotations

@@ -11,6 +11,10 @@ compare them with ``==``.
 Strategy scores are built from whole-query scores with the expressions
 of the ranking module's docstring, one document at a time.
 
+``postings`` builds a field's postings with a ``Counter`` per document,
+the reference for the plain postings the index derives from the tagged
+ones.
+
 ``untag`` undoes negation tagging, and ``kept_tokens`` lists the
 (surface, position) pairs it must give back, for the round-trip checks.
 
@@ -26,6 +30,8 @@ document. The engine's one-pass ``inf_ap`` must return the same floats.
 
 import math
 import re
+from array import array
+from collections import Counter
 
 from negir.corpus import split_sentences
 from negir.negation import POST, PRE, NegationScope
@@ -59,6 +65,18 @@ def bm25(doc_tokens, terms, doc_id, weight=1.0, k1=K1, b=B):
         norm = k1 * (1.0 - b + b * len(tokens) / avgdl)
         score += term_weight * idf * (tf * (k1 + 1.0)) / (tf + norm)
     return score
+
+
+def postings(docs):
+    """term -> (doc numbers, tfs), two u32 arrays, from the term lists
+    ``docs`` in doc number order."""
+    result = {}
+    for number, terms in enumerate(docs):
+        for term, tf in Counter(terms).items():
+            numbers, tfs = result.setdefault(term, (array("I"), array("I")))
+            numbers.append(number)
+            tfs.append(tf)
+    return result
 
 
 def matches(doc_tokens, terms):

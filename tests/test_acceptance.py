@@ -53,11 +53,9 @@ def criterion(number, description, budget_seconds):
 
 def analyzed_corpus(docs):
     """Push raw texts through the full analysis pipeline into an index."""
-    triples = []
-    for doc_id, text in docs:
-        analysis = analyze_text(text, STOPWORDS, LEXICON)
-        triples.append((doc_id, analysis.terms, analysis.tagged_terms))
-    return build_index(triples)
+    return build_index(
+        (doc_id, analyze_text(text, STOPWORDS, LEXICON).tagged_terms) for doc_id, text in docs
+    )
 
 
 def tagged_tokens(docs):
@@ -153,8 +151,8 @@ def test_criterion_3_equivalence_suite():
 
 
 def token_index(doc_tokens):
-    """An index whose documents hold ``doc_tokens``, untagged, in both fields."""
-    return build_index([(doc_id, tokens, tokens) for doc_id, tokens in doc_tokens.items()])
+    """An index whose documents hold ``doc_tokens``, untagged."""
+    return build_index(doc_tokens.items())
 
 
 def baseline_bundle(terms):

@@ -861,26 +861,31 @@ def test_long_doc_id_runs_through_index_run_and_eval(workspace, capsys):
     assert json.loads(capsys.readouterr().out)["per_topic"]["2"]["p_at_10"] == 0.1
 
 
-def test_run_reads_only_the_fields_its_topics_score(workspace, capsys):
-    # Tagging scores topics that all carry negations on the tagged field
-    # alone, so a damaged plain section does not stop it; the baseline
-    # scores the plain field and refuses the snapshot.
-    topics = workspace / "negated.jsonl"
-    topics.write_bytes(_jsonl(TOPICS[1], {"topic_id": "3", "description": "no smoking history"}))
+def test_run_refuses_a_damaged_postings_part_for_every_strategy(workspace, capsys):
+    # Every strategy reads the one stored field, so a damaged byte in its
+    # postings stops each of them, even where topics pick none of its terms.
     snapshot = build_snapshot(workspace)
-    intact, damaged = workspace / "intact.run", workspace / "damaged.run"
-    run = ["run", "--index", snapshot, "--topics", topics, "--strategy"]
-    assert run_cli(*run, "negation_tagging", "--out", intact) == 0
     data = snapshot.read_bytes()
-    flip = data.index(b"plain") + len("plain") + 1  # the first byte of the plain terms
+    flip = len(data) - 5  # the last tf, before the part's CRC
     snapshot.write_bytes(data[:flip] + bytes((data[flip] ^ 0xFF,)) + data[flip + 1:])
-    assert run_cli(*run, "negation_tagging", "--out", damaged) == 0
-    assert damaged.read_bytes() == intact.read_bytes()
-    capsys.readouterr()
-    assert run_cli(*run, "baseline", "--out", workspace / "baseline.run") == 1
-    err = capsys.readouterr().err
-    assert err.startswith(f"negir: {snapshot}: corrupt snapshot: the field 'plain' fails"), err
-    assert not (workspace / "baseline.run").exists()
+    for strategy in ("baseline", "filtering", "score_combination", "negation_tagging"):
+        out = workspace / f"{strategy}.run"
+        capsys.readouterr()
+        assert run_cli("run", "--index", snapshot, "--topics", workspace / "topics.jsonl",
+                       "--strategy", strategy, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"negir: {snapshot}: corrupt snapshot: the field 'tagged' fails"), err
+        assert not out.exists()
+
+
+def test_index_json_counts_each_field_terms(workspace, capsys):
+    # d-clean's "no smoking history" tags both words, and "history" occurs
+    # nowhere else: 14 plain terms, and 15 tagged ones, "[nx]smoking" and
+    # "[nx]history" in place of "history".
+    assert run_cli("index", "--collection", workspace / "docs.jsonl",
+                   "--out", workspace / "index.ngir", "--json") == 0
+    summary = json.loads(capsys.readouterr().out)
+    assert (summary["plain_terms"], summary["tagged_terms"]) == (14, 15)
 
 
 def test_unknown_subcommand_exits_two(capsys):

@@ -7,7 +7,7 @@ import zlib
 from array import array
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import oracle
 
@@ -20,14 +20,10 @@ from negir.index import (
     load_index,
     save_index,
     score_query,
+    stored_terms,
 )
 from negir.querygen import QueryBundle
-from negir.ranking import STRATEGY_KINDS, Strategy, run_strategy
-
-
-def build(docs, **kwargs):
-    """An index of untagged ``(doc_id, terms)`` documents."""
-    return build_index([(d, toks, toks) for d, toks in docs], **kwargs)
+from negir.ranking import STRATEGY_KINDS, Strategy, run_strategy, strategy_components
 
 
 def search(index, terms, k):
@@ -42,7 +38,7 @@ def search(index, terms, k):
 
 
 def test_empty_index():
-    index = build([])
+    index = build_index([])
     assert index.doc_count == 0
     assert index.avg_doc_length == 0.0
     assert index.doc_ids == []
@@ -51,7 +47,7 @@ def test_empty_index():
 
 
 def test_single_doc_statistics():
-    index = build([("d", ["fever", "fever"])])
+    index = build_index([("d", ["fever", "fever"])])
     assert index.field(PLAIN).postings["fever"] == (array("I", [0]), array("I", [2]))
     assert index.doc_ids == ["d"]
     assert index.doc_lengths == array("I", [2])
@@ -60,7 +56,7 @@ def test_single_doc_statistics():
 
 def test_build_deterministic():
     docs = [("a", ["x", "y"]), ("b", ["y", "z", "z"])]
-    first, second = build(docs), build(docs)
+    first, second = build_index(docs), build_index(docs)
     assert first.field(PLAIN).postings == second.field(PLAIN).postings
     assert first.field(TAGGED).postings == second.field(TAGGED).postings
     assert first.doc_ids == second.doc_ids == ["a", "b"]
@@ -69,11 +65,11 @@ def test_build_deterministic():
 
 def test_duplicate_doc_id_rejected():
     with pytest.raises(DuplicateIdError, match="dup"):
-        build([("dup", ["a"]), ("dup", ["b"])])
+        build_index([("dup", ["a"]), ("dup", ["b"])])
 
 
 def test_tagged_field_is_separate_vocabulary():
-    index = build_index([("d", ["smoking"], ["[nx]smoking"])])
+    index = build_index([("d", ["[nx]smoking"])])
     assert score_query(index, PLAIN, ["smoking"], 1.0)[0] > 0
     assert score_query(index, TAGGED, ["smoking"], 1.0) == {}
     assert score_query(index, TAGGED, ["[nx]smoking"], 1.0)[0] > 0
@@ -85,7 +81,7 @@ def test_tagged_field_is_separate_vocabulary():
 
 
 def test_hand_computed_single_doc_score():
-    index = build([("d", ["fever"])], k1=1.2, b=0.75)
+    index = build_index([("d", ["fever"])], k1=1.2, b=0.75)
     score = score_query(index, PLAIN, ["fever"], 1.0)[0]
     assert score == oracle.bm25({"d": ["fever"]}, ["fever"], "d")
     # idf = ln(1 + (1 - 1 + 0.5) / (1 + 0.5)) = ln(4/3); tf part is exactly 1.
@@ -94,14 +90,14 @@ def test_hand_computed_single_doc_score():
 
 
 def test_query_without_matches_scores_zero():
-    index = build([("d", ["fever"])])
+    index = build_index([("d", ["fever"])])
     assert score_query(index, PLAIN, ["cough"], 1.0) == {}
     assert score_query(index, PLAIN, [], 1.0) == {}
     assert oracle.bm25({"d": ["fever"]}, ["cough"], "d") == 0.0
 
 
 def test_score_linear_in_weights():
-    index = build([("d1", ["a", "b", "a"]), ("d2", ["b", "c"])])
+    index = build_index([("d1", ["a", "b", "a"]), ("d2", ["b", "c"])])
     single_scores = score_query(index, PLAIN, ["a", "b"], 1.0)
     double_scores = score_query(index, PLAIN, ["a", "b"], 2.0)
     assert single_scores.keys() == double_scores.keys() == {0, 1}
@@ -110,13 +106,13 @@ def test_score_linear_in_weights():
 
 
 def test_duplicate_terms_accumulate():
-    index = build([("d", ["a", "b"])])
+    index = build_index([("d", ["a", "b"])])
     assert score_query(index, PLAIN, ["a", "a"], 1.0) == score_query(index, PLAIN, ["a"], 2.0)
 
 
 def test_unknown_doc_rejected():
     # Only indexed documents get a score; there is none to look up for others.
-    index = build([("d", ["a"])])
+    index = build_index([("d", ["a"])])
     scores = score_query(index, PLAIN, ["a"], 1.0)
     assert set(scores) == {0}
     with pytest.raises(KeyError):
@@ -140,7 +136,7 @@ def test_tf_part_monotonic_in_tf():
 def test_weight_validation():
     # A query has one weight for all its terms; the field it names is checked.
     with pytest.raises(ValueError, match="bogus"):
-        score_query(build([("d", ["a"])]), "bogus", ["a"], 1.0)
+        score_query(build_index([("d", ["a"])]), "bogus", ["a"], 1.0)
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +145,7 @@ def test_weight_validation():
 
 
 def test_search_orders_by_score_then_doc_id():
-    index = build([("b", ["x"]), ("a", ["x"]), ("c", ["x", "x", "y"])])
+    index = build_index([("b", ["x"]), ("a", ["x"]), ("c", ["x", "x", "y"])])
     results = search(index, ["x"], k=10)
     # Equal scores: the string id breaks the tie, not the doc number (b is 0).
     assert [doc_id for doc_id, _ in results][:2] == ["a", "b"]
@@ -157,14 +153,14 @@ def test_search_orders_by_score_then_doc_id():
 
 
 def test_search_k_truncates_and_short_results():
-    index = build([(f"d{i}", ["x"]) for i in range(5)])
+    index = build_index([(f"d{i}", ["x"]) for i in range(5)])
     query = ["x"]
     assert len(search(index, query, k=3)) == 3
     assert len(search(index, query, k=50)) == 5  # no padding
 
 
 def test_search_excludes_non_matching():
-    index = build([("d1", ["x"]), ("d2", ["y"])])
+    index = build_index([("d1", ["x"]), ("d2", ["y"])])
     results = search(index, ["x"], k=10)
     assert [doc_id for doc_id, _ in results] == ["d1"]
 
@@ -177,7 +173,7 @@ def test_search_matches_exhaustive_oracle():
             f"d{i:03d}": [rng.choice(vocab) for _ in range(rng.randint(1, 40))]
             for i in range(rng.randint(2, 60))
         }
-        index = build(list(doc_tokens.items()))
+        index = build_index(list(doc_tokens.items()))
         terms = rng.sample(vocab, rng.randint(1, 6))
         got = search(index, terms, k=len(doc_tokens))
         assert got == oracle.search(doc_tokens, terms)
@@ -189,11 +185,7 @@ def test_search_matches_exhaustive_oracle():
 
 
 def test_snapshot_round_trip(tmp_path):
-    docs = [
-        ("doc-a", ["fever", "cough", "fever"], ["fever", "[nx]cough", "fever"]),
-        ("doc-b", ["rash"], ["rash"]),
-        ("doc-c", [], []),
-    ]
+    docs = [("doc-a", ["fever", "[nx]cough", "fever"]), ("doc-b", ["rash"]), ("doc-c", [])]
     index = build_index(docs, k1=0.9, b=0.4, fingerprints=(7, 0xFFFFFFFF))
     path = tmp_path / "snap.ngir"
     save_index(index, path)
@@ -218,7 +210,7 @@ def test_snapshot_rejects_garbage(tmp_path):
 
 
 def test_snapshot_magic_bytes(tmp_path):
-    index = build([("d", ["x"])])
+    index = build_index([("d", ["x"])])
     path = tmp_path / "snap.ngir"
     save_index(index, path)
     assert path.read_bytes()[:5] == b"NGIR1"
@@ -232,7 +224,7 @@ def test_index_statistics_invariants():
         for i in range(40)
     ]
     index = build_index(
-        (doc_id, tokens, [("[nx]" + t if i % 3 else t) for i, t in enumerate(tokens)])
+        (doc_id, [("[nx]" + t if i % 3 else t) for i, t in enumerate(tokens)])
         for doc_id, tokens in docs
     )
     lengths = index.doc_lengths
@@ -242,8 +234,8 @@ def test_index_statistics_invariants():
     for doc, length in enumerate(lengths):
         expected = 1.2 * (1 - 0.75 + 0.75 * length / index.avg_doc_length)
         assert index.norms[doc] == pytest.approx(expected, rel=1e-12)
-    # Tagging only adds prefixes, so both fields' postings add up, per
-    # document, to the one shared length.
+    # Tagging only adds prefixes, so both fields' postings, the plain ones
+    # derived, add up per document to the one shared length.
     for field in (PLAIN, TAGGED):
         tf_sums = [0] * len(lengths)
         for term, (doc_numbers, tfs) in index.field(field).postings.items():
@@ -256,12 +248,8 @@ def test_index_statistics_invariants():
 
 
 def test_snapshot_truncation_is_a_parse_error(tmp_path):
-    docs = [
-        ("doc-a", ["fever", "cough"], ["fever", "[nx]cough"]),
-        ("doc-b", ["rash"], ["rash"]),
-    ]
     path = tmp_path / "snap.ngir"
-    save_index(build_index(docs), path)
+    save_index(build_index([("doc-a", ["fever", "[nx]cough"]), ("doc-b", ["rash"])]), path)
     data = path.read_bytes()
     # Every proper prefix, and the whole snapshot with bytes appended.
     corrupted = [data[:size] for size in range(len(data))] + [data + b"garbage"]
@@ -274,16 +262,23 @@ def test_snapshot_truncation_is_a_parse_error(tmp_path):
 
 def test_snapshot_of_older_version_asks_for_rebuild(tmp_path):
     path = tmp_path / "snap.ngir"
-    save_index(build([("d", ["x"])]), path)
+    save_index(build_index([("d", ["x"])]), path)
     data = bytearray(path.read_bytes())
-    assert data[5] == 5  # the version byte follows the 5 magic bytes
-    data[5] = 4
+    assert data[5] == 6  # the version byte follows the 5 magic bytes
+    data[5] = 5
     path.write_bytes(bytes(data))
-    with pytest.raises(ParseError, match="unsupported snapshot version 4; rebuild the index"):
+    with pytest.raises(ParseError, match="unsupported snapshot version 5; rebuild the index"):
         load_index(path)
 
 
-HEADER_BYTES = 35  # magic, version, k1, b, two fingerprints, field count, CRC
+HEADER_BYTES = 34  # magic, version, k1, b, two fingerprints, CRC
+
+
+def postings_start(data):
+    """Where the postings part of the snapshot ``data`` starts: after the
+    header and the document table, whose head gives its size."""
+    doc_count, id_bytes = struct.unpack_from("<II", data, HEADER_BYTES)
+    return HEADER_BYTES + 8 + id_bytes + 4 * doc_count + 4
 
 
 def resealed(data, start, end):
@@ -294,11 +289,11 @@ def resealed(data, start, end):
 
 def test_snapshot_out_of_range_doc_number_is_a_parse_error(tmp_path):
     path = tmp_path / "snap.ngir"
-    save_index(build([("d", ["x"])]), path)
+    save_index(build_index([("d", ["x"])]), path)
     data = path.read_bytes()
-    # The file ends with the tagged section: its df, doc-number and tf
-    # columns hold one entry each, then the section's CRC.
-    tagged = data.rindex(b"tagged") - 13  # the section head is 13 bytes
+    # The file ends with the postings: their df, doc-number and tf columns
+    # hold one entry each, then the part's CRC.
+    tagged = postings_start(data)
     for start, value, message in (
         (-12, 7, "field 'tagged' lists doc number 7 of 1"),
         (-16, 0xFFFFFFFF, "the dfs of field 'tagged' add up to 4294967295, not 1"),
@@ -312,7 +307,7 @@ def test_snapshot_out_of_range_doc_number_is_a_parse_error(tmp_path):
 
 def test_snapshot_duplicate_doc_id_is_a_parse_error(tmp_path):
     path = tmp_path / "snap.ngir"
-    save_index(build([("ab", ["x"]), ("cd", ["y"])]), path)
+    save_index(build_index([("ab", ["x"]), ("cd", ["y"])]), path)
     data = path.read_bytes()
     table_end = HEADER_BYTES + 8 + 5 + 4 * 2  # head, ids, doc lengths
     for ids, message in (
@@ -328,15 +323,14 @@ def test_snapshot_duplicate_doc_id_is_a_parse_error(tmp_path):
 def test_snapshot_repeated_term_is_a_parse_error(tmp_path):
     # Terms are read by the same string-list check as the doc_ids.
     path = tmp_path / "snap.ngir"
-    save_index(build([("d", ["xy", "zw"])]), path)
+    save_index(build_index([("d", ["xy", "zw"])]), path)
     data = path.read_bytes()
-    plain, tagged = data.index(b"plain") - 13, data.rindex(b"tagged") - 13
     for terms, message in (
-        (b"xy\nxy", "a term of field 'plain' is listed twice"),
-        (b"xy-zw", "1 strings where 2 are listed, one per term of field 'plain'"),
+        (b"xy\nxy", "a term of field 'tagged' is listed twice"),
+        (b"xy-zw", "1 strings where 2 are listed, one per term of field 'tagged'"),
     ):
         patched = data.replace(b"xy\nzw", terms, 1)
-        path.write_bytes(resealed(patched, plain, tagged - 4))
+        path.write_bytes(resealed(patched, postings_start(data), len(data) - 4))
         for picked in (None, ("zw",), ()):  # the whole list is checked, not the picked terms
             with pytest.raises(ParseError, match=f"snap.ngir: corrupt snapshot: {message}"):
                 load_index(path, terms=picked)
@@ -344,11 +338,11 @@ def test_snapshot_repeated_term_is_a_parse_error(tmp_path):
 
 def test_snapshot_repeated_doc_number_fails_the_crc(tmp_path):
     # A repeated doc number would add the term twice for that document;
-    # the field's CRC catches one made by accident.
+    # the CRC catches one made by accident.
     path = tmp_path / "snap.ngir"
-    save_index(build([("a", ["x"]), ("b", ["x"])]), path)
+    save_index(build_index([("a", ["x"]), ("b", ["x"])]), path)
     data = path.read_bytes()
-    # The tagged section ends with x's doc numbers [0, 1], tfs [1, 1], CRC.
+    # The postings end with x's doc numbers [0, 1], tfs [1, 1], CRC.
     assert data[-20:-4] == struct.pack("<4I", 0, 1, 1, 1)
     path.write_bytes(data[:-16] + struct.pack("<I", 0) + data[-12:])
     with pytest.raises(ParseError, match="snap.ngir: corrupt snapshot: the field 'tagged' fails"):
@@ -360,51 +354,45 @@ def _snapshot_part(*chunks):
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def _snapshot_section(name, terms, docs, tfs):
-    """A field section from its terms with their dfs, and its two columns."""
+def _snapshot(doc_ids, lengths, terms, docs, tfs, fingerprints=(0, 0)):
+    """Snapshot bytes from a document table, the terms with their dfs,
+    and the two posting columns, with default k1 and b."""
+    ids = "\n".join(doc_ids).encode("utf-8")
     term_bytes = "\n".join(term for term, _ in terms).encode("utf-8")
     n = len(docs)
-    return _snapshot_part(
-        struct.pack("<BIII", len(name), len(terms), len(term_bytes), n), name.encode("utf-8"),
-        term_bytes, struct.pack(f"<{len(terms)}I", *(df for _, df in terms)),
-        struct.pack(f"<{n}I{n}I", *docs, *tfs),
+    return (
+        _snapshot_part(b"NGIR1", struct.pack("<BddII", 6, 1.2, 0.75, *fingerprints))
+        + _snapshot_part(
+            struct.pack("<II", len(doc_ids), len(ids)), ids,
+            struct.pack(f"<{len(lengths)}I", *lengths),
+        )
+        + _snapshot_part(
+            struct.pack("<III", len(terms), len(term_bytes), n), term_bytes,
+            struct.pack(f"<{len(terms)}I", *(df for _, df in terms)),
+            struct.pack(f"<{n}I{n}I", *docs, *tfs),
+        )
     )
 
 
 def test_snapshot_bytes_are_pinned(tmp_path):
     index = build_index(
-        [
-            ("a", ["x", "y", "x"], ["x", "[nx]y", "x"]),
-            ("b-\u00e9", ["y"], ["y"]),
-        ],
-        fingerprints=(0x01020304, 0xA0B0C0D0),
+        [("a", ["x", "[nx]y", "x"]), ("b-\u00e9", ["y"])], fingerprints=(0x01020304, 0xA0B0C0D0)
     )
     path = tmp_path / "snap.ngir"
     save_index(index, path)
-    expected = (
-        _snapshot_part(b"NGIR1", struct.pack("<BddIIB", 5, 1.2, 0.75, 0x01020304, 0xA0B0C0D0, 2))
-        + _snapshot_part(
-            struct.pack("<II", 2, 6), "a\nb-\u00e9".encode("utf-8"),
-            struct.pack("<II", 3, 1),  # the lengths block
-        )
-        + _snapshot_section("plain", [("x", 1), ("y", 2)], [0, 0, 1], [2, 1, 1])
-        + _snapshot_section(
-            "tagged", [("x", 1), ("[nx]y", 1), ("y", 1)], [0, 0, 1], [2, 1, 1]
-        )
+    expected = _snapshot(
+        ["a", "b-\u00e9"], [3, 1], [("x", 1), ("[nx]y", 1), ("y", 1)], [0, 0, 1], [2, 1, 1],
+        fingerprints=(0x01020304, 0xA0B0C0D0),
     )
     assert path.read_bytes() == expected
-    assert HEADER_BYTES == len(_snapshot_part(b"NGIR1", struct.pack("<BddIIB", 5, 0, 0, 0, 0, 0)))
+    assert HEADER_BYTES == len(_snapshot_part(b"NGIR1", struct.pack("<BddII", 6, 0, 0, 0, 0)))
 
 
-def two_field_snapshot(tmp_path):
-    """A small snapshot, with its bytes and where its plain section ends."""
+def small_snapshot(tmp_path):
+    """A small snapshot and its bytes."""
     path = tmp_path / "snap.ngir"
-    save_index(build_index([
-        ("doc-a", ["fever", "cough"], ["fever", "[nx]cough"]),
-        ("doc-b", ["rash", "fever"], ["rash", "fever"]),
-    ]), path)
-    data = path.read_bytes()
-    return path, data, data.rindex(b"tagged") - 13
+    save_index(build_index([("doc-a", ["fever", "[nx]cough"]), ("doc-b", ["rash", "fever"])]), path)
+    return path, path.read_bytes()
 
 
 def flips(data, positions):
@@ -414,7 +402,7 @@ def flips(data, positions):
 
 
 def test_snapshot_every_byte_flip_is_a_parse_error(tmp_path):
-    path, data, _ = two_field_snapshot(tmp_path)
+    path, data = small_snapshot(tmp_path)
     for i, content in flips(data, range(len(data))):
         path.write_bytes(content)
         with pytest.raises(ParseError, match="snap.ngir"):
@@ -422,28 +410,63 @@ def test_snapshot_every_byte_flip_is_a_parse_error(tmp_path):
             pytest.fail(f"a flip at byte {i} loaded")
 
 
-def test_snapshot_plain_only_load_checks_what_it_reads(tmp_path):
-    path, data, tagged_start = two_field_snapshot(tmp_path)
-    # Picking terms checks no less: each field read is still checked whole.
-    for terms in (None, ("fever",), ("cough", "absent"), ()):
-        # Every proper prefix: the skipped tagged section must still fit in the file.
+def test_snapshot_picked_load_checks_what_it_reads(tmp_path):
+    path, data = small_snapshot(tmp_path)
+    # Picking terms checks no less: the postings are still checked whole.
+    for terms in (("fever",), ("cough", "absent"), ("cough", "[nx]cough"), ()):
+        # Every proper prefix.
         for size in range(len(data)):
             path.write_bytes(data[:size])
             with pytest.raises(ParseError, match="snap.ngir"):
-                load_index(path, (PLAIN,), terms)
-        # Every flip before the tagged section: the header, the document
-        # table and the plain section.
-        for i, content in flips(data, range(tagged_start)):
+                load_index(path, terms)
+        for i, content in flips(data, range(len(data))):
             path.write_bytes(content)
             with pytest.raises(ParseError, match="snap.ngir"):
-                load_index(path, (PLAIN,), terms)
+                load_index(path, terms)
                 pytest.fail(f"a flip at byte {i} loaded with terms {terms}")
-        if terms is not None:  # both fields with every term: the test above
-            for i, content in flips(data, range(len(data))):
-                path.write_bytes(content)
-                with pytest.raises(ParseError, match="snap.ngir"):
-                    load_index(path, (PLAIN, TAGGED), terms)
-                    pytest.fail(f"a flip at byte {i} loaded with terms {terms}")
+
+
+def test_snapshot_repeated_doc_number_with_its_crc_recomputed_is_a_parse_error(tmp_path):
+    # A doc number repeated within a term would add the term twice for
+    # that document: x's block [0, 1] patched to [0, 0] would score
+    # {0: 0.4222} in place of {0: 0.2111, 1: 0.1604}. Each block the load
+    # keeps is checked, whatever the CRC says.
+    index = build_index([("a", ["x"]), ("b", ["x", "y"])])
+    scores = score_query(index, TAGGED, ["x"], 1.0)
+    assert scores == {0: pytest.approx(0.2111, abs=1e-4), 1: pytest.approx(0.1604, abs=1e-4)}
+    path = tmp_path / "snap.ngir"
+    save_index(index, path)
+    data = path.read_bytes()
+    start = postings_start(data)
+    column = start + 12 + len(b"x\ny") + 8  # after the head, the terms and the dfs
+    assert data[column:column + 12] == struct.pack("<3I", 0, 1, 1)  # x's [0, 1], y's [1]
+    patched = data[:column + 4] + struct.pack("<I", 0) + data[column + 8:]
+    path.write_bytes(resealed(patched, start, len(data) - 4))
+    for terms in (None, ("x",), ("x", "[nx]x")):
+        with pytest.raises(
+            ParseError, match="corrupt snapshot: the doc numbers of term 'x' do not strictly ascend"
+        ):
+            load_index(path, terms)
+    # A block no term of the load reads is not checked.
+    assert load_index(path, ("y",)).postings == {"y": index.postings["y"]}
+
+
+@pytest.mark.parametrize("terms, docs, tfs, message", [
+    ([("x", 2)], [1, 0], [1, 1],
+     "corrupt snapshot: the doc numbers of term 'x' do not strictly ascend"),
+    ([("x", 1), ("y", 1)], [0, 1], [0, 1], "corrupt snapshot: term 'x' has no posting or a tf"),
+    ([("x", 0), ("y", 1)], [0], [1], "corrupt snapshot: term 'x' has no posting or a tf of 0"),
+    ([("x", 1), ("[nx]x", 1)], [0, 0], [0xFFFFFFFF, 1], "corrupt or truncated index snapshot"),
+])
+def test_snapshot_crafted_block_is_a_parse_error(tmp_path, terms, docs, tfs, message):
+    # Crafted postings with valid CRCs: each is refused by a full load and
+    # by one that picks the term, and the last when its tfs are merged into
+    # a plain tf that no u32 holds.
+    path = tmp_path / "snap.ngir"
+    path.write_bytes(_snapshot(["a", "b"], [1, 1], terms, docs, tfs))
+    for picked in (None, ("x", "[nx]x")):
+        with pytest.raises(ParseError, match=f"snap.ngir: {message}"):
+            load_index(path, picked)
 
 
 SNAPSHOT_VOCAB = ["fever", "cough", "r\u00e4sh", "x"]
@@ -451,8 +474,8 @@ SNAPSHOT_VOCAB = ["fever", "cough", "r\u00e4sh", "x"]
 
 @st.composite
 def snapshot_corpora(draw):
-    """Analyzed documents: empty ones, non-ASCII ids, an empty id, sometimes
-    over 256 of them."""
+    """Analyzed ``(doc_id, tagged_terms)`` documents: empty ones, non-ASCII
+    ids, an empty id, sometimes over 256 of them."""
     count = draw(st.one_of(st.integers(0, 12), st.integers(257, 300)))
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     prefix = draw(st.one_of(
@@ -465,8 +488,7 @@ def snapshot_corpora(draw):
     docs = []
     for doc_id in ids:
         plain = [rng.choice(SNAPSHOT_VOCAB) for _ in range(rng.choice([0, 1, 3, 8]))]
-        tagged = ["[nx]" + t if rng.random() < 0.3 else t for t in plain]
-        docs.append((doc_id, plain, tagged))
+        docs.append((doc_id, ["[nx]" + t if rng.random() < 0.3 else t for t in plain]))
     return docs
 
 
@@ -491,38 +513,43 @@ def test_snapshot_round_trip_property(tmp_path_factory, docs, params):
     for field in (PLAIN, TAGGED):
         assert loaded.field(field).postings == index.field(field).postings
     assert all_strategy_runs(loaded) == all_strategy_runs(index)
-    plain_only = load_index(path, fields=(PLAIN,))
-    assert plain_only.doc_ids == index.doc_ids and plain_only.norms == index.norms
-    assert plain_only.field(PLAIN).postings == index.field(PLAIN).postings
-    with pytest.raises(ValueError, match="'tagged'"):
-        plain_only.field(TAGGED)
+
+
+def bundle_terms(bundle):
+    """The terms ``negir run`` picks for a bundle under every strategy."""
+    return set().union(*(
+        stored_terms(field, part)
+        for kind in STRATEGY_KINDS
+        for _, field, part, _ in strategy_components(Strategy(kind), bundle)
+    ))
 
 
 @st.composite
 def term_bundles(draw):
-    """A bundle over the snapshot vocabulary and terms absent from it,
-    with the terms of its four variants."""
+    """A bundle over the snapshot vocabulary and terms absent from it."""
     q_full = draw(st.lists(st.sampled_from(SNAPSHOT_VOCAB + ["absent", ""]), max_size=6))
     negated = [draw(st.booleans()) for _ in q_full]
     q_pos = [term for term, neg in zip(q_full, negated) if not neg]
     q_neg = [term for term, neg in zip(q_full, negated) if neg]
     q_tagged = ["[nx]" + term if neg else term for term, neg in zip(q_full, negated)]
-    bundle = QueryBundle("t", len(q_full), len(q_neg), q_full, q_pos, q_neg, q_tagged)
-    return bundle, set(q_full) | set(q_tagged)
+    return QueryBundle("t", len(q_full), len(q_neg), q_full, q_pos, q_neg, q_tagged)
 
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(snapshot_corpora(), term_bundles())
-def test_selective_load_keeps_the_postings_of_its_terms(tmp_path_factory, docs, drawn):
-    bundle, terms = drawn
+def test_selective_load_keeps_the_postings_of_its_terms(tmp_path_factory, docs, bundle):
+    # The tagged postings of each picked term, and the plain postings of
+    # each picked term whose "[nx]" form was picked too.
+    terms = bundle_terms(bundle)
     index = build_index(docs)
     path = tmp_path_factory.mktemp("snap") / "snap.ngir"
     save_index(index, path)
-    picked = load_index(path, terms=terms)
+    picked = load_index(path, terms)
     assert picked.doc_ids == index.doc_ids and picked.norms == index.norms
-    for field in (PLAIN, TAGGED):
-        postings = index.field(field).postings
-        assert picked.field(field).postings == {t: p for t, p in postings.items() if t in terms}
+    assert picked.postings == {t: p for t, p in index.postings.items() if t in terms}
+    assert picked.field(PLAIN).postings == {
+        t: p for t, p in index.field(PLAIN).postings.items() if t in terms and "[nx]" + t in terms
+    }
     for kind in STRATEGY_KINDS:
         strategy = Strategy(kind)
         assert run_strategy(strategy, bundle, picked, 1000) == run_strategy(
@@ -530,14 +557,36 @@ def test_selective_load_keeps_the_postings_of_its_terms(tmp_path_factory, docs, 
         )
 
 
+DERIVED_VOCAB = ["fever", "cough", "rash", ""]
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(st.lists(st.lists(st.tuples(st.sampled_from(DERIVED_VOCAB), st.booleans()), max_size=8),
+                max_size=12))
+# fever only negated, cough only plain, rash both ways in one document.
+@example([[("fever", True), ("cough", False)], [("rash", True), ("rash", False), ("fever", True)]])
+def test_derived_plain_postings_equal_a_direct_build(tmp_path_factory, docs):
+    untagged = [[word for word, _ in doc] for doc in docs]
+    tagged = [["[nx]" + word if negated else word for word, negated in doc] for doc in docs]
+    expected = oracle.postings(untagged)
+    index = build_index((str(i), terms) for i, terms in enumerate(tagged))
+    assert index.field(PLAIN).postings == expected
+    path = tmp_path_factory.mktemp("snap") / "snap.ngir"
+    save_index(index, path)
+    assert load_index(path).field(PLAIN).postings == expected
+    for words in (DERIVED_VOCAB, ["fever", "rash"], ["cough", "absent"], []):
+        picked = load_index(path, stored_terms(PLAIN, words))
+        assert picked.field(PLAIN).postings == {t: p for t, p in expected.items() if t in words}
+
+
 @pytest.mark.parametrize("long_doc_id", [True, False])
 def test_long_strings_survive_a_round_trip(tmp_path, long_doc_id):
     # A string list has no per-string length field, so no length limit.
     huge = "x" * 70_000
     if long_doc_id:
-        docs = [(huge, ["a"], ["a"]), ("d", ["b"], ["b"])]
+        docs = [(huge, ["a"]), ("d", ["b"])]
     else:
-        docs = [("d", ["a", huge], ["a", "[nx]" + huge]), ("e", [huge], [huge])]
+        docs = [("d", ["a", "[nx]" + huge]), ("e", [huge])]
     index = build_index(docs)
     path = tmp_path / "snap.ngir"
     save_index(index, path)
@@ -556,11 +605,11 @@ def test_save_refuses_a_term_with_a_line_break(tmp_path):
     message = r"snap.ngir: cannot write 'b\\nc': it holds a line break"
     for docs in ([("d", ["a", "b\nc"])], [("a", ["x"]), ("b\nc", ["y"])]):
         with pytest.raises(NegirError, match=message):
-            save_index(build(docs), path)
+            save_index(build_index(docs), path)
         assert not path.exists()
         path.write_bytes(b"previous snapshot")
         with pytest.raises(NegirError, match="line break"):
-            save_index(build(docs), path)
+            save_index(build_index(docs), path)
         assert path.read_bytes() == b"previous snapshot"
         assert [p.name for p in tmp_path.iterdir()] == ["snap.ngir"]
         path.unlink()
@@ -569,6 +618,6 @@ def test_save_refuses_a_term_with_a_line_break(tmp_path):
 def test_empty_term_survives_a_round_trip(tmp_path):
     path = tmp_path / "snap.ngir"
     for terms in ([""], ["", "a"], ["a", ""]):
-        index = build([("d", terms)])
+        index = build_index([("d", terms)])
         save_index(index, path)
         assert load_index(path).field(PLAIN).postings == index.field(PLAIN).postings

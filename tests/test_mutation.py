@@ -136,7 +136,7 @@ def test_mutant_loads_or_names_its_file(mutant_dir, reader, data):
     elif reader.startswith("collection"):
         stopwords, lexicon = default_stopwords(), default_lexicon()
         analyses = [(doc_id, analyze_text(text, stopwords, lexicon)) for doc_id, text in loaded]
-        index = build_index((d, a.terms, a.tagged_terms) for d, a in analyses)
+        index = build_index((d, a.tagged_terms) for d, a in analyses)
         snapshot = mutant_dir / "mutant.ngir"
         save_index(index, snapshot)
         again = load_index(snapshot)

@@ -31,7 +31,7 @@ def analyzed_corpus(docs, stopwords, lexicon, **kwargs):
         triples.append((doc_id, analysis.terms, analysis.tagged_terms))
     plain = {doc_id: terms for doc_id, terms, _ in triples}
     tagged = {doc_id: tagged_terms for doc_id, _, tagged_terms in triples}
-    return build_index(triples, **kwargs), plain, tagged
+    return build_index(tagged.items(), **kwargs), plain, tagged
 
 
 def bundle_for(description, stopwords, lexicon, topic_id="t"):
@@ -360,7 +360,7 @@ def test_run_strategy_equals_oracle_exactly(strategy, docs, terms, n_full, k):
         doc_id = f"d{i:02d}"
         plain[doc_id] = [w for w, _ in words]
         tagged[doc_id] = ["[nx]" + w if negated else w for w, negated in words]
-    index = build_index([(doc_id, plain[doc_id], tagged[doc_id]) for doc_id in plain])
+    index = build_index(tagged.items())
     bundle = random_bundle(terms, n_full)
     expected = oracle.strategy_scores(
         plain, tagged, bundle, strategy.kind, strategy.beta_override, strategy.expansion_weight
@@ -369,23 +369,22 @@ def test_run_strategy_equals_oracle_exactly(strategy, docs, terms, n_full, k):
     assert got == oracle.ranked(expected, k)
 
 
-# Topic sets by the negations their topics carry, and the fields that
-# tagging scores for them; the other strategies score the plain field.
+# Topic sets by the negations their topics carry: tagging scores the
+# tagged field for topics with negations and the plain one for the others.
 TOPIC_SETS = {
     "none": ["persistent chest pain", "smoking habit"],
     "all": ["denies smoking diabetes", "no chest pain"],
     "mixed": ["persistent chest pain", QUERY],
 }
-TAGGING_FIELDS = {"none": ["plain"], "all": ["tagged"], "mixed": ["plain", "tagged"]}
 
 
 @pytest.mark.parametrize("kind", STRATEGY_KINDS)
 def test_run_loads_every_field_its_strategy_scores(
     tmp_path, monkeypatch, stopwords, lexicon, kind
 ):
-    # ``negir run`` loads the fields and the terms that the strategy's
-    # components name for its topics, and ranks them as the fully loaded
-    # index does.
+    # ``negir run`` loads the terms that the strategy's components name for
+    # its topics, each plain one with its "[nx]" form, and ranks them as
+    # the fully loaded index does.
     collection, snapshot = tmp_path / "docs.jsonl", tmp_path / "index.ngir"
     collection.write_text(
         "".join(json.dumps({"doc_id": d, "body": text}) + "\n" for d, text in DOCS),
@@ -395,9 +394,9 @@ def test_run_loads_every_field_its_strategy_scores(
     index = corpus_index(DOCS, stopwords, lexicon)
     loaded = []
 
-    def recording_load(path, fields, terms):
-        loaded.append((list(fields), set(terms)))
-        return load_index(path, fields, terms)
+    def recording_load(path, terms):
+        loaded.append(set(terms))
+        return load_index(path, terms)
 
     monkeypatch.setattr(negir.cli, "load_index", recording_load)
     for name, descriptions in TOPIC_SETS.items():
@@ -412,15 +411,14 @@ def test_run_loads_every_field_its_strategy_scores(
         argv = ["run", "--index", snapshot, "--topics", topics, "--strategy", kind,
                 "--out", run_file]
         assert negir.cli.main([str(arg) for arg in argv]) == 0
-        fields, terms = loaded.pop()
-        assert fields == (TAGGING_FIELDS[name] if kind == "negation_tagging" else ["plain"])
         bundles = [bundle_for(text, stopwords, lexicon) for text in descriptions]
-        assert terms == {
-            term
-            for bundle in bundles
-            for _, _, part_terms, _ in strategy_components(Strategy(kind), bundle)
-            for term in part_terms
-        }
+        expected = set()
+        for bundle in bundles:
+            for _, field, part_terms, _ in strategy_components(Strategy(kind), bundle):
+                expected.update(part_terms)
+                if field == "plain":
+                    expected.update("[nx]" + term for term in part_terms)
+        assert loaded.pop() == expected
         ranked = {
             str(i): run_strategy(Strategy(kind), bundle, index, 1000)
             for i, bundle in enumerate(bundles, 1)
