@@ -49,9 +49,7 @@ from .evalkit import (
     write_run,
     RunResult,
 )
-from .index import (
-    DEFAULT_B, DEFAULT_K1, Index, build_index, fingerprint, load_index, save_index, stored_terms
-)
+from .index import DEFAULT_B, DEFAULT_K1, Index, build_index, fingerprint, load_index, save_index
 from .negation import (
     NX_PREFIX,
     TriggerLexicon,
@@ -236,11 +234,9 @@ def cmd_run(args: argparse.Namespace) -> int:
         beta_override=config.beta,
         expansion_weight=config.expansion_weight,
     )
-    # Load only the postings of the terms that the strategy's components
-    # score for these topics.
+    # Load only the postings of the terms that the strategy scores for these topics.
     components = [part for bundle in bundles for part in strategy_components(strategy, bundle)]
-    terms = set().union(*(stored_terms(field, part) for _, field, part, _ in components))
-    index = load_index(args.index, terms)
+    index = load_index(args.index, {term for _, _, part, _ in components for term in part})
     _check_provenance(args, index, stopwords, lexicon)
 
     run = RunResult(run_tag=args.tag)

@@ -43,7 +43,8 @@ class RunResult:
     """Ranked lists per topic, TREC run conventions.
 
     Per topic, entries are (doc_id, score) in rank order: ranks are dense
-    from 1, scores finite and non-increasing, no document repeated.
+    from 1, scores finite and non-increasing, no document repeated, each
+    doc_id one word, as a run line holds it.
     """
 
     def __init__(self, run_tag: str, topics: dict[str, list[tuple[str, float]]] | None = None):
@@ -56,6 +57,10 @@ class RunResult:
         seen = set()
         previous = math.inf
         for doc_id, score in ranked:
+            if doc_id.split() != [doc_id]:  # run lines are whitespace-separated
+                raise NegirError(
+                    f"doc_id {doc_id!r} in topic {topic_id} is empty or contains whitespace"
+                )
             if not math.isfinite(score):
                 raise NegirError(f"score {score!r} in topic {topic_id} is not a finite number")
             if doc_id in seen:

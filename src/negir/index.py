@@ -1,4 +1,4 @@
-"""Immutable inverted index with Okapi BM25 scoring over two fields.
+"""Inverted index with Okapi BM25 scoring over two fields.
 
 Every document has postings in two fields: ``tagged``, its
 stopword-filtered terms with "[nx]" prefixes on negated ones, and
@@ -69,10 +69,10 @@ class FieldIndex(NamedTuple):
 
 
 class Index:
-    """Immutable inverted index. Do not mutate after build.
+    """Inverted index. Do not mutate after build.
 
-    ``postings`` are the tagged field's; ``plain`` the plain ones
-    ``load_index`` merged, or None for ``field`` to merge them on first use.
+    ``postings`` are the tagged field's; ``field`` derives the plain ones
+    from them on first use and keeps them, for a built or a loaded index.
     ``doc_ids``, ``doc_lengths`` and ``norms`` are indexed by doc number.
     ``avg_doc_length`` and the per-document BM25 length norms
     ``k1 * (1 - b + b * len / avgdl)`` are fixed here, once.
@@ -88,10 +88,9 @@ class Index:
         k1: float = DEFAULT_K1,
         b: float = DEFAULT_B,
         fingerprints: tuple[int, int] = (0, 0),
-        plain: Postings | None = None,
     ):
         self.postings = postings
-        self.plain = plain
+        self._plain: Postings | None = None
         self.doc_ids = doc_ids
         self.doc_lengths = doc_lengths
         self.k1 = k1
@@ -111,23 +110,22 @@ class Index:
     def field(self, name: str) -> FieldIndex:
         if name not in (PLAIN, TAGGED):
             raise ValueError(f"field {name!r} is unknown")
-        if name == PLAIN and self.plain is None:
-            self.plain = plain_postings(self.postings)
-        return FieldIndex(self.plain if name == PLAIN else self.postings)
+        if name == PLAIN and self._plain is None:
+            self._plain = plain_postings(self.postings)
+        return FieldIndex(self._plain if name == PLAIN else self.postings)
 
 
-def plain_postings(tagged: Postings, terms: Iterable[str] | None = None) -> Postings:
-    """The plain postings of ``terms`` (by default, of every tagged term
-    unprefixed): the tagged postings of the term, unless it starts with
-    "[nx]", merged with those of its "[nx]" form, tfs added."""
-    if terms is None:
-        terms = dict.fromkeys(term.removeprefix(NX_PREFIX) for term in tagged)
+def plain_postings(tagged: Postings) -> Postings:
+    """The plain postings of every tagged term with "[nx]" removed: the
+    tagged postings of the term, unless it starts with "[nx]", merged with
+    those of its "[nx]" form. A merged tf adds two u32 tfs, so it is kept
+    in an ``array("Q")``."""
     merged = {}
-    for term in terms:
+    for term in dict.fromkeys(term.removeprefix(NX_PREFIX) for term in tagged):
         own = None if term.startswith(NX_PREFIX) else tagged.get(term)
         negated = tagged.get(NX_PREFIX + term)
         if own and negated:  # each negated posting goes into a copy of the own ones
-            docs, tfs = array(U32, own[0]), array(U32, own[1])
+            docs, tfs = array(U32, own[0]), array("Q", own[1])
             for doc, tf in zip(*negated):
                 i = bisect_left(docs, doc)
                 if i == len(docs) or docs[i] != doc:
@@ -138,13 +136,6 @@ def plain_postings(tagged: Postings, terms: Iterable[str] | None = None) -> Post
         elif own or negated:  # each a pair of arrays, or None
             merged[term] = own or negated
     return merged
-
-
-def stored_terms(field: str, terms: Iterable[str]) -> set[str]:
-    """The tagged terms whose postings a lookup of ``terms`` in ``field``
-    reads: the terms, and for ``plain`` their "[nx]" forms too."""
-    prefixes = ("", NX_PREFIX) if field == PLAIN else ("",)
-    return {prefix + term for prefix in prefixes for term in terms}
 
 
 def build_index(
@@ -236,10 +227,11 @@ def score_query(index: Index, field: str, terms: Sequence[str], weight: float) -
 #
 # ``load_index`` checks each part whole: it fits in the file (before
 # anything is allocated for it) and its CRC matches; a string list holds
-# as many strings as its head says, none twice; the dfs add up to
-# posting_count and the largest doc number is below doc_count; the file
-# ends with the postings. Each block it keeps must then hold strictly
-# ascending doc numbers and tfs of at least 1, even under a recomputed CRC.
+# as many strings as its head says, none twice, in UTF-8; posting_count
+# is at most the sum of the lengths, the dfs add up to it and the largest
+# doc number is below doc_count; the file ends with the postings. Each
+# block it keeps must then hold strictly ascending doc numbers and tfs of
+# at least 1, even under a recomputed CRC. Only kept terms are decoded.
 # ---------------------------------------------------------------------------
 
 
@@ -338,26 +330,22 @@ class _Reader:
         return data
 
     def read_array(self, typecode: str, count: int) -> array:
-        """``count`` values read with one ``readinto`` into an array made for them."""
-        values = array(typecode, (0,))
+        """``count`` values read into an array made for them."""
+        values = array(typecode)
         self._take(values.itemsize * count)
-        values *= count
-        if self.handle.readinto(values) != values.itemsize * count:
-            raise EOFError(f"needed {values.itemsize * count} bytes")
+        values.fromfile(self.handle, count)  # EOFError if the file ends first
         self.crc = zlib.crc32(values, self.crc)
         if _SWAP:
             values.byteswap()
         return values
 
-    def decode_strings(self, data: bytes, count: int, item: str) -> list[str]:
-        """The string list ``data``, which must hold ``count`` strings,
-        each a distinct ``item``; decode it once its part passed the CRC."""
-        values = data.decode("utf-8").split("\n") if count or data else []
+    def check_strings(self, values: list, count: int, item: str) -> None:
+        """Check a split string list once its part passed the CRC: it
+        holds ``count`` strings, each a distinct ``item``."""
         if len(values) != count:
             raise self.fail(f"{len(values)} strings where {count} are listed, one per {item}")
         if len(set(values)) != count:
             raise self.fail(f"a {item} is listed twice")
-        return values
 
     def end_part(self, part: str) -> None:
         expected = self.crc
@@ -370,13 +358,13 @@ class _Reader:
         return ParseError(f"corrupt snapshot: {message}", self.path)
 
 
-def load_index(path: str | Path, terms: Collection[str] | None = None) -> Index:
-    """Read the regular file ``path``: the tagged postings of ``terms`` only
-    when given, and the plain ones, merged here, of every term or of each of
-    ``terms`` given with its "[nx]" form (see ``stored_terms``). Picking
-    terms checks no less, and the document table is always whole."""
+def load_index(path: str | Path, terms: Iterable[str] | None = None) -> Index:
+    """Read the regular file ``path``: the postings of every term, or of
+    ``terms`` and their "[nx]" forms, all that a lookup of them in either
+    field reads; so a picked load ranks its terms as the full index does,
+    and other terms may score otherwise. Picking checks no less, and the
+    document table is always whole."""
     path = Path(path)
-    picked = None if terms is None else set(terms)
     try:
         with open(path, "rb") as handle:
             reader = _Reader(handle, path)
@@ -393,39 +381,42 @@ def load_index(path: str | Path, terms: Collection[str] | None = None) -> Index:
             reader.end_part("header")
 
             doc_count, id_bytes = _DOCUMENTS.unpack(reader.read(_DOCUMENTS.size))
-            id_blob = reader.read(id_bytes)
+            ids = reader.read(id_bytes)
             doc_lengths = reader.read_array(U32, doc_count)
             reader.end_part("document table")
-            doc_ids = reader.decode_strings(id_blob, doc_count, "doc_id")
+            doc_ids = ids.decode("utf-8").split("\n") if doc_count or ids else []
+            reader.check_strings(doc_ids, doc_count, "doc_id")
 
-            postings = _read_postings(reader, doc_count, picked)
+            postings = _read_postings(reader, doc_lengths, terms)
             if reader.left:
                 raise ParseError(f"{reader.left} trailing bytes after the postings", str(path))
-        plain = plain_postings(
-            postings, None if picked is None else [t for t in picked if NX_PREFIX + t in picked]
-        )
-    except (EOFError, UnicodeDecodeError, OverflowError) as exc:  # Overflow: a merged tf > u32
+    except (EOFError, UnicodeDecodeError) as exc:
         raise ParseError(f"corrupt or truncated index snapshot ({exc})", str(path)) from exc
-    return Index(postings, doc_ids, doc_lengths, k1, b, (stopwords_fp, lexicon_fp), plain)
+    return Index(postings, doc_ids, doc_lengths, k1, b, (stopwords_fp, lexicon_fp))
 
 
-def _read_postings(reader: _Reader, doc_count: int, picked: set[str] | None) -> Postings:
-    """The postings of the terms in ``picked``, or of every term when it
-    is None, sliced from the two columns, each dropped once it is sliced.
-    The part's checks cover every term; each sliced block is checked too."""
+def _read_postings(reader: _Reader, doc_lengths: array, terms: Iterable[str] | None) -> Postings:
+    """The postings of every term, or of ``terms`` and their "[nx]" forms,
+    sliced from the two columns, each dropped once it is sliced. One split
+    of the term list picks the terms and is checked whole; only the kept
+    terms are decoded. Each sliced block is checked too."""
     term_count, term_bytes, posting_count = _POSTINGS.unpack(reader.read(_POSTINGS.size))
+    if posting_count > (total := sum(doc_lengths)):  # a posting counts a term of its document
+        raise reader.fail(f"{posting_count} postings in documents of {total} terms in all")
     blob = reader.read(term_bytes)
-    if picked is None:
+    raw_terms = blob.split(b"\n") if term_count or blob else []
+    if terms is None:
         picks: Sequence[int] = range(term_count)
-    else:  # by position in the raw list; it is decoded and checked after the CRC
-        wanted = {term.encode("utf-8") for term in picked}
-        picks = [i for i, term in zip(range(term_count), blob.split(b"\n")) if term in wanted]
+    else:  # by position in the raw list, which is checked after the CRC
+        wanted = {(prefix + term).encode("utf-8") for term in terms for prefix in ("", NX_PREFIX)}
+        picks = [i for i, term in zip(range(term_count), raw_terms) if term in wanted]
     # u64 sums in an array: a list would hold an int object per term
     offsets = array("Q", accumulate(reader.read_array(U32, term_count), initial=0))
     if offsets[-1] != posting_count:
         raise reader.fail(f"the dfs of {_FIELD} add up to {offsets[-1]}, not {posting_count}")
     docs = reader.read_array(U32, posting_count)
     # This bound is also each block's: its last doc number is below doc_count.
+    doc_count = len(doc_lengths)
     if docs and max(docs) >= doc_count:
         raise reader.fail(f"{_FIELD} lists doc number {max(docs)} of {doc_count}")
     doc_blocks = [docs[offsets[i]:offsets[i + 1]] for i in picks]
@@ -434,10 +425,11 @@ def _read_postings(reader: _Reader, doc_count: int, picked: set[str] | None) -> 
     tf_blocks = [tfs[offsets[i]:offsets[i + 1]] for i in picks]
     del tfs
     reader.end_part(_FIELD)
-    term_list = reader.decode_strings(blob, term_count, f"term of {_FIELD}")
+    reader.check_strings(raw_terms, term_count, f"term of {_FIELD}")
+    blob.decode("utf-8")  # every term is UTF-8, kept or not
     postings = {}
     for i, block, tf_block in zip(picks, doc_blocks, tf_blocks):
-        term = term_list[i]
+        term = raw_terms[i].decode("utf-8")
         if not all(map(operator.lt, block, block[1:])):
             raise reader.fail(f"the doc numbers of term {term!r} do not strictly ascend")
         if not tf_block or 0 in tf_block:

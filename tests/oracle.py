@@ -1,12 +1,13 @@
 """Reference scorers for the tests: BM25 and sampled inferred AP, done the direct way.
 
-It scores one document at a time straight from its token list: no
-inverted index, no precomputed statistics. The arithmetic follows the
-pinned formula in the order the engine documents (a query is a term
-list plus one weight; a repeated term's weight is summed per occurrence
-and terms are taken in first-seen order, contributions added from 0.0),
-so its scores are the exact values the engine must produce, and tests
-compare them with ``==``.
+It scores one document at a time straight from its token list, or from
+a ``Counter`` of it and a given length for postings decoded from a
+snapshot: no inverted index, no precomputed statistics. The arithmetic
+follows the pinned formula in the order the engine documents (a query
+is a term list plus one weight; a repeated term's weight is summed per
+occurrence and terms are taken in first-seen order, contributions added
+from 0.0), so its scores are the exact values the engine must produce,
+and tests compare them with ``==``.
 
 Strategy scores are built from whole-query scores with the expressions
 of the ranking module's docstring, one document at a time.
@@ -49,20 +50,24 @@ def merged(terms, weight):
     return list(weights.items())
 
 
-def bm25(doc_tokens, terms, doc_id, weight=1.0, k1=K1, b=B):
+def bm25(doc_tokens, terms, doc_id, weight=1.0, k1=K1, b=B, lengths=None):
     """BM25 of one document for the query ``terms`` at ``weight`` per
-    term; ``doc_tokens`` maps every doc_id to its tokens."""
+    term; ``doc_tokens`` maps every doc_id to its tokens, or to a
+    ``Counter`` of them, and ``lengths`` maps it to its length, by
+    default the number of its tokens."""
+    if lengths is None:
+        lengths = {other: len(tokens) for other, tokens in doc_tokens.items()}
     n = len(doc_tokens)
-    avgdl = sum(len(tokens) for tokens in doc_tokens.values()) / n
+    avgdl = sum(lengths.values()) / n
     tokens = doc_tokens[doc_id]
     score = 0.0
     for term, term_weight in merged(terms, weight):
-        tf = tokens.count(term)
+        tf = tokens[term] if isinstance(tokens, Counter) else tokens.count(term)
         if tf == 0:
             continue
         df = sum(1 for other in doc_tokens.values() if term in other)
         idf = math.log(1.0 + (n - df + 0.5) / (df + 0.5))
-        norm = k1 * (1.0 - b + b * len(tokens) / avgdl)
+        norm = k1 * (1.0 - b + b * lengths[doc_id] / avgdl)
         score += term_weight * idf * (tf * (k1 + 1.0)) / (tf + norm)
     return score
 
@@ -90,34 +95,38 @@ def search(doc_tokens, terms):
     return sorted(scored, key=lambda item: (-item[1], item[0]))
 
 
-def strategy_scores(plain, tagged, bundle, kind, beta=None, expansion_weight=0.3):
+def strategy_scores(plain, tagged, bundle, kind, beta=None, expansion_weight=0.3, lengths=None):
     """Per-document strategy scores over the documents it can rank.
 
-    ``plain`` and ``tagged`` map doc_id to the token lists of the two
-    fields; ``bundle`` is a ``QueryBundle``; ``beta`` None means the
-    adaptive polynomial.
+    ``plain`` and ``tagged`` map doc_id to the tokens of the two fields,
+    as ``bm25`` takes them with ``lengths``; ``bundle`` is a
+    ``QueryBundle``; ``beta`` None means the adaptive polynomial.
     """
     q_full, q_pos, q_neg, q_tagged = bundle.q_full, bundle.q_pos, bundle.q_neg, bundle.q_tagged
+
+    def bm25_at(doc_tokens, terms, doc_id, weight=1.0):
+        return bm25(doc_tokens, terms, doc_id, weight, lengths=lengths)
+
     if kind == "baseline" or (kind == "negation_tagging" and not q_neg):
-        return {d: bm25(plain, q_full, d) for d in matches(plain, q_full)}
+        return {d: bm25_at(plain, q_full, d) for d in matches(plain, q_full)}
     if kind == "filtering":
-        return {d: bm25(plain, q_pos, d) for d in matches(plain, q_pos)}
+        return {d: bm25_at(plain, q_pos, d) for d in matches(plain, q_pos)}
     if kind == "score_combination":
         if beta is None:
             n = bundle.n_full
             beta = -0.0001638 * n * n + 0.04631 * n - 1.207
         candidates = matches(plain, q_full) | matches(plain, q_neg)
         return {
-            d: bm25(plain, q_full, d) - beta * bm25(plain, q_neg, d) for d in candidates
+            d: bm25_at(plain, q_full, d) - beta * bm25_at(plain, q_neg, d) for d in candidates
         }
     candidates = matches(tagged, q_tagged)
     if expansion_weight > 0:
         candidates |= matches(tagged, q_neg)
     scores = {}
     for d in candidates:
-        score = bm25(tagged, q_tagged, d)
+        score = bm25_at(tagged, q_tagged, d)
         if expansion_weight > 0:
-            score += bm25(tagged, q_neg, d, expansion_weight)
+            score += bm25_at(tagged, q_neg, d, expansion_weight)
         scores[d] = score
     return scores
 

@@ -4,9 +4,11 @@ import io
 import json
 import math
 import os
+import re
 import struct
 import subprocess
 import sys
+import zlib
 from pathlib import Path
 
 import pytest
@@ -876,6 +878,41 @@ def test_run_refuses_a_damaged_postings_part_for_every_strategy(workspace, capsy
         err = capsys.readouterr().err
         assert err.startswith(f"negir: {snapshot}: corrupt snapshot: the field 'tagged' fails"), err
         assert not out.exists()
+
+
+def with_document_table(data, edit):
+    """The snapshot ``data`` with its document table's ids and lengths,
+    as bytes, replaced by ``edit(ids, lengths)``, and the table's CRC
+    recomputed, as a crafted file would have it."""
+    start = 34  # after the header: magic, version, k1, b, two fingerprints, CRC
+    doc_count, id_bytes = struct.unpack_from("<II", data, start)
+    ids_end = start + 8 + id_bytes
+    end = ids_end + 4 * doc_count
+    ids, lengths = edit(data[start + 8:ids_end], data[ids_end:end])
+    table = struct.pack("<II", doc_count, len(ids)) + ids + lengths
+    return data[:start] + table + struct.pack("<I", zlib.crc32(table)) + data[end + 4:]
+
+
+@pytest.mark.parametrize("edit, message", [
+    # Documents shorter than their postings would have no length norm.
+    (lambda ids, lengths: (ids, bytes(len(lengths))),
+     r"^negir: {path}: corrupt snapshot: \d+ postings in documents of 0 terms in all\n$"),
+    # A doc_id that a run line cannot hold would give a file eval refuses.
+    (lambda ids, lengths: (ids.replace(b"d-clean", b"d clean"), lengths),
+     r"^negir: doc_id 'd clean' in topic 2 is empty or contains whitespace\n$"),
+    (lambda ids, lengths: (ids.replace(b"d-clean", b""), lengths),
+     r"^negir: doc_id '' in topic 2 is empty or contains whitespace\n$"),
+])
+def test_run_refuses_a_crafted_document_table(workspace, capsys, edit, message):
+    snapshot = build_snapshot(workspace)
+    snapshot.write_bytes(with_document_table(snapshot.read_bytes(), edit))
+    out = workspace / "crafted.run"
+    capsys.readouterr()
+    assert run_cli("run", "--index", snapshot, "--topics", workspace / "topics.jsonl",
+                   "--strategy", "baseline", "--out", out) == 1
+    err = capsys.readouterr().err
+    assert re.match(message.format(path=re.escape(str(snapshot))), err), err
+    assert not out.exists()
 
 
 def test_index_json_counts_each_field_terms(workspace, capsys):

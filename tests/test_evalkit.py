@@ -324,6 +324,9 @@ def test_run_result_validation():
     for score in (math.inf, -math.inf, math.nan):
         with pytest.raises(NegirError, match=r"score .+ in topic t is not a finite number"):
             run.add_topic("t", [("a", 2.0), ("b", score)])
+    for doc_id in ("", "a b", " a", "a\tb", "a\u2028"):  # a run line could not hold it
+        with pytest.raises(NegirError, match=r"doc_id .+ in topic t is empty or contains white"):
+            run.add_topic("t", [("a", 2.0), (doc_id, 1.0)])
     run.add_topic("t", [("a", 2.0), ("b", 1.0)])
     with pytest.raises(NegirError, match="duplicate topic"):
         run.add_topic("t", [("c", 1.0)])

@@ -5,6 +5,8 @@ import random
 import struct
 import zlib
 from array import array
+from collections import Counter
+from itertools import accumulate
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,6 +14,7 @@ from hypothesis import example, given, settings, strategies as st
 import oracle
 
 from negir.errors import DuplicateIdError, NegirError, ParseError
+from negir.evalkit import RunResult, read_run, write_run
 from negir.index import (
     PLAIN,
     TAGGED,
@@ -20,7 +23,6 @@ from negir.index import (
     load_index,
     save_index,
     score_query,
-    stored_terms,
 )
 from negir.querygen import QueryBundle
 from negir.ranking import STRATEGY_KINDS, Strategy, run_strategy, strategy_components
@@ -456,12 +458,15 @@ def test_snapshot_repeated_doc_number_with_its_crc_recomputed_is_a_parse_error(t
      "corrupt snapshot: the doc numbers of term 'x' do not strictly ascend"),
     ([("x", 1), ("y", 1)], [0, 1], [0, 1], "corrupt snapshot: term 'x' has no posting or a tf"),
     ([("x", 0), ("y", 1)], [0], [1], "corrupt snapshot: term 'x' has no posting or a tf of 0"),
-    ([("x", 1), ("[nx]x", 1)], [0, 0], [0xFFFFFFFF, 1], "corrupt or truncated index snapshot"),
+    ([("x", 2), ("y", 1)], [0, 1, 0], [1, 1, 1],
+     "corrupt snapshot: 3 postings in documents of 2 terms in all"),
 ])
 def test_snapshot_crafted_block_is_a_parse_error(tmp_path, terms, docs, tfs, message):
-    # Crafted postings with valid CRCs: each is refused by a full load and
-    # by one that picks the term, and the last when its tfs are merged into
-    # a plain tf that no u32 holds.
+    # Crafted postings with valid CRCs, in two documents of one term each:
+    # each is refused by a full load and by one that picks the term. The
+    # last holds more postings than its documents hold terms, which would
+    # leave a document with no length norm to score it by when all the
+    # lengths are 0.
     path = tmp_path / "snap.ngir"
     path.write_bytes(_snapshot(["a", "b"], [1, 1], terms, docs, tfs))
     for picked in (None, ("x", "[nx]x")):
@@ -517,11 +522,12 @@ def test_snapshot_round_trip_property(tmp_path_factory, docs, params):
 
 def bundle_terms(bundle):
     """The terms ``negir run`` picks for a bundle under every strategy."""
-    return set().union(*(
-        stored_terms(field, part)
+    return {
+        term
         for kind in STRATEGY_KINDS
-        for _, field, part, _ in strategy_components(Strategy(kind), bundle)
-    ))
+        for _, _, part, _ in strategy_components(Strategy(kind), bundle)
+        for term in part
+    }
 
 
 @st.composite
@@ -538,23 +544,125 @@ def term_bundles(draw):
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(snapshot_corpora(), term_bundles())
 def test_selective_load_keeps_the_postings_of_its_terms(tmp_path_factory, docs, bundle):
-    # The tagged postings of each picked term, and the plain postings of
-    # each picked term whose "[nx]" form was picked too.
+    # The tagged postings of each picked term and of its "[nx]" form, so
+    # the plain postings of each picked term too.
     terms = bundle_terms(bundle)
+    stored = terms | {"[nx]" + term for term in terms}
     index = build_index(docs)
     path = tmp_path_factory.mktemp("snap") / "snap.ngir"
     save_index(index, path)
     picked = load_index(path, terms)
     assert picked.doc_ids == index.doc_ids and picked.norms == index.norms
-    assert picked.postings == {t: p for t, p in index.postings.items() if t in terms}
-    assert picked.field(PLAIN).postings == {
-        t: p for t, p in index.field(PLAIN).postings.items() if t in terms and "[nx]" + t in terms
+    assert picked.postings == {t: p for t, p in index.postings.items() if t in stored}
+    plain = picked.field(PLAIN).postings
+    assert {t: p for t, p in plain.items() if t in terms} == {
+        t: p for t, p in index.field(PLAIN).postings.items() if t in terms
     }
     for kind in STRATEGY_KINDS:
         strategy = Strategy(kind)
         assert run_strategy(strategy, bundle, picked, 1000) == run_strategy(
             strategy, bundle, index, 1000
         )
+
+
+U32_MAX = 0xFFFFFFFF
+
+
+@st.composite
+def crafted_snapshots(draw):
+    """``(doc_ids, lengths, terms with dfs, doc numbers, tfs)`` of a small
+    built index, each mutated or not, for ``_snapshot`` to write with
+    every CRC recomputed."""
+    vocab = SNAPSHOT_VOCAB + ["[nx]" + term for term in SNAPSHOT_VOCAB]
+    docs = draw(st.lists(st.lists(st.sampled_from(vocab), max_size=5), min_size=1, max_size=4))
+    index = build_index((f"d{i}", terms) for i, terms in enumerate(docs))
+    ids, lengths = list(index.doc_ids), list(index.doc_lengths)
+    terms = [(term, len(numbers)) for term, (numbers, _) in index.postings.items()]
+    numbers = [n for block, _ in index.postings.values() for n in block]
+    tfs = [tf for _, block in index.postings.values() for tf in block]
+    count = st.one_of(st.integers(0, 4), st.just(U32_MAX))
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["length", "lengths", "id", "df", "doc", "tf"]))
+        if kind == "length":
+            lengths[draw(st.integers(0, len(lengths) - 1))] = draw(count)
+        elif kind == "lengths":
+            lengths = [0] * len(lengths)
+        elif kind == "id":
+            ids[draw(st.integers(0, len(ids) - 1))] = draw(
+                st.sampled_from(["", "a b", " d0", "d0", "x\ty", "r\u00e4sh", "\u2028"])
+            )
+        elif kind == "df" and terms:
+            i = draw(st.integers(0, len(terms) - 1))
+            terms[i] = (terms[i][0], draw(count))
+        elif kind == "doc" and numbers:
+            numbers[draw(st.integers(0, len(numbers) - 1))] = draw(count)
+        elif kind == "tf" and tfs:
+            tfs[draw(st.integers(0, len(tfs) - 1))] = draw(count)
+    return ids, lengths, terms, numbers, tfs
+
+
+def decoded_fields(ids, lengths, terms, numbers, tfs):
+    """The tagged and plain ``Counter`` of each doc_id, read from the
+    columns without the engine, and each doc_id's length."""
+    tagged = {doc_id: Counter() for doc_id in ids}
+    offsets = list(accumulate((df for _, df in terms), initial=0))
+    for (term, _), start, end in zip(terms, offsets, offsets[1:]):
+        for number, tf in zip(numbers[start:end], tfs[start:end]):
+            tagged[ids[number]][term] = tf
+    plain = {doc_id: Counter() for doc_id in ids}
+    for doc_id, counts in tagged.items():
+        for term, tf in counts.items():
+            plain[doc_id][term.removeprefix("[nx]")] += tf
+    return plain, tagged, dict(zip(ids, lengths))
+
+
+X_BUNDLE = QueryBundle("t", 1, 0, ["x"], ["x"], [], ["x"])
+CRAFTED_STRATEGIES = [Strategy(kind) for kind in STRATEGY_KINDS] + [
+    Strategy("negation_tagging", expansion_weight=0.0)
+]
+
+
+@settings(max_examples=150, deadline=None, derandomize=True)
+@given(
+    crafted_snapshots(),
+    term_bundles(),
+    st.one_of(st.none(), st.sets(st.sampled_from(SNAPSHOT_VOCAB + ["[nx]x", "absent"]))),
+)
+# Documents shorter than their postings, doc_ids a run line cannot hold,
+# and a plain tf that no u32 holds, merged from x and "[nx]x" in doc a.
+@example((["a", "b"], [0, 0], [("x", 2)], [0, 1], [1, 1]), X_BUNDLE, None)
+@example((["a b", ""], [1, 1], [("x", 2)], [0, 1], [1, 1]), X_BUNDLE, None)
+@example((["a", "b"], [1, 1], [("x", 1), ("[nx]x", 1)], [0, 0], [U32_MAX, 1]), X_BUNDLE, set())
+def test_crafted_snapshot_is_refused_or_ranks_as_the_oracle(
+    tmp_path_factory, crafted, bundle, extra
+):
+    # Whatever a crafted file with valid CRCs holds, a load either refuses
+    # it, naming the file, or ranks every strategy as the oracle does on
+    # the postings the file spells out, into a run file that reads back.
+    path = tmp_path_factory.mktemp("snap") / "snap.ngir"
+    path.write_bytes(_snapshot(*crafted))
+    picked = None if extra is None else bundle_terms(bundle) | extra
+    try:
+        index = load_index(path, picked)
+    except ParseError as exc:
+        assert str(exc).startswith(f"{path}: ")
+        return
+    plain, tagged, lengths = decoded_fields(*crafted)
+    run = RunResult("crafted")
+    for number, strategy in enumerate(CRAFTED_STRATEGIES):
+        ranked = run_strategy(strategy, bundle, index, 1000)
+        expected = oracle.strategy_scores(
+            plain, tagged, bundle, strategy.kind,
+            expansion_weight=strategy.expansion_weight, lengths=lengths,
+        )
+        assert ranked == oracle.ranked(expected, 1000)
+        try:
+            run.add_topic(str(number), ranked)
+        except NegirError:  # refused only for a doc_id that is not one word
+            assert any(doc_id.split() != [doc_id] for doc_id, _ in ranked)
+    out = path.with_name("crafted.run")
+    write_run(run, out)
+    assert read_run(out).topics == {topic: docs for topic, docs in run.topics.items() if docs}
 
 
 DERIVED_VOCAB = ["fever", "cough", "rash", ""]
@@ -575,7 +683,7 @@ def test_derived_plain_postings_equal_a_direct_build(tmp_path_factory, docs):
     save_index(index, path)
     assert load_index(path).field(PLAIN).postings == expected
     for words in (DERIVED_VOCAB, ["fever", "rash"], ["cough", "absent"], []):
-        picked = load_index(path, stored_terms(PLAIN, words))
+        picked = load_index(path, words)
         assert picked.field(PLAIN).postings == {t: p for t, p in expected.items() if t in words}
 
 

@@ -382,9 +382,9 @@ TOPIC_SETS = {
 def test_run_loads_every_field_its_strategy_scores(
     tmp_path, monkeypatch, stopwords, lexicon, kind
 ):
-    # ``negir run`` loads the terms that the strategy's components name for
-    # its topics, each plain one with its "[nx]" form, and ranks them as
-    # the fully loaded index does.
+    # ``negir run`` asks for the terms that the strategy's components name
+    # for its topics, whatever field they score, and ranks them as the
+    # fully loaded index does.
     collection, snapshot = tmp_path / "docs.jsonl", tmp_path / "index.ngir"
     collection.write_text(
         "".join(json.dumps({"doc_id": d, "body": text}) + "\n" for d, text in DOCS),
@@ -414,10 +414,8 @@ def test_run_loads_every_field_its_strategy_scores(
         bundles = [bundle_for(text, stopwords, lexicon) for text in descriptions]
         expected = set()
         for bundle in bundles:
-            for _, field, part_terms, _ in strategy_components(Strategy(kind), bundle):
+            for _, _, part_terms, _ in strategy_components(Strategy(kind), bundle):
                 expected.update(part_terms)
-                if field == "plain":
-                    expected.update("[nx]" + term for term in part_terms)
         assert loaded.pop() == expected
         ranked = {
             str(i): run_strategy(Strategy(kind), bundle, index, 1000)
