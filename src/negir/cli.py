@@ -28,6 +28,7 @@ from .corpus import (
     decode_text,
     default_stopwords,
     is_stdout,
+    is_word,
     load_collection,
     load_stopwords,
     load_topics,
@@ -223,7 +224,7 @@ def _build_bundles(topics: str, stopwords: frozenset[str], lexicon: TriggerLexic
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if args.tag.split() != [args.tag]:  # run lines are whitespace-separated
+    if not is_word(args.tag):
         raise NegirError(f"run tag {args.tag!r} is empty or contains whitespace")
     config = resolve_config(args)
     stopwords = _stopwords(args)
@@ -237,14 +238,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     # Load only the postings of the terms that the strategy scores for these topics.
     components = [part for bundle in bundles for part in strategy_components(strategy, bundle)]
     index = load_index(args.index, {term for _, _, part, _ in components for term in part})
+    # A snapshot holds whatever ids its writer gave; a run line holds words only.
+    bad = next((doc_id for doc_id in index.doc_ids if not is_word(doc_id)), None)
+    if bad is not None:
+        raise NegirError(f"{args.index}: doc_id {bad!r} is empty or contains whitespace")
     _check_provenance(args, index, stopwords, lexicon)
 
-    run = RunResult(run_tag=args.tag)
-    for bundle in bundles:
-        run.add_topic(bundle.topic_id, run_strategy(strategy, bundle, index, config.k))
+    topics = {
+        bundle.topic_id: run_strategy(strategy, bundle, index, config.k) for bundle in bundles
+    }
     summary_out = _summary_stream(args.out)
-    write_run(run, args.out)
-    written = sum(1 for ranked in run.topics.values() if ranked)  # an empty ranking writes no line
+    write_run(RunResult(args.tag, topics), args.out)
+    written = sum(1 for ranked in topics.values() if ranked)  # an empty ranking writes no line
     if args.json:
         print(
             json.dumps(
@@ -353,12 +358,18 @@ def _version_string() -> str:
     return f"negir {__version__} ({stopword_version}; {lexicon_version})"
 
 
-def _add_common(parser: argparse.ArgumentParser, *, data_files: bool = False) -> None:
-    parser.add_argument("--config", help="key = value config file")
-    parser.add_argument("--json", action="store_true", help="machine-readable output")
-    if data_files:
-        parser.add_argument("--stopwords", help="stopword file (default: shipped list)")
-        parser.add_argument("--lexicon", help="trigger lexicon file (default: shipped list)")
+_COMMON_OPTIONS = {
+    "config": {"help": "key = value config file"},
+    "json": {"action": "store_true", "help": "machine-readable output"},
+    "stopwords": {"help": "stopword file (default: shipped list)"},
+    "lexicon": {"help": "trigger lexicon file (default: shipped list)"},
+}
+
+
+def _add_common(parser: argparse.ArgumentParser, *names: str) -> None:
+    """Add the named options of ``_COMMON_OPTIONS``: only those the command reads."""
+    for name in names:
+        parser.add_argument(f"--{name}", **_COMMON_OPTIONS[name])
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -374,19 +385,19 @@ def build_parser() -> argparse.ArgumentParser:
     p_index.add_argument("--out", required=True)
     p_index.add_argument("--k1", type=float)
     p_index.add_argument("--b", type=float)
-    _add_common(p_index, data_files=True)
+    _add_common(p_index, "config", "json", "stopwords", "lexicon")
     p_index.set_defaults(handler=cmd_index)
 
     p_detect = sub.add_parser("detect", help="show negation scopes in text")
     p_detect.add_argument("--text", help="text to analyze (default: stdin)")
     p_detect.add_argument("--input", help="file to analyze")
     p_detect.add_argument("--scope-window", type=int, dest="scope_window")
-    _add_common(p_detect, data_files=True)
+    _add_common(p_detect, "lexicon")
     p_detect.set_defaults(handler=cmd_detect)
 
     p_bundle = sub.add_parser("bundle", help="print the four query variants per topic")
     p_bundle.add_argument("--topics", required=True)
-    _add_common(p_bundle, data_files=True)
+    _add_common(p_bundle, "stopwords", "lexicon")
     p_bundle.set_defaults(handler=cmd_bundle)
 
     p_run = sub.add_parser("run", help="rank topics with one strategy")
@@ -398,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--k", type=int)
     p_run.add_argument("--out", required=True)
     p_run.add_argument("--tag", default="negir")
-    _add_common(p_run, data_files=True)
+    _add_common(p_run, "config", "json", "stopwords", "lexicon")
     p_run.set_defaults(handler=cmd_run)
 
     p_eval = sub.add_parser("eval", help="score a run file against qrels")
@@ -407,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.add_argument("--sampling", help="sampling sidecar JSON for inferred AP")
     p_eval.add_argument("--ndcg-cutoff", type=int, dest="ndcg_cutoff")
     p_eval.add_argument("--per-topic", action="store_true", dest="per_topic")
-    _add_common(p_eval)
+    _add_common(p_eval, "config", "json")
     p_eval.set_defaults(handler=cmd_eval)
 
     p_groups = sub.add_parser(
@@ -423,7 +434,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="strategy run file; repeatable",
     )
     p_groups.add_argument("--ndcg-cutoff", type=int, dest="ndcg_cutoff")
-    _add_common(p_groups, data_files=True)
+    _add_common(p_groups, "config", "json", "stopwords", "lexicon")
     p_groups.set_defaults(handler=cmd_compare_groups)
 
     return parser

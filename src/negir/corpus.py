@@ -225,16 +225,19 @@ def _text_field(record: dict, key: str, path: Path, line: int) -> str | None:
     return value
 
 
+def is_word(text: str) -> bool:
+    """Whether ``text`` is one field of a whitespace-separated line:
+    non-empty, with no whitespace. Run and qrels lines are such lines, so
+    each id and tag that a run line holds must be a word."""
+    return text.split() == [text]
+
+
 def _check_id(
     kind: str, value: str, seen: set[str], path: str | Path, line: int | None = None
 ) -> None:
-    """Reject ids that are empty, contain whitespace, or are in ``seen``;
-    add the others to ``seen``.
-
-    Run and qrels lines are whitespace-separated, so an id with
-    whitespace would make negir write a run file that it cannot read back.
-    """
-    if value.split() != [value]:
+    """Reject ids that are not words (see ``is_word``) or are in ``seen``;
+    add the others to ``seen``."""
+    if not is_word(value):
         raise ParseError(f"{kind} {value!r} is empty or contains whitespace", str(path), line)
     if value in seen:
         raise DuplicateIdError(kind, value, str(path), line)

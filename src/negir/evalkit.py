@@ -23,7 +23,7 @@ from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .corpus import atomic_write, decode_json, read_lines, read_text
+from .corpus import atomic_write, decode_json, is_word, read_lines, read_text
 from .errors import DuplicateIdError, NegirError, ParseError
 
 if TYPE_CHECKING:  # for annotations only: ``eval`` needs neither querygen nor negation
@@ -40,36 +40,12 @@ Strata = tuple[frozenset[str], ...]
 
 
 class RunResult:
-    """Ranked lists per topic, TREC run conventions.
+    """A run: its tag, and per topic the (doc_id, score) entries in rank
+    order. ``write_run`` checks them against the rules of a run line."""
 
-    Per topic, entries are (doc_id, score) in rank order: ranks are dense
-    from 1, scores finite and non-increasing, no document repeated, each
-    doc_id one word, as a run line holds it.
-    """
-
-    def __init__(self, run_tag: str, topics: dict[str, list[tuple[str, float]]] | None = None):
+    def __init__(self, run_tag: str, topics: dict[str, list[tuple[str, float]]]):
         self.run_tag = run_tag
-        self.topics = {} if topics is None else topics
-
-    def add_topic(self, topic_id: str, ranked: Sequence[tuple[str, float]]) -> None:
-        if topic_id in self.topics:
-            raise NegirError(f"duplicate topic in run: {topic_id}")
-        seen = set()
-        previous = math.inf
-        for doc_id, score in ranked:
-            if doc_id.split() != [doc_id]:  # run lines are whitespace-separated
-                raise NegirError(
-                    f"doc_id {doc_id!r} in topic {topic_id} is empty or contains whitespace"
-                )
-            if not math.isfinite(score):
-                raise NegirError(f"score {score!r} in topic {topic_id} is not a finite number")
-            if doc_id in seen:
-                raise NegirError(f"duplicate document {doc_id!r} in topic {topic_id}")
-            if score > previous:
-                raise NegirError(f"scores increase with rank in topic {topic_id}")
-            seen.add(doc_id)
-            previous = score
-        self.topics[topic_id] = list(ranked)
+        self.topics = topics
 
     def ranking(self, topic_id: str) -> list[str]:
         return [doc_id for doc_id, _ in self.topics.get(topic_id, [])]
@@ -381,13 +357,25 @@ def read_qrels(path: str | Path) -> dict[str, dict[str, int]]:
     return qrels
 
 
-def read_run(path: str | Path) -> RunResult:
-    """Read a TREC run file: topic Q0 docid rank score tag.
+def _ranking_fault(
+    topic_id: str, doc_id: str, score: float, previous: float, docs: set[str]
+) -> str | None:
+    """The ranking rule that ``doc_id`` at ``score`` breaks as the next
+    entry of topic ``topic_id``, below the documents ``docs`` and the
+    score ``previous`` (inf at rank 1); or None, and ``doc_id`` joins ``docs``."""
+    if not math.isfinite(score):
+        return f"score {score!r} in topic {topic_id} is not a finite number"
+    if doc_id in docs:
+        return f"duplicate document {doc_id!r} in topic {topic_id}"
+    if score > previous:
+        return f"scores increase with rank in topic {topic_id}"
+    docs.add(doc_id)
+    return None
 
-    A ParseError names the line that breaks a rule: ranks dense from 1
-    per topic, finite scores that do not rise with rank, and no document
-    twice in a topic.
-    """
+
+def read_run(path: str | Path) -> RunResult:
+    """Read a TREC run file, topic Q0 docid rank score tag. A ParseError names
+    a line whose rank is not its topic's next from 1, or that ``_ranking_fault`` refuses."""
     topics: dict[str, list[tuple[str, float]]] = {}
     seen: dict[str, set[str]] = {}  # each topic's documents so far
     run_tag = ""
@@ -397,32 +385,43 @@ def read_run(path: str | Path) -> RunResult:
             score = float(score_text)
         except ValueError:
             raise ParseError("bad rank or score field", str(path), lineno) from None
-        ranked = topics.get(topic_id)
-        if ranked is None:
-            ranked = topics[topic_id] = []
-            docs = seen[topic_id] = set()
-        else:
-            docs = seen[topic_id]
+        if topic_id not in topics:
+            topics[topic_id], seen[topic_id] = [], set()
+        ranked = topics[topic_id]
         if rank != len(ranked) + 1:
             problem = f"rank {rank} out of order for topic {topic_id} (expected {len(ranked) + 1})"
-        elif not math.isfinite(score):
-            problem = f"score {score_text!r} is not a finite number"
-        elif ranked and score > ranked[-1][1]:
-            problem = f"scores increase with rank in topic {topic_id}"
-        elif doc_id in docs:
-            problem = f"duplicate document {doc_id!r} in topic {topic_id}"
         else:
-            docs.add(doc_id)
-            ranked.append((doc_id, score))
-            run_tag = run_tag or tag
-            continue
-        raise ParseError(problem, str(path), lineno)
+            previous = ranked[-1][1] if ranked else math.inf
+            problem = _ranking_fault(topic_id, doc_id, score, previous, seen[topic_id])
+        if problem:
+            raise ParseError(problem, str(path), lineno)
+        ranked.append((doc_id, score))
+        run_tag = run_tag or tag
     return RunResult(run_tag, topics)
 
 
 def write_run(run: RunResult, path: str | Path) -> None:
-    """Write a run in TREC format; round-trips through read_run exactly.
-    ``path`` is replaced only once the whole run is written."""
+    """Write a run in TREC format, for ``read_run`` to read back equal but
+    for topics without entries, which write no line. Before ``path`` is
+    opened, a NegirError names the first fault, topics in run order: a
+    tag, topic id or doc id that is not a word (``is_word``), or a rule of
+    ``_ranking_fault`` broken. ``path`` is replaced once all is written."""
+    if not is_word(run.run_tag):
+        raise NegirError(f"run tag {run.run_tag!r} is empty or contains whitespace")
+    for topic_id, ranked in run.topics.items():
+        if not is_word(topic_id):
+            raise NegirError(f"topic_id {topic_id!r} is empty or contains whitespace")
+        docs: set[str] = set()
+        previous = math.inf
+        for doc_id, score in ranked:
+            if not is_word(doc_id):
+                raise NegirError(
+                    f"doc_id {doc_id!r} in topic {topic_id} is empty or contains whitespace"
+                )
+            problem = _ranking_fault(topic_id, doc_id, score, previous, docs)
+            if problem:
+                raise NegirError(problem)
+            previous = score
     with atomic_write(path, "w", encoding="utf-8") as out:
         for topic_id in sorted(run.topics, key=_topic_sort_key):
             for rank, (doc_id, score) in enumerate(run.topics[topic_id], start=1):

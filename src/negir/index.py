@@ -277,12 +277,26 @@ def _write_part(out: BinaryIO, chunks: Iterable) -> None:
     out.write(_U32.pack(crc))
 
 
+def _header_fault(k1: float, b: float, fingerprints: Sequence[int]) -> str | None:
+    """What a snapshot header of these values breaks, or None: k1 is
+    finite and >= 0, b in [0, 1], and each fingerprint a u32."""
+    if not (0.0 <= k1 < math.inf and 0.0 <= b <= 1.0):
+        return f"k1 {k1!r} or b {b!r} out of range"
+    bad = [value for value in fingerprints if not 0 <= value <= 0xFFFFFFFF]
+    return f"fingerprint {bad[0]!r} out of the u32 range" if bad else None
+
+
 def save_index(index: Index, path: str | Path) -> None:
     """Write the snapshot to a temp file that replaces ``path`` on success.
+    A NegirError naming ``path`` refuses, before it is opened, a header
+    or a string that ``load_index`` would not read back.
 
     The doc-number and tf columns are written straight from the per-term
     arrays, one array per ``write``; no column is built in memory.
     """
+    fault = _header_fault(index.k1, index.b, index.fingerprints)
+    if fault:
+        raise NegirError(f"{path}: cannot write the header: {fault}")
     ids = _encode_strings(index.doc_ids, path)
     postings = index.postings.values()
     terms = _encode_strings(index.postings, path)
@@ -376,8 +390,9 @@ def load_index(path: str | Path, terms: Iterable[str] | None = None) -> Index:
                     f"unsupported snapshot version {version}; rebuild the index", str(path)
                 )
             k1, b, stopwords_fp, lexicon_fp = _HEADER.unpack(reader.read(_HEADER.size))
-            if not (0.0 <= k1 < math.inf and 0.0 <= b <= 1.0):
-                raise reader.fail(f"k1 {k1!r} or b {b!r} out of range")
+            fault = _header_fault(k1, b, (stopwords_fp, lexicon_fp))
+            if fault:
+                raise reader.fail(fault)
             reader.end_part("header")
 
             doc_count, id_bytes = _DOCUMENTS.unpack(reader.read(_DOCUMENTS.size))

@@ -400,10 +400,10 @@ def test_criterion_8_directional_experiment():
         }
         runs = {}
         for name, strategy in strategies.items():
-            run = RunResult(run_tag=name)
-            for bundle in bundles:
-                run.add_topic(bundle.topic_id, run_strategy(strategy, bundle, index, k=100))
-            runs[name] = run
+            runs[name] = RunResult(name, {
+                bundle.topic_id: run_strategy(strategy, bundle, index, k=100)
+                for bundle in bundles
+            })
 
         report = group_analysis(bundles, runs, qrels)
         assert report.d_minus_topics == {f"neg{t:02d}" for t in range(12)}

@@ -899,20 +899,31 @@ def with_document_table(data, edit):
      r"^negir: {path}: corrupt snapshot: \d+ postings in documents of 0 terms in all\n$"),
     # A doc_id that a run line cannot hold would give a file eval refuses.
     (lambda ids, lengths: (ids.replace(b"d-clean", b"d clean"), lengths),
-     r"^negir: doc_id 'd clean' in topic 2 is empty or contains whitespace\n$"),
+     r"^negir: {path}: doc_id 'd clean' is empty or contains whitespace\n$"),
     (lambda ids, lengths: (ids.replace(b"d-clean", b""), lengths),
-     r"^negir: doc_id '' in topic 2 is empty or contains whitespace\n$"),
+     r"^negir: {path}: doc_id '' is empty or contains whitespace\n$"),
+    (lambda ids, lengths: (ids.replace(b"d-smoke", "d\u2003smoke".encode()), lengths),
+     r"^negir: {path}: doc_id 'd\\u2003smoke' is empty or contains whitespace\n$"),
 ])
-def test_run_refuses_a_crafted_document_table(workspace, capsys, edit, message):
+def test_run_refuses_a_crafted_document_table(workspace, capsys, monkeypatch, edit, message):
+    # Each fault is refused right after the load, naming the snapshot,
+    # before any strategy scores a topic.
     snapshot = build_snapshot(workspace)
     snapshot.write_bytes(with_document_table(snapshot.read_bytes(), edit))
+
+    def scored(*args):
+        raise AssertionError("a refused snapshot was scored")
+
+    monkeypatch.setattr("negir.cli.run_strategy", scored)
     out = workspace / "crafted.run"
-    capsys.readouterr()
-    assert run_cli("run", "--index", snapshot, "--topics", workspace / "topics.jsonl",
-                   "--strategy", "baseline", "--out", out) == 1
-    err = capsys.readouterr().err
-    assert re.match(message.format(path=re.escape(str(snapshot))), err), err
-    assert not out.exists()
+    out.write_text("old contents\n", encoding="utf-8")
+    for strategy in ("baseline", "filtering", "score_combination", "negation_tagging"):
+        capsys.readouterr()
+        assert run_cli("run", "--index", snapshot, "--topics", workspace / "topics.jsonl",
+                       "--strategy", strategy, "--out", out) == 1
+        err = capsys.readouterr().err
+        assert re.match(message.format(path=re.escape(str(snapshot))), err), err
+        assert out.read_text(encoding="utf-8") == "old contents\n"
 
 
 def test_index_json_counts_each_field_terms(workspace, capsys):
@@ -929,6 +940,22 @@ def test_unknown_subcommand_exits_two(capsys):
     with pytest.raises(SystemExit) as excinfo:
         run_cli("frobnicate")
     assert excinfo.value.code == 2
+
+
+@pytest.mark.parametrize("argv", [
+    ["detect", "--text", "no fever", "--config", "negir.conf"],
+    ["detect", "--text", "no fever", "--json"],
+    ["detect", "--text", "no fever", "--stopwords", "stop.txt"],
+    ["bundle", "--topics", "topics.jsonl", "--config", "negir.conf"],
+    ["bundle", "--topics", "topics.jsonl", "--json"],
+])
+def test_commands_take_no_option_they_would_ignore(capsys, argv):
+    # detect and bundle always print JSON and read no settings; detect
+    # removes no stopwords.
+    with pytest.raises(SystemExit) as excinfo:
+        run_cli(*argv)
+    assert excinfo.value.code == 2
+    assert f"unrecognized arguments: {argv[3]}" in capsys.readouterr().err
 
 
 def test_version_flag(capsys):

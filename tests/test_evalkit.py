@@ -288,10 +288,10 @@ def test_all_metrics_bounded():
 
 
 def _run_from(rankings, tag="test"):
-    run = RunResult(run_tag=tag)
-    for topic_id, docs in rankings.items():
-        run.add_topic(topic_id, [(d, float(len(docs) - i)) for i, d in enumerate(docs)])
-    return run
+    return RunResult(tag, {
+        topic_id: [(d, float(len(docs) - i)) for i, d in enumerate(docs)]
+        for topic_id, docs in rankings.items()
+    })
 
 
 def test_evaluate_scores_topics_missing_from_run_as_zero():
@@ -315,21 +315,31 @@ def test_aggregate_invariant_to_topic_order():
     assert evaluate(run, qrels_fwd).aggregate() == evaluate(run, qrels_rev).aggregate()
 
 
-def test_run_result_validation():
-    run = RunResult(run_tag="x")
-    with pytest.raises(NegirError, match="duplicate document"):
-        run.add_topic("t", [("a", 2.0), ("a", 1.0)])
-    with pytest.raises(NegirError, match="increase"):
-        run.add_topic("t", [("a", 1.0), ("b", 2.0)])
+def test_run_result_validation(tmp_path):
+    # write_run refuses, before it opens the file, a run it could not read back.
+    path = tmp_path / "run.txt"
+
+    def refused(pattern, topics, tag="x"):
+        with pytest.raises(NegirError, match=pattern):
+            write_run(RunResult(tag, topics), path)
+        assert list(tmp_path.iterdir()) == []
+
+    refused("duplicate document 'a' in topic t", {"t": [("a", 2.0), ("a", 1.0)]})
+    refused("scores increase with rank in topic t", {"t": [("a", 1.0), ("b", 2.0)]})
     for score in (math.inf, -math.inf, math.nan):
-        with pytest.raises(NegirError, match=r"score .+ in topic t is not a finite number"):
-            run.add_topic("t", [("a", 2.0), ("b", score)])
-    for doc_id in ("", "a b", " a", "a\tb", "a\u2028"):  # a run line could not hold it
-        with pytest.raises(NegirError, match=r"doc_id .+ in topic t is empty or contains white"):
-            run.add_topic("t", [("a", 2.0), (doc_id, 1.0)])
-    run.add_topic("t", [("a", 2.0), ("b", 1.0)])
-    with pytest.raises(NegirError, match="duplicate topic"):
-        run.add_topic("t", [("c", 1.0)])
+        refused(r"score .+ in topic t is not a finite number", {"t": [("a", 2.0), ("b", score)]})
+    for word in ("", "a b", " a", "a\tb", "a\u2028"):  # a run line could not hold it
+        refused(r"doc_id .+ in topic t is empty or contains", {"t": [("a", 2.0), (word, 1.0)]})
+        refused(r"topic_id .+ is empty or contains white", {word: [("a", 1.0)]})
+        refused(r"run tag .+ is empty or contains white", {"t": [("a", 1.0)]}, tag=word)
+    # Topics are checked in their order in the run, not in the order they are written.
+    refused("score nan in topic 2 ", {"2": [("a", math.nan)], "1": [("a", math.inf)]})
+    # Within an entry: the doc id, then the score, then a repeat, then a rise.
+    refused("doc_id 'a b'", {"t": [("a", 1.0), ("a b", math.nan)]})
+    refused("score nan", {"t": [("a", 1.0), ("a", math.nan)]})
+    refused("duplicate document", {"t": [("a", 1.0), ("a", 2.0)]})
+    write_run(RunResult("x", {"t": [("a", 2.0), ("b", 1.0)]}), path)
+    assert read_run(path).topics == {"t": [("a", 2.0), ("b", 1.0)]}
 
 
 # ---------------------------------------------------------------------------
@@ -368,12 +378,12 @@ def test_gap_reduction_undefined_without_gap():
 
 
 def _single_doc_topic_run(scores_by_topic, tag):
-    run = RunResult(run_tag=tag)
+    topics = {}
     for topic_id, relevant_hits in scores_by_topic.items():
         ranked = [(f"rel{i}", float(20 - i)) for i in range(relevant_hits)]
         ranked += [(f"junk{i}", float(5 - i) / 10) for i in range(10 - relevant_hits)]
-        run.add_topic(topic_id, ranked)
-    return run
+        topics[topic_id] = ranked
+    return RunResult(tag, topics)
 
 
 def test_group_analysis_end_to_end():
@@ -439,10 +449,11 @@ def test_read_qrels_malformed_line_number(tmp_path):
 
 
 def test_run_round_trip(tmp_path):
-    run = RunResult(run_tag="negir")
-    run.add_topic("1", [("doc-42", 12.5), ("doc-7", 3.25)])
-    run.add_topic("10", [("doc-1", 0.1)])
-    run.add_topic("2", [("doc-9", 7.125)])
+    run = RunResult("negir", {
+        "1": [("doc-42", 12.5), ("doc-7", 3.25)],
+        "10": [("doc-1", 0.1)],
+        "2": [("doc-9", 7.125)],
+    })
     path = tmp_path / "run.txt"
     write_run(run, path)
     lines = path.read_text().splitlines()
@@ -456,6 +467,56 @@ def test_run_round_trip(tmp_path):
     path2 = tmp_path / "run2.txt"
     write_run(loaded, path2)
     assert path.read_bytes() == path2.read_bytes()
+
+
+# Text with whitespace of several kinds, including what ends a line.
+run_words = st.one_of(
+    st.sampled_from(["1", "2", "10", "d-1", "é"]),
+    st.text(st.sampled_from("ab1 \t\n\r\x0b\x1c\x85\u2003\u2028"), max_size=3),
+    st.text(max_size=3),
+)
+rankings = st.lists(
+    st.tuples(run_words, st.one_of(st.floats(), st.sampled_from([0.0, -0.0, 1.0]))), max_size=4
+)
+
+
+def _readable(run):
+    """Whether ``run`` obeys every rule of a run line, checked directly."""
+    words = [run.run_tag, *run.topics]
+    words += [doc_id for ranked in run.topics.values() for doc_id, _ in ranked]
+    if any(word.split() != [word] for word in words):
+        return False
+    for ranked in run.topics.values():
+        scores = [score for _, score in ranked]
+        if not all(map(math.isfinite, scores)) or scores != sorted(scores, reverse=True):
+            return False
+        if len({doc_id for doc_id, _ in ranked}) < len(ranked):
+            return False
+    return True
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(run_words, st.dictionaries(run_words, st.one_of(
+    rankings, rankings.map(lambda ranked: sorted(ranked, key=lambda e: e[1], reverse=True))
+), max_size=3))
+def test_write_run_refuses_or_reads_back(tmp_path_factory, tag, topics):
+    # Any run either is refused, leaving the old file as it was, or is
+    # written so that read_run returns it: each topic with a line, and the tag.
+    path = tmp_path_factory.mktemp("run") / "r.run"
+    path.write_text("old contents\n", encoding="utf-8")
+    run = RunResult(tag, topics)
+    try:
+        write_run(run, path)
+    except NegirError:
+        assert not _readable(run)
+        assert path.read_text(encoding="utf-8") == "old contents\n"
+        assert list(path.parent.iterdir()) == [path]
+        return
+    assert _readable(run)
+    loaded = read_run(path)
+    written = {topic_id: ranked for topic_id, ranked in topics.items() if ranked}
+    assert loaded.topics == written
+    assert loaded.run_tag == (tag if written else "")
 
 
 digit_ids = st.one_of(
@@ -474,14 +535,17 @@ def test_ascii_digit_topic_ids_sort_as_int(ids):
 def test_write_run_replaces_existing_file_only_when_complete(tmp_path):
     path = tmp_path / "run.txt"
     path.write_text("old contents\n", encoding="utf-8")
-    broken = RunResult(run_tag="negir")
-    broken.topics = {"1": [("a", 1.0)], "2": None}  # fails after topic 1 is written
-    with pytest.raises(TypeError):
+
+    class Unprintable(float):  # passes every check, fails once written
+        def __repr__(self):
+            raise TypeError("cannot print this score")
+
+    broken = RunResult("negir", {"1": [("a", 1.0)], "2": [("b", Unprintable(0.5))]})
+    with pytest.raises(TypeError):  # after topic 1 is written
         write_run(broken, path)
     assert path.read_text(encoding="utf-8") == "old contents\n"
     assert list(tmp_path.iterdir()) == [path]  # no temp file left behind
-    run = RunResult(run_tag="negir")
-    run.add_topic("1", [("a", 1.0)])
+    run = RunResult("negir", {"1": [("a", 1.0)]})
     write_run(run, path)
     assert path.read_text(encoding="utf-8") == "1 Q0 a 1 1.0 negir\n"
     assert list(tmp_path.iterdir()) == [path]

@@ -648,7 +648,7 @@ def test_crafted_snapshot_is_refused_or_ranks_as_the_oracle(
         assert str(exc).startswith(f"{path}: ")
         return
     plain, tagged, lengths = decoded_fields(*crafted)
-    run = RunResult("crafted")
+    run = RunResult("crafted", {})
     for number, strategy in enumerate(CRAFTED_STRATEGIES):
         ranked = run_strategy(strategy, bundle, index, 1000)
         expected = oracle.strategy_scores(
@@ -656,12 +656,15 @@ def test_crafted_snapshot_is_refused_or_ranks_as_the_oracle(
             expansion_weight=strategy.expansion_weight, lengths=lengths,
         )
         assert ranked == oracle.ranked(expected, 1000)
-        try:
-            run.add_topic(str(number), ranked)
-        except NegirError:  # refused only for a doc_id that is not one word
-            assert any(doc_id.split() != [doc_id] for doc_id, _ in ranked)
+        run.topics[str(number)] = ranked
     out = path.with_name("crafted.run")
-    write_run(run, out)
+    try:
+        write_run(run, out)
+    except NegirError:  # refused only for a doc_id that is not one word
+        doc_ids = [doc_id for ranked in run.topics.values() for doc_id, _ in ranked]
+        assert any(doc_id.split() != [doc_id] for doc_id in doc_ids)
+        assert not out.exists()
+        return
     assert read_run(out).topics == {topic: docs for topic, docs in run.topics.items() if docs}
 
 
@@ -721,6 +724,27 @@ def test_save_refuses_a_term_with_a_line_break(tmp_path):
         assert path.read_bytes() == b"previous snapshot"
         assert [p.name for p in tmp_path.iterdir()] == ["snap.ngir"]
         path.unlink()
+
+
+@pytest.mark.parametrize("settings, fault", [
+    ({"k1": math.nan}, "k1 nan or b 0.75 out of range"),
+    ({"k1": -1.0}, "k1 -1.0 or b 0.75 out of range"),
+    ({"k1": math.inf}, "k1 inf or b 0.75 out of range"),
+    ({"b": 2.0}, "k1 1.2 or b 2.0 out of range"),
+    ({"b": -0.5}, "k1 1.2 or b -0.5 out of range"),
+    ({"fingerprints": (-1, 0)}, "fingerprint -1 out of the u32 range"),
+    ({"fingerprints": (0, 2**32)}, "fingerprint 4294967296 out of the u32 range"),
+], ids=["k1 nan", "k1 negative", "k1 inf", "b over 1", "b negative", "fingerprint negative",
+        "fingerprint over u32"])
+def test_save_refuses_a_header_that_load_refuses(tmp_path, settings, fault):
+    # Library indexes take any k1, b and fingerprints; a snapshot holds
+    # only those that load_index reads back.
+    path = tmp_path / "snap.ngir"
+    index = build_index([("d", ["a"])], **settings)
+    with pytest.raises(NegirError) as refused:
+        save_index(index, path)
+    assert str(refused.value) == f"{path}: cannot write the header: {fault}"
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_empty_term_survives_a_round_trip(tmp_path):
