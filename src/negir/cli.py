@@ -27,8 +27,8 @@ from .corpus import (
     data_file_version,
     decode_text,
     default_stopwords,
+    id_fault,
     is_stdout,
-    is_word,
     load_collection,
     load_stopwords,
     load_topics,
@@ -57,6 +57,7 @@ from .negation import (
     analyze_text,
     default_lexicon,
     detect_negations,
+    lexicon_entries,
     load_lexicon,
     scope_text,
 )
@@ -131,7 +132,7 @@ def _check_provenance(
     than the topics are: its terms would not be the queries' terms."""
     for what, flag, built, query_side in (
         ("stopword list", "stopwords", index.fingerprints[0], fingerprint(stopwords)),
-        ("lexicon", "lexicon", index.fingerprints[1], fingerprint(lexicon.entries())),
+        ("lexicon", "lexicon", index.fingerprints[1], fingerprint(lexicon_entries(lexicon))),
     ):
         if built != query_side:
             source = getattr(args, flag) or f"the shipped {what}"
@@ -162,7 +163,7 @@ def cmd_index(args: argparse.Namespace) -> int:
             analysis = analyze_text(text, stopwords, lexicon)
             yield doc_id, analysis.tagged_terms
 
-    fingerprints = (fingerprint(stopwords), fingerprint(lexicon.entries()))
+    fingerprints = (fingerprint(stopwords), fingerprint(lexicon_entries(lexicon)))
     index = build_index(analyzed(), k1=config.k1, b=config.b, fingerprints=fingerprints)
     summary_out = _summary_stream(args.out)
     save_index(index, args.out)
@@ -192,7 +193,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
         text = decode_text(sys.stdin.buffer.read(), "<stdin>")
     lexicon = _lexicon(args)
     output = []
-    for sentence in split_sentences(text):
+    for sentence_index, sentence in enumerate(split_sentences(text)):
         scopes = []
         for scope in detect_negations(sentence, lexicon, args.scope_window):
             scopes.append(
@@ -204,7 +205,7 @@ def cmd_detect(args: argparse.Namespace) -> int:
             )
         output.append(
             {
-                "sentence_index": sentence.sentence_index,
+                "sentence_index": sentence_index,
                 "text": sentence.text.strip(),
                 "scopes": scopes,
             }
@@ -224,8 +225,9 @@ def _build_bundles(topics: str, stopwords: frozenset[str], lexicon: TriggerLexic
 
 
 def cmd_run(args: argparse.Namespace) -> int:
-    if not is_word(args.tag):
-        raise NegirError(f"run tag {args.tag!r} is empty or contains whitespace")
+    fault = id_fault(args.tag)
+    if fault:
+        raise NegirError(f"run tag {args.tag!r} {fault}")
     config = resolve_config(args)
     stopwords = _stopwords(args)
     lexicon = _lexicon(args)
@@ -239,9 +241,10 @@ def cmd_run(args: argparse.Namespace) -> int:
     components = [part for bundle in bundles for part in strategy_components(strategy, bundle)]
     index = load_index(args.index, {term for _, _, part, _ in components for term in part})
     # A snapshot holds whatever ids its writer gave; a run line holds words only.
-    bad = next((doc_id for doc_id in index.doc_ids if not is_word(doc_id)), None)
-    if bad is not None:
-        raise NegirError(f"{args.index}: doc_id {bad!r} is empty or contains whitespace")
+    for doc_id in index.doc_ids:
+        fault = id_fault(doc_id)
+        if fault:
+            raise NegirError(f"{args.index}: doc_id {doc_id!r} {fault}")
     _check_provenance(args, index, stopwords, lexicon)
 
     topics = {

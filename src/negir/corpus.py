@@ -45,7 +45,6 @@ class Sentence(NamedTuple):
     and it builds in about a third of a frozen dataclass's time.
     """
 
-    sentence_index: int
     text: str
     tokens: tuple[str, ...]
     start: int
@@ -64,7 +63,7 @@ def split_sentences(text: str) -> list[Sentence]:
         if not piece.strip():
             continue
         tokens = tuple(TOKEN_RE.findall(piece.lower()))
-        sentences.append(Sentence(len(sentences), piece, tokens, position))
+        sentences.append(Sentence(piece, tokens, position))
         position += len(tokens)
     return sentences
 
@@ -225,20 +224,40 @@ def _text_field(record: dict, key: str, path: Path, line: int) -> str | None:
     return value
 
 
-def is_word(text: str) -> bool:
-    """Whether ``text`` is one field of a whitespace-separated line:
-    non-empty, with no whitespace. Run and qrels lines are such lines, so
-    each id and tag that a run line holds must be a word."""
-    return text.split() == [text]
+def utf8_encodable(text: str) -> bool:
+    """Whether UTF-8 can encode ``text``: only a lone surrogate fails, which
+    a JSON escape ("\\ud800") or a file name or argument that is not
+    UTF-8 carries."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
+def id_fault(value: str) -> str | None:
+    """Why ``value`` cannot be an id or a run tag, worded to follow it in a
+    message (``f"{kind} {value!r} {fault}"``); None if it can be one.
+
+    Run and qrels lines are whitespace-separated UTF-8 text, so each id
+    and tag that such a line holds must be one field of it: non-empty,
+    with no whitespace, and encodable as UTF-8.
+    """
+    if value.split() != [value]:
+        return "is empty or contains whitespace"
+    if not (value.isascii() or utf8_encodable(value)):  # most ids are ASCII
+        return "cannot be encoded as UTF-8"
+    return None
 
 
 def _check_id(
     kind: str, value: str, seen: set[str], path: str | Path, line: int | None = None
 ) -> None:
-    """Reject ids that are not words (see ``is_word``) or are in ``seen``;
-    add the others to ``seen``."""
-    if not is_word(value):
-        raise ParseError(f"{kind} {value!r} is empty or contains whitespace", str(path), line)
+    """Reject ids that ``id_fault`` refuses or that are in ``seen``; add
+    the others to ``seen``."""
+    fault = id_fault(value)
+    if fault:
+        raise ParseError(f"{kind} {value!r} {fault}", str(path), line)
     if value in seen:
         raise DuplicateIdError(kind, value, str(path), line)
     seen.add(value)

@@ -23,7 +23,7 @@ from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .corpus import atomic_write, decode_json, is_word, read_lines, read_text
+from .corpus import atomic_write, decode_json, id_fault, read_lines, read_text
 from .errors import DuplicateIdError, NegirError, ParseError
 
 if TYPE_CHECKING:  # for annotations only: ``eval`` needs neither querygen nor negation
@@ -404,20 +404,21 @@ def write_run(run: RunResult, path: str | Path) -> None:
     """Write a run in TREC format, for ``read_run`` to read back equal but
     for topics without entries, which write no line. Before ``path`` is
     opened, a NegirError names the first fault, topics in run order: a
-    tag, topic id or doc id that is not a word (``is_word``), or a rule of
+    tag, topic id or doc id that ``id_fault`` refuses, or a rule of
     ``_ranking_fault`` broken. ``path`` is replaced once all is written."""
-    if not is_word(run.run_tag):
-        raise NegirError(f"run tag {run.run_tag!r} is empty or contains whitespace")
+    fault = id_fault(run.run_tag)
+    if fault:
+        raise NegirError(f"run tag {run.run_tag!r} {fault}")
     for topic_id, ranked in run.topics.items():
-        if not is_word(topic_id):
-            raise NegirError(f"topic_id {topic_id!r} is empty or contains whitespace")
+        fault = id_fault(topic_id)
+        if fault:
+            raise NegirError(f"topic_id {topic_id!r} {fault}")
         docs: set[str] = set()
         previous = math.inf
         for doc_id, score in ranked:
-            if not is_word(doc_id):
-                raise NegirError(
-                    f"doc_id {doc_id!r} in topic {topic_id} is empty or contains whitespace"
-                )
+            fault = id_fault(doc_id)
+            if fault:
+                raise NegirError(f"doc_id {doc_id!r} in topic {topic_id} {fault}")
             problem = _ranking_fault(topic_id, doc_id, score, previous, docs)
             if problem:
                 raise NegirError(problem)

@@ -45,7 +45,7 @@ from itertools import accumulate, chain
 from pathlib import Path
 from typing import BinaryIO, Collection, Iterable, NamedTuple, Sequence
 
-from .corpus import atomic_write
+from .corpus import atomic_write, utf8_encodable
 from .errors import DuplicateIdError, NegirError, ParseError
 from .negation import NX_PREFIX
 
@@ -251,9 +251,13 @@ def fingerprint(entries: Iterable[str]) -> int:
 
 def _encode_strings(values: Collection[str], dest: str | Path) -> bytes:
     """``values`` in UTF-8 with "\\n" between two; a value with a line
-    break is refused. No bytes object is made per value: on ``rank`` those
-    raised the peak memory of ``negir index``."""
-    data = "\n".join(values).encode("utf-8")
+    break, or one that UTF-8 cannot encode, is refused. No bytes object is
+    made per value: on ``rank`` those raised the peak memory of ``negir index``."""
+    try:
+        data = "\n".join(values).encode("utf-8")
+    except UnicodeEncodeError:
+        bad = next(value for value in values if not utf8_encodable(value))
+        raise NegirError(f"{dest}: cannot write {bad[:32]!r}: UTF-8 cannot encode it") from None
     if data.count(b"\n") != max(len(values) - 1, 0):
         bad = next(value for value in values if "\n" in value)
         raise NegirError(f"{dest}: cannot write {bad[:32]!r}: it holds a line break")

@@ -2,7 +2,10 @@
 
 Detection runs on raw (pre-stopword) sentence tokens because most cues
 ("no", "not", "without") would otherwise be removed before they can be
-seen. A left-to-right scan matches cue phrases greedily (longest first):
+seen. The lexicon is a plain phrase table: each token that can start a
+cue or terminator phrase maps to those phrases, longest first, with their
+kinds. A left-to-right scan tries the table only at such tokens and takes
+the first (so the longest) phrase that matches there:
 
   * a pre-cue opens a scope covering the tokens after it, up to the next
     cue/terminator phrase or the sentence end;
@@ -28,7 +31,7 @@ from __future__ import annotations
 
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .corpus import TOKEN_RE, Sentence, packaged_data_path, read_lines, split_sentences
 from .errors import ParseError
@@ -46,7 +49,6 @@ class NegationScope(NamedTuple):
     raw token sequence; both lie within a single sentence.
     """
 
-    sentence_index: int
     trigger: str
     trigger_span: tuple[int, int]
     scope_span: tuple[int, int]
@@ -65,34 +67,19 @@ class TaggedTokenStream(NamedTuple):
     tokens: tuple[TaggedToken, ...]
 
 
-class TriggerLexicon:
-    """Cue and terminator phrases, each a tuple of tokens mapped to its
-    kind (PRE, POST, PSEUDO or TERMINATOR)."""
+# First token -> [(phrase, kind)], longest phrase first; a phrase is a
+# tuple of tokens and its kind is PRE, POST, PSEUDO or TERMINATOR.
+TriggerLexicon = dict[str, list[tuple[tuple[str, ...], str]]]
 
-    def __init__(self, phrases: Mapping[tuple[str, ...], str]):
-        # first token -> [(phrase, kind)], longest phrase first
-        self._by_first: dict[str, list[tuple[tuple[str, ...], str]]] = {}
-        for phrase, kind in phrases.items():
-            self._by_first.setdefault(phrase[0], []).append((phrase, kind))
-        for candidates in self._by_first.values():
-            candidates.sort(key=lambda item: len(item[0]), reverse=True)
 
-    def entries(self) -> list[str]:
-        """Each phrase as "kind: words", whatever the order and comments
-        of the file it came from."""
-        return [
-            f"{kind}: {' '.join(phrase)}"
-            for candidates in self._by_first.values()
-            for phrase, kind in candidates
-        ]
-
-    def match_at(self, surfaces: Sequence[str], i: int) -> tuple[tuple[str, ...], str] | None:
-        """Longest cue/terminator phrase starting at token i, if any;
-        ``surfaces`` may be a tuple, a list or any other sequence."""
-        for phrase, kind in self._by_first.get(surfaces[i], ()):
-            if tuple(surfaces[i : i + len(phrase)]) == phrase:
-                return phrase, kind
-        return None
+def lexicon_entries(lexicon: TriggerLexicon) -> list[str]:
+    """Each phrase as "kind: words", whatever the order and comments of
+    the file it came from."""
+    return [
+        f"{kind}: {' '.join(phrase)}"
+        for candidates in lexicon.values()
+        for phrase, kind in candidates
+    ]
 
 
 def load_lexicon(path: str | Path) -> TriggerLexicon:
@@ -120,7 +107,12 @@ def load_lexicon(path: str | Path) -> TriggerLexicon:
     for kind in (PRE, TERMINATOR):
         if kind not in phrases.values():
             raise ParseError(f"lexicon has no [{kind}] phrases", str(path))
-    return TriggerLexicon(phrases)
+    lexicon: TriggerLexicon = {}
+    for phrase, kind in phrases.items():
+        lexicon.setdefault(phrase[0], []).append((phrase, kind))
+    for candidates in lexicon.values():
+        candidates.sort(key=lambda item: len(item[0]), reverse=True)
+    return lexicon
 
 
 def default_lexicon() -> TriggerLexicon:
@@ -148,10 +140,9 @@ def detect_negations(
     no such token, as most are, returns at once.
     """
     surfaces = sentence.tokens
-    by_first = lexicon._by_first
-    if by_first.keys().isdisjoint(surfaces):
+    if lexicon.keys().isdisjoint(surfaces):
         return []
-    candidates = [i for i, surface in enumerate(surfaces) if surface in by_first]
+    candidates = [i for i, surface in enumerate(surfaces) if surface in lexicon]
     n = len(surfaces)
     base = sentence.start
 
@@ -160,49 +151,36 @@ def detect_negations(
     for i in candidates:
         if i < resume:
             continue
-        match = lexicon.match_at(surfaces, i)
-        if match is None:
-            continue
-        phrase, kind = match
-        resume = i + len(phrase)
-        events.append((kind, i, resume, " ".join(phrase)))
+        for phrase, kind in lexicon[surfaces[i]]:  # longest first
+            if tuple(surfaces[i : i + len(phrase)]) == phrase:
+                resume = i + len(phrase)
+                events.append((kind, i, resume, " ".join(phrase)))
+                break
 
     scopes: list[NegationScope] = []
     claimed_end = 0  # rightmost local index claimed by any event span or scope
     for idx, (kind, start, end, phrase) in enumerate(events):
+        scope_start = scope_end = end  # a pseudo-cue or terminator negates nothing
         if kind == PRE:
-            scope_start = end
             scope_end = events[idx + 1][1] if idx + 1 < len(events) else n
             if scope_window is not None:
                 scope_end = min(scope_end, end + scope_window)
-            if scope_start < scope_end:
-                scopes.append(
-                    NegationScope(
-                        sentence_index=sentence.sentence_index,
-                        trigger=phrase,
-                        trigger_span=(base + start, base + end),
-                        scope_span=(base + scope_start, base + scope_end),
-                        kind=PRE,
-                    )
-                )
-                claimed_end = max(claimed_end, scope_end)
         elif kind == POST:
             # Run backwards to whatever was last claimed: the previous
             # terminator, cue phrase, or scope, else the sentence start.
-            scope_start = claimed_end
+            scope_start, scope_end = claimed_end, start
             if scope_window is not None:
                 scope_start = max(scope_start, start - scope_window)
-            if scope_start < start:
-                scopes.append(
-                    NegationScope(
-                        sentence_index=sentence.sentence_index,
-                        trigger=phrase,
-                        trigger_span=(base + start, base + end),
-                        scope_span=(base + scope_start, base + start),
-                        kind=POST,
-                    )
+        if scope_start < scope_end:
+            scopes.append(
+                NegationScope(
+                    trigger=phrase,
+                    trigger_span=(base + start, base + end),
+                    scope_span=(base + scope_start, base + scope_end),
+                    kind=kind,
                 )
-        claimed_end = max(claimed_end, end)
+            )
+        claimed_end = max(claimed_end, scope_end, end)
     return scopes
 
 

@@ -20,9 +20,10 @@ ones.
 (surface, position) pairs it must give back, for the round-trip checks.
 
 ``ref_detect_negations`` and ``ref_analyze`` are the reference for text
-analysis: they try a cue phrase at every token and tag term by term,
-where the engine only tries the tokens that can start a phrase and tags
-a text in one pass.
+analysis: they try every phrase of the lexicon at every token, keep the
+longest that matches, and tag term by term, where the engine only tries
+the tokens that can start a phrase, in the table's longest-first order,
+and tags a text in one pass.
 
 ``ref_inf_ap`` is the reference for sampled inferred AP: the estimator
 in its direct form, which rescans the ranking prefix for every relevant
@@ -162,19 +163,22 @@ def kept_tokens(text, stopwords):
 
 
 def ref_detect_negations(sentence, lexicon, scope_window=None):
-    """A sentence's negation scopes, matching a phrase at every token in turn."""
+    """A sentence's negation scopes: at every token in turn, each phrase of
+    ``lexicon`` (whatever its key or place in the table) is tried, and the
+    longest that matches is taken."""
     surfaces = tuple(sentence.tokens)
     n = len(surfaces)
     base = sentence.start
+    phrases = [entry for entries in lexicon.values() for entry in entries]
 
     events = []  # (kind, start, end, phrase)
     i = 0
     while i < n:
-        match = lexicon.match_at(surfaces, i)
-        if match is None:
+        found = [(p, kind) for p, kind in phrases if surfaces[i : i + len(p)] == p]
+        if not found:
             i += 1
             continue
-        phrase, kind = match
+        phrase, kind = max(found, key=lambda entry: len(entry[0]))
         events.append((kind, i, i + len(phrase), " ".join(phrase)))
         i += len(phrase)
 
@@ -188,7 +192,7 @@ def ref_detect_negations(sentence, lexicon, scope_window=None):
                 scope_end = min(scope_end, end + scope_window)
             if scope_start < scope_end:
                 scopes.append(NegationScope(
-                    sentence.sentence_index, phrase, (base + start, base + end),
+                    phrase, (base + start, base + end),
                     (base + scope_start, base + scope_end), PRE,
                 ))
                 claimed_end = max(claimed_end, scope_end)
@@ -198,7 +202,7 @@ def ref_detect_negations(sentence, lexicon, scope_window=None):
                 scope_start = max(scope_start, start - scope_window)
             if scope_start < start:
                 scopes.append(NegationScope(
-                    sentence.sentence_index, phrase, (base + start, base + end),
+                    phrase, (base + start, base + end),
                     (base + scope_start, base + start), POST,
                 ))
         claimed_end = max(claimed_end, end)

@@ -610,6 +610,8 @@ def test_malformed_collection_exits_one(workspace, capsys):
         (["run", "--tag", "my tag"], "run tag 'my tag' is empty or contains whitespace"),
         (["run", "--tag", ""], "run tag '' is empty or contains whitespace"),
         (["run", "--tag", "\u2003"], r"run tag '\u2003' is empty or contains whitespace"),
+        # The byte 0xff of a non-UTF-8 argument comes in as the lone surrogate "\udcff".
+        (["run", "--tag", "\udcff"], r"run tag '\udcff' cannot be encoded as UTF-8"),
     ],
 )
 def test_out_of_range_setting_exits_one(workspace, capsys, argv, message):
@@ -703,6 +705,13 @@ BAD_INPUTS = {
     "description a list": (
         "topics", "topics.jsonl", _jsonl(TOPIC, {"topic_id": "2", "description": ["no", "fever"]}),
         2),
+    # A lone surrogate, from a JSON escape or a file name that is not
+    # UTF-8, is an id that no snapshot or run file could hold.
+    "doc_id a lone surrogate": (
+        "collection", "docs.jsonl", _jsonl({"doc_id": "d1"}, {"doc_id": "d\udc80"}), 2),
+    "topic_id a lone surrogate": (
+        "topics", "topics.jsonl", _jsonl(TOPIC, {"topic_id": "\ud800", "description": "x"}), 2),
+    "plain-dir file name not UTF-8": ("plain-dir", "d\udcff.txt", b"text", None),
 }
 
 
@@ -735,9 +744,13 @@ def test_bad_input_exits_one_naming_file_and_line(workspace, capsys, case):
         "sidecar": ["eval", "--run", run_file, "--qrels", qrels, "--sampling", bad],
     }[kind]
     capsys.readouterr()
+    # As the interpreter's own stderr does, show a file name that is not
+    # UTF-8 with backslash escapes rather than fail to print it.
+    sys.stderr.reconfigure(errors="backslashreplace")
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
-    location = f"{bad}:" if line is None else f"{bad}:{line}:"
+    shown = str(bad).encode("utf-8", "backslashreplace").decode("utf-8")
+    location = f"{shown}:" if line is None else f"{shown}:{line}:"
     assert err.startswith(f"negir: {location} "), err
     assert "Traceback" not in err
     assert not out.exists()
@@ -966,6 +979,23 @@ def test_version_flag(capsys):
     assert "negir 0.1.0" in out
     assert "negir-stopwords v1" in out
     assert "negir-lexicon v1" in out
+
+
+def test_eval_per_topic_text_lines(tmp_path, capsys):
+    # Topic 1 retrieves one of its two relevant documents, at rank 2;
+    # topic 2 has judgments but no relevant document, and is flagged.
+    qrels = tmp_path / "q.txt"
+    qrels.write_text("1 0 d-a 1\n1 0 d-d 1\n2 0 d-b 0\n", encoding="utf-8")
+    run_file = tmp_path / "r.run"
+    run_file.write_text("1 Q0 d-c 1 2.0 t\n1 Q0 d-a 2 1.0 t\n2 Q0 d-b 1 1.0 t\n", encoding="utf-8")
+    assert run_cli("eval", "--run", run_file, "--qrels", qrels, "--per-topic") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[-3:] == [
+        "t           0.0500    0.1934    0.1250    0.2500",
+        # P@10 1/10; NDCG (1/log2 3) / (1 + 1/log2 3); AP (1/2) / 2; R-prec 1/2.
+        "       1  0.1000  0.3869  0.2500  0.5000",
+        "       2  0.0000  0.0000  0.0000  0.0000  (no relevant docs)",
+    ]
 
 
 def test_eval_text_output_has_config_header(workspace, capsys):

@@ -13,6 +13,7 @@ from negir.corpus import (
     TOKEN_RE,
     Topic,
     atomic_write,
+    data_file_version,
     load_collection,
     load_stopwords,
     load_topics,
@@ -109,7 +110,8 @@ def test_no_stopword_survives(text):
 def test_split_two_sentences():
     sentences = split_sentences("No fever. No cough.")
     assert len(sentences) == 2
-    assert [s.sentence_index for s in sentences] == [0, 1]
+    assert [s.text for s in sentences] == ["No fever.", "No cough."]
+    assert [s.start for s in sentences] == [0, 2]
 
 
 def test_split_empty():
@@ -213,6 +215,21 @@ def test_load_plain_dir(tmp_path):
     (tmp_path / "a.txt").write_text("first doc", encoding="utf-8")
     docs = list(load_collection(tmp_path, "plain-dir"))
     assert docs == [("a", "first doc"), ("b", "second doc")]
+
+
+def test_plain_dir_collection_must_be_a_directory(tmp_path):
+    path = tmp_path / "docs.txt"
+    path.write_text("a file, not a directory", encoding="utf-8")
+    with pytest.raises(ParseError, match=r"docs\.txt: not a directory$"):
+        list(load_collection(path, "plain-dir"))
+
+
+def test_data_file_version_without_a_comment_is_unversioned(tmp_path):
+    path = tmp_path / "stop.txt"
+    path.write_text("the\n# v2\n", encoding="utf-8")
+    assert data_file_version(path) == "unversioned"
+    path.write_text("#  negir-stopwords v2 \nthe\n", encoding="utf-8")
+    assert data_file_version(path) == "negir-stopwords v2"
 
 
 def test_unknown_format(tmp_path):

@@ -332,6 +332,10 @@ def test_run_result_validation(tmp_path):
         refused(r"doc_id .+ in topic t is empty or contains", {"t": [("a", 2.0), (word, 1.0)]})
         refused(r"topic_id .+ is empty or contains white", {word: [("a", 1.0)]})
         refused(r"run tag .+ is empty or contains white", {"t": [("a", 1.0)]}, tag=word)
+    for word in ("\udc80", "a\ud800b"):  # a lone surrogate: UTF-8 could not encode it
+        refused(r"doc_id .+ in topic t cannot be encoded as UTF-8", {"t": [(word, 1.0)]})
+        refused(r"topic_id .+ cannot be encoded as UTF-8", {word: [("a", 1.0)]})
+        refused(r"run tag .+ cannot be encoded as UTF-8", {"t": [("a", 1.0)]}, tag=word)
     # Topics are checked in their order in the run, not in the order they are written.
     refused("score nan in topic 2 ", {"2": [("a", math.nan)], "1": [("a", math.inf)]})
     # Within an entry: the doc id, then the score, then a repeat, then a rise.

@@ -726,6 +726,33 @@ def test_save_refuses_a_term_with_a_line_break(tmp_path):
         path.unlink()
 
 
+def test_load_refuses_a_file_that_is_not_regular():
+    # A device has no size to bound the reads by.
+    message = r"^/dev/null: not a regular file, so its size is unknown$"
+    with pytest.raises(ParseError, match=message):
+        load_index("/dev/null")
+
+
+def test_save_refuses_a_string_that_utf8_cannot_encode(tmp_path):
+    # A lone surrogate, as a doc_id or a term, is refused before anything
+    # is written, as a line break is.
+    path = tmp_path / "snap.ngir"
+    for docs, bad in (
+        ([("a", ["x"]), ("d\udc80", ["y"])], r"'d\\udc80'"),
+        ([("d", ["a", "b\ud800"])], r"'b\\ud800'"),
+    ):
+        message = rf"snap.ngir: cannot write {bad}: UTF-8 cannot encode it"
+        with pytest.raises(NegirError, match=message):
+            save_index(build_index(docs), path)
+        assert not path.exists()
+        path.write_bytes(b"previous snapshot")
+        with pytest.raises(NegirError, match="UTF-8 cannot encode it"):
+            save_index(build_index(docs), path)
+        assert path.read_bytes() == b"previous snapshot"
+        assert [p.name for p in tmp_path.iterdir()] == ["snap.ngir"]
+        path.unlink()
+
+
 @pytest.mark.parametrize("settings, fault", [
     ({"k1": math.nan}, "k1 nan or b 0.75 out of range"),
     ({"k1": -1.0}, "k1 -1.0 or b 0.75 out of range"),

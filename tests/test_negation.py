@@ -21,6 +21,7 @@ from negir.negation import (
     default_lexicon,
     detect_all,
     detect_negations,
+    lexicon_entries,
     load_lexicon,
     scope_text,
     tag_tokens,
@@ -113,9 +114,11 @@ def test_trigger_at_sentence_end_yields_nothing(lexicon):
 
 
 def test_scopes_are_per_sentence(lexicon):
-    _, scopes = detect_in("No fever. No cough.", lexicon)
+    sentences, scopes = detect_in("No fever. No cough.", lexicon)
     assert len(scopes) == 2
-    assert [s.sentence_index for s in scopes] == [0, 1]
+    for sentence, scope in zip(sentences, scopes):
+        assert scope.scope_span == (sentence.start + 1, sentence.start + 2)
+        assert scope_text(sentence, scope) == sentence.tokens[1]
 
 
 def test_scope_window_caps_extent(lexicon):
@@ -168,10 +171,9 @@ def test_list_tokens_find_the_same_scopes(lexicon):
     # A phrase matches whether the tokens come as a tuple or a list.
     for text in ("no fever", "tests negative for influenza", "pneumonia was ruled out"):
         tokens = tuple(TOKEN_RE.findall(text))
-        as_tuple = detect_negations(Sentence(0, text, tokens, 0), lexicon)
-        as_list = detect_negations(Sentence(0, text, list(tokens), 0), lexicon)
+        as_tuple = detect_negations(Sentence(text, tokens, 0), lexicon)
+        as_list = detect_negations(Sentence(text, list(tokens), 0), lexicon)
         assert as_list == as_tuple != []
-        assert lexicon.match_at(list(tokens), 0) == lexicon.match_at(tokens, 0)
 
 
 # Multi-word pre, post and pseudo cues, a cue's first words alone,
@@ -336,16 +338,13 @@ def test_load_lexicon_sections(tmp_path):
         "# comment\n[pre]\nno\nAbsence  of\n[post]\nwas ruled out\n"
         "[pseudo]\nno increase\n[term]\nbut\n",
     )
-    lexicon = load_lexicon(path)
-    for phrase, kind in (
-        (("no",), "pre"),
-        (("absence", "of"), "pre"),
-        (("was", "ruled", "out"), "post"),
-        (("no", "increase"), "pseudo"),
-        (("but",), "term"),
-    ):
-        assert lexicon.match_at(phrase, 0) == (phrase, kind)
-    assert lexicon.match_at(("comment",), 0) is None
+    # Keyed by first token, longest phrase first; the comment is no phrase.
+    assert load_lexicon(path) == {
+        "no": [(("no", "increase"), "pseudo"), (("no",), "pre")],
+        "absence": [(("absence", "of"), "pre")],
+        "was": [(("was", "ruled", "out"), "post")],
+        "but": [(("but",), "term")],
+    }
 
 
 def test_load_lexicon_requires_section_header(tmp_path):
@@ -372,8 +371,9 @@ def test_lexicon_requires_pre_and_terminators(tmp_path):
 
 
 def test_shipped_lexicon_phrases_disjoint(lexicon):
-    # Each phrase line of the shipped file matches as the kind of its own
-    # section, which one of them could not if a phrase were in two sections.
+    # Each phrase line of the shipped file is in the table as the kind of
+    # its own section, which one of them could not be if a phrase were in
+    # two sections.
     kind = None
     lines = packaged_data_path("lexicon.txt").read_text(encoding="utf-8").splitlines()
     for line in (line.strip().lower() for line in lines):
@@ -381,5 +381,33 @@ def test_shipped_lexicon_phrases_disjoint(lexicon):
             kind = line.strip("[]")
         elif line and not line.startswith("#"):
             phrase = tuple(TOKEN_RE.findall(line))
-            assert lexicon.match_at(phrase, 0) == (phrase, kind)
+            assert (phrase, kind) in lexicon[phrase[0]]
     assert kind == "term"
+
+
+def test_phrase_order_in_the_file_does_not_decide_a_match(tmp_path, lexicon):
+    # The shipped lexicon with its sections, and the phrase lines of each,
+    # in reverse order: the same entries, and detection finds the same
+    # scopes, because the longest phrase wins wherever it is listed.
+    sections, current = [], None
+    lines = packaged_data_path("lexicon.txt").read_text(encoding="utf-8").splitlines()
+    for line in (line.strip() for line in lines):
+        if line.startswith("["):
+            current = []
+            sections.append((line, current))
+        elif line and not line.startswith("#"):
+            current.append(line)
+    reversed_text = "".join(
+        f"{header}\n" + "".join(f"{phrase}\n" for phrase in reversed(phrases))
+        for header, phrases in reversed(sections)
+    )
+    reordered = load_lexicon(_lexicon_file(tmp_path, reversed_text))
+    assert sorted(lexicon_entries(reordered)) == sorted(lexicon_entries(lexicon))
+    rng = random.Random(7)
+    texts = [" ".join(rng.choice(PIECES) for _ in range(40)) for _ in range(200)]
+    for text in texts + [EXAMPLE, "not certain if pneumonia was ruled out"]:
+        for window in (None, 1, 2):
+            for sentence in split_sentences(text):
+                assert detect_negations(sentence, reordered, window) == detect_negations(
+                    sentence, lexicon, window
+                )
