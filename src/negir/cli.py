@@ -142,6 +142,18 @@ def _check_provenance(
             )
 
 
+def _say(line: str, stream=None) -> None:
+    """Print ``line`` to ``stream``, standard output by default. What the
+    stream cannot encode, such as a file name that is not UTF-8, is
+    written as backslash escapes; a line it can encode keeps its bytes."""
+    stream = stream or sys.stdout
+    try:
+        print(line, file=stream)
+    except UnicodeEncodeError:
+        encoding = stream.encoding or "utf-8"
+        print(line.encode(encoding, "backslashreplace").decode(encoding), file=stream)
+
+
 def _summary_stream(out: str):
     """Where a command reports on writing ``out``: stderr when ``out`` is
     standard output, so that stdout carries the output file alone."""
@@ -176,9 +188,9 @@ def cmd_index(args: argparse.Namespace) -> int:
         "snapshot": str(args.out),
     }
     if args.json:
-        print(json.dumps(summary, sort_keys=True), file=summary_out)
+        _say(json.dumps(summary, sort_keys=True), summary_out)
     else:
-        print(f"indexed {summary['documents']} documents -> {args.out}", file=summary_out)
+        _say(f"indexed {summary['documents']} documents -> {args.out}", summary_out)
     return 0
 
 
@@ -210,13 +222,13 @@ def cmd_detect(args: argparse.Namespace) -> int:
                 "scopes": scopes,
             }
         )
-    print(json.dumps(output, indent=2))
+    _say(json.dumps(output, indent=2))
     return 0
 
 
 def cmd_bundle(args: argparse.Namespace) -> int:
     bundles = _build_bundles(args.topics, _stopwords(args), _lexicon(args))
-    print(json.dumps([bundle._asdict() for bundle in bundles], indent=2))
+    _say(json.dumps([bundle._asdict() for bundle in bundles], indent=2))
     return 0
 
 
@@ -254,7 +266,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     write_run(RunResult(args.tag, topics), args.out)
     written = sum(1 for ranked in topics.values() if ranked)  # an empty ranking writes no line
     if args.json:
-        print(
+        _say(
             json.dumps(
                 {
                     "strategy": args.strategy,
@@ -264,10 +276,10 @@ def cmd_run(args: argparse.Namespace) -> int:
                 },
                 sort_keys=True,
             ),
-            file=summary_out,
+            summary_out,
         )
     else:
-        print(f"wrote {written} topics -> {args.out}", file=summary_out)
+        _say(f"wrote {written} topics -> {args.out}", summary_out)
     return 0
 
 
@@ -280,15 +292,15 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.json:
         payload = report_to_dict(report)
         payload["config"] = config._asdict()
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _say(json.dumps(payload, indent=2, sort_keys=True))
     else:
-        print(_config_header(config))
-        print(format_table([(report.run_tag, report.aggregate())]))
+        _say(_config_header(config))
+        _say(format_table([(report.run_tag, report.aggregate())]))
         if args.per_topic:
             for topic_id, metrics in sorted(report.per_topic.items()):
                 flag = "  (no relevant docs)" if metrics.no_relevant else ""
                 values = "  ".join(f"{v:.4f}" for v in metrics.values())
-                print(f"{topic_id:>8}  {values}{flag}")
+                _say(f"{topic_id:>8}  {values}{flag}")
     return 0
 
 
@@ -323,11 +335,11 @@ def cmd_compare_groups(args: argparse.Namespace) -> int:
             "gap_reduction_p10": report.gap_reduction_p10,
             "d_minus_improvement_p10": report.d_minus_improvement_p10,
         }
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        _say(json.dumps(payload, indent=2, sort_keys=True))
         return 0
 
-    print(_config_header(config))
-    print(
+    _say(_config_header(config))
+    _say(
         f"groups: {len(report.d_plus_topics)} without negations, "
         f"{len(report.d_minus_topics)} with negations"
     )
@@ -336,12 +348,12 @@ def cmd_compare_groups(args: argparse.Namespace) -> int:
         if name == BASELINE:
             rows.append((f"{name} D+", by_group["d_plus"].aggregate()))
         rows.append((f"{name} D-", by_group["d_minus"].aggregate()))
-    print(format_table(rows))
+    _say(format_table(rows))
     for name, value in report.gap_reduction_p10.items():
         shown = "undefined (no baseline gap)" if value is None else f"{value * 100:.1f}%"
         improvement = report.d_minus_improvement_p10[name]
         extra = "" if improvement is None else f" (D- P@10 {improvement * 100:+.1f}%)"
-        print(f"gap reduction P@10 [{name}]: {shown}{extra}")
+        _say(f"gap reduction P@10 [{name}]: {shown}{extra}")
     return 0
 
 
@@ -449,7 +461,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except (NegirError, OSError) as exc:
-        print(f"negir: {exc}", file=sys.stderr)
+        _say(f"negir: {exc}", sys.stderr)
         return 1
 
 

@@ -16,8 +16,6 @@ class ParseError(NegirError):
         if path is not None:
             message = f"{path}: {message}" if line is None else f"{path}:{line}: {message}"
         super().__init__(message)
-        self.path = path
-        self.line = line
 
 
 class DuplicateIdError(ParseError):

@@ -3,7 +3,12 @@
 Metrics follow trec_eval conventions: unjudged retrieved documents count
 as non-relevant, short rankings leave missing ranks non-relevant, and
 aggregates are unweighted arithmetic means over the topics present in
-the qrels (topics absent from a run contribute zero).
+the qrels (topics absent from a run contribute zero). Ranks are scored in
+run-file order. negir writes tied scores by ascending doc id, while
+trec_eval re-sorts each topic by score and breaks ties by doc id in
+reverse order, so a run with ties can score otherwise there (Lin and
+Yang, "The Impact of Score Ties on Repeatability in Document Ranking",
+SIGIR 2019).
 
 Inferred average precision is the sampled-judgment estimator of Yilmaz
 and Aslam. Without sampling metadata, judgments are treated as complete
@@ -39,13 +44,12 @@ METRIC_NAMES = ("p_at_10", "ndcg", "inf_ap", "r_prec")
 Strata = tuple[frozenset[str], ...]
 
 
-class RunResult:
+class RunResult(NamedTuple):
     """A run: its tag, and per topic the (doc_id, score) entries in rank
     order. ``write_run`` checks them against the rules of a run line."""
 
-    def __init__(self, run_tag: str, topics: dict[str, list[tuple[str, float]]]):
-        self.run_tag = run_tag
-        self.topics = topics
+    run_tag: str
+    topics: dict[str, list[tuple[str, float]]]
 
     def ranking(self, topic_id: str) -> list[str]:
         return [doc_id for doc_id, _ in self.topics.get(topic_id, [])]
@@ -187,10 +191,6 @@ class MetricsReport(NamedTuple):
     run_tag: str
     per_topic: dict[str, TopicMetrics]
 
-    @property
-    def num_topics(self) -> int:
-        return len(self.per_topic)
-
     def aggregate(self) -> TopicMetrics:
         if not self.per_topic:
             return TopicMetrics(0.0, 0.0, 0.0, 0.0)
@@ -295,7 +295,7 @@ def group_analysis(
     base_plus = base["d_plus"].aggregate().p_at_10
     base_minus = base["d_minus"].aggregate().p_at_10
     # An empty group aggregates to 0.0, not to a P@10: it leaves no gap to measure.
-    both_groups = base["d_plus"].num_topics and base["d_minus"].num_topics
+    both_groups = base["d_plus"].per_topic and base["d_minus"].per_topic
     reductions: dict[str, float | None] = {}
     improvements: dict[str, float | None] = {}
     for name in runs_by_strategy:
@@ -514,7 +514,7 @@ def report_to_dict(report: MetricsReport) -> dict:
     aggregate = report.aggregate()
     return {
         "run_tag": report.run_tag,
-        "num_topics": report.num_topics,
+        "num_topics": len(report.per_topic),
         "aggregate": dict(zip(METRIC_NAMES, aggregate.values())),
         "per_topic": {
             topic_id: dict(zip(METRIC_NAMES, metrics.values()))

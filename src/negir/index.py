@@ -74,10 +74,10 @@ class Index:
     ``postings`` are the tagged field's; ``field`` derives the plain ones
     from them on first use and keeps them, for a built or a loaded index.
     ``doc_ids``, ``doc_lengths`` and ``norms`` are indexed by doc number.
-    ``avg_doc_length`` and the per-document BM25 length norms
-    ``k1 * (1 - b + b * len / avgdl)`` are fixed here, once.
+    The per-document BM25 length norms ``k1 * (1 - b + b * len / avgdl)``,
+    avgdl the mean of ``doc_lengths``, are fixed here, once.
     ``fingerprints`` are those of the stopword list and the lexicon the
-    index was built with (see ``fingerprint``), (0, 0) when not given.
+    index was built with (see ``fingerprint``), 0 for one not given.
     """
 
     def __init__(
@@ -85,9 +85,9 @@ class Index:
         postings: Postings,
         doc_ids: list[str],
         doc_lengths: array,
-        k1: float = DEFAULT_K1,
-        b: float = DEFAULT_B,
-        fingerprints: tuple[int, int] = (0, 0),
+        k1: float,
+        b: float,
+        fingerprints: tuple[int, int],
     ):
         self.postings = postings
         self._plain: Postings | None = None
@@ -96,11 +96,10 @@ class Index:
         self.k1 = k1
         self.b = b
         self.fingerprints = fingerprints
-        self.avg_doc_length = 0.0
         self.norms: list[float] = []
         total = sum(doc_lengths)
         if total:  # otherwise no documents, or only empty ones: no term can match
-            avgdl = self.avg_doc_length = total / len(doc_lengths)
+            avgdl = total / len(doc_lengths)
             self.norms = [k1 * (1.0 - b + b * length / avgdl) for length in doc_lengths]
 
     @property

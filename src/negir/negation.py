@@ -24,12 +24,11 @@ because the tokenizer would never produce a bracket.
 kept surfaces as ``terms``, their raw ``positions``, and ``tagged_terms``
 (the same surfaces, negated ones prefixed); the index is built from
 ``tagged_terms`` alone. A per-token ``TaggedToken`` view is built from
-those lists only when asked for.
+those lists on each access to ``tagged``.
 """
 
 from __future__ import annotations
 
-from functools import cached_property
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
@@ -222,29 +221,21 @@ def tag_tokens(
 # ---------------------------------------------------------------------------
 
 
-class TextAnalysis:
+class TextAnalysis(NamedTuple):
     """Everything the indexer and query builder need for one text.
 
     ``terms[i]`` is the kept surface at raw position ``positions[i]``, and
     ``tagged_terms[i]`` the same surface, "[nx]"-prefixed when negated.
     """
 
-    def __init__(
-        self,
-        scopes: list[NegationScope],
-        terms: list[str],
-        positions: list[int],
-        tagged_terms: list[str],
-    ):
-        self.scopes = scopes
-        self.terms = terms
-        self.positions = positions
-        self.tagged_terms = tagged_terms
+    scopes: list[NegationScope]
+    terms: list[str]
+    positions: list[int]
+    tagged_terms: list[str]
 
-    @cached_property
+    @property
     def tagged(self) -> TaggedTokenStream:
-        """The kept tokens as ``TaggedToken`` records, built on first
-        access and kept for later ones."""
+        """The kept tokens as ``TaggedToken`` records, built on each access."""
         return TaggedTokenStream(
             tuple(
                 TaggedToken(surface, position, surface != term)

@@ -25,9 +25,17 @@ longest that matches, and tag term by term, where the engine only tries
 the tokens that can start a phrase, in the table's longest-first order,
 and tags a text in one pass.
 
+``ref_p_at_k``, ``ref_average_precision``, ``ref_ndcg`` and
+``ref_r_prec`` are the references for the other metrics of a topic,
+written from their definitions over the set of relevant documents. They
+add in the engine's order: DCG rank by rank with ``+=``, the ideal DCG
+with ``sum``, which Python 3.12 and later compensate.
+
 ``ref_inf_ap`` is the reference for sampled inferred AP: the estimator
 in its direct form, which rescans the ranking prefix for every relevant
-document. The engine's one-pass ``inf_ap`` must return the same floats.
+document. The engine's one-pass ``inf_ap`` must return the same floats,
+and ``evaluate`` those of all five references, ranks taken in run-file
+order.
 """
 
 import math
@@ -226,6 +234,38 @@ def ref_analyze(text, stopwords, lexicon):
             positions.append(position)
             tagged_terms.append(NX_PREFIX + surface if position in negated else surface)
     return scopes, terms, positions, tagged_terms
+
+
+def ref_p_at_k(ranking, relevant, k):
+    return sum(1 for d in ranking[:k] if d in relevant) / k
+
+
+def ref_average_precision(ranking, relevant):
+    if not relevant:
+        return 0.0
+    total, hits = 0.0, 0
+    for i, doc in enumerate(ranking):
+        if doc in relevant:
+            hits += 1
+            total += hits / (i + 1)
+    return total / len(relevant)
+
+
+def ref_ndcg(ranking, grades, cutoff):
+    gains = sorted((g for g in grades.values() if g > 0), reverse=True)
+    if not gains:
+        return 0.0
+    dcg = 0.0  # rank by rank, a non-relevant rank adding an exact 0.0
+    for i, doc in enumerate(ranking[:cutoff]):
+        dcg += grades.get(doc, 0) / math.log2(i + 2)
+    idcg = sum(g / math.log2(i + 2) for i, g in enumerate(gains[:cutoff]))
+    return dcg / idcg
+
+
+def ref_r_prec(ranking, relevant):
+    if not relevant:
+        return 0.0
+    return sum(1 for d in ranking[: len(relevant)] if d in relevant) / len(relevant)
 
 
 INFAP_EPSILON = 1e-5

@@ -4,13 +4,12 @@ Each criterion prints a PASS/FAIL line with its runtime (visible with
 ``pytest tests/test_acceptance.py -v -s``) and enforces its runtime
 budget. Reference values are either hand-derived from the pinned
 formulas or checked against independent brute-force implementations:
-the metric references in this module and the BM25 reference scorer in
+the metric references and the BM25 reference scorer in
 ``tests/oracle.py``. That module is imported inside the criteria that
 use it, so this file also loads on its own by path (the benchmark reuses
 ``build_planted_corpus``).
 """
 
-import math
 import random
 import time
 from contextlib import contextmanager
@@ -258,39 +257,8 @@ def test_criterion_6_tagging_semantics():
 # ---------------------------------------------------------------------------
 
 
-def ref_p_at_k(ranking, relevant, k):
-    return sum(1 for d in ranking[:k] if d in relevant) / k
-
-
-def ref_average_precision(ranking, relevant):
-    if not relevant:
-        return 0.0
-    total, hits = 0.0, 0
-    for i, doc in enumerate(ranking):
-        if doc in relevant:
-            hits += 1
-            total += hits / (i + 1)
-    return total / len(relevant)
-
-
-def ref_ndcg(ranking, grades, cutoff):
-    gains = sorted((g for g in grades.values() if g > 0), reverse=True)
-    if not gains:
-        return 0.0
-    dcg = sum(
-        grades.get(doc, 0) / math.log2(i + 2) for i, doc in enumerate(ranking[:cutoff])
-    )
-    idcg = sum(g / math.log2(i + 2) for i, g in enumerate(gains[:cutoff]))
-    return dcg / idcg
-
-
-def ref_r_prec(ranking, relevant):
-    if not relevant:
-        return 0.0
-    return sum(1 for d in ranking[: len(relevant)] if d in relevant) / len(relevant)
-
-
 def test_criterion_7_metric_oracles():
+    import oracle
     from negir.evalkit import average_precision, inf_ap, ndcg, p_at_k, r_prec
 
     with criterion(7, "metrics vs brute force, 500 instances", budget_seconds=10.0):
@@ -304,16 +272,18 @@ def test_criterion_7_metric_oracles():
             cutoff = rng.choice([3, 10, 1000])
 
             assert p_at_k(ranking, grades, 10) == pytest.approx(
-                ref_p_at_k(ranking, relevant, 10), abs=1e-12
+                oracle.ref_p_at_k(ranking, relevant, 10), abs=1e-12
             )
             assert ndcg(ranking, grades, cutoff) == pytest.approx(
-                ref_ndcg(ranking, grades, cutoff), abs=1e-12
+                oracle.ref_ndcg(ranking, grades, cutoff), abs=1e-12
             )
             ap = average_precision(ranking, grades)
-            assert ap == pytest.approx(ref_average_precision(ranking, relevant), abs=1e-12)
+            assert ap == pytest.approx(
+                oracle.ref_average_precision(ranking, relevant), abs=1e-12
+            )
             assert inf_ap(ranking, grades) == ap  # complete judgments
             assert r_prec(ranking, grades) == pytest.approx(
-                ref_r_prec(ranking, relevant), abs=1e-12
+                oracle.ref_r_prec(ranking, relevant), abs=1e-12
             )
 
         # Ideal ordering scores exactly 1.0.

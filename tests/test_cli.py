@@ -743,10 +743,9 @@ def test_bad_input_exits_one_naming_file_and_line(workspace, capsys, case):
         "run": ["eval", "--run", bad, "--qrels", qrels],
         "sidecar": ["eval", "--run", run_file, "--qrels", qrels, "--sampling", bad],
     }[kind]
+    # The captured stderr is strict UTF-8, unlike the interpreter's own:
+    # main must escape a file name that is not UTF-8 itself.
     capsys.readouterr()
-    # As the interpreter's own stderr does, show a file name that is not
-    # UTF-8 with backslash escapes rather than fail to print it.
-    sys.stderr.reconfigure(errors="backslashreplace")
     assert run_cli(*argv) == 1
     err = capsys.readouterr().err
     shown = str(bad).encode("utf-8", "backslashreplace").decode("utf-8")
@@ -754,6 +753,53 @@ def test_bad_input_exits_one_naming_file_and_line(workspace, capsys, case):
     assert err.startswith(f"negir: {location} "), err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+NOT_UTF8 = os.fsdecode(b"\xff")  # a file name byte that UTF-8 cannot decode
+
+needs_utf8_file_names = pytest.mark.skipif(
+    sys.getfilesystemencoding() != "utf-8" or os.name == "nt",
+    reason="file names are not bytes decoded as UTF-8 here",
+)
+
+
+def escaped(text):
+    """``text`` as a strict UTF-8 stream shows it: lone surrogates escaped."""
+    return text.encode("utf-8", "backslashreplace")
+
+
+@needs_utf8_file_names
+@pytest.mark.parametrize("errors", ["strict", "surrogateescape"])
+@pytest.mark.parametrize("command", ["index", "run", "compare-groups"])
+def test_a_name_that_is_not_utf8_prints_as_stdout_can(workspace, command, errors):
+    # stdout is strict UTF-8 under any UTF-8 locale but C and POSIX, which
+    # write the name's own bytes back, as they always did.
+    snapshot = build_snapshot(workspace)
+    base = workspace / "base.run"
+    assert run_cli("run", "--index", snapshot, "--topics", workspace / "topics.jsonl",
+                   "--strategy", "baseline", "--out", base) == 0
+    out = workspace / f"out{NOT_UTF8}"
+    argv = {
+        "index": ["index", "--collection", workspace / "docs.jsonl", "--out", out],
+        "run": ["run", "--index", snapshot, "--topics", workspace / "topics.jsonl",
+                "--strategy", "baseline", "--out", out],
+        "compare-groups": ["compare-groups", "--topics", workspace / "topics.jsonl",
+                           "--qrels", workspace / "qrels.txt", "--baseline", base,
+                           "--run", f"x{NOT_UTF8}={base}"],
+    }[command]
+    src = str(Path(negir.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": src, "PYTHONIOENCODING": f"utf-8:{errors}"}
+    child = subprocess.run(
+        [sys.executable, "-m", "negir.cli", *map(str, argv)], capture_output=True, env=env
+    )
+    assert (child.returncode, child.stderr) == (0, b"")
+    shown = escaped if errors == "strict" else os.fsencode
+    if command == "compare-groups":
+        assert shown(f"gap reduction P@10 [x{NOT_UTF8}]: ") in child.stdout
+    else:
+        summary = "indexed 4 documents" if command == "index" else "wrote 2 topics"
+        assert child.stdout == shown(f"{summary} -> {out}\n")
+        assert out.exists()
 
 
 def test_digit_topic_ids_that_int_refuses_run_and_eval(workspace, capsys):

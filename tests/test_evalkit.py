@@ -305,7 +305,60 @@ def test_aggregate_is_mean_over_qrels_topics():
     qrels = {"t1": {"a": 1}, "t2": {"b": 1}}
     report = evaluate(_run_from({"t1": ["a"], "t2": ["x"]}), qrels)
     assert report.aggregate().p_at_10 == pytest.approx(0.05)
-    assert report.num_topics == 2
+    assert len(report.per_topic) == 2
+
+
+@st.composite
+def evaluated_runs(draw):
+    """(run, qrels, sampling) of one to three topics of ``sampled_topics``,
+    each ranked with tied scores in its drawn order, or left out of the run."""
+    run, qrels, sampling = {}, {}, {}
+    for number, (ranking, grades, strata) in enumerate(
+        draw(st.lists(sampled_topics(), min_size=1, max_size=3))
+    ):
+        topic_id = str(number)
+        qrels[topic_id], sampling[topic_id] = grades, strata
+        if draw(st.booleans()):
+            scores = draw(st.lists(st.integers(0, 2), min_size=len(ranking), max_size=len(ranking)))
+            run[topic_id] = [(doc, float(score)) for doc, score in
+                             zip(ranking, sorted(scores, reverse=True))]
+    return RunResult("r", run), qrels, sampling
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(evaluated_runs(), st.booleans(), st.sampled_from([3, 10, 1000]))
+def test_evaluate_equals_the_references_in_file_order(case, sampled, cutoff):
+    run, qrels, sampling = case
+    report = evaluate(run, qrels, ndcg_cutoff=cutoff, sampling=sampling if sampled else None)
+    assert list(report.per_topic) == list(qrels)
+    for topic_id, grades in qrels.items():
+        ranking = [doc for doc, _ in run.topics.get(topic_id, [])]
+        relevant = {doc for doc, grade in grades.items() if grade >= 1}
+        if sampled:
+            ap = oracle.ref_inf_ap(ranking, grades, sampling[topic_id])
+        else:
+            ap = oracle.ref_average_precision(ranking, relevant)
+        assert report.per_topic[topic_id] == TopicMetrics(
+            oracle.ref_p_at_k(ranking, relevant, 10),
+            oracle.ref_ndcg(ranking, grades, cutoff),
+            ap,
+            oracle.ref_r_prec(ranking, relevant),
+            not relevant,
+        )
+
+
+def test_tied_scores_are_scored_in_run_file_order(tmp_path):
+    # negir writes ties by ascending doc id. trec_eval re-sorts them by doc
+    # id in reverse order, which would put the relevant "b" first.
+    path = tmp_path / "tied.run"
+    write_run(RunResult("r", {"1": [("a", 2.5), ("b", 2.5)]}), path)
+    grades = {"a": 0, "b": 1}
+    metrics = evaluate(read_run(path), {"1": grades}).per_topic["1"]
+    assert (metrics.r_prec, metrics.inf_ap) == (0.0, 0.5)
+    by_score_then_doc_id = sorted(read_run(path).topics["1"], key=lambda e: (e[1], e[0]))
+    trec_eval_order = [doc_id for doc_id, _ in reversed(by_score_then_doc_id)]
+    assert trec_eval_order == ["b", "a"]
+    assert (r_prec(trec_eval_order, grades), inf_ap(trec_eval_order, grades)) == (1.0, 1.0)
 
 
 def test_aggregate_invariant_to_topic_order():

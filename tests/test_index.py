@@ -42,7 +42,7 @@ def search(index, terms, k):
 def test_empty_index():
     index = build_index([])
     assert index.doc_count == 0
-    assert index.avg_doc_length == 0.0
+    assert index.doc_lengths == array("I")
     assert index.doc_ids == []
     assert index.norms == []
     assert index.field(PLAIN).postings == {}
@@ -53,7 +53,7 @@ def test_single_doc_statistics():
     assert index.field(PLAIN).postings["fever"] == (array("I", [0]), array("I", [2]))
     assert index.doc_ids == ["d"]
     assert index.doc_lengths == array("I", [2])
-    assert index.avg_doc_length == 2.0
+    assert index.norms == [1.2]  # a document of average length: k1 * (1 - b + b)
 
 
 def test_build_deterministic():
@@ -198,7 +198,6 @@ def test_snapshot_round_trip(tmp_path):
         assert loaded.field(field).postings == index.field(field).postings
     assert loaded.doc_ids == index.doc_ids == ["doc-a", "doc-b", "doc-c"]
     assert loaded.doc_lengths == index.doc_lengths
-    assert loaded.avg_doc_length == index.avg_doc_length
     assert loaded.norms == index.norms
     for field, terms in ((PLAIN, ["fever", "rash", "rash"]), (TAGGED, ["fever", "[nx]cough"])):
         assert score_query(loaded, field, terms, 0.3) == score_query(index, field, terms, 0.3)
@@ -232,9 +231,9 @@ def test_index_statistics_invariants():
     lengths = index.doc_lengths
     assert index.doc_ids == [doc_id for doc_id, _ in docs]
     assert list(lengths) == [len(tokens) for _, tokens in docs]
-    assert index.avg_doc_length == pytest.approx(sum(lengths) / len(lengths))
+    avgdl = sum(lengths) / len(lengths)
     for doc, length in enumerate(lengths):
-        expected = 1.2 * (1 - 0.75 + 0.75 * length / index.avg_doc_length)
+        expected = 1.2 * (1 - 0.75 + 0.75 * length / avgdl)
         assert index.norms[doc] == pytest.approx(expected, rel=1e-12)
     # Tagging only adds prefixes, so both fields' postings, the plain ones
     # derived, add up per document to the one shared length.
