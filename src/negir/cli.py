@@ -272,7 +272,8 @@ def cmd_run(args: argparse.Namespace) -> int:
                     "strategy": args.strategy,
                     "topics": written,
                     "out": str(args.out),
-                    "config": config._asdict(),
+                    # The snapshot's k1 and b scored the run, whatever was asked.
+                    "config": config._replace(k1=index.k1, b=index.b)._asdict(),
                 },
                 sort_keys=True,
             ),

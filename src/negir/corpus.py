@@ -297,54 +297,52 @@ _TAG_RE = re.compile(r"<(/?)(DOC|DOCNO|TITLE|TEXT)>", re.IGNORECASE)
 
 
 def _load_trec_text(path: Path) -> Iterator[tuple[str, str]]:
+    """``(doc_id, text)`` per <DOC> block. ``fields``, the block's record, is
+    made by ``<DOC>`` and consumed by ``</DOC>`` (None outside a block);
+    ``open_tag`` names the field being read and ``buffer`` holds its text."""
     seen: set[str] = set()
-    doc_id = title = text = None
+    fields: dict[str, str] | None = None
     open_tag: str | None = None
     buffer: list[str] = []
-    in_doc = False
     for lineno, line in read_lines(path):
-        if line.upper() == "<DOC>":
-            in_doc, doc_id, title, text = True, None, None, None
+        if line.upper() == "<DOC>" and fields is None:
+            fields = {}
             continue
         if line.upper() == "</DOC>":
-            if not in_doc or doc_id is None:
+            if fields is None or "DOCNO" not in fields:
                 raise ParseError("document block missing DOCNO", str(path), lineno)
-            yield doc_id, _document_text(title, text)
-            in_doc = False
+            if open_tag:
+                raise ParseError(f"<{open_tag}> not closed before </DOC>", str(path), lineno)
+            yield fields["DOCNO"], _document_text(fields.get("TITLE"), fields.get("TEXT"))
+            fields = None
             continue
-        if not in_doc:
+        if fields is None:
             raise ParseError("content outside <DOC> block", str(path), lineno)
-        # Field content may share a line with its tags or span lines.
-        remaining = line
-        while remaining:
-            match = _TAG_RE.search(remaining)
-            if match is None:
+        # A field may share a line with its tags or span lines, and ends
+        # before another tag opens; text outside a field is dropped.
+        start = 0
+        for match in _TAG_RE.finditer(line):
+            if open_tag and match.start() > start:
+                buffer.append(line[start : match.start()])
+            start = match.end()
+            closing, tag = match.group(1), match.group(2).upper()
+            if not closing:
+                if tag == "DOC":
+                    raise ParseError("<DOC> inside a document block", str(path), lineno)
                 if open_tag:
-                    buffer.append(remaining)
-                break
-            before = remaining[: match.start()]
-            if open_tag and before:
-                buffer.append(before)
-            tag = match.group(2).upper()
-            closing = match.group(1) == "/"
-            if closing:
-                if tag != open_tag:
-                    raise ParseError(f"unexpected </{tag}>", str(path), lineno)
-                value = " ".join(buffer).strip()
-                if tag == "DOCNO":
-                    if doc_id is not None:
-                        raise ParseError("second DOCNO in one document block", str(path), lineno)
-                    _check_id("doc_id", value, seen, path, lineno)
-                    doc_id = value
-                elif tag == "TITLE":
-                    title = value
-                elif tag == "TEXT":
-                    text = value
-                open_tag, buffer = None, []
-            else:
+                    raise ParseError(f"<{tag}> inside <{open_tag}>", str(path), lineno)
                 open_tag, buffer = tag, []
-            remaining = remaining[match.end() :]
-    if in_doc:
+            elif tag != open_tag:
+                raise ParseError(f"unexpected </{tag}>", str(path), lineno)
+            elif tag == "DOCNO" and "DOCNO" in fields:
+                raise ParseError("second DOCNO in one document block", str(path), lineno)
+            else:
+                fields[tag], open_tag = " ".join(buffer).strip(), None
+                if tag == "DOCNO":
+                    _check_id("doc_id", fields[tag], seen, path, lineno)
+        if open_tag and line[start:]:
+            buffer.append(line[start:])
+    if fields is not None:
         raise ParseError("unterminated <DOC> block", str(path))
 
 

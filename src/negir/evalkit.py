@@ -80,8 +80,16 @@ def ndcg(ranking: Sequence[str], grades: Mapping[str, int], cutoff: int = 1000) 
         grade = grades.get(doc_id, 0)
         if grade > 0:
             dcg += grade / math.log2(rank + 1)
-    idcg = sum(g / math.log2(r + 1) for r, g in enumerate(ideal, start=1))
-    return dcg / idcg
+    return dcg / _add(g / math.log2(r + 1) for r, g in enumerate(ideal, start=1))
+
+
+def _add(values: Iterable[float]) -> float:
+    """``values`` added left to right from 0.0. Python 3.12 and later
+    compensate a float ``sum``, so it would print other digits there."""
+    total = 0.0
+    for value in values:
+        total += value
+    return total
 
 
 def average_precision(ranking: Sequence[str], grades: Mapping[str, int]) -> float:
@@ -195,7 +203,7 @@ class MetricsReport(NamedTuple):
         if not self.per_topic:
             return TopicMetrics(0.0, 0.0, 0.0, 0.0)
         columns = list(zip(*(m.values() for m in self.per_topic.values())))
-        means = [sum(column) / len(column) for column in columns]
+        means = [_add(column) / len(column) for column in columns]
         return TopicMetrics(*means)
 
 

@@ -27,15 +27,21 @@ and tags a text in one pass.
 
 ``ref_p_at_k``, ``ref_average_precision``, ``ref_ndcg`` and
 ``ref_r_prec`` are the references for the other metrics of a topic,
-written from their definitions over the set of relevant documents. They
-add in the engine's order: DCG rank by rank with ``+=``, the ideal DCG
-with ``sum``, which Python 3.12 and later compensate.
+written from their definitions over the set of relevant documents.
+``ref_ndcg`` adds DCG and the ideal DCG rank by rank with ``+=`` from
+0.0, as the engine does: Python 3.12 and later compensate a float
+``sum``, so ``sum`` would give other floats there than on 3.10 and 3.11.
 
 ``ref_inf_ap`` is the reference for sampled inferred AP: the estimator
 in its direct form, which rescans the ranking prefix for every relevant
 document. The engine's one-pass ``inf_ap`` must return the same floats,
 and ``evaluate`` those of all five references, ranks taken in run-file
 order.
+
+``ref_trec_text`` is the reference for reading a well-formed trec-text
+collection, written from the format: per <DOC> block, the block's lines
+joined with spaces, and each field taken from that string by one
+pattern, where the engine reads line by line and tag by tag.
 """
 
 import math
@@ -258,7 +264,9 @@ def ref_ndcg(ranking, grades, cutoff):
     dcg = 0.0  # rank by rank, a non-relevant rank adding an exact 0.0
     for i, doc in enumerate(ranking[:cutoff]):
         dcg += grades.get(doc, 0) / math.log2(i + 2)
-    idcg = sum(g / math.log2(i + 2) for i, g in enumerate(gains[:cutoff]))
+    idcg = 0.0
+    for i, gain in enumerate(gains[:cutoff]):
+        idcg += gain / math.log2(i + 2)
     return dcg / idcg
 
 
@@ -328,3 +336,19 @@ def _ref_expected_precision(ranking, grades, strata, rank):
             * ((rel + INFAP_EPSILON) / (rel + nonrel + 2 * INFAP_EPSILON))
         )
     return expected
+
+
+def ref_trec_text(text):
+    """``(doc_id, text)`` of each <DOC> block of a well-formed trec-text
+    file whose lines end in '\\n': the block's non-blank lines, stripped
+    and joined with spaces, give each <DOCNO>, <TITLE> and <TEXT> field
+    (tags in any case) its stripped value, and a title precedes the text."""
+    documents = []
+    blocks = re.findall(r"^\s*<DOC>\s*$(.*?)^\s*</DOC>\s*$", text, re.IGNORECASE | re.M | re.S)
+    for block in blocks:
+        joined = " ".join(line.strip() for line in block.split("\n") if line.strip())
+        pairs = re.findall(r"<(DOCNO|TITLE|TEXT)>(.*?)</\1>", joined, re.IGNORECASE)
+        fields = {tag.upper(): value.strip() for tag, value in pairs}
+        title, body = fields.get("TITLE"), fields.get("TEXT", "")
+        documents.append((fields["DOCNO"], f"{title} {body}" if title else body))
+    return documents

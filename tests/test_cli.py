@@ -475,7 +475,22 @@ def test_config_file_with_flag_override(workspace, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["config"]["k"] == 3
-    assert payload["config"]["k1"] == 0.9
+    # The snapshot was built with the default k1, and that k1 scored the run.
+    assert payload["config"]["k1"] == 1.2
+
+
+def test_run_echoes_the_snapshots_k1_and_b(workspace, capsys):
+    snapshot = workspace / "index.ngir"
+    assert run_cli("index", "--collection", workspace / "docs.jsonl", "--out", snapshot,
+                   "--k1", "2.0", "--b", "0.1") == 0
+    config = workspace / "negir.conf"
+    config.write_text("k1 = 0.9\nb = 0.5\n", encoding="utf-8")
+    capsys.readouterr()
+    assert run_cli("run", "--index", snapshot, "--topics", workspace / "topics.jsonl",
+                   "--strategy", "baseline", "--config", config,
+                   "--out", workspace / "out.run", "--json") == 0
+    echoed = json.loads(capsys.readouterr().out)["config"]
+    assert (echoed["k1"], echoed["b"]) == (2.0, 0.1)
 
 
 def test_config_output_is_pinned(workspace, capsys):
@@ -658,6 +673,16 @@ BAD_INPUTS = {
         b"<DOC>\n<DOCNO>d1</DOCNO>\n<TEXT>x</TEXT>\n</DOC>\n<DOC>\n<DOCNO>d1</DOCNO>\n</DOC>\n", 6),
     "trec-text second DOCNO in a block": (
         "trec-text", "docs.trec", b"<DOC>\n<DOCNO>d1</DOCNO>\n<DOCNO>d2</DOCNO>\n</DOC>\n", 3),
+    # A field left open must not lose its text to the next tag or block.
+    "trec-text tag opened inside a field": (
+        "trec-text", "docs.trec",
+        b"<DOC>\n<DOCNO>d1</DOCNO>\n<TITLE>Case one\n<TEXT>No fever. Chest pain.</TEXT>\n</DOC>\n",
+        4),
+    "trec-text field open at </DOC>": (
+        "trec-text", "docs.trec", b"<DOC>\n<DOCNO>d1</DOCNO>\n<TEXT>Cough and fever.\n</DOC>\n", 4),
+    "trec-text <DOC> inside a block": (
+        "trec-text", "docs.trec",
+        b"<DOC>\n<DOCNO>d1</DOCNO>\n<TEXT>Cough.\n<DOC>\n<DOCNO>d2</DOCNO>\n</DOC>\n", 4),
     "plain-dir doc_id repeated": ("plain-dir", "a.txt", b"text", None),
     "jsonl topic_id repeated": ("topics", "topics.jsonl", _jsonl(TOPIC, TOPIC), 2),
     "xml topic_id repeated": (

@@ -7,8 +7,9 @@ import stat
 import threading
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+import oracle
 from negir.corpus import (
     TOKEN_RE,
     Topic,
@@ -205,6 +206,61 @@ def test_load_trec_text_missing_docno(tmp_path):
     path.write_text("<DOC>\n<TEXT>orphan</TEXT>\n</DOC>\n", encoding="utf-8")
     with pytest.raises(ParseError, match="DOCNO"):
         list(load_collection(path, "trec-text"))
+
+
+@pytest.mark.parametrize("block, message", [
+    ("<TITLE>Case one\n<TEXT>No fever.</TEXT>\n</DOC>", "4: <TEXT> inside <TITLE>"),
+    ("<TEXT>Cough and fever.\n</DOC>", "4: <TEXT> not closed before </DOC>"),
+    ("<TEXT>Cough.\n<DOC>\n<DOCNO>d2</DOCNO>\n</DOC>", "4: <DOC> inside a document block"),
+    ("<TEXT>Cough.</TEXT> <doc>\n</DOC>", "3: <DOC> inside a document block"),
+])
+def test_trec_text_refuses_a_field_or_block_left_open(tmp_path, block, message):
+    # Each would lose text: the open field's, or the whole first block's.
+    path = tmp_path / "docs.trec"
+    path.write_text(f"<DOC>\n<DOCNO>d1</DOCNO>\n{block}\n", encoding="utf-8")
+    with pytest.raises(ParseError, match=re.escape(f"docs.trec:{message}")):
+        list(load_collection(path, "trec-text"))
+
+
+# Pieces of a well-formed trec-text file: words (no '<' or '>'), markup
+# that the reader keeps inside a field and drops outside one, and what
+# goes between two pieces: nothing, spaces, a line end or a blank line.
+trec_words = st.text(alphabet="abcXYZ019.,-;", min_size=1, max_size=6)
+trec_markup = st.sampled_from(["<P>", "</P>", "<p>", "<br/>", "<DOCS>", "<TEXT >"])
+trec_pieces = st.lists(st.one_of(trec_words, trec_markup), max_size=5)
+trec_gaps = st.sampled_from(["", " ", "  ", "\n", " \n ", "\n\n"])
+
+
+def _tag_case(tag):
+    return st.sampled_from([tag, tag.lower(), tag.title()])
+
+
+@st.composite
+def trec_collections(draw):
+    lines = []
+    for number in range(draw(st.integers(1, 4))):
+        fields = [("DOCNO", [f"d{number}"])]
+        for tag in ("TITLE", "TEXT"):
+            if draw(st.booleans()):
+                fields.append((tag, draw(trec_pieces)))
+        flat = draw(trec_pieces)
+        for tag, content in draw(st.permutations(fields)):
+            flat += [f"<{draw(_tag_case(tag))}>", *content, f"</{draw(_tag_case(tag))}>"]
+            flat += draw(trec_pieces)
+        block = flat[0] + "".join(draw(trec_gaps) + piece for piece in flat[1:])
+        blank = [""] if draw(st.booleans()) else []
+        lines += [f"<{draw(_tag_case('DOC'))}>", block, *blank, f"</{draw(_tag_case('DOC'))}>"]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(trec_collections())
+def test_trec_text_reads_as_the_reference(tmp_path_factory, text):
+    # Fields on one line or several, sharing lines with their tags and with
+    # other fields, in any order and tag case, with markup and stray text.
+    path = tmp_path_factory.mktemp("trec") / "docs.trec"
+    path.write_text(text, encoding="utf-8")
+    assert list(load_collection(path, "trec-text")) == oracle.ref_trec_text(text)
 
 
 def test_load_plain_dir(tmp_path):

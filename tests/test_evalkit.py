@@ -308,6 +308,23 @@ def test_aggregate_is_mean_over_qrels_topics():
     assert len(report.per_topic) == 2
 
 
+# Python 3.12 and later compensate a float ``sum``; metrics add left to
+# right from 0.0, so they print the same digits on every Python.
+
+
+def test_aggregate_adds_left_to_right():
+    qrels = {str(topic): {"a": 1} for topic in range(10)}
+    report = evaluate(_run_from({topic: ["a"] for topic in qrels}), qrels)
+    assert [m.p_at_10 for m in report.per_topic.values()] == [0.1] * 10
+    assert report.aggregate().p_at_10 == 0.09999999999999999  # sum() gives 0.1 on 3.12+
+
+
+def test_ideal_dcg_adds_left_to_right():
+    # DCG and the ideal DCG of an ideal ranking are the same additions.
+    grades = {"a": 3, "b": 3, "c": 3, "d": 2, "e": 2}
+    assert ndcg(["a", "b", "c", "d", "e"], grades) == 1.0  # not with sum() on 3.12+
+
+
 @st.composite
 def evaluated_runs(draw):
     """(run, qrels, sampling) of one to three topics of ``sampled_topics``,
