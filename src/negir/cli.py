@@ -252,6 +252,18 @@ def cmd_run(args: argparse.Namespace) -> int:
     # Load only the postings of the terms that the strategy scores for these topics.
     components = [part for bundle in bundles for part in strategy_components(strategy, bundle)]
     index = load_index(args.index, {term for _, _, part, _ in components for term in part})
+    # The snapshot's k1 and b score the run; a config file may only repeat them.
+    asked = load_config(args.config) if args.config else {}
+    differ = [
+        f"{name} {asked[name]!r} (the index has {getattr(index, name)!r})"
+        for name in ("k1", "b")
+        if name in asked and asked[name] != getattr(index, name)
+    ]
+    if differ:
+        raise NegirError(
+            f"{args.config}: {' and '.join(differ)}; the index's k1 and b score a run, "
+            f"so rebuild the index with these or drop them from the config"
+        )
     # A snapshot holds whatever ids its writer gave; a run line holds words only.
     for doc_id in index.doc_ids:
         fault = id_fault(doc_id)
@@ -272,7 +284,7 @@ def cmd_run(args: argparse.Namespace) -> int:
                     "strategy": args.strategy,
                     "topics": written,
                     "out": str(args.out),
-                    # The snapshot's k1 and b scored the run, whatever was asked.
+                    # The snapshot's k1 and b scored the run.
                     "config": config._replace(k1=index.k1, b=index.b)._asdict(),
                 },
                 sort_keys=True,

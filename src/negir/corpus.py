@@ -298,15 +298,17 @@ _TAG_RE = re.compile(r"<(/?)(DOC|DOCNO|TITLE|TEXT)>", re.IGNORECASE)
 
 def _load_trec_text(path: Path) -> Iterator[tuple[str, str]]:
     """``(doc_id, text)`` per <DOC> block. ``fields``, the block's record, is
-    made by ``<DOC>`` and consumed by ``</DOC>`` (None outside a block);
-    ``open_tag`` names the field being read and ``buffer`` holds its text."""
+    made by ``<DOC>`` on line ``opened`` and consumed by ``</DOC>`` (None
+    outside a block); ``open_tag`` names the field being read and
+    ``buffer`` holds its text."""
     seen: set[str] = set()
     fields: dict[str, str] | None = None
+    opened = 0
     open_tag: str | None = None
     buffer: list[str] = []
     for lineno, line in read_lines(path):
         if line.upper() == "<DOC>" and fields is None:
-            fields = {}
+            fields, opened = {}, lineno
             continue
         if line.upper() == "</DOC>":
             if fields is None or "DOCNO" not in fields:
@@ -343,7 +345,7 @@ def _load_trec_text(path: Path) -> Iterator[tuple[str, str]]:
         if open_tag and line[start:]:
             buffer.append(line[start:])
     if fields is not None:
-        raise ParseError("unterminated <DOC> block", str(path))
+        raise ParseError("unterminated <DOC> block", str(path), opened)
 
 
 def _load_plain_dir(path: Path) -> Iterator[tuple[str, str]]:

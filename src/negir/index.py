@@ -43,7 +43,7 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, chain
 from pathlib import Path
-from typing import BinaryIO, Collection, Iterable, NamedTuple, Sequence
+from typing import BinaryIO, Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import atomic_write, utf8_encodable
 from .errors import DuplicateIdError, NegirError, ParseError
@@ -56,14 +56,15 @@ DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
 SNAPSHOT_MAGIC = b"NGIR1"
-SNAPSHOT_VERSION = 6
+SNAPSHOT_VERSION = 7
 
-U32 = "I"  # array typecode of the u32 doc numbers, lengths and tfs (4 bytes)
+U32 = "I"  # array typecode of the doc numbers, lengths and tfs a build makes (4 bytes)
 Postings = dict[str, tuple[array, array]]  # term -> (ascending doc numbers, tfs)
 
 
 class FieldIndex(NamedTuple):
-    """Postings of a single field, two u32 arrays of equal length per term."""
+    """Postings of a single field, two arrays of equal length per term:
+    u32 after a build, the snapshot's u8, u16 or u32 after a load."""
 
     postings: Postings
 
@@ -204,19 +205,23 @@ def score_query(index: Index, field: str, terms: Sequence[str], weight: float) -
 # ---------------------------------------------------------------------------
 # Binary snapshot
 #
-# Layout (little-endian), version 6. The file has three parts, and each
+# Layout (little-endian), version 7. The file has three parts, and each
 # ends with a u32 zlib.crc32 of all its bytes before that:
 #   header:     magic "NGIR1" | version u8 | k1 f64 | b f64
 #               | stopwords fingerprint u32 | lexicon fingerprint u32 | crc
 #   documents:  doc_count u32 | id_bytes u32
 #               | the doc_ids in doc number order (a string list of id_bytes)
-#               | doc_count x length u32 | crc
+#               | doc_count x length (a column) | crc
 #   postings:   term_count u32 | term_bytes u32 | posting_count u32
 #               | the tagged terms (a string list of term_bytes)
-#               | term_count x df u32
-#               | posting_count x doc number u32: each term's, ascending, in term order
-#               | posting_count x tf u32, in the same order | crc
+#               | term_count x df (a column)
+#               | posting_count x doc number (a column): each term's, ascending, in term order
+#               | posting_count x tf (a column), in the same order | crc
 #   end of file: the end of the postings
+#
+# A column is a width u8, 1, 2 or 4, then its values as unsigned
+# integers of that many bytes each. The writer picks the narrowest width
+# that holds the column's largest value, 1 for an empty column.
 #
 # A string list is its strings in UTF-8 with "\n" between two, so a
 # string may be empty or of any length but holds no line break. A
@@ -225,12 +230,13 @@ def score_query(index: Index, field: str, terms: Sequence[str], weight: float) -
 # not matter; 0 means not given.
 #
 # ``load_index`` checks each part whole: it fits in the file (before
-# anything is allocated for it) and its CRC matches; a string list holds
-# as many strings as its head says, none twice, in UTF-8; posting_count
-# is at most the sum of the lengths, the dfs add up to it and the largest
-# doc number is below doc_count; the file ends with the postings. Each
-# block it keeps must then hold strictly ascending doc numbers and tfs of
-# at least 1, even under a recomputed CRC. Only kept terms are decoded.
+# anything is allocated for it) and its CRC matches; a column's width is
+# 1, 2 or 4; a string list holds as many strings as its head says, none
+# twice, in UTF-8; posting_count is at most the sum of the lengths, the
+# dfs add up to it and the largest doc number is below doc_count; the
+# file ends with the postings. Each block it keeps must then hold
+# strictly ascending doc numbers and tfs of at least 1, even under a
+# recomputed CRC. Only kept terms are decoded.
 # ---------------------------------------------------------------------------
 
 
@@ -239,6 +245,8 @@ _DOCUMENTS = struct.Struct("<II")
 _POSTINGS = struct.Struct("<III")
 _U32 = struct.Struct("<I")
 _SWAP = sys.byteorder == "big"  # blocks are little-endian on disk
+_WIDTHS = {1: "B", 2: "H", 4: U32}  # a column's width byte -> its array typecode
+_CHUNK = 4096  # values narrowed at once: few calls, and no whole column in memory
 _FIELD = f"field {TAGGED!r}"  # the stored field, as errors name it
 
 
@@ -271,6 +279,35 @@ def _le(values: array) -> array:
     return values
 
 
+def _narrowed(values: array, width: int) -> array | bytes:
+    """``values``, of any unsigned typecode, as little-endian items of
+    ``width`` bytes, each of which holds its value. A narrower item is
+    the first ``width`` bytes of the little-endian wider one."""
+    if values.itemsize < width:  # never for a built or a loaded index
+        values = array(_WIDTHS[width], values)
+    values = _le(values)
+    if values.itemsize == width:
+        return values
+    return memoryview(values).cast("B").cast(_WIDTHS[width])[:: values.itemsize // width].tobytes()
+
+
+def _column(blocks: Iterable[array], largest: int) -> Iterator[array | bytes]:
+    """The column of the values of ``blocks``, arrays of any unsigned
+    typecode, in the narrowest width that holds ``largest``: the width
+    byte, then the values about ``_CHUNK`` at a time. Blocks of one
+    typecode are joined into a chunk and narrowed together, since a call
+    per block would cost more than the copy."""
+    width = 1 if largest <= 0xFF else 2 if largest <= 0xFFFF else 4
+    yield bytes((width,))
+    chunk = array(_WIDTHS[width])
+    for block in blocks:
+        if block.typecode != chunk.typecode or len(chunk) >= _CHUNK:
+            yield _narrowed(chunk, width)
+            chunk = array(block.typecode)
+        chunk += block
+    yield _narrowed(chunk, width)
+
+
 def _write_part(out: BinaryIO, chunks: Iterable) -> None:
     """Write each chunk, then the crc32 of them all."""
     crc = 0
@@ -294,8 +331,10 @@ def save_index(index: Index, path: str | Path) -> None:
     A NegirError naming ``path`` refuses, before it is opened, a header
     or a string that ``load_index`` would not read back.
 
-    The doc-number and tf columns are written straight from the per-term
-    arrays, one array per ``write``; no column is built in memory.
+    Each column is written in the narrowest width that holds its values,
+    which must be u32, from arrays of any unsigned typecode: the doc
+    numbers and tfs come straight from the per-term arrays, a chunk at a
+    time, and no column is built in memory.
     """
     fault = _header_fault(index.k1, index.b, index.fingerprints)
     if fault:
@@ -304,18 +343,21 @@ def save_index(index: Index, path: str | Path) -> None:
     postings = index.postings.values()
     terms = _encode_strings(index.postings, path)
     dfs = array(U32, (len(docs) for docs, _ in postings))
+    # Each block ascends, so its last doc number is its largest.
+    largest_doc = max((docs[-1] for docs, _ in postings if docs), default=0)
+    largest_tf = max(chain.from_iterable(tfs for _, tfs in postings), default=0)
     with atomic_write(path, "wb") as out:
         header = _HEADER.pack(index.k1, index.b, *index.fingerprints)
         _write_part(out, (SNAPSHOT_MAGIC, bytes((SNAPSHOT_VERSION,)), header))
-        _write_part(out, (
-            _DOCUMENTS.pack(index.doc_count, len(ids)),
-            ids,
-            _le(index.doc_lengths),
+        _write_part(out, chain(
+            (_DOCUMENTS.pack(index.doc_count, len(ids)), ids),
+            _column((index.doc_lengths,), max(index.doc_lengths, default=0)),
         ))
         _write_part(out, chain(
-            (_POSTINGS.pack(len(dfs), len(terms), sum(dfs)), terms, _le(dfs)),
-            (_le(docs) for docs, _ in postings),
-            (_le(tfs) for _, tfs in postings),
+            (_POSTINGS.pack(len(dfs), len(terms), sum(dfs)), terms),
+            _column((dfs,), max(dfs, default=0)),
+            _column((docs for docs, _ in postings), largest_doc),
+            _column((tfs for _, tfs in postings), largest_tf),
         ))
 
 
@@ -346,10 +388,13 @@ class _Reader:
         self.crc = zlib.crc32(data, self.crc)
         return data
 
-    def read_array(self, typecode: str, count: int) -> array:
-        """``count`` values read into an array made for them."""
-        values = array(typecode)
-        self._take(values.itemsize * count)
+    def read_column(self, count: int) -> array:
+        """A column of ``count`` values, read into an array of its width."""
+        (width,) = self.read(1)
+        if width not in _WIDTHS:
+            raise self.fail(f"a column of width {width}, not 1, 2 or 4")
+        values = array(_WIDTHS[width])
+        self._take(width * count)
         values.fromfile(self.handle, count)  # EOFError if the file ends first
         self.crc = zlib.crc32(values, self.crc)
         if _SWAP:
@@ -400,7 +445,7 @@ def load_index(path: str | Path, terms: Iterable[str] | None = None) -> Index:
 
             doc_count, id_bytes = _DOCUMENTS.unpack(reader.read(_DOCUMENTS.size))
             ids = reader.read(id_bytes)
-            doc_lengths = reader.read_array(U32, doc_count)
+            doc_lengths = reader.read_column(doc_count)
             reader.end_part("document table")
             doc_ids = ids.decode("utf-8").split("\n") if doc_count or ids else []
             reader.check_strings(doc_ids, doc_count, "doc_id")
@@ -429,17 +474,17 @@ def _read_postings(reader: _Reader, doc_lengths: array, terms: Iterable[str] | N
         wanted = {(prefix + term).encode("utf-8") for term in terms for prefix in ("", NX_PREFIX)}
         picks = [i for i, term in zip(range(term_count), raw_terms) if term in wanted]
     # u64 sums in an array: a list would hold an int object per term
-    offsets = array("Q", accumulate(reader.read_array(U32, term_count), initial=0))
+    offsets = array("Q", accumulate(reader.read_column(term_count), initial=0))
     if offsets[-1] != posting_count:
         raise reader.fail(f"the dfs of {_FIELD} add up to {offsets[-1]}, not {posting_count}")
-    docs = reader.read_array(U32, posting_count)
+    docs = reader.read_column(posting_count)
     # This bound is also each block's: its last doc number is below doc_count.
     doc_count = len(doc_lengths)
     if docs and max(docs) >= doc_count:
         raise reader.fail(f"{_FIELD} lists doc number {max(docs)} of {doc_count}")
     doc_blocks = [docs[offsets[i]:offsets[i + 1]] for i in picks]
     del docs
-    tfs = reader.read_array(U32, posting_count)
+    tfs = reader.read_column(posting_count)
     tf_blocks = [tfs[offsets[i]:offsets[i + 1]] for i in picks]
     del tfs
     reader.end_part(_FIELD)

@@ -457,7 +457,7 @@ def test_detect_stdin_reads_like_input_file(workspace, monkeypatch, capsys):
 
 def test_config_file_with_flag_override(workspace, capsys):
     config = workspace / "negir.conf"
-    config.write_text("k1 = 0.9\nk = 5\n", encoding="utf-8")
+    config.write_text("k1 = 1.2\nk = 5\n", encoding="utf-8")
     snapshot = build_snapshot(workspace)
     run_file = workspace / "out.run"
     capsys.readouterr()
@@ -484,13 +484,37 @@ def test_run_echoes_the_snapshots_k1_and_b(workspace, capsys):
     assert run_cli("index", "--collection", workspace / "docs.jsonl", "--out", snapshot,
                    "--k1", "2.0", "--b", "0.1") == 0
     config = workspace / "negir.conf"
-    config.write_text("k1 = 0.9\nb = 0.5\n", encoding="utf-8")
+    for settings in ("k = 5\n", "k1 = 2.0\nb = 0.1\n"):  # they omit or repeat the snapshot's
+        config.write_text(settings, encoding="utf-8")
+        capsys.readouterr()
+        assert run_cli("run", "--index", snapshot, "--topics", workspace / "topics.jsonl",
+                       "--strategy", "baseline", "--config", config,
+                       "--out", workspace / "out.run", "--json") == 0
+        echoed = json.loads(capsys.readouterr().out)["config"]
+        assert (echoed["k1"], echoed["b"]) == (2.0, 0.1)
+
+
+@pytest.mark.parametrize("settings, differ", [
+    ("k1 = 2.0\nb = 0.1\n", "k1 2.0 (the index has 1.2) and b 0.1 (the index has 0.75)"),
+    ("b = 0.1\nk = 5\n", "b 0.1 (the index has 0.75)"),
+    ("k1 = 0.9\nb = 0.75\n", "k1 0.9 (the index has 1.2)"),
+])
+def test_run_refuses_a_config_k1_or_b_its_snapshot_was_not_built_with(
+    workspace, capsys, settings, differ
+):
+    # The snapshot's k1 and b would score the run, not the config's.
+    snapshot = build_snapshot(workspace)
+    config = workspace / "negir.conf"
+    config.write_text(settings, encoding="utf-8")
+    out = workspace / "out.run"
     capsys.readouterr()
     assert run_cli("run", "--index", snapshot, "--topics", workspace / "topics.jsonl",
-                   "--strategy", "baseline", "--config", config,
-                   "--out", workspace / "out.run", "--json") == 0
-    echoed = json.loads(capsys.readouterr().out)["config"]
-    assert (echoed["k1"], echoed["b"]) == (2.0, 0.1)
+                   "--strategy", "baseline", "--config", config, "--out", out) == 1
+    assert capsys.readouterr().err == (
+        f"negir: {config}: {differ}; the index's k1 and b score a run, "
+        "so rebuild the index with these or drop them from the config\n"
+    )
+    assert not out.exists()
 
 
 def test_config_output_is_pinned(workspace, capsys):
@@ -683,6 +707,10 @@ BAD_INPUTS = {
     "trec-text <DOC> inside a block": (
         "trec-text", "docs.trec",
         b"<DOC>\n<DOCNO>d1</DOCNO>\n<TEXT>Cough.\n<DOC>\n<DOCNO>d2</DOCNO>\n</DOC>\n", 4),
+    # The line named is that of the <DOC> left open.
+    "trec-text last block unterminated": (
+        "trec-text", "docs.trec",
+        b"<DOC>\n<DOCNO>d1</DOCNO>\n</DOC>\n<DOC>\n<DOCNO>d2</DOCNO>\n<TEXT>Cough.</TEXT>\n", 4),
     "plain-dir doc_id repeated": ("plain-dir", "a.txt", b"text", None),
     "jsonl topic_id repeated": ("topics", "topics.jsonl", _jsonl(TOPIC, TOPIC), 2),
     "xml topic_id repeated": (
@@ -912,6 +940,7 @@ def test_truncated_snapshot_exits_one(workspace, capsys):
         (data + b"garbage", "trailing bytes"),
         (nan_k1, "k1 nan or b 0.75 out of range"),
         (data[:5] + b"\x02" + data[6:], "unsupported snapshot version 2; rebuild the index"),
+        (data[:5] + b"\x06" + data[6:], "unsupported snapshot version 6; rebuild the index"),
     ):
         snapshot.write_bytes(content)
         capsys.readouterr()
@@ -967,13 +996,15 @@ def test_run_refuses_a_damaged_postings_part_for_every_strategy(workspace, capsy
 def with_document_table(data, edit):
     """The snapshot ``data`` with its document table's ids and lengths,
     as bytes, replaced by ``edit(ids, lengths)``, and the table's CRC
-    recomputed, as a crafted file would have it."""
+    recomputed, as a crafted file would have it. The lengths are those
+    after the length column's width byte, which is kept."""
     start = 34  # after the header: magic, version, k1, b, two fingerprints, CRC
     doc_count, id_bytes = struct.unpack_from("<II", data, start)
     ids_end = start + 8 + id_bytes
-    end = ids_end + 4 * doc_count
-    ids, lengths = edit(data[start + 8:ids_end], data[ids_end:end])
-    table = struct.pack("<II", doc_count, len(ids)) + ids + lengths
+    width = data[ids_end]
+    end = ids_end + 1 + width * doc_count
+    ids, lengths = edit(data[start + 8:ids_end], data[ids_end + 1:end])
+    table = struct.pack("<II", doc_count, len(ids)) + ids + bytes((width,)) + lengths
     return data[:start] + table + struct.pack("<I", zlib.crc32(table)) + data[end + 4:]
 
 

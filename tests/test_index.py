@@ -18,6 +18,7 @@ from negir.evalkit import RunResult, read_run, write_run
 from negir.index import (
     PLAIN,
     TAGGED,
+    Index,
     build_index,
     idf,
     load_index,
@@ -265,11 +266,14 @@ def test_snapshot_of_older_version_asks_for_rebuild(tmp_path):
     path = tmp_path / "snap.ngir"
     save_index(build_index([("d", ["x"])]), path)
     data = bytearray(path.read_bytes())
-    assert data[5] == 6  # the version byte follows the 5 magic bytes
-    data[5] = 5
-    path.write_bytes(bytes(data))
-    with pytest.raises(ParseError, match="unsupported snapshot version 5; rebuild the index"):
-        load_index(path)
+    assert data[5] == 7  # the version byte follows the 5 magic bytes
+    for older in (5, 6):
+        data[5] = older
+        path.write_bytes(bytes(data))
+        with pytest.raises(
+            ParseError, match=f"unsupported snapshot version {older}; rebuild the index"
+        ):
+            load_index(path)
 
 
 HEADER_BYTES = 34  # magic, version, k1, b, two fingerprints, CRC
@@ -277,9 +281,11 @@ HEADER_BYTES = 34  # magic, version, k1, b, two fingerprints, CRC
 
 def postings_start(data):
     """Where the postings part of the snapshot ``data`` starts: after the
-    header and the document table, whose head gives its size."""
+    header and the document table, whose head and length column's width
+    give its size."""
     doc_count, id_bytes = struct.unpack_from("<II", data, HEADER_BYTES)
-    return HEADER_BYTES + 8 + id_bytes + 4 * doc_count + 4
+    width = data[HEADER_BYTES + 8 + id_bytes]
+    return HEADER_BYTES + 8 + id_bytes + 1 + width * doc_count + 4
 
 
 def resealed(data, start, end):
@@ -293,14 +299,16 @@ def test_snapshot_out_of_range_doc_number_is_a_parse_error(tmp_path):
     save_index(build_index([("d", ["x"])]), path)
     data = path.read_bytes()
     # The file ends with the postings: their df, doc-number and tf columns
-    # hold one entry each, then the part's CRC.
+    # hold one u8 entry each after their width byte, then the part's CRC.
+    assert data[-10:-4] == bytes((1, 1, 1, 0, 1, 1))
     tagged = postings_start(data)
-    for start, value, message in (
-        (-12, 7, "field 'tagged' lists doc number 7 of 1"),
-        (-16, 0xFFFFFFFF, "the dfs of field 'tagged' add up to 4294967295, not 1"),
+    for start, column, message in (
+        (-8, b"\x01\x07", "field 'tagged' lists doc number 7 of 1"),
+        (-10, b"\x04" + struct.pack("<I", 0xFFFFFFFF),
+         "the dfs of field 'tagged' add up to 4294967295, not 1"),
     ):
-        patched = data[:start] + struct.pack("<I", value) + data[start + 4:]
-        path.write_bytes(resealed(patched, tagged, len(data) - 4))
+        patched = data[:start] + column + data[start + 2:]
+        path.write_bytes(resealed(patched, tagged, len(patched) - 4))
         for terms in (None, ("x",), ()):  # the bound covers the column, not the picked terms
             with pytest.raises(ParseError, match=f"snap.ngir: corrupt snapshot: {message}"):
                 load_index(path, terms=terms)
@@ -310,7 +318,7 @@ def test_snapshot_duplicate_doc_id_is_a_parse_error(tmp_path):
     path = tmp_path / "snap.ngir"
     save_index(build_index([("ab", ["x"]), ("cd", ["y"])]), path)
     data = path.read_bytes()
-    table_end = HEADER_BYTES + 8 + 5 + 4 * 2  # head, ids, doc lengths
+    table_end = HEADER_BYTES + 8 + 5 + 1 + 2  # head, ids, width and u8 doc lengths
     for ids, message in (
         (b"ab\nab", "a doc_id is listed twice"),
         (b"ab-cd", "1 strings where 2 are listed, one per doc_id"),
@@ -343,9 +351,9 @@ def test_snapshot_repeated_doc_number_fails_the_crc(tmp_path):
     path = tmp_path / "snap.ngir"
     save_index(build_index([("a", ["x"]), ("b", ["x"])]), path)
     data = path.read_bytes()
-    # The postings end with x's doc numbers [0, 1], tfs [1, 1], CRC.
-    assert data[-20:-4] == struct.pack("<4I", 0, 1, 1, 1)
-    path.write_bytes(data[:-16] + struct.pack("<I", 0) + data[-12:])
+    # The postings end with x's u8 doc numbers [0, 1], u8 tfs [1, 1], CRC.
+    assert data[-10:-4] == bytes((1, 0, 1, 1, 1, 1))
+    path.write_bytes(data[:-8] + bytes((0,)) + data[-7:])
     with pytest.raises(ParseError, match="snap.ngir: corrupt snapshot: the field 'tagged' fails"):
         load_index(path)
 
@@ -355,22 +363,31 @@ def _snapshot_part(*chunks):
     return body + struct.pack("<I", zlib.crc32(body))
 
 
-def _snapshot(doc_ids, lengths, terms, docs, tfs, fingerprints=(0, 0)):
+COLUMN_FORMATS = {1: "B", 2: "H", 4: "I"}  # width -> struct format of a value
+
+
+def _column(values, least=1):
+    """A column of ``values``: the width byte, then the values, in the
+    narrowest of 1, 2 and 4 bytes that holds them and is ``least`` or wider."""
+    width = next(w for w in (1, 2, 4) if w >= least and max(values, default=0) < 1 << 8 * w)
+    return bytes((width,)) + struct.pack(f"<{len(values)}{COLUMN_FORMATS[width]}", *values)
+
+
+def _snapshot(doc_ids, lengths, terms, docs, tfs, widths=(1, 1, 1, 1), fingerprints=(0, 0)):
     """Snapshot bytes from a document table, the terms with their dfs,
-    and the two posting columns, with default k1 and b."""
+    and the two posting columns, with default k1 and b. ``widths`` are
+    the least widths of the length, df, doc-number and tf columns."""
     ids = "\n".join(doc_ids).encode("utf-8")
     term_bytes = "\n".join(term for term, _ in terms).encode("utf-8")
-    n = len(docs)
+    dfs = [df for _, df in terms]
     return (
-        _snapshot_part(b"NGIR1", struct.pack("<BddII", 6, 1.2, 0.75, *fingerprints))
+        _snapshot_part(b"NGIR1", struct.pack("<BddII", 7, 1.2, 0.75, *fingerprints))
         + _snapshot_part(
-            struct.pack("<II", len(doc_ids), len(ids)), ids,
-            struct.pack(f"<{len(lengths)}I", *lengths),
+            struct.pack("<II", len(doc_ids), len(ids)), ids, _column(lengths, widths[0]),
         )
         + _snapshot_part(
-            struct.pack("<III", len(terms), len(term_bytes), n), term_bytes,
-            struct.pack(f"<{len(terms)}I", *(df for _, df in terms)),
-            struct.pack(f"<{n}I{n}I", *docs, *tfs),
+            struct.pack("<III", len(terms), len(term_bytes), len(docs)), term_bytes,
+            _column(dfs, widths[1]), _column(docs, widths[2]), _column(tfs, widths[3]),
         )
     )
 
@@ -386,7 +403,10 @@ def test_snapshot_bytes_are_pinned(tmp_path):
         fingerprints=(0x01020304, 0xA0B0C0D0),
     )
     assert path.read_bytes() == expected
-    assert HEADER_BYTES == len(_snapshot_part(b"NGIR1", struct.pack("<BddII", 6, 0, 0, 0, 0)))
+    # Every column is u8: its width byte, then one byte per value. The
+    # postings end with the dfs, the doc numbers and the tfs, then the CRC.
+    assert expected[-16:-4] == bytes((1, 1, 1, 1, 1, 0, 0, 1, 1, 2, 1, 1))
+    assert HEADER_BYTES == len(_snapshot_part(b"NGIR1", struct.pack("<BddII", 7, 0, 0, 0, 0)))
 
 
 def small_snapshot(tmp_path):
@@ -439,9 +459,9 @@ def test_snapshot_repeated_doc_number_with_its_crc_recomputed_is_a_parse_error(t
     save_index(index, path)
     data = path.read_bytes()
     start = postings_start(data)
-    column = start + 12 + len(b"x\ny") + 8  # after the head, the terms and the dfs
-    assert data[column:column + 12] == struct.pack("<3I", 0, 1, 1)  # x's [0, 1], y's [1]
-    patched = data[:column + 4] + struct.pack("<I", 0) + data[column + 8:]
+    column = start + 12 + len(b"x\ny") + 3  # after the head, the terms and the u8 dfs
+    assert data[column:column + 4] == bytes((1, 0, 1, 1))  # width 1, x's [0, 1], y's [1]
+    patched = data[:column + 2] + bytes((0,)) + data[column + 3:]
     path.write_bytes(resealed(patched, start, len(data) - 4))
     for terms in (None, ("x",), ("x", "[nx]x")):
         with pytest.raises(
@@ -517,6 +537,10 @@ def test_snapshot_round_trip_property(tmp_path_factory, docs, params):
     for field in (PLAIN, TAGGED):
         assert loaded.field(field).postings == index.field(field).postings
     assert all_strategy_runs(loaded) == all_strategy_runs(index)
+    # A loaded index keeps the file's widths in its arrays, and saves as it loaded.
+    resaved = path.with_name("resaved.ngir")
+    save_index(loaded, resaved)
+    assert resaved.read_bytes() == path.read_bytes()
 
 
 def bundle_terms(bundle):
@@ -569,9 +593,10 @@ U32_MAX = 0xFFFFFFFF
 
 @st.composite
 def crafted_snapshots(draw):
-    """``(doc_ids, lengths, terms with dfs, doc numbers, tfs)`` of a small
-    built index, each mutated or not, for ``_snapshot`` to write with
-    every CRC recomputed."""
+    """``(doc_ids, lengths, terms with dfs, doc numbers, tfs, widths)`` of
+    a small built index, each mutated or not, for ``_snapshot`` to write
+    with every CRC recomputed. Each column is as wide as its values need,
+    or wider where ``widths`` asks for more."""
     vocab = SNAPSHOT_VOCAB + ["[nx]" + term for term in SNAPSHOT_VOCAB]
     docs = draw(st.lists(st.lists(st.sampled_from(vocab), max_size=5), min_size=1, max_size=4))
     index = build_index((f"d{i}", terms) for i, terms in enumerate(docs))
@@ -597,7 +622,8 @@ def crafted_snapshots(draw):
             numbers[draw(st.integers(0, len(numbers) - 1))] = draw(count)
         elif kind == "tf" and tfs:
             tfs[draw(st.integers(0, len(tfs) - 1))] = draw(count)
-    return ids, lengths, terms, numbers, tfs
+    widths = draw(st.tuples(*[st.sampled_from([1, 2, 4])] * 4))
+    return ids, lengths, terms, numbers, tfs, widths
 
 
 def decoded_fields(ids, lengths, terms, numbers, tfs):
@@ -632,6 +658,9 @@ CRAFTED_STRATEGIES = [Strategy(kind) for kind in STRATEGY_KINDS] + [
 @example((["a", "b"], [0, 0], [("x", 2)], [0, 1], [1, 1]), X_BUNDLE, None)
 @example((["a b", ""], [1, 1], [("x", 2)], [0, 1], [1, 1]), X_BUNDLE, None)
 @example((["a", "b"], [1, 1], [("x", 1), ("[nx]x", 1)], [0, 0], [U32_MAX, 1]), X_BUNDLE, set())
+# Columns wider than their values need.
+@example((["a", "b"], [1, 2], [("x", 2), ("[nx]x", 1)], [0, 1, 1], [1, 1, 1], (4, 2, 4, 2)),
+         X_BUNDLE, None)
 def test_crafted_snapshot_is_refused_or_ranks_as_the_oracle(
     tmp_path_factory, crafted, bundle, extra
 ):
@@ -646,7 +675,7 @@ def test_crafted_snapshot_is_refused_or_ranks_as_the_oracle(
     except ParseError as exc:
         assert str(exc).startswith(f"{path}: ")
         return
-    plain, tagged, lengths = decoded_fields(*crafted)
+    plain, tagged, lengths = decoded_fields(*crafted[:5])
     run = RunResult("crafted", {})
     for number, strategy in enumerate(CRAFTED_STRATEGIES):
         ranked = run_strategy(strategy, bundle, index, 1000)
@@ -779,3 +808,97 @@ def test_empty_term_survives_a_round_trip(tmp_path):
         index = build_index([("d", terms)])
         save_index(index, path)
         assert load_index(path).field(PLAIN).postings == index.field(PLAIN).postings
+
+
+def test_save_of_a_loaded_index_gives_its_bytes(tmp_path):
+    # u8, u16 and u32 columns, each kept in an array of its width by the
+    # load, are written back as they were read.
+    # The last document holds 70,000 distinct terms, so its length needs a u32.
+    docs = [(f"d{i}", ["x"] * (i % 3 + 1)) for i in range(300)]
+    docs.append(("long", [f"t{j}" for j in range(70_000)]))
+    path, resaved = tmp_path / "snap.ngir", tmp_path / "resaved.ngir"
+    save_index(build_index(docs), path)
+    loaded = load_index(path)
+    assert [a.itemsize for a in (loaded.doc_lengths, *loaded.postings["x"])] == [4, 2, 1]
+    save_index(loaded, resaved)
+    assert resaved.read_bytes() == path.read_bytes()
+
+
+def test_save_narrows_a_column_wider_than_its_values_need(tmp_path):
+    crafted = (["a", "b"], [1, 2], [("x", 2), ("[nx]x", 1)], [0, 1, 1], [1, 1, 1])
+    path, resaved = tmp_path / "wide.ngir", tmp_path / "resaved.ngir"
+    path.write_bytes(_snapshot(*crafted, widths=(4, 2, 4, 4)))
+    save_index(load_index(path), resaved)
+    assert resaved.read_bytes() == _snapshot(*crafted)
+
+
+def test_save_takes_blocks_of_any_unsigned_typecode(tmp_path):
+    # Each column is as wide as its largest value, whatever arrays hold it.
+    postings = {
+        "x": (array("B", [0]), array("B", [1])),
+        "y": (array("I", [0, 1]), array("Q", [2, 300])),
+        "z": (array("H", [1]), array("L", [1])),
+    }
+    index = Index(postings, ["a", "b"], array("H", [3, 302]), 1.2, 0.75, (0, 0))
+    path = tmp_path / "snap.ngir"
+    save_index(index, path)
+    assert path.read_bytes() == _snapshot(
+        ["a", "b"], [3, 302], [("x", 1), ("y", 2), ("z", 1)], [0, 0, 1, 1], [1, 2, 300, 1]
+    )
+    assert load_index(path).postings == postings
+
+
+def test_a_tf_of_u32_max_makes_the_tf_column_u32(tmp_path):
+    crafted = (["a", "b"], [1, 1], [("x", 2)], [0, 1], [U32_MAX, 1])
+    path, resaved = tmp_path / "snap.ngir", tmp_path / "resaved.ngir"
+    path.write_bytes(_snapshot(*crafted))
+    data = path.read_bytes()
+    assert data[-4 - 9] == 4  # the tf column's width, before two u32 tfs and the CRC
+    loaded = load_index(path)
+    assert loaded.postings["x"] == (array("I", [0, 1]), array("I", [U32_MAX, 1]))
+    save_index(loaded, resaved)
+    assert resaved.read_bytes() == data
+
+
+@pytest.mark.parametrize("doc_count, width", [(256, 1), (257, 2), (65_536, 2), (65_537, 4)])
+def test_the_doc_number_column_is_as_wide_as_the_last_doc_number(tmp_path, doc_count, width):
+    # Doc numbers run from 0 to doc_count - 1, and "x" is in every document.
+    path = tmp_path / "snap.ngir"
+    index = build_index((f"d{i}", ["x"]) for i in range(doc_count))
+    save_index(index, path)
+    data = path.read_bytes()
+    tf_column = len(data) - 4 - 1 - doc_count
+    assert data[tf_column - width * doc_count - 1] == width
+    loaded = load_index(path)
+    assert loaded.postings == index.postings
+    assert loaded.postings["x"][0].itemsize == width
+
+
+def column_starts(data):
+    """Where each of the four columns of the snapshot ``data`` starts:
+    the lengths, the dfs, the doc numbers and the tfs."""
+    doc_count, id_bytes = struct.unpack_from("<II", data, HEADER_BYTES)
+    lengths = HEADER_BYTES + 8 + id_bytes
+    postings = postings_start(data)
+    term_count, term_bytes, posting_count = struct.unpack_from("<III", data, postings)
+    dfs = postings + 12 + term_bytes
+    docs = dfs + 1 + data[dfs] * term_count
+    return lengths, dfs, docs, docs + 1 + data[docs] * posting_count
+
+
+@pytest.mark.parametrize("width", [0, 3, 8])
+def test_a_column_width_other_than_1_2_or_4_is_a_parse_error(tmp_path, width):
+    # Under a recomputed CRC, so the width itself is what the load refuses.
+    path, _ = small_snapshot(tmp_path)
+    data = path.read_bytes()
+    postings = postings_start(data)
+    for column in column_starts(data):
+        start, end = (HEADER_BYTES, postings - 4) if column < postings else (postings, len(data) - 4)
+        patched = data[:column] + bytes((width,)) + data[column + 1:]
+        path.write_bytes(resealed(patched, start, end))
+        for terms in (None, ("fever",)):
+            with pytest.raises(
+                ParseError,
+                match=f"^{path}: corrupt snapshot: a column of width {width}, not 1, 2 or 4$",
+            ):
+                load_index(path, terms)
