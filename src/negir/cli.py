@@ -50,14 +50,15 @@ from .evalkit import (
     write_run,
     RunResult,
 )
-from .index import DEFAULT_B, DEFAULT_K1, Index, build_index, fingerprint, load_index, save_index
+from .index import (
+    DEFAULT_B, DEFAULT_K1, Index, build_index, fingerprints, header_fault, load_index, save_index
+)
 from .negation import (
     NX_PREFIX,
     TriggerLexicon,
     analyze_text,
     default_lexicon,
     detect_negations,
-    lexicon_entries,
     load_lexicon,
     scope_text,
 )
@@ -103,9 +104,10 @@ def resolve_config(args: argparse.Namespace) -> Config:
         config = config._replace(**load_config(args.config))
     flags = {name: getattr(args, name, None) for name in Config._fields}
     config = config._replace(**{name: value for name, value in flags.items() if value is not None})
+    fault = header_fault(config.k1, config.b)  # the snapshot's rule for the two it stores
+    if fault:
+        raise NegirError(fault)
     for name, valid, accepted in (
-        ("k1", 0.0 <= config.k1 < math.inf, "a finite number >= 0"),
-        ("b", 0.0 <= config.b <= 1.0, "a number in [0, 1]"),
         ("expansion_weight", 0.0 <= config.expansion_weight < math.inf,
          "a finite number >= 0"),
         ("beta", config.beta is None or math.isfinite(config.beta), "a finite number"),
@@ -130,9 +132,10 @@ def _check_provenance(
 ) -> None:
     """Refuse an index analysed with other stopwords or another lexicon
     than the topics are: its terms would not be the queries' terms."""
-    for what, flag, built, query_side in (
-        ("stopword list", "stopwords", index.fingerprints[0], fingerprint(stopwords)),
-        ("lexicon", "lexicon", index.fingerprints[1], fingerprint(lexicon_entries(lexicon))),
+    for (what, flag), built, query_side in zip(
+        (("stopword list", "stopwords"), ("lexicon", "lexicon")),
+        index.fingerprints,
+        fingerprints(stopwords, lexicon),
     ):
         if built != query_side:
             source = getattr(args, flag) or f"the shipped {what}"
@@ -175,12 +178,11 @@ def cmd_index(args: argparse.Namespace) -> int:
             analysis = analyze_text(text, stopwords, lexicon)
             yield doc_id, analysis.tagged_terms
 
-    fingerprints = (fingerprint(stopwords), fingerprint(lexicon_entries(lexicon)))
-    index = build_index(analyzed(), k1=config.k1, b=config.b, fingerprints=fingerprints)
+    index = build_index(analyzed(), config.k1, config.b, fingerprints(stopwords, lexicon))
     summary_out = _summary_stream(args.out)
     save_index(index, args.out)
     summary = {
-        "documents": index.doc_count,
+        "documents": len(index.doc_ids),
         "plain_terms": len({term.removeprefix(NX_PREFIX) for term in index.postings}),
         "tagged_terms": len(index.postings),
         "k1": index.k1,

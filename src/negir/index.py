@@ -47,7 +47,7 @@ from typing import BinaryIO, Collection, Iterable, Iterator, NamedTuple, Sequenc
 
 from .corpus import atomic_write, utf8_encodable
 from .errors import DuplicateIdError, NegirError, ParseError
-from .negation import NX_PREFIX
+from .negation import NX_PREFIX, TriggerLexicon
 
 PLAIN = "plain"
 TAGGED = "tagged"
@@ -78,7 +78,7 @@ class Index:
     The per-document BM25 length norms ``k1 * (1 - b + b * len / avgdl)``,
     avgdl the mean of ``doc_lengths``, are fixed here, once.
     ``fingerprints`` are those of the stopword list and the lexicon the
-    index was built with (see ``fingerprint``), 0 for one not given.
+    index was built with (see ``fingerprints``), 0 for one not given.
     """
 
     def __init__(
@@ -102,10 +102,6 @@ class Index:
         if total:  # otherwise no documents, or only empty ones: no term can match
             avgdl = total / len(doc_lengths)
             self.norms = [k1 * (1.0 - b + b * length / avgdl) for length in doc_lengths]
-
-    @property
-    def doc_count(self) -> int:
-        return len(self.doc_ids)
 
     def field(self, name: str) -> FieldIndex:
         if name not in (PLAIN, TAGGED):
@@ -185,7 +181,7 @@ def score_query(index: Index, field: str, terms: Sequence[str], weight: float) -
     """
     postings_by_term = index.field(field).postings
     norms = index.norms
-    n = index.doc_count
+    n = len(index.doc_ids)
     tf_scale = index.k1 + 1.0
     weights: dict[str, float] = {}
     for term in terms:  # ten 0.1s sum to 0.9999999999999999, not 10 * 0.1
@@ -224,10 +220,9 @@ def score_query(index: Index, field: str, terms: Sequence[str], weight: float) -
 # that holds the column's largest value, 1 for an empty column.
 #
 # A string list is its strings in UTF-8 with "\n" between two, so a
-# string may be empty or of any length but holds no line break. A
-# fingerprint is the crc32 of the sorted entries of the stopword list or
-# the lexicon (``fingerprint``), so comments and order in their files do
-# not matter; 0 means not given.
+# string may be empty or of any length but holds no line break. The
+# fingerprints are those of the stopword list and the lexicon
+# (``fingerprints``); 0 means not given.
 #
 # ``load_index`` checks each part whole: it fits in the file (before
 # anything is allocated for it) and its CRC matches; a column's width is
@@ -250,10 +245,13 @@ _CHUNK = 4096  # values narrowed at once: few calls, and no whole column in memo
 _FIELD = f"field {TAGGED!r}"  # the stored field, as errors name it
 
 
-def fingerprint(entries: Iterable[str]) -> int:
-    """crc32 of ``entries`` sorted and joined by "\\n": the same for the
-    same entries in any order."""
-    return zlib.crc32("\n".join(sorted(entries)).encode("utf-8"))
+def fingerprints(stopwords: Iterable[str], lexicon: TriggerLexicon) -> tuple[int, int]:
+    """The crc32 of the sorted stopwords and that of the lexicon's sorted
+    "kind: words" phrases, each joined by "\\n": the order and comments of
+    their files do not count."""
+    phrases = (f"{kind}: {' '.join(words)}" for words, kind in chain(*lexicon.values()))
+    joined = ["\n".join(sorted(entries)).encode("utf-8") for entries in (stopwords, phrases)]
+    return zlib.crc32(joined[0]), zlib.crc32(joined[1])
 
 
 def _encode_strings(values: Collection[str], dest: str | Path) -> bytes:
@@ -269,6 +267,16 @@ def _encode_strings(values: Collection[str], dest: str | Path) -> bytes:
         bad = next(value for value in values if "\n" in value)
         raise NegirError(f"{dest}: cannot write {bad[:32]!r}: it holds a line break")
     return data
+
+
+def _strings_fault(values: Collection, count: int, item: str) -> str | None:
+    """What a string list of ``values`` breaks if its head lists ``count``
+    strings, each a distinct ``item``, or None."""
+    if len(values) != count:
+        return f"{len(values)} strings where {count} are listed, one per {item}"
+    if len(set(values)) != count:
+        return f"a {item} is listed twice"
+    return None
 
 
 def _le(values: array) -> array:
@@ -317,47 +325,68 @@ def _write_part(out: BinaryIO, chunks: Iterable) -> None:
     out.write(_U32.pack(crc))
 
 
-def _header_fault(k1: float, b: float, fingerprints: Sequence[int]) -> str | None:
-    """What a snapshot header of these values breaks, or None: k1 is
-    finite and >= 0, b in [0, 1], and each fingerprint a u32."""
-    if not (0.0 <= k1 < math.inf and 0.0 <= b <= 1.0):
-        return f"k1 {k1!r} or b {b!r} out of range"
+def header_fault(k1: float, b: float, fingerprints: Sequence[int] = ()) -> str | None:
+    """What a header of these values breaks, or None, in the CLI's
+    wording: k1 finite and >= 0, b in [0, 1], each fingerprint a u32."""
+    if not 0.0 <= k1 < math.inf:
+        return f"k1 must be a finite number >= 0, got {k1!r}"
+    if not 0.0 <= b <= 1.0:
+        return f"b must be a number in [0, 1], got {b!r}"
     bad = [value for value in fingerprints if not 0 <= value <= 0xFFFFFFFF]
     return f"fingerprint {bad[0]!r} out of the u32 range" if bad else None
 
 
 def save_index(index: Index, path: str | Path) -> None:
     """Write the snapshot to a temp file that replaces ``path`` on success.
-    A NegirError naming ``path`` refuses, before it is opened, a header
-    or a string that ``load_index`` would not read back.
+    A NegirError naming ``path`` refuses, before it is opened, an index
+    that ``load_index`` would not read back: a bad header or string, a
+    repeated doc id, a column value over u32, or more postings than the
+    lengths add up to. A term's postings are not checked for order, tfs
+    of 0 or doc numbers past the count.
 
     Each column is written in the narrowest width that holds its values,
-    which must be u32, from arrays of any unsigned typecode: the doc
-    numbers and tfs come straight from the per-term arrays, a chunk at a
-    time, and no column is built in memory.
+    from arrays of any unsigned typecode: the doc numbers and tfs come
+    straight from the per-term arrays, a chunk at a time, and no column
+    is built in memory.
     """
-    fault = _header_fault(index.k1, index.b, index.fingerprints)
+    fault = header_fault(index.k1, index.b, index.fingerprints)
     if fault:
         raise NegirError(f"{path}: cannot write the header: {fault}")
     ids = _encode_strings(index.doc_ids, path)
+    fault = _strings_fault(index.doc_ids, len(index.doc_ids), "doc_id")
+    if fault:
+        raise NegirError(f"{path}: cannot write the document table: {fault}")
     postings = index.postings.values()
     terms = _encode_strings(index.postings, path)
-    dfs = array(U32, (len(docs) for docs, _ in postings))
-    # Each block ascends, so its last doc number is its largest.
-    largest_doc = max((docs[-1] for docs, _ in postings if docs), default=0)
-    largest_tf = max(chain.from_iterable(tfs for _, tfs in postings), default=0)
+    dfs = array("Q", (len(docs) for docs, _ in postings))
+    largest = {
+        "document length": max(index.doc_lengths, default=0),
+        "df": max(dfs, default=0),
+        # Each block ascends, so its last doc number is its largest.
+        "doc number": max((docs[-1] for docs, _ in postings if docs), default=0),
+        "tf": max(chain.from_iterable(tfs for _, tfs in postings), default=0),
+    }
+    for column, value in largest.items():
+        if value > 0xFFFFFFFF:
+            fault = f"{value} is out of the u32 range"
+            raise NegirError(f"{path}: cannot write the {column} column: {fault}")
+    posting_count, total = sum(dfs), sum(index.doc_lengths)
+    if posting_count > total:
+        raise NegirError(
+            f"{path}: cannot write {posting_count} postings in documents of {total} terms in all"
+        )
     with atomic_write(path, "wb") as out:
         header = _HEADER.pack(index.k1, index.b, *index.fingerprints)
         _write_part(out, (SNAPSHOT_MAGIC, bytes((SNAPSHOT_VERSION,)), header))
         _write_part(out, chain(
-            (_DOCUMENTS.pack(index.doc_count, len(ids)), ids),
-            _column((index.doc_lengths,), max(index.doc_lengths, default=0)),
+            (_DOCUMENTS.pack(len(index.doc_ids), len(ids)), ids),
+            _column((index.doc_lengths,), largest["document length"]),
         ))
         _write_part(out, chain(
-            (_POSTINGS.pack(len(dfs), len(terms), sum(dfs)), terms),
-            _column((dfs,), max(dfs, default=0)),
-            _column((docs for docs, _ in postings), largest_doc),
-            _column((tfs for _, tfs in postings), largest_tf),
+            (_POSTINGS.pack(len(dfs), len(terms), posting_count), terms),
+            _column((dfs,), largest["df"]),
+            _column((docs for docs, _ in postings), largest["doc number"]),
+            _column((tfs for _, tfs in postings), largest["tf"]),
         ))
 
 
@@ -402,12 +431,10 @@ class _Reader:
         return values
 
     def check_strings(self, values: list, count: int, item: str) -> None:
-        """Check a split string list once its part passed the CRC: it
-        holds ``count`` strings, each a distinct ``item``."""
-        if len(values) != count:
-            raise self.fail(f"{len(values)} strings where {count} are listed, one per {item}")
-        if len(set(values)) != count:
-            raise self.fail(f"a {item} is listed twice")
+        """Check a split string list once its part passed the CRC."""
+        fault = _strings_fault(values, count, item)
+        if fault:
+            raise self.fail(fault)
 
     def end_part(self, part: str) -> None:
         expected = self.crc
@@ -438,7 +465,7 @@ def load_index(path: str | Path, terms: Iterable[str] | None = None) -> Index:
                     f"unsupported snapshot version {version}; rebuild the index", str(path)
                 )
             k1, b, stopwords_fp, lexicon_fp = _HEADER.unpack(reader.read(_HEADER.size))
-            fault = _header_fault(k1, b, (stopwords_fp, lexicon_fp))
+            fault = header_fault(k1, b, (stopwords_fp, lexicon_fp))
             if fault:
                 raise reader.fail(fault)
             reader.end_part("header")

@@ -71,16 +71,6 @@ class TaggedTokenStream(NamedTuple):
 TriggerLexicon = dict[str, list[tuple[tuple[str, ...], str]]]
 
 
-def lexicon_entries(lexicon: TriggerLexicon) -> list[str]:
-    """Each phrase as "kind: words", whatever the order and comments of
-    the file it came from."""
-    return [
-        f"{kind}: {' '.join(phrase)}"
-        for candidates in lexicon.values()
-        for phrase, kind in candidates
-    ]
-
-
 def load_lexicon(path: str | Path) -> TriggerLexicon:
     """Parse a sectioned lexicon file ([pre]/[post]/[pseudo]/[term]).
 

@@ -938,7 +938,7 @@ def test_truncated_snapshot_exits_one(workspace, capsys):
     for content, message in (
         (data[:-3], "truncated"),
         (data + b"garbage", "trailing bytes"),
-        (nan_k1, "k1 nan or b 0.75 out of range"),
+        (nan_k1, "k1 must be a finite number >= 0, got nan"),
         (data[:5] + b"\x02" + data[6:], "unsupported snapshot version 2; rebuild the index"),
         (data[:5] + b"\x06" + data[6:], "unsupported snapshot version 6; rebuild the index"),
     ):

@@ -42,7 +42,6 @@ def search(index, terms, k):
 
 def test_empty_index():
     index = build_index([])
-    assert index.doc_count == 0
     assert index.doc_lengths == array("I")
     assert index.doc_ids == []
     assert index.norms == []
@@ -782,11 +781,11 @@ def test_save_refuses_a_string_that_utf8_cannot_encode(tmp_path):
 
 
 @pytest.mark.parametrize("settings, fault", [
-    ({"k1": math.nan}, "k1 nan or b 0.75 out of range"),
-    ({"k1": -1.0}, "k1 -1.0 or b 0.75 out of range"),
-    ({"k1": math.inf}, "k1 inf or b 0.75 out of range"),
-    ({"b": 2.0}, "k1 1.2 or b 2.0 out of range"),
-    ({"b": -0.5}, "k1 1.2 or b -0.5 out of range"),
+    ({"k1": math.nan}, "k1 must be a finite number >= 0, got nan"),
+    ({"k1": -1.0}, "k1 must be a finite number >= 0, got -1.0"),
+    ({"k1": math.inf}, "k1 must be a finite number >= 0, got inf"),
+    ({"b": 2.0}, "b must be a number in [0, 1], got 2.0"),
+    ({"b": -0.5}, "b must be a number in [0, 1], got -0.5"),
     ({"fingerprints": (-1, 0)}, "fingerprint -1 out of the u32 range"),
     ({"fingerprints": (0, 2**32)}, "fingerprint 4294967296 out of the u32 range"),
 ], ids=["k1 nan", "k1 negative", "k1 inf", "b over 1", "b negative", "fingerprint negative",
@@ -800,6 +799,89 @@ def test_save_refuses_a_header_that_load_refuses(tmp_path, settings, fault):
         save_index(index, path)
     assert str(refused.value) == f"{path}: cannot write the header: {fault}"
     assert list(tmp_path.iterdir()) == []
+
+
+OVER_U32 = 2**32 + 5
+
+
+@pytest.mark.parametrize("postings, lengths, fault", [
+    ({"x": (array("I", [0]), array("I", [1]))}, array("Q", [OVER_U32]),
+     f"cannot write the document length column: {OVER_U32} is out of the u32 range"),
+    ({"x": (array("I", [0]), array("Q", [OVER_U32]))}, array("I", [1]),
+     f"cannot write the tf column: {OVER_U32} is out of the u32 range"),
+    ({"x": (array("I", [0]), array("I", [1])), "y": (array("I", [0]), array("I", [1]))},
+     array("I", [1]), "cannot write 2 postings in documents of 1 terms in all"),
+], ids=["length over u32", "tf over u32", "more postings than terms"])
+def test_save_refuses_a_column_that_load_would_misread_or_refuse(
+    tmp_path, postings, lengths, fault
+):
+    # A u32 column would keep only the low 32 bits of a wider value. The
+    # refusal comes before the path is opened: a symlink, which is
+    # written in place, keeps its target's bytes.
+    target, path = tmp_path / "target", tmp_path / "snap.ngir"
+    target.write_bytes(b"previous snapshot")
+    path.symlink_to(target)
+    index = Index(postings, ["a"], lengths, 1.2, 0.75, (0, 0))
+    with pytest.raises(NegirError) as refused:
+        save_index(index, path)
+    assert str(refused.value) == f"{path}: {fault}"
+    assert target.read_bytes() == b"previous snapshot"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["snap.ngir", "target"]
+
+
+def test_save_refuses_a_doc_id_listed_twice(tmp_path):
+    # build_index refuses the repeat; a hand-made Index is refused by the
+    # save, before the path is opened, not by the load that follows.
+    path = tmp_path / "snap.ngir"
+    index = Index({"x": (array("I", [1]), array("I", [1]))}, ["a", "a"], array("I", [0, 1]),
+                  1.2, 0.75, (0, 0))
+    with pytest.raises(NegirError) as refused:
+        save_index(index, path)
+    fault = "cannot write the document table: a doc_id is listed twice"
+    assert str(refused.value) == f"{path}: {fault}"
+    assert list(tmp_path.iterdir()) == []
+
+
+@st.composite
+def hand_made_indexes(draw):
+    """An ``Index`` made without ``build_index``: ids from a small
+    alphabet, so some repeat, and each column of one typecode, Q
+    included, with values up to 2**33, often at a width's edge. Each
+    term's doc numbers ascend below the document count, and its tfs are
+    at least 1."""
+    ids = draw(st.lists(st.text("ab", max_size=2), max_size=5))
+    typecodes = [draw(st.sampled_from("BHILQ")) for _ in range(3)]
+
+    def column(typecode, size, low=0):
+        high = min(2**33, 2 ** (8 * array(typecode).itemsize) - 1)
+        edges = [v for v in (255, 256, 2**16 - 1, 2**16, 2**32 - 1, 2**32, 2**33) if v <= high]
+        values = st.one_of(st.integers(low, high), st.sampled_from(edges))
+        return array(typecode, draw(st.lists(values, min_size=size, max_size=size)))
+
+    lengths = column(typecodes[0], len(ids))
+    postings = {}
+    terms = draw(st.lists(st.text("ab", max_size=2), unique=True, max_size=4)) if ids else []
+    for term in terms:
+        docs = sorted(draw(st.sets(st.integers(0, len(ids) - 1), min_size=1)))
+        postings[term] = (array(typecodes[1], docs), column(typecodes[2], len(docs), low=1))
+    return Index(postings, ids, lengths, 1.2, 0.75, (0, 0))
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(hand_made_indexes())
+def test_save_refuses_or_load_reads_back(tmp_path_factory, index):
+    # Whatever save_index writes, load_index reads back as it was given.
+    path = tmp_path_factory.mktemp("snap") / "snap.ngir"
+    try:
+        save_index(index, path)
+    except NegirError:
+        assert list(path.parent.iterdir()) == []
+        return
+    loaded = load_index(path)
+    assert loaded.doc_ids == index.doc_ids
+    assert list(loaded.doc_lengths) == list(index.doc_lengths)
+    as_lists = {term: (list(docs), list(tfs)) for term, (docs, tfs) in index.postings.items()}
+    assert {term: (list(d), list(t)) for term, (d, t) in loaded.postings.items()} == as_lists
 
 
 def test_empty_term_survives_a_round_trip(tmp_path):

@@ -15,13 +15,13 @@ from negir.corpus import (
     split_sentences,
 )
 from negir.errors import ParseError
+from negir.index import fingerprints
 from negir.negation import (
     NX_PREFIX,
     analyze_text,
     default_lexicon,
     detect_all,
     detect_negations,
-    lexicon_entries,
     load_lexicon,
     scope_text,
     tag_tokens,
@@ -385,10 +385,11 @@ def test_shipped_lexicon_phrases_disjoint(lexicon):
     assert kind == "term"
 
 
-def test_phrase_order_in_the_file_does_not_decide_a_match(tmp_path, lexicon):
+def test_phrase_order_in_the_file_does_not_decide_a_match(tmp_path, stopwords, lexicon):
     # The shipped lexicon with its sections, and the phrase lines of each,
-    # in reverse order: the same entries, and detection finds the same
-    # scopes, because the longest phrase wins wherever it is listed.
+    # in reverse order: the same fingerprint, and detection finds the same
+    # scopes, because the longest phrase wins wherever it is listed. The
+    # stopwords in reverse order have the same fingerprint too.
     sections, current = [], None
     lines = packaged_data_path("lexicon.txt").read_text(encoding="utf-8").splitlines()
     for line in (line.strip() for line in lines):
@@ -402,7 +403,9 @@ def test_phrase_order_in_the_file_does_not_decide_a_match(tmp_path, lexicon):
         for header, phrases in reversed(sections)
     )
     reordered = load_lexicon(_lexicon_file(tmp_path, reversed_text))
-    assert sorted(lexicon_entries(reordered)) == sorted(lexicon_entries(lexicon))
+    assert fingerprints((), reordered) == fingerprints((), lexicon)
+    reversed_stopwords = sorted(stopwords, reverse=True)
+    assert fingerprints(reversed_stopwords, lexicon) == fingerprints(stopwords, lexicon)
     rng = random.Random(7)
     texts = [" ".join(rng.choice(PIECES) for _ in range(40)) for _ in range(200)]
     for text in texts + [EXAMPLE, "not certain if pneumonia was ruled out"]:
