@@ -37,9 +37,10 @@ from .corpus import (
     read_text,
     split_sentences,
 )
-from .errors import NegirError, ParseError
+from .errors import DuplicateIdError, NegirError, ParseError
 from .evalkit import (
     BASELINE,
+    DEFAULT_NDCG_CUTOFF,
     evaluate,
     format_table,
     group_analysis,
@@ -78,11 +79,12 @@ class Config(NamedTuple):
     expansion_weight: float = DEFAULT_EXPANSION_WEIGHT
     beta: float | None = None
     k: int = 1000
-    ndcg_cutoff: int = 1000
+    ndcg_cutoff: int = DEFAULT_NDCG_CUTOFF
 
 
 def load_config(path: str | Path) -> dict:
-    """Parse a key = value config file; '#' starts a comment line."""
+    """Parse a key = value config file; '#' starts a comment line. A key
+    set twice is refused, as a repeated id is in every other input."""
     values: dict[str, object] = {}
     for lineno, line in read_lines(path, comments=True):
         if "=" not in line:
@@ -91,6 +93,8 @@ def load_config(path: str | Path) -> dict:
         key, value = key.strip(), value.strip()
         if key not in Config._fields:
             raise ParseError(f"unknown config key {key!r}", str(path), lineno)
+        if key in values:
+            raise DuplicateIdError("config key", key, str(path), lineno)
         try:
             values[key] = int(value) if key in ("k", "ndcg_cutoff") else float(value)
         except ValueError:
@@ -476,7 +480,10 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.handler(args)
     except (NegirError, OSError) as exc:
-        _say(f"negir: {exc}", sys.stderr)
+        message = str(exc)
+        if isinstance(exc, OSError) and exc.filename:  # the file first, as in a ParseError
+            message = f"{exc.filename}: {exc.strerror}"
+        _say(f"negir: {message}", sys.stderr)
         return 1
 
 

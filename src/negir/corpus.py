@@ -17,7 +17,7 @@ import json
 import os
 import re
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from pathlib import Path
 from typing import IO, Iterator, NamedTuple
 
@@ -152,7 +152,8 @@ def is_stdout(path: str | Path) -> bool:
 def atomic_write(path: str | Path, mode: str, encoding: str | None = None) -> Iterator[IO]:
     """Write to a temp file next to ``path`` that replaces ``path`` on
     success; on any exception the temp file is removed and ``path`` is
-    left as it was.
+    left as it was. An OSError while writing is raised against ``path``,
+    the file the caller named, not the temp file.
 
     Only a new path or a regular file is replaced. A symlink, a device
     or a pipe (``/dev/stdout`` is all three in turn) is written in place,
@@ -176,8 +177,11 @@ def atomic_write(path: str | Path, mode: str, encoding: str | None = None) -> It
         with open(temp, mode, encoding=encoding) as out:
             yield out
         os.replace(temp, path)
-    except BaseException:
-        temp.unlink(missing_ok=True)
+    except BaseException as exc:
+        with suppress(FileNotFoundError, NotADirectoryError):  # no temp file was made
+            temp.unlink()
+        if isinstance(exc, OSError):
+            raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise
 
 
@@ -251,16 +255,21 @@ def id_fault(value: str) -> str | None:
 
 
 def _check_id(
-    kind: str, value: str, seen: set[str], path: str | Path, line: int | None = None
-) -> None:
-    """Reject ids that ``id_fault`` refuses or that are in ``seen``; add
-    the others to ``seen``."""
+    kind: str, value: object, seen: set[str], path: str | Path, line: int | None = None
+) -> str:
+    """``value``, a string or a JSON integer (not a bool), as an id that
+    ``id_fault`` accepts and ``seen`` does not hold yet; it joins ``seen``.
+    The one id rule of every input: a ParseError names ``path`` otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise ParseError(f"{kind} must be a string or an integer", str(path), line)
+    value = str(value)
     fault = id_fault(value)
     if fault:
         raise ParseError(f"{kind} {value!r} {fault}", str(path), line)
     if value in seen:
         raise DuplicateIdError(kind, value, str(path), line)
     seen.add(value)
+    return value
 
 
 def decode_json(text: str, path: str | Path, line: int | None = None, object_pairs_hook=None):
@@ -285,12 +294,7 @@ def _jsonl_records(path: Path, id_field: str) -> Iterator[tuple[int, str, dict]]
         record = decode_json(line, path, lineno)
         if not isinstance(record, dict) or id_field not in record:
             raise ParseError(f"record missing {id_field} field", str(path), lineno)
-        record_id = record[id_field]
-        if isinstance(record_id, bool) or not isinstance(record_id, (str, int)):
-            raise ParseError(f"{id_field} must be a string or an integer", str(path), lineno)
-        record_id = str(record_id)
-        _check_id(id_field, record_id, seen, path, lineno)
-        yield lineno, record_id, record
+        yield lineno, _check_id(id_field, record[id_field], seen, path, lineno), record
 
 
 _TAG_RE = re.compile(r"<(/?)(DOC|DOCNO|TITLE|TEXT)>", re.IGNORECASE)
@@ -353,8 +357,7 @@ def _load_plain_dir(path: Path) -> Iterator[tuple[str, str]]:
         raise ParseError("not a directory", str(path))
     seen: set[str] = set()
     for entry in sorted(p for p in path.iterdir() if p.is_file()):
-        _check_id("doc_id", entry.stem, seen, entry)
-        yield entry.stem, read_text(entry)
+        yield _check_id("doc_id", entry.stem, seen, entry), read_text(entry)
 
 
 # ---------------------------------------------------------------------------

@@ -24,19 +24,18 @@ Group analysis evaluates each run once and splits topics by group.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Iterator, Mapping, NamedTuple, Sequence
 
-from .corpus import atomic_write, decode_json, id_fault, read_lines, read_text
-from .errors import DuplicateIdError, NegirError, ParseError
+from .corpus import _check_id, atomic_write, decode_json, id_fault, read_lines, read_text
+from .errors import NegirError, ParseError
 
 if TYPE_CHECKING:  # for annotations only: ``eval`` needs neither querygen nor negation
     from .querygen import QueryBundle
 
 INFAP_EPSILON = 1e-5
 
-METRIC_NAMES = ("p_at_10", "ndcg", "inf_ap", "r_prec")
+DEFAULT_NDCG_CUTOFF = 1000
 
 
 # A topic's pooled doc ids in disjoint non-empty strata; the judged
@@ -51,9 +50,6 @@ class RunResult(NamedTuple):
     run_tag: str
     topics: dict[str, list[tuple[str, float]]]
 
-    def ranking(self, topic_id: str) -> list[str]:
-        return [doc_id for doc_id, _ in self.topics.get(topic_id, [])]
-
 
 # ---------------------------------------------------------------------------
 # Individual metrics of one topic. ``ranking`` is a list of doc_ids in
@@ -67,7 +63,9 @@ def p_at_k(ranking: Sequence[str], grades: Mapping[str, int], k: int = 10) -> fl
     return hits / k
 
 
-def ndcg(ranking: Sequence[str], grades: Mapping[str, int], cutoff: int = 1000) -> float:
+def ndcg(
+    ranking: Sequence[str], grades: Mapping[str, int], cutoff: int = DEFAULT_NDCG_CUTOFF
+) -> float:
     """Normalized DCG with graded gains and a 1/log2(rank+1) discount.
 
     Topics without any relevant document yield 0.0 (callers flag them).
@@ -210,7 +208,7 @@ class MetricsReport(NamedTuple):
 def evaluate(
     run: RunResult,
     qrels: Mapping[str, Mapping[str, int]],
-    ndcg_cutoff: int = 1000,
+    ndcg_cutoff: int = DEFAULT_NDCG_CUTOFF,
     sampling: Mapping[str, Strata] | None = None,
 ) -> MetricsReport:
     """Score a run against qrels, topic by topic.
@@ -221,7 +219,7 @@ def evaluate(
     """
     per_topic: dict[str, TopicMetrics] = {}
     for topic_id, grades in qrels.items():
-        ranking = run.ranking(topic_id)
+        ranking = [doc_id for doc_id, _ in run.topics.get(topic_id, [])]
         per_topic[topic_id] = TopicMetrics(
             p_at_10=p_at_k(ranking, grades, 10),
             ndcg=ndcg(ranking, grades, ndcg_cutoff),
@@ -280,7 +278,7 @@ def group_analysis(
     bundles: Iterable[QueryBundle],
     runs_by_strategy: Mapping[str, RunResult],
     qrels: Mapping[str, Mapping[str, int]],
-    ndcg_cutoff: int = 1000,
+    ndcg_cutoff: int = DEFAULT_NDCG_CUTOFF,
 ) -> GroupReport:
     """Compare strategies on the negation-bearing group against the
     negation-free run named ``BASELINE``, which ``runs_by_strategy`` must
@@ -458,63 +456,51 @@ def read_sampling_sidecar(
     """JSON sidecar: {topic_id: [[pooled doc ids of stratum 1], ...]}.
 
     The sidecar must list exactly the topics of ``qrels``, each once.
-    Per topic, the strata must be non-empty and disjoint and list each
-    document once; each stratum must hold a judged document, and each
-    relevant judged document must sit in a stratum. A ParseError names
-    the file and the topic otherwise.
+    Per topic, the strata must be non-empty, and each doc id must pass
+    the id rule of every input (``corpus._check_id``) and be listed once
+    in all the topic's strata; each stratum must hold a judged document,
+    and each relevant judged document must sit in a stratum. A ParseError
+    names the file and the topic otherwise.
     """
     path = str(path)
-    data = decode_json(read_text(path), path, object_pairs_hook=lambda p: _unique_keys(p, path))
+    data = decode_json(read_text(path), path, object_pairs_hook=lambda p: _topic_keys(p, path))
     if not isinstance(data, dict):
         raise ParseError("expected a JSON object of topic ids to strata", path)
-    sampling: dict[str, Strata] = {}
-    for topic_id, strata in data.items():
-        try:
-            sampling[topic_id] = _checked_strata(strata, qrels.get(topic_id))
-        except ValueError as exc:
-            raise ParseError(f"topic {topic_id}: {exc}", path) from None
+    sampling = {
+        topic_id: _checked_strata(strata, qrels.get(topic_id), f"{path}: topic {topic_id}")
+        for topic_id, strata in data.items()
+    }
     for topic_id in qrels:
         if topic_id not in sampling:
             raise ParseError(f"topic {topic_id}: missing from the sampling sidecar", path)
     return sampling
 
 
-def _unique_keys(pairs: list[tuple[str, object]], path: str) -> dict[str, object]:
-    """A JSON object's pairs as a dict; a key listed twice is a ParseError."""
-    table: dict[str, object] = {}
-    for key, value in pairs:
-        if key in table:
-            raise DuplicateIdError("topic_id", key, path)
-        table[key] = value
-    return table
+def _topic_keys(pairs: list[tuple[str, object]], path: str) -> dict[str, object]:
+    """A JSON object's pairs as a dict, each key checked as a topic id."""
+    seen: set[str] = set()
+    return {_check_id("topic_id", key, seen, path): value for key, value in pairs}
 
 
-def _checked_strata(strata: object, grades: Mapping[str, int] | None) -> Strata:
+def _checked_strata(strata: object, grades: Mapping[str, int] | None, where: str) -> Strata:
     """One topic's sidecar strata, checked against its grades; a
-    ValueError names the first fault."""
+    ParseError names ``where``, the file and the topic, and the first fault."""
     if grades is None:
-        raise ValueError("missing from the qrels")
+        raise ParseError("missing from the qrels", where)
     if not isinstance(strata, list) or not all(isinstance(s, list) for s in strata):
-        raise ValueError("strata must be lists of doc ids")
+        raise ParseError("strata must be lists of doc ids", where)
     checked: list[frozenset[str]] = []
     pooled: set[str] = set()
     for number, listed in enumerate(strata, start=1):
-        doc_ids = [str(doc_id) for doc_id in listed]
-        stratum = frozenset(doc_ids)
-        if len(stratum) < len(doc_ids):
-            doc_id = min(d for d, count in Counter(doc_ids).items() if count > 1)
-            raise ValueError(f"document {doc_id!r} is listed twice in stratum {number}")
+        stratum = frozenset([_check_id("doc_id", doc_id, pooled, where) for doc_id in listed])
         if not stratum:
-            raise ValueError(f"stratum {number} is empty")
-        if not pooled.isdisjoint(stratum):
-            raise ValueError(f"document {min(pooled & stratum)!r} is listed in two strata")
+            raise ParseError(f"stratum {number} is empty", where)
         if stratum.isdisjoint(grades):
-            raise ValueError(f"stratum {number} has no judged documents")
-        pooled |= stratum
+            raise ParseError(f"stratum {number} has no judged documents", where)
         checked.append(stratum)
     for doc_id, grade in grades.items():
         if grade >= 1 and doc_id not in pooled:
-            raise ValueError(f"judged document {doc_id!r} missing from all strata")
+            raise ParseError(f"judged document {doc_id!r} missing from all strata", where)
     return tuple(checked)
 
 
@@ -523,9 +509,9 @@ def report_to_dict(report: MetricsReport) -> dict:
     return {
         "run_tag": report.run_tag,
         "num_topics": len(report.per_topic),
-        "aggregate": dict(zip(METRIC_NAMES, aggregate.values())),
+        "aggregate": dict(zip(TopicMetrics._fields, aggregate.values())),
         "per_topic": {
-            topic_id: dict(zip(METRIC_NAMES, metrics.values()))
+            topic_id: dict(zip(TopicMetrics._fields, metrics.values()))
             | ({"no_relevant": True} if metrics.no_relevant else {})
             for topic_id, metrics in sorted(report.per_topic.items())
         },

@@ -1,5 +1,6 @@
 """End-to-end CLI coverage: every subcommand through main()."""
 
+import errno
 import io
 import json
 import math
@@ -128,7 +129,7 @@ def test_eval_with_sampling_matches_library(workspace, capsys):
         ('{"2": [["d-fever", "d-clean"], []]}', "topic 2: stratum 2 is empty"),
         (
             '{"2": [["d-fever", "d-clean"], ["d-clean", "d-smoke"]]}',
-            "topic 2: document 'd-clean' is listed in two strata",
+            "topic 2: duplicate doc_id: 'd-clean'",
         ),
         ('{"2": [["d-fever", "d-clean", "d-smoke"]]}', "topic 1: missing from the sampling sidecar"),
         (
@@ -137,7 +138,7 @@ def test_eval_with_sampling_matches_library(workspace, capsys):
         ),
         (
             '{"1": [["d-chest"]], "2": [["d-fever", "d-clean", "d-fever"]]}',
-            "topic 2: document 'd-fever' is listed twice in stratum 1",
+            "topic 2: duplicate doc_id: 'd-fever'",
         ),
         (
             '{"1": [["d-chest"]], "2": [["d-fever", "d-clean", "d-smoke"], ["d-other"]]}',
@@ -151,6 +152,21 @@ def test_eval_with_sampling_matches_library(workspace, capsys):
             '{"1": [["d-chest"]], "2": [["d-fever", "d-clean", "zz"]], '
             '"2": [["d-fever", "d-clean", "d-smoke"]]}',
             "duplicate topic_id: '2'",
+        ),
+        # A stratum's doc ids follow the id rule of every input.
+        *(
+            (
+                f'{{"1": [["d-chest", {doc_id}]], "2": [["d-fever", "d-clean", "d-smoke"]]}}',
+                f"topic 1: {message}",
+            )
+            for doc_id, message in [
+                ("null", "doc_id must be a string or an integer"),
+                ("1.5", "doc_id must be a string or an integer"),
+                ("true", "doc_id must be a string or an integer"),
+                ('["x"]', "doc_id must be a string or an integer"),
+                ('""', "doc_id '' is empty or contains whitespace"),
+                ('"d 2"', "doc_id 'd 2' is empty or contains whitespace"),
+            ]
         ),
     ],
 )
@@ -619,6 +635,24 @@ def test_missing_file_exits_one(workspace, capsys):
     assert capsys.readouterr().err.strip()
 
 
+@pytest.mark.parametrize("parent, error", [("missing", errno.ENOENT), ("a-file", errno.ENOTDIR)])
+@pytest.mark.parametrize("command", ["index", "run"])
+def test_a_failed_write_names_out(workspace, capsys, command, parent, error):
+    # Not the temp file next to --out, whose name holds the process id.
+    snapshot = build_snapshot(workspace)
+    (workspace / "a-file").write_text("", encoding="utf-8")
+    out = workspace / parent / "x.out"
+    argv = {
+        "index": ["index", "--collection", workspace / "docs.jsonl"],
+        "run": ["run", "--index", snapshot, "--topics", workspace / "topics.jsonl",
+                "--strategy", "baseline"],
+    }[command]
+    capsys.readouterr()
+    assert run_cli(*argv, "--out", out) == 1
+    assert capsys.readouterr().err == f"negir: {out}: {os.strerror(error)}\n"
+    assert not [p for p in workspace.rglob("*") if p.name.endswith(".tmp")]
+
+
 def test_malformed_collection_exits_one(workspace, capsys):
     bad = workspace / "bad.jsonl"
     bad.write_text('{"body": "no id"}\n', encoding="utf-8")
@@ -728,6 +762,7 @@ BAD_INPUTS = {
     "stopwords not UTF-8": ("stopwords", "stop.txt", b"the\n\xff\n", 2),
     "lexicon not UTF-8": ("lexicon", "lex.txt", b"[pre]\nno\n\xc3\n[term]\nbut\n", 3),
     "config not UTF-8": ("config", "negir.conf", b"k1 = 1.2\n# \xff\n", 2),
+    "config key repeated": ("config", "negir.conf", b"k = 5\n# again\nk = 7\n", 3),
     "qrels not UTF-8": ("qrels", "qrels.txt", b"1 0 d-chest 1\n2 0 d-\xff 1\n", 2),
     "qrels grade negative": ("qrels", "qrels.txt", b"1 0 d-chest 1\n2 0 d-fever -1\n", 2),
     "qrels judgment repeated": ("qrels", "qrels.txt", b"1 0 d-chest 1\n1 0 d-chest 0\n", 2),
@@ -913,6 +948,15 @@ def test_threads_config_key_rejected(workspace, capsys):
     )
     assert code == 1
     assert "unknown config key 'threads'" in capsys.readouterr().err
+
+
+def test_config_key_set_twice_rejected(workspace, capsys):
+    # Otherwise the second value would win unseen.
+    config = workspace / "negir.conf"
+    config.write_text("k = 5\nk = 7\n", encoding="utf-8")
+    argv = ["eval", "--run", workspace / "r.run", "--qrels", workspace / "qrels.txt"]
+    assert run_cli(*argv, "--config", config) == 1
+    assert capsys.readouterr().err == f"negir: {config}:2: duplicate config key: 'k'\n"
 
 
 def test_whitespace_doc_id_rejected_at_index(workspace, capsys):

@@ -5,9 +5,10 @@ its path; ``main`` given one mutant per reader and mutation kind exits 0
 or 1, and on exit 1 leaves ``--out`` absent. Mutations are 1-3 byte
 flips, truncations, insertions (half of the bytes drawn from those that
 structure JSON, XML, TREC text and config lines) and deletions of 1-3
-bytes. A run that loads survives ``write_run`` and ``read_run``, and a
+bytes. A run that loads survives ``write_run`` and ``read_run``, a
 collection that loads survives ``build_index``, ``save_index`` and
-``load_index`` with equal postings.
+``load_index`` with equal postings, and a sidecar that loads holds only
+ids that ``id_fault`` accepts, each in one stratum of its topic.
 """
 
 import json
@@ -17,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from negir.cli import load_config, main
-from negir.corpus import default_stopwords, load_collection, load_stopwords, load_topics
+from negir.corpus import default_stopwords, id_fault, load_collection, load_stopwords, load_topics
 from negir.errors import ParseError
 from negir.evalkit import read_qrels, read_run, read_sampling_sidecar, write_run
 from negir.index import build_index, load_index, save_index
@@ -128,7 +129,12 @@ def test_mutant_loads_or_names_its_file(mutant_dir, reader, data):
     except ParseError as exc:
         assert str(exc).startswith(f"{path}:"), str(exc)
         return
-    if reader == "run":
+    if reader == "sidecar":
+        for strata in loaded.values():
+            pooled = [doc_id for stratum in strata for doc_id in stratum]
+            assert len(pooled) == len(set(pooled))
+            assert all(id_fault(doc_id) is None for doc_id in pooled), pooled
+    elif reader == "run":
         copy = mutant_dir / "copy.run"
         write_run(loaded, copy)
         again = read_run(copy)
