@@ -272,12 +272,32 @@ def _check_id(
     return value
 
 
-def decode_json(text: str, path: str | Path, line: int | None = None, object_pairs_hook=None):
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict[str, object]:
+    """A JSON object's pairs as a dict; a ``KeyError`` names a key set twice."""
+    record = dict(pairs)
+    if len(record) < len(pairs):
+        seen: set[str] = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise KeyError(key)
+            seen.add(key)
+    return record
+
+
+# One decoder for every call: ``json.loads`` given a hook builds a new one each time.
+_DECODER = json.JSONDecoder(object_pairs_hook=_unique_keys)
+
+
+def decode_json(text: str, path: str | Path, line: int | None = None):
     """``text`` decoded as JSON. A ParseError names ``path`` and ``line``
     (for a whole file, the line of a syntax error) for bad syntax, an
-    integer over Python's digit limit, or nesting too deep to decode."""
+    integer over Python's digit limit, or nesting too deep to decode; a
+    DuplicateIdError for an object, at any depth, that sets a key twice,
+    since JSON leaves open which value counts (RFC 8259, section 4)."""
     try:
-        return json.loads(text, object_pairs_hook=object_pairs_hook)
+        return _DECODER.decode(text)
+    except KeyError as exc:
+        raise DuplicateIdError("key", exc.args[0], str(path), line) from None
     except json.JSONDecodeError as exc:
         detail, line = exc.msg, line or exc.lineno
     except ValueError as exc:  # an integer of more digits than int() converts

@@ -463,23 +463,19 @@ def read_sampling_sidecar(
     names the file and the topic otherwise.
     """
     path = str(path)
-    data = decode_json(read_text(path), path, object_pairs_hook=lambda p: _topic_keys(p, path))
+    data = decode_json(read_text(path), path)
     if not isinstance(data, dict):
         raise ParseError("expected a JSON object of topic ids to strata", path)
+    topic_ids: set[str] = set()
     sampling = {
-        topic_id: _checked_strata(strata, qrels.get(topic_id), f"{path}: topic {topic_id}")
+        _check_id("topic_id", topic_id, topic_ids, path):
+            _checked_strata(strata, qrels.get(topic_id), f"{path}: topic {topic_id}")
         for topic_id, strata in data.items()
     }
     for topic_id in qrels:
         if topic_id not in sampling:
             raise ParseError(f"topic {topic_id}: missing from the sampling sidecar", path)
     return sampling
-
-
-def _topic_keys(pairs: list[tuple[str, object]], path: str) -> dict[str, object]:
-    """A JSON object's pairs as a dict, each key checked as a topic id."""
-    seen: set[str] = set()
-    return {_check_id("topic_id", key, seen, path): value for key, value in pairs}
 
 
 def _checked_strata(strata: object, grades: Mapping[str, int] | None, where: str) -> Strata:

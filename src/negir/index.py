@@ -56,7 +56,7 @@ DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
 SNAPSHOT_MAGIC = b"NGIR1"
-SNAPSHOT_VERSION = 7
+SNAPSHOT_VERSION = 8
 
 U32 = "I"  # array typecode of the doc numbers, lengths and tfs a build makes (4 bytes)
 Postings = dict[str, tuple[array, array]]  # term -> (ascending doc numbers, tfs)
@@ -64,7 +64,8 @@ Postings = dict[str, tuple[array, array]]  # term -> (ascending doc numbers, tfs
 
 class FieldIndex(NamedTuple):
     """Postings of a single field, two arrays of equal length per term:
-    u32 after a build, the snapshot's u8, u16 or u32 after a load."""
+    u32 after a build; after a load, the doc numbers as wide as the
+    snapshot's column of lasts and the tfs as its tf column."""
 
     postings: Postings
 
@@ -201,7 +202,7 @@ def score_query(index: Index, field: str, terms: Sequence[str], weight: float) -
 # ---------------------------------------------------------------------------
 # Binary snapshot
 #
-# Layout (little-endian), version 7. The file has three parts, and each
+# Layout (little-endian), version 8. The file has three parts, and each
 # ends with a u32 zlib.crc32 of all its bytes before that:
 #   header:     magic "NGIR1" | version u8 | k1 f64 | b f64
 #               | stopwords fingerprint u32 | lexicon fingerprint u32 | crc
@@ -211,9 +212,16 @@ def score_query(index: Index, field: str, terms: Sequence[str], weight: float) -
 #   postings:   term_count u32 | term_bytes u32 | posting_count u32
 #               | the tagged terms (a string list of term_bytes)
 #               | term_count x df (a column)
-#               | posting_count x doc number (a column): each term's, ascending, in term order
-#               | posting_count x tf (a column), in the same order | crc
+#               | term_count x gap width u8, each 1, 2 or 4
+#               | term_count x last (a column): each term's largest doc number
+#               | each term's df - 1 gaps, in term order, at that term's width
+#               | posting_count x tf (a column), in doc number order per term | crc
 #   end of file: the end of the postings
+#
+# A term's doc numbers ascend, and its gaps are the differences between
+# each and the one before: its first doc number is its last minus the sum
+# of its gaps. The writer gives each term the narrowest width that holds
+# its largest gap, 1 when it has none.
 #
 # A column is a width u8, 1, 2 or 4, then its values as unsigned
 # integers of that many bytes each. The writer picks the narrowest width
@@ -225,13 +233,14 @@ def score_query(index: Index, field: str, terms: Sequence[str], weight: float) -
 # (``fingerprints``); 0 means not given.
 #
 # ``load_index`` checks each part whole: it fits in the file (before
-# anything is allocated for it) and its CRC matches; a column's width is
-# 1, 2 or 4; a string list holds as many strings as its head says, none
-# twice, in UTF-8; posting_count is at most the sum of the lengths, the
-# dfs add up to it and the largest doc number is below doc_count; the
-# file ends with the postings. Each block it keeps must then hold
-# strictly ascending doc numbers and tfs of at least 1, even under a
-# recomputed CRC. Only kept terms are decoded.
+# anything is allocated for it) and its CRC matches; a width is 1, 2 or
+# 4; a string list holds as many strings as its head says, none twice, in
+# UTF-8; posting_count is at most the sum of the lengths, the dfs are at
+# least 1 and add up to it, and the largest last is below doc_count,
+# which bounds every doc number, since gaps are unsigned. Each block it
+# keeps must then hold no gap of 0, a first doc number of at least 0 and
+# tfs of at least 1, even under a recomputed CRC. Only kept terms are
+# decoded.
 # ---------------------------------------------------------------------------
 
 
@@ -299,13 +308,18 @@ def _narrowed(values: array, width: int) -> array | bytes:
     return memoryview(values).cast("B").cast(_WIDTHS[width])[:: values.itemsize // width].tobytes()
 
 
+def _width(largest: int) -> int:
+    """The narrowest of 1, 2 and 4 bytes that holds ``largest``."""
+    return 1 if largest <= 0xFF else 2 if largest <= 0xFFFF else 4
+
+
 def _column(blocks: Iterable[array], largest: int) -> Iterator[array | bytes]:
     """The column of the values of ``blocks``, arrays of any unsigned
     typecode, in the narrowest width that holds ``largest``: the width
     byte, then the values about ``_CHUNK`` at a time. Blocks of one
     typecode are joined into a chunk and narrowed together, since a call
     per block would cost more than the copy."""
-    width = 1 if largest <= 0xFF else 2 if largest <= 0xFFFF else 4
+    width = _width(largest)
     yield bytes((width,))
     chunk = array(_WIDTHS[width])
     for block in blocks:
@@ -314,6 +328,23 @@ def _column(blocks: Iterable[array], largest: int) -> Iterator[array | bytes]:
             chunk = array(block.typecode)
         chunk += block
     yield _narrowed(chunk, width)
+
+
+def _gap_blocks(postings: Postings, path: str | Path) -> tuple[bytearray, bytearray]:
+    """Each term's gap width, and all the terms' gaps: a term's doc
+    numbers less the one before each, in the narrowest width that holds
+    the largest. A term whose doc numbers do not strictly ascend is
+    refused, since no gap it could store is 0 or below."""
+    widths, gaps = bytearray(), bytearray()
+    for term, (docs, _) in postings.items():
+        block = list(map(operator.sub, docs[1:], docs))
+        if block and min(block) < 1:
+            fault = "its doc numbers do not strictly ascend"
+            raise NegirError(f"{path}: cannot write term {term[:32]!r}: {fault}")
+        width = _width(max(block, default=0))
+        widths.append(width)
+        gaps += _le(array(_WIDTHS[width], block))
+    return widths, gaps
 
 
 def _write_part(out: BinaryIO, chunks: Iterable) -> None:
@@ -340,14 +371,16 @@ def save_index(index: Index, path: str | Path) -> None:
     """Write the snapshot to a temp file that replaces ``path`` on success.
     A NegirError naming ``path`` refuses, before it is opened, an index
     that ``load_index`` would not read back: a bad header or string, a
-    repeated doc id, a column value over u32, or more postings than the
-    lengths add up to. A term's postings are not checked for order, tfs
-    of 0 or doc numbers past the count.
+    repeated doc id, a term with no posting or doc numbers that do not
+    strictly ascend, a column value over u32, or more postings than the
+    lengths add up to. A term's postings are not checked for tfs of 0 or
+    doc numbers past the count.
 
     Each column is written in the narrowest width that holds its values,
-    from arrays of any unsigned typecode: the doc numbers and tfs come
-    straight from the per-term arrays, a chunk at a time, and no column
-    is built in memory.
+    and each term's gaps in the narrowest that holds the term's, from
+    arrays of any unsigned typecode. The gaps are computed in memory
+    before the path is opened; the tfs come straight from the per-term
+    arrays, a chunk at a time.
     """
     fault = header_fault(index.k1, index.b, index.fingerprints)
     if fault:
@@ -359,11 +392,15 @@ def save_index(index: Index, path: str | Path) -> None:
     postings = index.postings.values()
     terms = _encode_strings(index.postings, path)
     dfs = array("Q", (len(docs) for docs, _ in postings))
+    if 0 in dfs:
+        term = list(index.postings)[dfs.index(0)]
+        raise NegirError(f"{path}: cannot write term {term[:32]!r}: it has no posting")
+    lasts = array("Q", (docs[-1] for docs, _ in postings))
     largest = {
         "document length": max(index.doc_lengths, default=0),
         "df": max(dfs, default=0),
         # Each block ascends, so its last doc number is its largest.
-        "doc number": max((docs[-1] for docs, _ in postings if docs), default=0),
+        "doc number": max(lasts, default=0),
         "tf": max(chain.from_iterable(tfs for _, tfs in postings), default=0),
     }
     for column, value in largest.items():
@@ -375,6 +412,7 @@ def save_index(index: Index, path: str | Path) -> None:
         raise NegirError(
             f"{path}: cannot write {posting_count} postings in documents of {total} terms in all"
         )
+    widths, gaps = _gap_blocks(index.postings, path)
     with atomic_write(path, "wb") as out:
         header = _HEADER.pack(index.k1, index.b, *index.fingerprints)
         _write_part(out, (SNAPSHOT_MAGIC, bytes((SNAPSHOT_VERSION,)), header))
@@ -385,7 +423,9 @@ def save_index(index: Index, path: str | Path) -> None:
         _write_part(out, chain(
             (_POSTINGS.pack(len(dfs), len(terms), posting_count), terms),
             _column((dfs,), largest["df"]),
-            _column((docs for docs, _ in postings), largest["doc number"]),
+            (widths,),
+            _column((lasts,), largest["doc number"]),
+            (gaps,),
             _column((tfs for _, tfs in postings), largest["tf"]),
         ))
 
@@ -486,10 +526,11 @@ def load_index(path: str | Path, terms: Iterable[str] | None = None) -> Index:
 
 
 def _read_postings(reader: _Reader, doc_lengths: array, terms: Iterable[str] | None) -> Postings:
-    """The postings of every term, or of ``terms`` and their "[nx]" forms,
-    sliced from the two columns, each dropped once it is sliced. One split
-    of the term list picks the terms and is checked whole; only the kept
-    terms are decoded. Each sliced block is checked too."""
+    """The postings of every term, or of ``terms`` and their "[nx]" forms:
+    the gaps and tfs of each kept term sliced from the part, the rest
+    dropped once read. One split of the term list picks the terms and is
+    checked whole; only the kept terms are decoded, each block from its
+    last doc number and gaps, and checked."""
     term_count, term_bytes, posting_count = _POSTINGS.unpack(reader.read(_POSTINGS.size))
     if posting_count > (total := sum(doc_lengths)):  # a posting counts a term of its document
         raise reader.fail(f"{posting_count} postings in documents of {total} terms in all")
@@ -500,17 +541,28 @@ def _read_postings(reader: _Reader, doc_lengths: array, terms: Iterable[str] | N
     else:  # by position in the raw list, which is checked after the CRC
         wanted = {(prefix + term).encode("utf-8") for term in terms for prefix in ("", NX_PREFIX)}
         picks = [i for i, term in zip(range(term_count), raw_terms) if term in wanted]
+    dfs = reader.read_column(term_count)
     # u64 sums in an array: a list would hold an int object per term
-    offsets = array("Q", accumulate(reader.read_column(term_count), initial=0))
+    offsets = array("Q", accumulate(dfs, initial=0))
     if offsets[-1] != posting_count:
         raise reader.fail(f"the dfs of {_FIELD} add up to {offsets[-1]}, not {posting_count}")
-    docs = reader.read_column(posting_count)
-    # This bound is also each block's: its last doc number is below doc_count.
+    if 0 in dfs:  # a term needs a last doc number, and then has df - 1 gaps
+        raise reader.fail(f"a term of {_FIELD} has no posting")
+    widths = reader.read(term_count)
+    if bad := widths.translate(None, bytes(_WIDTHS)):
+        raise reader.fail(f"a gap width of {bad[0]}, not 1, 2 or 4")
+    lasts = reader.read_column(term_count)
+    # Gaps are unsigned, so a term's last bounds all its doc numbers.
     doc_count = len(doc_lengths)
-    if docs and max(docs) >= doc_count:
-        raise reader.fail(f"{_FIELD} lists doc number {max(docs)} of {doc_count}")
-    doc_blocks = [docs[offsets[i]:offsets[i + 1]] for i in picks]
-    del docs
+    if lasts and max(lasts) >= doc_count:
+        raise reader.fail(f"{_FIELD} lists doc number {max(lasts)} of {doc_count}")
+    # Where each term's width x (df - 1) bytes of gaps start.
+    gap_offsets = array(
+        "Q", accumulate((width * (df - 1) for width, df in zip(widths, dfs)), initial=0)
+    )
+    gaps = reader.read(gap_offsets[-1])
+    gap_blocks = [gaps[gap_offsets[i]:gap_offsets[i + 1]] for i in picks]
+    del gaps
     tfs = reader.read_column(posting_count)
     tf_blocks = [tfs[offsets[i]:offsets[i + 1]] for i in picks]
     del tfs
@@ -518,11 +570,17 @@ def _read_postings(reader: _Reader, doc_lengths: array, terms: Iterable[str] | N
     reader.check_strings(raw_terms, term_count, f"term of {_FIELD}")
     blob.decode("utf-8")  # every term is UTF-8, kept or not
     postings = {}
-    for i, block, tf_block in zip(picks, doc_blocks, tf_blocks):
+    for i, gap_block, tf_block in zip(picks, gap_blocks, tf_blocks):
         term = raw_terms[i].decode("utf-8")
-        if not all(map(operator.lt, block, block[1:])):
+        block = array(_WIDTHS[widths[i]], gap_block)
+        if _SWAP:
+            block.byteswap()
+        if 0 in block:
             raise reader.fail(f"the doc numbers of term {term!r} do not strictly ascend")
-        if not tf_block or 0 in tf_block:
-            raise reader.fail(f"term {term!r} has no posting or a tf of 0")
-        postings[term] = (block, tf_block)
+        first = lasts[i] - sum(block)
+        if first < 0:
+            raise reader.fail(f"the doc numbers of term {term!r} start below 0")
+        if 0 in tf_block:
+            raise reader.fail(f"term {term!r} has a tf of 0")
+        postings[term] = (array(lasts.typecode, accumulate(block, initial=first)), tf_block)
     return postings

@@ -151,7 +151,11 @@ def test_eval_with_sampling_matches_library(workspace, capsys):
         (
             '{"1": [["d-chest"]], "2": [["d-fever", "d-clean", "zz"]], '
             '"2": [["d-fever", "d-clean", "d-smoke"]]}',
-            "duplicate topic_id: '2'",
+            "duplicate key: '2'",
+        ),
+        (
+            '{"1": [["d-chest"]], "2 x": [["d-fever"]]}',
+            "topic_id '2 x' is empty or contains whitespace",
         ),
         # A stratum's doc ids follow the id rule of every input.
         *(
@@ -166,6 +170,8 @@ def test_eval_with_sampling_matches_library(workspace, capsys):
                 ('["x"]', "doc_id must be a string or an integer"),
                 ('""', "doc_id '' is empty or contains whitespace"),
                 ('"d 2"', "doc_id 'd 2' is empty or contains whitespace"),
+                # Only the top-level keys are topic ids.
+                ('{"": 1}', "doc_id must be a string or an integer"),
             ]
         ),
     ],
@@ -401,6 +407,34 @@ def test_compare_groups_gap_reduction_is_undefined_with_an_empty_group(tmp_path,
     assert out.endswith(
         "gap reduction P@10 [filtering]: undefined (no baseline gap) (D- P@10 -100.0%)\n"
     )
+
+
+def test_compare_groups_gap_reduction_with_a_negative_baseline_gap(tmp_path, capsys):
+    # The baseline finds the relevant d1 for the negated topic 2 ("rash,
+    # no fever" matches it on fever) and nothing relevant for topic 1: its
+    # D- P@10 0.1 is above its D+ 0.0. The gap is -0.1, not undefined, and
+    # filtering, which scores only "rash", closes all of it.
+    lines = [{"doc_id": "d1", "body": "fever"}, {"doc_id": "d2", "body": "rash"},
+             {"doc_id": "d3", "body": "cough"}]
+    (tmp_path / "docs.jsonl").write_bytes(_jsonl(*lines))
+    (tmp_path / "topics.jsonl").write_bytes(_jsonl(
+        {"topic_id": "1", "description": "cough"},
+        {"topic_id": "2", "description": "rash, no fever"},
+    ))
+    (tmp_path / "qrels.txt").write_text("1 0 d1 1\n2 0 d1 1\n", encoding="utf-8")
+    snapshot = build_snapshot(tmp_path)
+    runs = {}
+    for strategy in ("baseline", "filtering"):
+        runs[strategy] = tmp_path / f"{strategy}.run"
+        assert run_cli("run", "--index", snapshot, "--topics", tmp_path / "topics.jsonl",
+                       "--strategy", strategy, "--out", runs[strategy]) == 0
+    capsys.readouterr()
+    assert run_cli("compare-groups", "--topics", tmp_path / "topics.jsonl",
+                   "--qrels", tmp_path / "qrels.txt", "--baseline", runs["baseline"],
+                   "--run", f"filtering={runs['filtering']}", "--json") == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert (payload["d_plus_topics"], payload["d_minus_topics"]) == (["1"], ["2"])
+    assert payload["gap_reduction_p10"] == {"filtering": pytest.approx(1.0)}
 
 
 def test_run_counts_only_topics_that_write_a_line(tmp_path, capsys):
@@ -747,6 +781,15 @@ BAD_INPUTS = {
         b"<DOC>\n<DOCNO>d1</DOCNO>\n</DOC>\n<DOC>\n<DOCNO>d2</DOCNO>\n<TEXT>Cough.</TEXT>\n", 4),
     "plain-dir doc_id repeated": ("plain-dir", "a.txt", b"text", None),
     "jsonl topic_id repeated": ("topics", "topics.jsonl", _jsonl(TOPIC, TOPIC), 2),
+    # An object that sets a key twice, at any depth, in any JSON input.
+    "jsonl doc_id set twice": (
+        "collection", "docs.jsonl", b'{"doc_id": "a", "doc_id": "b", "body": "chest pain"}\n', 1),
+    "topic description set twice": (
+        "topics", "topics.jsonl",
+        _jsonl(TOPIC) + b'{"topic_id": "2", "description": "no fever", "description": "fever"}\n',
+        2),
+    "sidecar object in a stratum": (
+        "sidecar", "s.json", b'{"1": [["d1", "d3", {"": 1}], ["d2"]]}', None),
     "xml topic_id repeated": (
         "topics", "topics.xml",
         b'<topics><topic number="1"><description>x</description></topic>\n'
@@ -985,6 +1028,7 @@ def test_truncated_snapshot_exits_one(workspace, capsys):
         (nan_k1, "k1 must be a finite number >= 0, got nan"),
         (data[:5] + b"\x02" + data[6:], "unsupported snapshot version 2; rebuild the index"),
         (data[:5] + b"\x06" + data[6:], "unsupported snapshot version 6; rebuild the index"),
+        (data[:5] + b"\x07" + data[6:], "unsupported snapshot version 7; rebuild the index"),
     ):
         snapshot.write_bytes(content)
         capsys.readouterr()

@@ -173,6 +173,21 @@ def test_load_jsonl_duplicate_id(tmp_path):
         list(load_collection(path, "jsonl"))
 
 
+@pytest.mark.parametrize("line, key", [
+    ('{"doc_id": "a", "doc_id": "b", "body": "chest pain"}', "doc_id"),
+    ('{"doc_id": "a", "title": {"k": 1, "k": 2}}', "k"),
+    ('{"doc_id": "a", "body": "x", "extra": [[{"": 1, "": 1}]]}', ""),
+])
+def test_load_jsonl_refuses_a_key_set_twice(tmp_path, line, key):
+    # JSON leaves open which value of a repeated key counts, so no object
+    # may set one twice, at any depth: the last used to win.
+    path = tmp_path / "c.jsonl"
+    path.write_text('{"doc_id": "d0", "body": "fever"}\n' + line + "\n", encoding="utf-8")
+    with pytest.raises(DuplicateIdError) as refused:
+        list(load_collection(path, "jsonl"))
+    assert str(refused.value) == f"{path}:2: duplicate key: {key!r}"
+
+
 def test_load_jsonl_missing_doc_id_names_line(tmp_path):
     path = tmp_path / "docs.jsonl"
     _write_jsonl(path, [{"doc_id": "d1", "body": "x"}, {"body": "y"}])

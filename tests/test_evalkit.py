@@ -451,6 +451,13 @@ def test_gap_reduction_undefined_without_gap():
     assert gap_reduction(0.3, 0.3, 0.35) is None
 
 
+def test_gap_reduction_of_a_negative_baseline_gap_is_signed():
+    # The baseline scores its D- topics above its D+ ones: the gap is
+    # -0.2, defined, and a strategy that lowers D- to 0.4 recovers half.
+    assert gap_reduction(0.3, 0.5, 0.4) == pytest.approx(0.5)
+    assert gap_reduction(0.3, 0.5, 0.6) == pytest.approx(-0.5)
+
+
 def _single_doc_topic_run(scores_by_topic, tag):
     topics = {}
     for topic_id, relevant_hits in scores_by_topic.items():

@@ -1,6 +1,7 @@
 """Index construction, BM25 scoring, search, and snapshot round-trip."""
 
 import math
+import operator
 import random
 import struct
 import zlib
@@ -265,8 +266,8 @@ def test_snapshot_of_older_version_asks_for_rebuild(tmp_path):
     path = tmp_path / "snap.ngir"
     save_index(build_index([("d", ["x"])]), path)
     data = bytearray(path.read_bytes())
-    assert data[5] == 7  # the version byte follows the 5 magic bytes
-    for older in (5, 6):
+    assert data[5] == 8  # the version byte follows the 5 magic bytes
+    for older in (5, 6, 7):
         data[5] = older
         path.write_bytes(bytes(data))
         with pytest.raises(
@@ -297,13 +298,14 @@ def test_snapshot_out_of_range_doc_number_is_a_parse_error(tmp_path):
     path = tmp_path / "snap.ngir"
     save_index(build_index([("d", ["x"])]), path)
     data = path.read_bytes()
-    # The file ends with the postings: their df, doc-number and tf columns
-    # hold one u8 entry each after their width byte, then the part's CRC.
-    assert data[-10:-4] == bytes((1, 1, 1, 0, 1, 1))
+    # The file ends with the postings: their df column, x's gap width, the
+    # column of lasts and the tf column, each column one u8 entry after its
+    # width byte (x has no gaps), then the part's CRC.
+    assert data[-11:-4] == bytes((1, 1, 1, 1, 0, 1, 1))
     tagged = postings_start(data)
     for start, column, message in (
         (-8, b"\x01\x07", "field 'tagged' lists doc number 7 of 1"),
-        (-10, b"\x04" + struct.pack("<I", 0xFFFFFFFF),
+        (-11, b"\x04" + struct.pack("<I", 0xFFFFFFFF),
          "the dfs of field 'tagged' add up to 4294967295, not 1"),
     ):
         patched = data[:start] + column + data[start + 2:]
@@ -350,8 +352,9 @@ def test_snapshot_repeated_doc_number_fails_the_crc(tmp_path):
     path = tmp_path / "snap.ngir"
     save_index(build_index([("a", ["x"]), ("b", ["x"])]), path)
     data = path.read_bytes()
-    # The postings end with x's u8 doc numbers [0, 1], u8 tfs [1, 1], CRC.
-    assert data[-10:-4] == bytes((1, 0, 1, 1, 1, 1))
+    # The postings end with x's u8 df 2, its gap width 1, its u8 last 1,
+    # its one u8 gap 1, the u8 tfs [1, 1], then the CRC.
+    assert data[-13:-4] == bytes((1, 2, 1, 1, 1, 1, 1, 1, 1))
     path.write_bytes(data[:-8] + bytes((0,)) + data[-7:])
     with pytest.raises(ParseError, match="snap.ngir: corrupt snapshot: the field 'tagged' fails"):
         load_index(path)
@@ -372,40 +375,55 @@ def _column(values, least=1):
     return bytes((width,)) + struct.pack(f"<{len(values)}{COLUMN_FORMATS[width]}", *values)
 
 
-def _snapshot(doc_ids, lengths, terms, docs, tfs, widths=(1, 1, 1, 1), fingerprints=(0, 0)):
+def _snapshot(
+    doc_ids, lengths, terms, blocks, tfs, widths=(1, 1, 1, 1), gap_widths=(), fingerprints=(0, 0)
+):
     """Snapshot bytes from a document table, the terms with their dfs,
-    and the two posting columns, with default k1 and b. ``widths`` are
-    the least widths of the length, df, doc-number and tf columns."""
+    each term's block of doc numbers and the tf column, with default k1
+    and b. A block is stored as its last doc number and the gaps before
+    it, so it may start below 0 but not descend; an empty one as a last
+    of 0. ``widths`` are the least widths of the length, df, last and tf
+    columns, ``gap_widths`` the least gap width of each term (1 if not
+    given)."""
     ids = "\n".join(doc_ids).encode("utf-8")
     term_bytes = "\n".join(term for term, _ in terms).encode("utf-8")
     dfs = [df for _, df in terms]
+    lasts = [block[-1] if block else 0 for block in blocks]
+    gap_widths = list(gap_widths) + [1] * (len(blocks) - len(gap_widths))
+    gaps = [
+        _column([b - a for a, b in zip(block, block[1:])], least)
+        for block, least in zip(blocks, gap_widths)
+    ]
     return (
-        _snapshot_part(b"NGIR1", struct.pack("<BddII", 7, 1.2, 0.75, *fingerprints))
+        _snapshot_part(b"NGIR1", struct.pack("<BddII", 8, 1.2, 0.75, *fingerprints))
         + _snapshot_part(
             struct.pack("<II", len(doc_ids), len(ids)), ids, _column(lengths, widths[0]),
         )
         + _snapshot_part(
-            struct.pack("<III", len(terms), len(term_bytes), len(docs)), term_bytes,
-            _column(dfs, widths[1]), _column(docs, widths[2]), _column(tfs, widths[3]),
+            struct.pack("<III", len(terms), len(term_bytes), len(tfs)), term_bytes,
+            _column(dfs, widths[1]), bytes(column[0] for column in gaps),
+            _column(lasts, widths[2]), *(column[1:] for column in gaps), _column(tfs, widths[3]),
         )
     )
 
 
 def test_snapshot_bytes_are_pinned(tmp_path):
     index = build_index(
-        [("a", ["x", "[nx]y", "x"]), ("b-\u00e9", ["y"])], fingerprints=(0x01020304, 0xA0B0C0D0)
+        [("a", ["x", "[nx]y", "x"]), ("b-\u00e9", ["y"]), ("c", ["x"])],
+        fingerprints=(0x01020304, 0xA0B0C0D0),
     )
     path = tmp_path / "snap.ngir"
     save_index(index, path)
     expected = _snapshot(
-        ["a", "b-\u00e9"], [3, 1], [("x", 1), ("[nx]y", 1), ("y", 1)], [0, 0, 1], [2, 1, 1],
-        fingerprints=(0x01020304, 0xA0B0C0D0),
+        ["a", "b-\u00e9", "c"], [3, 1, 1], [("x", 2), ("[nx]y", 1), ("y", 1)],
+        [[0, 2], [0], [1]], [2, 1, 1, 1], fingerprints=(0x01020304, 0xA0B0C0D0),
     )
     assert path.read_bytes() == expected
     # Every column is u8: its width byte, then one byte per value. The
-    # postings end with the dfs, the doc numbers and the tfs, then the CRC.
-    assert expected[-16:-4] == bytes((1, 1, 1, 1, 1, 0, 0, 1, 1, 2, 1, 1))
-    assert HEADER_BYTES == len(_snapshot_part(b"NGIR1", struct.pack("<BddII", 7, 0, 0, 0, 0)))
+    # postings end with the dfs, a gap width per term, the lasts, x's one
+    # gap (2, from doc 0 to doc 2) and the tfs, then the CRC.
+    assert expected[-21:-4] == bytes((1, 2, 1, 1, 1, 1, 1, 1, 2, 0, 1, 2, 1, 2, 1, 1, 1))
+    assert HEADER_BYTES == len(_snapshot_part(b"NGIR1", struct.pack("<BddII", 8, 0, 0, 0, 0)))
 
 
 def small_snapshot(tmp_path):
@@ -458,9 +476,11 @@ def test_snapshot_repeated_doc_number_with_its_crc_recomputed_is_a_parse_error(t
     save_index(index, path)
     data = path.read_bytes()
     start = postings_start(data)
-    column = start + 12 + len(b"x\ny") + 3  # after the head, the terms and the u8 dfs
-    assert data[column:column + 4] == bytes((1, 0, 1, 1))  # width 1, x's [0, 1], y's [1]
-    patched = data[:column + 2] + bytes((0,)) + data[column + 3:]
+    # After the head, the terms, the u8 dfs and the gap widths: the u8
+    # lasts, x's 1 and y's 1, then x's one gap, 1, which becomes 0.
+    lasts = start + 12 + len(b"x\ny") + 3 + 2
+    assert data[lasts:lasts + 4] == bytes((1, 1, 1, 1))
+    patched = data[:lasts + 3] + bytes((0,)) + data[lasts + 4:]
     path.write_bytes(resealed(patched, start, len(data) - 4))
     for terms in (None, ("x",), ("x", "[nx]x")):
         with pytest.raises(
@@ -472,24 +492,41 @@ def test_snapshot_repeated_doc_number_with_its_crc_recomputed_is_a_parse_error(t
 
 
 @pytest.mark.parametrize("terms, docs, tfs, message", [
-    ([("x", 2)], [1, 0], [1, 1],
+    ([("x", 2)], [[1, 1]], [1, 1],
      "corrupt snapshot: the doc numbers of term 'x' do not strictly ascend"),
-    ([("x", 1), ("y", 1)], [0, 1], [0, 1], "corrupt snapshot: term 'x' has no posting or a tf"),
-    ([("x", 0), ("y", 1)], [0], [1], "corrupt snapshot: term 'x' has no posting or a tf of 0"),
-    ([("x", 2), ("y", 1)], [0, 1, 0], [1, 1, 1],
+    ([("x", 1), ("y", 1)], [[0], [1]], [0, 1], "corrupt snapshot: term 'x' has a tf of 0"),
+    ([("x", 2)], [[-1, 1]], [1, 1],
+     "corrupt snapshot: the doc numbers of term 'x' start below 0"),
+    ([("x", 2), ("y", 1)], [[0, 1], [0]], [1, 1, 1],
      "corrupt snapshot: 3 postings in documents of 2 terms in all"),
+    ([("x", 0), ("y", 1)], [[], [0]], [1],
+     "corrupt snapshot: a term of field 'tagged' has no posting"),
 ])
 def test_snapshot_crafted_block_is_a_parse_error(tmp_path, terms, docs, tfs, message):
     # Crafted postings with valid CRCs, in two documents of one term each:
-    # each is refused by a full load and by one that picks the term. The
-    # last holds more postings than its documents hold terms, which would
-    # leave a document with no length norm to score it by when all the
-    # lengths are 0.
+    # each is refused by a full load and by one that picks the term. A
+    # block is stored as its last doc number and its gaps, so a gap of 0
+    # repeats a doc number and gaps that add up to more than the last
+    # start it below 0. The last holds more postings than its documents
+    # hold terms, which would leave a document with no length norm to
+    # score it by when all the lengths are 0.
     path = tmp_path / "snap.ngir"
     path.write_bytes(_snapshot(["a", "b"], [1, 1], terms, docs, tfs))
     for picked in (None, ("x", "[nx]x")):
         with pytest.raises(ParseError, match=f"snap.ngir: {message}"):
             load_index(path, picked)
+
+
+def test_a_last_doc_number_equal_to_the_count_is_a_parse_error(tmp_path):
+    # Doc numbers run from 0 to the count - 1: the bound is strict, and it
+    # covers the column of lasts, not only the picked terms.
+    path = tmp_path / "snap.ngir"
+    path.write_bytes(_snapshot(["a", "b"], [1, 1], [("x", 1), ("y", 1)], [[0], [2]], [1, 1]))
+    for terms in (None, ("x",), ()):
+        with pytest.raises(
+            ParseError, match="snap.ngir: corrupt snapshot: field 'tagged' lists doc number 2 of 2"
+        ):
+            load_index(path, terms=terms)
 
 
 SNAPSHOT_VOCAB = ["fever", "cough", "r\u00e4sh", "x"]
@@ -592,20 +629,23 @@ U32_MAX = 0xFFFFFFFF
 
 @st.composite
 def crafted_snapshots(draw):
-    """``(doc_ids, lengths, terms with dfs, doc numbers, tfs, widths)`` of
-    a small built index, each mutated or not, for ``_snapshot`` to write
-    with every CRC recomputed. Each column is as wide as its values need,
-    or wider where ``widths`` asks for more."""
+    """``(doc_ids, lengths, terms with dfs, blocks, tfs, widths,
+    gap_widths)`` of a small built index, each mutated or not, for
+    ``_snapshot`` to write with every CRC recomputed. A block is mutated
+    through what the file stores of it: its last doc number or one of its
+    gaps. Each column and each term's gaps are as wide as their values
+    need, or wider where ``widths`` and ``gap_widths`` ask for more."""
     vocab = SNAPSHOT_VOCAB + ["[nx]" + term for term in SNAPSHOT_VOCAB]
     docs = draw(st.lists(st.lists(st.sampled_from(vocab), max_size=5), min_size=1, max_size=4))
     index = build_index((f"d{i}", terms) for i, terms in enumerate(docs))
     ids, lengths = list(index.doc_ids), list(index.doc_lengths)
     terms = [(term, len(numbers)) for term, (numbers, _) in index.postings.items()]
-    numbers = [n for block, _ in index.postings.values() for n in block]
+    blocks = [list(numbers) for numbers, _ in index.postings.values()]
     tfs = [tf for _, block in index.postings.values() for tf in block]
     count = st.one_of(st.integers(0, 4), st.just(U32_MAX))
     for _ in range(draw(st.integers(0, 3))):
-        kind = draw(st.sampled_from(["length", "lengths", "id", "df", "doc", "tf"]))
+        kind = draw(st.sampled_from(["length", "lengths", "id", "df", "last", "gap", "tf"]))
+        gapped = [block for block in blocks if len(block) > 1]
         if kind == "length":
             lengths[draw(st.integers(0, len(lengths) - 1))] = draw(count)
         elif kind == "lengths":
@@ -617,22 +657,54 @@ def crafted_snapshots(draw):
         elif kind == "df" and terms:
             i = draw(st.integers(0, len(terms) - 1))
             terms[i] = (terms[i][0], draw(count))
-        elif kind == "doc" and numbers:
-            numbers[draw(st.integers(0, len(numbers) - 1))] = draw(count)
+        elif kind == "last" and blocks:  # moves the whole block
+            block = blocks[draw(st.integers(0, len(blocks) - 1))]
+            shift = draw(count) - block[-1]
+            block[:] = [number + shift for number in block]
+        elif kind == "gap" and gapped:  # moves the doc numbers before it
+            block = draw(st.sampled_from(gapped))
+            i = draw(st.integers(1, len(block) - 1))
+            shift = block[i] - block[i - 1] - draw(count)
+            block[:i] = [number + shift for number in block[:i]]
         elif kind == "tf" and tfs:
             tfs[draw(st.integers(0, len(tfs) - 1))] = draw(count)
     widths = draw(st.tuples(*[st.sampled_from([1, 2, 4])] * 4))
-    return ids, lengths, terms, numbers, tfs, widths
+    gap_widths = draw(st.lists(st.sampled_from([1, 2, 4]), min_size=len(blocks),
+                               max_size=len(blocks)))
+    return ids, lengths, terms, blocks, tfs, widths, gap_widths
 
 
-def decoded_fields(ids, lengths, terms, numbers, tfs):
-    """The tagged and plain ``Counter`` of each doc_id, read from the
-    columns without the engine, and each doc_id's length."""
+def _read_column(data, start, count):
+    """The ``count`` values of the column at ``start`` of the snapshot
+    ``data``, and where the column ends."""
+    end = start + 1 + data[start] * count
+    return struct.unpack(f"<{count}{COLUMN_FORMATS[data[start]]}", data[start + 1:end]), end
+
+
+def decoded_fields(data):
+    """The tagged and plain ``Counter`` of each doc_id, and each doc_id's
+    length, read from the snapshot bytes ``data`` without the engine:
+    each term's doc numbers are rebuilt backwards from its last."""
+    doc_count, id_bytes = struct.unpack_from("<II", data, HEADER_BYTES)
+    ids_start = HEADER_BYTES + 8
+    ids = data[ids_start:ids_start + id_bytes].decode("utf-8").split("\n")
+    lengths, _ = _read_column(data, ids_start + id_bytes, doc_count)
+    start = postings_start(data)
+    term_count, term_bytes, posting_count = struct.unpack_from("<III", data, start)
+    terms = data[start + 12:start + 12 + term_bytes].decode("utf-8").split("\n")
+    dfs, end = _read_column(data, start + 12 + term_bytes, term_count)
+    gap_widths, end = data[end:end + term_count], end + term_count
+    lasts, end = _read_column(data, end, term_count)
+    blocks = []
+    for df, width, last in zip(dfs, gap_widths, lasts):
+        gaps = struct.unpack_from(f"<{df - 1}{COLUMN_FORMATS[width]}", data, end)
+        end += width * (df - 1)
+        blocks.append(list(accumulate(reversed(gaps), operator.sub, initial=last))[::-1])
+    tfs = iter(_read_column(data, end, posting_count)[0])
     tagged = {doc_id: Counter() for doc_id in ids}
-    offsets = list(accumulate((df for _, df in terms), initial=0))
-    for (term, _), start, end in zip(terms, offsets, offsets[1:]):
-        for number, tf in zip(numbers[start:end], tfs[start:end]):
-            tagged[ids[number]][term] = tf
+    for term, block in zip(terms, blocks):
+        for number in block:
+            tagged[ids[number]][term] = next(tfs)
     plain = {doc_id: Counter() for doc_id in ids}
     for doc_id, counts in tagged.items():
         for term, tf in counts.items():
@@ -654,12 +726,12 @@ CRAFTED_STRATEGIES = [Strategy(kind) for kind in STRATEGY_KINDS] + [
 )
 # Documents shorter than their postings, doc_ids a run line cannot hold,
 # and a plain tf that no u32 holds, merged from x and "[nx]x" in doc a.
-@example((["a", "b"], [0, 0], [("x", 2)], [0, 1], [1, 1]), X_BUNDLE, None)
-@example((["a b", ""], [1, 1], [("x", 2)], [0, 1], [1, 1]), X_BUNDLE, None)
-@example((["a", "b"], [1, 1], [("x", 1), ("[nx]x", 1)], [0, 0], [U32_MAX, 1]), X_BUNDLE, set())
-# Columns wider than their values need.
-@example((["a", "b"], [1, 2], [("x", 2), ("[nx]x", 1)], [0, 1, 1], [1, 1, 1], (4, 2, 4, 2)),
-         X_BUNDLE, None)
+@example((["a", "b"], [0, 0], [("x", 2)], [[0, 1]], [1, 1]), X_BUNDLE, None)
+@example((["a b", ""], [1, 1], [("x", 2)], [[0, 1]], [1, 1]), X_BUNDLE, None)
+@example((["a", "b"], [1, 1], [("x", 1), ("[nx]x", 1)], [[0], [0]], [U32_MAX, 1]), X_BUNDLE, set())
+# Columns and gaps wider than their values need.
+@example((["a", "b"], [1, 2], [("x", 2), ("[nx]x", 1)], [[0, 1], [1]], [1, 1, 1], (4, 2, 4, 2),
+          (4, 2)), X_BUNDLE, None)
 def test_crafted_snapshot_is_refused_or_ranks_as_the_oracle(
     tmp_path_factory, crafted, bundle, extra
 ):
@@ -674,7 +746,7 @@ def test_crafted_snapshot_is_refused_or_ranks_as_the_oracle(
     except ParseError as exc:
         assert str(exc).startswith(f"{path}: ")
         return
-    plain, tagged, lengths = decoded_fields(*crafted[:5])
+    plain, tagged, lengths = decoded_fields(path.read_bytes())
     run = RunResult("crafted", {})
     for number, strategy in enumerate(CRAFTED_STRATEGIES):
         ranked = run_strategy(strategy, bundle, index, 1000)
@@ -811,7 +883,17 @@ OVER_U32 = 2**32 + 5
      f"cannot write the tf column: {OVER_U32} is out of the u32 range"),
     ({"x": (array("I", [0]), array("I", [1])), "y": (array("I", [0]), array("I", [1]))},
      array("I", [1]), "cannot write 2 postings in documents of 1 terms in all"),
-], ids=["length over u32", "tf over u32", "more postings than terms"])
+    # A block is stored as its last doc number and its gaps, all above 0.
+    ({"x": (array("I", [0]), array("I", [1])), "y": (array("I"), array("I"))}, array("I", [2]),
+     "cannot write term 'y': it has no posting"),
+    ({"x": (array("I", [1, 0]), array("I", [1, 1]))}, array("I", [2]),
+     "cannot write term 'x': its doc numbers do not strictly ascend"),
+    ({"x": (array("Q", [0, 2**33, 0]), array("I", [1, 1, 1]))}, array("I", [3]),
+     "cannot write term 'x': its doc numbers do not strictly ascend"),
+    ({"x": (array("B", [0, 0]), array("I", [1, 1]))}, array("I", [2]),
+     "cannot write term 'x': its doc numbers do not strictly ascend"),
+], ids=["length over u32", "tf over u32", "more postings than terms", "term with no posting",
+        "doc numbers descend", "doc numbers over u32 descend", "doc number repeated"])
 def test_save_refuses_a_column_that_load_would_misread_or_refuse(
     tmp_path, postings, lengths, fault
 ):
@@ -907,9 +989,9 @@ def test_save_of_a_loaded_index_gives_its_bytes(tmp_path):
 
 
 def test_save_narrows_a_column_wider_than_its_values_need(tmp_path):
-    crafted = (["a", "b"], [1, 2], [("x", 2), ("[nx]x", 1)], [0, 1, 1], [1, 1, 1])
+    crafted = (["a", "b"], [1, 2], [("x", 2), ("[nx]x", 1)], [[0, 1], [1]], [1, 1, 1])
     path, resaved = tmp_path / "wide.ngir", tmp_path / "resaved.ngir"
-    path.write_bytes(_snapshot(*crafted, widths=(4, 2, 4, 4)))
+    path.write_bytes(_snapshot(*crafted, widths=(4, 2, 4, 4), gap_widths=(4, 2)))
     save_index(load_index(path), resaved)
     assert resaved.read_bytes() == _snapshot(*crafted)
 
@@ -925,13 +1007,13 @@ def test_save_takes_blocks_of_any_unsigned_typecode(tmp_path):
     path = tmp_path / "snap.ngir"
     save_index(index, path)
     assert path.read_bytes() == _snapshot(
-        ["a", "b"], [3, 302], [("x", 1), ("y", 2), ("z", 1)], [0, 0, 1, 1], [1, 2, 300, 1]
+        ["a", "b"], [3, 302], [("x", 1), ("y", 2), ("z", 1)], [[0], [0, 1], [1]], [1, 2, 300, 1]
     )
     assert load_index(path).postings == postings
 
 
 def test_a_tf_of_u32_max_makes_the_tf_column_u32(tmp_path):
-    crafted = (["a", "b"], [1, 1], [("x", 2)], [0, 1], [U32_MAX, 1])
+    crafted = (["a", "b"], [1, 1], [("x", 2)], [[0, 1]], [U32_MAX, 1])
     path, resaved = tmp_path / "snap.ngir", tmp_path / "resaved.ngir"
     path.write_bytes(_snapshot(*crafted))
     data = path.read_bytes()
@@ -944,13 +1026,17 @@ def test_a_tf_of_u32_max_makes_the_tf_column_u32(tmp_path):
 
 @pytest.mark.parametrize("doc_count, width", [(256, 1), (257, 2), (65_536, 2), (65_537, 4)])
 def test_the_doc_number_column_is_as_wide_as_the_last_doc_number(tmp_path, doc_count, width):
-    # Doc numbers run from 0 to doc_count - 1, and "x" is in every document.
+    # Doc numbers run from 0 to doc_count - 1, and "x" is in every
+    # document: its last is doc_count - 1, and its gaps are u8 1s.
     path = tmp_path / "snap.ngir"
     index = build_index((f"d{i}", ["x"]) for i in range(doc_count))
     save_index(index, path)
     data = path.read_bytes()
-    tf_column = len(data) - 4 - 1 - doc_count
-    assert data[tf_column - width * doc_count - 1] == width
+    gaps = len(data) - 4 - 1 - doc_count - (doc_count - 1)  # before the u8 tfs and the CRC
+    assert data[gaps:gaps + doc_count - 1] == b"\x01" * (doc_count - 1)
+    lasts = gaps - 1 - width  # x's last, after the column's width byte
+    assert data[lasts - 1:lasts + 1] == bytes((1, width))  # x's gap width, the column's width
+    assert int.from_bytes(data[lasts + 1:gaps], "little") == doc_count - 1
     loaded = load_index(path)
     assert loaded.postings == index.postings
     assert loaded.postings["x"][0].itemsize == width
@@ -958,14 +1044,17 @@ def test_the_doc_number_column_is_as_wide_as_the_last_doc_number(tmp_path, doc_c
 
 def column_starts(data):
     """Where each of the four columns of the snapshot ``data`` starts:
-    the lengths, the dfs, the doc numbers and the tfs."""
+    the lengths, the dfs, the lasts and the tfs; and the gap widths."""
     doc_count, id_bytes = struct.unpack_from("<II", data, HEADER_BYTES)
     lengths = HEADER_BYTES + 8 + id_bytes
     postings = postings_start(data)
     term_count, term_bytes, posting_count = struct.unpack_from("<III", data, postings)
     dfs = postings + 12 + term_bytes
-    docs = dfs + 1 + data[dfs] * term_count
-    return lengths, dfs, docs, docs + 1 + data[docs] * posting_count
+    df_values, gap_widths = _read_column(data, dfs, term_count)
+    lasts = gap_widths + term_count
+    gaps = _read_column(data, lasts, term_count)[1]
+    tfs = gaps + sum(width * (df - 1) for width, df in zip(data[gap_widths:lasts], df_values))
+    return (lengths, dfs, lasts, tfs), gap_widths
 
 
 @pytest.mark.parametrize("width", [0, 3, 8])
@@ -974,7 +1063,8 @@ def test_a_column_width_other_than_1_2_or_4_is_a_parse_error(tmp_path, width):
     path, _ = small_snapshot(tmp_path)
     data = path.read_bytes()
     postings = postings_start(data)
-    for column in column_starts(data):
+    columns, gap_widths = column_starts(data)
+    for column in columns:
         start, end = (HEADER_BYTES, postings - 4) if column < postings else (postings, len(data) - 4)
         patched = data[:column] + bytes((width,)) + data[column + 1:]
         path.write_bytes(resealed(patched, start, end))
@@ -982,5 +1072,15 @@ def test_a_column_width_other_than_1_2_or_4_is_a_parse_error(tmp_path, width):
             with pytest.raises(
                 ParseError,
                 match=f"^{path}: corrupt snapshot: a column of width {width}, not 1, 2 or 4$",
+            ):
+                load_index(path, terms)
+    # The gap width of each term, the picked one or another.
+    for term in range(3):
+        patched = data[:gap_widths + term] + bytes((width,)) + data[gap_widths + term + 1:]
+        path.write_bytes(resealed(patched, postings, len(data) - 4))
+        for terms in (None, ("fever",), ("rash",)):
+            with pytest.raises(
+                ParseError,
+                match=f"^{path}: corrupt snapshot: a gap width of {width}, not 1, 2 or 4$",
             ):
                 load_index(path, terms)
