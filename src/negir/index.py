@@ -56,7 +56,7 @@ DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
 SNAPSHOT_MAGIC = b"NGIR1"
-SNAPSHOT_VERSION = 8
+SNAPSHOT_VERSION = 9
 
 U32 = "I"  # array typecode of the doc numbers, lengths and tfs a build makes (4 bytes)
 Postings = dict[str, tuple[array, array]]  # term -> (ascending doc numbers, tfs)
@@ -202,21 +202,31 @@ def score_query(index: Index, field: str, terms: Sequence[str], weight: float) -
 # ---------------------------------------------------------------------------
 # Binary snapshot
 #
-# Layout (little-endian), version 8. The file has three parts, and each
+# Layout (little-endian), version 9. The file has three parts, and each
 # ends with a u32 zlib.crc32 of all its bytes before that:
 #   header:     magic "NGIR1" | version u8 | k1 f64 | b f64
 #               | stopwords fingerprint u32 | lexicon fingerprint u32 | crc
 #   documents:  doc_count u32 | id_bytes u32
 #               | the doc_ids in doc number order (a string list of id_bytes)
 #               | doc_count x length (a column) | crc
-#   postings:   term_count u32 | term_bytes u32 | posting_count u32
-#               | the tagged terms (a string list of term_bytes)
+#   postings:   term_count u32 | text_count u32 | text_bytes u32 | posting_count u32
+#               | the term texts (a string list of text_bytes)
 #               | term_count x df (a column)
-#               | term_count x gap width u8, each 1, 2 or 4
+#               | term_count x kind u8: a gap width, 1, 2 or 4, plus 0x40
+#                 for an "[nx]" form and 0x80 for a second form
+#               | one back-reference per second form (a column)
 #               | term_count x last (a column): each term's largest doc number
 #               | each term's df - 1 gaps, in term order, at that term's width
 #               | posting_count x tf (a column), in doc number order per term | crc
 #   end of file: the end of the postings
+#
+# A term's text is the term with one leading "[nx]" removed, and its form
+# says whether that prefix was there. At most two terms share a text, one
+# of each form. The first of them in term order is a first form: it takes
+# the next string of the text list, which lists each text once, in order
+# of first use. The other is a second form: its back-reference is the
+# number of that earlier term, and it shares its text. Term order is kept,
+# so the loaded postings are as they were saved.
 #
 # A term's doc numbers ascend, and its gaps are the differences between
 # each and the one before: its first doc number is its last minus the sum
@@ -237,7 +247,11 @@ def score_query(index: Index, field: str, terms: Sequence[str], weight: float) -
 # 4; a string list holds as many strings as its head says, none twice, in
 # UTF-8; posting_count is at most the sum of the lengths, the dfs are at
 # least 1 and add up to it, and the largest last is below doc_count,
-# which bounds every doc number, since gaps are unsigned. Each block it
+# which bounds every doc number, since gaps are unsigned. A kind byte has
+# no other bit set; text_count is the number of first forms; each
+# back-reference names an earlier first form of the other form, which no
+# other term names; no plain term's text starts with "[nx]". So every
+# term is distinct and saves back to its own text and form. Each block it
 # keeps must then hold no gap of 0, a first doc number of at least 0 and
 # tfs of at least 1, even under a recomputed CRC. Only kept terms are
 # decoded.
@@ -246,10 +260,16 @@ def score_query(index: Index, field: str, terms: Sequence[str], weight: float) -
 
 _HEADER = struct.Struct("<ddII")  # after the magic and the version byte
 _DOCUMENTS = struct.Struct("<II")
-_POSTINGS = struct.Struct("<III")
+_POSTINGS = struct.Struct("<IIII")
 _U32 = struct.Struct("<I")
 _SWAP = sys.byteorder == "big"  # blocks are little-endian on disk
 _WIDTHS = {1: "B", 2: "H", 4: U32}  # a column's width byte -> its array typecode
+# A kind byte's bits for a term that is its text's "[nx]" form and for a
+# second form. The second is the top bit, so a first form's kind is below it.
+_NX, _SECOND = 0x40, 0x80
+_KINDS = bytes(width | form for width in _WIDTHS for form in (0, _NX, _SECOND, _NX | _SECOND))
+_GAP_WIDTH = bytes(kind & ~(_NX | _SECOND) for kind in range(256))  # translates a kind to its width
+_NX_BYTES = NX_PREFIX.encode("utf-8")
 _CHUNK = 4096  # values narrowed at once: few calls, and no whole column in memory
 _FIELD = f"field {TAGGED!r}"  # the stored field, as errors name it
 
@@ -334,9 +354,13 @@ def _gap_blocks(postings: Postings, path: str | Path) -> tuple[bytearray, bytear
     """Each term's gap width, and all the terms' gaps: a term's doc
     numbers less the one before each, in the narrowest width that holds
     the largest. A term whose doc numbers do not strictly ascend is
-    refused, since no gap it could store is 0 or below."""
+    refused, since no gap it could store is 0 or below, and so is one
+    with more or fewer tfs than doc numbers."""
     widths, gaps = bytearray(), bytearray()
-    for term, (docs, _) in postings.items():
+    for term, (docs, tfs) in postings.items():
+        if len(tfs) != len(docs):
+            fault = f"it has {len(tfs)} tfs for {len(docs)} doc numbers"
+            raise NegirError(f"{path}: cannot write term {term[:32]!r}: {fault}")
         block = list(map(operator.sub, docs[1:], docs))
         if block and min(block) < 1:
             fault = "its doc numbers do not strictly ascend"
@@ -345,6 +369,26 @@ def _gap_blocks(postings: Postings, path: str | Path) -> tuple[bytearray, bytear
         widths.append(width)
         gaps += _le(array(_WIDTHS[width], block))
     return widths, gaps
+
+
+def _vocabulary(terms: Iterable[str]) -> tuple[list[str], bytearray, array]:
+    """Each distinct term text, in order of first use; each term's form
+    bits; and for each second form, in term order, the number of the
+    earlier term of its text."""
+    texts: list[str] = []
+    forms, refs = bytearray(), array(U32)
+    first: dict[str, int] = {}
+    for number, term in enumerate(terms):
+        text = term.removeprefix(NX_PREFIX)
+        form = _NX if len(text) < len(term) else 0
+        earlier = first.setdefault(text, number)
+        if earlier == number:
+            texts.append(text)
+        else:  # only the other form of the text can come before
+            form |= _SECOND
+            refs.append(earlier)
+        forms.append(form)
+    return texts, forms, refs
 
 
 def _write_part(out: BinaryIO, chunks: Iterable) -> None:
@@ -371,10 +415,10 @@ def save_index(index: Index, path: str | Path) -> None:
     """Write the snapshot to a temp file that replaces ``path`` on success.
     A NegirError naming ``path`` refuses, before it is opened, an index
     that ``load_index`` would not read back: a bad header or string, a
-    repeated doc id, a term with no posting or doc numbers that do not
-    strictly ascend, a column value over u32, or more postings than the
-    lengths add up to. A term's postings are not checked for tfs of 0 or
-    doc numbers past the count.
+    repeated doc id, a term with no posting, with doc numbers that do not
+    strictly ascend or with more or fewer tfs than doc numbers, a column
+    value over u32, or more postings than the lengths add up to. A term's
+    postings are not checked for tfs of 0 or doc numbers past the count.
 
     Each column is written in the narrowest width that holds its values,
     and each term's gaps in the narrowest that holds the term's, from
@@ -390,7 +434,8 @@ def save_index(index: Index, path: str | Path) -> None:
     if fault:
         raise NegirError(f"{path}: cannot write the document table: {fault}")
     postings = index.postings.values()
-    terms = _encode_strings(index.postings, path)
+    texts, forms, refs = _vocabulary(index.postings)
+    text_bytes = _encode_strings(texts, path)
     dfs = array("Q", (len(docs) for docs, _ in postings))
     if 0 in dfs:
         term = list(index.postings)[dfs.index(0)]
@@ -413,6 +458,7 @@ def save_index(index: Index, path: str | Path) -> None:
             f"{path}: cannot write {posting_count} postings in documents of {total} terms in all"
         )
     widths, gaps = _gap_blocks(index.postings, path)
+    kinds = bytes(map(operator.or_, widths, forms))
     with atomic_write(path, "wb") as out:
         header = _HEADER.pack(index.k1, index.b, *index.fingerprints)
         _write_part(out, (SNAPSHOT_MAGIC, bytes((SNAPSHOT_VERSION,)), header))
@@ -421,9 +467,10 @@ def save_index(index: Index, path: str | Path) -> None:
             _column((index.doc_lengths,), largest["document length"]),
         ))
         _write_part(out, chain(
-            (_POSTINGS.pack(len(dfs), len(terms), posting_count), terms),
+            (_POSTINGS.pack(len(dfs), len(texts), len(text_bytes), posting_count), text_bytes),
             _column((dfs,), largest["df"]),
-            (widths,),
+            (kinds,),
+            _column((refs,), max(refs, default=0)),
             _column((lasts,), largest["doc number"]),
             (gaps,),
             _column((tfs for _, tfs in postings), largest["tf"]),
@@ -471,7 +518,7 @@ class _Reader:
         return values
 
     def check_strings(self, values: list, count: int, item: str) -> None:
-        """Check a split string list once its part passed the CRC."""
+        """Check a split string list before its strings name anything."""
         fault = _strings_fault(values, count, item)
         if fault:
             raise self.fail(fault)
@@ -525,22 +572,46 @@ def load_index(path: str | Path, terms: Iterable[str] | None = None) -> Index:
     return Index(postings, doc_ids, doc_lengths, k1, b, (stopwords_fp, lexicon_fp))
 
 
+def _term_texts(reader: _Reader, texts: list[bytes], kinds: bytes, refs: array) -> list[bytes]:
+    """Each term's text: a first form's is the next of ``texts``, a second
+    form's that of the term its back-reference names, which must be an
+    earlier first form of the other form that no other term names. A
+    plain term's text may not start with "[nx]", as that term's own would."""
+    term_texts: list[bytes] = []
+    firsts, seconds, named = iter(texts), iter(refs), set()
+    for number, kind in enumerate(kinds):
+        if kind < _SECOND:
+            text = next(firsts)
+        elif (ref := next(seconds)) >= number:
+            raise reader.fail(f"the back-reference of term {number} is {ref}, not an earlier term")
+        elif kinds[ref] & _SECOND:
+            raise reader.fail(f"term {number} refers to term {ref}, a second form")
+        elif not (kinds[ref] ^ kind) & _NX:
+            raise reader.fail(f"term {number} refers to term {ref}, of its own form")
+        elif ref in named:
+            raise reader.fail(f"term {ref} is referred to twice")
+        else:
+            named.add(ref)
+            text = term_texts[ref]
+        if not kind & _NX and text.startswith(_NX_BYTES):
+            raise reader.fail(f"plain term {number} has a text that starts with {NX_PREFIX!r}")
+        term_texts.append(text)
+    return term_texts
+
+
 def _read_postings(reader: _Reader, doc_lengths: array, terms: Iterable[str] | None) -> Postings:
     """The postings of every term, or of ``terms`` and their "[nx]" forms:
     the gaps and tfs of each kept term sliced from the part, the rest
-    dropped once read. One split of the term list picks the terms and is
-    checked whole; only the kept terms are decoded, each block from its
-    last doc number and gaps, and checked."""
-    term_count, term_bytes, posting_count = _POSTINGS.unpack(reader.read(_POSTINGS.size))
+    dropped once read. The text list, the kinds and the back-references
+    are checked whole before they name the terms; the picks match the
+    texts of ``terms``. Only the kept terms are decoded, each block from
+    its last doc number and gaps, and checked."""
+    term_count, text_count, text_bytes, posting_count = _POSTINGS.unpack(
+        reader.read(_POSTINGS.size)
+    )
     if posting_count > (total := sum(doc_lengths)):  # a posting counts a term of its document
         raise reader.fail(f"{posting_count} postings in documents of {total} terms in all")
-    blob = reader.read(term_bytes)
-    raw_terms = blob.split(b"\n") if term_count or blob else []
-    if terms is None:
-        picks: Sequence[int] = range(term_count)
-    else:  # by position in the raw list, which is checked after the CRC
-        wanted = {(prefix + term).encode("utf-8") for term in terms for prefix in ("", NX_PREFIX)}
-        picks = [i for i, term in zip(range(term_count), raw_terms) if term in wanted]
+    blob = reader.read(text_bytes)
     dfs = reader.read_column(term_count)
     # u64 sums in an array: a list would hold an int object per term
     offsets = array("Q", accumulate(dfs, initial=0))
@@ -548,14 +619,32 @@ def _read_postings(reader: _Reader, doc_lengths: array, terms: Iterable[str] | N
         raise reader.fail(f"the dfs of {_FIELD} add up to {offsets[-1]}, not {posting_count}")
     if 0 in dfs:  # a term needs a last doc number, and then has df - 1 gaps
         raise reader.fail(f"a term of {_FIELD} has no posting")
-    widths = reader.read(term_count)
-    if bad := widths.translate(None, bytes(_WIDTHS)):
-        raise reader.fail(f"a gap width of {bad[0]}, not 1, 2 or 4")
+    kinds = reader.read(term_count)
+    if bad := kinds.translate(None, _KINDS):
+        raise reader.fail(f"a gap width of {_GAP_WIDTH[bad[0]]}, not 1, 2 or 4")
+    seconds = len(kinds.translate(None, bytes(range(_SECOND))))
+    if text_count != term_count - seconds:
+        raise reader.fail(f"{text_count} term texts for {term_count - seconds} first forms")
+    refs = reader.read_column(seconds)
+    widths = kinds.translate(_GAP_WIDTH)
     lasts = reader.read_column(term_count)
     # Gaps are unsigned, so a term's last bounds all its doc numbers.
     doc_count = len(doc_lengths)
     if lasts and max(lasts) >= doc_count:
         raise reader.fail(f"{_FIELD} lists doc number {max(lasts)} of {doc_count}")
+    texts = blob.split(b"\n") if text_count or blob else []
+    reader.check_strings(texts, text_count, f"term text of {_FIELD}")
+    term_texts = _term_texts(reader, texts, kinds, refs)
+    if terms is None:
+        picks: Sequence[int] = range(term_count)
+    else:  # each pick t and "[nx]" + t: an "[nx]" term's text may also be a pick less "[nx]"
+        # A lone surrogate passes into bytes that are not UTF-8, so match no text.
+        plain = {term.encode("utf-8", "surrogatepass") for term in terms}
+        negated = plain | {text[len(_NX_BYTES):] for text in plain if text.startswith(_NX_BYTES)}
+        picks = [
+            i for i, text, kind in zip(range(term_count), term_texts, kinds)
+            if text in (negated if kind & _NX else plain)
+        ]
     # Where each term's width x (df - 1) bytes of gaps start.
     gap_offsets = array(
         "Q", accumulate((width * (df - 1) for width, df in zip(widths, dfs)), initial=0)
@@ -567,11 +656,12 @@ def _read_postings(reader: _Reader, doc_lengths: array, terms: Iterable[str] | N
     tf_blocks = [tfs[offsets[i]:offsets[i + 1]] for i in picks]
     del tfs
     reader.end_part(_FIELD)
-    reader.check_strings(raw_terms, term_count, f"term of {_FIELD}")
-    blob.decode("utf-8")  # every term is UTF-8, kept or not
+    blob.decode("utf-8")  # every text is UTF-8, kept or not
     postings = {}
     for i, gap_block, tf_block in zip(picks, gap_blocks, tf_blocks):
-        term = raw_terms[i].decode("utf-8")
+        term = term_texts[i].decode("utf-8")
+        if kinds[i] & _NX:
+            term = NX_PREFIX + term
         block = array(_WIDTHS[widths[i]], gap_block)
         if _SWAP:
             block.byteswap()

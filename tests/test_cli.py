@@ -1029,6 +1029,7 @@ def test_truncated_snapshot_exits_one(workspace, capsys):
         (data[:5] + b"\x02" + data[6:], "unsupported snapshot version 2; rebuild the index"),
         (data[:5] + b"\x06" + data[6:], "unsupported snapshot version 6; rebuild the index"),
         (data[:5] + b"\x07" + data[6:], "unsupported snapshot version 7; rebuild the index"),
+        (data[:5] + b"\x08" + data[6:], "unsupported snapshot version 8; rebuild the index"),
     ):
         snapshot.write_bytes(content)
         capsys.readouterr()

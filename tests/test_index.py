@@ -7,7 +7,7 @@ import struct
 import zlib
 from array import array
 from collections import Counter
-from itertools import accumulate
+from itertools import accumulate, product
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -266,8 +266,8 @@ def test_snapshot_of_older_version_asks_for_rebuild(tmp_path):
     path = tmp_path / "snap.ngir"
     save_index(build_index([("d", ["x"])]), path)
     data = bytearray(path.read_bytes())
-    assert data[5] == 8  # the version byte follows the 5 magic bytes
-    for older in (5, 6, 7):
+    assert data[5] == 9  # the version byte follows the 5 magic bytes
+    for older in (5, 6, 7, 8):
         data[5] = older
         path.write_bytes(bytes(data))
         with pytest.raises(
@@ -298,14 +298,15 @@ def test_snapshot_out_of_range_doc_number_is_a_parse_error(tmp_path):
     path = tmp_path / "snap.ngir"
     save_index(build_index([("d", ["x"])]), path)
     data = path.read_bytes()
-    # The file ends with the postings: their df column, x's gap width, the
-    # column of lasts and the tf column, each column one u8 entry after its
-    # width byte (x has no gaps), then the part's CRC.
-    assert data[-11:-4] == bytes((1, 1, 1, 1, 0, 1, 1))
+    # The file ends with the postings: their df column, x's kind (gap
+    # width 1), the empty column of back-references, the column of lasts
+    # and the tf column, each other column one u8 entry after its width
+    # byte (x has no gaps), then the part's CRC.
+    assert data[-12:-4] == bytes((1, 1, 1, 1, 1, 0, 1, 1))
     tagged = postings_start(data)
     for start, column, message in (
         (-8, b"\x01\x07", "field 'tagged' lists doc number 7 of 1"),
-        (-11, b"\x04" + struct.pack("<I", 0xFFFFFFFF),
+        (-12, b"\x04" + struct.pack("<I", 0xFFFFFFFF),
          "the dfs of field 'tagged' add up to 4294967295, not 1"),
     ):
         patched = data[:start] + column + data[start + 2:]
@@ -331,13 +332,14 @@ def test_snapshot_duplicate_doc_id_is_a_parse_error(tmp_path):
 
 
 def test_snapshot_repeated_term_is_a_parse_error(tmp_path):
-    # Terms are read by the same string-list check as the doc_ids.
+    # Term texts are read by the same string-list check as the doc_ids: a
+    # text listed twice would load two terms of one text and form.
     path = tmp_path / "snap.ngir"
     save_index(build_index([("d", ["xy", "zw"])]), path)
     data = path.read_bytes()
     for terms, message in (
-        (b"xy\nxy", "a term of field 'tagged' is listed twice"),
-        (b"xy-zw", "1 strings where 2 are listed, one per term of field 'tagged'"),
+        (b"xy\nxy", "a term text of field 'tagged' is listed twice"),
+        (b"xy-zw", "1 strings where 2 are listed, one per term text of field 'tagged'"),
     ):
         patched = data.replace(b"xy\nzw", terms, 1)
         path.write_bytes(resealed(patched, postings_start(data), len(data) - 4))
@@ -352,9 +354,10 @@ def test_snapshot_repeated_doc_number_fails_the_crc(tmp_path):
     path = tmp_path / "snap.ngir"
     save_index(build_index([("a", ["x"]), ("b", ["x"])]), path)
     data = path.read_bytes()
-    # The postings end with x's u8 df 2, its gap width 1, its u8 last 1,
-    # its one u8 gap 1, the u8 tfs [1, 1], then the CRC.
-    assert data[-13:-4] == bytes((1, 2, 1, 1, 1, 1, 1, 1, 1))
+    # The postings end with x's u8 df 2, its kind (gap width 1), the empty
+    # column of back-references, its u8 last 1, its one u8 gap 1, the u8
+    # tfs [1, 1], then the CRC.
+    assert data[-14:-4] == bytes((1, 2, 1, 1, 1, 1, 1, 1, 1, 1))
     path.write_bytes(data[:-8] + bytes((0,)) + data[-7:])
     with pytest.raises(ParseError, match="snap.ngir: corrupt snapshot: the field 'tagged' fails"):
         load_index(path)
@@ -375,18 +378,41 @@ def _column(values, least=1):
     return bytes((width,)) + struct.pack(f"<{len(values)}{COLUMN_FORMATS[width]}", *values)
 
 
+NX, SECOND = 0x40, 0x80  # the form bits of a term's kind byte
+
+
+def _vocabulary(terms):
+    """``(text_count, texts, forms, refs)`` as the writer stores ``terms``:
+    each distinct text, the term less one leading "[nx]", in order of
+    first use; each term's form bits; each second form's back-reference."""
+    texts, forms, refs, first = [], [], [], {}
+    for number, term in enumerate(terms):
+        text = term.removeprefix("[nx]")
+        earlier = first.setdefault(text, number)
+        forms.append((NX if text != term else 0) | (SECOND if earlier != number else 0))
+        if earlier == number:
+            texts.append(text)
+        else:
+            refs.append(earlier)
+    return len(texts), texts, forms, refs
+
+
 def _snapshot(
-    doc_ids, lengths, terms, blocks, tfs, widths=(1, 1, 1, 1), gap_widths=(), fingerprints=(0, 0)
+    doc_ids, lengths, terms, blocks, tfs, widths=(1, 1, 1, 1, 1), gap_widths=(), vocabulary=None,
+    fingerprints=(0, 0),
 ):
     """Snapshot bytes from a document table, the terms with their dfs,
     each term's block of doc numbers and the tf column, with default k1
     and b. A block is stored as its last doc number and the gaps before
     it, so it may start below 0 but not descend; an empty one as a last
-    of 0. ``widths`` are the least widths of the length, df, last and tf
-    columns, ``gap_widths`` the least gap width of each term (1 if not
-    given)."""
+    of 0. ``widths`` are the least widths of the length, df,
+    back-reference, last and tf columns, ``gap_widths`` the least gap
+    width of each term (1 if not given). ``vocabulary``, if given,
+    replaces what ``_vocabulary`` makes of the terms, whose names are
+    then not stored."""
     ids = "\n".join(doc_ids).encode("utf-8")
-    term_bytes = "\n".join(term for term, _ in terms).encode("utf-8")
+    text_count, texts, forms, refs = vocabulary or _vocabulary([term for term, _ in terms])
+    text_bytes = "\n".join(texts).encode("utf-8")
     dfs = [df for _, df in terms]
     lasts = [block[-1] if block else 0 for block in blocks]
     gap_widths = list(gap_widths) + [1] * (len(blocks) - len(gap_widths))
@@ -394,15 +420,16 @@ def _snapshot(
         _column([b - a for a, b in zip(block, block[1:])], least)
         for block, least in zip(blocks, gap_widths)
     ]
+    kinds = bytes(column[0] | form for column, form in zip(gaps, forms))
     return (
-        _snapshot_part(b"NGIR1", struct.pack("<BddII", 8, 1.2, 0.75, *fingerprints))
+        _snapshot_part(b"NGIR1", struct.pack("<BddII", 9, 1.2, 0.75, *fingerprints))
         + _snapshot_part(
             struct.pack("<II", len(doc_ids), len(ids)), ids, _column(lengths, widths[0]),
         )
         + _snapshot_part(
-            struct.pack("<III", len(terms), len(term_bytes), len(tfs)), term_bytes,
-            _column(dfs, widths[1]), bytes(column[0] for column in gaps),
-            _column(lasts, widths[2]), *(column[1:] for column in gaps), _column(tfs, widths[3]),
+            struct.pack("<IIII", len(terms), text_count, len(text_bytes), len(tfs)), text_bytes,
+            _column(dfs, widths[1]), kinds, _column(refs, widths[2]), _column(lasts, widths[3]),
+            *(column[1:] for column in gaps), _column(tfs, widths[4]),
         )
     )
 
@@ -419,11 +446,17 @@ def test_snapshot_bytes_are_pinned(tmp_path):
         [[0, 2], [0], [1]], [2, 1, 1, 1], fingerprints=(0x01020304, 0xA0B0C0D0),
     )
     assert path.read_bytes() == expected
+    # Three terms, two texts ("x\ny", 3 bytes) and four postings.
+    assert struct.unpack_from("<IIII", expected, postings_start(expected)) == (3, 2, 3, 4)
     # Every column is u8: its width byte, then one byte per value. The
-    # postings end with the dfs, a gap width per term, the lasts, x's one
-    # gap (2, from doc 0 to doc 2) and the tfs, then the CRC.
-    assert expected[-21:-4] == bytes((1, 2, 1, 1, 1, 1, 1, 1, 2, 0, 1, 2, 1, 2, 1, 1, 1))
-    assert HEADER_BYTES == len(_snapshot_part(b"NGIR1", struct.pack("<BddII", 8, 0, 0, 0, 0)))
+    # postings end with the dfs; a kind per term, gap width 1 plus the
+    # form bits: "[nx]y" is the "[nx]" form of y, and y a second form
+    # whose back-reference is term 1; the lasts, x's one gap (2, from doc
+    # 0 to doc 2) and the tfs, then the CRC.
+    assert expected[-23:-4] == bytes(
+        (1, 2, 1, 1, 0x01, 0x41, 0x81, 1, 1, 1, 2, 0, 1, 2, 1, 2, 1, 1, 1)
+    )
+    assert HEADER_BYTES == len(_snapshot_part(b"NGIR1", struct.pack("<BddII", 9, 0, 0, 0, 0)))
 
 
 def small_snapshot(tmp_path):
@@ -476,9 +509,10 @@ def test_snapshot_repeated_doc_number_with_its_crc_recomputed_is_a_parse_error(t
     save_index(index, path)
     data = path.read_bytes()
     start = postings_start(data)
-    # After the head, the terms, the u8 dfs and the gap widths: the u8
-    # lasts, x's 1 and y's 1, then x's one gap, 1, which becomes 0.
-    lasts = start + 12 + len(b"x\ny") + 3 + 2
+    # After the head, the texts, the u8 dfs, the kinds and the empty
+    # column of back-references: the u8 lasts, x's 1 and y's 1, then x's
+    # one gap, 1, which becomes 0.
+    lasts = start + 16 + len(b"x\ny") + 3 + 2 + 1
     assert data[lasts:lasts + 4] == bytes((1, 1, 1, 1))
     patched = data[:lasts + 3] + bytes((0,)) + data[lasts + 4:]
     path.write_bytes(resealed(patched, start, len(data) - 4))
@@ -527,6 +561,40 @@ def test_a_last_doc_number_equal_to_the_count_is_a_parse_error(tmp_path):
             ParseError, match="snap.ngir: corrupt snapshot: field 'tagged' lists doc number 2 of 2"
         ):
             load_index(path, terms=terms)
+
+
+@pytest.mark.parametrize("vocabulary, message", [
+    # A second form's back-reference must name an earlier term ...
+    ((1, ["x"], [NX | SECOND, 0], [1]), "the back-reference of term 0 is 1, not an earlier term"),
+    ((1, ["x"], [0, NX | SECOND], [1]), "the back-reference of term 1 is 1, not an earlier term"),
+    # ... of the other form, which is a first form ...
+    ((1, ["x"], [0, SECOND], [0]), "term 1 refers to term 0, of its own form"),
+    ((1, ["x"], [0, NX | SECOND, SECOND], [0, 1]), "term 2 refers to term 1, a second form"),
+    # ... and that no other term names.
+    ((1, ["x"], [0, NX | SECOND, NX | SECOND], [0, 0]), "term 0 is referred to twice"),
+    # The text count is the number of first forms.
+    ((1, ["x"], [0, 0], []), "1 term texts for 2 first forms"),
+    ((2, ["x", "y"], [0, NX | SECOND], [0]), "2 term texts for 1 first forms"),
+    # A text is listed once, so no (text, form) pair repeats.
+    ((2, ["x", "x"], [0, 0], []), "a term text of field 'tagged' is listed twice"),
+    ((2, ["x", "x"], [0, NX], []), "a term text of field 'tagged' is listed twice"),
+    # "[nx]x" is the "[nx]" form of x, so no plain term has that text.
+    ((2, ["[nx]x", "x"], [0, NX], []), "plain term 0 has a text that starts with '\\[nx\\]'"),
+    ((1, ["[nx]x"], [NX, SECOND], [0]), "plain term 1 has a text that starts with '\\[nx\\]'"),
+], ids=["later", "itself", "own form", "second form", "twice", "too few texts", "too many texts",
+        "text twice", "text twice in two forms", "plain nx text", "plain nx text by reference"])
+def test_snapshot_crafted_vocabulary_is_a_parse_error(tmp_path, vocabulary, message):
+    # Crafted term names with valid CRCs, one posting per term: each is
+    # refused by a full load and by picked ones, whatever they pick.
+    path = tmp_path / "snap.ngir"
+    count = len(vocabulary[2])
+    doc_ids, terms = [f"d{i}" for i in range(count)], [("unused", 1)] * count
+    blocks = [[i] for i in range(count)]
+    path.write_bytes(_snapshot(doc_ids, [1] * count, terms, blocks, [1] * count,
+                               vocabulary=vocabulary))
+    for picked in (None, ("x",), ("[nx]x",), ()):
+        with pytest.raises(ParseError, match=f"^{path}: corrupt snapshot: {message}$"):
+            load_index(path, picked)
 
 
 SNAPSHOT_VOCAB = ["fever", "cough", "r\u00e4sh", "x"]
@@ -630,11 +698,13 @@ U32_MAX = 0xFFFFFFFF
 @st.composite
 def crafted_snapshots(draw):
     """``(doc_ids, lengths, terms with dfs, blocks, tfs, widths,
-    gap_widths)`` of a small built index, each mutated or not, for
-    ``_snapshot`` to write with every CRC recomputed. A block is mutated
-    through what the file stores of it: its last doc number or one of its
-    gaps. Each column and each term's gaps are as wide as their values
-    need, or wider where ``widths`` and ``gap_widths`` ask for more."""
+    gap_widths, vocabulary)`` of a small built index, each mutated or
+    not, for ``_snapshot`` to write with every CRC recomputed. A block is
+    mutated through what the file stores of it: its last doc number or
+    one of its gaps; a term's name through the vocabulary: a text, a form
+    bit, a back-reference or the text count. Each column and each term's
+    gaps are as wide as their values need, or wider where ``widths`` and
+    ``gap_widths`` ask for more."""
     vocab = SNAPSHOT_VOCAB + ["[nx]" + term for term in SNAPSHOT_VOCAB]
     docs = draw(st.lists(st.lists(st.sampled_from(vocab), max_size=5), min_size=1, max_size=4))
     index = build_index((f"d{i}", terms) for i, terms in enumerate(docs))
@@ -642,9 +712,12 @@ def crafted_snapshots(draw):
     terms = [(term, len(numbers)) for term, (numbers, _) in index.postings.items()]
     blocks = [list(numbers) for numbers, _ in index.postings.values()]
     tfs = [tf for _, block in index.postings.values() for tf in block]
+    text_count, texts, forms, refs = _vocabulary(index.postings)
     count = st.one_of(st.integers(0, 4), st.just(U32_MAX))
     for _ in range(draw(st.integers(0, 3))):
-        kind = draw(st.sampled_from(["length", "lengths", "id", "df", "last", "gap", "tf"]))
+        kind = draw(st.sampled_from(
+            ["length", "lengths", "id", "df", "last", "gap", "tf", "text", "form", "ref", "texts"]
+        ))
         gapped = [block for block in blocks if len(block) > 1]
         if kind == "length":
             lengths[draw(st.integers(0, len(lengths) - 1))] = draw(count)
@@ -668,10 +741,18 @@ def crafted_snapshots(draw):
             block[:i] = [number + shift for number in block[:i]]
         elif kind == "tf" and tfs:
             tfs[draw(st.integers(0, len(tfs) - 1))] = draw(count)
-    widths = draw(st.tuples(*[st.sampled_from([1, 2, 4])] * 4))
+        elif kind == "text" and texts:
+            texts[draw(st.integers(0, len(texts) - 1))] = draw(st.sampled_from(vocab + [""]))
+        elif kind == "form" and forms:
+            forms[draw(st.integers(0, len(forms) - 1))] ^= NX
+        elif kind == "ref" and refs:
+            refs[draw(st.integers(0, len(refs) - 1))] = draw(count)
+        elif kind == "texts":
+            text_count = draw(count)
+    widths = draw(st.tuples(*[st.sampled_from([1, 2, 4])] * 5))
     gap_widths = draw(st.lists(st.sampled_from([1, 2, 4]), min_size=len(blocks),
                                max_size=len(blocks)))
-    return ids, lengths, terms, blocks, tfs, widths, gap_widths
+    return ids, lengths, terms, blocks, tfs, widths, gap_widths, (text_count, texts, forms, refs)
 
 
 def _read_column(data, start, count):
@@ -684,27 +765,35 @@ def _read_column(data, start, count):
 def decoded_fields(data):
     """The tagged and plain ``Counter`` of each doc_id, and each doc_id's
     length, read from the snapshot bytes ``data`` without the engine:
-    each term's doc numbers are rebuilt backwards from its last."""
+    each term's name from its kind and its text or back-reference, and
+    its doc numbers rebuilt backwards from its last."""
     doc_count, id_bytes = struct.unpack_from("<II", data, HEADER_BYTES)
     ids_start = HEADER_BYTES + 8
     ids = data[ids_start:ids_start + id_bytes].decode("utf-8").split("\n")
     lengths, _ = _read_column(data, ids_start + id_bytes, doc_count)
     start = postings_start(data)
-    term_count, term_bytes, posting_count = struct.unpack_from("<III", data, start)
-    terms = data[start + 12:start + 12 + term_bytes].decode("utf-8").split("\n")
-    dfs, end = _read_column(data, start + 12 + term_bytes, term_count)
-    gap_widths, end = data[end:end + term_count], end + term_count
+    term_count, _, text_bytes, posting_count = struct.unpack_from("<IIII", data, start)
+    texts = iter(data[start + 16:start + 16 + text_bytes].decode("utf-8").split("\n"))
+    dfs, end = _read_column(data, start + 16 + text_bytes, term_count)
+    kinds, end = data[end:end + term_count], end + term_count
+    refs, end = _read_column(data, end, sum(kind >= SECOND for kind in kinds))
+    refs = iter(refs)
     lasts, end = _read_column(data, end, term_count)
+    terms = []
+    for kind in kinds:
+        text = next(texts) if kind < SECOND else terms[next(refs)].removeprefix("[nx]")
+        terms.append("[nx]" + text if kind & NX else text)
     blocks = []
-    for df, width, last in zip(dfs, gap_widths, lasts):
-        gaps = struct.unpack_from(f"<{df - 1}{COLUMN_FORMATS[width]}", data, end)
-        end += width * (df - 1)
+    for df, kind, last in zip(dfs, kinds, lasts):
+        gaps = struct.unpack_from(f"<{df - 1}{COLUMN_FORMATS[kind % NX]}", data, end)
+        end += kind % NX * (df - 1)
         blocks.append(list(accumulate(reversed(gaps), operator.sub, initial=last))[::-1])
     tfs = iter(_read_column(data, end, posting_count)[0])
     tagged = {doc_id: Counter() for doc_id in ids}
     for term, block in zip(terms, blocks):
-        for number in block:
-            tagged[ids[number]][term] = next(tfs)
+        for number, tf in zip(block, tfs):
+            if number >= 0:  # else in a block that a picked load neither keeps nor checks
+                tagged[ids[number]][term] = tf
     plain = {doc_id: Counter() for doc_id in ids}
     for doc_id, counts in tagged.items():
         for term, tf in counts.items():
@@ -730,7 +819,7 @@ CRAFTED_STRATEGIES = [Strategy(kind) for kind in STRATEGY_KINDS] + [
 @example((["a b", ""], [1, 1], [("x", 2)], [[0, 1]], [1, 1]), X_BUNDLE, None)
 @example((["a", "b"], [1, 1], [("x", 1), ("[nx]x", 1)], [[0], [0]], [U32_MAX, 1]), X_BUNDLE, set())
 # Columns and gaps wider than their values need.
-@example((["a", "b"], [1, 2], [("x", 2), ("[nx]x", 1)], [[0, 1], [1]], [1, 1, 1], (4, 2, 4, 2),
+@example((["a", "b"], [1, 2], [("x", 2), ("[nx]x", 1)], [[0, 1], [1]], [1, 1, 1], (4, 2, 4, 4, 2),
           (4, 2)), X_BUNDLE, None)
 def test_crafted_snapshot_is_refused_or_ranks_as_the_oracle(
     tmp_path_factory, crafted, bundle, extra
@@ -911,6 +1000,27 @@ def test_save_refuses_a_column_that_load_would_misread_or_refuse(
     assert sorted(p.name for p in tmp_path.iterdir()) == ["snap.ngir", "target"]
 
 
+@pytest.mark.parametrize("tfs, fault", [
+    (array("I", [1]), "cannot write term 'x': it has 1 tfs for 2 doc numbers"),
+    (array("I", [1, 1, 1]), "cannot write term 'x': it has 3 tfs for 2 doc numbers"),
+], ids=["fewer tfs", "more tfs"])
+def test_save_refuses_a_term_whose_tfs_are_not_as_many_as_its_doc_numbers(tmp_path, tfs, fault):
+    # The tf column has one tf per doc number, which load_index reads by
+    # the dfs: a save of fewer tfs used to make a file that it refused
+    # ("needed 4 bytes, found 3"). The refusal comes before the path is
+    # opened: a symlink keeps its target's bytes.
+    target, path = tmp_path / "target", tmp_path / "snap.ngir"
+    target.write_bytes(b"previous snapshot")
+    path.symlink_to(target)
+    index = Index({"x": (array("I", [0, 1]), tfs)}, ["a", "b"], array("I", [1, 1]), 1.2, 0.75,
+                  (0, 0))
+    with pytest.raises(NegirError) as refused:
+        save_index(index, path)
+    assert str(refused.value) == f"{path}: {fault}"
+    assert target.read_bytes() == b"previous snapshot"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["snap.ngir", "target"]
+
+
 def test_save_refuses_a_doc_id_listed_twice(tmp_path):
     # build_index refuses the repeat; a hand-made Index is refused by the
     # save, before the path is opened, not by the load that follows.
@@ -924,11 +1034,18 @@ def test_save_refuses_a_doc_id_listed_twice(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+# Terms from a small alphabet, with no "[nx]", with one or with two, so
+# that a text may have both forms in either order, "" and "[nx]" among them.
+HAND_MADE_TERMS = st.builds(
+    operator.add, st.sampled_from(["", "[nx]", "[nx][nx]"]), st.text("ab", max_size=2)
+)
+
+
 @st.composite
 def hand_made_indexes(draw):
-    """An ``Index`` made without ``build_index``: ids from a small
-    alphabet, so some repeat, and each column of one typecode, Q
-    included, with values up to 2**33, often at a width's edge. Each
+    """An ``Index`` made without ``build_index``: ids and terms from a
+    small alphabet, so some ids repeat, and each column of one typecode,
+    Q included, with values up to 2**33, often at a width's edge. Each
     term's doc numbers ascend below the document count, and its tfs are
     at least 1."""
     ids = draw(st.lists(st.text("ab", max_size=2), max_size=5))
@@ -942,17 +1059,31 @@ def hand_made_indexes(draw):
 
     lengths = column(typecodes[0], len(ids))
     postings = {}
-    terms = draw(st.lists(st.text("ab", max_size=2), unique=True, max_size=4)) if ids else []
+    terms = draw(st.lists(HAND_MADE_TERMS, unique=True, max_size=4)) if ids else []
     for term in terms:
         docs = sorted(draw(st.sets(st.integers(0, len(ids) - 1), min_size=1)))
         postings[term] = (array(typecodes[1], docs), column(typecodes[2], len(docs), low=1))
     return Index(postings, ids, lengths, 1.2, 0.75, (0, 0))
 
 
+def one_posting_each(terms):
+    """An ``Index`` of two documents in which each of ``terms`` has one
+    posting, in the first."""
+    postings = {term: (array("I", [0]), array("I", [1])) for term in terms}
+    return Index(postings, ["a", "b"], array("I", [len(terms), 0]), 1.2, 0.75, (0, 0))
+
+
+# "" and "[nx]" share the text "", and "[nx]a" comes before "a".
+TWO_FORMS = one_posting_each(["[nx]a", "", "[nx]", "a", "[nx][nx]a", "[nx][nx]"])
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(hand_made_indexes())
+@example(TWO_FORMS)
+@example(one_posting_each(["[nx]", "[nx][nx]", ""]))
 def test_save_refuses_or_load_reads_back(tmp_path_factory, index):
-    # Whatever save_index writes, load_index reads back as it was given.
+    # Whatever save_index writes, load_index reads back as it was given,
+    # in its term order, and saves again to the same bytes.
     path = tmp_path_factory.mktemp("snap") / "snap.ngir"
     try:
         save_index(index, path)
@@ -962,8 +1093,36 @@ def test_save_refuses_or_load_reads_back(tmp_path_factory, index):
     loaded = load_index(path)
     assert loaded.doc_ids == index.doc_ids
     assert list(loaded.doc_lengths) == list(index.doc_lengths)
-    as_lists = {term: (list(docs), list(tfs)) for term, (docs, tfs) in index.postings.items()}
-    assert {term: (list(d), list(t)) for term, (d, t) in loaded.postings.items()} == as_lists
+    as_lists = [(term, list(docs), list(tfs)) for term, (docs, tfs) in index.postings.items()]
+    assert [(term, list(d), list(t)) for term, (d, t) in loaded.postings.items()] == as_lists
+    resaved = path.with_name("resaved.ngir")
+    save_index(loaded, resaved)
+    assert resaved.read_bytes() == path.read_bytes()
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(hand_made_indexes(), st.sets(st.one_of(HAND_MADE_TERMS, st.just("absent"))))
+@example(TWO_FORMS, {"a"})
+@example(TWO_FORMS, {"[nx]a"})
+@example(TWO_FORMS, {""})
+@example(TWO_FORMS, {"[nx]", "absent"})
+@example(TWO_FORMS, {"[nx][nx]a"})
+@example(TWO_FORMS, {"\ud800", "[nx]\udc80"})  # no stored term holds a lone surrogate
+def test_picked_load_keeps_each_pick_and_its_nx_form(tmp_path_factory, index, picks):
+    # A picked load keeps exactly the terms of the full load that are a
+    # pick t or "[nx]" + t, in the full load's order: "[nx]a" keeps
+    # "[nx]a" and "[nx][nx]a" but not "a".
+    path = tmp_path_factory.mktemp("snap") / "snap.ngir"
+    try:
+        save_index(index, path)
+    except NegirError:
+        return
+    full = load_index(path)
+    kept = [
+        (term, p) for term, p in full.postings.items()
+        if any(term in (pick, "[nx]" + pick) for pick in picks)
+    ]
+    assert list(load_index(path, picks).postings.items()) == kept
 
 
 def test_empty_term_survives_a_round_trip(tmp_path):
@@ -991,7 +1150,7 @@ def test_save_of_a_loaded_index_gives_its_bytes(tmp_path):
 def test_save_narrows_a_column_wider_than_its_values_need(tmp_path):
     crafted = (["a", "b"], [1, 2], [("x", 2), ("[nx]x", 1)], [[0, 1], [1]], [1, 1, 1])
     path, resaved = tmp_path / "wide.ngir", tmp_path / "resaved.ngir"
-    path.write_bytes(_snapshot(*crafted, widths=(4, 2, 4, 4), gap_widths=(4, 2)))
+    path.write_bytes(_snapshot(*crafted, widths=(4, 2, 4, 4, 4), gap_widths=(4, 2)))
     save_index(load_index(path), resaved)
     assert resaved.read_bytes() == _snapshot(*crafted)
 
@@ -1043,18 +1202,20 @@ def test_the_doc_number_column_is_as_wide_as_the_last_doc_number(tmp_path, doc_c
 
 
 def column_starts(data):
-    """Where each of the four columns of the snapshot ``data`` starts:
-    the lengths, the dfs, the lasts and the tfs; and the gap widths."""
+    """Where each of the five columns of the snapshot ``data`` starts:
+    the lengths, the dfs, the back-references, the lasts and the tfs;
+    and the kinds."""
     doc_count, id_bytes = struct.unpack_from("<II", data, HEADER_BYTES)
     lengths = HEADER_BYTES + 8 + id_bytes
     postings = postings_start(data)
-    term_count, term_bytes, posting_count = struct.unpack_from("<III", data, postings)
-    dfs = postings + 12 + term_bytes
-    df_values, gap_widths = _read_column(data, dfs, term_count)
-    lasts = gap_widths + term_count
+    term_count, _, text_bytes, _ = struct.unpack_from("<IIII", data, postings)
+    dfs = postings + 16 + text_bytes
+    df_values, kinds = _read_column(data, dfs, term_count)
+    refs = kinds + term_count
+    lasts = _read_column(data, refs, sum(kind >= SECOND for kind in data[kinds:refs]))[1]
     gaps = _read_column(data, lasts, term_count)[1]
-    tfs = gaps + sum(width * (df - 1) for width, df in zip(data[gap_widths:lasts], df_values))
-    return (lengths, dfs, lasts, tfs), gap_widths
+    tfs = gaps + sum(kind % NX * (df - 1) for kind, df in zip(data[kinds:refs], df_values))
+    return (lengths, dfs, refs, lasts, tfs), kinds
 
 
 @pytest.mark.parametrize("width", [0, 3, 8])
@@ -1063,7 +1224,7 @@ def test_a_column_width_other_than_1_2_or_4_is_a_parse_error(tmp_path, width):
     path, _ = small_snapshot(tmp_path)
     data = path.read_bytes()
     postings = postings_start(data)
-    columns, gap_widths = column_starts(data)
+    columns, kinds = column_starts(data)
     for column in columns:
         start, end = (HEADER_BYTES, postings - 4) if column < postings else (postings, len(data) - 4)
         patched = data[:column] + bytes((width,)) + data[column + 1:]
@@ -1074,9 +1235,10 @@ def test_a_column_width_other_than_1_2_or_4_is_a_parse_error(tmp_path, width):
                 match=f"^{path}: corrupt snapshot: a column of width {width}, not 1, 2 or 4$",
             ):
                 load_index(path, terms)
-    # The gap width of each term, the picked one or another.
-    for term in range(3):
-        patched = data[:gap_widths + term] + bytes((width,)) + data[gap_widths + term + 1:]
+    # The gap width of each term, the picked one or another, with its form
+    # bits or without them: cough is stored as "[nx]" form alone.
+    for term, form in product(range(3), (0, NX, SECOND, NX | SECOND)):
+        patched = data[:kinds + term] + bytes((width | form,)) + data[kinds + term + 1:]
         path.write_bytes(resealed(patched, postings, len(data) - 4))
         for terms in (None, ("fever",), ("rash",)):
             with pytest.raises(
