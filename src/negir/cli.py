@@ -17,7 +17,9 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
+from contextlib import suppress
 from pathlib import Path
 from typing import NamedTuple
 
@@ -155,10 +157,38 @@ def _say(line: str, stream=None) -> None:
     written as backslash escapes; a line it can encode keeps its bytes."""
     stream = stream or sys.stdout
     try:
-        print(line, file=stream)
-    except UnicodeEncodeError:
-        encoding = stream.encoding or "utf-8"
-        print(line.encode(encoding, "backslashreplace").decode(encoding), file=stream)
+        try:
+            print(line, file=stream)
+        except UnicodeEncodeError:
+            encoding = stream.encoding or "utf-8"
+            print(line.encode(encoding, "backslashreplace").decode(encoding), file=stream)
+    except OSError as exc:
+        if stream is sys.stdout:
+            raise _stdout_failed(exc) from None
+        raise
+
+
+def _flush_stdout() -> None:
+    """Flush standard output, so that a failed write of what it buffers
+    fails the command, not the interpreter's flush at exit. A closed
+    standard output, None, has nothing to flush."""
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        raise _stdout_failed(exc) from None
+
+
+def _stdout_failed(exc: OSError) -> OSError:
+    """``exc``, raised by a write to standard output, as an error that
+    names standard output "-". What its buffer still holds then goes to
+    the null device, so that the flush at exit does not fail again."""
+    with suppress(OSError, ValueError):  # a standard output with no file descriptor
+        stdout = sys.stdout.fileno()
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, stdout)
+        os.close(null)
+    return OSError(exc.errno, exc.strerror, "-")
 
 
 def _summary_stream(out: str):
@@ -478,7 +508,9 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        _flush_stdout()
+        return code
     except (NegirError, OSError) as exc:
         message = str(exc)
         if isinstance(exc, OSError) and exc.filename:  # the file first, as in a ParseError

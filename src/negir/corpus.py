@@ -153,7 +153,8 @@ def atomic_write(path: str | Path, mode: str, encoding: str | None = None) -> It
     """Write to a temp file next to ``path`` that replaces ``path`` on
     success; on any exception the temp file is removed and ``path`` is
     left as it was. An OSError while writing is raised against ``path``,
-    the file the caller named, not the temp file.
+    the file the caller named, not the temp file nor file descriptor 1,
+    whichever is written.
 
     Only a new path or a regular file is replaced. A symlink, a device
     or a pipe (``/dev/stdout`` is all three in turn) is written in place,
@@ -163,23 +164,24 @@ def atomic_write(path: str | Path, mode: str, encoding: str | None = None) -> It
     is already there (or truncate a file opened for appending).
     """
     path = Path(path)
-    if is_stdout(path):
-        sys.stdout.flush()
-        with open(1, mode, encoding=encoding, closefd=False) as out:
-            yield out
-        return
-    if path.is_symlink() or (path.exists() and not path.is_file()):
-        with open(path, mode, encoding=encoding) as out:
-            yield out
-        return
-    temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    temp = None
     try:
-        with open(temp, mode, encoding=encoding) as out:
-            yield out
-        os.replace(temp, path)
+        if is_stdout(path):
+            sys.stdout.flush()
+            with open(1, mode, encoding=encoding, closefd=False) as out:
+                yield out
+        elif path.is_symlink() or (path.exists() and not path.is_file()):
+            with open(path, mode, encoding=encoding) as out:
+                yield out
+        else:
+            temp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+            with open(temp, mode, encoding=encoding) as out:
+                yield out
+            os.replace(temp, path)
     except BaseException as exc:
-        with suppress(FileNotFoundError, NotADirectoryError):  # no temp file was made
-            temp.unlink()
+        if temp:
+            with suppress(FileNotFoundError, NotADirectoryError):  # no temp file was made
+                temp.unlink()
         if isinstance(exc, OSError):
             raise OSError(exc.errno, exc.strerror, str(path)) from None
         raise

@@ -31,6 +31,7 @@ positive weights.
 
 from __future__ import annotations
 
+import io
 import math
 import operator
 import os
@@ -41,7 +42,7 @@ import zlib
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate, chain
+from itertools import accumulate, chain, compress, repeat
 from pathlib import Path
 from typing import BinaryIO, Collection, Iterable, Iterator, NamedTuple, Sequence
 
@@ -56,7 +57,7 @@ DEFAULT_K1 = 1.2
 DEFAULT_B = 0.75
 
 SNAPSHOT_MAGIC = b"NGIR1"
-SNAPSHOT_VERSION = 9
+SNAPSHOT_VERSION = 10
 
 U32 = "I"  # array typecode of the doc numbers, lengths and tfs a build makes (4 bytes)
 Postings = dict[str, tuple[array, array]]  # term -> (ascending doc numbers, tfs)
@@ -202,8 +203,13 @@ def score_query(index: Index, field: str, terms: Sequence[str], weight: float) -
 # ---------------------------------------------------------------------------
 # Binary snapshot
 #
-# Layout (little-endian), version 9. The file has three parts, and each
-# ends with a u32 zlib.crc32 of all its bytes before that:
+# Layout (little-endian), version 10. The file has three parts, and each
+# ends with a u32 zlib.crc32 of all its bytes before that. The header is
+# stored as it is; the document table and the postings are each stored
+# deflated, and what is stored ends with a CRC of its own:
+#   file:       header | deflated documents | deflated postings
+#   deflated:   stored u32 | inflated u32 | a raw DEFLATE stream (RFC 1951)
+#               of stored bytes, which inflates to the part's inflated bytes | crc
 #   header:     magic "NGIR1" | version u8 | k1 f64 | b f64
 #               | stopwords fingerprint u32 | lexicon fingerprint u32 | crc
 #   documents:  doc_count u32 | id_bytes u32
@@ -218,7 +224,11 @@ def score_query(index: Index, field: str, terms: Sequence[str], weight: float) -
 #               | term_count x last (a column): each term's largest doc number
 #               | each term's df - 1 gaps, in term order, at that term's width
 #               | posting_count x tf (a column), in doc number order per term | crc
-#   end of file: the end of the postings
+#   end of file: the end of the deflated postings
+#
+# The writer deflates each part with zlib at Z_DEFAULT_COMPRESSION, so
+# one zlib build always writes the same bytes for the same index; another
+# build may deflate to other bytes that inflate to the same parts.
 #
 # A term's text is the term with one leading "[nx]" removed, and its form
 # says whether that prefix was there. At most two terms share a text, one
@@ -242,8 +252,17 @@ def score_query(index: Index, field: str, terms: Sequence[str], weight: float) -
 # fingerprints are those of the stopword list and the lexicon
 # (``fingerprints``); 0 means not given.
 #
-# ``load_index`` checks each part whole: it fits in the file (before
-# anything is allocated for it) and its CRC matches; a width is 1, 2 or
+# ``load_index`` checks each deflated part before it allocates anything
+# for it: its stream fits in the file, and its inflated length is at most
+# 1032 times the stream's, DEFLATE's largest expansion. The CRC of the
+# lengths and the stream must match, which covers every stored bit, the
+# unused ones after a stream's final block too. The stream must then be
+# valid DEFLATE, end within its stored bytes and inflate to exactly the
+# length stated, so no part takes more memory than 1032 times the file's
+# size.
+#
+# It checks each part whole: it fits in the file or in its inflated
+# bytes, it uses all of the latter, and its CRC matches; a width is 1, 2 or
 # 4; a string list holds as many strings as its head says, none twice, in
 # UTF-8; posting_count is at most the sum of the lengths, the dfs are at
 # least 1 and add up to it, and the largest last is below doc_count,
@@ -261,6 +280,8 @@ def score_query(index: Index, field: str, terms: Sequence[str], weight: float) -
 _HEADER = struct.Struct("<ddII")  # after the magic and the version byte
 _DOCUMENTS = struct.Struct("<II")
 _POSTINGS = struct.Struct("<IIII")
+_DEFLATED = struct.Struct("<II")  # a deflated part's stored and inflated lengths
+_MOST_INFLATED = 1032  # no DEFLATE stream inflates to more than this many times its size
 _U32 = struct.Struct("<I")
 _SWAP = sys.byteorder == "big"  # blocks are little-endian on disk
 _WIDTHS = {1: "B", 2: "H", 4: U32}  # a column's width byte -> its array typecode
@@ -269,6 +290,14 @@ _WIDTHS = {1: "B", 2: "H", 4: U32}  # a column's width byte -> its array typecod
 _NX, _SECOND = 0x40, 0x80
 _KINDS = bytes(width | form for width in _WIDTHS for form in (0, _NX, _SECOND, _NX | _SECOND))
 _GAP_WIDTH = bytes(kind & ~(_NX | _SECOND) for kind in range(256))  # translates a kind to its width
+_FIRSTS = bytes(range(_SECOND))  # the kinds of first forms
+# Translate a kind to 1 for a first form, or for a second form, else 0.
+_IS_FIRST = bytes(kind < _SECOND for kind in range(256))
+_IS_SECOND = bytes(kind >= _SECOND for kind in range(256))
+# Translate a kind to its form bits; and a second form's kind to those of
+# the term it must name, a first form of the other form.
+_FORM = bytes(kind & (_NX | _SECOND) for kind in range(256))
+_NAMED_FORM = bytes(~kind & _NX for kind in range(256))
 _NX_BYTES = NX_PREFIX.encode("utf-8")
 _CHUNK = 4096  # values narrowed at once: few calls, and no whole column in memory
 _FIELD = f"field {TAGGED!r}"  # the stored field, as errors name it
@@ -391,13 +420,32 @@ def _vocabulary(terms: Iterable[str]) -> tuple[list[str], bytearray, array]:
     return texts, forms, refs
 
 
-def _write_part(out: BinaryIO, chunks: Iterable) -> None:
-    """Write each chunk, then the crc32 of them all."""
+def _part(chunks: Iterable) -> Iterator:
+    """Each chunk, then the crc32 of them all."""
     crc = 0
     for chunk in chunks:
-        out.write(chunk)
+        yield chunk
         crc = zlib.crc32(chunk, crc)
-    out.write(_U32.pack(crc))
+    yield _U32.pack(crc)
+
+
+def _deflated(chunks: Iterable, path: str | Path, part: str) -> list:
+    """The stored and inflated lengths of ``chunks``, the ``part`` of
+    the snapshot at ``path``, then their raw DEFLATE stream, deflated a
+    chunk at a time, then the crc32 of the lengths and the stream: only
+    the stream is kept whole, since its length comes first."""
+    deflater = zlib.compressobj(zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, -zlib.MAX_WBITS)
+    stream, inflated = [], 0
+    for chunk in chunks:
+        stream.append(deflater.compress(chunk))
+        inflated += memoryview(chunk).nbytes
+    stream.append(deflater.flush())
+    try:
+        lengths = _DEFLATED.pack(sum(map(len, stream)), inflated)
+    except struct.error:
+        fault = f"its {inflated} bytes are more than its length can state"
+        raise NegirError(f"{path}: cannot write the {part}: {fault}") from None
+    return list(_part((lengths, *stream)))
 
 
 def header_fault(k1: float, b: float, fingerprints: Sequence[int] = ()) -> str | None:
@@ -417,14 +465,17 @@ def save_index(index: Index, path: str | Path) -> None:
     that ``load_index`` would not read back: a bad header or string, a
     repeated doc id, a term with no posting, with doc numbers that do not
     strictly ascend or with more or fewer tfs than doc numbers, a column
-    value over u32, or more postings than the lengths add up to. A term's
-    postings are not checked for tfs of 0 or doc numbers past the count.
+    value over u32, or more postings than the lengths add up to; and, as
+    it writes, a part of 4 GiB or more, whose length no u32 holds. A
+    term's postings are not checked for tfs of 0 or doc numbers past the
+    count.
 
     Each column is written in the narrowest width that holds its values,
     and each term's gaps in the narrowest that holds the term's, from
     arrays of any unsigned typecode. The gaps are computed in memory
     before the path is opened; the tfs come straight from the per-term
-    arrays, a chunk at a time.
+    arrays, a chunk at a time. Each part but the header is deflated a
+    chunk at a time too, and only its stream is held whole.
     """
     fault = header_fault(index.k1, index.b, index.fingerprints)
     if fault:
@@ -461,12 +512,12 @@ def save_index(index: Index, path: str | Path) -> None:
     kinds = bytes(map(operator.or_, widths, forms))
     with atomic_write(path, "wb") as out:
         header = _HEADER.pack(index.k1, index.b, *index.fingerprints)
-        _write_part(out, (SNAPSHOT_MAGIC, bytes((SNAPSHOT_VERSION,)), header))
-        _write_part(out, chain(
+        out.writelines(_part((SNAPSHOT_MAGIC, bytes((SNAPSHOT_VERSION,)), header)))
+        out.writelines(_deflated(_part(chain(
             (_DOCUMENTS.pack(len(index.doc_ids), len(ids)), ids),
             _column((index.doc_lengths,), largest["document length"]),
-        ))
-        _write_part(out, chain(
+        )), path, "document table"))
+        out.writelines(_deflated(_part(chain(
             (_POSTINGS.pack(len(dfs), len(texts), len(text_bytes), posting_count), text_bytes),
             _column((dfs,), largest["df"]),
             (kinds,),
@@ -474,35 +525,74 @@ def save_index(index: Index, path: str | Path) -> None:
             _column((lasts,), largest["doc number"]),
             (gaps,),
             _column((tfs for _, tfs in postings), largest["tf"]),
-        ))
+        )), path, _FIELD))
 
 
 class _Reader:
-    """Reads the parts of a snapshot and keeps the running crc32 of the
-    current one. A read past the end of the file fails before anything is
-    allocated for it."""
+    """Reads the parts of a snapshot, the header from the file and each
+    other part from the bytes it inflates to, and keeps the running crc32
+    of the current one. A read past the end of the file or of a part's
+    inflated bytes fails before anything is allocated for it."""
 
     def __init__(self, handle: BinaryIO, path: Path):
-        self.handle = handle
+        self.handle: BinaryIO = handle
         self.path = str(path)
         info = os.fstat(handle.fileno())
         if not stat.S_ISREG(info.st_mode):
             raise ParseError("not a regular file, so its size is unknown", self.path)
         self.left = info.st_size  # bytes not yet read
         self.crc = 0
+        self.file: tuple[BinaryIO, int] | None = None  # the file and its bytes left, during a part
 
     def _take(self, size: int) -> None:
         if size > self.left:
             raise EOFError(f"needed {size} bytes, found {self.left}")
         self.left -= size
 
-    def read(self, size: int) -> bytes:
+    def _read(self, size: int) -> bytes:
         self._take(size)
         data = self.handle.read(size)
         if len(data) != size:
             raise EOFError(f"needed {size} bytes, found {len(data)}")
+        return data
+
+    def read(self, size: int) -> bytes:
+        data = self._read(size)
         self.crc = zlib.crc32(data, self.crc)
         return data
+
+    def inflate(self, part: str) -> None:
+        """Read the next deflated part from the file and check its CRC,
+        then read on from the bytes it inflates to, which ``end_part``
+        must use up."""
+        lengths = self._read(_DEFLATED.size)
+        stored, inflated = _DEFLATED.unpack(lengths)
+        if inflated > _MOST_INFLATED * stored:
+            raise self.fail(
+                f"the {part} is stated to inflate {stored} bytes to {inflated}, "
+                f"over DEFLATE's {_MOST_INFLATED}:1"
+            )
+        stream = self._read(stored)
+        (crc,) = _U32.unpack(self._read(4))
+        if crc != zlib.crc32(stream, zlib.crc32(lengths)):
+            raise self.fail(f"the deflated {part} fails its CRC check")
+        inflater = zlib.decompressobj(-zlib.MAX_WBITS)
+        try:  # one byte more than stated shows a stream that inflates to more
+            data = inflater.decompress(stream, inflated + 1)
+        except zlib.error as exc:
+            raise self.fail(f"the {part} is not a valid DEFLATE stream ({exc})") from None
+        if len(data) > inflated:
+            raise self.fail(f"the {part} inflates to more than the {inflated} bytes stated")
+        if not inflater.eof:
+            raise self.fail(f"the DEFLATE stream of the {part} ends early")
+        if inflater.unused_data:
+            raise self.fail(
+                f"{len(inflater.unused_data)} bytes follow the DEFLATE stream of the {part}"
+            )
+        if len(data) < inflated:
+            raise self.fail(f"the {part} inflates to {len(data)} bytes, not the {inflated} stated")
+        self.file = (self.handle, self.left)
+        self.handle, self.left = io.BytesIO(data), inflated
 
     def read_column(self, count: int) -> array:
         """A column of ``count`` values, read into an array of its width."""
@@ -524,11 +614,18 @@ class _Reader:
             raise self.fail(fault)
 
     def end_part(self, part: str) -> None:
+        """Check the part's CRC; a deflated part must end with it, and
+        the file is read on."""
         expected = self.crc
         (stored,) = _U32.unpack(self.read(4))
         if stored != expected:
             raise self.fail(f"the {part} fails its CRC check")
         self.crc = 0
+        if self.file:
+            if self.left:
+                raise self.fail(f"{self.left} trailing bytes after the {part}")
+            self.handle, self.left = self.file
+            self.file = None
 
     def fail(self, message: str) -> ParseError:
         return ParseError(f"corrupt snapshot: {message}", self.path)
@@ -557,6 +654,7 @@ def load_index(path: str | Path, terms: Iterable[str] | None = None) -> Index:
                 raise reader.fail(fault)
             reader.end_part("header")
 
+            reader.inflate("document table")
             doc_count, id_bytes = _DOCUMENTS.unpack(reader.read(_DOCUMENTS.size))
             ids = reader.read(id_bytes)
             doc_lengths = reader.read_column(doc_count)
@@ -564,6 +662,7 @@ def load_index(path: str | Path, terms: Iterable[str] | None = None) -> Index:
             doc_ids = ids.decode("utf-8").split("\n") if doc_count or ids else []
             reader.check_strings(doc_ids, doc_count, "doc_id")
 
+            reader.inflate(_FIELD)
             postings = _read_postings(reader, doc_lengths, terms)
             if reader.left:
                 raise ParseError(f"{reader.left} trailing bytes after the postings", str(path))
@@ -572,31 +671,45 @@ def load_index(path: str | Path, terms: Iterable[str] | None = None) -> Index:
     return Index(postings, doc_ids, doc_lengths, k1, b, (stopwords_fp, lexicon_fp))
 
 
-def _term_texts(reader: _Reader, texts: list[bytes], kinds: bytes, refs: array) -> list[bytes]:
-    """Each term's text: a first form's is the next of ``texts``, a second
-    form's that of the term its back-reference names, which must be an
-    earlier first form of the other form that no other term names. A
-    plain term's text may not start with "[nx]", as that term's own would."""
-    term_texts: list[bytes] = []
-    firsts, seconds, named = iter(texts), iter(refs), set()
-    for number, kind in enumerate(kinds):
-        if kind < _SECOND:
-            text = next(firsts)
-        elif (ref := next(seconds)) >= number:
-            raise reader.fail(f"the back-reference of term {number} is {ref}, not an earlier term")
-        elif kinds[ref] & _SECOND:
-            raise reader.fail(f"term {number} refers to term {ref}, a second form")
-        elif not (kinds[ref] ^ kind) & _NX:
-            raise reader.fail(f"term {number} refers to term {ref}, of its own form")
-        elif ref in named:
-            raise reader.fail(f"term {ref} is referred to twice")
-        else:
-            named.add(ref)
-            text = term_texts[ref]
-        if not kind & _NX and text.startswith(_NX_BYTES):
-            raise reader.fail(f"plain term {number} has a text that starts with {NX_PREFIX!r}")
-        term_texts.append(text)
-    return term_texts
+def _second_forms(reader: _Reader, kinds: bytes, refs: array) -> dict[int, int]:
+    """Each first form's second form, by term number. The back-reference
+    of each second form must name an earlier first form of the other
+    form, which no other term names. Checked a column at a time, with
+    no Python step per term."""
+    refs = refs.tolist()  # one int object per back-reference, for every pass
+    seconds = list(compress(range(len(kinds)), kinds.translate(_IS_SECOND)))
+    if any(map(operator.ge, refs, seconds)):
+        number, ref = next((n, r) for n, r in zip(seconds, refs) if r >= n)
+        raise reader.fail(f"the back-reference of term {number} is {ref}, not an earlier term")
+    # The form bits of each term named, and those it must have, a byte each.
+    named = bytes(map(kinds.__getitem__, refs)).translate(_FORM)
+    wanted = kinds.translate(None, _FIRSTS).translate(_NAMED_FORM)
+    if named != wanted:
+        i = next(i for i, pair in enumerate(zip(named, wanted)) if pair[0] != pair[1])
+        fault = "a second form" if named[i] & _SECOND else "of its own form"
+        raise reader.fail(f"term {seconds[i]} refers to term {refs[i]}, {fault}")
+    second_of = dict(zip(refs, seconds))
+    if len(second_of) < len(refs):
+        named_before: set[int] = set()
+        ref = next(r for r in refs if r in named_before or named_before.add(r))
+        raise reader.fail(f"term {ref} is referred to twice")
+    return second_of
+
+
+def _check_plain_texts(
+    reader: _Reader, texts: list[bytes], kinds: bytes, second_of: dict[int, int]
+) -> None:
+    """No plain term's text may start with "[nx]", as that term's own
+    would: neither a plain first form's nor a plain second form's, whose
+    text is that of the "[nx]" first form it refers to."""
+    firsts = compress(range(len(kinds)), kinds.translate(_IS_FIRST))
+    numbers = [
+        second_of.get(first) if kinds[first] & _NX else first
+        for first, text in zip(firsts, texts) if text.startswith(_NX_BYTES)
+    ]
+    numbers = [number for number in numbers if number is not None]
+    if numbers:
+        raise reader.fail(f"plain term {min(numbers)} has a text that starts with {NX_PREFIX!r}")
 
 
 def _read_postings(reader: _Reader, doc_lengths: array, terms: Iterable[str] | None) -> Postings:
@@ -622,7 +735,7 @@ def _read_postings(reader: _Reader, doc_lengths: array, terms: Iterable[str] | N
     kinds = reader.read(term_count)
     if bad := kinds.translate(None, _KINDS):
         raise reader.fail(f"a gap width of {_GAP_WIDTH[bad[0]]}, not 1, 2 or 4")
-    seconds = len(kinds.translate(None, bytes(range(_SECOND))))
+    seconds = len(kinds.translate(None, _FIRSTS))
     if text_count != term_count - seconds:
         raise reader.fail(f"{text_count} term texts for {term_count - seconds} first forms")
     refs = reader.read_column(seconds)
@@ -634,32 +747,43 @@ def _read_postings(reader: _Reader, doc_lengths: array, terms: Iterable[str] | N
         raise reader.fail(f"{_FIELD} lists doc number {max(lasts)} of {doc_count}")
     texts = blob.split(b"\n") if text_count or blob else []
     reader.check_strings(texts, text_count, f"term text of {_FIELD}")
-    term_texts = _term_texts(reader, texts, kinds, refs)
+    second_of = _second_forms(reader, kinds, refs)
+    if _NX_BYTES in blob:  # only a term with two "[nx]" prefixes has such a text
+        _check_plain_texts(reader, texts, kinds, second_of)
+    firsts = compress(range(term_count), kinds.translate(_IS_FIRST))  # the term of each text
     if terms is None:
-        picks: Sequence[int] = range(term_count)
+        plain = negated = None
+        hits = zip(firsts, texts)
     else:  # each pick t and "[nx]" + t: an "[nx]" term's text may also be a pick less "[nx]"
         # A lone surrogate passes into bytes that are not UTF-8, so match no text.
         plain = {term.encode("utf-8", "surrogatepass") for term in terms}
         negated = plain | {text[len(_NX_BYTES):] for text in plain if text.startswith(_NX_BYTES)}
-        picks = [
-            i for i, text, kind in zip(range(term_count), term_texts, kinds)
-            if text in (negated if kind & _NX else plain)
-        ]
+        hits = compress(zip(firsts, texts), map(negated.__contains__, texts))
+    # Each kept term's number and text, the first form of a text and its second.
+    kept = [
+        (number, text)
+        for first, text in hits
+        for number in (first, second_of.get(first))
+        if number is not None and (
+            negated is None or text in (negated if kinds[number] & _NX else plain)
+        )
+    ]
+    kept.sort()
     # Where each term's width x (df - 1) bytes of gaps start.
-    gap_offsets = array(
-        "Q", accumulate((width * (df - 1) for width, df in zip(widths, dfs)), initial=0)
-    )
+    gap_offsets = array("Q", accumulate(
+        map(operator.mul, widths, map(operator.sub, dfs, repeat(1))), initial=0
+    ))
     gaps = reader.read(gap_offsets[-1])
-    gap_blocks = [gaps[gap_offsets[i]:gap_offsets[i + 1]] for i in picks]
+    gap_blocks = [gaps[gap_offsets[i]:gap_offsets[i + 1]] for i, _ in kept]
     del gaps
     tfs = reader.read_column(posting_count)
-    tf_blocks = [tfs[offsets[i]:offsets[i + 1]] for i in picks]
+    tf_blocks = [tfs[offsets[i]:offsets[i + 1]] for i, _ in kept]
     del tfs
     reader.end_part(_FIELD)
     blob.decode("utf-8")  # every text is UTF-8, kept or not
     postings = {}
-    for i, gap_block, tf_block in zip(picks, gap_blocks, tf_blocks):
-        term = term_texts[i].decode("utf-8")
+    for (i, text), gap_block, tf_block in zip(kept, gap_blocks, tf_blocks):
+        term = text.decode("utf-8")
         if kinds[i] & _NX:
             term = NX_PREFIX + term
         block = array(_WIDTHS[widths[i]], gap_block)

@@ -16,6 +16,7 @@ import pytest
 
 import negir
 from negir.cli import Config, _config_header, main
+from snapshot_parts import HEADER_BYTES, deflate_part, deflated, inflated
 
 TOPICS = [
     {"topic_id": "1", "description": "persistent chest pain with dyspnea"},
@@ -687,6 +688,74 @@ def test_a_failed_write_names_out(workspace, capsys, command, parent, error):
     assert not [p for p in workspace.rglob("*") if p.name.endswith(".tmp")]
 
 
+needs_dev_full = pytest.mark.skipif(
+    not os.path.exists("/dev/full"), reason="the platform has no /dev/full"
+)
+
+
+@needs_dev_full
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("target", ["device", "symlink", "stdout", "summary"])
+@pytest.mark.parametrize("command", ["index", "run"])
+def test_a_failed_write_in_place_names_out(workspace, command, target, unbuffered):
+    # A device, a symlink and standard output are written in place, not
+    # through a temp file; a write there that fails names the file as
+    # given, and standard output as "-" where the summary printed to it
+    # fails. Each in a child process whose standard output is /dev/full
+    # where the target is standard output.
+    argv = command_argv(workspace, command)
+    (workspace / "full").symlink_to("/dev/full")
+    out = {"device": "/dev/full", "symlink": workspace / "full", "stdout": "/dev/stdout",
+           "summary": workspace / "x.out"}[target]
+    with open("/dev/full", "wb") as full:
+        child = negir_child(
+            [*argv, "--out", out], workspace, unbuffered,
+            stdout=full if target in ("stdout", "summary") else subprocess.PIPE,
+        )
+    shown = "-" if target == "summary" else out
+    assert child.stderr.decode() == f"negir: {shown}: {os.strerror(errno.ENOSPC)}\n"
+    assert child.returncode == 1
+    assert not [p for p in workspace.rglob("*") if p.name.endswith(".tmp")]
+
+
+def command_argv(workspace, command):
+    """The arguments of ``index`` or ``run`` on the workspace's inputs,
+    all but ``--out``; ``run`` reads a snapshot built for it."""
+    if command == "index":
+        return ["index", "--collection", workspace / "docs.jsonl"]
+    return ["run", "--index", build_snapshot(workspace), "--topics", workspace / "topics.jsonl",
+            "--strategy", "baseline"]
+
+
+def negir_child(argv, cwd, unbuffered=False, **kwargs):
+    """Run negir with ``argv`` in a child process from this tree's
+    source, standard output buffered unless ``unbuffered``; stderr is
+    captured, and ``kwargs`` go to ``subprocess.run``."""
+    src = str(Path(negir.__file__).parent.parent)
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.run(
+        [sys.executable, "-m", "negir.cli", *map(str, argv)],
+        stderr=subprocess.PIPE, env=env, cwd=cwd, **kwargs,
+    )
+
+
+@pytest.mark.parametrize("command", ["index", "run"])
+def test_a_closed_stdout_prints_nothing_and_succeeds(workspace, command):
+    # With standard output closed when negir starts, sys.stdout is None:
+    # the summary goes nowhere, and the command writes --out and exits 0.
+    out = workspace / "x.out"
+    child = negir_child(
+        [*command_argv(workspace, command), "--out", out], workspace,
+        preexec_fn=lambda: os.close(1),
+    )
+    assert child.stderr.decode() == ""
+    assert child.returncode == 0
+    assert out.stat().st_size > 0
+
+
 def test_malformed_collection_exits_one(workspace, capsys):
     bad = workspace / "bad.jsonl"
     bad.write_text('{"body": "no id"}\n', encoding="utf-8")
@@ -755,6 +824,9 @@ RUN = b"2 Q0 d-fever 1 1.0 x\n"
 TOPIC = {"topic_id": "1", "description": "x"}
 
 DEEP = b"[" * 100_000 + b"]" * 100_000  # nested deeper than the JSON decoder can go
+
+SNAPSHOT_HEAD = b"NGIR1" + struct.pack("<BddII", 10, 1.2, 0.75, 0, 0)
+SNAPSHOT_HEADER = SNAPSHOT_HEAD + struct.pack("<I", zlib.crc32(SNAPSHOT_HEAD))
 
 # case: (input kind, file name, content, line named in the error or None)
 BAD_INPUTS = {
@@ -843,6 +915,15 @@ BAD_INPUTS = {
     "topic_id a lone surrogate": (
         "topics", "topics.jsonl", _jsonl(TOPIC, {"topic_id": "\ud800", "description": "x"}), 2),
     "plain-dir file name not UTF-8": ("plain-dir", "d\udcff.txt", b"text", None),
+    # A snapshot's deflated document table: more inflation stated than
+    # DEFLATE can give, a corrupt stream, fewer bytes than stated.
+    "snapshot inflated over 1032:1": (
+        "snapshot", "x.ngir", SNAPSHOT_HEADER + deflate_part(b"", stream=b"\x03\x00", inflated=2065),
+        None),
+    "snapshot stream corrupt": (
+        "snapshot", "x.ngir", SNAPSHOT_HEADER + deflate_part(b"x", stream=b"\xff"), None),
+    "snapshot inflates short": (
+        "snapshot", "x.ngir", SNAPSHOT_HEADER + deflate_part(b"x", inflated=2), None),
 }
 
 
@@ -873,6 +954,8 @@ def test_bad_input_exits_one_naming_file_and_line(workspace, capsys, case):
         "qrels": ["eval", "--run", run_file, "--qrels", bad],
         "run": ["eval", "--run", bad, "--qrels", qrels],
         "sidecar": ["eval", "--run", run_file, "--qrels", qrels, "--sampling", bad],
+        "snapshot": ["run", "--index", bad, "--topics", workspace / "topics.jsonl",
+                     "--strategy", "baseline", "--out", out],
     }[kind]
     # The captured stderr is strict UTF-8, unlike the interpreter's own:
     # main must escape a file name that is not UTF-8 itself.
@@ -1030,6 +1113,7 @@ def test_truncated_snapshot_exits_one(workspace, capsys):
         (data[:5] + b"\x06" + data[6:], "unsupported snapshot version 6; rebuild the index"),
         (data[:5] + b"\x07" + data[6:], "unsupported snapshot version 7; rebuild the index"),
         (data[:5] + b"\x08" + data[6:], "unsupported snapshot version 8; rebuild the index"),
+        (data[:5] + b"\x09" + data[6:], "unsupported snapshot version 9; rebuild the index"),
     ):
         snapshot.write_bytes(content)
         capsys.readouterr()
@@ -1069,9 +1153,9 @@ def test_run_refuses_a_damaged_postings_part_for_every_strategy(workspace, capsy
     # Every strategy reads the one stored field, so a damaged byte in its
     # postings stops each of them, even where topics pick none of its terms.
     snapshot = build_snapshot(workspace)
-    data = snapshot.read_bytes()
+    data = inflated(snapshot.read_bytes())
     flip = len(data) - 5  # the last tf, before the part's CRC
-    snapshot.write_bytes(data[:flip] + bytes((data[flip] ^ 0xFF,)) + data[flip + 1:])
+    snapshot.write_bytes(deflated(data[:flip] + bytes((data[flip] ^ 0xFF,)) + data[flip + 1:]))
     for strategy in ("baseline", "filtering", "score_combination", "negation_tagging"):
         out = workspace / f"{strategy}.run"
         capsys.readouterr()
@@ -1087,14 +1171,15 @@ def with_document_table(data, edit):
     as bytes, replaced by ``edit(ids, lengths)``, and the table's CRC
     recomputed, as a crafted file would have it. The lengths are those
     after the length column's width byte, which is kept."""
-    start = 34  # after the header: magic, version, k1, b, two fingerprints, CRC
+    data = inflated(data)
+    start = HEADER_BYTES
     doc_count, id_bytes = struct.unpack_from("<II", data, start)
     ids_end = start + 8 + id_bytes
     width = data[ids_end]
     end = ids_end + 1 + width * doc_count
     ids, lengths = edit(data[start + 8:ids_end], data[ids_end + 1:end])
     table = struct.pack("<II", doc_count, len(ids)) + ids + bytes((width,)) + lengths
-    return data[:start] + table + struct.pack("<I", zlib.crc32(table)) + data[end + 4:]
+    return deflated(data[:start] + table + struct.pack("<I", zlib.crc32(table)) + data[end + 4:])
 
 
 @pytest.mark.parametrize("edit, message", [

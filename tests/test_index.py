@@ -3,7 +3,9 @@
 import math
 import operator
 import random
+import re
 import struct
+import tracemalloc
 import zlib
 from array import array
 from collections import Counter
@@ -13,6 +15,9 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import oracle
+from snapshot_parts import (
+    HEADER_BYTES, deflate, deflate_part, deflated, inflated, parts, postings_start,
+)
 
 from negir.errors import DuplicateIdError, NegirError, ParseError
 from negir.evalkit import RunResult, read_run, write_run
@@ -266,8 +271,8 @@ def test_snapshot_of_older_version_asks_for_rebuild(tmp_path):
     path = tmp_path / "snap.ngir"
     save_index(build_index([("d", ["x"])]), path)
     data = bytearray(path.read_bytes())
-    assert data[5] == 9  # the version byte follows the 5 magic bytes
-    for older in (5, 6, 7, 8):
+    assert data[5] == 10  # the version byte follows the 5 magic bytes
+    for older in (5, 6, 7, 8, 9):
         data[5] = older
         path.write_bytes(bytes(data))
         with pytest.raises(
@@ -276,16 +281,118 @@ def test_snapshot_of_older_version_asks_for_rebuild(tmp_path):
             load_index(path)
 
 
-HEADER_BYTES = 34  # magic, version, k1, b, two fingerprints, CRC
+def test_a_v9_file_asks_for_rebuild(tmp_path):
+    # A v10 snapshot's parts inflate to the bytes of v9's, so its image
+    # under version byte 9 is the v9 file of the same index.
+    path = tmp_path / "snap.ngir"
+    save_index(build_index([("d", ["x", "[nx]x"])]), path)
+    image = inflated(path.read_bytes())
+    path.write_bytes(resealed(image[:5] + b"\x09" + image[6:], 0, HEADER_BYTES - 4))
+    for terms in (None, ("x",)):
+        with pytest.raises(
+            ParseError, match=f"^{path}: unsupported snapshot version 9; rebuild the index$"
+        ):
+            load_index(path, terms)
 
 
-def postings_start(data):
-    """Where the postings part of the snapshot ``data`` starts: after the
-    header and the document table, whose head and length column's width
-    give its size."""
-    doc_count, id_bytes = struct.unpack_from("<II", data, HEADER_BYTES)
-    width = data[HEADER_BYTES + 8 + id_bytes]
-    return HEADER_BYTES + 8 + id_bytes + 1 + width * doc_count + 4
+def _framings(part):
+    """Each way to store the inflated ``part`` that the load refuses, as
+    the bytes stored and what the refusal says of the part, named
+    ``{part}``: too much inflation stated, too little or too much, a
+    corrupt stream, one that ends early or has bytes after its end, a
+    stored length past the end of the file, stored bytes that fail their
+    CRC, and bytes after the part's CRC."""
+    stream = deflate(part)
+    good = deflate_part(part)
+    return {
+        "over 1032:1": (
+            deflate_part(part, inflated=1032 * len(stream) + 1),
+            f"the {{part}} is stated to inflate {len(stream)} bytes to "
+            f"{1032 * len(stream) + 1}, over DEFLATE's 1032:1",
+        ),
+        "over 1032:1 of nothing": (
+            deflate_part(part, stream=b"", inflated=1),
+            "the {part} is stated to inflate 0 bytes to 1, over DEFLATE's 1032:1",
+        ),
+        "fewer bytes": (
+            deflate_part(part, inflated=len(part) + 1),
+            f"the {{part}} inflates to {len(part)} bytes, not the {len(part) + 1} stated",
+        ),
+        "more bytes": (
+            deflate_part(part, inflated=len(part) - 1),
+            f"the {{part}} inflates to more than the {len(part) - 1} bytes stated",
+        ),
+        "corrupt": (
+            deflate_part(part, stream=b"\xff" + stream[1:]),
+            r"the {part} is not a valid DEFLATE stream \(Error -3 while decompressing data: "
+            r"invalid block type\)",
+        ),
+        "ends early": (
+            deflate_part(part, stream=stream[:-2]),
+            "the DEFLATE stream of the {part} ends early",
+        ),
+        "bytes after the stream": (
+            deflate_part(part, stream=stream + b"\x00\x00"),
+            "2 bytes follow the DEFLATE stream of the {part}",
+        ),
+        "a CRC that fails": (
+            good[:-1] + bytes((good[-1] ^ 1,)),
+            "the deflated {part} fails its CRC check",
+        ),
+        "bytes after the CRC": (
+            deflate_part(part + b"\x00"),
+            "1 trailing bytes after the {part}",
+        ),
+        "past the end of the file": (
+            deflate_part(part, stored=0xFFFFFFFF, inflated=len(part)),
+            None,
+        ),
+    }
+
+
+@pytest.mark.parametrize("case", list(_framings(b"part")))
+@pytest.mark.parametrize("part", ["document table", "field 'tagged'"])
+def test_a_bad_deflated_part_is_a_parse_error(tmp_path, part, case):
+    # Each is refused by a full load and by picked ones as a ParseError
+    # naming the file, never as a zlib.error.
+    path = tmp_path / "snap.ngir"
+    save_index(build_index([("d", ["x", "[nx]x"])]), path)
+    header, documents, postings = parts(path.read_bytes())
+    if part == "document table":
+        stored, message = _framings(documents)[case]
+        data = header + stored + deflate_part(postings)
+    else:
+        stored, message = _framings(postings)[case]
+        data = header + deflate_part(documents) + stored
+    path.write_bytes(data)
+    if message is None:
+        left = len(data) - data.index(stored) - 8
+        message = re.escape(
+            f"corrupt or truncated index snapshot (needed 4294967295 bytes, found {left})"
+        )
+    else:
+        message = "corrupt snapshot: " + message.format(part=re.escape(part))
+    for terms in (None, ("x",), ()):
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: {message}$"):
+            load_index(path, terms)
+
+
+@pytest.mark.parametrize("stored", [None, 0xFFFFFFFF], ids=["in the file", "past its end"])
+def test_a_deflated_part_is_refused_before_anything_is_allocated_for_it(tmp_path, stored):
+    # A part stated to inflate to 4 GiB, in a file of some hundred bytes.
+    path = tmp_path / "snap.ngir"
+    save_index(build_index([("d", ["x"])]), path)
+    header, documents, postings = parts(path.read_bytes())
+    stated = deflate_part(documents, stored=stored, inflated=0xFFFFFFFF)
+    path.write_bytes(header + stated + deflate_part(postings))
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=f"^{path}: "):
+            load_index(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def resealed(data, start, end):
@@ -297,11 +404,11 @@ def resealed(data, start, end):
 def test_snapshot_out_of_range_doc_number_is_a_parse_error(tmp_path):
     path = tmp_path / "snap.ngir"
     save_index(build_index([("d", ["x"])]), path)
-    data = path.read_bytes()
-    # The file ends with the postings: their df column, x's kind (gap
-    # width 1), the empty column of back-references, the column of lasts
-    # and the tf column, each other column one u8 entry after its width
-    # byte (x has no gaps), then the part's CRC.
+    data = inflated(path.read_bytes())
+    # The postings end with their df column, x's kind (gap width 1), the
+    # empty column of back-references, the column of lasts and the tf
+    # column, each other column one u8 entry after its width byte (x has
+    # no gaps), then the part's CRC.
     assert data[-12:-4] == bytes((1, 1, 1, 1, 1, 0, 1, 1))
     tagged = postings_start(data)
     for start, column, message in (
@@ -310,7 +417,7 @@ def test_snapshot_out_of_range_doc_number_is_a_parse_error(tmp_path):
          "the dfs of field 'tagged' add up to 4294967295, not 1"),
     ):
         patched = data[:start] + column + data[start + 2:]
-        path.write_bytes(resealed(patched, tagged, len(patched) - 4))
+        path.write_bytes(deflated(resealed(patched, tagged, len(patched) - 4)))
         for terms in (None, ("x",), ()):  # the bound covers the column, not the picked terms
             with pytest.raises(ParseError, match=f"snap.ngir: corrupt snapshot: {message}"):
                 load_index(path, terms=terms)
@@ -319,14 +426,14 @@ def test_snapshot_out_of_range_doc_number_is_a_parse_error(tmp_path):
 def test_snapshot_duplicate_doc_id_is_a_parse_error(tmp_path):
     path = tmp_path / "snap.ngir"
     save_index(build_index([("ab", ["x"]), ("cd", ["y"])]), path)
-    data = path.read_bytes()
+    data = inflated(path.read_bytes())
     table_end = HEADER_BYTES + 8 + 5 + 1 + 2  # head, ids, width and u8 doc lengths
     for ids, message in (
         (b"ab\nab", "a doc_id is listed twice"),
         (b"ab-cd", "1 strings where 2 are listed, one per doc_id"),
     ):
         patched = data.replace(b"ab\ncd", ids, 1)
-        path.write_bytes(resealed(patched, HEADER_BYTES, table_end))
+        path.write_bytes(deflated(resealed(patched, HEADER_BYTES, table_end)))
         with pytest.raises(ParseError, match=f"snap.ngir: corrupt snapshot: {message}"):
             load_index(path)
 
@@ -336,13 +443,13 @@ def test_snapshot_repeated_term_is_a_parse_error(tmp_path):
     # text listed twice would load two terms of one text and form.
     path = tmp_path / "snap.ngir"
     save_index(build_index([("d", ["xy", "zw"])]), path)
-    data = path.read_bytes()
+    data = inflated(path.read_bytes())
     for terms, message in (
         (b"xy\nxy", "a term text of field 'tagged' is listed twice"),
         (b"xy-zw", "1 strings where 2 are listed, one per term text of field 'tagged'"),
     ):
         patched = data.replace(b"xy\nzw", terms, 1)
-        path.write_bytes(resealed(patched, postings_start(data), len(data) - 4))
+        path.write_bytes(deflated(resealed(patched, postings_start(data), len(data) - 4)))
         for picked in (None, ("zw",), ()):  # the whole list is checked, not the picked terms
             with pytest.raises(ParseError, match=f"snap.ngir: corrupt snapshot: {message}"):
                 load_index(path, terms=picked)
@@ -353,12 +460,12 @@ def test_snapshot_repeated_doc_number_fails_the_crc(tmp_path):
     # the CRC catches one made by accident.
     path = tmp_path / "snap.ngir"
     save_index(build_index([("a", ["x"]), ("b", ["x"])]), path)
-    data = path.read_bytes()
+    data = inflated(path.read_bytes())
     # The postings end with x's u8 df 2, its kind (gap width 1), the empty
     # column of back-references, its u8 last 1, its one u8 gap 1, the u8
     # tfs [1, 1], then the CRC.
     assert data[-14:-4] == bytes((1, 2, 1, 1, 1, 1, 1, 1, 1, 1))
-    path.write_bytes(data[:-8] + bytes((0,)) + data[-7:])
+    path.write_bytes(deflated(data[:-8] + bytes((0,)) + data[-7:]))
     with pytest.raises(ParseError, match="snap.ngir: corrupt snapshot: the field 'tagged' fails"):
         load_index(path)
 
@@ -401,9 +508,9 @@ def _snapshot(
     doc_ids, lengths, terms, blocks, tfs, widths=(1, 1, 1, 1, 1), gap_widths=(), vocabulary=None,
     fingerprints=(0, 0),
 ):
-    """Snapshot bytes from a document table, the terms with their dfs,
-    each term's block of doc numbers and the tf column, with default k1
-    and b. A block is stored as its last doc number and the gaps before
+    """The inflated snapshot (``deflated`` writes it as a file) of a
+    document table, the terms with their dfs, each term's block of doc
+    numbers and the tf column, with default k1 and b. A block is stored as its last doc number and the gaps before
     it, so it may start below 0 but not descend; an empty one as a last
     of 0. ``widths`` are the least widths of the length, df,
     back-reference, last and tf columns, ``gap_widths`` the least gap
@@ -422,7 +529,7 @@ def _snapshot(
     ]
     kinds = bytes(column[0] | form for column, form in zip(gaps, forms))
     return (
-        _snapshot_part(b"NGIR1", struct.pack("<BddII", 9, 1.2, 0.75, *fingerprints))
+        _snapshot_part(b"NGIR1", struct.pack("<BddII", 10, 1.2, 0.75, *fingerprints))
         + _snapshot_part(
             struct.pack("<II", len(doc_ids), len(ids)), ids, _column(lengths, widths[0]),
         )
@@ -445,7 +552,21 @@ def test_snapshot_bytes_are_pinned(tmp_path):
         ["a", "b-\u00e9", "c"], [3, 1, 1], [("x", 2), ("[nx]y", 1), ("y", 1)],
         [[0, 2], [0], [1]], [2, 1, 1, 1], fingerprints=(0x01020304, 0xA0B0C0D0),
     )
-    assert path.read_bytes() == expected
+    # The parts as they inflate: the deflated bytes depend on the zlib
+    # build, which may not be the stock one.
+    data = path.read_bytes()
+    assert inflated(data) == expected
+    # The header is stored as it is, and each other part as its stored
+    # and inflated lengths, then its raw DEFLATE stream, then the CRC of
+    # those, the file's end.
+    header, documents, postings = parts(data)
+    assert data[:HEADER_BYTES] == header
+    stored = struct.unpack_from("<I", data, HEADER_BYTES)[0]
+    assert struct.unpack_from("<II", data, HEADER_BYTES) == (stored, len(documents))
+    start = HEADER_BYTES + 8 + stored + 4
+    assert struct.unpack_from("<I", data, start - 4) == (zlib.crc32(data[HEADER_BYTES:start - 4]),)
+    assert struct.unpack_from("<II", data, start) == (len(data) - start - 12, len(postings))
+    assert struct.unpack_from("<I", data, len(data) - 4) == (zlib.crc32(data[start:-4]),)
     # Three terms, two texts ("x\ny", 3 bytes) and four postings.
     assert struct.unpack_from("<IIII", expected, postings_start(expected)) == (3, 2, 3, 4)
     # Every column is u8: its width byte, then one byte per value. The
@@ -456,7 +577,7 @@ def test_snapshot_bytes_are_pinned(tmp_path):
     assert expected[-23:-4] == bytes(
         (1, 2, 1, 1, 0x01, 0x41, 0x81, 1, 1, 1, 2, 0, 1, 2, 1, 2, 1, 1, 1)
     )
-    assert HEADER_BYTES == len(_snapshot_part(b"NGIR1", struct.pack("<BddII", 9, 0, 0, 0, 0)))
+    assert HEADER_BYTES == len(_snapshot_part(b"NGIR1", struct.pack("<BddII", 10, 0, 0, 0, 0)))
 
 
 def small_snapshot(tmp_path):
@@ -473,12 +594,27 @@ def flips(data, positions):
 
 
 def test_snapshot_every_byte_flip_is_a_parse_error(tmp_path):
+    # The unused bits after a stream's final block too: the CRC of the
+    # stored bytes covers them.
     path, data = small_snapshot(tmp_path)
     for i, content in flips(data, range(len(data))):
         path.write_bytes(content)
-        with pytest.raises(ParseError, match="snap.ngir"):
+        with pytest.raises(ParseError, match=f"^{path}: "):
             load_index(path)
             pytest.fail(f"a flip at byte {i} loaded")
+
+
+def test_snapshot_every_inflated_byte_flip_is_a_parse_error(tmp_path):
+    # Each part's CRC covers its inflated bytes: a flip there, deflated
+    # again into a valid stream, fails the CRC or a check before it.
+    path, data = small_snapshot(tmp_path)
+    image = inflated(data)
+    for i, content in flips(image, range(len(image))):
+        path.write_bytes(deflated(content, postings_start(image)))
+        for terms in (None, ("fever",)):
+            with pytest.raises(ParseError, match=f"^{path}: "):
+                load_index(path, terms)
+                pytest.fail(f"a flip at inflated byte {i} loaded with terms {terms}")
 
 
 def test_snapshot_picked_load_checks_what_it_reads(tmp_path):
@@ -507,7 +643,7 @@ def test_snapshot_repeated_doc_number_with_its_crc_recomputed_is_a_parse_error(t
     assert scores == {0: pytest.approx(0.2111, abs=1e-4), 1: pytest.approx(0.1604, abs=1e-4)}
     path = tmp_path / "snap.ngir"
     save_index(index, path)
-    data = path.read_bytes()
+    data = inflated(path.read_bytes())
     start = postings_start(data)
     # After the head, the texts, the u8 dfs, the kinds and the empty
     # column of back-references: the u8 lasts, x's 1 and y's 1, then x's
@@ -515,7 +651,7 @@ def test_snapshot_repeated_doc_number_with_its_crc_recomputed_is_a_parse_error(t
     lasts = start + 16 + len(b"x\ny") + 3 + 2 + 1
     assert data[lasts:lasts + 4] == bytes((1, 1, 1, 1))
     patched = data[:lasts + 3] + bytes((0,)) + data[lasts + 4:]
-    path.write_bytes(resealed(patched, start, len(data) - 4))
+    path.write_bytes(deflated(resealed(patched, start, len(data) - 4)))
     for terms in (None, ("x",), ("x", "[nx]x")):
         with pytest.raises(
             ParseError, match="corrupt snapshot: the doc numbers of term 'x' do not strictly ascend"
@@ -545,7 +681,7 @@ def test_snapshot_crafted_block_is_a_parse_error(tmp_path, terms, docs, tfs, mes
     # hold terms, which would leave a document with no length norm to
     # score it by when all the lengths are 0.
     path = tmp_path / "snap.ngir"
-    path.write_bytes(_snapshot(["a", "b"], [1, 1], terms, docs, tfs))
+    path.write_bytes(deflated(_snapshot(["a", "b"], [1, 1], terms, docs, tfs)))
     for picked in (None, ("x", "[nx]x")):
         with pytest.raises(ParseError, match=f"snap.ngir: {message}"):
             load_index(path, picked)
@@ -555,7 +691,9 @@ def test_a_last_doc_number_equal_to_the_count_is_a_parse_error(tmp_path):
     # Doc numbers run from 0 to the count - 1: the bound is strict, and it
     # covers the column of lasts, not only the picked terms.
     path = tmp_path / "snap.ngir"
-    path.write_bytes(_snapshot(["a", "b"], [1, 1], [("x", 1), ("y", 1)], [[0], [2]], [1, 1]))
+    path.write_bytes(deflated(
+        _snapshot(["a", "b"], [1, 1], [("x", 1), ("y", 1)], [[0], [2]], [1, 1])
+    ))
     for terms in (None, ("x",), ()):
         with pytest.raises(
             ParseError, match="snap.ngir: corrupt snapshot: field 'tagged' lists doc number 2 of 2"
@@ -590,8 +728,8 @@ def test_snapshot_crafted_vocabulary_is_a_parse_error(tmp_path, vocabulary, mess
     count = len(vocabulary[2])
     doc_ids, terms = [f"d{i}" for i in range(count)], [("unused", 1)] * count
     blocks = [[i] for i in range(count)]
-    path.write_bytes(_snapshot(doc_ids, [1] * count, terms, blocks, [1] * count,
-                               vocabulary=vocabulary))
+    path.write_bytes(deflated(_snapshot(doc_ids, [1] * count, terms, blocks, [1] * count,
+                                        vocabulary=vocabulary)))
     for picked in (None, ("x",), ("[nx]x",), ()):
         with pytest.raises(ParseError, match=f"^{path}: corrupt snapshot: {message}$"):
             load_index(path, picked)
@@ -828,14 +966,14 @@ def test_crafted_snapshot_is_refused_or_ranks_as_the_oracle(
     # it, naming the file, or ranks every strategy as the oracle does on
     # the postings the file spells out, into a run file that reads back.
     path = tmp_path_factory.mktemp("snap") / "snap.ngir"
-    path.write_bytes(_snapshot(*crafted))
+    path.write_bytes(deflated(_snapshot(*crafted)))
     picked = None if extra is None else bundle_terms(bundle) | extra
     try:
         index = load_index(path, picked)
     except ParseError as exc:
         assert str(exc).startswith(f"{path}: ")
         return
-    plain, tagged, lengths = decoded_fields(path.read_bytes())
+    plain, tagged, lengths = decoded_fields(inflated(path.read_bytes()))
     run = RunResult("crafted", {})
     for number, strategy in enumerate(CRAFTED_STRATEGIES):
         ranked = run_strategy(strategy, bundle, index, 1000)
@@ -1034,6 +1172,26 @@ def test_save_refuses_a_doc_id_listed_twice(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("lengths, docs, part", [
+    ("<BB", [(f"d{i}", ["x"]) for i in range(100)], "document table"),
+    ("<HH", [("a", [f"t{j}" for j in range(20_000)]), ("b", ["x"])], "field 'tagged'"),
+], ids=["document table", "postings"])
+def test_save_refuses_a_part_too_long_for_its_lengths(tmp_path, monkeypatch, lengths, docs, part):
+    # A part of 4 GiB or more, inflated, has a length that no u32 holds;
+    # lengths of one and two bytes stand in for it here. The refusal
+    # names the part, and the file written before keeps its bytes.
+    monkeypatch.setattr("negir.index._DEFLATED", struct.Struct(lengths))
+    path = tmp_path / "snap.ngir"
+    path.write_bytes(b"previous snapshot")
+    index = build_index(docs)
+    with pytest.raises(NegirError) as refused:
+        save_index(index, path)
+    fault = r"cannot write the {}: its \d+ bytes are more than its length can state"
+    assert re.fullmatch(f"{re.escape(str(path))}: {fault.format(re.escape(part))}", str(refused.value))
+    assert path.read_bytes() == b"previous snapshot"
+    assert [p.name for p in tmp_path.iterdir()] == ["snap.ngir"]
+
+
 # Terms from a small alphabet, with no "[nx]", with one or with two, so
 # that a text may have both forms in either order, "" and "[nx]" among them.
 HAND_MADE_TERMS = st.builds(
@@ -1150,9 +1308,9 @@ def test_save_of_a_loaded_index_gives_its_bytes(tmp_path):
 def test_save_narrows_a_column_wider_than_its_values_need(tmp_path):
     crafted = (["a", "b"], [1, 2], [("x", 2), ("[nx]x", 1)], [[0, 1], [1]], [1, 1, 1])
     path, resaved = tmp_path / "wide.ngir", tmp_path / "resaved.ngir"
-    path.write_bytes(_snapshot(*crafted, widths=(4, 2, 4, 4, 4), gap_widths=(4, 2)))
+    path.write_bytes(deflated(_snapshot(*crafted, widths=(4, 2, 4, 4, 4), gap_widths=(4, 2))))
     save_index(load_index(path), resaved)
-    assert resaved.read_bytes() == _snapshot(*crafted)
+    assert inflated(resaved.read_bytes()) == _snapshot(*crafted)
 
 
 def test_save_takes_blocks_of_any_unsigned_typecode(tmp_path):
@@ -1165,7 +1323,7 @@ def test_save_takes_blocks_of_any_unsigned_typecode(tmp_path):
     index = Index(postings, ["a", "b"], array("H", [3, 302]), 1.2, 0.75, (0, 0))
     path = tmp_path / "snap.ngir"
     save_index(index, path)
-    assert path.read_bytes() == _snapshot(
+    assert inflated(path.read_bytes()) == _snapshot(
         ["a", "b"], [3, 302], [("x", 1), ("y", 2), ("z", 1)], [[0], [0, 1], [1]], [1, 2, 300, 1]
     )
     assert load_index(path).postings == postings
@@ -1174,9 +1332,9 @@ def test_save_takes_blocks_of_any_unsigned_typecode(tmp_path):
 def test_a_tf_of_u32_max_makes_the_tf_column_u32(tmp_path):
     crafted = (["a", "b"], [1, 1], [("x", 2)], [[0, 1]], [U32_MAX, 1])
     path, resaved = tmp_path / "snap.ngir", tmp_path / "resaved.ngir"
-    path.write_bytes(_snapshot(*crafted))
+    path.write_bytes(deflated(_snapshot(*crafted)))
     data = path.read_bytes()
-    assert data[-4 - 9] == 4  # the tf column's width, before two u32 tfs and the CRC
+    assert inflated(data)[-4 - 9] == 4  # the tf column's width, before two u32 tfs and the CRC
     loaded = load_index(path)
     assert loaded.postings["x"] == (array("I", [0, 1]), array("I", [U32_MAX, 1]))
     save_index(loaded, resaved)
@@ -1190,7 +1348,7 @@ def test_the_doc_number_column_is_as_wide_as_the_last_doc_number(tmp_path, doc_c
     path = tmp_path / "snap.ngir"
     index = build_index((f"d{i}", ["x"]) for i in range(doc_count))
     save_index(index, path)
-    data = path.read_bytes()
+    data = inflated(path.read_bytes())
     gaps = len(data) - 4 - 1 - doc_count - (doc_count - 1)  # before the u8 tfs and the CRC
     assert data[gaps:gaps + doc_count - 1] == b"\x01" * (doc_count - 1)
     lasts = gaps - 1 - width  # x's last, after the column's width byte
@@ -1202,7 +1360,7 @@ def test_the_doc_number_column_is_as_wide_as_the_last_doc_number(tmp_path, doc_c
 
 
 def column_starts(data):
-    """Where each of the five columns of the snapshot ``data`` starts:
+    """Where each of the five columns of the inflated snapshot ``data`` starts:
     the lengths, the dfs, the back-references, the lasts and the tfs;
     and the kinds."""
     doc_count, id_bytes = struct.unpack_from("<II", data, HEADER_BYTES)
@@ -1222,13 +1380,13 @@ def column_starts(data):
 def test_a_column_width_other_than_1_2_or_4_is_a_parse_error(tmp_path, width):
     # Under a recomputed CRC, so the width itself is what the load refuses.
     path, _ = small_snapshot(tmp_path)
-    data = path.read_bytes()
+    data = inflated(path.read_bytes())
     postings = postings_start(data)
     columns, kinds = column_starts(data)
     for column in columns:
         start, end = (HEADER_BYTES, postings - 4) if column < postings else (postings, len(data) - 4)
         patched = data[:column] + bytes((width,)) + data[column + 1:]
-        path.write_bytes(resealed(patched, start, end))
+        path.write_bytes(deflated(resealed(patched, start, end), postings))
         for terms in (None, ("fever",)):
             with pytest.raises(
                 ParseError,
@@ -1239,7 +1397,7 @@ def test_a_column_width_other_than_1_2_or_4_is_a_parse_error(tmp_path, width):
     # bits or without them: cough is stored as "[nx]" form alone.
     for term, form in product(range(3), (0, NX, SECOND, NX | SECOND)):
         patched = data[:kinds + term] + bytes((width | form,)) + data[kinds + term + 1:]
-        path.write_bytes(resealed(patched, postings, len(data) - 4))
+        path.write_bytes(deflated(resealed(patched, postings, len(data) - 4)))
         for terms in (None, ("fever",), ("rash",)):
             with pytest.raises(
                 ParseError,
