@@ -15,11 +15,12 @@ are deterministic for fixed inputs.
 from __future__ import annotations
 
 import argparse
+import io
 import json
 import math
 import os
 import sys
-from contextlib import suppress
+from contextlib import redirect_stdout, suppress
 from pathlib import Path
 from typing import NamedTuple
 
@@ -504,10 +505,23 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+def _parse_args(argv: list[str] | None) -> argparse.Namespace:
+    """``argv`` parsed. argparse drops a failed write of its help or
+    version text, so that text is printed here, where a failed write
+    fails the command as one of any other output does."""
+    text = io.StringIO()
     try:
+        with redirect_stdout(text):
+            return build_parser().parse_args(argv)
+    finally:
+        if text.getvalue():
+            _say(text.getvalue().removesuffix("\n"))
+            _flush_stdout()
+
+
+def main(argv: list[str] | None = None) -> int:
+    try:
+        args = _parse_args(argv)
         code = args.handler(args)
         _flush_stdout()
         return code

@@ -31,7 +31,6 @@ positive weights.
 
 from __future__ import annotations
 
-import io
 import math
 import operator
 import os
@@ -42,9 +41,9 @@ import zlib
 from array import array
 from bisect import bisect_left
 from collections import Counter
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, repeat
 from pathlib import Path
-from typing import BinaryIO, Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
 
 from .corpus import atomic_write, utf8_encodable
 from .errors import DuplicateIdError, NegirError, ParseError
@@ -252,7 +251,13 @@ def score_query(index: Index, field: str, terms: Sequence[str], weight: float) -
 # fingerprints are those of the stopword list and the lexicon
 # (``fingerprints``); 0 means not given.
 #
-# ``load_index`` checks each deflated part before it allocates anything
+# ``load_index`` reads the magic and the version byte first, and no more
+# of a file in which either is wrong. It then reads the rest of the file
+# whole, so a snapshot must be a regular file, whose size bounds that
+# read, and each part is read from the file's bytes or from those its
+# deflated stream inflates to.
+#
+# It checks each deflated part before it allocates anything
 # for it: its stream fits in the file, and its inflated length is at most
 # 1032 times the stream's, DEFLATE's largest expansion. The CRC of the
 # lengths and the stream must match, which covers every stored bit, the
@@ -290,14 +295,6 @@ _WIDTHS = {1: "B", 2: "H", 4: U32}  # a column's width byte -> its array typecod
 _NX, _SECOND = 0x40, 0x80
 _KINDS = bytes(width | form for width in _WIDTHS for form in (0, _NX, _SECOND, _NX | _SECOND))
 _GAP_WIDTH = bytes(kind & ~(_NX | _SECOND) for kind in range(256))  # translates a kind to its width
-_FIRSTS = bytes(range(_SECOND))  # the kinds of first forms
-# Translate a kind to 1 for a first form, or for a second form, else 0.
-_IS_FIRST = bytes(kind < _SECOND for kind in range(256))
-_IS_SECOND = bytes(kind >= _SECOND for kind in range(256))
-# Translate a kind to its form bits; and a second form's kind to those of
-# the term it must name, a first form of the other form.
-_FORM = bytes(kind & (_NX | _SECOND) for kind in range(256))
-_NAMED_FORM = bytes(~kind & _NX for kind in range(256))
 _NX_BYTES = NX_PREFIX.encode("utf-8")
 _CHUNK = 4096  # values narrowed at once: few calls, and no whole column in memory
 _FIELD = f"field {TAGGED!r}"  # the stored field, as errors name it
@@ -529,53 +526,45 @@ def save_index(index: Index, path: str | Path) -> None:
 
 
 class _Reader:
-    """Reads the parts of a snapshot, the header from the file and each
-    other part from the bytes it inflates to, and keeps the running crc32
-    of the current one. A read past the end of the file or of a part's
-    inflated bytes fails before anything is allocated for it."""
+    """A cursor over one bytes object: the file's after its magic and
+    version byte, or those that one deflated part inflates to, which its
+    ``end_part`` must use up. A read is a view of those bytes, and one
+    past their end fails before anything is allocated for it."""
 
-    def __init__(self, handle: BinaryIO, path: Path):
-        self.handle: BinaryIO = handle
-        self.path = str(path)
-        info = os.fstat(handle.fileno())
-        if not stat.S_ISREG(info.st_mode):
-            raise ParseError("not a regular file, so its size is unknown", self.path)
-        self.left = info.st_size  # bytes not yet read
-        self.crc = 0
-        self.file: tuple[BinaryIO, int] | None = None  # the file and its bytes left, during a part
+    def __init__(self, data: bytes, path: str):
+        self.data = memoryview(data)
+        self.path = path
+        self.at = 0  # where the next read starts
 
-    def _take(self, size: int) -> None:
-        if size > self.left:
-            raise EOFError(f"needed {size} bytes, found {self.left}")
-        self.left -= size
+    def read(self, size: int) -> memoryview:
+        end = self.at + size
+        if end > len(self.data):
+            raise EOFError(f"needed {size} bytes, found {len(self.data) - self.at}")
+        view = self.data[self.at:end]
+        self.at = end
+        return view
 
-    def _read(self, size: int) -> bytes:
-        self._take(size)
-        data = self.handle.read(size)
-        if len(data) != size:
-            raise EOFError(f"needed {size} bytes, found {len(data)}")
-        return data
+    def check_crc(self, part: str, *chunks) -> None:
+        """Read a CRC, which must be the crc32 of ``chunks`` in turn."""
+        (stored,) = _U32.unpack(self.read(4))
+        crc = 0
+        for chunk in chunks:
+            crc = zlib.crc32(chunk, crc)
+        if stored != crc:
+            raise self.fail(f"the {part} fails its CRC check")
 
-    def read(self, size: int) -> bytes:
-        data = self._read(size)
-        self.crc = zlib.crc32(data, self.crc)
-        return data
-
-    def inflate(self, part: str) -> None:
-        """Read the next deflated part from the file and check its CRC,
-        then read on from the bytes it inflates to, which ``end_part``
-        must use up."""
-        lengths = self._read(_DEFLATED.size)
+    def inflate(self, part: str) -> _Reader:
+        """Read the next deflated part and check its CRC: a reader of the
+        bytes it inflates to."""
+        lengths = self.read(_DEFLATED.size)
         stored, inflated = _DEFLATED.unpack(lengths)
         if inflated > _MOST_INFLATED * stored:
             raise self.fail(
                 f"the {part} is stated to inflate {stored} bytes to {inflated}, "
                 f"over DEFLATE's {_MOST_INFLATED}:1"
             )
-        stream = self._read(stored)
-        (crc,) = _U32.unpack(self._read(4))
-        if crc != zlib.crc32(stream, zlib.crc32(lengths)):
-            raise self.fail(f"the deflated {part} fails its CRC check")
+        stream = self.read(stored)
+        self.check_crc(f"deflated {part}", lengths, stream)
         inflater = zlib.decompressobj(-zlib.MAX_WBITS)
         try:  # one byte more than stated shows a stream that inflates to more
             data = inflater.decompress(stream, inflated + 1)
@@ -591,8 +580,7 @@ class _Reader:
             )
         if len(data) < inflated:
             raise self.fail(f"the {part} inflates to {len(data)} bytes, not the {inflated} stated")
-        self.file = (self.handle, self.left)
-        self.handle, self.left = io.BytesIO(data), inflated
+        return _Reader(data, self.path)
 
     def read_column(self, count: int) -> array:
         """A column of ``count`` values, read into an array of its width."""
@@ -600,9 +588,7 @@ class _Reader:
         if width not in _WIDTHS:
             raise self.fail(f"a column of width {width}, not 1, 2 or 4")
         values = array(_WIDTHS[width])
-        self._take(width * count)
-        values.fromfile(self.handle, count)  # EOFError if the file ends first
-        self.crc = zlib.crc32(values, self.crc)
+        values.frombytes(self.read(width * count))
         if _SWAP:
             values.byteswap()
         return values
@@ -614,18 +600,10 @@ class _Reader:
             raise self.fail(fault)
 
     def end_part(self, part: str) -> None:
-        """Check the part's CRC; a deflated part must end with it, and
-        the file is read on."""
-        expected = self.crc
-        (stored,) = _U32.unpack(self.read(4))
-        if stored != expected:
-            raise self.fail(f"the {part} fails its CRC check")
-        self.crc = 0
-        if self.file:
-            if self.left:
-                raise self.fail(f"{self.left} trailing bytes after the {part}")
-            self.handle, self.left = self.file
-            self.file = None
+        """Check the CRC of the inflated part, which must end with it."""
+        self.check_crc(part, self.data[:self.at])
+        if left := len(self.data) - self.at:
+            raise self.fail(f"{left} trailing bytes after the {part}")
 
     def fail(self, message: str) -> ParseError:
         return ParseError(f"corrupt snapshot: {message}", self.path)
@@ -640,91 +618,81 @@ def load_index(path: str | Path, terms: Iterable[str] | None = None) -> Index:
     path = Path(path)
     try:
         with open(path, "rb") as handle:
-            reader = _Reader(handle, path)
-            if reader.read(min(reader.left, len(SNAPSHOT_MAGIC))) != SNAPSHOT_MAGIC:
+            if not stat.S_ISREG(os.fstat(handle.fileno()).st_mode):
+                raise ParseError("not a regular file, so its size is unknown", str(path))
+            head = handle.read(len(SNAPSHOT_MAGIC) + 1)  # all that a wrong file has read of it
+            if head[:len(SNAPSHOT_MAGIC)] != SNAPSHOT_MAGIC:
                 raise ParseError("not an index snapshot (bad magic bytes)", str(path))
-            (version,) = reader.read(1)
-            if version != SNAPSHOT_VERSION:
+            if len(head) == len(SNAPSHOT_MAGIC):
+                raise EOFError("needed 1 bytes, found 0")
+            if head[-1] != SNAPSHOT_VERSION:
                 raise ParseError(
-                    f"unsupported snapshot version {version}; rebuild the index", str(path)
+                    f"unsupported snapshot version {head[-1]}; rebuild the index", str(path)
                 )
-            k1, b, stopwords_fp, lexicon_fp = _HEADER.unpack(reader.read(_HEADER.size))
-            fault = header_fault(k1, b, (stopwords_fp, lexicon_fp))
-            if fault:
-                raise reader.fail(fault)
-            reader.end_part("header")
+            reader = _Reader(handle.read(), str(path))
+        header = reader.read(_HEADER.size)
+        k1, b, stopwords_fp, lexicon_fp = _HEADER.unpack(header)
+        fault = header_fault(k1, b, (stopwords_fp, lexicon_fp))
+        if fault:
+            raise reader.fail(fault)
+        reader.check_crc("header", head, header)
 
-            reader.inflate("document table")
-            doc_count, id_bytes = _DOCUMENTS.unpack(reader.read(_DOCUMENTS.size))
-            ids = reader.read(id_bytes)
-            doc_lengths = reader.read_column(doc_count)
-            reader.end_part("document table")
-            doc_ids = ids.decode("utf-8").split("\n") if doc_count or ids else []
-            reader.check_strings(doc_ids, doc_count, "doc_id")
+        documents = reader.inflate("document table")
+        doc_count, id_bytes = _DOCUMENTS.unpack(documents.read(_DOCUMENTS.size))
+        ids = documents.read(id_bytes)
+        doc_lengths = documents.read_column(doc_count)
+        documents.end_part("document table")
+        doc_ids = str(ids, "utf-8").split("\n") if doc_count or ids else []
+        documents.check_strings(doc_ids, doc_count, "doc_id")
 
-            reader.inflate(_FIELD)
-            postings = _read_postings(reader, doc_lengths, terms)
-            if reader.left:
-                raise ParseError(f"{reader.left} trailing bytes after the postings", str(path))
+        postings = _read_postings(reader.inflate(_FIELD), doc_lengths, terms)
+        if left := len(reader.data) - reader.at:
+            raise ParseError(f"{left} trailing bytes after the postings", str(path))
     except (EOFError, UnicodeDecodeError) as exc:
         raise ParseError(f"corrupt or truncated index snapshot ({exc})", str(path)) from exc
     return Index(postings, doc_ids, doc_lengths, k1, b, (stopwords_fp, lexicon_fp))
 
 
-def _second_forms(reader: _Reader, kinds: bytes, refs: array) -> dict[int, int]:
-    """Each first form's second form, by term number. The back-reference
-    of each second form must name an earlier first form of the other
-    form, which no other term names. Checked a column at a time, with
-    no Python step per term."""
-    refs = refs.tolist()  # one int object per back-reference, for every pass
-    seconds = list(compress(range(len(kinds)), kinds.translate(_IS_SECOND)))
-    if any(map(operator.ge, refs, seconds)):
-        number, ref = next((n, r) for n, r in zip(seconds, refs) if r >= n)
-        raise reader.fail(f"the back-reference of term {number} is {ref}, not an earlier term")
-    # The form bits of each term named, and those it must have, a byte each.
-    named = bytes(map(kinds.__getitem__, refs)).translate(_FORM)
-    wanted = kinds.translate(None, _FIRSTS).translate(_NAMED_FORM)
-    if named != wanted:
-        i = next(i for i, pair in enumerate(zip(named, wanted)) if pair[0] != pair[1])
-        fault = "a second form" if named[i] & _SECOND else "of its own form"
-        raise reader.fail(f"term {seconds[i]} refers to term {refs[i]}, {fault}")
-    second_of = dict(zip(refs, seconds))
-    if len(second_of) < len(refs):
-        named_before: set[int] = set()
-        ref = next(r for r in refs if r in named_before or named_before.add(r))
-        raise reader.fail(f"term {ref} is referred to twice")
-    return second_of
-
-
-def _check_plain_texts(
-    reader: _Reader, texts: list[bytes], kinds: bytes, second_of: dict[int, int]
-) -> None:
-    """No plain term's text may start with "[nx]", as that term's own
-    would: neither a plain first form's nor a plain second form's, whose
-    text is that of the "[nx]" first form it refers to."""
-    firsts = compress(range(len(kinds)), kinds.translate(_IS_FIRST))
-    numbers = [
-        second_of.get(first) if kinds[first] & _NX else first
-        for first, text in zip(firsts, texts) if text.startswith(_NX_BYTES)
-    ]
-    numbers = [number for number in numbers if number is not None]
-    if numbers:
-        raise reader.fail(f"plain term {min(numbers)} has a text that starts with {NX_PREFIX!r}")
+def _term_texts(reader: _Reader, texts: list[bytes], kinds: bytes, refs: array) -> list[bytes]:
+    """Each term's text: a first form's is the next of ``texts``, a second
+    form's that of the term its back-reference names, which must be an
+    earlier first form of the other form that no other term names. A
+    plain term's text may not start with "[nx]", as that term's own would."""
+    term_texts: list[bytes] = []
+    firsts, seconds, named = iter(texts), iter(refs), set()
+    for number, kind in enumerate(kinds):
+        if kind < _SECOND:
+            text = next(firsts)
+        elif (ref := next(seconds)) >= number:
+            raise reader.fail(f"the back-reference of term {number} is {ref}, not an earlier term")
+        elif kinds[ref] & _SECOND:
+            raise reader.fail(f"term {number} refers to term {ref}, a second form")
+        elif not (kinds[ref] ^ kind) & _NX:
+            raise reader.fail(f"term {number} refers to term {ref}, of its own form")
+        elif ref in named:
+            raise reader.fail(f"term {ref} is referred to twice")
+        else:
+            named.add(ref)
+            text = term_texts[ref]
+        if not kind & _NX and text.startswith(_NX_BYTES):
+            raise reader.fail(f"plain term {number} has a text that starts with {NX_PREFIX!r}")
+        term_texts.append(text)
+    return term_texts
 
 
 def _read_postings(reader: _Reader, doc_lengths: array, terms: Iterable[str] | None) -> Postings:
-    """The postings of every term, or of ``terms`` and their "[nx]" forms:
-    the gaps and tfs of each kept term sliced from the part, the rest
-    dropped once read. The text list, the kinds and the back-references
-    are checked whole before they name the terms; the picks match the
-    texts of ``terms``. Only the kept terms are decoded, each block from
-    its last doc number and gaps, and checked."""
+    """The postings of every term, or of ``terms`` and their "[nx]" forms,
+    from the bytes the postings part inflates to. The text list, the
+    kinds and the back-references are checked whole before they name the
+    terms; the picks match the texts of ``terms``. Only the picked terms
+    are decoded, each block from its last doc number and the gaps sliced
+    from the part, and checked."""
     term_count, text_count, text_bytes, posting_count = _POSTINGS.unpack(
         reader.read(_POSTINGS.size)
     )
     if posting_count > (total := sum(doc_lengths)):  # a posting counts a term of its document
         raise reader.fail(f"{posting_count} postings in documents of {total} terms in all")
-    blob = reader.read(text_bytes)
+    blob = bytes(reader.read(text_bytes))
     dfs = reader.read_column(term_count)
     # u64 sums in an array: a list would hold an int object per term
     offsets = array("Q", accumulate(dfs, initial=0))
@@ -732,10 +700,10 @@ def _read_postings(reader: _Reader, doc_lengths: array, terms: Iterable[str] | N
         raise reader.fail(f"the dfs of {_FIELD} add up to {offsets[-1]}, not {posting_count}")
     if 0 in dfs:  # a term needs a last doc number, and then has df - 1 gaps
         raise reader.fail(f"a term of {_FIELD} has no posting")
-    kinds = reader.read(term_count)
+    kinds = bytes(reader.read(term_count))
     if bad := kinds.translate(None, _KINDS):
         raise reader.fail(f"a gap width of {_GAP_WIDTH[bad[0]]}, not 1, 2 or 4")
-    seconds = len(kinds.translate(None, _FIRSTS))
+    seconds = len(kinds.translate(None, bytes(range(_SECOND))))
     if text_count != term_count - seconds:
         raise reader.fail(f"{text_count} term texts for {term_count - seconds} first forms")
     refs = reader.read_column(seconds)
@@ -747,46 +715,32 @@ def _read_postings(reader: _Reader, doc_lengths: array, terms: Iterable[str] | N
         raise reader.fail(f"{_FIELD} lists doc number {max(lasts)} of {doc_count}")
     texts = blob.split(b"\n") if text_count or blob else []
     reader.check_strings(texts, text_count, f"term text of {_FIELD}")
-    second_of = _second_forms(reader, kinds, refs)
-    if _NX_BYTES in blob:  # only a term with two "[nx]" prefixes has such a text
-        _check_plain_texts(reader, texts, kinds, second_of)
-    firsts = compress(range(term_count), kinds.translate(_IS_FIRST))  # the term of each text
+    term_texts = _term_texts(reader, texts, kinds, refs)
     if terms is None:
-        plain = negated = None
-        hits = zip(firsts, texts)
+        picks: Iterable[int] = range(term_count)
     else:  # each pick t and "[nx]" + t: an "[nx]" term's text may also be a pick less "[nx]"
         # A lone surrogate passes into bytes that are not UTF-8, so match no text.
         plain = {term.encode("utf-8", "surrogatepass") for term in terms}
         negated = plain | {text[len(_NX_BYTES):] for text in plain if text.startswith(_NX_BYTES)}
-        hits = compress(zip(firsts, texts), map(negated.__contains__, texts))
-    # Each kept term's number and text, the first form of a text and its second.
-    kept = [
-        (number, text)
-        for first, text in hits
-        for number in (first, second_of.get(first))
-        if number is not None and (
-            negated is None or text in (negated if kinds[number] & _NX else plain)
-        )
-    ]
-    kept.sort()
+        picks = [
+            i for i, (text, kind) in enumerate(zip(term_texts, kinds))
+            if text in (negated if kind & _NX else plain)
+        ]
     # Where each term's width x (df - 1) bytes of gaps start.
     gap_offsets = array("Q", accumulate(
         map(operator.mul, widths, map(operator.sub, dfs, repeat(1))), initial=0
     ))
     gaps = reader.read(gap_offsets[-1])
-    gap_blocks = [gaps[gap_offsets[i]:gap_offsets[i + 1]] for i, _ in kept]
-    del gaps
     tfs = reader.read_column(posting_count)
-    tf_blocks = [tfs[offsets[i]:offsets[i + 1]] for i, _ in kept]
-    del tfs
     reader.end_part(_FIELD)
     blob.decode("utf-8")  # every text is UTF-8, kept or not
     postings = {}
-    for (i, text), gap_block, tf_block in zip(kept, gap_blocks, tf_blocks):
-        term = text.decode("utf-8")
+    for i in picks:
+        term = term_texts[i].decode("utf-8")
         if kinds[i] & _NX:
             term = NX_PREFIX + term
-        block = array(_WIDTHS[widths[i]], gap_block)
+        block = array(_WIDTHS[widths[i]])
+        block.frombytes(gaps[gap_offsets[i]:gap_offsets[i + 1]])
         if _SWAP:
             block.byteswap()
         if 0 in block:
@@ -794,6 +748,7 @@ def _read_postings(reader: _Reader, doc_lengths: array, terms: Iterable[str] | N
         first = lasts[i] - sum(block)
         if first < 0:
             raise reader.fail(f"the doc numbers of term {term!r} start below 0")
+        tf_block = tfs[offsets[i]:offsets[i + 1]]
         if 0 in tf_block:
             raise reader.fail(f"term {term!r} has a tf of 0")
         postings[term] = (array(lasts.typecode, accumulate(block, initial=first)), tf_block)

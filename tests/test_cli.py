@@ -718,6 +718,20 @@ def test_a_failed_write_in_place_names_out(workspace, command, target, unbuffere
     assert not [p for p in workspace.rglob("*") if p.name.endswith(".tmp")]
 
 
+@needs_dev_full
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("argv", [
+    ["--version"], ["--help"], ["bundle", "--help"], ["detect", "--text", "no fever"],
+], ids=" ".join)
+def test_a_failed_write_of_help_or_version_names_stdout(workspace, argv, unbuffered):
+    # argparse drops a failed write of its help and version text; these
+    # fail as the output of any command does, standard output named "-".
+    with open("/dev/full", "wb") as full:
+        child = negir_child(argv, workspace, unbuffered, stdout=full)
+    assert child.stderr.decode() == f"negir: -: {os.strerror(errno.ENOSPC)}\n"
+    assert child.returncode == 1
+
+
 def command_argv(workspace, command):
     """The arguments of ``index`` or ``run`` on the workspace's inputs,
     all but ``--out``; ``run`` reads a snapshot built for it."""

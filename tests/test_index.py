@@ -19,6 +19,7 @@ from snapshot_parts import (
     HEADER_BYTES, deflate, deflate_part, deflated, inflated, parts, postings_start,
 )
 
+import negir.index as index_module
 from negir.errors import DuplicateIdError, NegirError, ParseError
 from negir.evalkit import RunResult, read_run, write_run
 from negir.index import (
@@ -210,10 +211,13 @@ def test_snapshot_round_trip(tmp_path):
 
 
 def test_snapshot_rejects_garbage(tmp_path):
+    # A file shorter than the magic bytes too, even one that starts them.
     path = tmp_path / "bogus.ngir"
-    path.write_bytes(b"NOPE!" + b"\x00" * 20)
-    with pytest.raises(ParseError, match="magic"):
-        load_index(path)
+    for content in (b"NOPE!" + b"\x00" * 20, b"", b"NGI"):
+        path.write_bytes(content)
+        message = r"not an index snapshot \(bad magic bytes\)"
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: {message}$"):
+            load_index(path)
 
 
 def test_snapshot_magic_bytes(tmp_path):
@@ -265,6 +269,11 @@ def test_snapshot_truncation_is_a_parse_error(tmp_path):
         cut.write_bytes(content)
         with pytest.raises(ParseError, match=cut.name):
             load_index(cut)
+    for terms in (None, ("rash",)):  # the 7 bytes of "garbage", counted
+        with pytest.raises(
+            ParseError, match=f"^{re.escape(str(cut))}: 7 trailing bytes after the postings$"
+        ):
+            load_index(cut, terms)
 
 
 def test_snapshot_of_older_version_asks_for_rebuild(tmp_path):
@@ -478,11 +487,12 @@ def _snapshot_part(*chunks):
 COLUMN_FORMATS = {1: "B", 2: "H", 4: "I"}  # width -> struct format of a value
 
 
-def _column(values, least=1):
+def _column(values, least=1, order="<"):
     """A column of ``values``: the width byte, then the values, in the
-    narrowest of 1, 2 and 4 bytes that holds them and is ``least`` or wider."""
+    narrowest of 1, 2 and 4 bytes that holds them and is ``least`` or
+    wider, in the byte ``order`` of ``struct``."""
     width = next(w for w in (1, 2, 4) if w >= least and max(values, default=0) < 1 << 8 * w)
-    return bytes((width,)) + struct.pack(f"<{len(values)}{COLUMN_FORMATS[width]}", *values)
+    return bytes((width,)) + struct.pack(f"{order}{len(values)}{COLUMN_FORMATS[width]}", *values)
 
 
 NX, SECOND = 0x40, 0x80  # the form bits of a term's kind byte
@@ -506,7 +516,7 @@ def _vocabulary(terms):
 
 def _snapshot(
     doc_ids, lengths, terms, blocks, tfs, widths=(1, 1, 1, 1, 1), gap_widths=(), vocabulary=None,
-    fingerprints=(0, 0),
+    fingerprints=(0, 0), order="<",
 ):
     """The inflated snapshot (``deflated`` writes it as a file) of a
     document table, the terms with their dfs, each term's block of doc
@@ -516,7 +526,8 @@ def _snapshot(
     back-reference, last and tf columns, ``gap_widths`` the least gap
     width of each term (1 if not given). ``vocabulary``, if given,
     replaces what ``_vocabulary`` makes of the terms, whose names are
-    then not stored."""
+    then not stored. ``order`` is the byte order of the columns and gaps,
+    little-endian as the format has it unless given."""
     ids = "\n".join(doc_ids).encode("utf-8")
     text_count, texts, forms, refs = vocabulary or _vocabulary([term for term, _ in terms])
     text_bytes = "\n".join(texts).encode("utf-8")
@@ -524,19 +535,20 @@ def _snapshot(
     lasts = [block[-1] if block else 0 for block in blocks]
     gap_widths = list(gap_widths) + [1] * (len(blocks) - len(gap_widths))
     gaps = [
-        _column([b - a for a, b in zip(block, block[1:])], least)
+        _column([b - a for a, b in zip(block, block[1:])], least, order)
         for block, least in zip(blocks, gap_widths)
     ]
     kinds = bytes(column[0] | form for column, form in zip(gaps, forms))
     return (
         _snapshot_part(b"NGIR1", struct.pack("<BddII", 10, 1.2, 0.75, *fingerprints))
         + _snapshot_part(
-            struct.pack("<II", len(doc_ids), len(ids)), ids, _column(lengths, widths[0]),
+            struct.pack("<II", len(doc_ids), len(ids)), ids, _column(lengths, widths[0], order),
         )
         + _snapshot_part(
             struct.pack("<IIII", len(terms), text_count, len(text_bytes), len(tfs)), text_bytes,
-            _column(dfs, widths[1]), kinds, _column(refs, widths[2]), _column(lasts, widths[3]),
-            *(column[1:] for column in gaps), _column(tfs, widths[4]),
+            _column(dfs, widths[1], order), kinds, _column(refs, widths[2], order),
+            _column(lasts, widths[3], order), *(column[1:] for column in gaps),
+            _column(tfs, widths[4], order),
         )
     )
 
@@ -1052,6 +1064,27 @@ def test_save_refuses_a_term_with_a_line_break(tmp_path):
         path.unlink()
 
 
+@pytest.mark.parametrize("head, message", [
+    (b"", r"not an index snapshot \(bad magic bytes\)"),
+    (b"NGIR1\x09", "unsupported snapshot version 9; rebuild the index"),
+], ids=["magic", "version"])
+def test_a_wrong_file_is_refused_after_its_first_6_bytes(tmp_path, head, message):
+    # 64 MiB of zeros after the head: the load reads the rest of a file
+    # whole, but only once its magic and version are right.
+    path = tmp_path / "big.ngir"
+    with open(path, "wb") as out:
+        out.write(head)
+        out.truncate(64 << 20)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ParseError, match=f"^{re.escape(str(path))}: {message}$"):
+            load_index(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_load_refuses_a_file_that_is_not_regular():
     # A device has no size to bound the reads by.
     message = r"^/dev/null: not a regular file, so its size is unknown$"
@@ -1357,6 +1390,40 @@ def test_the_doc_number_column_is_as_wide_as_the_last_doc_number(tmp_path, doc_c
     loaded = load_index(path)
     assert loaded.postings == index.postings
     assert loaded.postings["x"][0].itemsize == width
+
+
+def test_a_big_endian_host_swaps_what_it_loads(tmp_path, monkeypatch):
+    # A big-endian host reads each little-endian column and gap block into
+    # an array of swapped values, then byteswaps it. On a little-endian
+    # host told that it is big-endian, a snapshot whose columns and gaps
+    # are big-endian takes the same path, with u8, u16 and u32 columns
+    # and gaps, and must load to the postings of its little-endian twin.
+    # save_index cannot run so: it narrows a value by keeping the first
+    # bytes of the little-endian wider one.
+    crafted = (
+        ["a", "b", "c"], [1, 300, 70_000], [("x", 3), ("[nx]x", 2), ("y", 2)],
+        [[0, 1, 2], [1, 2], [0, 2]], [1, 2, 70_000, 3, 300, 1, 5],
+    )
+    shapes = {"widths": (4, 2, 1, 2, 1), "gap_widths": (1, 2, 4)}
+
+    def as_lists(index, terms):
+        return [index.doc_lengths.typecode, list(index.doc_lengths)] + [
+            (term, docs.typecode, list(docs), tfs.typecode, list(tfs))
+            for term, (docs, tfs) in index.postings.items()
+            if terms is None or term.removeprefix("[nx]") in terms
+        ]
+
+    little, big = tmp_path / "little.ngir", tmp_path / "big.ngir"
+    little.write_bytes(deflated(_snapshot(*crafted, **shapes)))
+    big.write_bytes(deflated(_snapshot(*crafted, **shapes, order=">")))
+    expected = load_index(little)
+    assert as_lists(expected, None) == [
+        "I", [1, 300, 70_000], ("x", "H", [0, 1, 2], "I", [1, 2, 70_000]),
+        ("[nx]x", "H", [1, 2], "I", [3, 300]), ("y", "H", [0, 2], "I", [1, 5]),
+    ]
+    monkeypatch.setattr(index_module, "_SWAP", True)
+    for terms in (None, ("x",)):
+        assert as_lists(load_index(big, terms), None) == as_lists(expected, terms)
 
 
 def column_starts(data):
