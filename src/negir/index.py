@@ -43,7 +43,7 @@ from bisect import bisect_left
 from collections import Counter
 from itertools import accumulate, chain, repeat
 from pathlib import Path
-from typing import Collection, Iterable, Iterator, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 from .corpus import atomic_write, utf8_encodable
 from .errors import DuplicateIdError, NegirError, ParseError
@@ -225,9 +225,9 @@ def score_query(index: Index, field: str, terms: Sequence[str], weight: float) -
 #               | posting_count x tf (a column), in doc number order per term | crc
 #   end of file: the end of the deflated postings
 #
-# The writer deflates each part with zlib at Z_DEFAULT_COMPRESSION, so
-# one zlib build always writes the same bytes for the same index; another
-# build may deflate to other bytes that inflate to the same parts.
+# The writer makes each part whole in memory, then deflates it with zlib
+# at Z_DEFAULT_COMPRESSION: one zlib build always writes the same bytes
+# for an index, and another may write other bytes that inflate the same.
 #
 # A term's text is the term with one leading "[nx]" removed, and its form
 # says whether that prefix was there. At most two terms share a text, one
@@ -296,7 +296,6 @@ _NX, _SECOND = 0x40, 0x80
 _KINDS = bytes(width | form for width in _WIDTHS for form in (0, _NX, _SECOND, _NX | _SECOND))
 _GAP_WIDTH = bytes(kind & ~(_NX | _SECOND) for kind in range(256))  # translates a kind to its width
 _NX_BYTES = NX_PREFIX.encode("utf-8")
-_CHUNK = 4096  # values narrowed at once: few calls, and no whole column in memory
 _FIELD = f"field {TAGGED!r}"  # the stored field, as errors name it
 
 
@@ -335,23 +334,10 @@ def _strings_fault(values: Collection, count: int, item: str) -> str | None:
 
 
 def _le(values: array) -> array:
-    """``values`` in the little-endian order of the file."""
+    """``values``, swapped in place to the little-endian order of the file."""
     if _SWAP:
-        values = array(values.typecode, values)
         values.byteswap()
     return values
-
-
-def _narrowed(values: array, width: int) -> array | bytes:
-    """``values``, of any unsigned typecode, as little-endian items of
-    ``width`` bytes, each of which holds its value. A narrower item is
-    the first ``width`` bytes of the little-endian wider one."""
-    if values.itemsize < width:  # never for a built or a loaded index
-        values = array(_WIDTHS[width], values)
-    values = _le(values)
-    if values.itemsize == width:
-        return values
-    return memoryview(values).cast("B").cast(_WIDTHS[width])[:: values.itemsize // width].tobytes()
 
 
 def _width(largest: int) -> int:
@@ -359,90 +345,42 @@ def _width(largest: int) -> int:
     return 1 if largest <= 0xFF else 2 if largest <= 0xFFFF else 4
 
 
-def _column(blocks: Iterable[array], largest: int) -> Iterator[array | bytes]:
-    """The column of the values of ``blocks``, arrays of any unsigned
-    typecode, in the narrowest width that holds ``largest``: the width
-    byte, then the values about ``_CHUNK`` at a time. Blocks of one
-    typecode are joined into a chunk and narrowed together, since a call
-    per block would cost more than the copy."""
+def _column(blocks: Sequence[array], column: str, path: str | Path) -> tuple[bytes, array]:
+    """The width byte and the values of the ``column`` that ``blocks``,
+    arrays of any unsigned typecode, hold in turn: the narrowest width
+    that holds the largest value, 1 for an empty column, and each value
+    at that width. A value over u32 is refused."""
+    largest = max(map(max, filter(None, blocks)), default=0)
+    if largest > 0xFFFFFFFF:
+        fault = f"{largest} is out of the u32 range"
+        raise NegirError(f"{path}: cannot write the {column} column: {fault}")
     width = _width(largest)
-    yield bytes((width,))
-    chunk = array(_WIDTHS[width])
-    for block in blocks:
-        if block.typecode != chunk.typecode or len(chunk) >= _CHUNK:
-            yield _narrowed(chunk, width)
-            chunk = array(block.typecode)
-        chunk += block
-    yield _narrowed(chunk, width)
+    return bytes((width,)), _le(array(_WIDTHS[width], chain.from_iterable(blocks)))
 
 
-def _gap_blocks(postings: Postings, path: str | Path) -> tuple[bytearray, bytearray]:
-    """Each term's gap width, and all the terms' gaps: a term's doc
-    numbers less the one before each, in the narrowest width that holds
-    the largest. A term whose doc numbers do not strictly ascend is
-    refused, since no gap it could store is 0 or below, and so is one
-    with more or fewer tfs than doc numbers."""
-    widths, gaps = bytearray(), bytearray()
-    for term, (docs, tfs) in postings.items():
-        if len(tfs) != len(docs):
-            fault = f"it has {len(tfs)} tfs for {len(docs)} doc numbers"
-            raise NegirError(f"{path}: cannot write term {term[:32]!r}: {fault}")
-        block = list(map(operator.sub, docs[1:], docs))
-        if block and min(block) < 1:
-            fault = "its doc numbers do not strictly ascend"
-            raise NegirError(f"{path}: cannot write term {term[:32]!r}: {fault}")
-        width = _width(max(block, default=0))
-        widths.append(width)
-        gaps += _le(array(_WIDTHS[width], block))
-    return widths, gaps
-
-
-def _vocabulary(terms: Iterable[str]) -> tuple[list[str], bytearray, array]:
-    """Each distinct term text, in order of first use; each term's form
-    bits; and for each second form, in term order, the number of the
-    earlier term of its text."""
-    texts: list[str] = []
-    forms, refs = bytearray(), array(U32)
-    first: dict[str, int] = {}
-    for number, term in enumerate(terms):
-        text = term.removeprefix(NX_PREFIX)
-        form = _NX if len(text) < len(term) else 0
-        earlier = first.setdefault(text, number)
-        if earlier == number:
-            texts.append(text)
-        else:  # only the other form of the text can come before
-            form |= _SECOND
-            refs.append(earlier)
-        forms.append(form)
-    return texts, forms, refs
-
-
-def _part(chunks: Iterable) -> Iterator:
-    """Each chunk, then the crc32 of them all."""
+def _sealed(pieces: list) -> list:
+    """``pieces``, then the crc32 of them all."""
     crc = 0
-    for chunk in chunks:
-        yield chunk
-        crc = zlib.crc32(chunk, crc)
-    yield _U32.pack(crc)
+    for piece in pieces:
+        crc = zlib.crc32(piece, crc)
+    return [*pieces, _U32.pack(crc)]
 
 
-def _deflated(chunks: Iterable, path: str | Path, part: str) -> list:
-    """The stored and inflated lengths of ``chunks``, the ``part`` of
-    the snapshot at ``path``, then their raw DEFLATE stream, deflated a
-    chunk at a time, then the crc32 of the lengths and the stream: only
-    the stream is kept whole, since its length comes first."""
+def _deflated(pieces: list, path: str | Path, part: str) -> list:
+    """The ``part`` of the snapshot at ``path`` that ``pieces`` hold, as
+    it is stored: its stored and inflated lengths, the raw DEFLATE stream
+    of ``pieces`` and their crc32, then the crc32 of the lengths and the
+    stream."""
+    pieces = _sealed(pieces)
     deflater = zlib.compressobj(zlib.Z_DEFAULT_COMPRESSION, zlib.DEFLATED, -zlib.MAX_WBITS)
-    stream, inflated = [], 0
-    for chunk in chunks:
-        stream.append(deflater.compress(chunk))
-        inflated += memoryview(chunk).nbytes
-    stream.append(deflater.flush())
+    stream = [*map(deflater.compress, pieces), deflater.flush()]
+    inflated = sum(memoryview(piece).nbytes for piece in pieces)
     try:
         lengths = _DEFLATED.pack(sum(map(len, stream)), inflated)
     except struct.error:
         fault = f"its {inflated} bytes are more than its length can state"
         raise NegirError(f"{path}: cannot write the {part}: {fault}") from None
-    return list(_part((lengths, *stream)))
+    return _sealed([lengths, *stream])
 
 
 def header_fault(k1: float, b: float, fingerprints: Sequence[int] = ()) -> str | None:
@@ -462,67 +400,78 @@ def save_index(index: Index, path: str | Path) -> None:
     that ``load_index`` would not read back: a bad header or string, a
     repeated doc id, a term with no posting, with doc numbers that do not
     strictly ascend or with more or fewer tfs than doc numbers, a column
-    value over u32, or more postings than the lengths add up to; and, as
-    it writes, a part of 4 GiB or more, whose length no u32 holds. A
-    term's postings are not checked for tfs of 0 or doc numbers past the
-    count.
-
-    Each column is written in the narrowest width that holds its values,
-    and each term's gaps in the narrowest that holds the term's, from
-    arrays of any unsigned typecode. The gaps are computed in memory
-    before the path is opened; the tfs come straight from the per-term
-    arrays, a chunk at a time. Each part but the header is deflated a
-    chunk at a time too, and only its stream is held whole.
+    value over u32, more postings than the lengths add up to, or a part
+    of 4 GiB or more, whose length no u32 holds. A term's postings are
+    not checked for tfs of 0 or doc numbers past the count. Arrays of
+    any unsigned typecode are narrowed by value, and both parts are
+    deflated whole in memory before the path is opened.
     """
-    fault = header_fault(index.k1, index.b, index.fingerprints)
-    if fault:
+    if fault := header_fault(index.k1, index.b, index.fingerprints):
         raise NegirError(f"{path}: cannot write the header: {fault}")
     ids = _encode_strings(index.doc_ids, path)
-    fault = _strings_fault(index.doc_ids, len(index.doc_ids), "doc_id")
-    if fault:
+    if fault := _strings_fault(index.doc_ids, len(index.doc_ids), "doc_id"):
         raise NegirError(f"{path}: cannot write the document table: {fault}")
-    postings = index.postings.values()
-    texts, forms, refs = _vocabulary(index.postings)
-    text_bytes = _encode_strings(texts, path)
-    dfs = array("Q", (len(docs) for docs, _ in postings))
-    if 0 in dfs:
-        term = list(index.postings)[dfs.index(0)]
-        raise NegirError(f"{path}: cannot write term {term[:32]!r}: it has no posting")
-    lasts = array("Q", (docs[-1] for docs, _ in postings))
-    largest = {
-        "document length": max(index.doc_lengths, default=0),
-        "df": max(dfs, default=0),
-        # Each block ascends, so its last doc number is its largest.
-        "doc number": max(lasts, default=0),
-        "tf": max(chain.from_iterable(tfs for _, tfs in postings), default=0),
-    }
-    for column, value in largest.items():
-        if value > 0xFFFFFFFF:
-            fault = f"{value} is out of the u32 range"
-            raise NegirError(f"{path}: cannot write the {column} column: {fault}")
-    posting_count, total = sum(dfs), sum(index.doc_lengths)
+    documents = [
+        _DOCUMENTS.pack(len(index.doc_ids), len(ids)), ids,
+        *_column((index.doc_lengths,), "document length", path),
+    ]
+    postings = _postings_part(index.postings, sum(index.doc_lengths), path)
+    header = _HEADER.pack(index.k1, index.b, *index.fingerprints)
+    parts = (
+        _sealed([SNAPSHOT_MAGIC, bytes((SNAPSHOT_VERSION,)), header])
+        + _deflated(documents, path, "document table")
+        + _deflated(postings, path, _FIELD)
+    )
+    with atomic_write(path, "wb") as out:
+        out.writelines(parts)
+
+
+def _postings_part(postings: Postings, total: int, path: str | Path) -> list:
+    """The pieces of the postings part, made in one pass over the terms.
+    A term with no posting, with more or fewer tfs than doc numbers or
+    with doc numbers that do not strictly ascend is refused, since no gap
+    it could store is 0 or below; then more postings than ``total``, the
+    sum of the lengths."""
+    texts: dict[str, int] = {}  # each text, in order of first use -> its first term's number
+    kinds, gaps = bytearray(), bytearray()
+    refs, dfs, lasts = array(U32), array("Q"), array("Q")
+    tf_blocks = []
+    for number, (term, (docs, tfs)) in enumerate(postings.items()):
+        block = list(map(operator.sub, docs[1:], docs))
+        if not docs:
+            fault = "it has no posting"
+        elif len(tfs) != len(docs):
+            fault = f"it has {len(tfs)} tfs for {len(docs)} doc numbers"
+        elif block and min(block) < 1:
+            fault = "its doc numbers do not strictly ascend"
+        else:
+            fault = None
+        if fault:
+            raise NegirError(f"{path}: cannot write term {term[:32]!r}: {fault}")
+        width = _width(max(block, default=0))
+        if docs[-1] <= 0xFFFFFFFF:  # else the column of lasts refuses the term
+            gaps += _le(array(_WIDTHS[width], block))
+        text = term.removeprefix(NX_PREFIX)
+        kind = width | (_NX if len(text) < len(term) else 0)
+        earlier = texts.setdefault(text, number)
+        if earlier != number:  # a second form: only the other form can come before
+            kind |= _SECOND
+            refs.append(earlier)
+        kinds.append(kind)
+        dfs.append(len(docs))
+        lasts.append(docs[-1])  # the block ascends, so its last is its largest
+        tf_blocks.append(tfs)
+    posting_count = sum(dfs)
     if posting_count > total:
         raise NegirError(
             f"{path}: cannot write {posting_count} postings in documents of {total} terms in all"
         )
-    widths, gaps = _gap_blocks(index.postings, path)
-    kinds = bytes(map(operator.or_, widths, forms))
-    with atomic_write(path, "wb") as out:
-        header = _HEADER.pack(index.k1, index.b, *index.fingerprints)
-        out.writelines(_part((SNAPSHOT_MAGIC, bytes((SNAPSHOT_VERSION,)), header)))
-        out.writelines(_deflated(_part(chain(
-            (_DOCUMENTS.pack(len(index.doc_ids), len(ids)), ids),
-            _column((index.doc_lengths,), largest["document length"]),
-        )), path, "document table"))
-        out.writelines(_deflated(_part(chain(
-            (_POSTINGS.pack(len(dfs), len(texts), len(text_bytes), posting_count), text_bytes),
-            _column((dfs,), largest["df"]),
-            (kinds,),
-            _column((refs,), max(refs, default=0)),
-            _column((lasts,), largest["doc number"]),
-            (gaps,),
-            _column((tfs for _, tfs in postings), largest["tf"]),
-        )), path, _FIELD))
+    text_bytes = _encode_strings(texts, path)
+    return [
+        _POSTINGS.pack(len(kinds), len(texts), len(text_bytes), posting_count), text_bytes,
+        *_column((dfs,), "df", path), kinds, *_column((refs,), "back-reference", path),
+        *_column((lasts,), "doc number", path), gaps, *_column(tf_blocks, "tf", path),
+    ]
 
 
 class _Reader:
